@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/aggregate"
 	"repro/internal/cluster"
@@ -299,14 +300,24 @@ func printStages(stages []core.StageReport, elastic bool) {
 			if s.AllocatedProcSecs > 0 {
 				util = s.BusyProcSecs / s.AllocatedProcSecs
 			}
-			fmt.Printf("%-18s %14v %16s %14d %8d %12.3f %12.3f %6.2f\n", s.Name, s.Duration.Round(1e6),
+			fmt.Printf("%-18s %14v %16s %14d %8d %12.3f %12.3f %6.2f\n", s.Name, threeDigits(s.Duration),
 				yelt.HumanBytes(float64(s.OutputBytes)), s.Items, s.Workers,
 				s.AllocatedProcSecs, s.BusyProcSecs, util)
 		} else {
-			fmt.Printf("%-18s %14v %16s %14d\n", s.Name, s.Duration.Round(1e6),
+			fmt.Printf("%-18s %14v %16s %14d\n", s.Name, threeDigits(s.Duration),
 				yelt.HumanBytes(float64(s.OutputBytes)), s.Items)
 		}
 	}
+}
+
+// threeDigits rounds d to three significant digits, so that a stage
+// under a millisecond reads 412µs and not 0s.
+func threeDigits(d time.Duration) time.Duration {
+	unit := time.Nanosecond
+	for d/unit >= 1000 {
+		unit *= 10
+	}
+	return d.Round(unit)
 }
 
 func printSummary(s *metrics.Summary) {

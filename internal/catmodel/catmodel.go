@@ -10,6 +10,20 @@
 // partitioned across independent workers, each accumulating a partial
 // ELT that is merged at the end — no random access, no shared state on
 // the hot path.
+//
+// Work is proportional to the pairs an event is felt at, not to all
+// (event, interest) pairs — on the default book 2–3 % of them. The
+// exposure database is flattened once per run (Flatten) into a hazard
+// site table, one entry per location, and per-interest columns. For
+// each event hazard.Model.Footprint rejects the sites beyond the felt
+// radius with one dot product each and returns the few remaining with
+// their intensities, evaluated once per location; the kernel then
+// prices the interests at those locations in ascending interest order.
+// That order is the one the sums were always accumulated in, and the
+// survivors go through the same distance and damage arithmetic, so the
+// ELTs are bit-identical to those of the loop that visited every pair;
+// that loop is kept as the oracle in oracle_test.go, and DESIGN.md
+// ("Stage-1 kernel") has the argument.
 package catmodel
 
 import (
@@ -54,18 +68,6 @@ func New() *Engine {
 	}
 }
 
-func (e *Engine) termsFor(in exposure.Interest) financial.Terms {
-	if e.TermsFor != nil {
-		return e.TermsFor(in)
-	}
-	switch in.Occupancy {
-	case exposure.Commercial, exposure.Industrial:
-		return financial.StandardCommercial(in.Value)
-	default:
-		return financial.StandardResidential(in.Value)
-	}
-}
-
 // Run computes the ELT for one contract: the given exposure database
 // analysed against the full event catalogue. It is deterministic (the
 // moment pipeline is closed-form; no sampling happens in stage 1).
@@ -81,26 +83,19 @@ func (e *Engine) Run(ctx context.Context, cat *catalog.Catalog, db *exposure.Dat
 		corr = 0.3
 	}
 
-	// Flatten the exposure into parallel arrays once: the inner loop
-	// touches every interest for every in-range event, so layout is
-	// cache-critical (this is the "organise data in large flat tables"
-	// idiom from the paper, in miniature).
-	n := len(db.Interests)
-	lats := make([]float64, n)
-	lons := make([]float64, n)
-	values := make([]float64, n)
-	cons := make([]exposure.Construction, n)
-	perilTerms := make([]financial.Terms, n)
-	for i, in := range db.Interests {
-		loc := db.Locations[in.LocationIndex]
-		lats[i] = loc.Lat
-		lons[i] = loc.Lon
-		values[i] = in.Value
-		cons[i] = in.Construction
-		perilTerms[i] = e.termsFor(in)
+	book, err := Flatten(db, e.TermsFor)
+	if err != nil {
+		return nil, err
 	}
+	independent, sqrtCorr := 1-corr, math.Sqrt(corr)
 
-	type partial struct{ recs []elt.Record }
+	// Each worker keeps its partial ELT and the two per-event scratch
+	// lists, reused from event to event.
+	type partial struct {
+		recs  []elt.Record
+		sites []hazard.Felt
+		pairs []feltInterest
+	}
 	result, err := stream.MapReduceLocal(ctx, cat.Len(), e.Workers,
 		func() *partial { return &partial{} },
 		func(ctx context.Context, r stream.Range, acc *partial) error {
@@ -113,26 +108,25 @@ func (e *Engine) Run(ctx context.Context, cat *catalog.Catalog, db *exposure.Dat
 					}
 				}
 				ev := cat.Events[evIdx]
+				acc.sites = e.Hazard.Footprint(ev, book.Sites, acc.sites)
+				acc.pairs = book.gather(acc.sites, acc.pairs)
 				var meanSum, varISum, sigmaCSum, exposed float64
-				for i := 0; i < n; i++ {
-					inten := e.Hazard.IntensityAt(ev, lats[i], lons[i])
-					if inten <= 0 {
-						continue
-					}
-					mdr, sd := e.Vulnerability.DamageMoments(ev.Peril, cons[i], inten)
+				for _, p := range acc.pairs {
+					i := p.interest
+					mdr, sd := e.Vulnerability.DamageMoments(ev.Peril, book.Construction[i], p.intensity)
 					if mdr <= 0 {
 						continue
 					}
-					guMean := mdr * values[i]
-					guSD := sd * values[i]
-					gMean, gSD := perilTerms[i].ApplyMoments(guMean, guSD)
+					guMean := mdr * book.Value[i]
+					guSD := sd * book.Value[i]
+					gMean, gSD := book.Terms[i].ApplyMoments(guMean, guSD)
 					if gMean <= 0 && gSD <= 0 {
 						continue
 					}
 					meanSum += gMean
-					varISum += (1 - corr) * gSD * gSD
-					sigmaCSum += math.Sqrt(corr) * gSD
-					exposed += values[i]
+					varISum += independent * gSD * gSD
+					sigmaCSum += sqrtCorr * gSD
+					exposed += book.Value[i]
 				}
 				if meanSum < e.MinMeanLoss || meanSum <= 0 {
 					continue

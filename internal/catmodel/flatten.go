@@ -1,0 +1,121 @@
+package catmodel
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/exposure"
+	"repro/internal/financial"
+	"repro/internal/hazard"
+)
+
+// Book is one exposure database flattened for the per-event kernels
+// (Engine.Run here, the post-event estimator): the locations as a
+// hazard site table, the interests as parallel columns — the "organise
+// data in large flat tables" idiom from the paper, in miniature.
+type Book struct {
+	Sites *hazard.Sites // one per location
+
+	// One entry per interest, in the database's order.
+	Location     []int // index into Sites
+	Value        []float64
+	Construction []exposure.Construction
+	Terms        []financial.Terms
+
+	// The interests at location l are start[l]..start[l+1]: of the
+	// interest columns themselves when the database lists its interests
+	// by ascending location (generated ones do), else of byLocation,
+	// which lists them so.
+	start      []int
+	byLocation []int
+}
+
+// standardTerms are the policy terms applied to an interest when the
+// caller selects none: standard terms by occupancy.
+func standardTerms(in exposure.Interest) financial.Terms {
+	switch in.Occupancy {
+	case exposure.Commercial, exposure.Industrial:
+		return financial.StandardCommercial(in.Value)
+	default:
+		return financial.StandardResidential(in.Value)
+	}
+}
+
+// Flatten lays db out as a Book; termsFor nil applies standard terms
+// by occupancy. It is where a database is checked: an interest that
+// names a location or a construction class that does not exist is an
+// error here, not an index out of range in a kernel.
+func Flatten(db *exposure.Database, termsFor func(exposure.Interest) financial.Terms) (*Book, error) {
+	if termsFor == nil {
+		termsFor = standardTerms
+	}
+	nLoc, n := len(db.Locations), len(db.Interests)
+	b := &Book{
+		Sites: hazard.NewSites(nLoc, func(i int) (lat, lon float64) {
+			return db.Locations[i].Lat, db.Locations[i].Lon
+		}),
+		Location:     make([]int, n),
+		Value:        make([]float64, n),
+		Construction: make([]exposure.Construction, n),
+		Terms:        make([]financial.Terms, n),
+		start:        make([]int, nLoc+1),
+	}
+	grouped := true
+	for i, in := range db.Interests {
+		l := in.LocationIndex
+		if l < 0 || l >= nLoc {
+			return nil, fmt.Errorf("catmodel: interest %d refers to location %d of %d", i, l, nLoc)
+		}
+		if int(in.Construction) >= exposure.NumConstruction {
+			return nil, fmt.Errorf("catmodel: interest %d has unknown construction class %d", i, in.Construction)
+		}
+		if i > 0 && l < b.Location[i-1] {
+			grouped = false
+		}
+		b.Location[i] = l
+		b.Value[i] = in.Value
+		b.Construction[i] = in.Construction
+		b.Terms[i] = termsFor(in)
+		b.start[l+1]++
+	}
+	for l := 0; l < nLoc; l++ {
+		b.start[l+1] += b.start[l]
+	}
+	if !grouped {
+		// Counting sort: each location's slots fill in interest order.
+		b.byLocation = make([]int, n)
+		next := append([]int(nil), b.start[:nLoc]...)
+		for i, l := range b.Location {
+			b.byLocation[next[l]] = i
+			next[l]++
+		}
+	}
+	return b, nil
+}
+
+// feltInterest is one (event, interest) pair the kernel has to price.
+type feltInterest struct {
+	interest  int
+	intensity hazard.Intensity
+}
+
+// gather appends to out[:0] the interests at the felt sites, each with
+// its site's intensity, in ascending interest order: the order the ELT
+// sums have always been accumulated in, which keeps them bit-identical
+// whatever the order of the database.
+func (b *Book) gather(felt []hazard.Felt, out []feltInterest) []feltInterest {
+	out = out[:0]
+	for _, f := range felt {
+		for k := b.start[f.Site]; k < b.start[f.Site+1]; k++ {
+			i := k
+			if b.byLocation != nil {
+				i = b.byLocation[k]
+			}
+			out = append(out, feltInterest{i, f.Intensity})
+		}
+	}
+	if b.byLocation != nil {
+		sort.Slice(out, func(x, y int) bool { return out[x].interest < out[y].interest })
+	}
+	return out
+}

@@ -12,10 +12,10 @@ import (
 // mean at the support bound, variance clamp) and the beta-draw path.
 func TestSampleParamsMatchesSampleLoss(t *testing.T) {
 	records := []Record{
-		{EventID: 1, MeanLoss: 0, ExposedValue: 100},             // non-positive mean → 0
-		{EventID: 2, MeanLoss: 50, ExposedValue: 0},              // no exposure → 0
-		{EventID: 3, MeanLoss: 50, ExposedValue: 100},            // sigma 0 → mean
-		{EventID: 4, MeanLoss: 120, SigmaI: 5, ExposedValue: 100}, // mu ≥ 1 → exposed value
+		{EventID: 1, MeanLoss: 0, ExposedValue: 100},               // non-positive mean → 0
+		{EventID: 2, MeanLoss: 50, ExposedValue: 0},                // no exposure → 0
+		{EventID: 3, MeanLoss: 50, ExposedValue: 100},              // sigma 0 → mean
+		{EventID: 4, MeanLoss: 120, SigmaI: 5, ExposedValue: 100},  // mu ≥ 1 → exposed value
 		{EventID: 5, MeanLoss: 50, SigmaI: 500, ExposedValue: 100}, // variance clamp, then draw
 		{EventID: 6, MeanLoss: 30, SigmaI: 10, SigmaC: 5, ExposedValue: 200},
 		{EventID: 7, MeanLoss: 1e-9, SigmaI: 1e-10, ExposedValue: 1},

@@ -9,6 +9,11 @@
 // proprietary, and the pipeline only needs intensities with the right
 // spatial structure: monotone decay with distance, scale set by event
 // severity.
+//
+// IntensityAt evaluates one (event, site) pair. Footprint evaluates one
+// event against a prepared table of sites and returns only the sites
+// that feel it, culling the rest without computing a distance; the
+// stage-1 engine's cost is proportional to what Footprint returns.
 package hazard
 
 import (
@@ -26,9 +31,10 @@ type Intensity float64
 // EarthRadiusKm is the mean Earth radius used by the haversine metric.
 const EarthRadiusKm = 6371.0
 
+const deg = math.Pi / 180 // radians per degree
+
 // DistanceKm returns the great-circle distance between two points.
 func DistanceKm(lat1, lon1, lat2, lon2 float64) float64 {
-	const deg = math.Pi / 180
 	dLat := (lat2 - lat1) * deg
 	dLon := (lon2 - lon1) * deg
 	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
@@ -57,8 +63,13 @@ func (m Model) maxRange() float64 {
 // pipeline lives in event occurrence and damage uncertainty, not in
 // the physics approximation.
 func (m Model) IntensityAt(ev catalog.Event, lat, lon float64) Intensity {
-	d := DistanceKm(ev.Lat, ev.Lon, lat, lon)
-	cut := ev.RadiusKm * m.maxRange()
+	return intensityAtDistance(ev, DistanceKm(ev.Lat, ev.Lon, lat, lon), ev.RadiusKm*m.maxRange())
+}
+
+// intensityAtDistance is the per-peril attenuation formula at d km from
+// the event's anchor, with the footprint cutoff cut. IntensityAt and
+// Footprint both evaluate it, so the two agree bit for bit.
+func intensityAtDistance(ev catalog.Event, d, cut float64) Intensity {
 	if d >= cut {
 		return 0
 	}
@@ -103,19 +114,4 @@ func decay(d, radius float64) float64 {
 		return 1
 	}
 	return half / (d - half + half) // = half/d', normalized to 1 at half
-}
-
-// Footprint computes intensities for one event across a set of sites,
-// returning a dense slice aligned with the sites. It exists so callers
-// iterate events outermost (streaming the big table once) — the
-// access pattern the paper's stage 1 prescribes.
-func (m Model) Footprint(ev catalog.Event, lats, lons []float64, out []Intensity) []Intensity {
-	if cap(out) < len(lats) {
-		out = make([]Intensity, len(lats))
-	}
-	out = out[:len(lats)]
-	for i := range lats {
-		out[i] = m.IntensityAt(ev, lats[i], lons[i])
-	}
-	return out
 }

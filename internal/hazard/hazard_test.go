@@ -101,27 +101,6 @@ func TestIntensityBounds(t *testing.T) {
 	}
 }
 
-func TestFootprintMatchesPointwise(t *testing.T) {
-	var m Model
-	ev := eventAt(catalog.Hurricane, 50, 150)
-	lats := []float64{30, 30.5, 31, 29, 35}
-	lons := []float64{-90, -90.2, -89, -91, -95}
-	out := m.Footprint(ev, lats, lons, nil)
-	if len(out) != len(lats) {
-		t.Fatal("length mismatch")
-	}
-	for i := range lats {
-		if out[i] != m.IntensityAt(ev, lats[i], lons[i]) {
-			t.Fatalf("footprint[%d] mismatch", i)
-		}
-	}
-	// Reuse buffer path.
-	out2 := m.Footprint(ev, lats, lons, out)
-	if &out2[0] != &out[0] {
-		t.Error("expected buffer reuse")
-	}
-}
-
 func TestTornadoSharpFalloff(t *testing.T) {
 	var m Model
 	ev := eventAt(catalog.Tornado, 4.5, 5)

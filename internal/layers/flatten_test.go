@@ -47,7 +47,7 @@ func TestFlatTermsRoundTripProperty(t *testing.T) {
 		losses := []float64{
 			0,
 			frac(lossSeed) * 3000,
-			l1.OccRetention,              // exactly at the attachment: no recovery
+			l1.OccRetention,               // exactly at the attachment: no recovery
 			l1.OccRetention + l1.OccLimit, // exactly at exhaustion
 			l1.OccRetention + l1.OccLimit + 1,
 			l2.AggRetention,

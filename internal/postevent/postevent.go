@@ -15,10 +15,12 @@ package postevent
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/catmodel"
 	"repro/internal/exposure"
 	"repro/internal/financial"
 	"repro/internal/hazard"
@@ -64,29 +66,21 @@ func New(dbs []*exposure.Database, termsFor func(exposure.Interest) financial.Te
 		Vuln: vulnerability.Default(),
 		grid: make(map[cellKey][]int32),
 	}
-	for _, db := range dbs {
-		for _, in := range db.Interests {
-			loc := db.Locations[in.LocationIndex]
-			idx := int32(len(e.lats))
-			e.lats = append(e.lats, loc.Lat)
-			e.lons = append(e.lons, loc.Lon)
-			e.values = append(e.values, in.Value)
-			e.cons = append(e.cons, in.Construction)
-			var t financial.Terms
-			if termsFor != nil {
-				t = termsFor(in)
-			} else {
-				switch in.Occupancy {
-				case exposure.Commercial, exposure.Industrial:
-					t = financial.StandardCommercial(in.Value)
-				default:
-					t = financial.StandardResidential(in.Value)
-				}
-			}
-			e.terms = append(e.terms, t)
-			k := keyOf(loc.Lat, loc.Lon)
-			e.grid[k] = append(e.grid[k], idx)
+	for k, db := range dbs {
+		book, err := catmodel.Flatten(db, termsFor)
+		if err != nil {
+			return nil, fmt.Errorf("postevent: database %d: %w", k, err)
 		}
+		for _, l := range book.Location {
+			lat, lon := book.Sites.At(l)
+			cell := keyOf(lat, lon)
+			e.grid[cell] = append(e.grid[cell], int32(len(e.lats)))
+			e.lats = append(e.lats, lat)
+			e.lons = append(e.lons, lon)
+		}
+		e.values = append(e.values, book.Value...)
+		e.cons = append(e.cons, book.Construction...)
+		e.terms = append(e.terms, book.Terms...)
 	}
 	if len(e.lats) == 0 {
 		return nil, errors.New("postevent: databases contain no interests")
@@ -127,11 +121,7 @@ func (e *Estimator) Estimate(ctx context.Context, ev catalog.Event) (*Estimate, 
 // the spatial index — the baseline the index is measured against.
 func (e *Estimator) EstimateFullScan(ctx context.Context, ev catalog.Event) (*Estimate, error) {
 	start := time.Now()
-	idxs := make([]int32, len(e.lats))
-	for i := range idxs {
-		idxs[i] = int32(i)
-	}
-	est, err := e.evaluate(ctx, ev, idxs)
+	est, err := e.evaluate(ctx, ev, e.allSites())
 	if err != nil {
 		return nil, err
 	}
@@ -140,18 +130,25 @@ func (e *Estimator) EstimateFullScan(ctx context.Context, ev catalog.Event) (*Es
 }
 
 // candidates returns site indices in grid cells intersecting the
-// event's maximum footprint.
+// event's footprint: the cells of the latitude/longitude box around
+// the cap of hazard's felt radius, the same radius the stage-1 kernel
+// culls with. Cells do not wrap at ±180° longitude.
 func (e *Estimator) candidates(ev catalog.Event) []int32 {
-	maxRange := ev.RadiusKm * 3 // matches hazard.Model's default cutoff factor
-	if e.Hazard.MaxRangeFactor > 0 {
-		maxRange = ev.RadiusKm * e.Hazard.MaxRangeFactor
+	const deg = math.Pi / 180
+	// A hair wider than the radius, so a site DistanceKm rounds to just
+	// inside it is never in a cell just outside the box.
+	theta := e.Hazard.FeltRadiusKm(ev) / hazard.EarthRadiusKm * (1 + 1e-9)
+	if theta < 0 {
+		return nil
 	}
-	dLat := maxRange / 111.0
-	cosLat := math.Cos(ev.Lat * math.Pi / 180)
-	if cosLat < 0.2 {
-		cosLat = 0.2
+	dLat := theta / deg
+	if !(math.Abs(ev.Lat)+dLat < 90 && math.Abs(ev.Lon) <= 360) {
+		// The cap reaches a pole, covers the globe, or the event has no
+		// usable position: no box bounds it.
+		return e.allSites()
 	}
-	dLon := maxRange / (111.0 * cosLat)
+	// The cap's meridians of tangency: sin Δλ = sin θ / cos φ.
+	dLon := math.Asin(math.Sin(theta)/math.Cos(ev.Lat*deg)) / deg
 	var out []int32
 	lo := keyOf(ev.Lat-dLat, ev.Lon-dLon)
 	hi := keyOf(ev.Lat+dLat, ev.Lon+dLon)
@@ -161,6 +158,14 @@ func (e *Estimator) candidates(ev catalog.Event) []int32 {
 		}
 	}
 	return out
+}
+
+func (e *Estimator) allSites() []int32 {
+	idxs := make([]int32, len(e.lats))
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	return idxs
 }
 
 type partialEstimate struct {

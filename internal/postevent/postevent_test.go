@@ -3,6 +3,7 @@ package postevent
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -71,27 +72,62 @@ func TestEstimateBasics(t *testing.T) {
 
 func TestIndexedMatchesFullScan(t *testing.T) {
 	dbs := testDBs(t, 3, 13)
-	est, err := New(dbs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := eventNear(dbs)
-	fast, err := est.Estimate(context.Background(), ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := est.EstimateFullScan(context.Background(), ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.SitesTouched != slow.SitesTouched {
-		t.Fatalf("indexed touched %d sites, full scan %d", fast.SitesTouched, slow.SitesTouched)
-	}
-	if math.Abs(fast.GrossMean-slow.GrossMean) > 1e-6*(1+slow.GrossMean) {
-		t.Fatalf("indexed %v vs full %v", fast.GrossMean, slow.GrossMean)
-	}
-	if math.Abs(fast.GrossSD-slow.GrossSD) > 1e-6*(1+slow.GrossSD) {
-		t.Fatalf("sd mismatch: %v vs %v", fast.GrossSD, slow.GrossSD)
+	near := eventNear(dbs)
+	// An anchor on a grid-cell corner: the footprint lies in four cells.
+	corner := near
+	corner.Lat, corner.Lon = math.Round(near.Lat), math.Round(near.Lon)
+	hurricane := corner
+	hurricane.Peril, hurricane.Magnitude, hurricane.RadiusKm = catalog.Hurricane, 55, 250
+	flood := near
+	flood.Peril, flood.Magnitude, flood.RadiusKm = catalog.Flood, 2.5, 60
+	for _, tc := range []struct {
+		name   string
+		ev     catalog.Event
+		factor float64
+	}{
+		{"on a location", near, 0},
+		{"on a cell corner", corner, 0},
+		{"hurricane over many cells", hurricane, 0},
+		{"flood bounded by the cutoff", flood, 0},
+		{"cutoff inside the radius", near, 0.5},
+		{"flood, short cutoff", flood, 0.5},
+		{"flood, long cutoff", flood, 8},
+		{"cutoff beyond half the globe", hurricane, 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			est, err := New(dbs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est.Hazard.MaxRangeFactor = tc.factor
+			fast, err := est.Estimate(context.Background(), tc.ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, err := est.EstimateFullScan(context.Background(), tc.ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slow.SitesTouched == 0 {
+				t.Fatal("full scan touched no sites: the case compares nothing")
+			}
+			if fast.SitesTouched != slow.SitesTouched {
+				t.Fatalf("indexed touched %d sites, full scan %d", fast.SitesTouched, slow.SitesTouched)
+			}
+			// The two sum the same sites, split across workers at
+			// different points: equal up to the order of additions.
+			for _, v := range [][2]float64{
+				{fast.GrossMean, slow.GrossMean}, {fast.GrossSD, slow.GrossSD},
+				{fast.GroundUpMean, slow.GroundUpMean}, {fast.ExposedValue, slow.ExposedValue},
+			} {
+				if math.Abs(v[0]-v[1]) > 1e-9*(1+v[1]) {
+					t.Fatalf("indexed %+v vs full scan %+v", fast, slow)
+				}
+			}
+			if n := len(est.candidates(tc.ev)); tc.factor < 50 && n >= est.Sites()/2 {
+				t.Fatalf("index selected %d of %d sites: the window is not selective", n, est.Sites())
+			}
+		})
 	}
 }
 
@@ -169,6 +205,17 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New([]*exposure.Database{{}}, nil); err == nil {
 		t.Fatal("empty databases should error")
+	}
+	// A hand-built database whose interest names a location that does
+	// not exist is an error naming both, not an index out of range.
+	good := testDBs(t, 1, 37)[0]
+	for _, idx := range []int{len(good.Locations), -1} {
+		bad := &exposure.Database{Locations: good.Locations, Interests: append([]exposure.Interest(nil), good.Interests...)}
+		bad.Interests[2].LocationIndex = idx
+		_, err := New([]*exposure.Database{good, bad}, nil)
+		if err == nil || !strings.Contains(err.Error(), "database 1") || !strings.Contains(err.Error(), "interest 2") {
+			t.Fatalf("location index %d: want an error naming database 1 and interest 2, got %v", idx, err)
+		}
 	}
 }
 
