@@ -5,8 +5,11 @@
 // service.
 //
 // Startup runs stage 1 (catalogue, ELTs, loss index) and pre-builds
-// every per-contract quote layout, so the first quote is as fast as
-// the thousandth; -warm=false defers that work to first demand.
+// every per-contract quote layout, so no quote pays for
+// initialization; -warm=false defers that work to first demand. The
+// trial years are shared by every quote and kept resident: the first
+// quote to ask for more of them than any before it generates the
+// difference, once (/v1/statz: quote_table_*).
 // Quotes run on a bounded worker pool with admission control: beyond
 // -queue waiting requests the server answers 429 immediately, and a
 // request that cannot finish inside -timeout answers 503. SIGINT or
@@ -99,7 +102,7 @@ func main() {
 	if pool <= 0 {
 		pool = runtime.GOMAXPROCS(0)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler(), readHeaderTimeout, readTimeout, idleTimeout)
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s (pool=%d, timeout=%v)", *addr, pool, *timeout)
@@ -129,6 +132,31 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("drained cleanly")
+}
+
+// Bounds on what a client may make the HTTP layer wait for: the request
+// line and headers, the whole request (a quote body is under 64 KiB),
+// and an idle keep-alive connection.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 15 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener-side server with every read bounded,
+// so a client that stalls mid-request is disconnected instead of holding
+// a connection and its goroutine for good. WriteTimeout stays unset: it
+// would run from the end of the request headers and so cap a quote's
+// simulation, which the per-request -timeout already bounds from inside
+// the handler.
+func newHTTPServer(addr string, h http.Handler, readHeader, read, idle time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeader,
+		ReadTimeout:       read,
+		IdleTimeout:       idle,
+	}
 }
 
 // splitDims parses a comma-separated dimension list, dropping empty

@@ -28,7 +28,11 @@ func main() {
 		log.Fatalf("realtime_pricing: modelling: %v", err)
 	}
 
-	// ...then each incoming submission is priced interactively.
+	// ...then each incoming submission is priced interactively. Every
+	// quote reads the same million trial years, whatever the contract:
+	// the first quote generates them into the study's resident trial
+	// table (as would any later quote asking for more trials than the
+	// table holds), the others find them there and only simulate.
 	for contract := 0; contract < 3; contract++ {
 		quote, err := study.PriceContract(ctx, contract, 1_000_000)
 		if err != nil {

@@ -93,6 +93,14 @@ func TVaR(losses []float64, p float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return tailMean(losses, v), nil
+}
+
+// tailMean returns the mean of the losses at or above v, or v itself
+// when there are none. It sums in trial order, not over a sorted
+// column: float addition does not commute bit for bit, and the order of
+// these additions is part of every digest pinned on a summary.
+func tailMean(losses []float64, v float64) float64 {
 	var sum float64
 	var n int
 	for _, l := range losses {
@@ -102,9 +110,9 @@ func TVaR(losses []float64, p float64) (float64, error) {
 		}
 	}
 	if n == 0 {
-		return v, nil
+		return v
 	}
-	return sum / float64(n), nil
+	return sum / float64(n)
 }
 
 // Summary is the standard one-portfolio risk report.
@@ -127,50 +135,58 @@ type ReturnRow struct {
 	AEP          float64 // aggregate exceedance
 }
 
-// Summarize computes the standard report from a YLT. OEP columns are
-// filled only when the table has occurrence detail.
-func Summarize(t *ylt.Table) (*Summary, error) {
-	if t.NumTrials() == 0 {
-		return nil, ErrNoData
-	}
+// View is a YLT with each loss column sorted once. Every order
+// statistic a report needs — both EP curves, VaR, the PML — is read
+// from the same ascending copies, so a caller that wants a Summary and
+// a PML pays two sorts (one when the table has no occurrence detail)
+// however many numbers it asks for. The table must not change while
+// the view is in use.
+type View struct {
+	t   *ylt.Table
+	aep *EPCurve
+	oep *EPCurve // nil when the table has no occurrence detail
+}
+
+// NewView sorts t's columns. It returns ErrNoData for an empty table.
+func NewView(t *ylt.Table) (*View, error) {
 	aep, err := NewEPCurve(t.Agg)
 	if err != nil {
 		return nil, err
 	}
-	var oep *EPCurve
+	v := &View{t: t, aep: aep}
 	if t.HasOccurrence() {
-		if oep, err = NewEPCurve(t.OccMax); err != nil {
+		if v.oep, err = NewEPCurve(t.OccMax); err != nil {
 			return nil, err
 		}
 	}
+	return v, nil
+}
+
+// Summary computes the standard report. OEP columns are filled only
+// when the table has occurrence detail.
+func (v *View) Summary() (*Summary, error) {
+	t := v.t
 	s := &Summary{
 		Name:      t.Name,
 		Trials:    t.NumTrials(),
 		AAL:       t.Mean(),
 		AggStdDev: t.StdDev(),
 	}
-	if s.VaR99, err = VaR(t.Agg, 0.99); err != nil {
-		return nil, err
-	}
-	if s.TVaR99, err = TVaR(t.Agg, 0.99); err != nil {
-		return nil, err
-	}
-	if s.VaR995, err = VaR(t.Agg, 0.995); err != nil {
-		return nil, err
-	}
-	if s.TVaR995, err = TVaR(t.Agg, 0.995); err != nil {
-		return nil, err
-	}
+	s.VaR99 = mathx.QuantileSorted(v.aep.sorted, 0.99)
+	s.TVaR99 = tailMean(t.Agg, s.VaR99)
+	s.VaR995 = mathx.QuantileSorted(v.aep.sorted, 0.995)
+	s.TVaR995 = tailMean(t.Agg, s.VaR995)
+	var err error
 	for _, rp := range StandardReturnPeriods {
 		if float64(s.Trials) < rp {
 			continue // not enough trials to resolve this tail
 		}
 		row := ReturnRow{ReturnPeriod: rp}
-		if row.AEP, err = aep.LossAtReturnPeriod(rp); err != nil {
+		if row.AEP, err = v.aep.LossAtReturnPeriod(rp); err != nil {
 			return nil, err
 		}
-		if oep != nil {
-			if row.OEP, err = oep.LossAtReturnPeriod(rp); err != nil {
+		if v.oep != nil {
+			if row.OEP, err = v.oep.LossAtReturnPeriod(rp); err != nil {
 				return nil, err
 			}
 		}
@@ -182,6 +198,26 @@ func Summarize(t *ylt.Table) (*Summary, error) {
 // PML returns the probable maximum loss at a return period — the
 // occurrence-basis exceedance loss, per Woo's definition the paper
 // cites [8].
+func (v *View) PML(returnPeriod float64) (float64, error) {
+	if v.oep == nil {
+		return 0, ErrNoOccurrence
+	}
+	return v.oep.LossAtReturnPeriod(returnPeriod)
+}
+
+// Summarize computes the standard report from a YLT: NewView then
+// Summary.
+func Summarize(t *ylt.Table) (*Summary, error) {
+	v, err := NewView(t)
+	if err != nil {
+		return nil, err
+	}
+	return v.Summary()
+}
+
+// PML returns the probable maximum loss of t at a return period,
+// sorting only the occurrence column. A caller that also wants the
+// Summary should build one View and ask it for both.
 func PML(t *ylt.Table, returnPeriod float64) (float64, error) {
 	if !t.HasOccurrence() {
 		return 0, ErrNoOccurrence

@@ -18,7 +18,7 @@
 //	GET  /v1/portfolio full-study portfolio report (computed once)
 //	GET  /v1/cube      pre-computed warehouse cell (?region=...&lob=...)
 //	GET  /v1/healthz   liveness + warm/draining state
-//	GET  /v1/statz     counters, queue state, latency quantiles, cube stats
+//	GET  /v1/statz     counters, queue state, latency quantiles, cube and quote-table stats
 //
 // /v1/cube serves dashboard-scale read traffic from the warehouse
 // cube materialized during the study run (risk.Config.CubeDims): the

@@ -354,19 +354,26 @@ func TestPortfolioRequiresStudy(t *testing.T) {
 
 func TestReservoirQuantiles(t *testing.T) {
 	r := newReservoir(8)
-	if r.quantile(0.5) != 0 {
+	if quantile(r.sorted(), 0.5) != 0 {
 		t.Fatal("empty reservoir should answer 0")
 	}
-	for i := 1; i <= 100; i++ { // ring keeps the last 8: 93..100ms
+	for i := 100; i >= 1; i-- { // ring keeps the last 8, newest smallest: 8..1ms
 		r.observe(time.Duration(i) * time.Millisecond)
 	}
-	if q := r.quantile(0); q != 93*time.Millisecond {
+	// One snapshot answers every quantile, and sorting it leaves the
+	// ring itself in arrival order.
+	win := r.sorted()
+	if q := quantile(win, 0); q != 1*time.Millisecond {
 		t.Fatalf("min = %v", q)
 	}
-	if q := r.quantile(1); q != 100*time.Millisecond {
+	if q := quantile(win, 1); q != 8*time.Millisecond {
 		t.Fatalf("max = %v", q)
 	}
-	if q := r.quantile(0.5); q < 93*time.Millisecond || q > 100*time.Millisecond {
-		t.Fatalf("p50 = %v outside window", q)
+	if q := quantile(win, 0.5); q != 4*time.Millisecond {
+		t.Fatalf("p50 = %v, want the lower middle of 1..8ms", q)
+	}
+	r.observe(9 * time.Millisecond) // overwrites the oldest, 8ms
+	if win = r.sorted(); len(win) != 8 || win[0] != 1*time.Millisecond || win[6] != 7*time.Millisecond || win[7] != 9*time.Millisecond {
+		t.Fatalf("window after one more observation = %v", win)
 	}
 }

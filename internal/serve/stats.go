@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,15 +58,26 @@ type statzResponse struct {
 	CubeSizeBytes int64    `json:"cube_size_bytes"`
 	CubeQueries   int64    `json:"cube_queries"`
 	CubeMisses    int64    `json:"cube_misses"`
+	// The backing study's resident quote trial table: its length and
+	// in-memory size, and how many quotes read it as published, grew it
+	// first, or streamed their trials from the generator instead.
+	QuoteTableTrials int   `json:"quote_table_trials"`
+	QuoteTableBytes  int64 `json:"quote_table_bytes"`
+	QuoteTableHits   int64 `json:"quote_table_hits"`
+	QuoteTableGrows  int64 `json:"quote_table_grows"`
+	QuoteStreamed    int64 `json:"quote_streamed"`
 }
 
 func (st *stats) snapshot(s *Server) statzResponse {
 	var f risk.FaultStats
 	var cube risk.CubeInfo
+	var qt risk.QuoteTableInfo
 	if s.study != nil {
 		f = s.study.FaultStats()
 		cube = s.study.CubeInfo()
+		qt = s.study.QuoteTableInfo()
 	}
+	lat := st.lat.sorted()
 	return statzResponse{
 		UptimeMS:    float64(time.Since(s.start)) / float64(time.Millisecond),
 		Contracts:   s.q.NumContracts(),
@@ -81,8 +92,8 @@ func (st *stats) snapshot(s *Server) statzResponse {
 		Unavailable: st.unavailable.Load(),
 		BadRequests: st.badRequests.Load(),
 		Failed:      st.failed.Load(),
-		P50MS:       float64(st.lat.quantile(0.50)) / float64(time.Millisecond),
-		P99MS:       float64(st.lat.quantile(0.99)) / float64(time.Millisecond),
+		P50MS:       float64(quantile(lat, 0.50)) / float64(time.Millisecond),
+		P99MS:       float64(quantile(lat, 0.99)) / float64(time.Millisecond),
 
 		MapFailures:    f.MapFailures,
 		MapRetries:     f.MapRetries,
@@ -97,6 +108,12 @@ func (st *stats) snapshot(s *Server) statzResponse {
 		CubeSizeBytes: cube.SizeBytes,
 		CubeQueries:   st.cubeQueries.Load(),
 		CubeMisses:    st.cubeMisses.Load(),
+
+		QuoteTableTrials: qt.Trials,
+		QuoteTableBytes:  qt.Bytes,
+		QuoteTableHits:   qt.Hits,
+		QuoteTableGrows:  qt.Grows,
+		QuoteStreamed:    qt.Streamed,
 	}
 }
 
@@ -124,14 +141,21 @@ func (r *reservoir) observe(d time.Duration) {
 	r.mu.Unlock()
 }
 
-func (r *reservoir) quantile(p float64) time.Duration {
+// sorted returns an ascending copy of the window: one snapshot, one
+// sort, however many quantiles are then read from it.
+func (r *reservoir) sorted() []time.Duration {
 	r.mu.Lock()
-	cp := append([]time.Duration(nil), r.buf[:r.n]...)
+	cp := slices.Clone(r.buf[:r.n])
 	r.mu.Unlock()
-	if len(cp) == 0 {
+	slices.Sort(cp)
+	return cp
+}
+
+// quantile reads the p-quantile (lower order statistic) of an
+// ascending window, 0 when it is empty.
+func quantile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	i := int(p * float64(len(cp)-1))
-	return cp[i]
+	return sorted[int(p*float64(len(sorted)-1))]
 }

@@ -226,3 +226,27 @@ func TestStatzSurfacesFaultCounters(t *testing.T) {
 		t.Fatalf("no recovery recorded: %+v", after)
 	}
 }
+
+// /v1/statz surfaces the study's resident quote trial table: only a
+// new largest trial count grows it, a covered request is a hit.
+func TestStatzSurfacesQuoteTable(t *testing.T) {
+	_, ts := newTestServer(t, risk.NewStudy(smallStudyConfig(34)), Config{Workers: 1})
+	for _, trials := range []int{2000, 5000, 2000} {
+		if resp, out := postQuote(t, ts, fmt.Sprintf(`{"contract": 1, "trials": %d}`, trials)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("quote at %d trials: status %d (%v)", trials, resp.StatusCode, out)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stz statzResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stz); err != nil {
+		t.Fatal(err)
+	}
+	if stz.QuoteTableTrials != 5000 || stz.QuoteTableGrows != 2 || stz.QuoteTableHits != 1 || stz.QuoteStreamed != 0 ||
+		stz.QuoteTableBytes < 8*5001 {
+		t.Fatalf("quote table after quotes at 2k, 5k, 2k trials: %+v", stz)
+	}
+}

@@ -2,6 +2,7 @@ package yelt
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -110,5 +111,53 @@ func TestSlicePartitionReassembly(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Prefix(n) is Slice(0, n) without the offset copy: field for field the
+// same table for every n, backed by the parent's own storage, equal to
+// the table generated at that length (the per-trial substream property
+// the resident quote table rests on), and rejecting n outside
+// [0, NumTrials].
+func TestPrefixMatchesSlice(t *testing.T) {
+	cat := testCatalog(t, 150)
+	tbl, err := Generate(context.Background(), cat, Config{NumTrials: 97}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n <= tbl.NumTrials; n++ {
+		pre, err := tbl.Prefix(n)
+		if err != nil {
+			t.Fatalf("prefix %d: %v", n, err)
+		}
+		sl, err := tbl.Slice(0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pre.NumTrials != sl.NumTrials || !slices.Equal(pre.Offsets, sl.Offsets) || !slices.Equal(pre.Occs, sl.Occs) {
+			t.Fatalf("prefix %d differs from Slice(0, %d)", n, n)
+		}
+		if &pre.Offsets[0] != &tbl.Offsets[0] {
+			t.Fatalf("prefix %d copied the offsets", n)
+		}
+		if len(pre.Occs) > 0 && &pre.Occs[0] != &tbl.Occs[0] {
+			t.Fatalf("prefix %d copied the occurrences", n)
+		}
+	}
+	for _, n := range []int{1, 40, 97} {
+		short, err := Generate(context.Background(), cat, Config{NumTrials: n}, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre, err := tbl.Prefix(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tablesEqual(t, "prefix vs generated at that length", short, pre)
+	}
+	for _, n := range []int{-1, 98, 1 << 40} {
+		if _, err := tbl.Prefix(n); err == nil {
+			t.Errorf("prefix %d should error", n)
+		}
 	}
 }

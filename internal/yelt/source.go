@@ -168,19 +168,38 @@ func (g *Generator) ReadTrials(ctx context.Context, lo, hi int, buf *Table) (*Ta
 // Materialize pre-simulates the full table, parallelized across trial
 // blocks exactly as Generate (which is implemented on top of it).
 func (g *Generator) Materialize(ctx context.Context) (*Table, error) {
+	return g.Extend(ctx, nil)
+}
+
+// Extend returns a new table holding prev's trials followed by trials
+// [prev.NumTrials, TrialCount()), generated in parallel trial blocks.
+// prev (nil means empty) must come from a generator with the same
+// catalogue, seed and Seasonal setting; per-trial substreams then make
+// the result exactly the table Materialize would build. prev is copied,
+// never written, so its readers are undisturbed. ctx cancels generation
+// between trial blocks.
+func (g *Generator) Extend(ctx context.Context, prev *Table) (*Table, error) {
+	if prev == nil {
+		prev = &Table{Offsets: []int64{0}}
+	}
+	have := prev.NumTrials
+	if have > g.cfg.NumTrials {
+		return nil, fmt.Errorf("yelt: extending %d trials to %d", have, g.cfg.NumTrials)
+	}
 	nBlocks := g.cfg.Workers
 	if nBlocks <= 0 {
 		nBlocks = runtime.GOMAXPROCS(0)
 	}
-	ranges := stream.Partition(g.cfg.NumTrials, nBlocks)
+	ranges := stream.Partition(g.cfg.NumTrials-have, nBlocks)
 	blocks := make([]Table, len(ranges))
-	err := stream.ForEachRange(ctx, g.cfg.NumTrials, nBlocks, func(ctx context.Context, r stream.Range, w int) error {
+	err := stream.ForEachRange(ctx, g.cfg.NumTrials-have, nBlocks, func(ctx context.Context, r stream.Range, w int) error {
 		b := &blocks[w]
 		b.NumTrials = r.Len()
 		b.Offsets = append(make([]int64, 0, r.Len()+1), 0)
 		b.Occs = make([]Occurrence, 0, int(float64(r.Len())*g.totalRate*11/10))
-		for trial := r.Lo; trial < r.Hi; trial++ {
-			if (trial-r.Lo)%4096 == 0 {
+		lo, hi := have+r.Lo, have+r.Hi
+		for trial := lo; trial < hi; trial++ {
+			if (trial-lo)%4096 == 0 {
 				select {
 				case <-ctx.Done():
 					return ctx.Err()
@@ -197,12 +216,12 @@ func (g *Generator) Materialize(ctx context.Context) (*Table, error) {
 	}
 
 	t := &Table{NumTrials: g.cfg.NumTrials}
-	total := 0
+	total := len(prev.Occs)
 	for i := range blocks {
 		total += len(blocks[i].Occs)
 	}
-	t.Offsets = make([]int64, 1, g.cfg.NumTrials+1)
-	t.Occs = make([]Occurrence, 0, total)
+	t.Offsets = append(make([]int64, 0, g.cfg.NumTrials+1), prev.Offsets...)
+	t.Occs = append(make([]Occurrence, 0, total), prev.Occs...)
 	for i := range blocks {
 		base := t.Offsets[len(t.Offsets)-1]
 		for _, off := range blocks[i].Offsets[1:] {

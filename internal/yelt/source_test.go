@@ -3,6 +3,7 @@ package yelt
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 )
 
@@ -172,5 +173,49 @@ func TestGenerateHonorsCancellation(t *testing.T) {
 	}
 	if _, err := g.ReadTrials(ctx, 0, 100_000, nil); err == nil {
 		t.Fatal("cancelled ReadTrials should error")
+	}
+}
+
+// Extend must grow a table into exactly the table generated at the
+// longer length — through any chain of intermediate lengths and worker
+// counts, in both day modes — without writing to the table it grew
+// from, and must refuse to shrink.
+func TestExtendMatchesGenerate(t *testing.T) {
+	cat := testCatalog(t, 300)
+	ctx := context.Background()
+	for _, seasonal := range []bool{false, true} {
+		var tbl, prev *Table
+		for i, n := range []int{1, 64, 64, 333, 500} {
+			g, err := NewGenerator(cat, Config{NumTrials: n, Workers: i + 1, Seasonal: seasonal}, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snapshot *Table
+			if tbl != nil {
+				snapshot = &Table{NumTrials: tbl.NumTrials, Offsets: slices.Clone(tbl.Offsets), Occs: slices.Clone(tbl.Occs)}
+			}
+			prev, tbl = tbl, nil
+			if tbl, err = g.Extend(ctx, prev); err != nil {
+				t.Fatal(err)
+			}
+			want, err := Generate(ctx, cat, Config{NumTrials: n, Seasonal: seasonal}, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tablesEqual(t, "extended table", want, tbl)
+			if prev != nil {
+				tablesEqual(t, "table extended from", snapshot, prev)
+				if &prev.Offsets[0] == &tbl.Offsets[0] {
+					t.Fatal("Extend returned storage shared with the table it grew from")
+				}
+			}
+		}
+		g, err := NewGenerator(cat, Config{NumTrials: 499, Seasonal: seasonal}, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Extend(ctx, tbl); err == nil {
+			t.Fatal("extending 500 trials to 499 should error")
+		}
 	}
 }

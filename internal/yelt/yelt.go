@@ -73,6 +73,14 @@ func TableBytes(numTrials int, occs int64) int64 {
 	return int64(16+8*(numTrials+1)) + occs*EntryBytes
 }
 
+// ResidentBytes returns the in-memory size of a table holding numTrials
+// trials and occs occurrences: 8 bytes an offset and, padded from
+// EntryBytes, 8 an occurrence. Holders of a resident table budget with
+// it before generating and report with it after.
+func ResidentBytes(numTrials int, occs int64) int64 {
+	return 8 * (int64(numTrials+1) + occs)
+}
+
 // Config controls YELT generation.
 type Config struct {
 	NumTrials int
@@ -225,4 +233,16 @@ func (t *Table) Slice(lo, hi int) (*Table, error) {
 		return nil, fmt.Errorf("yelt: slice [%d,%d) outside [0,%d)", lo, hi, t.NumTrials)
 	}
 	return t.view(lo, hi, &Table{Offsets: make([]int64, 0, hi-lo+1)}), nil
+}
+
+// Prefix returns trials [0, n) as a view sharing both the occurrence
+// and the offset storage: a prefix needs no rebasing, so unlike
+// Slice(0, n) it copies nothing. Per-trial substreams make the first n
+// trials of a longer table exactly the n-trial table, which is what
+// lets one resident table answer every shorter request.
+func (t *Table) Prefix(n int) (*Table, error) {
+	if n < 0 || n > t.NumTrials {
+		return nil, fmt.Errorf("yelt: prefix %d outside [0,%d]", n, t.NumTrials)
+	}
+	return &Table{NumTrials: n, Offsets: t.Offsets[:n+1], Occs: t.Occs[:t.Offsets[n]]}, nil
 }

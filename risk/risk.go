@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/aggregate"
@@ -267,10 +268,15 @@ type Report struct {
 // Concurrency: PriceContract and WarmQuotes are safe to call
 // concurrently with each other. Once stage 1 has completed (after
 // RunModelling, WarmQuotes, or a full Run), a single Run may also
-// proceed concurrently with quote calls — quotes only read the
+// proceed concurrently with quote calls — quotes read only the
 // immutable stage-1 artifacts, which an idempotent Run no longer
-// regenerates. All other method combinations require external
-// serialization.
+// regenerates, and three pieces of quote-only state a Run never
+// touches: the per-contract layouts (quoteIdx/quoteFlat, under
+// quoteMu), the resident quote trial table (quoteTable, published
+// through an atomic pointer and never written after publication) and
+// its counters (atomics). QuoteTableInfo, CubeInfo and FaultStats may
+// be polled at any time. All other method combinations require
+// external serialization.
 type Study struct {
 	cfg       Config
 	p         *core.Pipeline
@@ -279,13 +285,28 @@ type Study struct {
 	// quoteIdx/quoteFlat cache the single-contract loss index and its
 	// flat kernel layout per contract, so repeated real-time quotes
 	// skip the pre-join as well as stage 1. quoteMu guards both maps
-	// and PriceContract's lazy pipeline/stage-1 initialization, making
-	// concurrent PriceContract calls safe with each other; the
-	// Study-wide "not safe for concurrent method calls" contract still
-	// applies to mixing PriceContract with other methods.
+	// and PriceContract's lazy pipeline/stage-1 initialization.
 	quoteMu   sync.Mutex
 	quoteIdx  map[int]*lossindex.Index
 	quoteFlat map[int]*lossindex.Flat
+	// quoteTable is the resident quote trial table: trials [0, n) of
+	// the Seed+101 stream for the largest n a quote has asked for. The
+	// stream depends on neither the contract nor the trial count, so
+	// every quote reads a prefix of this one table. A published table
+	// is immutable; growth builds a longer copy and swaps the pointer,
+	// so a quote the published table covers loads it and goes, whatever
+	// growth is in progress. quoteGrow (capacity 1) is held while
+	// growing, one growth at a time; it is a channel, not a mutex, so a
+	// quote waiting its turn still honours its context.
+	quoteTable  atomic.Pointer[yelt.Table]
+	quoteGrow   chan struct{}
+	quoteBudget int64 // quoteTableBudget, except in tests
+	// quoteGrowHook, when set by a test, runs with quoteGrow held just
+	// before a growth generates trials.
+	quoteGrowHook func()
+	// quoteHits, quoteGrows and quoteStreamed count quotes by where
+	// their trials came from (see QuoteTableInfo).
+	quoteHits, quoteGrows, quoteStreamed atomic.Int64
 	// faultMu guards faults, the fault-recovery counters latched by the
 	// last completed Run, so a serving tier can poll FaultStats
 	// concurrently with a run in flight.
@@ -298,9 +319,16 @@ type Study struct {
 	cube   *warehouse.Cube
 }
 
+// quoteTableBudget bounds the estimated in-memory size of the resident
+// quote trial table. A quote that would grow it past this streams its
+// trials from the fused generator instead, in memory bounded by batch ×
+// workers. 256 MiB covers the serving tier's default trial cap
+// (2 000 000) at 10 events a year.
+const quoteTableBudget = 256 << 20
+
 // NewStudy returns an unexecuted study.
 func NewStudy(cfg Config) *Study {
-	return &Study{cfg: cfg}
+	return &Study{cfg: cfg, quoteGrow: make(chan struct{}, 1), quoteBudget: quoteTableBudget}
 }
 
 func (s *Study) pipeline() (*core.Pipeline, error) {
@@ -615,13 +643,94 @@ func (s *Study) WarmQuotes(ctx context.Context) error {
 	return nil
 }
 
+// quoteTrials returns the first n trials of the quote trial stream
+// (Seed+101) as an aggregate-engine source: a zero-copy prefix of the
+// resident table, grown first when it is shorter; or, for a Streaming
+// study and for an n whose table would not fit quoteBudget, a fused
+// generator that re-derives the trials in bounded batches. Per-trial
+// substreams make all of these the same trials, so a quote does not
+// depend on which it was given, nor on what was asked before it.
+func (s *Study) quoteTrials(ctx context.Context, p *core.Pipeline, n int) (yelt.Source, error) {
+	if t := s.quoteTable.Load(); t != nil && t.NumTrials >= n {
+		s.quoteHits.Add(1)
+		return t.Prefix(n)
+	}
+	g, err := yelt.NewGenerator(p.Catalog, yelt.Config{NumTrials: n, Workers: s.cfg.Workers}, s.cfg.Seed+101)
+	if err != nil {
+		return nil, err
+	}
+	if s.cfg.Streaming || yelt.ResidentBytes(n, int64(float64(n)*g.MeanOccurrences())) > s.quoteBudget {
+		s.quoteStreamed.Add(1)
+		return g, nil
+	}
+	select {
+	case s.quoteGrow <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-s.quoteGrow }()
+	t := s.quoteTable.Load()
+	if t != nil && t.NumTrials >= n {
+		// Grown past n while this quote waited its turn.
+		s.quoteHits.Add(1)
+		return t.Prefix(n)
+	}
+	if s.quoteGrowHook != nil {
+		s.quoteGrowHook()
+	}
+	// Publish only a finished table: a growth that fails or is cancelled
+	// leaves the published one, and the next quote starts from it.
+	if t, err = g.Extend(ctx, t); err != nil {
+		return nil, err
+	}
+	s.quoteTable.Store(t)
+	s.quoteGrows.Add(1)
+	return t, nil
+}
+
+// QuoteTableInfo describes the study's resident quote trial table for
+// stats endpoints.
+type QuoteTableInfo struct {
+	// Trials and Bytes are the published table's length and in-memory
+	// size (both 0 before the first quote, and always for a Streaming
+	// study).
+	Trials int
+	Bytes  int64
+	// Hits counts quotes read from the table as published, Grows those
+	// that lengthened it first, Streamed those that took the fused
+	// generator instead (every quote of a Streaming study; otherwise a
+	// trial count beyond the table's byte budget).
+	Hits, Grows, Streamed int64
+}
+
+// QuoteTableInfo reports the resident quote trial table and its
+// counters. Safe to call concurrently with other methods; it takes no
+// lock.
+func (s *Study) QuoteTableInfo() QuoteTableInfo {
+	info := QuoteTableInfo{
+		Hits:     s.quoteHits.Load(),
+		Grows:    s.quoteGrows.Load(),
+		Streamed: s.quoteStreamed.Load(),
+	}
+	if t := s.quoteTable.Load(); t != nil {
+		info.Trials = t.NumTrials
+		info.Bytes = yelt.ResidentBytes(t.NumTrials, int64(t.Len()))
+	}
+	return info
+}
+
 // PriceContract runs a dedicated aggregate simulation for one contract
-// (by index) over the given trial count, generating a fresh YELT of
-// that length and simulating with secondary uncertainty. Stage 1 must
-// have run (a full Run, or RunModelling); if it has not, the first
-// quote runs it lazily. The contract index and the configured kernel
-// are validated before any lazy initialization, so an invalid request
-// fails in microseconds instead of after seconds of simulation.
+// (by index) over the given trial count, with secondary uncertainty.
+// The trial years are the first `trials` of one stream every quote of
+// the study shares, so a quote is a pure function of (study, contract,
+// trials). They are read from the study's resident trial table, which
+// only the first quote at a new largest trial count pays to lengthen;
+// a Streaming study, and a trial count too large to keep resident,
+// re-derive them in bounded batches inside the simulation instead.
+// Stage 1 must have run (a full Run, or RunModelling); if it has not,
+// the first quote runs it lazily. The contract index and the configured
+// kernel are validated before any lazy initialization, so an invalid
+// request fails in microseconds instead of after seconds of simulation.
 func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Quote, error) {
 	kern, err := s.cfg.Kernel.kernel()
 	if err != nil {
@@ -638,33 +747,21 @@ func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Q
 		trials = 1_000_000
 	}
 	start := time.Now()
-	// Quote simulations follow the study's streaming setting: streaming
-	// derives trial batches on demand (memory bounded by batch × workers
-	// regardless of trial count), materialized pre-simulates the table.
-	// Both yield bit-identical quotes.
-	qin := &aggregate.Input{}
-	ycfg := yelt.Config{NumTrials: trials, Workers: s.cfg.Workers}
-	if s.cfg.Streaming {
-		g, err := yelt.NewGenerator(p.Catalog, ycfg, s.cfg.Seed+101)
-		if err != nil {
-			return nil, err
-		}
-		qin.Source = g
-	} else {
-		y, err := yelt.Generate(ctx, p.Catalog, ycfg, s.cfg.Seed+101)
-		if err != nil {
-			return nil, err
-		}
-		qin.YELT = y
+	src, err := s.quoteTrials(ctx, p, trials)
+	if err != nil {
+		return nil, err
 	}
 	idx, flat, single, err := s.quoteLayout(p, contract)
 	if err != nil {
 		return nil, err
 	}
-	qin.ELTs = p.ELTs[contract : contract+1]
-	qin.Portfolio = single
-	qin.Index = idx
-	qin.Flat = flat
+	qin := &aggregate.Input{
+		Source:    src,
+		ELTs:      p.ELTs[contract : contract+1],
+		Portfolio: single,
+		Index:     idx,
+		Flat:      flat,
+	}
 	res, err := (aggregate.Parallel{}).Run(ctx, qin, aggregate.Config{
 		Seed: s.cfg.Seed + 103, Sampling: true,
 		Workers: s.cfg.Workers, BatchTrials: s.cfg.BatchTrials,
@@ -675,11 +772,15 @@ func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Q
 	}
 	elapsed := time.Since(start)
 
-	sum, err := metrics.Summarize(res.Portfolio)
+	view, err := metrics.NewView(res.Portfolio)
 	if err != nil {
 		return nil, err
 	}
-	pml, err := metrics.PML(res.Portfolio, 250)
+	sum, err := view.Summary()
+	if err != nil {
+		return nil, err
+	}
+	pml, err := view.PML(250)
 	if err != nil {
 		return nil, err
 	}
