@@ -1,5 +1,6 @@
 // Root benchmark harness: one benchmark (family) per experiment
-// E1–E18 from EXPERIMENTS.md. Absolute numbers are machine-dependent; the
+// E1–E11 and E15–E18 from EXPERIMENTS.md (E12–E14 compared kernel
+// generations that were deleted). Absolute numbers are machine-dependent; the
 // *shapes* asserted in EXPERIMENTS.md (who wins, by roughly what
 // factor) are what reproduce the paper. cmd/benchtables prints the
 // richer tables; these benches give `go test -bench` one-line
@@ -100,9 +101,10 @@ func BenchmarkE1ParallelEngine(b *testing.B) {
 	b.ReportMetric(float64(benchTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 }
 
-// --- Loss-index ablation: the pre-joined event-major kernel vs the
-// legacy per-(occurrence × contract) binary-search kernel, same
-// Sequential trial loop, 100k trials on the default sparse book. ---
+// --- Loss-index ablation: the oracle's per-(occurrence × contract)
+// binary-search loop, 100k trials on the default sparse book; its
+// trials/s against BenchmarkE1SequentialEngine's is what the pre-joined
+// scan-oriented layout buys. ---
 
 const idxBenchTrials = 100_000
 
@@ -116,23 +118,6 @@ func idxBenchInput(b *testing.B) *aggregate.Input {
 	return &aggregate.Input{YELT: y, ELTs: s.ELTs, Portfolio: s.Portfolio}
 }
 
-func BenchmarkIndexedKernel(b *testing.B) {
-	in := idxBenchInput(b)
-	if _, err := in.EnsureIndex(); err != nil {
-		b.Fatal(err)
-	}
-	// Pin the indexed kernel: this benchmark measures the pre-flat
-	// entry scan (the E12 family compares it against the flat layout).
-	cfg := aggregate.Config{Seed: 1, Sampling: true, Kernel: aggregate.KernelIndexed}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (aggregate.Sequential{}).Run(context.Background(), in, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(idxBenchTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-}
-
 func BenchmarkLegacyLookupKernel(b *testing.B) {
 	in := idxBenchInput(b)
 	cfg := aggregate.Config{Seed: 1, Sampling: true}
@@ -143,149 +128,6 @@ func BenchmarkLegacyLookupKernel(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(idxBenchTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-}
-
-// --- E12: the flat SoA trial kernel vs the indexed kernel vs the
-// legacy lookup, expected and sampling modes, on the default
-// 16-contract book at 100k trials (the EXPERIMENTS.md E12 claim:
-// flat ≥1.5× indexed in expected mode, bit-identical always). ---
-
-var (
-	e12Once sync.Once
-	e12In   *aggregate.Input
-	e12Err  error
-)
-
-// e12Input builds the benchtables default book (16 contracts, 10k
-// events) with a 100k-trial YELT, with both kernel layouts pre-built
-// so no timing window pays the pre-join.
-func e12Input(b *testing.B) *aggregate.Input {
-	b.Helper()
-	e12Once.Do(func() {
-		var s *synth.Scenario
-		s, e12Err = synth.Build(context.Background(), synth.Params{
-			Seed: 42, NumEvents: 10_000, NumContracts: 16,
-			LocationsPerContract: 250, NumTrials: 100_000,
-			MeanEventsPerYear: 10, TwoLayers: true,
-		})
-		if e12Err != nil {
-			return
-		}
-		e12In = &aggregate.Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio}
-		if _, e12Err = e12In.EnsureIndex(); e12Err != nil {
-			return
-		}
-		_, e12Err = e12In.EnsureFlat()
-	})
-	if e12Err != nil {
-		b.Fatal(e12Err)
-	}
-	return e12In
-}
-
-func e12Run(b *testing.B, eng aggregate.Engine, cfg aggregate.Config) {
-	b.Helper()
-	in := e12Input(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(context.Background(), in, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(1e5*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-}
-
-func BenchmarkE12FlatKernelExpected(b *testing.B) {
-	// Pinned: the default kernel is now the blocked one (E14), so the
-	// E12 single-trial flat measurements name their kernel explicitly.
-	e12Run(b, aggregate.Sequential{}, aggregate.Config{Seed: 1, Kernel: aggregate.KernelFlat})
-}
-
-func BenchmarkE12IndexedKernelExpected(b *testing.B) {
-	e12Run(b, aggregate.Sequential{}, aggregate.Config{Seed: 1, Kernel: aggregate.KernelIndexed})
-}
-
-func BenchmarkE12LegacyKernelExpected(b *testing.B) {
-	e12Run(b, aggregate.LegacyLookup{}, aggregate.Config{Seed: 1})
-}
-
-func BenchmarkE12FlatKernelSampling(b *testing.B) {
-	e12Run(b, aggregate.Sequential{}, aggregate.Config{Seed: 1, Sampling: true, Kernel: aggregate.KernelFlat})
-}
-
-func BenchmarkE12IndexedKernelSampling(b *testing.B) {
-	e12Run(b, aggregate.Sequential{}, aggregate.Config{Seed: 1, Sampling: true, Kernel: aggregate.KernelIndexed})
-}
-
-func BenchmarkE12LegacyKernelSampling(b *testing.B) {
-	e12Run(b, aggregate.LegacyLookup{}, aggregate.Config{Seed: 1, Sampling: true})
-}
-
-// --- E14: the trial-blocked flat kernel (the new default) vs the
-// single-trial flat kernel, sweeping the block size, on the same
-// 100k-trial book (the EXPERIMENTS.md E14 claim: blocked ≥1.2× flat
-// in expected mode, bit-identical always, results independent of
-// TrialBlock). ---
-
-func BenchmarkE14BlockSizesExpected(b *testing.B) {
-	for _, block := range []int{1, 32, 64, 128} {
-		b.Run(fmt.Sprintf("block=%d", block), func(b *testing.B) {
-			e12Run(b, aggregate.Sequential{}, aggregate.Config{Seed: 1, Kernel: aggregate.KernelBlocked, TrialBlock: block})
-		})
-	}
-}
-
-func BenchmarkE14BlockFlatExpected(b *testing.B) {
-	e12Run(b, aggregate.Sequential{}, aggregate.Config{Seed: 1, Kernel: aggregate.KernelFlat})
-}
-
-func BenchmarkE14BlockSizesSampling(b *testing.B) {
-	for _, block := range []int{1, 32, 64, 128} {
-		b.Run(fmt.Sprintf("block=%d", block), func(b *testing.B) {
-			e12Run(b, aggregate.Sequential{}, aggregate.Config{Seed: 1, Sampling: true, Kernel: aggregate.KernelBlocked, TrialBlock: block})
-		})
-	}
-}
-
-func BenchmarkE14BlockFlatSampling(b *testing.B) {
-	e12Run(b, aggregate.Sequential{}, aggregate.Config{Seed: 1, Sampling: true, Kernel: aggregate.KernelFlat})
-}
-
-// --- E13: the flat SoA year-state kernel for the stateful
-// reinstatements path vs the indexed nested-slice state machine, on
-// the same 100k-trial book under market-standard terms (the
-// EXPERIMENTS.md E13 claim: flat ≥1.5× indexed in expected mode,
-// bit-identical always, premium ledger included). ---
-
-func e13Run(b *testing.B, kernel aggregate.Kernel, sampling bool) {
-	b.Helper()
-	in := e12Input(b)
-	terms := aggregate.StandardReinstatements(in.Portfolio)
-	cfg := aggregate.Config{Seed: 1, Sampling: sampling, Kernel: kernel}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rin := &aggregate.ReinstatementInput{Input: in, Terms: terms}
-		if _, err := aggregate.RunReinstatements(context.Background(), rin, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(1e5*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-}
-
-func BenchmarkE13FlatReinstExpected(b *testing.B) {
-	e13Run(b, aggregate.KernelFlat, false)
-}
-
-func BenchmarkE13IndexedReinstExpected(b *testing.B) {
-	e13Run(b, aggregate.KernelIndexed, false)
-}
-
-func BenchmarkE13FlatReinstSampling(b *testing.B) {
-	e13Run(b, aggregate.KernelFlat, true)
-}
-
-func BenchmarkE13IndexedReinstSampling(b *testing.B) {
-	e13Run(b, aggregate.KernelIndexed, true)
 }
 
 // --- E2: the million-trial single-contract quote ---

@@ -2,8 +2,7 @@
 // portfolio over a pre-simulated YELT, with a choice of engine —
 // sequential baseline, native parallel, map/reduce over trial splits,
 // the stateful reinstatements path, or the simulated many-core device
-// with/without shared-memory chunking — and of trial-kernel layout
-// (-kernel blocked|flat|indexed, bit-identical results).
+// with/without shared-memory chunking.
 package main
 
 import (
@@ -28,8 +27,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "master seed")
 		workers   = flag.Int("workers", 0, "parallelism bound (0 = all cores)")
 		engine    = flag.String("engine", "parallel", "sequential|parallel|chunked|naive|mapreduce|reinstatements")
-		kernel    = flag.String("kernel", "blocked", "trial-kernel layout: blocked|flat|indexed (bit-identical results)")
-		block     = flag.Int("block", 0, "blocked-kernel trial-block size (0 = engine default)")
 		sampling  = flag.Bool("sampling", false, "secondary-uncertainty sampling (host engines only)")
 		streaming = flag.Bool("stream", false, "stream trial batches instead of materializing the YELT (bit-identical results, bounded memory)")
 		batch     = flag.Int("batch", 0, "streaming trial-batch size per worker (0 = engine default)")
@@ -83,19 +80,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aggsim: unknown engine %q\n", *engine)
 		os.Exit(2)
 	}
-	var kern aggregate.Kernel
-	switch *kernel {
-	case "blocked":
-		kern = aggregate.KernelBlocked
-	case "flat":
-		kern = aggregate.KernelFlat
-	case "indexed":
-		kern = aggregate.KernelIndexed
-	default:
-		fmt.Fprintf(os.Stderr, "aggsim: unknown kernel %q\n", *kernel)
-		os.Exit(2)
-	}
-
 	// Pre-join the book into the event-major loss index once, before
 	// the trial loop, and report it as its own data-volume line: this
 	// is the scan-oriented layout every engine shares.
@@ -146,7 +130,6 @@ func main() {
 	start := time.Now()
 	res, err := eng.Run(ctx, in, aggregate.Config{
 		Seed: *seed + 13, Sampling: *sampling, Workers: *workers, BatchTrials: *batch,
-		Kernel: kern, TrialBlock: *block,
 	})
 	if err != nil {
 		fail(err)

@@ -1,10 +1,8 @@
-// Command benchtables regenerates the tables for every experiment
-// E1–E18 in EXPERIMENTS.md — the quantitative claims of Varghese &
-// Rau-Chaplin (SC 2012) reproduced on this machine, plus the
+// Command benchtables regenerates the tables for the experiments
+// E1–E11 and E15–E18 in EXPERIMENTS.md — the quantitative claims of
+// Varghese & Rau-Chaplin (SC 2012) reproduced on this machine, plus the
 // streaming-stage-2 memory envelope (E10), the partitioned
-// (spill + MapReduce) stage 2 (E11), the flat SoA trial kernel (E12),
-// the flat SoA year-state kernel for reinstatements (E13), the
-// blocked trial kernel with the two-lifetime device arena (E14), the
+// (spill + MapReduce) stage 2 (E11), the
 // real-time quote serving tier under calm/active/burst load (E15),
 // the locality-aware distributed stage 2 — shard-affine mapper
 // placement × process topology plus elastic provisioning (E16) — and
@@ -19,8 +17,10 @@
 //
 // -json additionally writes the run's measurements as a
 // machine-readable document (ns/op, bytes, speedups per experiment
-// row) — the format CI tracks as the BENCH_E10.json … BENCH_E18.json
-// artifacts.
+// row) — the format CI tracks as the BENCH_TABLES.json artifact.
+//
+// E12–E14 compared trial-kernel generations that no longer exist; their
+// tables are frozen in EXPERIMENTS.md and reproducible at 8b424c6.
 package main
 
 import (
@@ -118,48 +118,71 @@ func writeJSON(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-func main() {
-	flag.Parse()
-	ctx := context.Background()
+// runners maps an experiment's number to its table. It is the one
+// place the set of experiments is written down: "-e all" and the
+// validity of "-e N" both derive from its keys.
+var runners = map[int]func(context.Context) error{
+	1: e1Speedup, 2: e2RealtimePricing, 3: e3DataVolumes,
+	4: e4Chunking, 5: e5ScanVsRandom, 6: e6MemoryVsMapReduce,
+	7: e7Elasticity, 8: e8TrialsSweep, 9: e9DFA,
+	10: e10StreamingEnvelope,
+	11: e11PartitionedStage2,
+	15: e15QuoteService,
+	16: e16LocalityPlacement,
+	17: e17FaultTolerance,
+	18: e18WarehouseCube,
+}
 
+// selectExperiments resolves the -e flag against the runners table:
+// "all" is every key, otherwise a comma list of keys. The result is
+// sorted and free of duplicates. A number inside the table's range
+// that has no runner names an experiment that was removed.
+func selectExperiments(spec string) ([]int, error) {
 	want := map[int]bool{}
-	if *flagExperiments == "all" {
-		for i := 1; i <= 18; i++ {
-			want[i] = true
+	if spec == "all" {
+		for k := range runners {
+			want[k] = true
 		}
 	} else {
-		for _, tok := range strings.Split(*flagExperiments, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || n < 1 || n > 18 {
-				fmt.Fprintf(os.Stderr, "benchtables: bad experiment %q\n", tok)
-				os.Exit(2)
-			}
-			want[n] = true
+		last := 0
+		for k := range runners {
+			last = max(last, k)
 		}
-	}
-
-	fmt.Printf("# benchtables — %d logical CPUs, quick=%v, seed=%d\n\n",
-		runtime.NumCPU(), *flagQuick, *flagSeed)
-
-	runners := map[int]func(context.Context) error{
-		1: e1Speedup, 2: e2RealtimePricing, 3: e3DataVolumes,
-		4: e4Chunking, 5: e5ScanVsRandom, 6: e6MemoryVsMapReduce,
-		7: e7Elasticity, 8: e8TrialsSweep, 9: e9DFA,
-		10: e10StreamingEnvelope,
-		11: e11PartitionedStage2,
-		12: e12FlatKernel,
-		13: e13ReinstatementsKernel,
-		14: e14BlockedKernel,
-		15: e15QuoteService,
-		16: e16LocalityPlacement,
-		17: e17FaultTolerance,
-		18: e18WarehouseCube,
+		for _, tok := range strings.Split(spec, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(tok))
+			switch {
+			case err != nil:
+				return nil, fmt.Errorf("bad experiment %q", tok)
+			case runners[n] != nil:
+				want[n] = true
+			case n >= 1 && n <= last:
+				return nil, fmt.Errorf("unknown experiment %d (removed; see EXPERIMENTS.md)", n)
+			default:
+				return nil, fmt.Errorf("unknown experiment %d", n)
+			}
+		}
 	}
 	keys := make([]int, 0, len(want))
 	for k := range want {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
+	return keys, nil
+}
+
+func main() {
+	flag.Parse()
+	ctx := context.Background()
+
+	keys, err := selectExperiments(*flagExperiments)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
+		os.Exit(2)
+	}
+
+	fmt.Printf("# benchtables — %d logical CPUs, quick=%v, seed=%d\n\n",
+		runtime.NumCPU(), *flagQuick, *flagSeed)
+
 	for _, k := range keys {
 		if err := runners[k](ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "benchtables: E%d: %v\n", k, err)
@@ -892,363 +915,6 @@ func e11PartitionedStage2(ctx context.Context) error {
 		}
 	}
 	fmt.Printf("equivalence: all %d trials bit-identical across the three sources\n", trials)
-	return nil
-}
-
-// E12 — the flat SoA trial kernel: pre-applied occurrence recoveries
-// and flattened layer terms (lossindex.Flat) vs the indexed kernel it
-// replaced vs the pre-index legacy lookup, sampling off and on, at
-// two trial counts. Expected mode is where the flattening bites
-// hardest: the per-(entry, layer) recovery is a build-time constant,
-// so the trial loop collapses to gather-adds. All three kernels are
-// verified bit-identical per cell.
-func e12FlatKernel(ctx context.Context) error {
-	sizes := []int{100_000, 1_000_000}
-	if *flagQuick {
-		sizes = []int{10_000, 100_000}
-	}
-	fmt.Printf("## E12 — flat SoA trial kernel vs indexed vs legacy (sequential engine)\n")
-	for _, trials := range sizes {
-		s, err := scenario(ctx, trials, false)
-		if err != nil {
-			return err
-		}
-		in := aggInput(s)
-		if _, err := in.EnsureIndex(); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		fx, err := in.EnsureFlat()
-		if err != nil {
-			return err
-		}
-		flatBuild := time.Since(t0)
-		fmt.Printf("\n%d trials — flat layout: %d entries, %d layer slots, %s, built in %v\n",
-			trials, fx.NumEntries(), fx.NumLayers(),
-			yelt.HumanBytes(float64(fx.SizeBytes())), flatBuild.Round(time.Microsecond))
-		fmt.Printf("%-10s %-10s %12s %14s %12s\n", "mode", "kernel", "time", "trials/s", "vs indexed")
-		for _, sampling := range []bool{false, true} {
-			mode := "expected"
-			if sampling {
-				mode = "sampling"
-			}
-			// E12 compares the trial-at-a-time kernels; pin KernelFlat
-			// explicitly now that the config default is the blocked
-			// kernel (E14 measures that one).
-			cfg := aggregate.Config{Seed: *flagSeed + 13, Sampling: sampling, Kernel: aggregate.KernelFlat}
-			cfgIdx := cfg
-			cfgIdx.Kernel = aggregate.KernelIndexed
-			kernels := []struct {
-				name string
-				run  func() (*aggregate.Result, error)
-			}{
-				{"flat", func() (*aggregate.Result, error) { return (aggregate.Sequential{}).Run(ctx, in, cfg) }},
-				{"indexed", func() (*aggregate.Result, error) { return (aggregate.Sequential{}).Run(ctx, in, cfgIdx) }},
-				{"legacy", func() (*aggregate.Result, error) { return (aggregate.LegacyLookup{}).Run(ctx, in, cfg) }},
-			}
-			results := make([]*aggregate.Result, len(kernels))
-			durs := make([]time.Duration, len(kernels))
-			for i, k := range kernels {
-				t0 := time.Now()
-				results[i], err = k.run()
-				if err != nil {
-					return err
-				}
-				durs[i] = time.Since(t0)
-			}
-			idxDur := durs[1]
-			for i, k := range kernels {
-				spd := idxDur.Seconds() / durs[i].Seconds()
-				fmt.Printf("%-10s %-10s %12v %14.0f %11.2fx\n", mode, k.name,
-					durs[i].Round(time.Millisecond), float64(trials)/durs[i].Seconds(), spd)
-				// Bytes carries the layout the kernel actually scanned:
-				// the flat SoA footprint for flat rows, zero otherwise
-				// (the indexed/legacy layouts are not what E12 sizes).
-				var layoutBytes int64
-				if i == 0 {
-					layoutBytes = fx.SizeBytes()
-				}
-				record("E12", fmt.Sprintf("%s/%s/%dk-trials", k.name, mode, trials/1000),
-					durs[i], layoutBytes, spd)
-			}
-			for t := 0; t < trials; t++ {
-				if results[0].Portfolio.Agg[t] != results[1].Portfolio.Agg[t] ||
-					results[0].Portfolio.Agg[t] != results[2].Portfolio.Agg[t] ||
-					results[0].Portfolio.OccMax[t] != results[1].Portfolio.OccMax[t] ||
-					results[0].Portfolio.OccMax[t] != results[2].Portfolio.OccMax[t] {
-					return fmt.Errorf("E12: kernels diverged at trial %d (%s)", t, mode)
-				}
-			}
-			fmt.Printf("equivalence (%s): all %d trials bit-identical across the three kernels\n", mode, trials)
-		}
-	}
-	return nil
-}
-
-// E13 — the flat SoA year-state kernel for the stateful
-// reinstatements path: contiguous available/reinstatement-balance
-// columns over layers.FlatTerms, reset by bulk copy, driven from
-// lossindex.Flat gather offsets — vs the indexed nested-slice state
-// machine it replaced, sampling off and on, at two trial counts,
-// under market-standard terms. The occurrence walk still serializes
-// within a trial (that is the contractual semantics); the win is
-// every access in the serial walk becoming a linear-offset load.
-// Both kernels are verified bit-identical per cell, premium ledger
-// included.
-func e13ReinstatementsKernel(ctx context.Context) error {
-	sizes := []int{100_000, 1_000_000}
-	if *flagQuick {
-		sizes = []int{10_000, 100_000}
-	}
-	fmt.Printf("## E13 — flat SoA year-state reinstatements kernel vs indexed (stateful path)\n")
-	for _, trials := range sizes {
-		s, err := scenario(ctx, trials, false)
-		if err != nil {
-			return err
-		}
-		in := aggInput(s)
-		if _, err := in.EnsureIndex(); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		fx, err := in.EnsureFlat()
-		if err != nil {
-			return err
-		}
-		tmpl, err := fx.Terms.NewFlatYearStates(aggregate.StandardReinstatements(s.Portfolio))
-		if err != nil {
-			return err
-		}
-		flatBuild := time.Since(t0)
-		fmt.Printf("\n%d trials — flat layout: %d entries, %d year-state slots, %s (+%s states), built in %v\n",
-			trials, fx.NumEntries(), tmpl.NumLayers(),
-			yelt.HumanBytes(float64(fx.SizeBytes())), yelt.HumanBytes(float64(tmpl.SizeBytes())),
-			flatBuild.Round(time.Microsecond))
-		terms := aggregate.StandardReinstatements(s.Portfolio)
-		fmt.Printf("%-10s %-10s %12s %14s %12s\n", "mode", "kernel", "time", "trials/s", "vs indexed")
-		for _, sampling := range []bool{false, true} {
-			mode := "expected"
-			if sampling {
-				mode = "sampling"
-			}
-			kernels := []struct {
-				name   string
-				kernel aggregate.Kernel
-			}{
-				{"flat", aggregate.KernelFlat},
-				{"indexed", aggregate.KernelIndexed},
-			}
-			results := make([]*aggregate.ReinstatementResult, len(kernels))
-			durs := make([]time.Duration, len(kernels))
-			for i, k := range kernels {
-				rin := &aggregate.ReinstatementInput{Input: in, Terms: terms}
-				cfg := aggregate.Config{Seed: *flagSeed + 13, Sampling: sampling, Workers: *flagWorkers, Kernel: k.kernel}
-				t0 := time.Now()
-				results[i], err = aggregate.RunReinstatements(ctx, rin, cfg)
-				if err != nil {
-					return err
-				}
-				durs[i] = time.Since(t0)
-			}
-			idxDur := durs[1]
-			for i, k := range kernels {
-				spd := idxDur.Seconds() / durs[i].Seconds()
-				fmt.Printf("%-10s %-10s %12v %14.0f %11.2fx\n", mode, k.name,
-					durs[i].Round(time.Millisecond), float64(trials)/durs[i].Seconds(), spd)
-				// Bytes carries the layout the kernel scanned: flat SoA +
-				// year-state columns for flat rows, zero otherwise.
-				var layoutBytes int64
-				if i == 0 {
-					layoutBytes = fx.SizeBytes() + tmpl.SizeBytes()
-				}
-				record("E13", fmt.Sprintf("%s/%s/%dk-trials", k.name, mode, trials/1000),
-					durs[i], layoutBytes, spd)
-			}
-			for t := 0; t < trials; t++ {
-				if results[0].Portfolio.Agg[t] != results[1].Portfolio.Agg[t] ||
-					results[0].Portfolio.OccMax[t] != results[1].Portfolio.OccMax[t] ||
-					results[0].ReinstPremium[t] != results[1].ReinstPremium[t] {
-					return fmt.Errorf("E13: kernels diverged at trial %d (%s)", t, mode)
-				}
-			}
-			fmt.Printf("equivalence (%s): all %d trials bit-identical across kernels, premium ledger included\n", mode, trials)
-		}
-	}
-	return nil
-}
-
-// E14 — the blocked SoA trial kernel (event-major over a block of
-// trial years, pre-resolved spans, dense ExpRec scatter) against the
-// trial-at-a-time flat and indexed kernels, plus the two-lifetime
-// device arena: Chunked streaming with the loss vectors uploaded once
-// into the study-resident arena while occurrences/offsets/outputs
-// cycle per batch. Host-kernel timings are medians over interleaved
-// repetitions — back-to-back single runs are incomparable on noisy
-// machines, interleaved medians are stable. Every cell is verified
-// bit-identical across kernels (and against the legacy lookup
-// reference) before any number is printed.
-func e14BlockedKernel(ctx context.Context) error {
-	trials := 100_000
-	reps := 5
-	if *flagQuick {
-		trials = 20_000
-		reps = 3
-	}
-	fmt.Printf("## E14 — blocked SoA trial kernel + two-lifetime device arena (%d trials, median of %d interleaved reps)\n", trials, reps)
-	s, err := scenario(ctx, trials, false)
-	if err != nil {
-		return err
-	}
-	in := aggInput(s)
-	fx, err := in.EnsureFlat()
-	if err != nil {
-		return err
-	}
-
-	type cell struct {
-		name string
-		cfg  aggregate.Config
-	}
-	runCells := func(cells []cell) ([]*aggregate.Result, []time.Duration, error) {
-		durs := make([][]time.Duration, len(cells))
-		results := make([]*aggregate.Result, len(cells))
-		for r := 0; r < reps; r++ {
-			for i, c := range cells {
-				t0 := time.Now()
-				res, err := (aggregate.Sequential{}).Run(ctx, in, c.cfg)
-				if err != nil {
-					return nil, nil, err
-				}
-				durs[i] = append(durs[i], time.Since(t0))
-				results[i] = res
-			}
-		}
-		med := make([]time.Duration, len(cells))
-		for i := range cells {
-			sort.Slice(durs[i], func(a, b int) bool { return durs[i][a] < durs[i][b] })
-			med[i] = durs[i][len(durs[i])/2]
-		}
-		return results, med, nil
-	}
-	checkIdentical := func(tag string, results []*aggregate.Result) error {
-		for t := 0; t < trials; t++ {
-			for i := 1; i < len(results); i++ {
-				if results[0].Portfolio.Agg[t] != results[i].Portfolio.Agg[t] ||
-					results[0].Portfolio.OccMax[t] != results[i].Portfolio.OccMax[t] {
-					return fmt.Errorf("E14: %s kernels diverged at trial %d", tag, t)
-				}
-			}
-		}
-		return nil
-	}
-
-	for _, sampling := range []bool{false, true} {
-		mode := "expected"
-		if sampling {
-			mode = "sampling"
-		}
-		base := aggregate.Config{Seed: *flagSeed + 13, Sampling: sampling}
-		cells := []cell{
-			{"blocked", base}, // KernelBlocked is the zero value / default
-			{"flat", base},
-			{"indexed", base},
-		}
-		cells[1].cfg.Kernel = aggregate.KernelFlat
-		cells[2].cfg.Kernel = aggregate.KernelIndexed
-		results, med, err := runCells(cells)
-		if err != nil {
-			return err
-		}
-		legacy, err := (aggregate.LegacyLookup{}).Run(ctx, in, base)
-		if err != nil {
-			return err
-		}
-		if err := checkIdentical(mode, append(results, legacy)); err != nil {
-			return err
-		}
-		fmt.Printf("\n%-10s %-10s %12s %14s %12s\n", "mode", "kernel", "time", "trials/s", "vs flat")
-		flatDur := med[1]
-		for i, c := range cells {
-			spd := flatDur.Seconds() / med[i].Seconds()
-			fmt.Printf("%-10s %-10s %12v %14.0f %11.2fx\n", mode, c.name,
-				med[i].Round(time.Millisecond), float64(trials)/med[i].Seconds(), spd)
-			var layoutBytes int64
-			if i == 0 {
-				layoutBytes = fx.SizeBytes()
-			}
-			record("E14", fmt.Sprintf("%s/%s/%dk-trials", c.name, mode, trials/1000),
-				med[i], layoutBytes, spd)
-		}
-		fmt.Printf("equivalence (%s): all %d trials bit-identical across blocked/flat/indexed/legacy\n", mode, trials)
-	}
-
-	// Block-size sweep, expected mode: results are bit-independent of
-	// the block size; throughput is not.
-	blockCells := []cell{}
-	for _, tb := range []int{1, 32, 64, 128} {
-		c := cell{fmt.Sprintf("block=%d", tb), aggregate.Config{Seed: *flagSeed + 13, TrialBlock: tb}}
-		blockCells = append(blockCells, c)
-	}
-	results, med, err := runCells(blockCells)
-	if err != nil {
-		return err
-	}
-	if err := checkIdentical("block-sweep", results); err != nil {
-		return err
-	}
-	fmt.Printf("\n%-10s %12s %14s\n", "block", "time", "trials/s")
-	for i, c := range blockCells {
-		fmt.Printf("%-10s %12v %14.0f\n", c.name, med[i].Round(time.Millisecond), float64(trials)/med[i].Seconds())
-		record("E14", fmt.Sprintf("sweep/%s/%dk-trials", c.name, trials/1000), med[i], 0, 0)
-	}
-
-	// Two-lifetime arena: stream the occurrence-only book through the
-	// device engine and split the link traffic by buffer lifetime. The
-	// resident column is paid once per run; the batch column is the
-	// steady-state per-pass cost, which no longer includes the loss
-	// vectors (pre-arena, every pass re-uploaded them).
-	occ, err := scenario(ctx, trials, true)
-	if err != nil {
-		return err
-	}
-	occIn := aggInput(occ)
-	gen, err := occ.YELTGenerator()
-	if err != nil {
-		return err
-	}
-	strIn := &aggregate.Input{Source: gen, ELTs: occ.ELTs, Portfolio: occ.Portfolio, Index: occIn.Index, Flat: occIn.Flat}
-	ch := &aggregate.Chunked{}
-	batchT := aggregate.DefaultBatchTrials
-	t0 := time.Now()
-	strRes, err := ch.Run(ctx, strIn, aggregate.Config{BatchTrials: batchT})
-	if err != nil {
-		return err
-	}
-	strDur := time.Since(t0)
-	matRef := &aggregate.Chunked{}
-	matRes, err := matRef.Run(ctx, occIn, aggregate.Config{})
-	if err != nil {
-		return err
-	}
-	for t := 0; t < trials; t++ {
-		if strRes.Portfolio.Agg[t] != matRes.Portfolio.Agg[t] ||
-			strRes.Portfolio.OccMax[t] != matRes.Portfolio.OccMax[t] {
-			return fmt.Errorf("E14: arena'd streaming device run diverged at trial %d", t)
-		}
-	}
-	st := ch.LastStats
-	numBatches := (trials + batchT - 1) / batchT
-	perPass := st.ResidentTransferFloats * uint64(numBatches) // what per-pass re-upload would have cost
-	fmt.Printf("\ndevice arena (streaming, %d batches of %d trials):\n", numBatches, batchT)
-	fmt.Printf("%-26s %16s %16s\n", "transfer lifetime", "floats", "per batch")
-	fmt.Printf("%-26s %16d %16d\n", "study-resident (once)", st.ResidentTransferFloats, st.ResidentTransferFloats)
-	fmt.Printf("%-26s %16d %16d\n", "per-batch (cycled)", st.TransferFloats, st.TransferFloats/uint64(numBatches))
-	fmt.Printf("loss vectors saved from re-staging: %d floats (%.1fx less resident traffic than per-pass upload)\n",
-		perPass-st.ResidentTransferFloats, float64(perPass)/float64(st.ResidentTransferFloats))
-	fmt.Printf("streaming device run: %v, modeled device time %s, results bit-identical to single-pass\n",
-		strDur.Round(time.Millisecond), fmtSec(st.ModeledSeconds(devDefault())))
-	record("E14", fmt.Sprintf("arena/resident-floats/%dk-trials", trials/1000), strDur, int64(st.ResidentTransferFloats), 0)
-	record("E14", fmt.Sprintf("arena/batch-floats/%dk-trials", trials/1000), strDur, int64(st.TransferFloats), 0)
 	return nil
 }
 

@@ -46,8 +46,6 @@ func main() {
 		rho       = flag.Float64("rho", 0.25, "DFA copula equicorrelation")
 		workers   = flag.Int("workers", 0, "parallelism bound (0 = all cores)")
 		engine    = flag.String("engine", "parallel", "stage-2 engine: sequential|parallel|mapreduce|reinstatements")
-		kernel    = flag.String("kernel", "blocked", "stage-2 trial-kernel layout: blocked|flat|indexed (bit-identical results)")
-		block     = flag.Int("block", 0, "blocked-kernel trial-block size (0 = engine default)")
 		streaming = flag.Bool("stream", false, "fuse stage-2 YELT generation into the engine (bounded memory, bit-identical results)")
 		batch     = flag.Int("batch", 0, "streaming trial-batch size per worker (0 = engine default)")
 		spill     = flag.Bool("spill", false, "spill the generated trial stream into diskstore shards and run stage 2 over the shards (implies -stream)")
@@ -102,18 +100,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "riskpipeline: unknown engine %q\n", *engine)
 		os.Exit(2)
 	}
-	var kern aggregate.Kernel
-	switch *kernel {
-	case "blocked":
-		kern = aggregate.KernelBlocked
-	case "flat":
-		kern = aggregate.KernelFlat
-	case "indexed":
-		kern = aggregate.KernelIndexed
-	default:
-		fmt.Fprintf(os.Stderr, "riskpipeline: unknown kernel %q\n", *kernel)
-		os.Exit(2)
-	}
 	policy, err := cluster.ParsePolicy(*provision)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "riskpipeline: %v\n", err)
@@ -136,8 +122,6 @@ func main() {
 		LocationsPerContract: *locations,
 		NumTrials:            *trials,
 		Engine:               eng,
-		Kernel:               kern,
-		TrialBlock:           *block,
 		Sampling:             *sampling,
 		Streaming:            *streaming,
 		BatchTrials:          *batch,

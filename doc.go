@@ -12,5 +12,5 @@
 // and the pre-joined event-major loss index (internal/lossindex) every
 // aggregate engine shares; EXPERIMENTS.md indexes the experiment
 // reproductions. Root-level benchmarks (bench_test.go) regenerate
-// every experiment's headline measurement.
+// the headline measurement of every experiment that still runs.
 package repro

@@ -7,32 +7,34 @@
 // its ELT, applies per-occurrence and annual-aggregate reinsurance
 // terms, and emits the trial's loss into a Year-Loss Table.
 //
-// Three engines share one trial kernel:
+// The host engines share one trial kernel and one trial-range driver:
 //
-//   - Sequential: single goroutine, the paper's CPU baseline.
+//   - Sequential: one worker, the paper's CPU baseline.
 //   - Parallel: trials partitioned across goroutines (the native
 //     realization of the paper's data-parallel GPU engine; experiment
 //     E1's measured speedup).
-//   - Chunked: runs the ground-up portfolio aggregation on the
-//     simulated many-core device (internal/gpusim), staging ELT chunks
-//     through shared memory — the paper's "chunking" memory strategy
-//     (experiment E4's modeled-cycle ablation).
+//   - MapReduce: the same driver once per map split, with retries,
+//     speculation and shard-affine placement around it (mapreduce.go).
+//
+// Chunked runs the ground-up portfolio aggregation on the simulated
+// many-core device (internal/gpusim), staging ELT chunks through shared
+// memory — the paper's "chunking" memory strategy (experiment E4's
+// modeled-cycle ablation).
 //
 // Every engine consumes the pre-joined event-major loss index
 // (internal/lossindex) instead of binary-searching per-contract ELTs
 // per occurrence — the paper's "scanned over rather than randomly
-// accessed" layout. By default the trial loop runs the trial-blocked
-// flat SoA kernel (blocked.go) over lossindex.Flat: Config.TrialBlock
-// trial years per pass over flattened layer-term columns, with
-// per-occurrence span resolution hoisted into an event-major pre-pass
-// and — in expected mode — occurrence recoveries pre-applied at build
-// time so the inner loop is pure gather-adds. Config.Kernel pins the
-// single-trial flat kernel (KernelFlat, flat.go) and the pre-flat
-// indexed scan (KernelIndexed) for comparison; the layouts are built
-// once per input (or supplied by the orchestration layer, which
-// builds them in stage 1) and shared read-only by all workers.
-// LegacyLookup (legacy.go) preserves the pre-index kernel as the
-// equivalence and benchmark baseline.
+// accessed" layout. The trial kernel (blocked.go) scans lossindex.Flat,
+// the index flattened into SoA columns: a block of trial years per pass
+// over flattened layer-term columns, with per-occurrence span
+// resolution hoisted into an event-major pre-pass and — in expected
+// mode — occurrence recoveries pre-applied at build time so the inner
+// loop is pure gather-adds. The layout is built once per input (or
+// supplied by the orchestration layer, which builds it in stage 1) and
+// shared read-only by all workers. LegacyLookup (legacy.go) is the
+// oracle: the binary-search-per-occurrence loop over the raw ELTs,
+// which shares no layout and no loop with the kernel and which every
+// equivalence suite compares against.
 //
 // All engines are bit-deterministic for a given (input, seed) and
 // agree with each other; determinism comes from per-trial RNG streams,
@@ -48,7 +50,6 @@ import (
 	"repro/internal/elt"
 	"repro/internal/layers"
 	"repro/internal/lossindex"
-	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/internal/yelt"
 	"repro/internal/ylt"
@@ -76,16 +77,16 @@ type Config struct {
 	// (each trial draws from its own stream); only peak memory and the
 	// cancellation-poll granularity change.
 	BatchTrials int
-	// Kernel selects the trial-kernel layout (trial-blocked flat SoA by
-	// default; KernelFlat pins the single-trial flat kernel,
-	// KernelIndexed the pre-flat entry scan). Results are bit-identical
-	// across kernels; see the Kernel type.
+	// Kernel has one value and is read by nothing. It is declared only
+	// because bench/replica.go sets it, and is deleted together with
+	// that file (ROADMAP item 4b).
 	Kernel Kernel
-	// TrialBlock bounds how many trial years the blocked kernel
-	// (KernelBlocked) processes per pass; <= 0 means DefaultTrialBlock.
-	// Results are bit-independent of the block size — blocking never
-	// reorders an addition within a trial — so it is purely a
-	// performance lever, like BatchTrials.
+	// TrialBlock bounds how many trial years the kernel processes per
+	// pass; <= 0 means DefaultTrialBlock. Results are bit-independent of
+	// it — blocking never reorders an addition within a trial — and the
+	// block-size suite varies it to prove that. No command or public
+	// config sets it; it becomes a constant together with bench/replica.go
+	// (ROADMAP item 4b).
 	TrialBlock int
 	// BatchSink, when set, receives each trial batch's per-contract
 	// results as the engine completes it: agg[ci][j] and occ[ci][j]
@@ -104,6 +105,13 @@ type Config struct {
 	// after the run instead.
 	BatchSink func(lo int, agg, occ [][]float64)
 }
+
+// Kernel is the trial-kernel selector's remaining declaration; see
+// Config.Kernel.
+type Kernel int
+
+// KernelBlocked is the trial kernel of blocked.go, the only one.
+const KernelBlocked Kernel = 0
 
 // DefaultBatchTrials is the default trial-batch granularity: large
 // enough that per-batch dispatch vanishes against the trial kernel,
@@ -146,9 +154,8 @@ type Input struct {
 	Index *lossindex.Index
 	// Flat is the flat SoA kernel layout derived from (Index,
 	// Portfolio) — pre-applied expected-mode recoveries, flattened
-	// layer terms, precomputed sampling plans. Leave nil to have the
-	// engine build it on first use under the flat kernels (the default
-	// KernelBlocked, or KernelFlat); the
+	// layer terms, precomputed sampling plans: what the trial kernel
+	// scans. Leave nil to have the engine build it on first use; the
 	// same sharing caveat as Index applies (pre-set both to share one
 	// Input across goroutines, as the pipeline does).
 	Flat *lossindex.Flat
@@ -188,23 +195,6 @@ func (in *Input) EnsureFlat() (*lossindex.Flat, error) {
 	}
 	in.Flat = fx
 	return fx, nil
-}
-
-// ensureKernelData builds the layouts the configured kernel scans:
-// the loss index always (every kernel and the device pre-passes probe
-// it), plus the flat SoA layout under the flat kernels (KernelBlocked
-// and KernelFlat). Engines call it once before spawning workers.
-func (in *Input) ensureKernelData(cfg Config) (*lossindex.Index, error) {
-	idx, err := in.EnsureIndex()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Kernel != KernelIndexed {
-		if _, err := in.EnsureFlat(); err != nil {
-			return nil, err
-		}
-	}
-	return idx, nil
 }
 
 // src returns the trial source: Source when set, else the materialized
@@ -311,6 +301,14 @@ type Result struct {
 	WorkersLost    int64
 }
 
+// ErrUnsupported is returned by an engine asked for a configuration
+// outside its scope, always wrapped with the engine's name and the
+// offending setting: sampling on the by-contract and device engines
+// (the paper's GPU engine [7] likewise ran the expected-loss occurrence
+// pipeline on device), per-contract output on the reinstatements and
+// device engines, annual-aggregate layer terms on the device engines.
+var ErrUnsupported = errors.New("aggregate: configuration unsupported by engine")
+
 // Engine runs aggregate analysis over an input.
 type Engine interface {
 	// Name identifies the engine in benchmarks and reports.
@@ -320,15 +318,12 @@ type Engine interface {
 	Run(ctx context.Context, in *Input, cfg Config) (*Result, error)
 }
 
-// trialScratch holds per-worker reusable buffers so the per-trial hot
-// path is allocation-free.
+// trialScratch holds a worker's reusable kernel buffers (blocked.go),
+// grown on demand so the per-trial hot path is allocation-free: the
+// block×NumLayers accumulator matrix, the event-major span staging
+// arrays, and the block×numContracts output matrices. The zero value
+// is ready to use.
 type trialScratch struct {
-	layerAgg [][]float64 // indexed kernel: [contract][layer] annual occurrence-recovery sums
-	flatAgg  []float64   // flat kernel: one contiguous [totalLayers] vector of the same sums
-	// Blocked-kernel scratch (blocked.go), grown on demand via
-	// blockBufs/blockPerContractBufs so single-trial runs never pay for
-	// it: the block×NumLayers accumulator matrix, the event-major span
-	// staging arrays, and the block×numContracts output matrices.
 	blockAgg []float64
 	spanLo   []int32
 	spanHi   []int32
@@ -336,169 +331,49 @@ type trialScratch struct {
 	blockCA  []float64
 	blockPC  []float64
 	blockPCO []float64
-	// perContract/perContractOcc are the per-trial per-contract output
-	// buffers, allocated on first use (perContractBufs) so runs without
-	// per-contract tables never pay for them.
-	perContract    []float64
-	perContractOcc []float64
 }
 
-// newTrialScratch sizes a worker's scratch for the kernel it will
-// run — a run uses exactly one layout, so only that layout's
-// accumulator is allocated. The flat kernels (blocked and
-// single-trial) share the flatAgg vector — single-trial callers of a
-// blocked run (ByContract's exact occurrence-max pass) land on it via
-// trialOnce — while the blocked kernel's block-sized buffers grow
-// lazily in blockBufs on the first blocked batch.
-func newTrialScratch(pf *layers.Portfolio, kernel Kernel) *trialScratch {
-	s := &trialScratch{}
-	if kernel == KernelIndexed {
-		s.layerAgg = make([][]float64, len(pf.Contracts))
-		for i, c := range pf.Contracts {
-			s.layerAgg[i] = make([]float64, len(c.Layers))
-		}
-		return s
-	}
-	total := 0
-	for _, c := range pf.Contracts {
-		total += len(c.Layers)
-	}
-	s.flatAgg = make([]float64, total)
-	return s
+// runRange is the one trial-range driver: it streams trials
+// [r.Lo, r.Hi) in BatchTrials-bounded batches through a worker's own
+// scratch and runs the kernel on each batch. Local trial i of a batch
+// is global trial lo+i, which fixes the RNG substream, so results are
+// independent of how trials were partitioned and batched. The result
+// slot for global trial t is t-slotOff: full-length tables (the host
+// engines) pass slotOff 0; the MapReduce engine hands each mapper a
+// segment table covering only its split and passes the split's start.
+// worker keys the resident-bytes accounting and must be distinct per
+// concurrent caller. Call after Validate and EnsureFlat.
+func runRange(ctx context.Context, in *Input, cfg Config, r stream.Range, rt *residentTracker, worker int, res *Result, slotOff int) error {
+	scratch := &trialScratch{}
+	return streamRange(ctx, in.src(), r, cfg.batchTrials(), rt, worker, &yelt.Table{},
+		func(b *yelt.Table, base int) error {
+			runBatchBlocked(in.Flat, in, cfg, b, base, res, scratch, slotOff)
+			emitBatch(cfg, res, base, b.NumTrials, slotOff)
+			return nil
+		})
 }
 
-// perContractBufs returns the worker's reusable per-contract buffers,
-// allocating them lazily on the first per-contract run.
-func (s *trialScratch) perContractBufs(nc int) (pc, pco []float64) {
-	if len(s.perContract) < nc {
-		s.perContract = make([]float64, nc)
-		s.perContractOcc = make([]float64, nc)
+// runWorkers is the host engines' Run: the whole trial range
+// partitioned across workers goroutines, each a runRange into its own
+// disjoint slots of one full-length result, so no synchronization is
+// needed beyond the final join.
+func runWorkers(ctx context.Context, in *Input, cfg Config, workers int) (*Result, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
 	}
-	return s.perContract[:nc], s.perContractOcc[:nc]
-}
-
-// runTrial computes one trial year through the indexed (pre-flat)
-// kernel — kept as KernelIndexed for benchmarking the flat layout
-// against. It returns the portfolio aggregate
-// recovery, the largest single-occurrence portfolio recovery, and (if
-// perContract is non-nil) adds each contract's annual recovery into
-// perContract[c].
-//
-// Ordering contract: occurrences are walked in YELT (day) order and
-// contracts in portfolio order; all sampling draws happen in that
-// order from the trial's own stream. Every engine reproduces exactly
-// this sequence. The index's rows preserve portfolio contract order
-// and exclude non-positive means (which this kernel never drew for),
-// so the indexed scan replays the lookup kernel's draw sequence
-// bit-for-bit — legacy.go keeps that kernel as the pinned reference.
-func runTrial(
-	occs []yelt.Occurrence,
-	idx *lossindex.Index,
-	in *Input,
-	cfg Config,
-	st *rng.Stream,
-	scratch *trialScratch,
-	perContract []float64,
-	perContractOcc []float64,
-) (agg, occMax float64) {
-	contracts := in.Portfolio.Contracts
-	for ci := range scratch.layerAgg {
-		la := scratch.layerAgg[ci]
-		for li := range la {
-			la[li] = 0
-		}
+	if _, err := in.EnsureFlat(); err != nil {
+		return nil, err
 	}
-
-	for _, occ := range occs {
-		var portfolioOccLoss float64
-		for _, e := range idx.EntriesFor(occ.EventID) {
-			ci := int(e.Contract)
-			c := &contracts[ci]
-			loss := e.Rec.MeanLoss
-			if cfg.Sampling {
-				loss = elt.SampleLoss(st, e.Rec)
-			}
-			var contractOcc float64
-			for li := range c.Layers {
-				r := c.Layers[li].ApplyOccurrence(loss)
-				scratch.layerAgg[ci][li] += r
-				contractOcc += r
-			}
-			portfolioOccLoss += contractOcc
-			if perContractOcc != nil && contractOcc > perContractOcc[ci] {
-				perContractOcc[ci] = contractOcc
-			}
-		}
-		if portfolioOccLoss > occMax {
-			occMax = portfolioOccLoss
-		}
+	res := newResult(in, cfg)
+	rt := trackerFor(in)
+	err := stream.ForEachRange(ctx, in.src().TrialCount(), workers, func(ctx context.Context, r stream.Range, w int) error {
+		return runRange(ctx, in, cfg, r, rt, w, res, 0)
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	for ci := range contracts {
-		c := &contracts[ci]
-		var contractAnnual float64
-		for li := range c.Layers {
-			contractAnnual += c.Layers[li].ApplyAggregate(scratch.layerAgg[ci][li])
-		}
-		agg += contractAnnual
-		if perContract != nil {
-			perContract[ci] += contractAnnual
-		}
-	}
-	return agg, occMax
-}
-
-// runBatch executes one trial batch into the result tables: local
-// trial i of the batch is global trial base+i, which fixes the RNG
-// substream, so results are independent of how trials were batched.
-// The result slot for global trial t is t-slotOff: full-length tables
-// (the host engines) pass slotOff 0; the MapReduce engine hands each
-// mapper a segment table covering only its trial range and passes the
-// range start, so the one shared kernel serves both shapes.
-func runBatch(idx *lossindex.Index, in *Input, cfg Config, batch *yelt.Table, base int, res *Result, scratch *trialScratch, slotOff int) {
-	if cfg.Kernel == KernelBlocked {
-		// The blocked kernel owns the whole batch loop: it tiles the
-		// batch into TrialBlock-sized blocks and fills the same result
-		// slots with bit-identical values (see blocked.go).
-		runBatchBlocked(in.Flat, in, cfg, batch, base, res, scratch, slotOff)
-		emitBatch(cfg, res, base, batch.NumTrials, slotOff)
-		return
-	}
-	nc := len(in.Portfolio.Contracts)
-	var perContract, perContractOcc []float64
-	if res.PerContract != nil {
-		// Reused across batches via the per-worker scratch; runs without
-		// per-contract output never allocate them.
-		perContract, perContractOcc = scratch.perContractBufs(nc)
-	}
-	for i := 0; i < batch.NumTrials; i++ {
-		trial := base + i
-		slot := trial - slotOff
-		// The trial's substream only feeds secondary-uncertainty draws;
-		// expected mode never draws, so skip the stream setup entirely.
-		var st *rng.Stream
-		if cfg.Sampling {
-			st = rng.NewStream(cfg.Seed, uint64(trial))
-		}
-		var pc, pco []float64
-		if res.PerContract != nil {
-			for j := range perContract {
-				perContract[j] = 0
-				perContractOcc[j] = 0
-			}
-			pc, pco = perContract, perContractOcc
-		}
-		agg, occMax := trialOnce(batch.OccurrencesOf(i), idx, in, cfg, st, scratch, pc, pco)
-		res.Portfolio.Agg[slot] = agg
-		res.Portfolio.OccMax[slot] = occMax
-		if res.PerContract != nil {
-			for ci := 0; ci < nc; ci++ {
-				res.PerContract[ci].Agg[slot] = perContract[ci]
-				res.PerContract[ci].OccMax[slot] = perContractOcc[ci]
-			}
-		}
-	}
-	emitBatch(cfg, res, base, batch.NumTrials, slotOff)
+	finishResident(in, res, rt)
+	return res, nil
 }
 
 // emitBatch delivers a completed batch's per-contract rows to the
@@ -625,7 +500,7 @@ func newResultN(in *Input, cfg Config, n int) *Result {
 
 // Sequential is the single-threaded reference engine — the paper's
 // "sequential counterpart" that the many-core engine is measured
-// against.
+// against: the trial-range driver with one worker.
 type Sequential struct{}
 
 // Name implements Engine.
@@ -633,34 +508,12 @@ func (Sequential) Name() string { return "sequential" }
 
 // Run implements Engine.
 func (Sequential) Run(ctx context.Context, in *Input, cfg Config) (*Result, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	idx, err := in.ensureKernelData(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := newResult(in, cfg)
-	scratch := newTrialScratch(in.Portfolio, cfg.Kernel)
-	src := in.src()
-	rt := trackerFor(in)
-	err = streamRange(ctx, src, stream.Range{Lo: 0, Hi: src.TrialCount()}, cfg.batchTrials(), rt, 0, &yelt.Table{},
-		func(b *yelt.Table, base int) error {
-			runBatch(idx, in, cfg, b, base, res, scratch, 0)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	finishResident(in, res, rt)
-	return res, nil
+	return runWorkers(ctx, in, cfg, 1)
 }
 
-// Parallel partitions trials across a goroutine pool. Because trials
-// are independent given the pre-simulated YELT (that is the point of
-// pre-simulation), the engine is embarrassingly parallel; each worker
-// writes disjoint trial slots so no synchronization is needed beyond
-// the final join.
+// Parallel partitions trials across cfg.Workers goroutines. Because
+// trials are independent given the pre-simulated YELT (that is the
+// point of pre-simulation), the engine is embarrassingly parallel.
 type Parallel struct{}
 
 // Name implements Engine.
@@ -668,27 +521,5 @@ func (Parallel) Name() string { return "parallel" }
 
 // Run implements Engine.
 func (Parallel) Run(ctx context.Context, in *Input, cfg Config) (*Result, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	idx, err := in.ensureKernelData(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := newResult(in, cfg)
-	src := in.src()
-	rt := trackerFor(in)
-	err = stream.ForEachRange(ctx, src.TrialCount(), cfg.Workers, func(ctx context.Context, r stream.Range, w int) error {
-		scratch := newTrialScratch(in.Portfolio, cfg.Kernel)
-		return streamRange(ctx, src, r, cfg.batchTrials(), rt, w, &yelt.Table{},
-			func(b *yelt.Table, base int) error {
-				runBatch(idx, in, cfg, b, base, res, scratch, 0)
-				return nil
-			})
-	})
-	if err != nil {
-		return nil, err
-	}
-	finishResident(in, res, rt)
-	return res, nil
+	return runWorkers(ctx, in, cfg, cfg.Workers)
 }

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -241,15 +242,15 @@ func TestChunkedRejectsUnsupported(t *testing.T) {
 	p.OccurrenceOnly = true
 	s := buildScenario(t, p)
 	ch := &Chunked{}
-	if _, err := ch.Run(context.Background(), input(s), Config{Sampling: true}); err == nil {
-		t.Fatal("sampling should be rejected on device")
+	if _, err := ch.Run(context.Background(), input(s), Config{Sampling: true}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("sampling should be rejected on device: err = %v", err)
 	}
-	if _, err := ch.Run(context.Background(), input(s), Config{PerContract: true}); err == nil {
-		t.Fatal("per-contract should be rejected on device")
+	if _, err := ch.Run(context.Background(), input(s), Config{PerContract: true}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("per-contract should be rejected on device: err = %v", err)
 	}
 	withAgg := buildScenario(t, synth.Small(10)) // has aggregate terms
-	if _, err := ch.Run(context.Background(), input(withAgg), Config{}); err == nil {
-		t.Fatal("aggregate terms should be rejected on device")
+	if _, err := ch.Run(context.Background(), input(withAgg), Config{}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("aggregate terms should be rejected on device: err = %v", err)
 	}
 }
 

@@ -6,11 +6,9 @@ import (
 	"repro/internal/yelt"
 )
 
-// This file is the trial-blocked flat SoA kernel (KernelBlocked, the
-// default): instead of driving lossindex.Flat one trial year at a time
-// through runTrialFlat, runBatchBlocked processes Config.TrialBlock
-// trials per pass. Blocking buys three things the single-trial kernel
-// cannot have:
+// This file is the trial kernel: runBatchBlocked drives lossindex.Flat
+// a block of Config.TrialBlock trial years per pass. Blocking buys
+// three things a trial-at-a-time loop cannot have:
 //
 //   - The per-occurrence span resolution (Flat.Span: a rowOf probe plus
 //     two offset loads) is hoisted out of the trial loop into one
@@ -20,23 +18,23 @@ import (
 //     block×NumLayers matrix, zeroed with a single bulk clear per block
 //     instead of one clear per trial, and the annual-terms columns are
 //     hoisted once per block.
-//   - Per-trial dispatch overhead (kernel call, sampling/per-contract
-//     branches, scratch setup) is paid once per block, and the gather
-//     loops use length-pinned re-slicing so the compiler can prove the
-//     inner adds in bounds.
+//   - Per-trial dispatch overhead (sampling/per-contract branches,
+//     scratch setup) is paid once per block, and the gather loops use
+//     length-pinned re-slicing so the compiler can prove the inner adds
+//     in bounds.
 //
-// Bit-identity: in expected mode the inner loop is gather-adds of
-// build-time constants into per-trial accumulator rows. Hoisting the
-// span resolution and fusing the trial loop never moves an addition
-// across trials (each trial owns its row) and never reorders an
-// addition within a trial (each trial's occurrences, entries, and
-// layer frames are still visited in exactly the runTrialFlat order),
-// so every per-trial sum associates identically and the results are
-// bit-for-bit those of KernelFlat (hence of KernelIndexed and
-// LegacyLookup, pinned by the kernel-equivalence suites). Sampling
-// mode stays trial-major within the block — each trial's substream
-// must consume its draws in YELT order — but shares the hoisted span
-// pass and column locals. Results are independent of TrialBlock.
+// Ordering contract: within a trial, occurrences are visited in YELT
+// (day) order, an event's entries in portfolio contract order, layer
+// frames in declaration order, and — in sampling mode — the trial's
+// own substream consumes its beta draws in exactly that sequence. That
+// is LegacyLookup's order, so results are bit-for-bit the oracle's. In
+// expected mode the inner loop is gather-adds of build-time constants
+// into per-trial accumulator rows; hoisting the span resolution and
+// fusing the trial loop never moves an addition across trials (each
+// trial owns its row) and never reorders an addition within a trial,
+// so every per-trial sum associates identically. Sampling mode stays
+// trial-major within the block but shares the hoisted span pass and
+// column locals. Results are independent of TrialBlock.
 
 // DefaultTrialBlock is the default trial-block size. Big enough to
 // amortize per-block setup (span staging, accumulator clear, column
@@ -88,12 +86,12 @@ func (s *trialScratch) blockPerContractBufs(cells int) (pc, pco []float64) {
 	return s.blockPC[:cells], s.blockPCO[:cells]
 }
 
-// runBatchBlocked is runBatch's KernelBlocked body: it tiles the batch
-// into TrialBlock-sized blocks and drives each through the blocked
-// flat kernel. Local trial i of the batch is global trial base+i
-// (fixing the RNG substream) and lands in result slot base+i-slotOff,
-// exactly as in the single-trial path, so results are independent of
-// both the batch and the block tiling.
+// runBatchBlocked executes one trial batch into the result tables: it
+// tiles the batch into TrialBlock-sized blocks and drives each through
+// the occurrence and annual stages below. Local trial i of the batch
+// is global trial base+i (fixing the RNG substream) and lands in result
+// slot base+i-slotOff, so results are independent of both the batch
+// and the block tiling.
 func runBatchBlocked(fx *lossindex.Flat, in *Input, cfg Config, batch *yelt.Table, base int, res *Result, scratch *trialScratch, slotOff int) {
 	nl := fx.NumLayers()
 	nc := len(in.Portfolio.Contracts)
@@ -212,9 +210,8 @@ func blockExpectedDense(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl int, b
 // blockExpectedOccurrences is the blocked expected-mode occurrence
 // stage: for each trial of the block, gather the pre-applied
 // recoveries of its occurrences' (pre-staged) spans into the trial's
-// accumulator row. The inner add loop is the same gather as
-// flatExpectedOccurrences over a length-pinned destination re-slice,
-// in the same order, so each row's sums associate identically.
+// accumulator row, entries ascending and layers in declaration order
+// within each, through a length-pinned destination re-slice.
 func blockExpectedOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl, nc int, blockAgg []float64, spanLo, spanHi []int32, occMaxOut, pco []float64) {
 	expOff, expRec, expSum := fx.ExpOff, fx.ExpRec, fx.ExpSum
 	layerOff, contract := fx.LayerOff, fx.Contract
@@ -327,8 +324,8 @@ func blockSampledOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, seed
 // once per trial, and the clamp arithmetic is the inlined
 // FlatTerms.ApplyAggregate: min(max(sum-ret, 0), lim) · share.
 //
-// The interchange is bit-identical to runTrialFlat's trial-major
-// annual stage: each trial i accumulates its contract sum ca[i] over
+// The interchange is bit-identical to a trial-major annual stage: each
+// trial i accumulates its contract sum ca[i] over
 // the frame's layers in declaration order, and its portfolio sum
 // aggOut[i] over contracts in portfolio order — only independent
 // trials are interleaved, never the additions within one trial.

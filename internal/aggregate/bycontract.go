@@ -2,7 +2,9 @@ package aggregate
 
 import (
 	"context"
+	"fmt"
 
+	"repro/internal/lossindex"
 	"repro/internal/stream"
 	"repro/internal/yelt"
 )
@@ -23,9 +25,12 @@ import (
 // one resident batch — the per-batch cache that trades the
 // decomposition's repeated regeneration (once per contract, plus the
 // final occurrence pass) back down to a single generation pass. Both
-// forms hold every contract's dense mean-loss vector resident
-// (projected from the flat layout in one entry sweep — see
-// contractMeansAll). TestByContractStreamingSingleGeneration pins the
+// forms hold every contract's dense row → mean-loss vector resident
+// (Flat.DenseMeansAll: projected from the flat layout in one entry
+// sweep, so the per-occurrence probe is two array indexings;
+// contracts × rows floats, small next to the contracts × trials partial
+// tables the decomposition already holds).
+// TestByContractStreamingSingleGeneration pins the
 // single-pass claim via Generator.Streamed.
 //
 // Results are identical to the other engines in expected mode; in
@@ -39,43 +44,6 @@ type ByContract struct{}
 // Name implements Engine.
 func (ByContract) Name() string { return "by-contract" }
 
-// contractMeansAll builds every contract's dense row → mean-loss
-// vector, so the per-occurrence probe is two array indexings — no
-// binary search. With the flat kernel layout resident (the default)
-// all vectors are projected from the packed lossindex.Flat mean
-// column in one linear sweep of the entries; the per-record ELT scan
-// with its Row probe per record is kept — parallel across contracts —
-// only for indexed-kernel runs that never built the flat layout. Both
-// produce identical vectors (TestByContractMeansFromFlatMatchELTScan
-// pins it). All vectors are resident for the run either way
-// (contracts × rows floats — small next to the contracts × trials
-// partial tables the decomposition already holds).
-func contractMeansAll(ctx context.Context, in *Input, cfg Config) ([][]float64, error) {
-	if in.Flat != nil {
-		return in.Flat.DenseMeansAll(), nil
-	}
-	idx := in.Index
-	out := make([][]float64, len(in.Portfolio.Contracts))
-	err := stream.ForEach(ctx, len(in.Portfolio.Contracts), cfg.Workers, func(_ context.Context, ci int) error {
-		c := &in.Portfolio.Contracts[ci]
-		means := make([]float64, idx.NumRows())
-		for _, r := range in.ELTs[c.ELTIndex].Records {
-			if r.MeanLoss <= 0 {
-				continue
-			}
-			if row := idx.Row(r.EventID); row >= 0 {
-				means[row] = r.MeanLoss
-			}
-		}
-		out[ci] = means
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // runContractBatch walks one trial batch for one contract, writing
 // annual recoveries into agg[base+i] and — when occ is non-nil, i.e.
 // per-contract output was requested — per-occurrence maxima into
@@ -83,7 +51,7 @@ func contractMeansAll(ctx context.Context, in *Input, cfg Config) ([][]float64, 
 // contract-major and batch-major forms, so their arithmetic (and
 // therefore their results) cannot diverge.
 func runContractBatch(in *Input, ci int, means []float64, layerSums []float64, b *yelt.Table, base int, agg, occ []float64) {
-	idx := in.Index
+	idx := in.Flat.Index()
 	c := &in.Portfolio.Contracts[ci]
 	for i := 0; i < b.NumTrials; i++ {
 		trial := base + i
@@ -120,8 +88,8 @@ func runContractBatch(in *Input, ci int, means []float64, layerSums []float64, b
 // finishByContract merges the per-contract partials into the result:
 // portfolio agg is the contract-order sum; per-contract tables copy
 // straight over. Portfolio OccMax is NOT derivable from per-contract
-// maxima (they only bound it from below) — callers fill it with a
-// trial-ordered runTrial pass.
+// maxima (they only bound it from below) — callers fill it with
+// expectedOccMax.
 func finishByContract(in *Input, res *Result, partialAgg, partialOcc [][]float64) {
 	for _, pa := range partialAgg {
 		for t, v := range pa {
@@ -136,15 +104,34 @@ func finishByContract(in *Input, res *Result, partialAgg, partialOcc [][]float64
 	}
 }
 
+// expectedOccMax writes each batch trial's exact portfolio OccMax —
+// the maximum over the year's *events* of the whole-book occurrence
+// recovery — into out[base+i]. In expected mode (the only mode this
+// engine accepts) that recovery is a build-time constant per event:
+// Flat.ExpSpan's row sum, the same value the trial kernel's dense
+// expected path reads, so the pass needs no kernel and is bit-identical
+// to the trial-ordered engines.
+func expectedOccMax(fx *lossindex.Flat, b *yelt.Table, base int, out []float64) {
+	for i := 0; i < b.NumTrials; i++ {
+		var occMax float64
+		for _, o := range b.OccurrencesOf(i) {
+			if _, _, s := fx.ExpSpan(o.EventID); s > occMax {
+				occMax = s
+			}
+		}
+		out[base+i] = occMax
+	}
+}
+
 // Run implements Engine.
 func (e ByContract) Run(ctx context.Context, in *Input, cfg Config) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Sampling {
-		return nil, ErrUnsupportedOnDevice // reuse the sentinel: unsupported configuration
+		return nil, fmt.Errorf("%w: %s: sampling", ErrUnsupported, e.Name())
 	}
-	if _, err := in.ensureKernelData(cfg); err != nil {
+	if _, err := in.EnsureFlat(); err != nil {
 		return nil, err
 	}
 	if in.streaming() {
@@ -164,12 +151,9 @@ func (ByContract) runContractMajor(ctx context.Context, in *Input, cfg Config) (
 
 	partialAgg := make([][]float64, len(contracts))
 	partialOcc := make([][]float64, len(contracts))
-	means, err := contractMeansAll(ctx, in, cfg)
-	if err != nil {
-		return nil, err
-	}
+	means := in.Flat.DenseMeansAll()
 
-	err = stream.ForEach(ctx, len(contracts), cfg.Workers, func(ctx context.Context, ci int) error {
+	err := stream.ForEach(ctx, len(contracts), cfg.Workers, func(ctx context.Context, ci int) error {
 		agg := make([]float64, n)
 		// Per-contract occurrence maxima are only an output when
 		// per-contract tables were requested; skip the n-length arrays
@@ -196,16 +180,11 @@ func (ByContract) runContractMajor(ctx context.Context, in *Input, cfg Config) (
 	}
 	finishByContract(in, res, partialAgg, partialOcc)
 
-	// Exact portfolio OccMax needs the max over *events*: recompute with
-	// one trial-ordered pass — cheap relative to the per-contract scans.
-	scratch := newTrialScratch(in.Portfolio, cfg.Kernel)
-	kcfg := Config{Kernel: cfg.Kernel}
+	// One more trial-ordered pass for the exact portfolio OccMax — cheap
+	// relative to the per-contract scans.
 	err = streamRange(ctx, src, stream.Range{Lo: 0, Hi: n}, cfg.batchTrials(), rt, -1, &yelt.Table{},
 		func(b *yelt.Table, base int) error {
-			for i := 0; i < b.NumTrials; i++ {
-				_, occMax := trialOnce(b.OccurrencesOf(i), in.Index, in, kcfg, nil, scratch, nil, nil)
-				res.Portfolio.OccMax[base+i] = occMax
-			}
+			expectedOccMax(in.Flat, b, base, res.Portfolio.OccMax)
 			return nil
 		})
 	if err != nil {
@@ -228,10 +207,7 @@ func (ByContract) runBatchMajor(ctx context.Context, in *Input, cfg Config) (*Re
 	res := newResult(in, cfg)
 	rt := trackerFor(in)
 
-	means, err := contractMeansAll(ctx, in, cfg)
-	if err != nil {
-		return nil, err
-	}
+	means := in.Flat.DenseMeansAll()
 
 	partialAgg := make([][]float64, len(contracts))
 	partialOcc := make([][]float64, len(contracts))
@@ -243,10 +219,8 @@ func (ByContract) runBatchMajor(ctx context.Context, in *Input, cfg Config) (*Re
 		}
 		layerSums[ci] = make([]float64, len(contracts[ci].Layers))
 	}
-	scratch := newTrialScratch(in.Portfolio, cfg.Kernel)
-	kcfg := Config{Kernel: cfg.Kernel}
 
-	err = streamRange(ctx, src, stream.Range{Lo: 0, Hi: n}, cfg.batchTrials(), rt, 0, &yelt.Table{},
+	err := streamRange(ctx, src, stream.Range{Lo: 0, Hi: n}, cfg.batchTrials(), rt, 0, &yelt.Table{},
 		func(b *yelt.Table, base int) error {
 			// One generated batch, shared read-only by every contract
 			// worker; each worker writes its own contract's slots.
@@ -259,10 +233,7 @@ func (ByContract) runBatchMajor(ctx context.Context, in *Input, cfg Config) (*Re
 			}
 			// Exact portfolio OccMax over the same resident batch — no
 			// second generation pass.
-			for i := 0; i < b.NumTrials; i++ {
-				_, occMax := trialOnce(b.OccurrencesOf(i), in.Index, in, kcfg, nil, scratch, nil, nil)
-				res.Portfolio.OccMax[base+i] = occMax
-			}
+			expectedOccMax(in.Flat, b, base, res.Portfolio.OccMax)
 			return nil
 		})
 	if err != nil {

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -55,10 +56,31 @@ func TestByContractPerContractOutput(t *testing.T) {
 	}
 }
 
-// The two contractMeans paths — projected from the packed
-// lossindex.Flat columns (the default) and re-scanned from the
-// contract's ELT (the indexed-kernel fallback) — must produce
-// identical dense vectors, and therefore identical engine results.
+// eltScanMeans is the oracle for Flat.DenseMeansAll: every contract's
+// dense row → mean-loss vector rebuilt from the contract's own ELT
+// records, one index Row probe per record (the engine's construction
+// before the flat layout existed).
+func eltScanMeans(in *Input, idx *lossindex.Index) [][]float64 {
+	out := make([][]float64, len(in.Portfolio.Contracts))
+	for ci := range in.Portfolio.Contracts {
+		c := &in.Portfolio.Contracts[ci]
+		means := make([]float64, idx.NumRows())
+		for _, r := range in.ELTs[c.ELTIndex].Records {
+			if r.MeanLoss <= 0 {
+				continue
+			}
+			if row := idx.Row(r.EventID); row >= 0 {
+				means[row] = r.MeanLoss
+			}
+		}
+		out[ci] = means
+	}
+	return out
+}
+
+// The dense mean vectors the engine projects from the packed
+// lossindex.Flat columns must equal the ones re-scanned from each
+// contract's ELT, and the engine over them must equal the oracle.
 func TestByContractMeansFromFlatMatchELTScan(t *testing.T) {
 	s := buildScenario(t, synth.Small(45))
 	ix, err := lossindex.Build(s.ELTs, s.Portfolio)
@@ -69,35 +91,27 @@ func TestByContractMeansFromFlatMatchELTScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withFlat := &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix, Flat: fx}
-	withoutFlat := &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}
-	fromFlat, err := contractMeansAll(context.Background(), withFlat, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromELTs, err := contractMeansAll(context.Background(), withoutFlat, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix, Flat: fx}
+	fromFlat, fromELTs := fx.DenseMeansAll(), eltScanMeans(in, ix)
 	for ci := range s.Portfolio.Contracts {
-		bitIdentical(t, "dense means", fromFlat[ci], fromELTs[ci])
+		bitIdentical(t, "dense means", fromELTs[ci], fromFlat[ci])
 	}
-	cfg := Config{PerContract: true, Kernel: KernelIndexed} // indexed: the engine never builds Flat itself
-	want, err := ByContract{}.Run(context.Background(), withoutFlat, cfg)
+	cfg := Config{PerContract: true}
+	want, err := LegacyLookup{}.Run(context.Background(), input(s), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ByContract{}.Run(context.Background(), withFlat, cfg)
+	got, err := ByContract{}.Run(context.Background(), in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsBitIdentical(t, "by-contract means source", want, got)
+	resultsBitIdentical(t, "by-contract over projected means", want, got)
 }
 
 func TestByContractRefusesSampling(t *testing.T) {
 	s := buildScenario(t, synth.Small(43))
-	if _, err := (ByContract{}).Run(context.Background(), input(s), Config{Sampling: true}); err == nil {
-		t.Fatal("sampling mode should be refused (draw order differs)")
+	if _, err := (ByContract{}).Run(context.Background(), input(s), Config{Sampling: true}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("sampling mode should be refused (draw order differs): err = %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/gpusim"
@@ -11,12 +10,6 @@ import (
 	"repro/internal/yelt"
 	"repro/internal/ylt"
 )
-
-// ErrUnsupportedOnDevice is returned by the Chunked engine for inputs
-// outside the device kernel's scope (sampling mode or annual-aggregate
-// layer terms). The paper's GPU engine [7] likewise ran the
-// expected-loss occurrence pipeline on device.
-var ErrUnsupportedOnDevice = errors.New("aggregate: configuration unsupported on device engine")
 
 // Chunked runs the occurrence-terms portfolio aggregation on the
 // simulated many-core device, staging occurrence data and the
@@ -66,34 +59,6 @@ func (c *Chunked) recoveryVectors(fx *lossindex.Flat) (aggVec, occVec []float64)
 	return c.aggVec, c.occVec
 }
 
-// legacyVectors is the superseded host-side loss-vector construction:
-// a nested walk of every row's entries through the Contract structs
-// and their []Layer. Kept (unexported) as the reference the projected
-// fast path is pinned against in TestChunkedVectorsMatchLegacy.
-func legacyVectors(in *Input, idx *lossindex.Index) (aggVec, occVec []float64) {
-	numRows := idx.NumRows()
-	aggVec = make([]float64, numRows)
-	occVec = make([]float64, numRows)
-	for row := 0; row < numRows; row++ {
-		for _, e := range idx.Entries(int32(row)) {
-			ct := &in.Portfolio.Contracts[e.Contract]
-			for _, l := range ct.Layers {
-				r := l.ApplyOccurrence(e.Rec.MeanLoss)
-				if r <= 0 {
-					continue
-				}
-				share := l.Share
-				if share == 0 {
-					share = 1
-				}
-				aggVec[row] += r * share
-				occVec[row] += r
-			}
-		}
-	}
-	return aggVec, occVec
-}
-
 // Name implements Engine.
 func (c *Chunked) Name() string {
 	if c.Naive {
@@ -121,15 +86,15 @@ func (c *Chunked) Run(ctx context.Context, in *Input, cfg Config) (*Result, erro
 		return nil, err
 	}
 	if cfg.Sampling {
-		return nil, fmt.Errorf("%w: sampling", ErrUnsupportedOnDevice)
+		return nil, fmt.Errorf("%w: %s: sampling", ErrUnsupported, c.Name())
 	}
 	if cfg.PerContract {
-		return nil, fmt.Errorf("%w: per-contract output", ErrUnsupportedOnDevice)
+		return nil, fmt.Errorf("%w: %s: per-contract output", ErrUnsupported, c.Name())
 	}
 	for _, ct := range in.Portfolio.Contracts {
 		for _, l := range ct.Layers {
 			if l.AggRetention != 0 || l.AggLimit != 0 {
-				return nil, fmt.Errorf("%w: annual aggregate terms on contract %d", ErrUnsupportedOnDevice, ct.ID)
+				return nil, fmt.Errorf("%w: %s: annual aggregate terms on contract %d", ErrUnsupported, c.Name(), ct.ID)
 			}
 		}
 	}
@@ -142,8 +107,8 @@ func (c *Chunked) Run(ctx context.Context, in *Input, cfg Config) (*Result, erro
 	// The portfolio's per-row recovery vectors (ELT preprocessing, done
 	// once per portfolio, not per trial): aggVec folds each layer's
 	// share in, occVec is the share-free occurrence recovery that
-	// drives OccMax — mirroring runTrial's accounting exactly. They are
-	// projected straight from the flat kernel layout's pre-applied
+	// drives OccMax — mirroring the host kernel's accounting exactly.
+	// They are projected straight from the flat kernel layout's pre-applied
 	// ExpRec column (one linear sweep, bit-identical to the nested
 	// Contract walk it replaced — see lossindex.DeviceVectors) and
 	// cached across runs. Working in the index's dense row space

@@ -5,14 +5,42 @@ import (
 	"testing"
 
 	"repro/internal/gpusim"
+	"repro/internal/lossindex"
 	"repro/internal/synth"
 	"repro/internal/yelt"
 )
 
+// legacyVectors is the superseded host-side loss-vector construction:
+// a nested walk of every row's entries through the Contract structs
+// and their []Layer — the reference Flat.DeviceVectors is pinned
+// against.
+func legacyVectors(in *Input, idx *lossindex.Index) (aggVec, occVec []float64) {
+	numRows := idx.NumRows()
+	aggVec = make([]float64, numRows)
+	occVec = make([]float64, numRows)
+	for row := 0; row < numRows; row++ {
+		for _, e := range idx.Entries(int32(row)) {
+			ct := &in.Portfolio.Contracts[e.Contract]
+			for _, l := range ct.Layers {
+				r := l.ApplyOccurrence(e.Rec.MeanLoss)
+				if r <= 0 {
+					continue
+				}
+				share := l.Share
+				if share == 0 {
+					share = 1
+				}
+				aggVec[row] += r * share
+				occVec[row] += r
+			}
+		}
+	}
+	return aggVec, occVec
+}
+
 // The device engine's loss vectors are projected from the flat kernel
-// layout's pre-applied ExpRec column; the superseded nested
-// Contract-walk construction is kept as the reference. The projection
-// must be exactly equal — same additions in the same order — not just
+// layout's pre-applied ExpRec column. The projection must be exactly
+// equal to the nested Contract walk — same additions in the same order — not just
 // close.
 func TestChunkedVectorsMatchLegacy(t *testing.T) {
 	for _, seed := range []uint64{7, 10, 21} { // incl. books with agg terms and shares

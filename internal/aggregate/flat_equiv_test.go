@@ -12,16 +12,11 @@ import (
 	"repro/internal/yelt"
 )
 
-// The kernel-equivalence suite: the trial-blocked flat kernel, the
-// single-trial flat SoA kernel, the indexed (pre-flat) kernel, and the
-// pre-index LegacyLookup reference must be bit-identical for every
-// engine × sampling × per-contract × seed × batch-size × block-size
-// combination. This is the contract that makes the kernel choice a
-// pure performance lever — draw order, accumulation order, and clamp
-// arithmetic all survive the flattening and the blocking.
-
-// allKernels is the full kernel sweep the equivalence tests pin.
-var allKernels = []Kernel{KernelBlocked, KernelFlat, KernelIndexed}
+// The kernel-equivalence suite: the trial kernel must be bit-identical
+// to the LegacyLookup oracle for every engine × sampling × per-contract
+// × seed × batch-size × block-size combination — draw order,
+// accumulation order, and clamp arithmetic all survive the flattening
+// and the blocking.
 
 type kernelCase struct {
 	name     string
@@ -35,8 +30,8 @@ func kernelMatrix() []kernelCase {
 		{name: "parallel", engine: func() Engine { return Parallel{} }, sampling: []bool{false, true}},
 		{name: "mapreduce", engine: func() Engine { return MapReduce{SplitTrials: 401} }, sampling: []bool{false, true}},
 		// ByContract refuses sampling mode (draws would interleave by
-		// contract); its exact-OccMax pass goes through the shared
-		// kernel, so it belongs in the matrix for expected mode.
+		// contract); its exact-OccMax pass reads the kernel's build-time
+		// row sums, so it belongs in the matrix for expected mode.
 		{name: "by-contract", engine: func() Engine { return ByContract{} }, sampling: []bool{false}},
 	}
 }
@@ -69,24 +64,20 @@ func TestKernelEquivalenceAllEngines(t *testing.T) {
 					if !wantSampling {
 						continue
 					}
-					for _, kernel := range allKernels {
-						name := fmt.Sprintf("%s/kernel=%d/sampling=%v/percon=%v/seed=%d", kc.name, kernel, sampling, perCon, seed)
-						cfg := refCfg
-						cfg.Kernel = kernel
-						in := &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix, Flat: fx}
-						got, err := kc.engine().Run(ctx, in, cfg)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						resultsBitIdentical(t, name, legacy, got)
+					name := fmt.Sprintf("%s/sampling=%v/percon=%v/seed=%d", kc.name, sampling, perCon, seed)
+					in := &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix, Flat: fx}
+					got, err := kc.engine().Run(ctx, in, refCfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
+					resultsBitIdentical(t, name, legacy, got)
 				}
 			}
 		}
 	}
 }
 
-// Batch size must not leak into kernel results: the flat kernel over a
+// Batch size must not leak into kernel results: the kernel over a
 // streaming source, at batch sizes that do and do not divide the trial
 // count, must still match the legacy reference bit-for-bit.
 func TestKernelEquivalenceAcrossBatchSizes(t *testing.T) {
@@ -106,26 +97,23 @@ func TestKernelEquivalenceAcrossBatchSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 7, 500, 997, 4096} {
-		for _, kernel := range allKernels {
-			gen, err := s.YELTGenerator()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := refCfg
-			cfg.Kernel = kernel
-			cfg.BatchTrials = batch
-			in := &Input{Source: gen, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix, Flat: fx}
-			got, err := (Parallel{}).Run(ctx, in, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resultsBitIdentical(t, fmt.Sprintf("batch=%d/kernel=%d", batch, kernel), legacy, got)
+		gen, err := s.YELTGenerator()
+		if err != nil {
+			t.Fatal(err)
 		}
+		cfg := refCfg
+		cfg.BatchTrials = batch
+		in := &Input{Source: gen, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix, Flat: fx}
+		got, err := (Parallel{}).Run(ctx, in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsBitIdentical(t, fmt.Sprintf("batch=%d", batch), legacy, got)
 	}
 }
 
-// Block size must not leak into blocked-kernel results either: the
-// blocked kernel at block sizes that do and do not divide the trial
+// Block size must not leak into kernel results either: the kernel at
+// block sizes that do and do not divide the trial
 // count (or the batch size) must still match the legacy reference
 // bit-for-bit, in both modes, with and without per-contract tables.
 // Block 1 degenerates to per-trial passes; blocks larger than a batch
@@ -148,11 +136,10 @@ func TestKernelEquivalenceAcrossBlockSizes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, block := range []int{1, 32, 33, 64, 97, 128} {
+			for _, block := range []int{1, 7, 32, 33, 64, 97, 98, 128} {
 				for _, batch := range []int{0, 97} { // 0: default; 97: blocks straddle batch ends
 					name := fmt.Sprintf("block=%d/batch=%d/sampling=%v/percon=%v", block, batch, sampling, perCon)
 					cfg := refCfg
-					cfg.Kernel = KernelBlocked
 					cfg.TrialBlock = block
 					cfg.BatchTrials = batch
 					gen, err := s.YELTGenerator()
@@ -172,7 +159,7 @@ func TestKernelEquivalenceAcrossBlockSizes(t *testing.T) {
 }
 
 // A bare input (no pre-built layouts) must lazily build what the
-// configured kernel needs and still agree with the reference.
+// kernel scans and still agree with the reference.
 func TestKernelLazyBuild(t *testing.T) {
 	s := buildScenario(t, synth.Small(34))
 	cfg := Config{Seed: 3, Sampling: true}
@@ -186,22 +173,9 @@ func TestKernelLazyBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	if in.Index == nil || in.Flat == nil {
-		t.Fatal("flat kernel run did not memoize its layouts")
+		t.Fatal("run did not memoize its layouts")
 	}
 	resultsBitIdentical(t, "lazy", legacy, got)
-
-	// The indexed kernel must not force the flat build.
-	in2 := input(s)
-	cfg.Kernel = KernelIndexed
-	if _, err := (Sequential{}).Run(context.Background(), in2, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if in2.Index == nil {
-		t.Fatal("indexed kernel run did not memoize the index")
-	}
-	if in2.Flat != nil {
-		t.Fatal("indexed kernel run built the flat layout it does not scan")
-	}
 }
 
 // Validate must reject a flat layout built for a different book shape.

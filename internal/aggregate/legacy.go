@@ -9,18 +9,15 @@ import (
 	"repro/internal/yelt"
 )
 
-// LegacyLookup is the pre-index reference kernel: single-threaded, one
-// O(log n) binary search per (occurrence × contract) into the
-// per-contract ELTs — the random-access pattern the paper argues
-// against and the shape all engines had before the pre-joined loss
-// index landed. It is retained for two reasons:
-//
-//   - Equivalence: the indexed engines must reproduce its output
-//     bit-for-bit for the same (input, seed); the golden tests pin
-//     this.
-//   - Benchmarking: the root BenchmarkIndexedKernel /
-//     BenchmarkLegacyLookupKernel pair quantifies what the pre-join
-//     buys on a given book shape.
+// LegacyLookup is the oracle: single-threaded, one trial at a time,
+// one O(log n) binary search per (occurrence × contract) into the
+// per-contract ELTs and the layers package's own term arithmetic — the
+// random-access pattern the paper argues against, and the shape all
+// engines had before the pre-joined loss index landed. It reads neither
+// the loss index nor the flat layout and shares no loop with the trial
+// kernel, which is why every engine must reproduce its output
+// bit-for-bit for the same (input, seed): the equivalence suites, the
+// hand-computed book and bench/'s set-up check all compare against it.
 //
 // Do not use it in production paths.
 type LegacyLookup struct{}
@@ -28,20 +25,23 @@ type LegacyLookup struct{}
 // Name implements Engine.
 func (LegacyLookup) Name() string { return "legacy-lookup" }
 
-// legacyTrial is the original runTrial body: portfolio contract loop
-// outside, binary-search Lookup per occurrence inside.
+// legacyTrial computes one trial year: occurrences in YELT (day)
+// order, contracts in portfolio order within each, a binary-search
+// Lookup per pair, all sampling draws in that order from the trial's
+// own stream — the ordering contract the kernel reproduces. layerAgg
+// is the caller's [contract][layer] scratch of annual
+// occurrence-recovery sums.
 func legacyTrial(
 	occs []yelt.Occurrence,
 	in *Input,
 	cfg Config,
 	st *rng.Stream,
-	scratch *trialScratch,
+	layerAgg [][]float64,
 	perContract []float64,
 	perContractOcc []float64,
 ) (agg, occMax float64) {
 	contracts := in.Portfolio.Contracts
-	for ci := range scratch.layerAgg {
-		la := scratch.layerAgg[ci]
+	for _, la := range layerAgg {
 		for li := range la {
 			la[li] = 0
 		}
@@ -62,7 +62,7 @@ func legacyTrial(
 			var contractOcc float64
 			for li := range c.Layers {
 				r := c.Layers[li].ApplyOccurrence(loss)
-				scratch.layerAgg[ci][li] += r
+				layerAgg[ci][li] += r
 				contractOcc += r
 			}
 			portfolioOccLoss += contractOcc
@@ -79,7 +79,7 @@ func legacyTrial(
 		c := &contracts[ci]
 		var contractAnnual float64
 		for li := range c.Layers {
-			contractAnnual += c.Layers[li].ApplyAggregate(scratch.layerAgg[ci][li])
+			contractAnnual += c.Layers[li].ApplyAggregate(layerAgg[ci][li])
 		}
 		agg += contractAnnual
 		if perContract != nil {
@@ -89,9 +89,8 @@ func legacyTrial(
 	return agg, occMax
 }
 
-// Run implements Engine. The legacy kernel predates the streaming
-// Source abstraction and stays pinned to the materialized form: it is
-// the reference the golden tests diff against, not a production path.
+// Run implements Engine. The oracle predates the streaming Source
+// abstraction and stays pinned to the materialized form.
 func (LegacyLookup) Run(ctx context.Context, in *Input, cfg Config) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -100,8 +99,11 @@ func (LegacyLookup) Run(ctx context.Context, in *Input, cfg Config) (*Result, er
 		return nil, errors.New("aggregate: legacy lookup requires a materialized YELT input")
 	}
 	res := newResult(in, cfg)
-	scratch := newTrialScratch(in.Portfolio, KernelIndexed)
 	nc := len(in.Portfolio.Contracts)
+	layerAgg := make([][]float64, nc)
+	for ci, c := range in.Portfolio.Contracts {
+		layerAgg[ci] = make([]float64, len(c.Layers))
+	}
 	perContract := make([]float64, nc)
 	perContractOcc := make([]float64, nc)
 	const checkEvery = 4096
@@ -122,7 +124,7 @@ func (LegacyLookup) Run(ctx context.Context, in *Input, cfg Config) (*Result, er
 			}
 			pc, pco = perContract, perContractOcc
 		}
-		agg, occMax := legacyTrial(in.YELT.OccurrencesOf(trial), in, cfg, st, scratch, pc, pco)
+		agg, occMax := legacyTrial(in.YELT.OccurrencesOf(trial), in, cfg, st, layerAgg, pc, pco)
 		res.Portfolio.Agg[trial] = agg
 		res.Portfolio.OccMax[trial] = occMax
 		if res.PerContract != nil {

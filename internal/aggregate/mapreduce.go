@@ -16,15 +16,15 @@ import (
 // MapReduce runs stage 2 as a map/reduce job over trial-range splits —
 // the Yao/Varghese/Rau-Chaplin companion shape ("High Performance Risk
 // Aggregation: ... the Hadoop MapReduce Way"): map over trial splits of
-// any yelt.Source, reduce per-range YLT segments. Each mapper runs the
-// shared runBatch kernel over its split into a segment table, reducers
-// stitch contiguous segments, and the final assembly writes each
-// segment into its disjoint slot range — so the engine is bit-identical
-// to Sequential by construction, for any split size, mapper count, or
-// reducer count. Combined with a spilled yelt.DiskSource the engine is
-// the paper's distributed data-organization strategy end to end:
-// partitioned loss data on (simulated) storage nodes, scanned by
-// mappers, aggregated by reducers.
+// any yelt.Source, reduce per-range YLT segments. Each mapper is the
+// shared trial-range driver (runRange) over its split into a segment
+// table, reducers stitch contiguous segments, and the final assembly
+// writes each segment into its disjoint slot range — so the engine is
+// bit-identical to Sequential by construction, for any split size,
+// mapper count, or reducer count. Combined with a spilled
+// yelt.DiskSource the engine is the paper's distributed
+// data-organization strategy end to end: partitioned loss data on
+// (simulated) storage nodes, scanned by mappers, aggregated by reducers.
 //
 // Unlike the other engines, failed mappers are retried (MaxAttempts),
 // mirroring speculative re-execution in the systems the in-process
@@ -157,8 +157,7 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 		cfg.BatchSink = nil
 		cfg.PerContract = true
 	}
-	idx, err := in.ensureKernelData(cfg)
-	if err != nil {
+	if _, err := in.EnsureFlat(); err != nil {
 		return nil, err
 	}
 	src := in.src()
@@ -208,13 +207,7 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 	rt := trackerFor(in)
 	mapf := func(ctx context.Context, sp mapSplit, emit func(int, *segment)) error {
 		seg := newSegment(in, cfg, sp.r)
-		scratch := newTrialScratch(in.Portfolio, cfg.Kernel)
-		err := streamRange(ctx, src, sp.r, cfg.batchTrials(), rt, sp.id, &yelt.Table{},
-			func(b *yelt.Table, base int) error {
-				runBatch(idx, in, cfg, b, base, seg.res, scratch, sp.r.Lo)
-				return nil
-			})
-		if err != nil {
+		if err := runRange(ctx, in, cfg, sp.r, rt, sp.id, seg.res, sp.r.Lo); err != nil {
 			return err
 		}
 		emit(groupOf(sp.id), seg)

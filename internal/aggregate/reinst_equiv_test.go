@@ -2,22 +2,93 @@ package aggregate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
+	"repro/internal/elt"
 	"repro/internal/layers"
 	"repro/internal/lossindex"
+	"repro/internal/rng"
 	"repro/internal/synth"
+	"repro/internal/ylt"
 )
 
 // The reinstatements kernel-equivalence suite: the flat SoA year-state
 // kernel (runTrialReinstFlat over lossindex.Flat + layers.FlatYearStates)
-// must be bit-identical to the indexed nested-slice state machine for
-// every sampling × seed × batch-size × terms-regime combination — the
-// stateful counterpart of the PR-4 flat_equiv suite. Recoveries,
-// occurrence maxima, AND the per-trial premium ledger all have to
-// survive the flattening; that contract is what makes Config.Kernel a
-// pure performance lever on the stateful path too.
+// must be bit-identical to the nested-slice state machine it replaced
+// (naiveReinstatements below, the production body until 8b424c6) for
+// every sampling × seed × batch-size × terms-regime combination.
+// Recoveries, occurrence maxima, AND the per-trial premium ledger all
+// have to survive the flattening.
+
+// naiveReinstatements is the oracle: one trial at a time over the
+// materialized table, the loss index's entry scan, the Contract
+// structs' nested []Layer, one layers.YearState per (contract, layer)
+// and elt.SampleLoss — none of lossindex.Flat, layers.FlatYearStates or
+// the precomputed sampling plans the kernel reads.
+func naiveReinstatements(t *testing.T, in *ReinstatementInput, cfg Config) *ReinstatementResult {
+	t.Helper()
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := in.EnsureIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := in.YELT.NumTrials
+	res := &ReinstatementResult{
+		Portfolio:     ylt.New("portfolio-reinst", n),
+		ReinstPremium: make([]float64, n),
+	}
+	contracts := in.Portfolio.Contracts
+	states := make([][]layers.YearState, len(contracts))
+	sums := make([][]float64, len(contracts))
+	for ci, c := range contracts {
+		states[ci] = make([]layers.YearState, len(c.Layers))
+		sums[ci] = make([]float64, len(c.Layers))
+	}
+	for trial := 0; trial < n; trial++ {
+		st := rng.NewStream(cfg.Seed, uint64(trial))
+		for ci, c := range contracts {
+			for li := range c.Layers {
+				states[ci][li] = c.Layers[li].NewYearState(in.Terms[ci][li])
+				sums[ci][li] = 0
+			}
+		}
+		var occMax, premium float64
+		for _, occ := range in.YELT.OccurrencesOf(trial) {
+			var occTotal float64
+			for _, e := range idx.EntriesFor(occ.EventID) {
+				ci := int(e.Contract)
+				c := &contracts[ci]
+				loss := e.Rec.MeanLoss
+				if cfg.Sampling {
+					loss = elt.SampleLoss(st, e.Rec)
+				}
+				for li := range c.Layers {
+					rcv, p := states[ci][li].Occurrence(loss)
+					sums[ci][li] += rcv
+					occTotal += rcv
+					premium += p
+				}
+			}
+			if occTotal > occMax {
+				occMax = occTotal
+			}
+		}
+		var agg float64
+		for ci := range contracts {
+			for li := range sums[ci] {
+				agg += states[ci][li].CloseYear(sums[ci][li])
+			}
+		}
+		res.Portfolio.Agg[trial] = agg
+		res.Portfolio.OccMax[trial] = occMax
+		res.ReinstPremium[trial] = premium
+	}
+	return res
+}
 
 // reinstRegimes builds the terms regimes the suite sweeps: terms that
 // never bind, terms that bind but reinstate, terms exhausted after the
@@ -75,21 +146,14 @@ func TestReinstKernelEquivalence(t *testing.T) {
 			for _, sampling := range []bool{false, true} {
 				name := fmt.Sprintf("%s/sampling=%v/seed=%d", regime, sampling, seed)
 				cfg := Config{Seed: seed, Sampling: sampling, Workers: 3}
-				cfgIdx := cfg
-				cfgIdx.Kernel = KernelIndexed
-				in := func() *ReinstatementInput {
-					return &ReinstatementInput{
-						Input: &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix, Flat: fx},
-						Terms: terms,
-					}
+				in := &ReinstatementInput{
+					Input: &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix, Flat: fx},
+					Terms: terms,
 				}
-				want, err := RunReinstatements(ctx, in(), cfgIdx)
+				want := naiveReinstatements(t, in, cfg)
+				got, err := RunReinstatements(ctx, in, cfg)
 				if err != nil {
-					t.Fatalf("%s indexed: %v", name, err)
-				}
-				got, err := RunReinstatements(ctx, in(), cfg)
-				if err != nil {
-					t.Fatalf("%s flat: %v", name, err)
+					t.Fatalf("%s: %v", name, err)
 				}
 				reinstBitIdentical(t, name, want, got)
 			}
@@ -97,10 +161,10 @@ func TestReinstKernelEquivalence(t *testing.T) {
 	}
 }
 
-// Batch size must not leak into the flat kernel's results: streaming
+// Batch size must not leak into the kernel's results: streaming
 // sources at batch sizes that do and do not divide the trial count
-// must match the materialized indexed reference bit-for-bit, premium
-// ledger included.
+// must match the materialized oracle bit-for-bit, premium ledger
+// included.
 func TestReinstKernelEquivalenceAcrossBatchSizes(t *testing.T) {
 	s := buildScenario(t, synth.Small(52))
 	ix, err := lossindex.Build(s.ELTs, s.Portfolio)
@@ -109,53 +173,34 @@ func TestReinstKernelEquivalenceAcrossBatchSizes(t *testing.T) {
 	}
 	terms := reinstRegimes(s.Portfolio)["binding"]
 	ctx := context.Background()
-	refCfg := Config{Seed: 9, Sampling: true, Kernel: KernelIndexed}
-	want, err := RunReinstatements(ctx, &ReinstatementInput{
+	want := naiveReinstatements(t, &ReinstatementInput{
 		Input: &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix},
 		Terms: terms,
-	}, refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Config{Seed: 9, Sampling: true})
 	for _, batch := range equivBatchSizes {
-		for _, kernel := range []Kernel{KernelFlat, KernelIndexed} {
-			cfg := Config{Seed: 9, Sampling: true, Workers: 2, BatchTrials: batch, Kernel: kernel}
-			got, err := RunReinstatements(ctx, &ReinstatementInput{
-				Input: streamingInput(t, s, ix),
-				Terms: terms,
-			}, cfg)
-			if err != nil {
-				t.Fatalf("batch=%d kernel=%d: %v", batch, kernel, err)
-			}
-			reinstBitIdentical(t, fmt.Sprintf("batch=%d/kernel=%d", batch, kernel), want, got)
+		cfg := Config{Seed: 9, Sampling: true, Workers: 2, BatchTrials: batch}
+		got, err := RunReinstatements(ctx, &ReinstatementInput{
+			Input: streamingInput(t, s, ix),
+			Terms: terms,
+		}, cfg)
+		if err != nil {
+			t.Fatalf("batch=%d: %v", batch, err)
 		}
+		reinstBitIdentical(t, fmt.Sprintf("batch=%d", batch), want, got)
 	}
 }
 
-// A bare input must lazily build the layouts the flat stateful kernel
-// scans, and an indexed-kernel run must not force the flat build —
-// the same laziness contract the stateless engines keep.
+// A bare input must lazily build the layouts the stateful kernel
+// scans — the same laziness contract the stateless engines keep.
 func TestReinstKernelLazyBuild(t *testing.T) {
 	s := buildScenario(t, synth.Small(53))
 	terms := reinstRegimes(s.Portfolio)["binding"]
-	cfg := Config{Seed: 3, Sampling: true}
 	in := input(s)
-	if _, err := RunReinstatements(context.Background(), &ReinstatementInput{Input: in, Terms: terms}, cfg); err != nil {
+	if _, err := RunReinstatements(context.Background(), &ReinstatementInput{Input: in, Terms: terms}, Config{Seed: 3, Sampling: true}); err != nil {
 		t.Fatal(err)
 	}
 	if in.Index == nil || in.Flat == nil {
-		t.Fatal("flat stateful run did not memoize its layouts")
-	}
-	in2 := input(s)
-	cfg.Kernel = KernelIndexed
-	if _, err := RunReinstatements(context.Background(), &ReinstatementInput{Input: in2, Terms: terms}, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if in2.Index == nil {
-		t.Fatal("indexed stateful run did not memoize the index")
-	}
-	if in2.Flat != nil {
-		t.Fatal("indexed stateful run built the flat layout it does not scan")
+		t.Fatal("stateful run did not memoize its layouts")
 	}
 }
 
@@ -188,7 +233,7 @@ func TestReinstatementsEngineAdapter(t *testing.T) {
 	}
 	// The stateful path has no per-contract tables; the adapter must
 	// refuse the option rather than return nil slots.
-	if _, err := eng.Run(context.Background(), input(s), Config{PerContract: true}); err == nil {
-		t.Fatal("PerContract accepted by an engine that cannot produce it")
+	if _, err := eng.Run(context.Background(), input(s), Config{PerContract: true}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("PerContract on an engine that cannot produce it: err = %v, want ErrUnsupported", err)
 	}
 }

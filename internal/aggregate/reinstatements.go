@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/elt"
 	"repro/internal/layers"
 	"repro/internal/rng"
 	"repro/internal/stream"
@@ -61,32 +60,25 @@ type ReinstatementResult struct {
 // function of (input, cfg); the YELT's day-of-year ordering is what
 // makes limit erosion well-defined.
 //
-// Config.Kernel selects the data layout, exactly as for the stateless
-// engines: the flat kernels (the default KernelBlocked and
-// KernelFlat, identical here — limit erosion is stateful per trial,
-// so there is no event-major blocking to exploit and both drive the
-// single-trial runTrialReinstFlat) scan lossindex.Flat and a
+// Limit erosion is stateful per trial, so there is no event-major
+// blocking to exploit: each worker drives the single-trial
+// runTrialReinstFlat over lossindex.Flat and its own clone of a
 // layers.FlatYearStates — contiguous year-state columns reset by bulk
-// copy — while KernelIndexed pins the nested-slice state machine
-// below. Results are bit-identical across kernels (the reinstatements
-// kernel-equivalence suite pins this); the choice is purely a
-// performance lever.
+// copy. The nested-slice state machine it replaced is the oracle in
+// reinst_equiv_test.go.
 func RunReinstatements(ctx context.Context, in *ReinstatementInput, cfg Config) (*ReinstatementResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	idx, err := in.ensureKernelData(cfg)
+	fx, err := in.EnsureFlat()
 	if err != nil {
 		return nil, err
 	}
-	var tmpl *layers.FlatYearStates
-	if cfg.Kernel != KernelIndexed {
-		// One validated template shared by every worker; workers Clone it
-		// so only the live columns are per-worker.
-		tmpl, err = in.Flat.Terms.NewFlatYearStates(in.Terms)
-		if err != nil {
-			return nil, fmt.Errorf("aggregate: flattening year states: %w", err)
-		}
+	// One validated template shared by every worker; workers Clone it
+	// so only the live columns are per-worker.
+	tmpl, err := fx.Terms.NewFlatYearStates(in.Terms)
+	if err != nil {
+		return nil, fmt.Errorf("aggregate: flattening year states: %w", err)
 	}
 	src := in.src()
 	n := src.TrialCount()
@@ -94,78 +86,23 @@ func RunReinstatements(ctx context.Context, in *ReinstatementInput, cfg Config) 
 		Portfolio:     ylt.New("portfolio-reinst", n),
 		ReinstPremium: make([]float64, n),
 	}
-	contracts := in.Portfolio.Contracts
 	rt := trackerFor(in.Input)
 
 	err = stream.ForEachRange(ctx, n, cfg.Workers, func(ctx context.Context, r stream.Range, w int) error {
-		// Per-worker year states and annual sums, reused across trials:
-		// one flat vector each under KernelFlat, the nested per-contract
-		// slices under KernelIndexed.
-		var fy *layers.FlatYearStates
-		var flatSums []float64
-		var states [][]layers.YearState
-		var sums [][]float64
-		if tmpl != nil {
-			fy = tmpl.Clone()
-			flatSums = make([]float64, tmpl.NumLayers())
-		} else {
-			states = make([][]layers.YearState, len(contracts))
-			sums = make([][]float64, len(contracts))
-			for ci, c := range contracts {
-				states[ci] = make([]layers.YearState, len(c.Layers))
-				sums[ci] = make([]float64, len(c.Layers))
-			}
-		}
+		// Per-worker year states and annual sums, reused across trials.
+		fy := tmpl.Clone()
+		sums := make([]float64, tmpl.NumLayers())
 		return streamRange(ctx, src, r, cfg.batchTrials(), rt, w, &yelt.Table{}, func(b *yelt.Table, base int) error {
 			for i := 0; i < b.NumTrials; i++ {
 				trial := base + i
 				// The trial's substream only feeds secondary-uncertainty
 				// draws; expected mode never draws, so skip the stream
-				// setup entirely (mirrors runBatch).
+				// setup entirely.
 				var st *rng.Stream
 				if cfg.Sampling {
 					st = rng.NewStream(cfg.Seed, uint64(trial))
 				}
-				if fy != nil {
-					agg, occMax, premium := runTrialReinstFlat(b.OccurrencesOf(i), in.Flat, fy, cfg.Sampling, st, flatSums)
-					res.Portfolio.Agg[trial] = agg
-					res.Portfolio.OccMax[trial] = occMax
-					res.ReinstPremium[trial] = premium
-					continue
-				}
-				for ci, c := range contracts {
-					for li := range c.Layers {
-						states[ci][li] = c.Layers[li].NewYearState(in.Terms[ci][li])
-						sums[ci][li] = 0
-					}
-				}
-				var occMax, premium float64
-				for _, occ := range b.OccurrencesOf(i) {
-					var occTotal float64
-					for _, e := range idx.EntriesFor(occ.EventID) {
-						ci := int(e.Contract)
-						c := &contracts[ci]
-						loss := e.Rec.MeanLoss
-						if cfg.Sampling {
-							loss = elt.SampleLoss(st, e.Rec)
-						}
-						for li := range c.Layers {
-							rcv, p := states[ci][li].Occurrence(loss)
-							sums[ci][li] += rcv
-							occTotal += rcv
-							premium += p
-						}
-					}
-					if occTotal > occMax {
-						occMax = occTotal
-					}
-				}
-				var agg float64
-				for ci := range contracts {
-					for li := range sums[ci] {
-						agg += states[ci][li].CloseYear(sums[ci][li])
-					}
-				}
+				agg, occMax, premium := runTrialReinstFlat(b.OccurrencesOf(i), fx, fy, cfg.Sampling, st, sums)
 				res.Portfolio.Agg[trial] = agg
 				res.Portfolio.OccMax[trial] = occMax
 				res.ReinstPremium[trial] = premium

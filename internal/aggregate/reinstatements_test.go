@@ -171,26 +171,24 @@ func (c *cancellingSource) ReadTrials(ctx context.Context, lo, hi int, buf *yelt
 
 // A cancellation arriving mid-run — after trials have already been
 // processed — must abort the stateful engine promptly with
-// context.Canceled, for both kernels (every other engine has this
-// test; the reinstatements path polls in the same streamRange loop).
+// context.Canceled (every other engine has this test; the
+// reinstatements path polls in the same streamRange loop).
 func TestReinstatementsMidRunCancellation(t *testing.T) {
 	s := buildScenario(t, synth.Small(27))
-	for _, kernel := range []Kernel{KernelFlat, KernelIndexed} {
-		ctx, cancel := context.WithCancel(context.Background())
-		src := &cancellingSource{inner: s.YELT, cancel: cancel, cancelAfter: 2}
-		in := &ReinstatementInput{
-			Input: &Input{Source: src, ELTs: s.ELTs, Portfolio: s.Portfolio},
-			Terms: UnlimitedReinstatements(s.Portfolio),
-		}
-		_, err := RunReinstatements(ctx, in, Config{Workers: 1, BatchTrials: 100, Kernel: kernel})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("kernel=%d: err = %v, want context.Canceled", kernel, err)
-		}
-		if src.reads < 2 {
-			t.Fatalf("kernel=%d: cancelled before any trials streamed (%d reads)", kernel, src.reads)
-		}
-		cancel()
+	ctx, cancel := context.WithCancel(context.Background())
+	src := &cancellingSource{inner: s.YELT, cancel: cancel, cancelAfter: 2}
+	in := &ReinstatementInput{
+		Input: &Input{Source: src, ELTs: s.ELTs, Portfolio: s.Portfolio},
+		Terms: UnlimitedReinstatements(s.Portfolio),
 	}
+	_, err := RunReinstatements(ctx, in, Config{Workers: 1, BatchTrials: 100})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if src.reads < 2 {
+		t.Fatalf("cancelled before any trials streamed (%d reads)", src.reads)
+	}
+	cancel()
 }
 
 // Expected mode never draws from the per-trial substream, so results
@@ -199,23 +197,21 @@ func TestReinstatementsMidRunCancellation(t *testing.T) {
 func TestReinstatementsExpectedModeSeedIndependent(t *testing.T) {
 	s := buildScenario(t, synth.Small(28))
 	terms := reinstTerms(s.Portfolio, 1, 0.5)
-	for _, kernel := range []Kernel{KernelFlat, KernelIndexed} {
-		a, err := RunReinstatements(context.Background(),
-			&ReinstatementInput{Input: input(s), Terms: terms}, Config{Seed: 1, Kernel: kernel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunReinstatements(context.Background(),
-			&ReinstatementInput{Input: input(s), Terms: terms}, Config{Seed: 999_999_937, Kernel: kernel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Portfolio.Agg {
-			if a.Portfolio.Agg[i] != b.Portfolio.Agg[i] ||
-				a.Portfolio.OccMax[i] != b.Portfolio.OccMax[i] ||
-				a.ReinstPremium[i] != b.ReinstPremium[i] {
-				t.Fatalf("kernel=%d: expected-mode trial %d depends on the seed", kernel, i)
-			}
+	a, err := RunReinstatements(context.Background(),
+		&ReinstatementInput{Input: input(s), Terms: terms}, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunReinstatements(context.Background(),
+		&ReinstatementInput{Input: input(s), Terms: terms}, Config{Seed: 999_999_937})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.Portfolio.Agg {
+		if a.Portfolio.Agg[i] != b.Portfolio.Agg[i] ||
+			a.Portfolio.OccMax[i] != b.Portfolio.OccMax[i] ||
+			a.ReinstPremium[i] != b.ReinstPremium[i] {
+			t.Fatalf("expected-mode trial %d depends on the seed", i)
 		}
 	}
 }

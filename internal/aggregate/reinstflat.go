@@ -3,6 +3,7 @@ package aggregate
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/layers"
 	"repro/internal/lossindex"
@@ -12,25 +13,23 @@ import (
 
 // runTrialReinstFlat is the flat-SoA trial kernel for the stateful
 // occurrence-ordered path: one contractual year over lossindex.Flat
-// and a layers.FlatYearStates. Where the indexed kernel dereferenced
-// a Contract struct and walked nested [][]layers.YearState slices per
-// entry, this kernel touches only contiguous arrays: the entry's
-// LayerOff gather offset locates its contract's year-state frame, the
-// occurrence-term recovery comes from the pre-applied ExpRec column
+// and a layers.FlatYearStates. It touches only contiguous arrays: the
+// entry's LayerOff gather offset locates its contract's year-state
+// frame, the occurrence-term recovery comes from the pre-applied ExpRec column
 // (expected mode — the per-(entry, layer) value min(max(mean-ret,0),
 // lim) is a build-time constant even though the *state capping* is
 // not) or from the precomputed sampling plan plus the flat term
 // columns (sampling mode), and annual sums accumulate into one flat
 // sums vector. Occurrence order still serializes within the trial —
 // that is the contractual semantics — but every memory access in the
-// serial walk is now a linear-offset load.
+// serial walk is a linear-offset load.
 //
-// Ordering contract: identical to the indexed path in
-// RunReinstatements — occurrences in YELT (day) order, entries in
+// Ordering contract: occurrences in YELT (day) order, entries in
 // portfolio contract order within each event, layer frames in
 // declaration order, state updates and draws in that exact sequence —
 // so recoveries, premiums, and the annual close are bit-identical to
-// the nested-slice state machine.
+// the nested-slice state machine kept as the oracle in
+// reinst_equiv_test.go.
 func runTrialReinstFlat(
 	occs []yelt.Occurrence,
 	fx *lossindex.Flat,
@@ -132,7 +131,7 @@ func (e *Reinstatements) Run(ctx context.Context, in *Input, cfg Config) (*Resul
 		// The stateful path produces no per-contract tables; refuse
 		// loudly rather than return nil PerContract slots (the same
 		// stance ByContract takes on sampling).
-		return nil, ErrUnsupportedOnDevice // reuse the sentinel: unsupported configuration
+		return nil, fmt.Errorf("%w: %s: per-contract output", ErrUnsupported, e.Name())
 	}
 	terms := e.Terms
 	if terms == nil {

@@ -25,52 +25,49 @@ func TestBatchSinkExactlyOnce(t *testing.T) {
 		{"parallel", Parallel{}},
 	}
 	for _, e := range engines {
-		for _, kernel := range []Kernel{KernelBlocked, KernelFlat} {
-			for _, batch := range []int{37, 0} {
-				var mu sync.Mutex
-				seen := make([]int, n)
-				type row struct{ agg, occ [][]float64 }
-				rows := map[int]row{}
-				cfg := Config{
-					Seed:        11,
-					Sampling:    true,
-					Workers:     3,
-					Kernel:      kernel,
-					BatchTrials: batch,
-					BatchSink: func(lo int, agg, occ [][]float64) {
-						mu.Lock()
-						defer mu.Unlock()
-						for j := range agg[0] {
-							seen[lo+j]++
-						}
-						rows[lo] = row{agg, occ}
-					},
-				}
-				res, err := e.eng.Run(context.Background(), input(s), cfg)
-				if err != nil {
-					t.Fatalf("%s/%v/%d: %v", e.name, kernel, batch, err)
-				}
-				if res.PerContract == nil {
-					t.Fatalf("%s/%v/%d: sink did not imply per-contract tables", e.name, kernel, batch)
-				}
-				for trial, c := range seen {
-					if c != 1 {
-						t.Fatalf("%s/%v/%d: trial %d delivered %d times", e.name, kernel, batch, trial, c)
+		for _, batch := range []int{37, 0} {
+			var mu sync.Mutex
+			seen := make([]int, n)
+			type row struct{ agg, occ [][]float64 }
+			rows := map[int]row{}
+			cfg := Config{
+				Seed:        11,
+				Sampling:    true,
+				Workers:     3,
+				BatchTrials: batch,
+				BatchSink: func(lo int, agg, occ [][]float64) {
+					mu.Lock()
+					defer mu.Unlock()
+					for j := range agg[0] {
+						seen[lo+j]++
 					}
+					rows[lo] = row{agg, occ}
+				},
+			}
+			res, err := e.eng.Run(context.Background(), input(s), cfg)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", e.name, batch, err)
+			}
+			if res.PerContract == nil {
+				t.Fatalf("%s/%d: sink did not imply per-contract tables", e.name, batch)
+			}
+			for trial, c := range seen {
+				if c != 1 {
+					t.Fatalf("%s/%d: trial %d delivered %d times", e.name, batch, trial, c)
 				}
-				for lo, r := range rows {
-					if len(r.agg) != nc || len(r.occ) != nc {
-						t.Fatalf("%s/%v/%d: batch at %d has %d/%d contract rows", e.name, kernel, batch, lo, len(r.agg), len(r.occ))
-					}
-					for ci := 0; ci < nc; ci++ {
-						for j := range r.agg[ci] {
-							wantA := res.PerContract[ci].Agg[lo+j]
-							wantO := res.PerContract[ci].OccMax[lo+j]
-							if math.Float64bits(r.agg[ci][j]) != math.Float64bits(wantA) ||
-								math.Float64bits(r.occ[ci][j]) != math.Float64bits(wantO) {
-								t.Fatalf("%s/%v/%d: contract %d trial %d sink row differs from result table",
-									e.name, kernel, batch, ci, lo+j)
-							}
+			}
+			for lo, r := range rows {
+				if len(r.agg) != nc || len(r.occ) != nc {
+					t.Fatalf("%s/%d: batch at %d has %d/%d contract rows", e.name, batch, lo, len(r.agg), len(r.occ))
+				}
+				for ci := 0; ci < nc; ci++ {
+					for j := range r.agg[ci] {
+						wantA := res.PerContract[ci].Agg[lo+j]
+						wantO := res.PerContract[ci].OccMax[lo+j]
+						if math.Float64bits(r.agg[ci][j]) != math.Float64bits(wantA) ||
+							math.Float64bits(r.occ[ci][j]) != math.Float64bits(wantO) {
+							t.Fatalf("%s/%d: contract %d trial %d sink row differs from result table",
+								e.name, batch, ci, lo+j)
 						}
 					}
 				}

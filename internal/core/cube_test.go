@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/aggregate"
@@ -122,13 +124,18 @@ func splitList(s string, sep byte) []string {
 }
 
 // TestPipelineCubeRejectsEngineWithoutPerContract pins the clear
-// error for engines that cannot produce per-contract tables.
+// error for engines that cannot produce per-contract tables: it names
+// the engine and the setting, not some other engine's limitation.
 func TestPipelineCubeRejectsEngineWithoutPerContract(t *testing.T) {
 	cfg := smallConfig(5)
 	cfg.Engine = &aggregate.Reinstatements{}
 	cfg.CubeDims = warehouse.DefaultDims()
 	p := New(cfg)
-	if _, err := p.Run(context.Background()); err == nil {
-		t.Fatal("reinstatements engine cannot feed the cube; expected an error")
+	_, err := p.Run(context.Background())
+	if !errors.Is(err, aggregate.ErrUnsupported) {
+		t.Fatalf("reinstatements engine cannot feed the cube: err = %v, want ErrUnsupported", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "unsupported by engine: reinstatements: per-contract output") {
+		t.Fatalf("error does not name the engine and the setting: %q", msg)
 	}
 }

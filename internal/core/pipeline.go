@@ -47,14 +47,11 @@ type Config struct {
 	NumTrials int
 	Engine    aggregate.Engine // nil = Parallel
 	Sampling  bool
-	// Kernel selects the stage-2 trial-kernel layout (blocked SoA by
-	// default; aggregate.KernelFlat pins the trial-at-a-time flat scan,
-	// aggregate.KernelIndexed the pre-flat scan). Results are
-	// bit-identical across kernels — this is the benchmarking lever
-	// threaded through from the CLIs.
-	Kernel aggregate.Kernel
-	// TrialBlock is the blocked kernel's trial-block size; <= 0 means
-	// aggregate.DefaultTrialBlock. Results are bit-independent of it.
+	// Kernel and TrialBlock are forwarded to aggregate.Config, set by no
+	// command or public config, and declared only because
+	// bench/replica.go copies them; they are deleted together with that
+	// file (ROADMAP item 4b).
+	Kernel     aggregate.Kernel
 	TrialBlock int
 	// Streaming fuses YELT generation into the aggregate engines: trial
 	// batches are re-derived on demand (yelt.Generator) and the table is

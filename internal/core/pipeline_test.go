@@ -229,17 +229,17 @@ func TestRunAfterStage1NoDuplicateStageLines(t *testing.T) {
 	}
 }
 
-// A kernel sweep re-running stage 2 on one pipeline (as benchtables
+// An engine sweep re-running stage 2 on one pipeline (as benchtables
 // does) must refresh the portfolio-risk line in place, not accumulate
-// one line per run — and the swept kernels must agree bit-identically.
+// one line per run — and the swept engines must agree bit-identically.
 func TestRepeatedStage2ReplacesStageLine(t *testing.T) {
 	p := New(smallConfig(10))
 	if err := p.RunStage1(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var ref []float64
-	for i, kern := range []aggregate.Kernel{aggregate.KernelBlocked, aggregate.KernelFlat, aggregate.KernelIndexed} {
-		p.Cfg.Kernel = kern
+	for i, eng := range []aggregate.Engine{aggregate.Parallel{}, aggregate.Sequential{}, aggregate.MapReduce{}} {
+		p.Cfg.Engine = eng
 		if err := p.RunStage2(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestRepeatedStage2ReplacesStageLine(t *testing.T) {
 		} else {
 			for t2 := range ref {
 				if ref[t2] != p.CatYLT.Agg[t2] {
-					t.Fatalf("kernel sweep diverged at trial %d", t2)
+					t.Fatalf("engine sweep diverged at trial %d", t2)
 				}
 			}
 		}

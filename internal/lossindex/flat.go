@@ -10,8 +10,8 @@ import (
 // Flat is the flat structure-of-arrays trial-kernel layout derived
 // from an Index and the portfolio's layer terms — the last step of the
 // paper's "scanned over rather than randomly accessed" restructuring.
-// Where the indexed kernel still dereferenced a Contract struct and
-// walked its nested []Layer per entry, the flat layout gives the
+// Where a scan of the index's entries dereferences a Contract struct
+// and walks its nested []Layer per entry, the flat layout gives the
 // kernel nothing but contiguous arrays, all parallel to the index's
 // packed entry order:
 //
@@ -115,7 +115,7 @@ func Flatten(ix *Index, pf *layers.Portfolio) (*Flat, error) {
 
 	// Pre-apply the occurrence terms to each entry's mean loss through
 	// the original Layer methods, so the constants are by construction
-	// the values the indexed kernel recomputed per trial.
+	// the values a per-trial Layer.ApplyOccurrence call would return.
 	f.ExpRec = make([]float64, total)
 	f.ExpDst = make([]int32, total)
 	for k, e := range ix.entries {

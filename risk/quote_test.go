@@ -28,21 +28,6 @@ func TestPriceContractFailFastInvalidContract(t *testing.T) {
 	}
 }
 
-// An invalid kernel must be rejected before stage 1 runs and before a
-// fresh quote YELT is generated (pre-fix it was validated only after
-// both).
-func TestPriceContractFailFastInvalidKernel(t *testing.T) {
-	cfg := smallConfig(21)
-	cfg.Kernel = "warp-speed"
-	study := NewStudy(cfg)
-	if _, err := study.PriceContract(context.Background(), 0, 1000); err == nil {
-		t.Fatal("unknown kernel should error")
-	}
-	if study.p != nil {
-		t.Fatal("invalid kernel triggered pipeline initialization")
-	}
-}
-
 // RunModelling then a full Run must execute stage 1 exactly once and
 // report exactly one line per stage — the serving-tier lifecycle
 // (warm-up, then the portfolio report on demand).

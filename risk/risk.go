@@ -74,32 +74,6 @@ func (k EngineKind) engine() (aggregate.Engine, error) {
 	}
 }
 
-// KernelKind selects the stage-2 trial-kernel data layout. Results
-// are bit-identical across kernels; the choice is a performance
-// lever, exposed so studies can benchmark the blocked and flat SoA
-// layouts against the pre-flat indexed scan.
-type KernelKind string
-
-// Available kernels. The empty value means KernelBlocked.
-const (
-	KernelBlocked KernelKind = "blocked"
-	KernelFlat    KernelKind = "flat"
-	KernelIndexed KernelKind = "indexed"
-)
-
-func (k KernelKind) kernel() (aggregate.Kernel, error) {
-	switch k {
-	case KernelBlocked, "":
-		return aggregate.KernelBlocked, nil
-	case KernelFlat:
-		return aggregate.KernelFlat, nil
-	case KernelIndexed:
-		return aggregate.KernelIndexed, nil
-	default:
-		return 0, fmt.Errorf("risk: unknown kernel %q", k)
-	}
-}
-
 // Config sizes a study. Zero fields take defaults.
 type Config struct {
 	Seed                 uint64
@@ -109,14 +83,6 @@ type Config struct {
 	Trials               int
 	MeanEventsPerYear    float64
 	Engine               EngineKind
-	// Kernel selects the stage-2 trial-kernel layout ("" or
-	// KernelBlocked for the blocked SoA default, KernelFlat for the
-	// trial-at-a-time flat scan, KernelIndexed to pin the pre-flat
-	// scan). Bit-identical results in every case.
-	Kernel KernelKind
-	// TrialBlock is the blocked kernel's trial-block size; 0 means the
-	// engine default. Results are bit-independent of the value.
-	TrialBlock int
 	// Sampling enables secondary-uncertainty sampling in stage 2.
 	Sampling bool
 	// Streaming runs stage 2 (and PriceContract quotes) in bounded
@@ -339,10 +305,6 @@ func (s *Study) pipeline() (*core.Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	kern, err := s.cfg.Kernel.kernel()
-	if err != nil {
-		return nil, err
-	}
 	policy, err := cluster.ParsePolicy(s.cfg.Provision)
 	if err != nil {
 		return nil, fmt.Errorf("risk: %w", err)
@@ -366,8 +328,6 @@ func (s *Study) pipeline() (*core.Pipeline, error) {
 		MeanEventsPerYear:    s.cfg.MeanEventsPerYear,
 		NumTrials:            s.cfg.Trials,
 		Engine:               eng,
-		Kernel:               kern,
-		TrialBlock:           s.cfg.TrialBlock,
 		Sampling:             s.cfg.Sampling,
 		Streaming:            s.cfg.Streaming,
 		BatchTrials:          s.cfg.BatchTrials,
@@ -728,14 +688,10 @@ func (s *Study) QuoteTableInfo() QuoteTableInfo {
 // a Streaming study, and a trial count too large to keep resident,
 // re-derive them in bounded batches inside the simulation instead.
 // Stage 1 must have run (a full Run, or RunModelling); if it has not,
-// the first quote runs it lazily. The contract index and the configured
-// kernel are validated before any lazy initialization, so an invalid
-// request fails in microseconds instead of after seconds of simulation.
+// the first quote runs it lazily. The contract index is validated
+// before any lazy initialization, so an invalid request fails in
+// microseconds instead of after seconds of simulation.
 func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Quote, error) {
-	kern, err := s.cfg.Kernel.kernel()
-	if err != nil {
-		return nil, err
-	}
 	if n := s.NumContracts(); contract < 0 || contract >= n {
 		return nil, fmt.Errorf("risk: contract %d of %d", contract, n)
 	}
@@ -765,7 +721,6 @@ func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Q
 	res, err := (aggregate.Parallel{}).Run(ctx, qin, aggregate.Config{
 		Seed: s.cfg.Seed + 103, Sampling: true,
 		Workers: s.cfg.Workers, BatchTrials: s.cfg.BatchTrials,
-		Kernel: kern, TrialBlock: s.cfg.TrialBlock,
 	})
 	if err != nil {
 		return nil, err
