@@ -696,7 +696,7 @@ func BenchmarkE9DFAIntegration(b *testing.B) {
 		b.Run(fmt.Sprintf("sources=%d", k), func(b *testing.B) {
 			var bytes int64
 			for i := 0; i < b.N; i++ {
-				dres, err := ig.Run(context.Background(), cat, dfa.Config{Seed: 7, Rho: 0.2})
+				dres, err := ig.Run(context.Background(), cat, dfa.Config{Seed: 7, Rho: 0.2, KeepPerSource: true})
 				if err != nil {
 					b.Fatal(err)
 				}

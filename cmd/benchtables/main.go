@@ -725,7 +725,7 @@ func e9DFA(ctx context.Context) error {
 		}
 		ig := &dfa.Integrator{Sources: sources}
 		t0 := time.Now()
-		dres, err := ig.Run(ctx, cat, dfa.Config{Seed: 7, Rho: 0.2, Workers: *flagWorkers})
+		dres, err := ig.Run(ctx, cat, dfa.Config{Seed: 7, Rho: 0.2, Workers: *flagWorkers, KeepPerSource: true})
 		if err != nil {
 			return err
 		}

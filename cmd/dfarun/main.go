@@ -46,7 +46,7 @@ func main() {
 
 	ig := &dfa.Integrator{Sources: dfa.StandardSources(cat.Mean())}
 	start := time.Now()
-	dres, err := ig.Run(ctx, cat, dfa.Config{Seed: *seed + 29, Rho: *rho, Workers: *workers})
+	dres, err := ig.Run(ctx, cat, dfa.Config{Seed: *seed + 29, Rho: *rho, Workers: *workers, KeepPerSource: true})
 	if err != nil {
 		fail(err)
 	}

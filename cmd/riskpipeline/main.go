@@ -11,6 +11,11 @@
 // scan-many file lifecycle across real process boundaries, with
 // bit-identical results to the fused run.
 //
+// The "dfa" stage line counts the tables stage 3 keeps: the catastrophe
+// and the enterprise YLT. The pipeline reads only the enterprise total,
+// so the per-source tables are not built (cmd/dfarun builds and prints
+// them) and the line's output bytes are those two tables', not 2 + K.
+//
 // -cube-dims materializes the warehouse cube over those dimensions
 // while stage 2 runs (a "warehouse" stage line appears in the table),
 // and -cube-query prints one pre-computed cell, e.g.

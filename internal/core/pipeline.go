@@ -716,7 +716,7 @@ func (p *Pipeline) RunStage3(ctx context.Context) error {
 	rep := StageReport{
 		Name: "dfa", Duration: time.Since(start),
 		OutputBytes: res.TotalBytes,
-		Items:       int64(res.Enterprise.NumTrials()) * int64(len(res.PerSource)+2),
+		Items:       int64(res.Enterprise.NumTrials()) * int64(len(sources)+2),
 	}
 	account(&rep, workers, demand, 0)
 	p.setStage(rep)
@@ -734,13 +734,33 @@ func (p *Pipeline) Run(ctx context.Context) (*Report, error) {
 	if err := p.RunStage3(ctx); err != nil {
 		return nil, err
 	}
-	catSum, err := metrics.Summarize(p.CatYLT)
+	catView, entView, err := ReportViews(p.DFAResult)
+	if err != nil {
+		return nil, err
+	}
+	catSum, err := catView.Summary()
 	if err != nil {
 		return nil, fmt.Errorf("core: cat summary: %w", err)
 	}
-	entSum, err := metrics.Summarize(p.DFAResult.Enterprise)
+	entSum, err := entView.Summary()
 	if err != nil {
 		return nil, fmt.Errorf("core: enterprise summary: %w", err)
 	}
 	return &Report{Stages: p.Stages, Catastrophe: catSum, Enterprise: entSum}, nil
+}
+
+// ReportViews builds the two reports' views from a stage-3 result with
+// two column sorts instead of four: the catastrophe view takes its
+// sorted aggregate column from the rank transform (res.CatSorted) and
+// sorts only OccMax; the enterprise view sorts only its aggregate column
+// and shares the catastrophe view's sorted OccMax, of which its own is a
+// copy.
+func ReportViews(res *dfa.Result) (cat, enterprise *metrics.View, err error) {
+	if cat, err = metrics.NewViewSorted(res.Cat, res.CatSorted, nil); err != nil {
+		return nil, nil, fmt.Errorf("core: cat view: %w", err)
+	}
+	if enterprise, err = metrics.NewViewSorted(res.Enterprise, nil, cat); err != nil {
+		return nil, nil, fmt.Errorf("core: enterprise view: %w", err)
+	}
+	return cat, enterprise, nil
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/aggregate"
+	"repro/internal/metrics"
 )
 
 func smallConfig(seed uint64) Config {
@@ -304,5 +306,37 @@ func TestCancellationPropagates(t *testing.T) {
 	p := New(smallConfig(6))
 	if _, err := p.Run(ctx); err == nil {
 		t.Fatal("cancelled pipeline should fail")
+	}
+}
+
+// Run builds both reports from the columns stage 3 already sorted
+// (ReportViews); they must be the reports a fresh Summarize of each
+// table gives. The pipeline asks for no per-source tables, and the dfa
+// stage line says so in bytes while still counting every source's
+// trials as items.
+func TestRunReportsEqualSummarize(t *testing.T) {
+	p := New(smallConfig(5))
+	rep, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCat, err := metrics.Summarize(p.CatYLT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEnt, err := metrics.Summarize(p.DFAResult.Enterprise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Catastrophe, wantCat) || !reflect.DeepEqual(rep.Enterprise, wantEnt) {
+		t.Fatalf("reports differ from Summarize:\n%v\n%v\n%v\n%v", rep.Catastrophe, wantCat, rep.Enterprise, wantEnt)
+	}
+	if p.DFAResult.PerSource != nil {
+		t.Fatal("the pipeline built per-source tables nobody reads")
+	}
+	stage := rep.Stages[len(rep.Stages)-1]
+	n := int64(p.CatYLT.NumTrials())
+	if want := p.CatYLT.SizeBytes() + p.DFAResult.Enterprise.SizeBytes(); stage.Name != "dfa" || stage.OutputBytes != want || stage.Items != n*8 {
+		t.Fatalf("dfa stage line %+v, want %d bytes and %d items", stage, want, n*8)
 	}
 }

@@ -5,16 +5,24 @@
 // enterprise trial per pre-simulated year, couples the risk sources
 // through a Gaussian copula (conditioning on the catastrophe year's
 // severity rank so financial stress co-moves with cat years), and
-// emits per-source and enterprise Year-Loss Tables from which PML and
-// TVaR flow to enterprise risk management.
+// emits the enterprise Year-Loss Table from which PML and TVaR flow to
+// enterprise risk management — and, on request, one table per source.
+//
+// A run ranks the catastrophe losses once (rankTransform: a parallel
+// argsort of (loss, trial) pairs, which is the stable order of the
+// losses) and hands the sorted column on as Result.CatSorted; it
+// evaluates each standard source's constants once per run, not once per
+// trial; and it carries only the tables its caller reports.
 package dfa
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
 
 	"repro/internal/mathx"
 	"repro/internal/rng"
@@ -88,11 +96,22 @@ type Reserve struct {
 func (s Reserve) Name() string { return "reserve" }
 
 // Loss implements Source.
-func (s Reserve) Loss(u float64, _ *rng.Stream) float64 {
+func (s Reserve) Loss(u float64, aux *rng.Stream) float64 { return s.plan().loss(u, aux) }
+
+// reservePlan is a Reserve with the lognormal parameters evaluated.
+type reservePlan struct {
+	reserves, mu, sigma float64
+}
+
+func (s Reserve) plan() reservePlan {
 	mu, sigma := mathx.LogNormalMeanStd(1, s.CoV)
-	x := mathx.StdNormalQuantile(u)*sigma + mu
+	return reservePlan{reserves: s.Reserves, mu: mu, sigma: sigma}
+}
+
+func (p reservePlan) loss(u float64, _ *rng.Stream) float64 {
+	x := mathx.StdNormalQuantile(u)*p.sigma + p.mu
 	// exp(x) - 1 via Expm1 to avoid cancellation for mild developments.
-	return s.Reserves * math.Expm1(x)
+	return p.reserves * math.Expm1(x)
 }
 
 // Counterparty models default of reinsurance counterparties holding
@@ -112,17 +131,35 @@ type Counterparty struct {
 func (s Counterparty) Name() string { return "counterparty" }
 
 // Loss implements Source.
-func (s Counterparty) Loss(u float64, aux *rng.Stream) float64 {
-	if s.N <= 0 || s.PD <= 0 {
+func (s Counterparty) Loss(u float64, aux *rng.Stream) float64 { return s.plan().loss(u, aux) }
+
+// counterpartyPlan is a Counterparty with the Vasicek constants
+// evaluated: Φ⁻¹(PD), √ρ and √(1−ρ).
+type counterpartyPlan struct {
+	Counterparty
+	qPD, sqrtRho, sqrtOneMinusRho float64
+}
+
+func (s Counterparty) plan() counterpartyPlan {
+	rho := mathx.Clamp(s.FactorRho, 0, 0.97)
+	return counterpartyPlan{
+		Counterparty:    s,
+		qPD:             mathx.StdNormalQuantile(s.PD),
+		sqrtRho:         math.Sqrt(rho),
+		sqrtOneMinusRho: math.Sqrt(1 - rho),
+	}
+}
+
+func (p counterpartyPlan) loss(u float64, aux *rng.Stream) float64 {
+	if p.N <= 0 || p.PD <= 0 {
 		return 0
 	}
 	z := mathx.StdNormalQuantile(u)
-	rho := mathx.Clamp(s.FactorRho, 0, 0.97)
 	// Vasicek conditional PD given systematic factor z (stress when z
 	// is large: cat-heavy years impair reinsurers).
-	pdCond := mathx.StdNormalCDF((mathx.StdNormalQuantile(s.PD) + math.Sqrt(rho)*z) / math.Sqrt(1-rho))
-	defaults := aux.Binomial(s.N, pdCond)
-	return s.Recoverables * float64(defaults) / float64(s.N) * s.LGD
+	pdCond := mathx.StdNormalCDF((p.qPD + p.sqrtRho*z) / p.sqrtOneMinusRho)
+	defaults := aux.Binomial(p.N, pdCond)
+	return p.Recoverables * float64(defaults) / float64(p.N) * p.LGD
 }
 
 // Operational models operational-loss risk as a compound Poisson with
@@ -138,19 +175,30 @@ type Operational struct {
 func (s Operational) Name() string { return "operational" }
 
 // Loss implements Source.
-func (s Operational) Loss(u float64, aux *rng.Stream) float64 {
-	n := aux.Poisson(s.Freq)
+func (s Operational) Loss(u float64, aux *rng.Stream) float64 { return s.plan().loss(u, aux) }
+
+// operationalPlan is an Operational with the severity's lognormal
+// parameters evaluated.
+type operationalPlan struct {
+	freq, beta, mu, sigma float64
+}
+
+func (s Operational) plan() operationalPlan {
+	mu, sigma := mathx.LogNormalMeanStd(s.SevMean, s.SevMean*s.SevCoV)
+	return operationalPlan{freq: s.Freq, beta: s.StressBeta, mu: mu, sigma: sigma}
+}
+
+func (p operationalPlan) loss(u float64, aux *rng.Stream) float64 {
+	n := aux.Poisson(p.freq)
 	if n == 0 {
 		return 0
 	}
-	mu, sigma := mathx.LogNormalMeanStd(s.SevMean, s.SevMean*s.SevCoV)
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += aux.LogNormal(mu, sigma)
+		sum += aux.LogNormal(p.mu, p.sigma)
 	}
 	z := mathx.StdNormalQuantile(u)
-	beta := s.StressBeta
-	stress := math.Exp(beta*z - beta*beta/2)
+	stress := math.Exp(p.beta*z - p.beta*p.beta/2)
 	return sum * stress
 }
 
@@ -198,6 +246,27 @@ func StandardSources(catAAL float64) []Source {
 	}
 }
 
+// lossFunc is a Source.Loss whose per-run constants are already
+// evaluated.
+type lossFunc func(u float64, aux *rng.Stream) float64
+
+// planLoss returns s's loss function for a whole run. The standard
+// sources that re-derive constants on every Loss call (Reserve,
+// Counterparty, Operational) get their plan — the same expressions,
+// evaluated once; every other source, custom ones included, is called
+// through the interface as before.
+func planLoss(s Source) lossFunc {
+	switch s := s.(type) {
+	case Reserve:
+		return s.plan().loss
+	case Counterparty:
+		return s.plan().loss
+	case Operational:
+		return s.plan().loss
+	}
+	return s.Loss
+}
+
 // Config controls an integration run.
 type Config struct {
 	Seed    uint64
@@ -206,26 +275,197 @@ type Config struct {
 	// book is coordinate 0). Ignored when Corr is set.
 	Rho float64
 	// Corr optionally supplies the full (1+len(Sources))² correlation
-	// matrix.
+	// matrix. Run rejects one that is not a correlation matrix: every
+	// diagonal cell must be 1 and the matrix symmetric (both to within
+	// corrTol), every cell within [-1, 1].
 	Corr *mathx.Matrix
+	// KeepPerSource makes Run fill Result.PerSource: one full-length
+	// table per source, three fifths of the stage's bytes with the six
+	// standard sources. The pipeline reads only the enterprise total and
+	// leaves it off; dfarun and experiment E9 report per source and set
+	// it.
+	KeepPerSource bool
 }
 
 // Result is the output of an integration.
 type Result struct {
 	// Cat is the input catastrophe YLT (coordinate 0).
 	Cat *ylt.Table
-	// PerSource holds one YLT per non-cat source, in input order.
+	// CatSorted is Cat.Agg in ascending order — a by-product of the rank
+	// transform, handed on so that the catastrophe report does not sort
+	// the column again (metrics.NewViewSorted).
+	CatSorted []float64
+	// PerSource holds one YLT per non-cat source, in input order. It is
+	// nil unless Config.KeepPerSource was set.
 	PerSource []*ylt.Table
-	// Enterprise is the per-trial sum of cat and all sources.
+	// Enterprise is the per-trial sum of cat and all sources. When Cat
+	// has occurrence detail, Enterprise.OccMax is an element-wise copy of
+	// Cat.OccMax (no source has occurrences), so the two tables' sorted
+	// occurrence columns are the same column. It is a copy, not an
+	// alias: ylt.Table.Scale on one table must not reach the other.
 	Enterprise *ylt.Table
-	// TotalBytes is the summed serialized size of every YLT involved —
-	// the stage-3 data-volume accounting for experiment E9.
+	// TotalBytes is the summed serialized size of the tables the run
+	// holds — Cat, Enterprise and, with KeepPerSource, every per-source
+	// table — the stage-3 data-volume accounting for experiment E9.
 	TotalBytes int64
 }
 
 // Integrator couples a catastrophe YLT with parametric risk sources.
 type Integrator struct {
 	Sources []Source
+}
+
+// corrTol is how far a supplied correlation matrix may be from a unit
+// diagonal and from symmetry: room for the rounding of an estimate
+// computed as cov/(sd·sd), nothing more.
+const corrTol = 1e-9
+
+// checkCorr rejects a supplied matrix that is not a k×k correlation
+// matrix, naming the first offending cell. Cholesky reads only the
+// lower triangle, so without this an asymmetric or mis-scaled matrix
+// would be integrated silently under a different dependence than the
+// one asked for.
+func checkCorr(corr *mathx.Matrix, k int) error {
+	if corr.N != k || len(corr.Data) != k*k {
+		return fmt.Errorf("dfa: correlation matrix is %d×%d, need %d", corr.N, corr.N, k)
+	}
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			v := corr.At(i, j)
+			switch {
+			case !(v >= -1-corrTol && v <= 1+corrTol):
+				return fmt.Errorf("dfa: correlation[%d][%d] = %g is outside [-1, 1]", i, j, v)
+			case i == j && math.Abs(v-1) > corrTol:
+				return fmt.Errorf("dfa: correlation[%d][%d] = %g, the diagonal must be 1", i, j, v)
+			case j < i && math.Abs(v-corr.At(j, i)) > corrTol:
+				return fmt.Errorf("dfa: correlation[%d][%d] = %g but [%d][%d] = %g, the matrix must be symmetric", i, j, v, j, i, corr.At(j, i))
+			}
+		}
+	}
+	return nil
+}
+
+// rankKey is one catastrophe year in the rank transform. Ordering the
+// pairs by (loss, trial) is exactly the stable order of the losses:
+// equal losses keep their trial order.
+type rankKey struct {
+	loss  float64
+	trial int
+}
+
+func compareRankKeys(a, b rankKey) int {
+	switch {
+	case a.loss < b.loss:
+		return -1
+	case a.loss > b.loss:
+		return 1
+	}
+	return cmp.Compare(a.trial, b.trial)
+}
+
+// rankTransform returns the catastrophe z-scores and the sorted losses:
+// z[trial] = Φ⁻¹((rank+½)/n), rank being the trial's position in the
+// stable ascending order of agg, and sorted[rank] the loss there. Ties
+// (e.g. many zero-loss years) share their rank range by trial order.
+//
+// Each stream.Partition range is filled and sorted on its own worker;
+// the sorted runs are merged pairwise, the lower range winning ties
+// because its trials are the lower ones; the z-scores are then written
+// in parallel over rank ranges — each trial has one rank, so the
+// scattered writes are disjoint.
+func rankTransform(ctx context.Context, agg []float64, workers int) (z, sorted []float64, err error) {
+	n := len(agg)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	runs := stream.Partition(n, workers)
+	keys := make([]rankKey, n)
+	// notFinite[w] is the first trial of run w whose loss is NaN or ±Inf
+	// (NaN makes < a non-order, ±Inf an enterprise total of ±Inf or NaN),
+	// -1 when it has none; kept per run so that the trial named is the
+	// lowest one whatever the worker count.
+	notFinite := make([]int, len(runs))
+	err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, w int) error {
+		run := keys[r.Lo:r.Hi]
+		first := -1
+		for i := range run {
+			trial := r.Lo + i
+			loss := agg[trial]
+			if first < 0 && (math.IsNaN(loss) || math.IsInf(loss, 0)) {
+				first = trial
+			}
+			run[i] = rankKey{loss, trial}
+		}
+		if notFinite[w] = first; first < 0 {
+			slices.SortFunc(run, compareRankKeys)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, trial := range notFinite {
+		if trial >= 0 {
+			return nil, nil, fmt.Errorf("dfa: catastrophe loss at trial %d is not finite", trial)
+		}
+	}
+
+	// Merge adjacent runs, level by level, between keys and a scratch
+	// copy; an odd run out is carried over as it is.
+	var scratch []rankKey
+	if len(runs) > 1 {
+		scratch = make([]rankKey, n)
+	}
+	for len(runs) > 1 {
+		merged := make([]stream.Range, (len(runs)+1)/2)
+		err = stream.ForEach(ctx, len(merged), workers, func(_ context.Context, i int) error {
+			lo := runs[2*i]
+			if 2*i+1 == len(runs) {
+				copy(scratch[lo.Lo:lo.Hi], keys[lo.Lo:lo.Hi])
+				merged[i] = lo
+				return nil
+			}
+			hi := runs[2*i+1]
+			mergeRankKeys(scratch[lo.Lo:hi.Hi], keys[lo.Lo:lo.Hi], keys[hi.Lo:hi.Hi])
+			merged[i] = stream.Range{Lo: lo.Lo, Hi: hi.Hi}
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		runs, keys, scratch = merged, scratch, keys
+	}
+
+	z = make([]float64, n)
+	sorted = make([]float64, n)
+	err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, _ int) error {
+		for rank := r.Lo; rank < r.Hi; rank++ {
+			key := keys[rank]
+			sorted[rank] = key.loss
+			z[key.trial] = mathx.StdNormalQuantile((float64(rank) + 0.5) / float64(n))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return z, sorted, nil
+}
+
+// mergeRankKeys merges two sorted runs into dst, len(dst) = len(a) +
+// len(b). Every trial of a precedes every trial of b, so taking from a
+// on equal losses is the (loss, trial) order.
+func mergeRankKeys(dst, a, b []rankKey) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && a[i].loss <= b[j].loss) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
 }
 
 // Run executes the integration over the cat table's trials.
@@ -240,15 +480,13 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 
 	corr := cfg.Corr
 	if corr == nil {
-		rho := cfg.Rho
 		var err error
-		corr, err = mathx.CorrelationMatrix(k, rho)
+		corr, err = mathx.CorrelationMatrix(k, cfg.Rho)
 		if err != nil {
 			return nil, fmt.Errorf("dfa: correlation: %w", err)
 		}
-	}
-	if corr.N != k {
-		return nil, fmt.Errorf("dfa: correlation matrix is %d×%d, need %d", corr.N, corr.N, k)
+	} else if err := checkCorr(corr, k); err != nil {
+		return nil, err
 	}
 	chol, jitter, err := mathx.CholeskyJittered(corr, 12)
 	if err != nil {
@@ -259,33 +497,42 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 
 	// Rank-transform the cat losses into standard normals: the copula
 	// conditions every financial source on how bad the catastrophe
-	// year was. Ties (e.g. many zero-loss years) share the rank range
-	// deterministically by trial order.
-	zCat := make([]float64, n)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return cat.Agg[idx[a]] < cat.Agg[idx[b]] })
-	for rank, trial := range idx {
-		zCat[trial] = mathx.StdNormalQuantile((float64(rank) + 0.5) / float64(n))
+	// year was.
+	zCat, catSorted, err := rankTransform(ctx, cat.Agg, cfg.Workers)
+	if err != nil {
+		return nil, err
 	}
 
-	res := &Result{Cat: cat, PerSource: make([]*ylt.Table, len(ig.Sources))}
-	for i, s := range ig.Sources {
-		res.PerSource[i] = ylt.NewAggOnly(s.Name(), n)
+	res := &Result{Cat: cat, CatSorted: catSorted}
+	if cfg.KeepPerSource {
+		res.PerSource = make([]*ylt.Table, len(ig.Sources))
+		for i, s := range ig.Sources {
+			res.PerSource[i] = ylt.NewAggOnly(s.Name(), n)
+		}
 	}
 	var enterprise *ylt.Table
 	if cat.HasOccurrence() {
 		enterprise = ylt.New("enterprise", n)
+		copy(enterprise.OccMax, cat.OccMax)
 	} else {
 		enterprise = ylt.NewAggOnly("enterprise", n)
 	}
 	res.Enterprise = enterprise
 
+	// The run's constants are evaluated once, here, not once per trial.
+	losses := make([]lossFunc, len(ig.Sources))
+	for i, s := range ig.Sources {
+		losses[i] = planLoss(s)
+	}
+
+	perSource := res.PerSource // nil unless asked for
 	err = stream.ForEachRange(ctx, n, cfg.Workers, func(ctx context.Context, r stream.Range, _ int) error {
 		w := make([]float64, k)
 		z := make([]float64, k)
+		// One stream per worker, re-seeded per trial: the draws of trial
+		// t are those of rng.NewStream(cfg.Seed, t) whatever the range
+		// it falls in.
+		var st rng.Stream
 		for trial := r.Lo; trial < r.Hi; trial++ {
 			if trial%4096 == 0 {
 				select {
@@ -294,7 +541,7 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 				default:
 				}
 			}
-			st := rng.NewStream(cfg.Seed, uint64(trial))
+			st.Reseed(cfg.Seed, uint64(trial))
 			// Conditional Gaussian copula: coordinate 0 is pinned to
 			// the cat year's z-score (L[0][0] == 1 for a correlation
 			// matrix, so w[0] = z[0]).
@@ -304,16 +551,15 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 			}
 			chol.LowerMulVec(w, z)
 			total := cat.Agg[trial]
-			for i, s := range ig.Sources {
+			for i, lossOf := range losses {
 				u := mathx.StdNormalCDF(z[i+1])
-				loss := s.Loss(u, st)
-				res.PerSource[i].Agg[trial] = loss
+				loss := lossOf(u, &st)
+				if perSource != nil {
+					perSource[i].Agg[trial] = loss
+				}
 				total += loss
 			}
 			enterprise.Agg[trial] = total
-			if enterprise.OccMax != nil {
-				enterprise.OccMax[trial] = cat.OccMax[trial]
-			}
 		}
 		return nil
 	})

@@ -3,6 +3,9 @@ package dfa
 import (
 	"context"
 	"math"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/mathx"
@@ -26,7 +29,7 @@ func catTable(n int, seed uint64) *ylt.Table {
 func TestRunShapes(t *testing.T) {
 	cat := catTable(5000, 1)
 	ig := &Integrator{Sources: StandardSources(cat.Mean())}
-	res, err := ig.Run(context.Background(), cat, Config{Seed: 3, Rho: 0.2})
+	res, err := ig.Run(context.Background(), cat, Config{Seed: 3, Rho: 0.2, KeepPerSource: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +88,13 @@ func TestCorrelationInducedByCopula(t *testing.T) {
 	// A single investment source, strongly correlated to the cat book:
 	// bad cat years should co-occur with investment losses.
 	ig := &Integrator{Sources: []Source{Investment{Assets: 1e8, MeanReturn: 0.04, Volatility: 0.12}}}
-	strong, err := ig.Run(context.Background(), cat, Config{Seed: 5, Rho: 0.7})
+	strong, err := ig.Run(context.Background(), cat, Config{Seed: 5, Rho: 0.7, KeepPerSource: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rStrong := mathx.Correlation(cat.Agg, strong.PerSource[0].Agg)
 
-	weak, err := ig.Run(context.Background(), cat, Config{Seed: 5, Rho: 0.0})
+	weak, err := ig.Run(context.Background(), cat, Config{Seed: 5, Rho: 0.0, KeepPerSource: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,5 +260,170 @@ func TestStandardSourcesScale(t *testing.T) {
 		if !names[want] {
 			t.Errorf("missing source %q", want)
 		}
+	}
+}
+
+// The rank transform checked against definitions, not against another
+// implementation: the z-scores are a permutation of the fixed grid
+// Φ⁻¹((r+½)/n); they do not decrease as the loss grows and, among equal
+// losses, grow with the trial index; the sorted column is what
+// sort.Float64s makes of a copy; and none of it depends on the worker
+// count.
+func TestRankTransformProperties(t *testing.T) {
+	ctx := context.Background()
+	for _, agg := range [][]float64{
+		catTable(6151, 31).Agg,
+		distinctTable(4099, 32).Agg,
+		equalTable(513).Agg,
+		{5},
+		{2, -1, 2, math.Copysign(0, -1), 0, -1, 2},
+	} {
+		n := len(agg)
+		z1, sorted1, err := rankTransform(ctx, agg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, 7, n + 1} {
+			z, sorted, err := rankTransform(ctx, agg, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(z, z1) || !sameBits(sorted, sorted1) {
+				t.Fatalf("n=%d: workers=%d ranks differently from workers=1", n, workers)
+			}
+		}
+
+		grid := make([]float64, n)
+		for r := range grid {
+			grid[r] = mathx.StdNormalQuantile((float64(r) + 0.5) / float64(n))
+		}
+		zSorted := slices.Clone(z1)
+		sort.Float64s(zSorted)
+		if !sameBits(zSorted, grid) {
+			t.Fatalf("n=%d: the z-scores are not a permutation of the rank grid", n)
+		}
+
+		for a := 0; a < n; a++ {
+			// Every pair for the small inputs, a stride of them for the
+			// large ones.
+			step := 1
+			if n > 600 {
+				step = 97
+			}
+			for b := a + 1; b < n; b += step {
+				switch {
+				case agg[a] < agg[b] && !(z1[a] < z1[b]), agg[a] > agg[b] && !(z1[a] > z1[b]):
+					t.Fatalf("n=%d: z is not monotone in the loss at trials %d, %d", n, a, b)
+				case agg[a] == agg[b] && !(z1[a] < z1[b]):
+					t.Fatalf("n=%d: equal losses at trials %d < %d are not ranked in trial order", n, a, b)
+				}
+			}
+		}
+
+		want := slices.Clone(agg)
+		sort.Float64s(want)
+		if !slices.Equal(sorted1, want) {
+			t.Fatalf("n=%d: sorted column differs from sort.Float64s of a copy", n)
+		}
+	}
+}
+
+// Inputs Run used to integrate without a word: a catastrophe loss that
+// is not a number (NaN makes < a non-order, so the old stable sort
+// returned an arbitrary permutation and every figure was NaN) and a
+// "correlation" matrix that is not one (Cholesky reads the lower
+// triangle only and never looks at the diagonal's scale). A trial count
+// beyond 2³¹ needs no check: the rank pairs index trials with an int.
+func TestRunRejectsHostileInputs(t *testing.T) {
+	const n = 100
+	corrWith := func(edit func(m *mathx.Matrix)) *mathx.Matrix {
+		m, err := mathx.CorrelationMatrix(7, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(m)
+		return m
+	}
+	lossAt := func(v float64, trials ...int) *ylt.Table {
+		cat := catTable(n, 6)
+		for _, trial := range trials {
+			cat.Agg[trial] = v
+		}
+		return cat
+	}
+	for _, c := range []struct {
+		name string
+		cat  *ylt.Table
+		corr *mathx.Matrix
+		want string
+	}{
+		{"NaN loss", lossAt(math.NaN(), 93, 41, 77), nil, "dfa: catastrophe loss at trial 41 is not finite"},
+		{"+Inf loss", lossAt(math.Inf(1), 99), nil, "dfa: catastrophe loss at trial 99 is not finite"},
+		{"-Inf loss", lossAt(math.Inf(-1), 0), nil, "dfa: catastrophe loss at trial 0 is not finite"},
+		{"diagonal", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(3, 3, 1.1) }), "correlation[3][3]"},
+		{"diagonal of zeros", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(0, 0, 0) }), "correlation[0][0]"},
+		{"asymmetric", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(1, 4, 0.5) }), "correlation[4][1]"},
+		{"out of range", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(5, 2, -1.5); m.Set(2, 5, -1.5) }), "correlation[2][5]"},
+		{"NaN cell", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(6, 1, math.NaN()) }), "correlation[6][1]"},
+		{"short data", catTable(n, 6), &mathx.Matrix{N: 7, Data: make([]float64, 7)}, "correlation matrix"},
+	} {
+		for _, workers := range []int{1, 3, 8} {
+			ig := &Integrator{Sources: StandardSources(1e6)}
+			_, err := ig.Run(context.Background(), c.cat, Config{Seed: 1, Rho: 0.2, Corr: c.corr, Workers: workers})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s, workers=%d: error %v, want one containing %q", c.name, workers, err, c.want)
+			}
+		}
+	}
+	// The tolerance is for rounding only: a matrix estimated as
+	// cov/(sd·sd) passes.
+	ok := corrWith(func(m *mathx.Matrix) { m.Set(2, 2, 1+1e-12); m.Set(1, 4, 0.2+1e-13) })
+	if _, err := (&Integrator{Sources: StandardSources(1e6)}).Run(context.Background(), catTable(n, 6), Config{Corr: ok}); err != nil {
+		t.Errorf("a correlation matrix off by rounding was refused: %v", err)
+	}
+}
+
+// Per-source tables are built on request only; TotalBytes counts the
+// tables that exist; Result.CatSorted and the OccMax copy keep their
+// documented contracts either way.
+func TestKeepPerSource(t *testing.T) {
+	const n = 1000
+	cat := catTable(n, 8)
+	ig := &Integrator{Sources: StandardSources(cat.Mean())}
+	lean, err := ig.Run(context.Background(), cat, Config{Seed: 3, Rho: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := ig.Run(context.Background(), cat, Config{Seed: 3, Rho: 0.2, KeepPerSource: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lean.PerSource != nil || len(full.PerSource) != 6 {
+		t.Fatalf("PerSource: %d tables without KeepPerSource, %d with", len(lean.PerSource), len(full.PerSource))
+	}
+	if !sameBits(lean.Enterprise.Agg, full.Enterprise.Agg) {
+		t.Fatal("KeepPerSource changed the enterprise table")
+	}
+	// cat + enterprise, two columns each under a 16-byte header and the
+	// name; then six one-column tables whose names add up to 65 bytes.
+	if want := int64(2*(16+16*n) + len("cat") + len("enterprise")); lean.TotalBytes != want {
+		t.Fatalf("TotalBytes without per-source tables = %d, want %d", lean.TotalBytes, want)
+	}
+	if want := lean.TotalBytes + 6*(16+8*n) + 65; full.TotalBytes != want {
+		t.Fatalf("TotalBytes with per-source tables = %d, want %d", full.TotalBytes, want)
+	}
+
+	want := slices.Clone(cat.Agg)
+	sort.Float64s(want)
+	if !slices.Equal(lean.CatSorted, want) {
+		t.Fatal("CatSorted is not the sorted catastrophe column")
+	}
+	if !sameBits(lean.Enterprise.OccMax, cat.OccMax) {
+		t.Fatal("Enterprise.OccMax is not a copy of Cat.OccMax")
+	}
+	before := slices.Clone(cat.OccMax)
+	lean.Enterprise.Scale(2)
+	if !sameBits(cat.OccMax, before) {
+		t.Fatal("Enterprise.OccMax aliases Cat.OccMax: scaling one table reached the other")
 	}
 }

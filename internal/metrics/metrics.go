@@ -14,6 +14,7 @@ package metrics
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -139,8 +140,9 @@ type ReturnRow struct {
 // statistic a report needs — both EP curves, VaR, the PML — is read
 // from the same ascending copies, so a caller that wants a Summary and
 // a PML pays two sorts (one when the table has no occurrence detail)
-// however many numbers it asks for. The table must not change while
-// the view is in use.
+// however many numbers it asks for — or fewer, when NewViewSorted is
+// handed a column someone has sorted already. The table must not change
+// while the view is in use.
 type View struct {
 	t   *ylt.Table
 	aep *EPCurve
@@ -149,15 +151,57 @@ type View struct {
 
 // NewView sorts t's columns. It returns ErrNoData for an empty table.
 func NewView(t *ylt.Table) (*View, error) {
-	aep, err := NewEPCurve(t.Agg)
-	if err != nil {
-		return nil, err
-	}
-	v := &View{t: t, aep: aep}
-	if t.HasOccurrence() {
-		if v.oep, err = NewEPCurve(t.OccMax); err != nil {
+	return NewViewSorted(t, nil, nil)
+}
+
+// NewViewSorted is NewView for a caller that already holds sorted
+// columns, so that a pass sorts each distinct column once:
+//
+//   - aggSorted, when non-nil, is used as t.Agg in ascending order (kept,
+//     not copied). It must have t's length and be ascending — checked
+//     here in O(n), where a wrong column would otherwise surface as a
+//     wrong quantile.
+//   - occOf, when non-nil, is a view of a table whose OccMax column is
+//     element for element t's (stage 3's enterprise table carries a copy
+//     of the catastrophe table's): the two views then share one sorted
+//     occurrence column. The equality is checked too.
+//
+// A nil argument means "sort it here", so NewViewSorted(t, nil, nil) is
+// NewView(t).
+func NewViewSorted(t *ylt.Table, aggSorted []float64, occOf *View) (*View, error) {
+	v := &View{t: t}
+	if aggSorted == nil {
+		aep, err := NewEPCurve(t.Agg)
+		if err != nil {
 			return nil, err
 		}
+		v.aep = aep
+	} else {
+		if len(aggSorted) != len(t.Agg) {
+			return nil, fmt.Errorf("metrics: sorted column has %d trials, table %q has %d", len(aggSorted), t.Name, len(t.Agg))
+		}
+		if len(aggSorted) == 0 {
+			return nil, ErrNoData
+		}
+		for i := 1; i < len(aggSorted); i++ {
+			if !(aggSorted[i-1] <= aggSorted[i]) {
+				return nil, fmt.Errorf("metrics: sorted column of table %q is not ascending at %d", t.Name, i)
+			}
+		}
+		v.aep = &EPCurve{sorted: aggSorted}
+	}
+	switch {
+	case !t.HasOccurrence():
+	case occOf == nil:
+		oep, err := NewEPCurve(t.OccMax)
+		if err != nil {
+			return nil, err
+		}
+		v.oep = oep
+	case occOf.oep == nil || !slices.Equal(t.OccMax, occOf.t.OccMax):
+		return nil, fmt.Errorf("metrics: table %q does not have the occurrence column of %q", t.Name, occOf.t.Name)
+	default:
+		v.oep = occOf.oep
 	}
 	return v, nil
 }

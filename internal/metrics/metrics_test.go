@@ -3,6 +3,9 @@ package metrics
 import (
 	"errors"
 	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,5 +244,84 @@ func TestPML(t *testing.T) {
 	empty := &ylt.Table{Name: "z", Agg: []float64{}, OccMax: []float64{}}
 	if _, err := PML(empty, 100); err == nil {
 		t.Fatal("empty occurrence data should error")
+	}
+}
+
+// NewViewSorted is handed columns by a caller; it must refuse the ones
+// that are not what they claim to be, and with honest ones report
+// exactly what NewView reports.
+func TestNewViewSorted(t *testing.T) {
+	cat := buildYLT(5000)
+	sorted := slices.Clone(cat.Agg)
+	sort.Float64s(sorted)
+	// An enterprise-shaped table: another aggregate column, a copy of
+	// the occurrence column.
+	ent := ylt.New("ent", cat.NumTrials())
+	for i, v := range cat.Agg {
+		ent.Agg[i] = 3*v - 1e5*float64(i%7)
+	}
+	copy(ent.OccMax, cat.OccMax)
+
+	catView, err := NewViewSorted(cat, sorted, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entView, err := NewViewSorted(ent, nil, catView)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &entView.oep.sorted[0] != &catView.oep.sorted[0] {
+		t.Fatal("the enterprise view sorted its own copy of the occurrence column")
+	}
+	for _, c := range []struct {
+		view *View
+		tbl  *ylt.Table
+	}{{catView, cat}, {entView, ent}} {
+		want, err := NewView(c.tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSum, err1 := c.view.Summary()
+		wantSum, err2 := want.Summary()
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(gotSum, wantSum) {
+			t.Fatalf("%s: Summary %+v (%v), NewView's %+v (%v)", c.tbl.Name, gotSum, err1, wantSum, err2)
+		}
+		gotPML, err1 := c.view.PML(250)
+		wantPML, err2 := want.PML(250)
+		if err1 != nil || err2 != nil || gotPML != wantPML {
+			t.Fatalf("%s: PML %v (%v), NewView's %v (%v)", c.tbl.Name, gotPML, err1, wantPML, err2)
+		}
+	}
+
+	unsorted := slices.Clone(sorted)
+	unsorted[100], unsorted[4000] = unsorted[4000], unsorted[100]
+	withNaN := slices.Clone(sorted)
+	withNaN[17] = math.NaN()
+	otherOcc := ylt.New("other", cat.NumTrials())
+	copy(otherOcc.OccMax, cat.OccMax)
+	otherOcc.OccMax[4999]++
+	aggOnlyView, err := NewView(ylt.NewAggOnly("agg", cat.NumTrials()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func() (*View, error){
+		"short column":      func() (*View, error) { return NewViewSorted(cat, sorted[1:], nil) },
+		"long column":       func() (*View, error) { return NewViewSorted(cat, append(slices.Clone(sorted), 1e18), nil) },
+		"unsorted column":   func() (*View, error) { return NewViewSorted(cat, unsorted, nil) },
+		"NaN in the column": func() (*View, error) { return NewViewSorted(cat, withNaN, nil) },
+		"different OccMax":  func() (*View, error) { return NewViewSorted(otherOcc, nil, catView) },
+		"shorter OccMax":    func() (*View, error) { return NewViewSorted(buildYLT(4999), nil, catView) },
+		"lender has no occ": func() (*View, error) { return NewViewSorted(ent, nil, aggOnlyView) },
+	} {
+		if v, err := build(); err == nil {
+			t.Errorf("%s: accepted (%v)", name, v != nil)
+		}
+	}
+	if _, err := NewViewSorted(ylt.New("e", 0), []float64{}, nil); !errors.Is(err, ErrNoData) {
+		t.Errorf("empty table with an empty sorted column: %v, want ErrNoData", err)
+	}
+	// An aggregate-only table borrows nothing and needs nothing.
+	if v, err := NewViewSorted(ylt.NewAggOnly("agg", cat.NumTrials()), nil, catView); err != nil || v.oep != nil {
+		t.Errorf("aggregate-only table with a lender: %v", err)
 	}
 }

@@ -24,9 +24,9 @@ func splitmix64(state *uint64) uint64 {
 }
 
 // Stream is a xoshiro256** pseudo-random generator. The zero value is
-// not usable; construct with New or NewStream. Streams are not safe
-// for concurrent use — give each goroutine its own stream (that is the
-// point of NewStream / Split).
+// not usable; construct with New or NewStream, or call Reseed. Streams
+// are not safe for concurrent use — give each goroutine its own stream
+// (that is the point of NewStream / Split).
 type Stream struct {
 	s [4]uint64
 	// cached second normal from the polar method
@@ -37,6 +37,13 @@ type Stream struct {
 // New returns a stream seeded from a single 64-bit seed.
 func New(seed uint64) *Stream {
 	st := &Stream{}
+	st.seed(seed)
+	return st
+}
+
+// seed puts st in the state New(seed) returns: the four words expanded
+// from seed, no cached normal.
+func (st *Stream) seed(seed uint64) {
 	sm := seed
 	for i := range st.s {
 		st.s[i] = splitmix64(&sm)
@@ -45,7 +52,7 @@ func New(seed uint64) *Stream {
 	if st.s[0]|st.s[1]|st.s[2]|st.s[3] == 0 {
 		st.s[0] = 0x9e3779b97f4a7c15
 	}
-	return st
+	st.hasSpare = false
 }
 
 // NewStream returns the id-th independent stream of a seed. Two calls
@@ -53,9 +60,19 @@ func New(seed uint64) *Stream {
 // produce streams whose seeds are separated by splitmix64 avalanche,
 // the standard construction for task-parallel Monte Carlo.
 func NewStream(seed, id uint64) *Stream {
+	st := &Stream{}
+	st.Reseed(seed, id)
+	return st
+}
+
+// Reseed turns st, in place, into the stream NewStream(seed, id)
+// returns: same state, same draws, any cached normal dropped. A loop
+// that needs one substream per item (a trial, a task) reseeds one
+// stream per worker instead of allocating one per item. It also makes
+// a zero Stream usable.
+func (st *Stream) Reseed(seed, id uint64) {
 	sm := seed ^ (id+1)*0xd1342543de82ef95
-	mixed := splitmix64(&sm)
-	return New(mixed)
+	st.seed(splitmix64(&sm))
 }
 
 // Split derives a child stream from the current stream state without

@@ -48,6 +48,48 @@ func TestNewStreamIndependence(t *testing.T) {
 	}
 }
 
+// Reseed must be NewStream in place: the same draws from every sampler,
+// for a thousand (seed, id) pairs run through one reused stream — which
+// arrives at each Reseed mid-sequence and holding the polar method's
+// cached second normal, the state a per-trial loop leaves behind.
+func TestReseedMatchesNewStream(t *testing.T) {
+	var reused Stream // Reseed also makes the zero value usable
+	pairs := New(2026)
+	for i := 0; i < 1000; i++ {
+		seed, id := pairs.Uint64(), pairs.Uint64()
+		if i%3 == 0 {
+			id = uint64(i) // small consecutive ids, as trial loops use
+		}
+		reused.Reseed(seed, id)
+		fresh := NewStream(seed, id)
+		if reused.s != fresh.s || reused.hasSpare {
+			t.Fatalf("pair %d: state after Reseed differs from NewStream's", i)
+		}
+		for step := 0; step < 5; step++ {
+			// An odd number of normals first: were the spare of the
+			// previous pair still cached, it would come out here.
+			if a, b := reused.StdNormal(), fresh.StdNormal(); a != b {
+				t.Fatalf("pair %d step %d: StdNormal %v, NewStream gives %v", i, step, a, b)
+			}
+			if a, b := reused.Uint64(), fresh.Uint64(); a != b {
+				t.Fatalf("pair %d step %d: Uint64 diverged", i, step)
+			}
+			if a, b := reused.Poisson(1.5), fresh.Poisson(1.5); a != b {
+				t.Fatalf("pair %d step %d: Poisson %d, NewStream gives %d", i, step, a, b)
+			}
+			if a, b := reused.LogNormal(1, 0.5), fresh.LogNormal(1, 0.5); a != b {
+				t.Fatalf("pair %d step %d: LogNormal %v, NewStream gives %v", i, step, a, b)
+			}
+			if a, b := reused.Binomial(40, 0.1), fresh.Binomial(40, 0.1); a != b {
+				t.Fatalf("pair %d step %d: Binomial %d, NewStream gives %d", i, step, a, b)
+			}
+		}
+		if !reused.hasSpare {
+			reused.StdNormal() // make sure the next Reseed meets a cached spare
+		}
+	}
+}
+
 func TestSplitDoesNotDisturbParent(t *testing.T) {
 	parent := New(99)
 	want := make([]uint64, 10)

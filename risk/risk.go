@@ -770,7 +770,11 @@ func (s *Study) IntegrateEnterprise(ctx context.Context, sources []dfa.Source, r
 	if err != nil {
 		return Summary{}, err
 	}
-	sum, err := metrics.Summarize(res.Enterprise)
+	_, entView, err := core.ReportViews(res)
+	if err != nil {
+		return Summary{}, err
+	}
+	sum, err := entView.Summary()
 	if err != nil {
 		return Summary{}, err
 	}
