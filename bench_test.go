@@ -1,21 +1,17 @@
-// Root benchmark harness: one benchmark (family) per experiment
-// E1–E11 and E15–E18 from EXPERIMENTS.md (E12–E14 compared kernel
-// generations that were deleted). Absolute numbers are machine-dependent; the
-// *shapes* asserted in EXPERIMENTS.md (who wins, by roughly what
+// Root benchmark harness: one benchmark (family) per paper experiment
+// E1–E9 from EXPERIMENTS.md. Absolute numbers are machine-dependent;
+// the *shapes* asserted in EXPERIMENTS.md (who wins, by roughly what
 // factor) are what reproduce the paper. cmd/benchtables prints the
 // richer tables; these benches give `go test -bench` one-line
-// comparables per experiment.
+// comparables per experiment. The system itself is measured by the repo
+// benchmark, `go run ./bench`.
 package repro_test
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -23,18 +19,13 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dfa"
 	"repro/internal/diskstore"
-	"repro/internal/faultinject"
 	"repro/internal/gpusim"
 	"repro/internal/layers"
 	"repro/internal/mapreduce"
 	"repro/internal/memstore"
 	"repro/internal/rdbms"
-	"repro/internal/serve"
 	"repro/internal/synth"
-	"repro/internal/warehouse"
 	"repro/internal/yelt"
-	"repro/internal/ylt"
-	"repro/risk"
 )
 
 var (
@@ -387,253 +378,6 @@ func BenchmarkE6MapReduce(b *testing.B) {
 	}
 }
 
-// --- E10: bounded-memory streaming stage 2 ---
-
-// streamEnvelopeTrials exceeds every materialized benchmark in the
-// file: the point of the streaming path is that trial count no longer
-// multiplies resident memory.
-const streamEnvelopeTrials = 1_000_000
-
-// BenchmarkE10StreamingMillionTrials runs a fused 1M-trial stage 2
-// (generation + aggregation, sampling on) without ever materializing
-// the YELT, and reports the memory envelope: peak-resident trial bytes
-// (peakMB) versus the table the run avoided building (matMB), plus
-// their ratio (mat/peak — the ≥10× bounded-memory claim). Workers are
-// pinned so the envelope is machine-independent.
-func BenchmarkE10StreamingMillionTrials(b *testing.B) {
-	s, _ := scenarios(b)
-	cfg := aggregate.Config{Seed: 2, Sampling: true, Workers: 8, BatchTrials: 4096}
-	var res *aggregate.Result
-	var gen *yelt.Generator
-	for i := 0; i < b.N; i++ {
-		g, err := yelt.NewGenerator(s.Catalog, yelt.Config{NumTrials: streamEnvelopeTrials}, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		in := &aggregate.Input{Source: g, ELTs: s.ELTs, Portfolio: s.Portfolio}
-		res, err = (aggregate.Parallel{}).Run(context.Background(), in, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen = g
-	}
-	matBytes := yelt.TableBytes(streamEnvelopeTrials, gen.Streamed())
-	b.ReportMetric(float64(streamEnvelopeTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-	b.ReportMetric(float64(res.PeakResidentBytes)/1e6, "peakMB")
-	b.ReportMetric(float64(matBytes)/1e6, "matMB")
-	b.ReportMetric(float64(matBytes)/float64(res.PeakResidentBytes), "mat/peak")
-}
-
-// BenchmarkE10MaterializedBaseline is the same 1M-trial stage 2
-// through the materialized path (generate the table, then aggregate) —
-// the throughput and memory baseline the streaming numbers compare
-// against.
-func BenchmarkE10MaterializedBaseline(b *testing.B) {
-	s, _ := scenarios(b)
-	cfg := aggregate.Config{Seed: 2, Sampling: true, Workers: 8}
-	var res *aggregate.Result
-	for i := 0; i < b.N; i++ {
-		y, err := yelt.Generate(context.Background(), s.Catalog, yelt.Config{NumTrials: streamEnvelopeTrials}, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		in := &aggregate.Input{YELT: y, ELTs: s.ELTs, Portfolio: s.Portfolio}
-		res, err = (aggregate.Parallel{}).Run(context.Background(), in, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(streamEnvelopeTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-	b.ReportMetric(float64(res.PeakResidentBytes)/1e6, "peakMB")
-}
-
-// --- E11: partitioned stage 2 — MapReduce over re-derived, spilled, and materialized trials ---
-
-// BenchmarkE11MapReduceRederive maps trial-range splits over the fused
-// generator: every mapper read re-derives its trials (CPU traded for
-// memory). Workers/batch pinned as in E10 so envelopes are comparable.
-func BenchmarkE11MapReduceRederive(b *testing.B) {
-	s, _ := scenarios(b)
-	cfg := aggregate.Config{Seed: 2, Sampling: true, Workers: 8, BatchTrials: 4096}
-	eng := aggregate.MapReduce{}
-	var res *aggregate.Result
-	for i := 0; i < b.N; i++ {
-		g, err := yelt.NewGenerator(s.Catalog, yelt.Config{NumTrials: streamEnvelopeTrials}, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		in := &aggregate.Input{Source: g, ELTs: s.ELTs, Portfolio: s.Portfolio}
-		res, err = eng.Run(context.Background(), in, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(streamEnvelopeTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-	b.ReportMetric(float64(res.PeakResidentBytes)/1e6, "peakMB")
-}
-
-// BenchmarkE11MapReduceRescan spills the generated trials once into
-// diskstore shards (outside the timer — the write is amortized across
-// every later engine pass, which is the point of spilling), then times
-// MapReduce passes that re-scan the shards from disk.
-func BenchmarkE11MapReduceRescan(b *testing.B) {
-	s, _ := scenarios(b)
-	g, err := yelt.NewGenerator(s.Catalog, yelt.Config{NumTrials: streamEnvelopeTrials}, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds, err := yelt.SpillToDir(context.Background(), g, b.TempDir(), 0, aggregate.DefaultSpillParts(streamEnvelopeTrials), 1, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shardBytes, err := ds.SizeBytes()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := aggregate.Config{Seed: 2, Sampling: true, Workers: 8, BatchTrials: 4096}
-	eng := aggregate.MapReduce{}
-	b.ResetTimer()
-	var res *aggregate.Result
-	for i := 0; i < b.N; i++ {
-		in := &aggregate.Input{Source: ds, ELTs: s.ELTs, Portfolio: s.Portfolio}
-		res, err = eng.Run(context.Background(), in, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(streamEnvelopeTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-	b.ReportMetric(float64(res.PeakResidentBytes)/1e6, "peakMB")
-	b.ReportMetric(float64(shardBytes)/1e6, "shardMB")
-}
-
-// BenchmarkE11MapReduceMaterialized is the same MapReduce job over the
-// fully materialized table (generated per iteration, like the E10
-// baseline) — the memory-unconstrained comparison point.
-func BenchmarkE11MapReduceMaterialized(b *testing.B) {
-	s, _ := scenarios(b)
-	cfg := aggregate.Config{Seed: 2, Sampling: true, Workers: 8}
-	eng := aggregate.MapReduce{}
-	var res *aggregate.Result
-	for i := 0; i < b.N; i++ {
-		y, err := yelt.Generate(context.Background(), s.Catalog, yelt.Config{NumTrials: streamEnvelopeTrials}, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		in := &aggregate.Input{YELT: y, ELTs: s.ELTs, Portfolio: s.Portfolio}
-		res, err = eng.Run(context.Background(), in, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(streamEnvelopeTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-	b.ReportMetric(float64(res.PeakResidentBytes)/1e6, "peakMB")
-}
-
-// --- E16: mapper placement over spilled shards ---
-
-// benchPlacement spills once (outside the timer), then times MapReduce
-// passes under the given mapper placement, reporting how many shard
-// bytes each pass scanned node-locally vs pulled from a remote node.
-// Results are bit-identical across placements; locality is the metric.
-func benchPlacement(b *testing.B, place aggregate.Placement) {
-	s, _ := scenarios(b)
-	g, err := yelt.NewGenerator(s.Catalog, yelt.Config{NumTrials: streamEnvelopeTrials}, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	parts := aggregate.DefaultSpillParts(streamEnvelopeTrials)
-	if parts < 32 {
-		parts = 32
-	}
-	ds, err := yelt.SpillToDir(context.Background(), g, b.TempDir(), 0, parts, 1, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := aggregate.Config{Seed: 2, Sampling: true, Workers: 8, BatchTrials: 4096}
-	eng := aggregate.MapReduce{Placement: place}
-	b.ResetTimer()
-	var res *aggregate.Result
-	for i := 0; i < b.N; i++ {
-		in := &aggregate.Input{Source: ds, ELTs: s.ELTs, Portfolio: s.Portfolio}
-		res, err = eng.Run(context.Background(), in, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(streamEnvelopeTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-	b.ReportMetric(float64(res.LocalBytes)/1e6, "localMB")
-	b.ReportMetric(float64(res.RemoteBytes)/1e6, "remoteMB")
-	if total := res.LocalBytes + res.RemoteBytes; total > 0 {
-		b.ReportMetric(100*float64(res.LocalBytes)/float64(total), "local%")
-	}
-}
-
-func BenchmarkE16AffinePlacement(b *testing.B) { benchPlacement(b, aggregate.PlaceAffine) }
-
-func BenchmarkE16BlindPlacement(b *testing.B) { benchPlacement(b, aggregate.PlaceBlind) }
-
-// --- E17: fault-tolerant stage 2 over replicated shards ---
-
-// benchFault spills once at replication r=2 (outside the timer), then
-// times MapReduce passes under the given deterministic fault spec.
-// Every pass's result is bit-checked against a fault-free pass, so the
-// timer covers completion *with* recovery — the fault-tolerance
-// overhead is the metric, correctness is the invariant.
-func benchFault(b *testing.B, spec string, speculate bool) {
-	s, _ := scenarios(b)
-	g, err := yelt.NewGenerator(s.Catalog, yelt.Config{NumTrials: streamEnvelopeTrials}, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	parts := aggregate.DefaultSpillParts(streamEnvelopeTrials)
-	if parts < 32 {
-		parts = 32
-	}
-	ds, err := yelt.SpillToDir(context.Background(), g, b.TempDir(), 0, parts, 2, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := aggregate.Config{Seed: 2, Sampling: true, Workers: 8, BatchTrials: 4096}
-	want, err := aggregate.MapReduce{}.Run(context.Background(),
-		&aggregate.Input{Source: ds, ELTs: s.ELTs, Portfolio: s.Portfolio}, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := faultinject.Parse(spec, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := aggregate.MapReduce{MaxAttempts: 5, Speculate: speculate, Faults: plan}
-	b.ResetTimer()
-	var res *aggregate.Result
-	for i := 0; i < b.N; i++ {
-		in := &aggregate.Input{Source: ds, ELTs: s.ELTs, Portfolio: s.Portfolio}
-		res, err = eng.Run(context.Background(), in, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	for t := range want.Portfolio.Agg {
-		if res.Portfolio.Agg[t] != want.Portfolio.Agg[t] {
-			b.Fatalf("diverged from fault-free run at trial %d", t)
-		}
-	}
-	b.ReportMetric(float64(streamEnvelopeTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-	b.ReportMetric(float64(res.MapRetries), "retries")
-	b.ReportMetric(float64(res.ShardFailovers), "failovers")
-	b.ReportMetric(float64(res.WorkersLost), "workersLost")
-	b.ReportMetric(float64(res.SpecWins), "specWins")
-}
-
-func BenchmarkE17FaultFree(b *testing.B) { benchFault(b, "", false) }
-
-func BenchmarkE17Rate10(b *testing.B) { benchFault(b, "rate=0.10", false) }
-
-func BenchmarkE17RateAndKill(b *testing.B) { benchFault(b, "rate=0.10,kill=1@1", false) }
-
-func BenchmarkE17Speculation(b *testing.B) { benchFault(b, "delay=0@40ms", true) }
-
 // --- E7: provisioning policies over the bursty demand profile ---
 
 func BenchmarkE7Elasticity(b *testing.B) {
@@ -704,184 +448,5 @@ func BenchmarkE9DFAIntegration(b *testing.B) {
 			}
 			b.ReportMetric(float64(bytes)/1e6, "MB-out")
 		})
-	}
-}
-
-// --- E15: client-observed quote latency through the serving tier — a
-// warmed serve.Server over a shared risk.Study behind real HTTP. One
-// closed-loop client, so ns/op is the full request path: admission,
-// queue, per-contract aggregate simulation, JSON. cmd/benchtables -e 15
-// adds the multi-client calm/active/burst table. ---
-
-var (
-	e15Once sync.Once
-	e15TS   *httptest.Server
-	e15Err  error
-)
-
-func e15Server(b *testing.B) *httptest.Server {
-	b.Helper()
-	e15Once.Do(func() {
-		study := risk.NewStudy(risk.Config{
-			Seed: 42, Events: 2_000, Contracts: 8, LocationsPerContract: 150,
-			Trials: 5_000, MeanEventsPerYear: 10, Rho: 0.2, Workers: 1,
-		})
-		srv := serve.New(study, serve.Config{Workers: runtime.GOMAXPROCS(0), DefaultTrials: 2_000})
-		if err := srv.Warm(context.Background()); err != nil {
-			e15Err = err
-			return
-		}
-		e15TS = httptest.NewServer(srv.Handler())
-	})
-	if e15Err != nil {
-		b.Fatal(e15Err)
-	}
-	return e15TS
-}
-
-func BenchmarkE15QuoteLatency(b *testing.B) {
-	ts := e15Server(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body := fmt.Sprintf(`{"contract": %d, "trials": 2000}`, i%8)
-		resp, err := http.Post(ts.URL+"/v1/quote", "application/json", strings.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("quote status = %d", resp.StatusCode)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "quotes/s")
-}
-
-// --- E18: incremental warehouse cube — build, delta update, query ---
-
-var (
-	e18Once sync.Once
-	e18PC   []*ylt.Table
-	e18Err  error
-)
-
-// e18Tables runs stage 2 once over the cached scenario and returns
-// the per-contract YLT registry every E18 benchmark builds from.
-func e18Tables(b *testing.B) []*ylt.Table {
-	b.Helper()
-	s, _ := scenarios(b)
-	e18Once.Do(func() {
-		cfg := aggregate.Config{Seed: 1, Sampling: true, PerContract: true,
-			Workers: runtime.GOMAXPROCS(0)}
-		res, err := aggregate.Parallel{}.Run(context.Background(), aggInput(s), cfg)
-		if err != nil {
-			e18Err = err
-			return
-		}
-		e18PC = res.PerContract
-	})
-	if e18Err != nil {
-		b.Fatal(e18Err)
-	}
-	return e18PC
-}
-
-func BenchmarkE18BatchBuild(b *testing.B) {
-	pc := e18Tables(b)
-	in := &warehouse.Input{Tables: pc, Attrs: warehouse.DefaultAttrs(len(pc))}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := warehouse.Build(context.Background(), in, warehouse.DefaultDims(), runtime.GOMAXPROCS(0)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE18IncrementalBuild(b *testing.B) {
-	pc := e18Tables(b)
-	attrs := warehouse.DefaultAttrs(len(pc))
-	const batch = 1_000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bld, err := warehouse.NewBuilder(warehouse.DefaultDims(), attrs, benchTrials, runtime.GOMAXPROCS(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for lo := 0; lo < benchTrials; lo += batch {
-			k := batch
-			if lo+k > benchTrials {
-				k = benchTrials - lo
-			}
-			agg := make([][]float64, len(pc))
-			occ := make([][]float64, len(pc))
-			for ci, t := range pc {
-				agg[ci] = t.Agg[lo : lo+k]
-				occ[ci] = t.OccMax[lo : lo+k]
-			}
-			if err := bld.IngestBatch(lo, agg, occ); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := bld.Finalize(context.Background(), pc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE18Replace(b *testing.B) {
-	pc := e18Tables(b)
-	in := &warehouse.Input{Tables: pc, Attrs: warehouse.DefaultAttrs(len(pc))}
-	cube, err := warehouse.Build(context.Background(), in, warehouse.DefaultDims(), runtime.GOMAXPROCS(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	target := len(pc) / 2
-	cur := cube.Contract(target)
-	next := &ylt.Table{Name: cur.Name,
-		Agg: make([]float64, benchTrials), OccMax: make([]float64, benchTrials)}
-	for i := range next.Agg {
-		next.Agg[i] = cur.Agg[i] * 1.25
-		next.OccMax[i] = cur.OccMax[i] * 1.25
-	}
-	b.ResetTimer()
-	// Each iteration swaps the live table for the scaled one (or
-	// back), so Replace always sees the registry's current bits.
-	for i := 0; i < b.N; i++ {
-		if _, err := cube.Replace(context.Background(), target, cur, next); err != nil {
-			b.Fatal(err)
-		}
-		cur, next = next, cur
-	}
-}
-
-func BenchmarkE18CubeQuery(b *testing.B) {
-	pc := e18Tables(b)
-	in := &warehouse.Input{Tables: pc, Attrs: warehouse.DefaultAttrs(len(pc))}
-	cube, err := warehouse.Build(context.Background(), in, warehouse.DefaultDims(), runtime.GOMAXPROCS(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	filter := map[string]string{"region": "coastal"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cube.Query(filter); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE18DirectQuery(b *testing.B) {
-	pc := e18Tables(b)
-	in := &warehouse.Input{Tables: pc, Attrs: warehouse.DefaultAttrs(len(pc))}
-	cube, err := warehouse.Build(context.Background(), in, warehouse.DefaultDims(), runtime.GOMAXPROCS(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	filter := map[string]string{"region": "coastal"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cube.RecomputeCell(filter); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

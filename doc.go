@@ -11,6 +11,8 @@
 // examples in examples/. DESIGN.md describes the three-stage pipeline
 // and the pre-joined event-major loss index (internal/lossindex) every
 // aggregate engine shares; EXPERIMENTS.md indexes the experiment
-// reproductions. Root-level benchmarks (bench_test.go) regenerate
-// the headline measurement of every experiment that still runs.
+// reproductions. cmd/benchtables and the root-level benchmarks
+// (bench_test.go) regenerate the paper's own experiments E1–E9; the
+// repo benchmark (go run ./bench, BENCHMARK.json) measures the system
+// end to end and layer by layer.
 package repro

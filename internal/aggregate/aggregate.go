@@ -99,8 +99,8 @@ type Config struct {
 	// Setting a sink implies per-contract result tables. Only the
 	// engines whose batches complete exactly once honor it (Sequential
 	// and Parallel); MapReduce clears it — failed-split retries and
-	// speculative backup mappers replay batches — and the device and
-	// by-contract engines do not produce contract-major batches.
+	// speculative backup mappers replay batches — and the device
+	// engines do not produce contract-major batches.
 	// Consumers of the other engines feed from Result.PerContract
 	// after the run instead.
 	BatchSink func(lo int, agg, occ [][]float64)
@@ -303,10 +303,10 @@ type Result struct {
 
 // ErrUnsupported is returned by an engine asked for a configuration
 // outside its scope, always wrapped with the engine's name and the
-// offending setting: sampling on the by-contract and device engines
-// (the paper's GPU engine [7] likewise ran the expected-loss occurrence
-// pipeline on device), per-contract output on the reinstatements and
-// device engines, annual-aggregate layer terms on the device engines.
+// offending setting: sampling on the device engines (the paper's GPU
+// engine [7] likewise ran the expected-loss occurrence pipeline on
+// device), per-contract output on the reinstatements and device
+// engines, annual-aggregate layer terms on the device engines.
 var ErrUnsupported = errors.New("aggregate: configuration unsupported by engine")
 
 // Engine runs aggregate analysis over an input.

@@ -74,14 +74,6 @@ func TestGoldenCrossEngineSharedIndex(t *testing.T) {
 		}
 		bitIdentical(t, "seq-vs-par agg", seq.Portfolio.Agg, par.Portfolio.Agg)
 		bitIdentical(t, "seq-vs-par occmax", seq.Portfolio.OccMax, par.Portfolio.OccMax)
-		if !sampling {
-			bc, err := ByContract{}.Run(context.Background(), in, Config{Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tablesAlmostEqual(t, "by-contract agg", seq.Portfolio.Agg, bc.Portfolio.Agg, 1e-12)
-			bitIdentical(t, "by-contract occmax", seq.Portfolio.OccMax, bc.Portfolio.OccMax)
-		}
 	}
 
 	// Device engines: occurrence-only book, expected mode.

@@ -29,10 +29,6 @@ func kernelMatrix() []kernelCase {
 		{name: "sequential", engine: func() Engine { return Sequential{} }, sampling: []bool{false, true}},
 		{name: "parallel", engine: func() Engine { return Parallel{} }, sampling: []bool{false, true}},
 		{name: "mapreduce", engine: func() Engine { return MapReduce{SplitTrials: 401} }, sampling: []bool{false, true}},
-		// ByContract refuses sampling mode (draws would interleave by
-		// contract); its exact-OccMax pass reads the kernel's build-time
-		// row sums, so it belongs in the matrix for expected mode.
-		{name: "by-contract", engine: func() Engine { return ByContract{} }, sampling: []bool{false}},
 	}
 }
 

@@ -130,7 +130,7 @@ func (e *Reinstatements) Run(ctx context.Context, in *Input, cfg Config) (*Resul
 	if cfg.PerContract {
 		// The stateful path produces no per-contract tables; refuse
 		// loudly rather than return nil PerContract slots (the same
-		// stance ByContract takes on sampling).
+		// stance the device engines take on sampling).
 		return nil, fmt.Errorf("%w: %s: per-contract output", ErrUnsupported, e.Name())
 	}
 	terms := e.Terms

@@ -30,7 +30,6 @@ func equivMatrix() []equivCase {
 	return []equivCase{
 		{name: "sequential", engine: func() Engine { return Sequential{} }, sampling: []bool{false, true}, perCon: true},
 		{name: "parallel", engine: func() Engine { return Parallel{} }, sampling: []bool{false, true}, perCon: true},
-		{name: "by-contract", engine: func() Engine { return ByContract{} }, sampling: []bool{false}, perCon: true},
 		{name: "mapreduce", engine: func() Engine { return MapReduce{SplitTrials: 643} }, sampling: []bool{false, true}, perCon: true},
 		{name: "device-chunked", engine: func() Engine { return &Chunked{} }, sampling: []bool{false}, occOnly: true},
 		{name: "device-naive", engine: func() Engine { return &Chunked{Naive: true} }, sampling: []bool{false}, occOnly: true},

@@ -17,9 +17,7 @@ import (
 //
 //	Contract[k]          portfolio contract of entry k (per-contract outputs)
 //	LayerOff[k]          first flat layer slot of entry k's contract
-//	Mean[k]              entry k's raw mean loss (the stateful kernels and
-//	                     dense per-contract projections still need the
-//	                     pre-terms loss)
+//	Mean[k]              entry k's raw mean loss, before any terms
 //	ExpOff[k]..ExpOff[k+1]  entry k's frame in ExpRec (one cell per layer)
 //	ExpRec[...]          pre-applied occurrence recovery of the entry's
 //	                     mean loss through each layer (expected mode)
@@ -170,32 +168,6 @@ func (f *Flat) Span(eventID uint32) (lo, hi int32) {
 		return 0, 0
 	}
 	return f.ix.offsets[r], f.ix.offsets[r+1]
-}
-
-// DenseMeansAll returns every contract's dense row → mean-loss
-// vector (out[ci][row]), filled in ONE linear sweep of the packed
-// entry columns, so contract-decomposed engines can project their
-// per-contract loss vectors straight from the flat layout instead of
-// re-scanning each contract's ELT and probing Row per record — and
-// without a per-contract pass over the entries, which would be
-// quadratic in the contract count on the many-contract books the
-// decomposition exists for. Rows where a contract has no (positive)
-// loss stay zero, matching the per-ELT projection exactly; when a
-// contract's table carries duplicate records for an event, the last
-// one wins, as it did in the record scan (entries of a row are packed
-// in contract-then-record order).
-func (f *Flat) DenseMeansAll() [][]float64 {
-	rows := f.ix.NumRows()
-	out := make([][]float64, f.NumContracts())
-	for ci := range out {
-		out[ci] = make([]float64, rows)
-	}
-	for r := 0; r+1 < len(f.ix.offsets); r++ {
-		for k := f.ix.offsets[r]; k < f.ix.offsets[r+1]; k++ {
-			out[f.Contract[k]][r] = f.Mean[k]
-		}
-	}
-	return out
 }
 
 // DeviceVectors returns the per-row portfolio recovery vectors the

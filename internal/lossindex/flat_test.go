@@ -92,37 +92,6 @@ func TestFlatSpanMatchesEntriesFor(t *testing.T) {
 	}
 }
 
-// DenseMeansAll must reproduce the per-ELT projection it replaces:
-// for every contract, scan the contract's records, keep positive
-// means of indexed events, and leave every other row zero.
-func TestFlatDenseMeansAll(t *testing.T) {
-	s, ix, fx := flatScenario(t)
-	all := fx.DenseMeansAll()
-	if len(all) != len(s.Portfolio.Contracts) {
-		t.Fatalf("%d mean vectors for %d contracts", len(all), len(s.Portfolio.Contracts))
-	}
-	for ci, c := range s.Portfolio.Contracts {
-		want := make([]float64, ix.NumRows())
-		for _, r := range s.ELTs[c.ELTIndex].Records {
-			if r.MeanLoss <= 0 {
-				continue
-			}
-			if row := ix.Row(r.EventID); row >= 0 {
-				want[row] = r.MeanLoss
-			}
-		}
-		got := all[ci]
-		if len(got) != len(want) {
-			t.Fatalf("contract %d: %d rows, want %d", ci, len(got), len(want))
-		}
-		for row := range want {
-			if got[row] != want[row] {
-				t.Fatalf("contract %d row %d: %g, want %g", ci, row, got[row], want[row])
-			}
-		}
-	}
-}
-
 func TestFlattenRejectsMismatchedPortfolio(t *testing.T) {
 	s, ix, fx := flatScenario(t)
 	if _, err := Flatten(ix, nil); err == nil {

@@ -35,8 +35,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -232,11 +234,26 @@ func (s *Server) worker() {
 			j.done <- jobResult{err: err}
 			continue
 		}
-		s.stats.inflight.Add(1)
-		q, err := s.q.PriceContract(j.ctx, j.contract, j.trials)
-		s.stats.inflight.Add(-1)
-		j.done <- jobResult{quote: q, err: err}
+		j.done <- s.price(j)
 	}
+}
+
+// price simulates one job. A panic in the quoter unwinds a pool
+// goroutine, not an http.Server handler goroutine, so nothing above
+// would recover it and one bad quote would take the process down: it
+// becomes the job's error instead (the handler answers 500 and counts
+// it as failed) and the worker goes on to the next job.
+func (s *Server) price(j *job) (res jobResult) {
+	s.stats.inflight.Add(1)
+	defer func() {
+		s.stats.inflight.Add(-1)
+		if p := recover(); p != nil {
+			log.Printf("serve: panic pricing contract %d: %v\n%s", j.contract, p, debug.Stack())
+			res = jobResult{err: fmt.Errorf("quote panicked: %v", p)}
+		}
+	}()
+	q, err := s.q.PriceContract(j.ctx, j.contract, j.trials)
+	return jobResult{quote: q, err: err}
 }
 
 type quoteRequest struct {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +27,8 @@ type fakeQuoter struct {
 	// holdGate ignores ctx while gated — the worker stays pinned until
 	// the gate is fed or closed, letting tests sequence deterministically.
 	holdGate bool
+	// panicOnce, when set, makes the first call panic and clears itself.
+	panicOnce atomic.Bool
 }
 
 func (f *fakeQuoter) NumContracts() int { return f.contracts }
@@ -44,6 +47,9 @@ func (f *fakeQuoter) PriceContract(ctx context.Context, contract, trials int) (*
 				return nil, ctx.Err()
 			}
 		}
+	}
+	if f.panicOnce.CompareAndSwap(true, false) {
+		panic("fakeQuoter: first call panics")
 	}
 	if f.err != nil {
 		return nil, f.err
@@ -254,6 +260,27 @@ func TestQuoteEngineError500(t *testing.T) {
 	}
 	if s.stats.failed.Load() != 1 {
 		t.Fatal("failed counter not incremented")
+	}
+}
+
+// A panic inside the quoter is one failed quote, not the end of the
+// process: that request answers 500, the pool's only worker serves the
+// next one, inflight returns to zero, and Drain (in the cleanup) still
+// finds the worker alive to retire.
+func TestQuotePanic500WorkerSurvives(t *testing.T) {
+	fq := &fakeQuoter{contracts: 1}
+	fq.panicOnce.Store(true)
+	s, ts := newTestServer(t, fq, Config{Workers: 1})
+	resp, out := postQuote(t, ts, `{"contract": 0, "trials": 1}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking quote: status = %d, want 500 (%v)", resp.StatusCode, out)
+	}
+	resp, out = postQuote(t, ts, `{"contract": 0, "trials": 1}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("quote after the panic: status = %d, want 200 (%v)", resp.StatusCode, out)
+	}
+	if f, sv, in := s.stats.failed.Load(), s.stats.served.Load(), s.stats.inflight.Load(); f != 1 || sv != 1 || in != 0 {
+		t.Fatalf("failed=%d served=%d inflight=%d, want 1, 1, 0", f, sv, in)
 	}
 }
 

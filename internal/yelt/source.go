@@ -24,8 +24,8 @@ import (
 //
 // Sources must be safe for concurrent ReadTrials calls with distinct
 // buffers — including overlapping or identical ranges, not just
-// disjoint ones: the by-contract engine has every contract worker
-// scan the full trial range concurrently.
+// disjoint ones: MapReduce's speculative backup mappers re-read a
+// split another mapper is still scanning.
 type Source interface {
 	// TrialCount is the total number of trial years the source yields.
 	TrialCount() int
