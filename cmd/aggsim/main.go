@@ -171,8 +171,8 @@ func main() {
 	}
 	if dev != nil {
 		st := dev.LastStats
-		fmt.Printf("device: blocks=%d blockCycles=%d global=%d shared=%d const=%d\n",
-			st.Blocks, st.BlockCycles, st.GlobalAccesses, st.SharedAccesses, st.ConstAccesses)
+		fmt.Printf("device: blocks=%d blockCycles=%d global=%d shared=%d\n",
+			st.Blocks, st.BlockCycles, st.GlobalAccesses, st.SharedAccesses)
 	}
 	sum, err := metrics.Summarize(res.Portfolio)
 	if err != nil {

@@ -317,7 +317,7 @@ func e4Chunking(ctx context.Context) error {
 	if *flagQuick {
 		trials = 10_000
 	}
-	fmt.Printf("## E4 — shared/constant-memory chunking ablation (modeled device cycles, %d trials)\n", trials)
+	fmt.Printf("## E4 — shared-memory chunking ablation: ELT chunks staged per block (modeled device cycles, %d trials)\n", trials)
 	s, err := scenario(ctx, trials, true)
 	if err != nil {
 		return err

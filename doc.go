@@ -5,7 +5,7 @@
 // together with the data-management substrates the paper discusses
 // (in-memory columnar analytics, distributed-file MapReduce, a
 // traditional-RDBMS baseline, a simulated many-core device with
-// shared/constant-memory chunking, and an elastic cluster model).
+// shared-memory chunking, and an elastic cluster model).
 //
 // The public API lives in repro/risk; runnable tools in cmd/; worked
 // examples in examples/. DESIGN.md describes the three-stage pipeline

@@ -90,7 +90,6 @@ type Event struct {
 type Catalog struct {
 	Events    []Event
 	totalRate float64
-	byPeril   [numPerils]int
 	index     map[uint32]int
 }
 
@@ -203,9 +202,6 @@ func NewCatalog(events []Event) *Catalog {
 	c := &Catalog{Events: events, index: make(map[uint32]int, len(events))}
 	for i, ev := range events {
 		c.totalRate += ev.AnnualRate
-		if int(ev.Peril) < NumPerils {
-			c.byPeril[ev.Peril]++
-		}
 		c.index[ev.ID] = i
 	}
 	return c
@@ -217,14 +213,6 @@ func (c *Catalog) Len() int { return len(c.Events) }
 // TotalRate returns the summed annual occurrence rate — the expected
 // number of catastrophes per contractual year across the catalogue.
 func (c *Catalog) TotalRate() float64 { return c.totalRate }
-
-// CountByPeril returns how many events carry the given peril.
-func (c *Catalog) CountByPeril(p Peril) int {
-	if int(p) >= NumPerils {
-		return 0
-	}
-	return c.byPeril[p]
-}
 
 // Lookup returns the event with the given ID.
 func (c *Catalog) Lookup(id uint32) (Event, bool) {

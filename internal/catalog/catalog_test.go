@@ -59,9 +59,12 @@ func TestGeneratePerilMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	counts := make([]int, NumPerils)
+	for _, ev := range c.Events {
+		counts[ev.Peril]++
+	}
 	total := 0
-	for p := 0; p < NumPerils; p++ {
-		n := c.CountByPeril(Peril(p))
+	for p, n := range counts {
 		total += n
 		want := cfg.PerilMix[p] * float64(cfg.NumEvents)
 		if math.Abs(float64(n)-want) > 5*math.Sqrt(want) {
@@ -70,9 +73,6 @@ func TestGeneratePerilMix(t *testing.T) {
 	}
 	if total != cfg.NumEvents {
 		t.Fatalf("peril counts sum to %d, want %d", total, cfg.NumEvents)
-	}
-	if c.CountByPeril(Peril(200)) != 0 {
-		t.Error("unknown peril should count 0")
 	}
 }
 
@@ -171,9 +171,6 @@ func TestNewCatalogIndexes(t *testing.T) {
 	c := NewCatalog(events)
 	if c.TotalRate() != 0.75 {
 		t.Fatalf("TotalRate = %v", c.TotalRate())
-	}
-	if c.CountByPeril(Earthquake) != 1 || c.CountByPeril(Flood) != 1 {
-		t.Fatal("per-peril counts wrong")
 	}
 	if ev, ok := c.Lookup(9); !ok || ev.Peril != Flood {
 		t.Fatal("lookup failed")

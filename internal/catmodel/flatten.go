@@ -44,7 +44,9 @@ func standardTerms(in exposure.Interest) financial.Terms {
 // Flatten lays db out as a Book; termsFor nil applies standard terms
 // by occupancy. It is where a database is checked: an interest that
 // names a location or a construction class that does not exist is an
-// error here, not an index out of range in a kernel.
+// error here, not an index out of range in a kernel, and so are policy
+// terms that fail financial.Terms.Validate, which would otherwise scale
+// every loss of the interest silently.
 func Flatten(db *exposure.Database, termsFor func(exposure.Interest) financial.Terms) (*Book, error) {
 	if termsFor == nil {
 		termsFor = standardTerms
@@ -76,6 +78,9 @@ func Flatten(db *exposure.Database, termsFor func(exposure.Interest) financial.T
 		b.Value[i] = in.Value
 		b.Construction[i] = in.Construction
 		b.Terms[i] = termsFor(in)
+		if err := b.Terms[i].Validate(); err != nil {
+			return nil, fmt.Errorf("catmodel: interest %d: %w", i, err)
+		}
 		b.start[l+1]++
 	}
 	for l := 0; l < nLoc; l++ {

@@ -2,6 +2,7 @@ package catmodel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -202,5 +203,35 @@ func TestRunRejectsDanglingInterest(t *testing.T) {
 		if _, err := New().RunPortfolio(context.Background(), cat, []*exposure.Database{db, bad}); err == nil || !strings.Contains(err.Error(), "contract 2") {
 			t.Fatalf("%s: RunPortfolio should name the contract, got %v", name, err)
 		}
+	}
+}
+
+// Policy terms come from a caller's callback; ones that fail
+// financial.Terms.Validate are an error naming the interest at build
+// time, not a silent scaling of every loss the interest takes.
+func TestFlattenRejectsInvalidTerms(t *testing.T) {
+	_, db := smallWorld(t, 10, 10, 6)
+	nan := math.NaN()
+	for name, bad := range map[string]financial.Terms{
+		"negative deductible": {Deductible: -1},
+		"share above one":     {Share: 1.5},
+		"NaN deductible":      {Deductible: nan},
+		"NaN limit":           {Limit: nan},
+		"NaN share":           {Share: nan},
+		"infinite limit":      {Limit: math.Inf(1)},
+	} {
+		calls := 0
+		_, err := Flatten(db, func(in exposure.Interest) financial.Terms {
+			if calls++; calls == 5 {
+				return bad
+			}
+			return standardTerms(in)
+		})
+		if !errors.Is(err, financial.ErrInvalidTerms) || !strings.Contains(err.Error(), "interest 4") {
+			t.Fatalf("%s: want ErrInvalidTerms naming interest 4, got %v", name, err)
+		}
+	}
+	if _, err := Flatten(db, nil); err != nil {
+		t.Fatalf("standard terms: %v", err)
 	}
 }

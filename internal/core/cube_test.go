@@ -23,7 +23,7 @@ func TestPipelineCubeStage(t *testing.T) {
 		cfg.Engine = eng
 		cfg.Streaming = streaming
 		cfg.Sampling = true
-		cfg.CubeDims = warehouse.DefaultDims()
+		cfg.CubeDims = []string{"region", "lob"}
 		p := New(cfg)
 		if _, err := p.Run(context.Background()); err != nil {
 			t.Fatal(err)
@@ -129,7 +129,7 @@ func splitList(s string, sep byte) []string {
 func TestPipelineCubeRejectsEngineWithoutPerContract(t *testing.T) {
 	cfg := smallConfig(5)
 	cfg.Engine = &aggregate.Reinstatements{}
-	cfg.CubeDims = warehouse.DefaultDims()
+	cfg.CubeDims = []string{"region", "lob"}
 	p := New(cfg)
 	_, err := p.Run(context.Background())
 	if !errors.Is(err, aggregate.ErrUnsupported) {

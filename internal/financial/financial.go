@@ -8,6 +8,7 @@ package financial
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrInvalidTerms is returned by Validate for inconsistent terms.
@@ -24,8 +25,17 @@ type Terms struct {
 	Share float64
 }
 
-// Validate reports whether the terms are internally consistent.
+// Validate reports whether the terms are internally consistent: every
+// field finite, deductible and limit non-negative, share in [0, 1].
 func (t Terms) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"deductible", t.Deductible}, {"limit", t.Limit}, {"share", t.Share}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%w: %s %g is not finite", ErrInvalidTerms, f.name, f.v)
+		}
+	}
 	if t.Deductible < 0 {
 		return fmt.Errorf("%w: negative deductible %g", ErrInvalidTerms, t.Deductible)
 	}

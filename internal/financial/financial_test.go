@@ -87,7 +87,8 @@ func TestValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = %v", g, err)
 		}
 	}
-	bad := []Terms{{Deductible: -1}, {Limit: -5}, {Share: 1.5}, {Share: -0.1}}
+	bad := []Terms{{Deductible: -1}, {Limit: -5}, {Share: 1.5}, {Share: -0.1},
+		{Deductible: math.NaN()}, {Limit: math.NaN()}, {Share: math.NaN()}, {Limit: math.Inf(1)}}
 	for _, b := range bad {
 		if err := b.Validate(); !errors.Is(err, ErrInvalidTerms) {
 			t.Errorf("Validate(%+v) = %v, want ErrInvalidTerms", b, err)

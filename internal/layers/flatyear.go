@@ -168,10 +168,3 @@ func (fy *FlatYearStates) Remaining(fl int32) float64 { return fy.Available[fl] 
 func (fy *FlatYearStates) CloseYear(fl int32, sum float64) float64 {
 	return fy.terms.ApplyAggregate(fl, sum)
 }
-
-// SizeBytes returns the in-memory footprint of the state columns
-// (template plus live).
-func (fy *FlatYearStates) SizeBytes() int64 {
-	return int64(len(fy.avail0)+len(fy.reinst0)+len(fy.premBase)+
-		len(fy.Available)+len(fy.ReinstBal)) * 8
-}

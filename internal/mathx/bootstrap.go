@@ -29,21 +29,3 @@ func BootstrapCI(xs []float64, level float64, resamples int, next func() uint64,
 	alpha := (1 - level) / 2
 	return QuantileSorted(reps, alpha), QuantileSorted(reps, 1-alpha), nil
 }
-
-// StandardError returns the bootstrap standard error of a statistic,
-// using the same injected randomness convention as BootstrapCI.
-func StandardError(xs []float64, resamples int, next func() uint64, stat func([]float64) float64) (float64, error) {
-	n := len(xs)
-	if n == 0 {
-		return 0, ErrEmpty
-	}
-	reps := make([]float64, resamples)
-	buf := make([]float64, n)
-	for r := 0; r < resamples; r++ {
-		for i := range buf {
-			buf[i] = xs[int(next()%uint64(n))]
-		}
-		reps[r] = stat(buf)
-	}
-	return StdDev(reps), nil
-}

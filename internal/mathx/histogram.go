@@ -87,120 +87,3 @@ func (h *Histogram) String() string {
 	}
 	return b.String()
 }
-
-// P2Quantile is the P² (Jain & Chlamtac) streaming quantile estimator.
-// It maintains five markers and estimates a single quantile in O(1)
-// space, which lets the pipeline report tail statistics on YELT-scale
-// streams without materializing them (the paper's stage-2 data sets do
-// not fit in memory at full scale).
-type P2Quantile struct {
-	p       float64
-	n       int
-	q       [5]float64 // marker heights
-	pos     [5]float64 // marker positions (1-based)
-	desired [5]float64
-	incr    [5]float64
-	init    []float64
-}
-
-// NewP2Quantile returns a streaming estimator for the p-quantile.
-func NewP2Quantile(p float64) *P2Quantile {
-	e := &P2Quantile{p: Clamp(p, 0, 1)}
-	e.incr = [5]float64{0, e.p / 2, e.p, (1 + e.p) / 2, 1}
-	return e
-}
-
-// Add feeds one observation into the estimator.
-func (e *P2Quantile) Add(x float64) {
-	if e.n < 5 {
-		e.init = append(e.init, x)
-		e.n++
-		if e.n == 5 {
-			insertionSort(e.init)
-			for i := 0; i < 5; i++ {
-				e.q[i] = e.init[i]
-				e.pos[i] = float64(i + 1)
-			}
-			e.desired = [5]float64{1, 1 + 2*e.p, 1 + 4*e.p, 3 + 2*e.p, 5}
-			e.init = nil
-		}
-		return
-	}
-	e.n++
-
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 4; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		e.desired[i] += e.incr[i]
-	}
-
-	for i := 1; i <= 3; i++ {
-		d := e.desired[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1.0
-			}
-			qn := e.parabolic(i, s)
-			if e.q[i-1] < qn && qn < e.q[i+1] {
-				e.q[i] = qn
-			} else {
-				e.q[i] = e.linear(i, s)
-			}
-			e.pos[i] += s
-		}
-	}
-}
-
-func (e *P2Quantile) parabolic(i int, s float64) float64 {
-	return e.q[i] + s/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+s)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-s)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-func (e *P2Quantile) linear(i int, s float64) float64 {
-	j := i + int(s)
-	return e.q[i] + s*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
-}
-
-// Value returns the current quantile estimate. Before five samples
-// have been seen it falls back to the exact small-sample quantile.
-func (e *P2Quantile) Value() float64 {
-	if e.n == 0 {
-		return 0
-	}
-	if e.n < 5 {
-		tmp := make([]float64, len(e.init))
-		copy(tmp, e.init)
-		insertionSort(tmp)
-		return QuantileSorted(tmp, e.p)
-	}
-	return e.q[2]
-}
-
-// Count returns the number of observations seen so far.
-func (e *P2Quantile) Count() int { return e.n }
-
-func insertionSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}

@@ -102,29 +102,6 @@ func Skewness(xs []float64) float64 {
 	return math.Sqrt(n*(n-1)) / (n - 2) * g1
 }
 
-// Kurtosis returns the sample excess kurtosis (normal = 0).
-// It returns 0 when len(xs) < 4 or the variance is 0.
-func Kurtosis(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 4 {
-		return 0
-	}
-	m := Mean(xs)
-	var m2, m4 float64
-	for _, x := range xs {
-		d := x - m
-		d2 := d * d
-		m2 += d2
-		m4 += d2 * d2
-	}
-	m2 /= n
-	m4 /= n
-	if m2 == 0 {
-		return 0
-	}
-	return m4/(m2*m2) - 3
-}
-
 // Covariance returns the unbiased sample covariance of xs and ys,
 // which must be the same length. It returns 0 when len(xs) < 2.
 func Covariance(xs, ys []float64) float64 {
@@ -187,9 +164,6 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	return sorted[i] + frac*(sorted[i+1]-sorted[i])
 }
 
-// Median returns the median of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
 // Clamp limits x to the closed interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -200,6 +174,3 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 { return a + t*(b-a) }

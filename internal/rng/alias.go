@@ -82,6 +82,3 @@ func (a *Alias) Draw(st *Stream) int {
 	}
 	return int(a.alias[i])
 }
-
-// Len returns the number of categories.
-func (a *Alias) Len() int { return len(a.prob) }

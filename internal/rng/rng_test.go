@@ -447,9 +447,6 @@ func TestAliasMatchesWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 4 {
-		t.Fatalf("Len = %d", a.Len())
-	}
 	s := New(2020)
 	counts := make([]int, 4)
 	const n = 400000

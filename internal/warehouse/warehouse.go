@@ -401,10 +401,6 @@ func (c *Cube) Keys() []string {
 	return keys
 }
 
-// DefaultDims is the dimension set the pipeline uses when the caller
-// asks for a cube without naming dimensions.
-func DefaultDims() []string { return []string{"region", "lob"} }
-
 var (
 	defaultRegions = []string{"coastal", "interior", "lakes", "alpine"}
 	defaultLobs    = []string{"property", "marine", "energy"}

@@ -114,8 +114,8 @@ func (g *Generator) Streamed() int64 { return g.streamed.Load() }
 // appendTrial re-derives one trial year and appends its occurrences,
 // sorted by (day, event). This is the single per-trial kernel shared
 // by Generate and ReadTrials; the draw order (Poisson count, then per
-// occurrence an alias draw, a uniform day, and — in seasonal mode — the
-// seasonal redraw) is the determinism contract and must not change.
+// occurrence an alias draw and a uniform day) is the determinism
+// contract and must not change.
 func (g *Generator) appendTrial(trial int, occs []Occurrence) []Occurrence {
 	st := rng.NewStream(g.seed, uint64(trial))
 	k := st.Poisson(g.totalRate)
@@ -123,9 +123,6 @@ func (g *Generator) appendTrial(trial int, occs []Occurrence) []Occurrence {
 	for j := 0; j < k; j++ {
 		ev := g.events[g.alias.Draw(st)]
 		day := uint16(st.Intn(365))
-		if g.cfg.Seasonal {
-			day = seasonalDay(st, ev.Peril)
-		}
 		occs = append(occs, Occurrence{EventID: ev.ID, DayOfYear: day})
 	}
 	year := occs[start:]
@@ -174,7 +171,7 @@ func (g *Generator) Materialize(ctx context.Context) (*Table, error) {
 // Extend returns a new table holding prev's trials followed by trials
 // [prev.NumTrials, TrialCount()), generated in parallel trial blocks.
 // prev (nil means empty) must come from a generator with the same
-// catalogue, seed and Seasonal setting; per-trial substreams then make
+// catalogue and seed; per-trial substreams then make
 // the result exactly the table Materialize would build. prev is copied,
 // never written, so its readers are undisturbed. ctx cancels generation
 // between trial blocks.

@@ -52,27 +52,25 @@ func tablesEqual(t *testing.T, name string, want, got *Table) {
 
 // The streaming Generator must re-derive exactly the trials Generate
 // materializes — for every batch partition, including sizes that do
-// not divide the trial count — in both uniform and seasonal modes.
+// not divide the trial count.
 // This is the foundation of the stage-2 streaming equivalence.
 func TestGeneratorMatchesGenerate(t *testing.T) {
 	cat := testCatalog(t, 300)
-	for _, seasonal := range []bool{false, true} {
-		cfg := Config{NumTrials: 500, Seasonal: seasonal}
-		want, err := Generate(context.Background(), cat, cfg, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := NewGenerator(cat, cfg, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.TrialCount() != 500 {
-			t.Fatalf("TrialCount = %d", g.TrialCount())
-		}
-		for _, batch := range []int{1, 3, 97, 500, 1000} {
-			got := assembleViaSource(t, g, batch)
-			tablesEqual(t, "generator batch", want, got)
-		}
+	cfg := Config{NumTrials: 500}
+	want, err := Generate(context.Background(), cat, cfg, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenerator(cat, cfg, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.TrialCount() != 500 {
+		t.Fatalf("TrialCount = %d", g.TrialCount())
+	}
+	for _, batch := range []int{1, 3, 97, 500, 1000} {
+		got := assembleViaSource(t, g, batch)
+		tablesEqual(t, "generator batch", want, got)
 	}
 }
 
@@ -178,44 +176,42 @@ func TestGenerateHonorsCancellation(t *testing.T) {
 
 // Extend must grow a table into exactly the table generated at the
 // longer length — through any chain of intermediate lengths and worker
-// counts, in both day modes — without writing to the table it grew
-// from, and must refuse to shrink.
+// counts — without writing to the table it grew from, and must refuse
+// to shrink.
 func TestExtendMatchesGenerate(t *testing.T) {
 	cat := testCatalog(t, 300)
 	ctx := context.Background()
-	for _, seasonal := range []bool{false, true} {
-		var tbl, prev *Table
-		for i, n := range []int{1, 64, 64, 333, 500} {
-			g, err := NewGenerator(cat, Config{NumTrials: n, Workers: i + 1, Seasonal: seasonal}, 11)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var snapshot *Table
-			if tbl != nil {
-				snapshot = &Table{NumTrials: tbl.NumTrials, Offsets: slices.Clone(tbl.Offsets), Occs: slices.Clone(tbl.Occs)}
-			}
-			prev, tbl = tbl, nil
-			if tbl, err = g.Extend(ctx, prev); err != nil {
-				t.Fatal(err)
-			}
-			want, err := Generate(ctx, cat, Config{NumTrials: n, Seasonal: seasonal}, 11)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tablesEqual(t, "extended table", want, tbl)
-			if prev != nil {
-				tablesEqual(t, "table extended from", snapshot, prev)
-				if &prev.Offsets[0] == &tbl.Offsets[0] {
-					t.Fatal("Extend returned storage shared with the table it grew from")
-				}
-			}
-		}
-		g, err := NewGenerator(cat, Config{NumTrials: 499, Seasonal: seasonal}, 11)
+	var tbl, prev *Table
+	for i, n := range []int{1, 64, 64, 333, 500} {
+		g, err := NewGenerator(cat, Config{NumTrials: n, Workers: i + 1}, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.Extend(ctx, tbl); err == nil {
-			t.Fatal("extending 500 trials to 499 should error")
+		var snapshot *Table
+		if tbl != nil {
+			snapshot = &Table{NumTrials: tbl.NumTrials, Offsets: slices.Clone(tbl.Offsets), Occs: slices.Clone(tbl.Occs)}
 		}
+		prev, tbl = tbl, nil
+		if tbl, err = g.Extend(ctx, prev); err != nil {
+			t.Fatal(err)
+		}
+		want, err := Generate(ctx, cat, Config{NumTrials: n}, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tablesEqual(t, "extended table", want, tbl)
+		if prev != nil {
+			tablesEqual(t, "table extended from", snapshot, prev)
+			if &prev.Offsets[0] == &tbl.Offsets[0] {
+				t.Fatal("Extend returned storage shared with the table it grew from")
+			}
+		}
+	}
+	g, err := NewGenerator(cat, Config{NumTrials: 499}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Extend(ctx, tbl); err == nil {
+		t.Fatal("extending 500 trials to 499 should error")
 	}
 }

@@ -48,14 +48,6 @@ func (t *Table) OccurrencesOf(trial int) []Occurrence {
 // Len returns the total number of occurrences across all trials.
 func (t *Table) Len() int { return len(t.Occs) }
 
-// MeanOccurrences returns the average number of events per trial year.
-func (t *Table) MeanOccurrences() float64 {
-	if t.NumTrials == 0 {
-		return 0
-	}
-	return float64(len(t.Occs)) / float64(t.NumTrials)
-}
-
 // EntryBytes is the in-memory/encoded footprint of one occurrence
 // (u32 event + u16 day, padded to 8 in memory; 6 encoded).
 const EntryBytes = 6
@@ -87,11 +79,6 @@ type Config struct {
 	// Workers parallelizes generation across trial blocks; <= 0 means
 	// GOMAXPROCS. Generation is deterministic regardless of Workers.
 	Workers int
-	// Seasonal draws occurrence days from peril-specific seasonal
-	// windows (hurricane season, winter-storm season, tornado spring)
-	// instead of uniformly. Occurrence ordering within the year — what
-	// reinstatement erosion depends on — then reflects real clustering.
-	Seasonal bool
 }
 
 // errEmptyCatalog rejects generation against a catalogue with no

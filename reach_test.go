@@ -1,0 +1,486 @@
+// The seed-sweep guard: nothing exported under internal/ that no
+// program reaches. The scan type-checks every package's non-test files
+// (stdlib only: go/parser + go/types, packages from `go list`), builds a
+// graph from each top-level declaration to the declarations it mentions,
+// and walks it from every main package.
+package repro_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// keptUnreached is the only place an unreached export may live on: one
+// row per top-level identifier or method (an unreached type's row
+// covers its methods), each with the reason it stays. A row whose
+// identifier is gone, or is reached by a program after all, fails the
+// test, so the table can only shrink.
+//
+// The rows marked "to delete" are dead code that outlived PR 21 only
+// because a PR may retire no more than a few of the tests that existed
+// before it; each names the tests that go with it. The others are
+// fixtures, probes and oracles that surviving tests are written against.
+var keptUnreached = []struct{ name, reason string }{
+	// Kept on purpose.
+	{"aggregate.KernelBlocked", "pinned by bench/replica.go's Config literal until ROADMAP item 4(b) retires the replica"},
+	{"mathx.BootstrapCI", "ROADMAP item 5(a) names it for the sampling-error report"},
+	{"elt.Read", "the only reader, and the fuzz target, of the format `cmd/catmodel -out` writes"},
+	{"elt.ErrBadFormat", "what elt.Read wraps when it refuses a file"},
+	{"catmodel.(*Engine).RunPortfolio", "TestGoldenELTDigest pins stage 1 through it; also TestRunPortfolioAssignsContractIDs, TestRunRejectsDanglingInterest"},
+	{"rng.New", "the seed-only stream every package's tests draw fixtures from"},
+	{"rng.(*Stream).Pareto", "loss fixture of TestGoldenSummaryDigest, TestGoldenDFADigest and the metrics, dfa and warehouse tests; body pinned with the goldens"},
+	{"rng.(*Stream).Exponential", "loss fixture of TestGoldenDFADigest's custom source; body pinned with the golden"},
+	{"synth.Small", "the scenario of the integration tests and of internal/aggregate's and internal/lossindex's tests"},
+	{"layers.YearState", "the naive reinstatement oracle of internal/layers' and internal/aggregate's tests and of FuzzYearState"},
+	{"layers.Layer.NewYearState", "constructor of that oracle"},
+	{"diskstore.(*Store).Remove", "fault fixture: lost partition, in the diskstore, yelt, core and integration tests"},
+	{"diskstore.(*Store).RemoveAt", "fault fixture: lost replica"},
+	{"diskstore.(*Store).Corrupt", "fault fixture: bit rot in a partition"},
+	{"diskstore.(*Store).CorruptAt", "fault fixture: bit rot in one replica"},
+
+	// Probes and references surviving tests assert through.
+	{"aggregate.UnlimitedReinstatements", "builds the all-unlimited regime in eight reinstatement tests of internal/aggregate"},
+	{"faultinject.(*Plan).Injected", "the injected-fault count the fault tests of aggregate, mapreduce, yelt and faultinject assert on"},
+	{"lossindex.(*Index).Entries", "per-row reference of TestFlattenColumnsMatchEntries and aggregate's legacyVectors"},
+	{"lossindex.(*Index).EntriesFor", "per-event reference of the lossindex tests and aggregate's naiveReinstatements oracle"},
+	{"lossindex.(*Index).EventAt", "TestRowTableShape reads the row table through it"},
+	{"lossindex.(*Flat).NumEntries", "TestFlattenColumnsMatchEntries compares it with the index"},
+	{"layers.(*FlatYearStates).Exhausted", "TestFlatYearStatesDifferentialProperty compares it with the YearState oracle"},
+	{"layers.(*FlatYearStates).Remaining", "same differential test"},
+	{"layers.(*FlatYearStates).Terms", "same differential test reads the limits through it"},
+	{"gpusim.(*BlockCtx).Shared", "probe of TestSharedMemoryIsolationBetweenBlocks"},
+	{"gpusim.(*BlockCtx).StoreShared", "probe of TestSharedMemoryIsolationBetweenBlocks"},
+	{"vulnerability.Curve.MDR", "the damage curve the vulnerability tests check the prepared moments against"},
+	{"vulnerability.(*Matrix).Curve", "same tests look a class's curve up through it"},
+	{"vulnerability.(*Matrix).MeanDamage", "same tests: fragility ordering and monotonicity"},
+	{"yelt.Spill", "one-call spill used by thirteen disk-source tests"},
+	{"yelt.(*DiskSource).FailoverLog", "the replica tests assert which shard failed over through it"},
+	{"warehouse.(*Builder).NumTrials", "probe of internal/core's cube and handoff tests"},
+	{"warehouse.(*Builder).Cells", "probe of TestReplaceMatchesRebuild and TestPipelineCubeStage"},
+	{"warehouse.(*Cube).NumContracts", "probe of TestPipelineCubeStage"},
+	{"warehouse.(*Cube).Keys", "requireCubesIdentical walks two cubes through it"},
+	{"memstore.(*Arena).Used", "TestArenaBudgetEnforced asserts the budget through it"},
+	{"memstore.(*Arena).Budget", "same test"},
+	{"memstore.(*Table).Rows", "row count asserted by four memstore tests"},
+	{"memstore.(*Table).NumChunks", "chunking asserted by TestAppendAndScan and TestArenaBudgetEnforced"},
+	{"rdbms.(*Table).Len", "row count asserted by the B-tree tests"},
+	{"rdbms.(*Table).Height", "TestPageAccounting: page reads = lookups × height"},
+	{"metrics.PML", "reference of TestGoldenSummaryDigest, TestViewMatchesNaiveOracle and TestNewViewSorted"},
+	{"metrics.(*EPCurve).Trials", "read by the golden digest and the naive oracle"},
+	{"catalog.(*Catalog).Lookup", "TestLookup, and the probe of TestNewCatalogIndexes and TestPostEventConsistentWithELT"},
+
+	// To delete, each with the tests that go with it.
+	{"synth.Default", "to delete with TestDefaultParamsReasonable: every command sizes its scenario from flags"},
+	{"rng.(*Stream).Split", "to delete with TestSplitDoesNotDisturbParent, TestSplitChildrenDiffer"},
+	{"rng.(*Stream).Bernoulli", "to delete with TestBernoulliRate"},
+	{"rng.(*Stream).NegBinomial", "to delete with TestNegBinomialMoments"},
+	{"rng.(*Stream).Jump", "to delete with TestJumpProducesDisjointStream"},
+	{"rng.(*Stream).Perm", "to delete with TestPermIsPermutation"},
+	{"rng.(*Stream).Shuffle", "to delete with TestShuffleKeepsMultiset; catmodel's oracle_test inlines the three lines"},
+	{"elt.Merge", "to delete with TestMergeCommutativeProperty, TestMergePreservesTotalMean, BenchmarkMerge"},
+	{"elt.(*Table).Truncate", "to delete with TestTruncate"},
+	{"stream.Pipeline", "to delete with the four TestPipeline* tests"},
+	{"stream.NewPipeline", "to delete with the four TestPipeline* tests"},
+	{"stream.ErrPipelineClosed", "to delete with TestPipelineSubmitAfterClose"},
+	{"stream.Progress", "to delete with TestProgress"},
+	{"stream.NewProgress", "to delete with TestProgress"},
+	{"catalog.Read", "to delete, with (*Catalog).WriteTo, with catalog's three TestCodec* tests: nothing writes or reads the format"},
+	{"catalog.ErrBadFormat", "to delete with the same codec tests"},
+	{"catalog.(*Catalog).SizeBytes", "to delete with the same codec tests"},
+	{"ylt.Read", "to delete, with (*Table).WriteTo, with TestCodecRoundTrip, TestCodecAggOnly, TestReadRejectsGarbage: nothing writes or reads the format"},
+	{"ylt.ErrBadFormat", "to delete with the same codec tests"},
+	{"ylt.(*Table).Scale", "to delete with TestScale; dfa_test inlines the loop"},
+	{"ylt.CombineAggOnly", "to delete with TestCombineAggOnlyOptIn"},
+	{"mathx.Histogram", "to delete with the three TestHistogram* tests; ROADMAP item 4(a) brings its own"},
+	{"mathx.NewHistogram", "to delete with the three TestHistogram* tests"},
+	{"mathx.Identity", "to delete with TestIdentityMulVec; dfa_test inlines it"},
+	{"mathx.(*Matrix).MulVec", "to delete with TestIdentityMulVec, TestLowerMulVecMatchesMulVec"},
+	{"mathx.NormalCDF", "to delete with TestNormalCDFQuantileShifted"},
+	{"mathx.NormalQuantile", "to delete with TestNormalCDFQuantileShifted"},
+	{"mathx.StdNormalPDF", "to delete with TestStdNormalPDF"},
+	{"mathx.MinMax", "to delete with TestMinMax"},
+	{"mathx.Skewness", "to delete with TestSkewnessSign"},
+	{"mathx.Covariance", "to delete with TestCovariancePropertyBilinear"},
+	{"mathx.Correlation", "to delete with TestCorrelationPerfect; dfa_test inlines it"},
+	{"vulnerability.(*Matrix).SampleDamage", "to delete with TestSampleDamageDistribution, TestSampleDamageZeroIntensity"},
+	{"metrics.ReturnPeriodCI", "to delete with ci.go, the four TestReturnPeriodCI* tests and BenchmarkReturnPeriodCI"},
+	{"metrics.TVaRCI", "to delete with ci.go and TestTVaRCI"},
+	{"metrics.CI", "to delete with ci.go: the result type of the two functions above"},
+	{"metrics.HillTailIndex", "to delete with tail.go, TestHillRecoversAlpha, TestHillValidation"},
+	{"metrics.(*EPCurve).ExtrapolatedLossAtReturnPeriod", "to delete with tail.go and the three TestExtrapolation* tests"},
+	{"metrics.ErrTailDegenerate", "to delete with tail.go and TestHillValidation"},
+	{"metrics.WriteEPCurveCSV", "to delete with TestWriteEPCurveCSV"},
+	{"metrics.(*EPCurve).ExceedanceProb", "to delete with TestExceedanceProb, TestExceedanceInverseProperty"},
+	{"memstore.(*Table).ScanParallel", "to delete with TestScanParallelMatchesSequential, BenchmarkScanParallel"},
+	{"memstore.(*Table).Float64Col", "to delete with TestColumnLookup"},
+	{"memstore.(*Table).Uint32Col", "to delete with TestColumnLookup"},
+	{"rdbms.BulkLoad", "to delete with bulkload.go, the five TestBulkLoad* tests and BenchmarkBulkLoadVsInserts"},
+	{"rdbms.ErrUnsorted", "to delete with bulkload.go and TestBulkLoadRejectsUnsorted"},
+	{"rdbms.(*Table).ScanRange", "to delete with TestScanRange"},
+}
+
+func TestNoUnreachedExports(t *testing.T) {
+	s := loadReachScan(t)
+	live := s.walk()
+
+	kept := map[types.Object]bool{}
+	for _, row := range keptUnreached {
+		obj := s.named[row.name]
+		switch {
+		case row.reason == "":
+			t.Errorf("allowlist row %s has no reason", row.name)
+		case obj == nil:
+			t.Errorf("stale allowlist row %s: no such identifier under internal/", row.name)
+		case live[obj]:
+			t.Errorf("stale allowlist row %s: a program reaches it now, delete the row", row.name)
+		case kept[obj]:
+			t.Errorf("allowlist row %s appears twice", row.name)
+		default:
+			kept[obj] = true
+		}
+	}
+
+	for _, d := range s.decls {
+		if live[d.obj] || kept[d.obj] || !d.internal || !d.obj.Exported() {
+			continue
+		}
+		if recv := receiverType(d.obj); recv != nil && (kept[recv] || !recv.Exported()) {
+			continue
+		}
+		t.Errorf("%s %s: exported, but no non-test file reaches it from a main package", objName(d.obj), s.pos(d.obj))
+	}
+
+	for _, p := range s.pkgs {
+		if strings.Contains(p.ImportPath, "/internal/") && !s.imported[p.ImportPath] {
+			t.Errorf("%s: no non-test file imports this package", p.ImportPath)
+		}
+	}
+}
+
+// listedPkg is the part of `go list -json` the scan reads.
+type listedPkg struct {
+	ImportPath string
+	Name       string
+	Dir        string
+	GoFiles    []string
+	Imports    []string
+}
+
+// reachDecl is one node of the graph: a package-level object or a
+// method, with the objects its declaration mentions.
+type reachDecl struct {
+	obj      types.Object
+	uses     []types.Object
+	root     bool // main.main, init, and `var _ =` declarations
+	internal bool
+}
+
+type reachScan struct {
+	fset     *token.FileSet
+	root     string
+	pkgs     []*listedPkg
+	imported map[string]bool
+	decls    []*reachDecl
+	byObj    map[types.Object]*reachDecl
+	named    map[string]types.Object // under internal/ only, keyed by objName
+	ifaces   []*types.Interface
+}
+
+func loadReachScan(t *testing.T) *reachScan {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-json=ImportPath,Name,Dir,GoFiles,Imports", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	s := &reachScan{
+		fset:     token.NewFileSet(),
+		imported: map[string]bool{},
+		byObj:    map[types.Object]*reachDecl{},
+		named:    map[string]types.Object{},
+	}
+	if s.root, err = filepath.Abs("."); err != nil {
+		t.Fatal(err)
+	}
+	byPath := map[string]*listedPkg{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listedPkg)
+		if err := dec.Decode(p); err != nil {
+			t.Fatalf("go list output: %v", err)
+		}
+		s.pkgs = append(s.pkgs, p)
+		byPath[p.ImportPath] = p
+		for _, imp := range p.Imports {
+			s.imported[imp] = true
+		}
+	}
+
+	// The source importer type-checks the standard library from GOROOT;
+	// with cgo on it would shell out to the C toolchain for package net.
+	cgo := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false
+	defer func() { build.Default.CgoEnabled = cgo }()
+
+	imp := &repoImporter{
+		s:      s,
+		byPath: byPath,
+		std:    importer.ForCompiler(s.fset, "source", nil),
+		done:   map[string]*types.Package{},
+	}
+	for _, p := range s.pkgs {
+		if _, err := imp.Import(p.ImportPath); err != nil {
+			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+		}
+	}
+	// Interfaces the standard library declares count too: a WriteTo is
+	// reached through io.WriterTo, a String through fmt.Stringer.
+	seen := map[*types.Package]bool{}
+	for _, tp := range imp.done {
+		s.collectNamedIfaces(tp, seen)
+	}
+	s.ifaces = append(s.ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	return s
+}
+
+// repoImporter hands the checker this module's packages as the scan
+// itself checked them, so an object has one identity across packages,
+// and everything else from source.
+type repoImporter struct {
+	s      *reachScan
+	byPath map[string]*listedPkg
+	std    types.Importer
+	done   map[string]*types.Package
+}
+
+func (im *repoImporter) Import(path string) (*types.Package, error) {
+	if tp, ok := im.done[path]; ok {
+		return tp, nil
+	}
+	p, ok := im.byPath[path]
+	if !ok {
+		return im.std.Import(path)
+	}
+	var files []*ast.File
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(im.s.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
+	tp, err := (&types.Config{Importer: im}).Check(path, im.s.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	im.done[path] = tp
+	im.s.addPackage(p, tp, files, info)
+	return tp, nil
+}
+
+func (s *reachScan) collectNamedIfaces(tp *types.Package, seen map[*types.Package]bool) {
+	if tp == nil || seen[tp] {
+		return
+	}
+	seen[tp] = true
+	for _, name := range tp.Scope().Names() {
+		if tn, ok := tp.Scope().Lookup(name).(*types.TypeName); ok {
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+				s.ifaces = append(s.ifaces, it)
+			}
+		}
+	}
+	for _, dep := range tp.Imports() {
+		s.collectNamedIfaces(dep, seen)
+	}
+}
+
+// addPackage turns one checked package into graph nodes.
+func (s *reachScan) addPackage(p *listedPkg, tp *types.Package, files []*ast.File, info *types.Info) {
+	internal := strings.Contains(p.ImportPath, "/internal/")
+	add := func(obj types.Object, node ast.Node, root bool) {
+		d := &reachDecl{obj: obj, root: root, internal: internal}
+		seen := map[types.Object]bool{}
+		ast.Inspect(node, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			if u := declared(info.Uses[id]); u != nil && u != obj && !seen[u] {
+				seen[u] = true
+				d.uses = append(d.uses, u)
+			}
+			return true
+		})
+		s.decls = append(s.decls, d)
+		s.byObj[obj] = d
+		if internal {
+			s.named[objName(obj)] = obj
+		}
+	}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				fn := info.Defs[decl.Name].(*types.Func)
+				isRoot := decl.Recv == nil && (fn.Name() == "init" || fn.Name() == "main" && p.Name == "main")
+				add(fn, decl, isRoot)
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(info.Defs[spec.Name], spec, false)
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							if name.Name == "_" {
+								// No object to hang it on: `var _ I = T{}`
+								// keeps what it mentions alive.
+								add(types.NewVar(name.Pos(), tp, "_", nil), spec, true)
+								continue
+							}
+							add(info.Defs[name], spec, false)
+						}
+					}
+				}
+			}
+		}
+	}
+	// Interface literals (in an assertion, a parameter, a field) name
+	// methods as well as declared interface types do.
+	for _, tv := range info.Types {
+		if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() && it.NumMethods() > 0 {
+			s.ifaces = append(s.ifaces, it)
+		}
+	}
+}
+
+// declared maps a used object to the graph node that owns it: itself
+// for a package-level object or a method, nothing for locals, fields,
+// builtins and anything outside this module.
+func declared(o types.Object) types.Object {
+	switch o := o.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.TypeName, *types.Const:
+		if o.Pkg() != nil && o.Parent() == o.Pkg().Scope() {
+			return o
+		}
+	case *types.Var:
+		if o = o.Origin(); !o.IsField() && o.Pkg() != nil && o.Parent() == o.Pkg().Scope() {
+			return o
+		}
+	}
+	return nil
+}
+
+// receiverType is the named type a method is declared on, nil for
+// anything that is not a method.
+func receiverType(o types.Object) *types.TypeName {
+	fn, ok := o.(*types.Func)
+	if !ok {
+		return nil
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	rt := recv.Type()
+	if p, ok := rt.(*types.Pointer); ok {
+		rt = p.Elem()
+	}
+	if n, ok := rt.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
+}
+
+// walk returns what the main packages reach. A method is reached when
+// something reached selects it, or when its receiver type is reached
+// and needs it to satisfy an interface.
+func (s *reachScan) walk() map[types.Object]bool {
+	live := map[types.Object]bool{}
+	var queue []types.Object
+	mark := func(o types.Object) {
+		if !live[o] && s.byObj[o] != nil {
+			live[o] = true
+			queue = append(queue, o)
+		}
+	}
+	for _, d := range s.decls {
+		if d.root {
+			mark(d.obj)
+		}
+	}
+	for len(queue) > 0 {
+		o := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if tn, ok := o.(*types.TypeName); ok {
+			for _, m := range s.interfaceMethods(tn) {
+				mark(m)
+			}
+		}
+		for _, u := range s.byObj[o].uses {
+			mark(u)
+		}
+	}
+	return live
+}
+
+// interfaceMethods lists the methods through which tn (or a pointer to
+// it) satisfies some interface of the program or the standard library,
+// promoted ones included.
+func (s *reachScan) interfaceMethods(tn *types.TypeName) []*types.Func {
+	if _, isIface := tn.Type().Underlying().(*types.Interface); isIface {
+		return nil
+	}
+	ptr := types.NewPointer(tn.Type())
+	mset := types.NewMethodSet(ptr)
+	var out []*types.Func
+	for _, it := range s.ifaces {
+		if !types.Implements(ptr, it) {
+			continue
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			m := it.Method(i)
+			if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil {
+				out = append(out, sel.Obj().(*types.Func).Origin())
+			}
+		}
+	}
+	return out
+}
+
+// objName prints pkg.Name, pkg.T.Method or pkg.(*T).Method.
+func objName(o types.Object) string {
+	pkg := o.Pkg().Name()
+	recv := receiverType(o)
+	if recv == nil {
+		return pkg + "." + o.Name()
+	}
+	if _, ptr := o.Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+		return fmt.Sprintf("%s.(*%s).%s", pkg, recv.Name(), o.Name())
+	}
+	return fmt.Sprintf("%s.%s.%s", pkg, recv.Name(), o.Name())
+}
+
+func (s *reachScan) pos(o types.Object) string {
+	p := s.fset.Position(o.Pos())
+	if rel, err := filepath.Rel(s.root, p.Filename); err == nil {
+		p.Filename = rel
+	}
+	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
+}
