@@ -287,18 +287,29 @@ type Result struct {
 	// (MapReduce only) — the "busy" side of the allocated-vs-busy
 	// processor-time elasticity report.
 	BusySeconds float64
-	// MapFailures..WorkersLost count the failure-model events of a
-	// MapReduce run (zero elsewhere): failed map attempts, retries
-	// after them, speculative backups launched and won, shard reads
-	// that failed over to another replica, and lane workers retired by
-	// a node fault. They are observability only — any run that returns
-	// a Result at all is bit-identical to the fault-free one.
+	// FaultCounters are the failure-model events of a MapReduce run
+	// (zero elsewhere).
+	FaultCounters
+}
+
+// FaultCounters accounts how much chaos a run absorbed: failed map
+// attempts and the retries that recovered them, speculative backups
+// launched and won, shard reads that failed over to another replica,
+// and lane workers retired by a node fault. They are observability only
+// — any run that returns a Result at all is bit-identical to the
+// fault-free one.
+type FaultCounters struct {
 	MapFailures    int64
 	MapRetries     int64
 	SpecLaunched   int64
 	SpecWins       int64
 	ShardFailovers int64
 	WorkersLost    int64
+}
+
+// Any reports whether any fault-model event occurred.
+func (f FaultCounters) Any() bool {
+	return f.MapFailures+f.MapRetries+f.SpecLaunched+f.SpecWins+f.ShardFailovers+f.WorkersLost > 0
 }
 
 // ErrUnsupported is returned by an engine asked for a configuration

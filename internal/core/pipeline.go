@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/aggregate"
 	"repro/internal/catalog"
-	"repro/internal/catmodel"
 	"repro/internal/cluster"
 	"repro/internal/dfa"
 	"repro/internal/diskstore"
@@ -115,12 +114,9 @@ type Config struct {
 	// live as trial batches finish; the others replay their
 	// Result.PerContract tables into it after the run — bit-identical
 	// either way. The cube lands on Pipeline.Cube with a per-contract
-	// registry for delta updates.
+	// registry for delta updates. Contract attributes are the
+	// deterministic synthetic ones of warehouse.DefaultAttrs.
 	CubeDims []string
-	// CubeAttrs maps each contract to its dimension values
-	// (CubeAttrs[i] for contract i); nil derives deterministic
-	// synthetic attributes via warehouse.DefaultAttrs.
-	CubeAttrs []map[string]string
 	// Stage 3.
 	Sources []dfa.Source // nil = StandardSources scaled to the cat AAL
 	Rho     float64      // copula equicorrelation
@@ -167,26 +163,7 @@ type StageReport struct {
 	// Faults carries the stage's fault-recovery counters (populated by
 	// the MapReduce engine; zero for fault-free runs and other
 	// engines).
-	Faults FaultCounters
-}
-
-// FaultCounters accounts how much chaos a stage absorbed: failed map
-// attempts and the retries that recovered them, speculative backups
-// launched and won, shard reads failed over to another replica, and
-// lane workers lost to node kills. Counters are observability only —
-// a stage that completes is bit-identical to its fault-free run.
-type FaultCounters struct {
-	MapFailures    int64
-	MapRetries     int64
-	SpecLaunched   int64
-	SpecWins       int64
-	ShardFailovers int64
-	WorkersLost    int64
-}
-
-// Any reports whether any fault-model event occurred.
-func (f FaultCounters) Any() bool {
-	return f.MapFailures+f.MapRetries+f.SpecLaunched+f.SpecWins+f.ShardFailovers+f.WorkersLost > 0
+	Faults aggregate.FaultCounters
 }
 
 // Report is the output of a full pipeline run.
@@ -315,47 +292,38 @@ func stage2Demand(numTrials int) int {
 
 // RunStage1 executes risk modelling: catalogue generation, synthetic
 // exposure, and the catastrophe-model engine producing one ELT per
-// contract. It is idempotent: the artifacts are pure functions of Cfg,
-// so once they exist a second call (e.g. Run after a quote path
-// already triggered stage 1) returns immediately instead of
+// contract — the book synth.Build defines, so the pipeline, the tests
+// and the benchmark price the same one — then the stage accounting and
+// the loss-index build. It is idempotent: the artifacts are pure
+// functions of Cfg, so once they exist a second call (e.g. Run after a
+// quote path already triggered stage 1) returns immediately instead of
 // regenerating identical data.
 func (p *Pipeline) RunStage1(ctx context.Context) error {
 	if p.Catalog != nil && p.Index != nil {
 		return nil
 	}
 	start := time.Now()
-	ccfg := catalog.DefaultConfig()
-	ccfg.NumEvents = p.Cfg.NumEvents
-	ccfg.MeanEventsPerYear = p.Cfg.MeanEventsPerYear
-	cat, err := catalog.Generate(ccfg, p.Cfg.Seed)
+	workers := p.provisioned(p.Cfg.NumContracts)
+	book, err := synth.Build(ctx, synth.Params{
+		Seed:                 p.Cfg.Seed,
+		NumEvents:            p.Cfg.NumEvents,
+		NumContracts:         p.Cfg.NumContracts,
+		LocationsPerContract: p.Cfg.LocationsPerContract,
+		NumTrials:            p.Cfg.NumTrials,
+		MeanEventsPerYear:    p.Cfg.MeanEventsPerYear,
+		TwoLayers:            p.Cfg.TwoLayers,
+		Workers:              workers,
+		SkipYELT:             true, // stage 2 decides how the trials are held
+	})
 	if err != nil {
 		return fmt.Errorf("core: stage 1: %w", err)
 	}
-	p.Catalog = cat
-
-	eng := catmodel.New()
-	workers := p.provisioned(p.Cfg.NumContracts)
-	eng.Workers = workers
-	p.Exposures = p.Exposures[:0]
-	p.ELTs = p.ELTs[:0]
+	p.Catalog, p.Exposures, p.ELTs, p.Portfolio = book.Catalog, book.Exposures, book.ELTs, book.Portfolio
 	var bytes, items int64
-	for c := 0; c < p.Cfg.NumContracts; c++ {
-		ecfg := exposure.DefaultConfig()
-		ecfg.NumLocations = p.Cfg.LocationsPerContract
-		db, err := exposure.Generate(ecfg, p.Cfg.Seed+uint64(1000+c))
-		if err != nil {
-			return fmt.Errorf("core: stage 1 exposure %d: %w", c, err)
-		}
-		p.Exposures = append(p.Exposures, db)
-		tbl, err := eng.Run(ctx, cat, db, uint32(c+1))
-		if err != nil {
-			return fmt.Errorf("core: stage 1 contract %d: %w", c, err)
-		}
-		p.ELTs = append(p.ELTs, tbl)
+	for _, tbl := range p.ELTs {
 		bytes += tbl.SizeBytes()
 		items += int64(tbl.Len())
 	}
-	p.Portfolio = synth.BuildPortfolio(p.ELTs, false, p.Cfg.TwoLayers)
 	rep := StageReport{
 		Name: "risk-modelling", Duration: time.Since(start),
 		OutputBytes: bytes, Items: items,
@@ -488,10 +456,7 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 	var builder *warehouse.Builder
 	liveSink := false
 	if len(p.Cfg.CubeDims) > 0 {
-		attrs := p.Cfg.CubeAttrs
-		if attrs == nil {
-			attrs = warehouse.DefaultAttrs(p.Cfg.NumContracts)
-		}
+		attrs := warehouse.DefaultAttrs(p.Cfg.NumContracts)
 		b, err := warehouse.NewBuilder(p.Cfg.CubeDims, attrs, p.Cfg.NumTrials, workers)
 		if err != nil {
 			return fmt.Errorf("core: stage 2 warehouse: %w", err)
@@ -544,14 +509,7 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 		rep.OutputBytes = p.YELT.SizeBytes() + res.Portfolio.SizeBytes()
 		rep.Items = int64(p.YELT.Len())
 	}
-	rep.Faults = FaultCounters{
-		MapFailures:    res.MapFailures,
-		MapRetries:     res.MapRetries,
-		SpecLaunched:   res.SpecLaunched,
-		SpecWins:       res.SpecWins,
-		ShardFailovers: res.ShardFailovers,
-		WorkersLost:    res.WorkersLost,
-	}
+	rep.Faults = res.FaultCounters
 	account(&rep, workers, demand, res.BusySeconds)
 	p.setStage(rep)
 	return nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/aggregate"
+	"repro/internal/faultinject"
 	"repro/internal/metrics"
 )
 
@@ -97,6 +98,98 @@ func TestPipelineSpilledStage2(t *testing.T) {
 		if mat.CatYLT.Agg[i] != sp.CatYLT.Agg[i] {
 			t.Fatalf("trial %d: materialized %v vs spilled %v", i, mat.CatYLT.Agg[i], sp.CatYLT.Agg[i])
 		}
+	}
+}
+
+// stageLine returns the named line of a report.
+func stageLine(t *testing.T, rep *Report, name string) StageReport {
+	t.Helper()
+	for _, s := range rep.Stages {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("no %s stage line in %v", name, rep.Stages)
+	return StageReport{}
+}
+
+// A streaming pipeline must be indistinguishable from a materialized
+// one in the losses it reports, bit for bit, and differ only in what it
+// keeps resident: no YELT on the pipeline, and a portfolio-risk line
+// that accounts the batch envelope instead of the table.
+func TestPipelineStreamingMatchesMaterialized(t *testing.T) {
+	mat := New(smallConfig(9))
+	matRep, err := mat.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig(9)
+	cfg.Streaming = true
+	cfg.BatchTrials = 137 // does not divide the 1500 trials
+	str := New(cfg)
+	strRep, err := str.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if str.YELT != nil {
+		t.Fatal("streaming pipeline should not materialize the YELT")
+	}
+	if !reflect.DeepEqual(mat.CatYLT, str.CatYLT) {
+		t.Fatal("streaming catastrophe YLT differs from the materialized one")
+	}
+	matS2 := stageLine(t, matRep, "portfolio-risk").OutputBytes
+	strS2 := stageLine(t, strRep, "portfolio-risk").OutputBytes
+	if strS2 <= 0 || strS2 >= matS2 {
+		t.Fatalf("streaming stage-2 bytes %d not below materialized %d", strS2, matS2)
+	}
+}
+
+// Chaos at the layer riskpipeline drives: a MapReduce run over a
+// replicated spill whose every first shard read fails, with speculation
+// on, must reproduce the fault-free losses bit for bit and carry its
+// recoveries on the portfolio-risk line alone.
+func TestPipelineChaosCountersOnStageReport(t *testing.T) {
+	base := smallConfig(33)
+	base.Engine = aggregate.MapReduce{}
+	base.Spill = true
+	base.SpillNodes = 3
+	base.SpillReplicas = 2
+	calm := New(base)
+	calmRep, err := calm.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range calmRep.Stages {
+		if s.Faults.Any() {
+			t.Fatalf("fault-free run reports recoveries on %s: %+v", s.Name, s.Faults)
+		}
+	}
+
+	cfg := base
+	cfg.Faults, err = faultinject.Parse("shard=*@1", base.Seed) // every (shard, node) site's first read fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Speculate = true
+	chaos := New(cfg)
+	rep, err := chaos.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(calm.CatYLT, chaos.CatYLT) {
+		t.Fatal("losses under injected faults differ from the fault-free run")
+	}
+	for _, s := range rep.Stages {
+		if s.Name != "portfolio-risk" && s.Faults.Any() {
+			t.Fatalf("stage %s reports recoveries: %+v", s.Name, s.Faults)
+		}
+	}
+	f := stageLine(t, rep, "portfolio-risk").Faults
+	if f.MapFailures == 0 {
+		t.Fatalf("no injected failures recorded: %+v", f)
+	}
+	if f.MapRetries+f.ShardFailovers == 0 {
+		t.Fatalf("no recovery recorded: %+v", f)
 	}
 }
 

@@ -42,14 +42,6 @@ type statzResponse struct {
 	Failed      int64   `json:"failed"`
 	P50MS       float64 `json:"p50_ms"`
 	P99MS       float64 `json:"p99_ms"`
-	// Fault-recovery counters latched by the backing study's last
-	// full run (all zero for non-Study quoters or fault-free runs).
-	MapFailures    int64 `json:"map_failures"`
-	MapRetries     int64 `json:"map_retries"`
-	SpecLaunched   int64 `json:"spec_launched"`
-	SpecWins       int64 `json:"spec_wins"`
-	ShardFailovers int64 `json:"shard_failovers"`
-	WorkersLost    int64 `json:"workers_lost"`
 	// Warehouse-cube state and counters (zero/false until the backing
 	// study's first full run materializes a cube).
 	CubeBuilt     bool     `json:"cube_built"`
@@ -69,11 +61,9 @@ type statzResponse struct {
 }
 
 func (st *stats) snapshot(s *Server) statzResponse {
-	var f risk.FaultStats
 	var cube risk.CubeInfo
 	var qt risk.QuoteTableInfo
 	if s.study != nil {
-		f = s.study.FaultStats()
 		cube = s.study.CubeInfo()
 		qt = s.study.QuoteTableInfo()
 	}
@@ -94,13 +84,6 @@ func (st *stats) snapshot(s *Server) statzResponse {
 		Failed:      st.failed.Load(),
 		P50MS:       float64(quantile(lat, 0.50)) / float64(time.Millisecond),
 		P99MS:       float64(quantile(lat, 0.99)) / float64(time.Millisecond),
-
-		MapFailures:    f.MapFailures,
-		MapRetries:     f.MapRetries,
-		SpecLaunched:   f.SpecLaunched,
-		SpecWins:       f.SpecWins,
-		ShardFailovers: f.ShardFailovers,
-		WorkersLost:    f.WorkersLost,
 
 		CubeBuilt:     cube.Built,
 		CubeDims:      cube.Dims,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -172,58 +173,49 @@ func TestConcurrentQuotesAcrossContracts(t *testing.T) {
 	}
 }
 
-// A chaos-configured study behind the server: the portfolio run
-// absorbs injected first-read failures over replicated shards, and
-// /v1/statz surfaces the recovery counters the run latched.
-func TestStatzSurfacesFaultCounters(t *testing.T) {
+// The /v1/statz document is an interface: bench/serve.go reads rejected,
+// timeouts and p50_ms out of it, dashboards the rest. A key may only
+// leave, or arrive, by editing this list. cube_dims is omitted until a
+// full run has materialized the cube.
+func TestStatzDocumentKeys(t *testing.T) {
+	want := []string{
+		"bad_requests", "contracts", "cube_built", "cube_cells", "cube_dims", "cube_misses",
+		"cube_queries", "cube_size_bytes", "failed", "inflight", "p50_ms", "p99_ms",
+		"queue_depth", "queue_len", "quote_streamed", "quote_table_bytes", "quote_table_grows",
+		"quote_table_hits", "quote_table_trials", "received", "rejected", "served", "timeouts",
+		"unavailable", "uptime_ms", "workers",
+	}
 	cfg := smallStudyConfig(33)
-	cfg.Engine = risk.EngineMapReduce
-	cfg.Spill = true
-	cfg.SpillNodes = 3
-	cfg.SpillReplicas = 2
-	cfg.FaultSpec = "shard=*@1" // every (shard, node) site's first read fails
-	s := New(risk.NewStudy(cfg), Config{Workers: 1})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Drain(ctx); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-	})
-
-	getStatz := func() statzResponse {
+	cfg.CubeDims = []string{"region"}
+	_, ts := newTestServer(t, risk.NewStudy(cfg), Config{Workers: 1})
+	statzKeys := func() []string {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/v1/statz")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var stz statzResponse
-		if err := json.NewDecoder(resp.Body).Decode(&stz); err != nil {
+		var doc map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 			t.Fatal(err)
 		}
-		return stz
+		keys := make([]string, 0, len(doc))
+		for k := range doc {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		return keys
 	}
 
-	if before := getStatz(); before.MapRetries != 0 || before.ShardFailovers != 0 {
-		t.Fatalf("fault counters nonzero before any run: %+v", before)
+	cold := slices.DeleteFunc(slices.Clone(want), func(k string) bool { return k == "cube_dims" })
+	if got := statzKeys(); !slices.Equal(got, cold) {
+		t.Fatalf("statz keys before a run:\n got %q\nwant %q", got, cold)
 	}
-	resp, err := http.Get(ts.URL + "/v1/portfolio")
-	if err != nil {
-		t.Fatal(err)
+	if code, body := getCube(t, ts, "?region=coastal"); code != http.StatusOK {
+		t.Fatalf("cube query: status %d (%s)", code, body)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("portfolio under injected faults: status %d", resp.StatusCode)
-	}
-	after := getStatz()
-	if after.MapFailures == 0 {
-		t.Fatalf("no injected failures recorded: %+v", after)
-	}
-	if after.MapRetries+after.ShardFailovers == 0 {
-		t.Fatalf("no recovery recorded: %+v", after)
+	if got := statzKeys(); !slices.Equal(got, want) {
+		t.Fatalf("statz keys with a cube:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -9,8 +9,6 @@ package stream
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -150,100 +148,6 @@ func ForEachRange(ctx context.Context, n, workers int, fn func(ctx context.Conte
 	return ctx.Err()
 }
 
-// ErrPipelineClosed is returned by Pipeline.Submit after Close.
-var ErrPipelineClosed = errors.New("stream: pipeline closed")
-
-// Pipeline is a bounded produce/transform/consume pipeline with
-// backpressure: Submit blocks when workers are saturated, so a fast
-// producer (e.g. an event-catalogue reader) cannot flood memory — the
-// in-memory footprint is bounded by queue depth, not table size.
-type Pipeline[In, Out any] struct {
-	in      chan In
-	out     chan Out
-	done    chan struct{}
-	err     atomic.Value
-	wg      sync.WaitGroup
-	closed  atomic.Bool
-	drainWG sync.WaitGroup
-}
-
-// NewPipeline starts workers goroutines applying transform to submitted
-// items, and one consumer goroutine applying consume to each result in
-// arbitrary order. depth bounds both queues.
-func NewPipeline[In, Out any](workers, depth int, transform func(In) (Out, error), consume func(Out) error) *Pipeline[In, Out] {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if depth <= 0 {
-		depth = workers * 2
-	}
-	p := &Pipeline[In, Out]{
-		in:   make(chan In, depth),
-		out:  make(chan Out, depth),
-		done: make(chan struct{}),
-	}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer p.wg.Done()
-			for item := range p.in {
-				o, err := transform(item)
-				if err != nil {
-					p.err.CompareAndSwap(nil, err)
-					continue
-				}
-				select {
-				case p.out <- o:
-				case <-p.done:
-					return
-				}
-			}
-		}()
-	}
-	p.drainWG.Add(1)
-	go func() {
-		defer p.drainWG.Done()
-		for o := range p.out {
-			if err := consume(o); err != nil {
-				p.err.CompareAndSwap(nil, err)
-			}
-		}
-	}()
-	return p
-}
-
-// Submit enqueues one item, blocking when the pipeline is saturated.
-func (p *Pipeline[In, Out]) Submit(item In) error {
-	if p.closed.Load() {
-		return ErrPipelineClosed
-	}
-	if e := p.err.Load(); e != nil {
-		return e.(error)
-	}
-	p.in <- item
-	return nil
-}
-
-// Close drains the pipeline and returns the first error encountered by
-// any transform or the consumer. Close is idempotent.
-func (p *Pipeline[In, Out]) Close() error {
-	if p.closed.Swap(true) {
-		if e := p.err.Load(); e != nil {
-			return e.(error)
-		}
-		return nil
-	}
-	close(p.in)
-	p.wg.Wait()
-	close(p.out)
-	p.drainWG.Wait()
-	close(p.done)
-	if e := p.err.Load(); e != nil {
-		return e.(error)
-	}
-	return nil
-}
-
 // MapReduceLocal computes reduce over fn(i) for i in [0, n) with one
 // partial accumulator per worker and a final sequential merge — the
 // "streamed by independent processes, then aggregated" shape from the
@@ -269,32 +173,4 @@ func MapReduceLocal[T any](ctx context.Context, n, workers int, zero func() T, f
 		merge(result, a)
 	}
 	return result, nil
-}
-
-// Progress is a lightweight atomic progress counter that long-running
-// engines expose so CLIs can report throughput without locks.
-type Progress struct {
-	done  atomic.Int64
-	total int64
-}
-
-// NewProgress returns a counter expecting total units of work.
-func NewProgress(total int64) *Progress { return &Progress{total: total} }
-
-// Add records n completed units.
-func (p *Progress) Add(n int64) { p.done.Add(n) }
-
-// Done returns completed units.
-func (p *Progress) Done() int64 { return p.done.Load() }
-
-// Total returns the expected total.
-func (p *Progress) Total() int64 { return p.total }
-
-// String formats as "done/total (pct%)".
-func (p *Progress) String() string {
-	d := p.Done()
-	if p.total <= 0 {
-		return fmt.Sprintf("%d", d)
-	}
-	return fmt.Sprintf("%d/%d (%.1f%%)", d, p.total, 100*float64(d)/float64(p.total))
 }

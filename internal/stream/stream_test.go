@@ -158,80 +158,6 @@ func TestForEachRangeError(t *testing.T) {
 	}
 }
 
-func TestPipelineProcessesAll(t *testing.T) {
-	var sum atomic.Int64
-	p := NewPipeline(4, 8,
-		func(x int) (int64, error) { return int64(x) * 2, nil },
-		func(y int64) error { sum.Add(y); return nil },
-	)
-	for i := 1; i <= 100; i++ {
-		if err := p.Submit(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.Load(); got != 10100 {
-		t.Fatalf("sum = %d, want 10100", got)
-	}
-}
-
-func TestPipelineTransformError(t *testing.T) {
-	boom := errors.New("transform boom")
-	p := NewPipeline(2, 4,
-		func(x int) (int, error) {
-			if x == 5 {
-				return 0, boom
-			}
-			return x, nil
-		},
-		func(int) error { return nil },
-	)
-	for i := 0; i < 10; i++ {
-		_ = p.Submit(i)
-	}
-	if err := p.Close(); !errors.Is(err, boom) {
-		t.Fatalf("Close err = %v, want boom", err)
-	}
-}
-
-func TestPipelineConsumerError(t *testing.T) {
-	boom := errors.New("consume boom")
-	p := NewPipeline(2, 4,
-		func(x int) (int, error) { return x, nil },
-		func(y int) error {
-			if y == 3 {
-				return boom
-			}
-			return nil
-		},
-	)
-	for i := 0; i < 10; i++ {
-		_ = p.Submit(i)
-	}
-	if err := p.Close(); !errors.Is(err, boom) {
-		t.Fatalf("Close err = %v, want boom", err)
-	}
-}
-
-func TestPipelineSubmitAfterClose(t *testing.T) {
-	p := NewPipeline(1, 1,
-		func(x int) (int, error) { return x, nil },
-		func(int) error { return nil },
-	)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Submit(1); !errors.Is(err, ErrPipelineClosed) {
-		t.Fatalf("err = %v, want ErrPipelineClosed", err)
-	}
-	// Idempotent close.
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMapReduceLocalSum(t *testing.T) {
 	type acc struct{ sum int64 }
 	got, err := MapReduceLocal(context.Background(), 1000, 7,
@@ -290,21 +216,5 @@ func TestMapReduceLocalError(t *testing.T) {
 	)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestProgress(t *testing.T) {
-	p := NewProgress(100)
-	p.Add(25)
-	if p.Done() != 25 || p.Total() != 100 {
-		t.Fatal("counters wrong")
-	}
-	if s := p.String(); s != "25/100 (25.0%)" {
-		t.Fatalf("String = %q", s)
-	}
-	free := NewProgress(0)
-	free.Add(3)
-	if s := free.String(); s != "3" {
-		t.Fatalf("String = %q", s)
 	}
 }

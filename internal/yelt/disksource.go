@@ -110,12 +110,9 @@ func SpillReplicated(ctx context.Context, src Source, store *diskstore.Store, da
 // drifted; recording the replica sets tells a re-attaching process
 // where the survivors of a node loss are without scanning every node
 // directory. The manifest partition is itself replicated (same
-// placement rule), and v2 manifests from pre-replication spills still
-// read (replica sets default to the primary placement).
-var (
-	manifestMagicV2 = [4]byte{'Y', 'S', 'P', '2'}
-	manifestMagic   = [4]byte{'Y', 'S', 'P', '3'}
-)
+// placement rule). There is one layout: a spill directory is scratch
+// between two processes of one build, so no older one is read.
+var manifestMagic = [4]byte{'Y', 'S', 'P', '3'}
 
 func manifestDataset(dataset string) string { return dataset + ".manifest" }
 
@@ -127,7 +124,7 @@ func shardCounts(ranges []stream.Range) []int {
 	return counts
 }
 
-// Manifest v3 layout, all little-endian u32 after the magic:
+// Manifest layout, all little-endian u32 after the magic:
 //
 //	"YSP3" | parts | trials | replicas r | parts × count | parts × r × node
 func writeManifest(store *diskstore.Store, dataset string, counts []int, reps [][]int, replicas int) error {
@@ -187,31 +184,32 @@ func readManifest(store *diskstore.Store, dataset string) (counts []int, reps []
 }
 
 func parseManifestAt(store *diskstore.Store, mds string, node int) (counts []int, reps [][]int, replicas int, err error) {
+	// parts comes straight off the disk: no table is allocated before
+	// the partition is known to be large enough to hold it.
+	size, err := store.PartitionSizeBytes(mds, 0)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("yelt: spill manifest: %w", err)
+	}
 	err = store.ReadPartitionAt(mds, 0, node, func(r io.Reader) error {
 		var magicBuf [4]byte
 		if _, err := io.ReadFull(r, magicBuf[:]); err != nil {
 			return fmt.Errorf("yelt: spill manifest: %w", err)
 		}
-		v3 := magicBuf == manifestMagic
-		if !v3 && magicBuf != manifestMagicV2 {
+		if magicBuf != manifestMagic {
 			return fmt.Errorf("%w: spill manifest magic %q", ErrBadFormat, magicBuf[:])
 		}
-		hdrLen := 8
-		if v3 {
-			hdrLen = 12
-		}
-		hdr := make([]byte, hdrLen)
-		if _, err := io.ReadFull(r, hdr); err != nil {
+		var hdr [12]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return fmt.Errorf("yelt: spill manifest: %w", err)
 		}
 		parts := int(binary.LittleEndian.Uint32(hdr[0:4]))
 		trials := int(binary.LittleEndian.Uint32(hdr[4:8]))
-		replicas = 1
-		if v3 {
-			replicas = int(binary.LittleEndian.Uint32(hdr[8:12]))
-			if replicas < 1 || replicas > store.Nodes() {
-				return fmt.Errorf("%w: spill manifest replication factor %d (store has %d nodes)", ErrBadFormat, replicas, store.Nodes())
-			}
+		replicas = int(binary.LittleEndian.Uint32(hdr[8:12]))
+		if replicas < 1 || replicas > store.Nodes() {
+			return fmt.Errorf("%w: spill manifest replication factor %d (store has %d nodes)", ErrBadFormat, replicas, store.Nodes())
+		}
+		if need := 16 + 4*int64(parts)*int64(1+replicas); need > size {
+			return fmt.Errorf("%w: spill manifest declares %d shards × %d replicas (%d bytes), its partition holds %d", ErrBadFormat, parts, replicas, need, size)
 		}
 		body := make([]byte, 4*parts)
 		if _, err := io.ReadFull(r, body); err != nil {
@@ -226,27 +224,19 @@ func parseManifestAt(store *diskstore.Store, mds string, node int) (counts []int
 		if sum != trials {
 			return fmt.Errorf("%w: spill manifest shard counts sum to %d, header says %d", ErrBadFormat, sum, trials)
 		}
+		rbody := make([]byte, 4*replicas*parts)
+		if _, err := io.ReadFull(r, rbody); err != nil {
+			return fmt.Errorf("yelt: spill manifest replica table: %w", err)
+		}
 		reps = make([][]int, parts)
-		if v3 {
-			rbody := make([]byte, 4*replicas*parts)
-			if _, err := io.ReadFull(r, rbody); err != nil {
-				return fmt.Errorf("yelt: spill manifest replica table: %w", err)
-			}
-			for i := range reps {
-				reps[i] = make([]int, replicas)
-				for k := range reps[i] {
-					n := int(binary.LittleEndian.Uint32(rbody[4*(i*replicas+k):]))
-					if n < 0 || n >= store.Nodes() {
-						return fmt.Errorf("%w: spill manifest shard %d replica node %d (store has %d nodes)", ErrBadFormat, i, n, store.Nodes())
-					}
-					reps[i][k] = n
+		for i := range reps {
+			reps[i] = make([]int, replicas)
+			for k := range reps[i] {
+				n := int(binary.LittleEndian.Uint32(rbody[4*(i*replicas+k):]))
+				if n < 0 || n >= store.Nodes() {
+					return fmt.Errorf("%w: spill manifest shard %d replica node %d (store has %d nodes)", ErrBadFormat, i, n, store.Nodes())
 				}
-			}
-		} else {
-			// v2 predates replication: each shard has exactly its
-			// primary-placement copy.
-			for i := range reps {
-				reps[i] = []int{store.NodeOf(i)}
+				reps[i][k] = n
 			}
 		}
 		return nil

@@ -2,9 +2,7 @@ package yelt
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -215,65 +213,6 @@ func TestOpenDiskSourceRefusesWhenAllReplicasLost(t *testing.T) {
 		}
 	}
 	wantOpenError(t, store, "yelt", "missing shard 4")
-}
-
-// A v2 (pre-replication) manifest still attaches: replica sets default
-// to the primary placement.
-func TestOpenDiskSourceReadsV2Manifest(t *testing.T) {
-	ctx := context.Background()
-	cat := testCatalog(t, 500)
-	tbl, err := Generate(ctx, cat, Config{NumTrials: 120}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := testStore(t, 2)
-	ds, err := Spill(ctx, tbl, store, "ds", 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, ds.Shards())
-	for i := range counts {
-		counts[i] = ds.ShardRange(i).Len()
-	}
-	// Replace the manifest with the v2 encoding PR-8 spills wrote.
-	if err := store.Delete(manifestDataset("ds")); err != nil {
-		t.Fatal(err)
-	}
-	err = store.WritePartition(manifestDataset("ds"), 0, func(w io.Writer) error {
-		buf := make([]byte, 12+4*len(counts))
-		copy(buf[:4], manifestMagicV2[:])
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(len(counts)))
-		binary.LittleEndian.PutUint32(buf[8:12], 120)
-		for i, c := range counts {
-			binary.LittleEndian.PutUint32(buf[12+4*i:], uint32(c))
-		}
-		_, err := w.Write(buf)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenDiskSource(store, "ds")
-	if err != nil {
-		t.Fatalf("v2 manifest should still attach: %v", err)
-	}
-	if re.Replicas() != 1 {
-		t.Fatalf("v2 Replicas = %d, want 1", re.Replicas())
-	}
-	for i := 0; i < re.Shards(); i++ {
-		if got := re.ShardNodes(i); len(got) != 1 || got[0] != store.NodeOf(i) {
-			t.Fatalf("v2 shard %d nodes = %v, want [%d]", i, got, store.NodeOf(i))
-		}
-	}
-	want, err := tbl.Slice(0, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := re.ReadTrials(ctx, 0, 120, &Table{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesEqual(t, "v2 reattach", want, got)
 }
 
 // An unreplicated source hit by a mid-stream read error has nowhere to

@@ -2,7 +2,10 @@ package yelt
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -252,6 +255,45 @@ func wantOpenError(t *testing.T, store *diskstore.Store, dataset, substr string)
 	}
 }
 
+// A manifest's shard count comes straight off the disk: one that
+// declares more shards than its partition could hold is refused before
+// either table is allocated (0x3FFFFFFF shards used to cost 4 GiB, then
+// EOF).
+func TestOpenDiskSourceRefusesOversizedManifest(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		parts, replicas uint32
+	}{
+		{"4 GiB shard table", 0x3FFFFFFF, 1},
+		{"16 GiB shard table, 32 GiB replica table", 0xFFFFFFFF, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := testStore(t, 2)
+			err := store.WritePartition(manifestDataset("ds"), 0, func(w io.Writer) error {
+				hdr := append([]byte(nil), manifestMagic[:]...)
+				hdr = binary.LittleEndian.AppendUint32(hdr, tc.parts)
+				hdr = binary.LittleEndian.AppendUint32(hdr, 120)
+				hdr = binary.LittleEndian.AppendUint32(hdr, tc.replicas)
+				_, err := w.Write(hdr)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = OpenDiskSource(store, "ds")
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("open: %v, want ErrBadFormat", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("refusing the manifest allocated %d bytes", got)
+			}
+		})
+	}
+}
+
 // Re-attach failure modes: a shard file lost, truncated, or swapped
 // between spill and aggregate must surface as an error naming the
 // shard — never a panic or a silent short read.
@@ -298,6 +340,17 @@ func TestOpenDiskSourceReattachFailureModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantOpenError(t, store, "ds", "shard 2 magic")
+	})
+	t.Run("retired manifest magic", func(t *testing.T) {
+		store := spill(t)
+		err := store.WritePartition(manifestDataset("ds"), 0, func(w io.Writer) error {
+			_, err := w.Write(append([]byte("YSP2"), make([]byte, 24)...))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOpenError(t, store, "ds", `yelt: bad format: spill manifest magic "YSP2"`)
 	})
 	t.Run("manifest trial-range mismatch", func(t *testing.T) {
 		store := spill(t)

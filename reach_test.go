@@ -1,8 +1,11 @@
-// The seed-sweep guard: nothing exported under internal/ that no
-// program reaches. The scan type-checks every package's non-test files
-// (stdlib only: go/parser + go/types, packages from `go list`), builds a
-// graph from each top-level declaration to the declarations it mentions,
-// and walks it from every main package.
+// The seed-sweep guards: nothing exported under internal/ that no
+// program reaches, and no exported struct field under internal/ or risk/
+// that some program reads and none can set. One scan type-checks every
+// package's non-test files (stdlib only: go/parser + go/types, packages
+// from `go list`) for both: the first builds a graph from each top-level
+// declaration to the declarations it mentions and walks it from every
+// main package, the second sorts every mention of a field into writes
+// and reads.
 package repro_test
 
 import (
@@ -15,9 +18,14 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -90,11 +98,6 @@ var keptUnreached = []struct{ name, reason string }{
 	{"rng.(*Stream).Shuffle", "to delete with TestShuffleKeepsMultiset; catmodel's oracle_test inlines the three lines"},
 	{"elt.Merge", "to delete with TestMergeCommutativeProperty, TestMergePreservesTotalMean, BenchmarkMerge"},
 	{"elt.(*Table).Truncate", "to delete with TestTruncate"},
-	{"stream.Pipeline", "to delete with the four TestPipeline* tests"},
-	{"stream.NewPipeline", "to delete with the four TestPipeline* tests"},
-	{"stream.ErrPipelineClosed", "to delete with TestPipelineSubmitAfterClose"},
-	{"stream.Progress", "to delete with TestProgress"},
-	{"stream.NewProgress", "to delete with TestProgress"},
 	{"catalog.Read", "to delete, with (*Catalog).WriteTo, with catalog's three TestCodec* tests: nothing writes or reads the format"},
 	{"catalog.ErrBadFormat", "to delete with the same codec tests"},
 	{"catalog.(*Catalog).SizeBytes", "to delete with the same codec tests"},
@@ -131,7 +134,10 @@ var keptUnreached = []struct{ name, reason string }{
 }
 
 func TestNoUnreachedExports(t *testing.T) {
-	s := loadReachScan(t)
+	s, err := loadReachScan()
+	if err != nil {
+		t.Fatal(err)
+	}
 	live := s.walk()
 
 	kept := map[types.Object]bool{}
@@ -168,6 +174,182 @@ func TestNoUnreachedExports(t *testing.T) {
 	}
 }
 
+// keptUnsettable is the only place an option nothing can set may live
+// on: one row per exported struct field under internal/ or risk/ that
+// some non-test file reads and no non-test file in the module writes,
+// each with the reason it stays. A row whose field is gone, is no longer
+// read, or has gained a writer fails the test, so the table can only
+// shrink.
+var keptUnsettable = []struct{ name, reason string }{
+	// Pinned by the benchmark or by a golden.
+	{"core.Config.Kernel", "bench/replica.go copies it into aggregate.Config; goes with that file (ROADMAP item 3a)"},
+	{"core.Config.TrialBlock", "same copy in bench/replica.go; becomes DefaultTrialBlock with it (ROADMAP item 3a)"},
+	{"core.Config.Sources", "bench/replica.go reads it for stage 3; nil everywhere, so StandardSources always runs"},
+	{"dfa.Config.Corr", "TestGoldenDFADigest's tied/corr row pins the supplied-matrix path, TestRunRejectsHostileInputs its refusals"},
+
+	// Parameters the equivalence and oracle suites vary.
+	{"aggregate.MapReduce.SplitTrials", "TestMapReduceEquivalenceMatrix, TestFaultEquivalenceMatrix and the goldens cut splits that do not divide the trial count"},
+	{"aggregate.MapReduce.MaxAttempts", "the fault tests give retries room (5) or too little (TestFaultUnrecoverableFailsLoudly)"},
+	{"aggregate.Chunked.Device", "TestChunkedResidentUploadOnce hands in a device to read its transfer counters"},
+	{"aggregate.Chunked.TrialsPerBlock", "TestChunkedOversizedBlockFallback and TestChunkedStreamingDeviceGrowthCarriesStats force block sizes"},
+	{"aggregate.Reinstatements.Terms", "the reinstatement equivalence suite runs regimes other than the standard one"},
+	{"catmodel.Engine.Hazard", "TestRunMatchesNaiveOracle varies MaxRangeFactor through it"},
+	{"catmodel.Engine.MinMeanLoss", "TestMinMeanLossTruncates and the oracle's truncated engine"},
+	{"catmodel.Engine.TermsFor", "TestCustomTermsReduceLoss and the oracle's custom-terms engine"},
+	{"hazard.Model.MaxRangeFactor", "the footprint bound TestRunMatchesNaiveOracle and TestIndexedMatchesFullScan vary"},
+	{"postevent.Estimator.Hazard", "TestIndexedMatchesFullScan varies MaxRangeFactor through it"},
+	{"postevent.Estimator.Workers", "Estimate's worker bound; risk.Study.EstimateEvent leaves it at GOMAXPROCS, parked with /v1/watch"},
+
+	// risk/postevent.go is the entry point of the parked /v1/watch item:
+	// only its own tests build a bulletin today.
+	{"risk.EventBulletin.Peril", "parked /v1/watch entry point (ROADMAP, Parked)"},
+	{"risk.EventBulletin.Lat", "same"},
+	{"risk.EventBulletin.Lon", "same"},
+	{"risk.EventBulletin.Magnitude", "same"},
+	{"risk.EventBulletin.RadiusKm", "same"},
+}
+
+// TestNoUnsettableOptions fails for every exported struct field under
+// internal/ or risk/ that a non-test file reads and none writes: the
+// code behind such a field runs with one value for every program, so
+// the field is either a constant or dead. A write is a composite-literal
+// key (or a positional literal of the struct), an assignment or ++/--
+// through the field, or taking its address. Fields with a json tag (a
+// decoder writes them) and fields of sync/atomic types (written through
+// methods) are exempt; embedded fields are not options and are skipped.
+func TestNoUnsettableOptions(t *testing.T) {
+	s, err := loadReachScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := s.fields
+	unsettable := func(f *types.Var) bool { return fs.read[f] && !fs.written[f] }
+
+	kept := map[*types.Var]bool{}
+	for _, row := range keptUnsettable {
+		f := fs.named[row.name]
+		switch {
+		case row.reason == "":
+			t.Errorf("allowlist row %s has no reason", row.name)
+		case f == nil:
+			t.Errorf("stale allowlist row %s: no such exported field under internal/ or risk/", row.name)
+		case !unsettable(f):
+			t.Errorf("stale allowlist row %s: a non-test file writes it now, or none reads it; delete the row", row.name)
+		case kept[f]:
+			t.Errorf("allowlist row %s appears twice", row.name)
+		default:
+			kept[f] = true
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(fs.named)) {
+		if f := fs.named[name]; unsettable(f) && !kept[f] {
+			t.Errorf("%s %s: read by non-test code, but no non-test file in the module can set it", name, s.pos(f))
+		}
+	}
+}
+
+// fieldScan sorts every mention of a struct field in the module's
+// non-test files into writes and reads.
+type fieldScan struct {
+	named   map[string]*types.Var // exported, non-exempt fields under internal/ or risk/, keyed pkg.Type.Field
+	written map[*types.Var]bool
+	read    map[*types.Var]bool
+}
+
+func (fs *fieldScan) addPackage(p *listedPkg, files []*ast.File, info *types.Info) {
+	guarded := strings.Contains(p.ImportPath, "/internal/") || strings.HasSuffix(p.ImportPath, "/risk")
+	writes := map[*ast.Ident]bool{}
+	// spine marks the fields an assignment goes through: x.A.B[i] = v
+	// sets B and changes A.
+	var spine func(e ast.Expr)
+	spine = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			writes[e.Sel] = true
+			spine(e.X)
+		case *ast.IndexExpr:
+			spine(e.X)
+		case *ast.SliceExpr:
+			spine(e.X)
+		case *ast.StarExpr:
+			spine(e.X)
+		case *ast.ParenExpr:
+			spine(e.X)
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok && guarded {
+					fs.declare(p.Name+"."+n.Name.Name, st, info)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					spine(lhs)
+				}
+			case *ast.IncDecStmt:
+				spine(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					spine(n.X)
+				}
+			case *ast.CompositeLit:
+				t := info.Types[n].Type
+				if ptr, ok := t.Underlying().(*types.Pointer); ok {
+					t = ptr.Elem() // an elided &T{…} inside a []*T literal
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						writes[kv.Key.(*ast.Ident)] = true
+					} else {
+						fs.written[st.Field(i).Origin()] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range info.Uses {
+		if f, ok := obj.(*types.Var); ok && f.IsField() {
+			if writes[id] {
+				fs.written[f.Origin()] = true
+			} else {
+				fs.read[f.Origin()] = true
+			}
+		}
+	}
+}
+
+// declare registers the named, exported, non-exempt fields of one struct
+// type declaration.
+func (fs *fieldScan) declare(typeName string, st *ast.StructType, info *types.Info) {
+	for _, field := range st.Fields.List {
+		if field.Tag != nil {
+			tag, _ := strconv.Unquote(field.Tag.Value)
+			if _, ok := reflect.StructTag(tag).Lookup("json"); ok {
+				continue
+			}
+		}
+		for _, name := range field.Names {
+			f := info.Defs[name].(*types.Var)
+			if !f.Exported() || isAtomic(f.Type()) {
+				continue
+			}
+			fs.named[typeName+"."+f.Name()] = f
+		}
+	}
+}
+
+func isAtomic(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic"
+}
+
 // listedPkg is the part of `go list -json` the scan reads.
 type listedPkg struct {
 	ImportPath string
@@ -195,28 +377,34 @@ type reachScan struct {
 	byObj    map[types.Object]*reachDecl
 	named    map[string]types.Object // under internal/ only, keyed by objName
 	ifaces   []*types.Interface
+	fields   fieldScan
 }
 
-func loadReachScan(t *testing.T) *reachScan {
-	t.Helper()
+// loadReachScan type-checks the module once for both guards.
+var loadReachScan = sync.OnceValues(func() (*reachScan, error) {
 	out, err := exec.Command("go", "list", "-json=ImportPath,Name,Dir,GoFiles,Imports", "./...").Output()
 	if err != nil {
-		t.Fatalf("go list: %v", err)
+		return nil, fmt.Errorf("go list: %v", err)
 	}
 	s := &reachScan{
 		fset:     token.NewFileSet(),
 		imported: map[string]bool{},
 		byObj:    map[types.Object]*reachDecl{},
 		named:    map[string]types.Object{},
+		fields: fieldScan{
+			named:   map[string]*types.Var{},
+			written: map[*types.Var]bool{},
+			read:    map[*types.Var]bool{},
+		},
 	}
 	if s.root, err = filepath.Abs("."); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	byPath := map[string]*listedPkg{}
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		p := new(listedPkg)
 		if err := dec.Decode(p); err != nil {
-			t.Fatalf("go list output: %v", err)
+			return nil, fmt.Errorf("go list output: %v", err)
 		}
 		s.pkgs = append(s.pkgs, p)
 		byPath[p.ImportPath] = p
@@ -239,7 +427,7 @@ func loadReachScan(t *testing.T) *reachScan {
 	}
 	for _, p := range s.pkgs {
 		if _, err := imp.Import(p.ImportPath); err != nil {
-			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+			return nil, fmt.Errorf("type-check %s: %v", p.ImportPath, err)
 		}
 	}
 	// Interfaces the standard library declares count too: a WriteTo is
@@ -249,8 +437,8 @@ func loadReachScan(t *testing.T) *reachScan {
 		s.collectNamedIfaces(tp, seen)
 	}
 	s.ifaces = append(s.ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
-	return s
-}
+	return s, nil
+})
 
 // repoImporter hands the checker this module's packages as the scan
 // itself checked them, so an object has one identity across packages,
@@ -289,6 +477,7 @@ func (im *repoImporter) Import(path string) (*types.Package, error) {
 	}
 	im.done[path] = tp
 	im.s.addPackage(p, tp, files, info)
+	im.s.fields.addPackage(p, files, info)
 	return tp, nil
 }
 

@@ -41,15 +41,15 @@ func sameQuote(a, b *Quote) bool {
 
 // oracleQuotes prices every (contract, trial count) pair twice without
 // ever reading a grown table: as the first quote of a fresh study, and
-// on a Streaming study, whose fused generator never touches the table.
+// on a study with no table budget, whose quotes all take the fused
+// generator and never touch the table.
 // The two must already agree; the result is what every quote in these
 // tests is held to.
 func oracleQuotes(t *testing.T, seed uint64) map[quoteKey]*Quote {
 	t.Helper()
 	ctx := context.Background()
-	scfg := smallConfig(seed)
-	scfg.Streaming = true
-	streaming := NewStudy(scfg)
+	streaming := NewStudy(smallConfig(seed))
+	streaming.quoteBudget = 0
 	want := make(map[quoteKey]*Quote)
 	for c := 0; c < streaming.NumContracts(); c++ {
 		for _, n := range tableTrials {

@@ -5,6 +5,9 @@
 // aggregate analysis, and dynamic financial analysis — behind a small
 // surface: configure a Study, run it, read risk summaries, and price
 // individual contracts in "real time" against a pre-simulated YELT.
+// It is one of stage 2's two front doors, the one for studies and
+// quotes; the sharded, replicated, fault-injected batch run is
+// cmd/riskpipeline's.
 //
 // A minimal session:
 //
@@ -23,10 +26,8 @@ import (
 	"time"
 
 	"repro/internal/aggregate"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dfa"
-	"repro/internal/faultinject"
 	"repro/internal/layers"
 	"repro/internal/lossindex"
 	"repro/internal/metrics"
@@ -39,18 +40,16 @@ import (
 type EngineKind string
 
 // Available engines. Sequential is the paper's CPU baseline; Parallel
-// is the native data-parallel engine; Chunked and Naive run on the
-// simulated many-core device with and without shared-memory chunking;
-// MapReduce runs stage 2 as a map/reduce job over trial-range splits
-// (the companion paper's Hadoop shape), pairing naturally with Spill;
-// Reinstatements runs the stateful occurrence-ordered path, eroding
-// and reinstating layer limits in date order under market-standard
-// terms (the fine-grained contractual-terms workload).
+// is the native data-parallel engine; MapReduce runs stage 2 as a
+// map/reduce job over trial-range splits (the companion paper's Hadoop
+// shape); Reinstatements runs the stateful occurrence-ordered path,
+// eroding and reinstating layer limits in date order under
+// market-standard terms (the fine-grained contractual-terms workload).
+// The simulated-device engines take occurrence-only books, which a
+// study's never is; cmd/aggsim runs them.
 const (
 	EngineSequential     EngineKind = "sequential"
 	EngineParallel       EngineKind = "parallel"
-	EngineChunked        EngineKind = "chunked"
-	EngineNaive          EngineKind = "naive"
 	EngineMapReduce      EngineKind = "mapreduce"
 	EngineReinstatements EngineKind = "reinstatements"
 )
@@ -61,10 +60,6 @@ func (k EngineKind) engine() (aggregate.Engine, error) {
 		return aggregate.Sequential{}, nil
 	case EngineParallel, "":
 		return aggregate.Parallel{}, nil
-	case EngineChunked:
-		return &aggregate.Chunked{}, nil
-	case EngineNaive:
-		return &aggregate.Chunked{Naive: true}, nil
 	case EngineMapReduce:
 		return aggregate.MapReduce{}, nil
 	case EngineReinstatements:
@@ -74,7 +69,9 @@ func (k EngineKind) engine() (aggregate.Engine, error) {
 	}
 }
 
-// Config sizes a study. Zero fields take defaults.
+// Config sizes a study. Zero fields take defaults. A study holds its
+// trial table in memory; streaming, spilling, fault injection,
+// speculation and provisioning are options of cmd/riskpipeline.
 type Config struct {
 	Seed                 uint64
 	Events               int
@@ -85,57 +82,6 @@ type Config struct {
 	Engine               EngineKind
 	// Sampling enables secondary-uncertainty sampling in stage 2.
 	Sampling bool
-	// Streaming runs stage 2 (and PriceContract quotes) in bounded
-	// memory: trial batches are re-derived on demand instead of
-	// materializing the YELT. Results are bit-identical to the
-	// materialized path, so the choice is purely a memory/trial-count
-	// trade.
-	Streaming bool
-	// BatchTrials bounds the per-worker resident batch in streaming
-	// mode; 0 means the engine default.
-	BatchTrials int
-	// Spill (implies streaming stage 2) generates the trial stream once
-	// into partitioned diskstore shards and has the engine re-scan them
-	// from disk instead of re-deriving trials per pass.
-	Spill bool
-	// SpillDir roots the spill store; "" uses a temp dir removed after
-	// stage 2.
-	SpillDir string
-	// SpillParts is the spill shard count; 0 picks a default from the
-	// trial count.
-	SpillParts int
-	// SpillNodes is the spill store's simulated storage-node count; 0
-	// means the engine default. Shard-affine engines (EngineMapReduce
-	// over a spilled source) place mappers against these nodes.
-	SpillNodes int
-	// SpillReplicas writes each spilled shard to this many distinct
-	// storage nodes (clamped to SpillNodes; 0 or 1 means no
-	// replication). With 2 or more, stage 2 survives the loss of any
-	// single replica by failing over to a survivor.
-	SpillReplicas int
-	// SpillAttach runs stage 2 over shards an earlier process spilled
-	// into SpillDir (required), re-attached via the spill manifest
-	// instead of generated — the aggregate half of a two-process
-	// spill/aggregate handoff. The trial count comes from the shards.
-	SpillAttach bool
-	// FaultSpec injects deterministic faults into stage 2 (see
-	// faultinject.Parse): comma-separated rules like
-	// "rate=0.1,shard=3@2,kill=1@4,delay=2@50ms". Results must stay
-	// bit-identical to a fault-free run; FaultStats reports the
-	// recoveries. "" injects nothing.
-	FaultSpec string
-	// FaultSeed seeds the fault plan's random draws; 0 falls back to
-	// Seed so a study is chaos-reproducible by default.
-	FaultSeed uint64
-	// Speculate turns on speculative re-execution of straggling map
-	// tasks (EngineMapReduce only): backups launch for tasks running
-	// well past the completed-task percentile, first finisher wins.
-	Speculate bool
-	// Provision drives per-stage worker counts from an elasticity
-	// policy instead of the static Workers bound: "static:N" (fixed
-	// fleet) or "elastic:N" (scale to each stage's demand, capped at
-	// N). "" keeps static Workers.
-	Provision string
 	// CubeDims, when non-empty, materializes the warehouse data cube
 	// over the named contract-attribute dimensions during Run (e.g.
 	// {"region", "lob"}); cube cells are then served by CubeQuery
@@ -197,29 +143,6 @@ type StageStats struct {
 	Name        string
 	Duration    time.Duration
 	OutputBytes int64
-	// Faults counts the stage's fault recoveries (stage 2 under a
-	// FaultSpec or Speculate; zero elsewhere).
-	Faults FaultStats
-}
-
-// FaultStats accounts how much chaos a run absorbed: failed map
-// attempts and the retries that recovered them, speculative backups
-// launched and won, shard reads failed over to a surviving replica,
-// and lane workers lost to node kills. Counters are observability
-// only — any study that completes is bit-identical to its fault-free
-// twin.
-type FaultStats struct {
-	MapFailures    int64
-	MapRetries     int64
-	SpecLaunched   int64
-	SpecWins       int64
-	ShardFailovers int64
-	WorkersLost    int64
-}
-
-// Any reports whether any fault-model event occurred.
-func (f FaultStats) Any() bool {
-	return f.MapFailures+f.MapRetries+f.SpecLaunched+f.SpecWins+f.ShardFailovers+f.WorkersLost > 0
 }
 
 // Report is the result of a full study run.
@@ -240,9 +163,9 @@ type Report struct {
 // touches: the per-contract layouts (quoteIdx/quoteFlat, under
 // quoteMu), the resident quote trial table (quoteTable, published
 // through an atomic pointer and never written after publication) and
-// its counters (atomics). QuoteTableInfo, CubeInfo and FaultStats may
-// be polled at any time. All other method combinations require
-// external serialization.
+// its counters (atomics). QuoteTableInfo and CubeInfo may be polled at
+// any time. All other method combinations require external
+// serialization.
 type Study struct {
 	cfg       Config
 	p         *core.Pipeline
@@ -273,11 +196,6 @@ type Study struct {
 	// quoteHits, quoteGrows and quoteStreamed count quotes by where
 	// their trials came from (see QuoteTableInfo).
 	quoteHits, quoteGrows, quoteStreamed atomic.Int64
-	// faultMu guards faults, the fault-recovery counters latched by the
-	// last completed Run, so a serving tier can poll FaultStats
-	// concurrently with a run in flight.
-	faultMu sync.Mutex
-	faults  FaultStats
 	// cubeMu guards cube, the warehouse cube latched by the last
 	// completed Run, so a serving tier can answer CubeQuery and
 	// CubeInfo concurrently with a run in flight.
@@ -305,21 +223,6 @@ func (s *Study) pipeline() (*core.Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy, err := cluster.ParsePolicy(s.cfg.Provision)
-	if err != nil {
-		return nil, fmt.Errorf("risk: %w", err)
-	}
-	var plan *faultinject.Plan
-	if s.cfg.FaultSpec != "" {
-		seed := s.cfg.FaultSeed
-		if seed == 0 {
-			seed = s.cfg.Seed
-		}
-		plan, err = faultinject.Parse(s.cfg.FaultSpec, seed)
-		if err != nil {
-			return nil, fmt.Errorf("risk: %w", err)
-		}
-	}
 	s.p = core.New(core.Config{
 		Seed:                 s.cfg.Seed,
 		NumEvents:            s.cfg.Events,
@@ -329,17 +232,6 @@ func (s *Study) pipeline() (*core.Pipeline, error) {
 		NumTrials:            s.cfg.Trials,
 		Engine:               eng,
 		Sampling:             s.cfg.Sampling,
-		Streaming:            s.cfg.Streaming,
-		BatchTrials:          s.cfg.BatchTrials,
-		Spill:                s.cfg.Spill,
-		SpillDir:             s.cfg.SpillDir,
-		SpillParts:           s.cfg.SpillParts,
-		SpillNodes:           s.cfg.SpillNodes,
-		SpillReplicas:        s.cfg.SpillReplicas,
-		SpillAttach:          s.cfg.SpillAttach,
-		Faults:               plan,
-		Speculate:            s.cfg.Speculate,
-		Provision:            policy,
 		CubeDims:             s.cfg.CubeDims,
 		Rho:                  s.cfg.Rho,
 		Workers:              s.cfg.Workers,
@@ -363,30 +255,11 @@ func (s *Study) Run(ctx context.Context) (*Report, error) {
 		Catastrophe: toSummary(rep.Catastrophe),
 		Enterprise:  toSummary(rep.Enterprise),
 	}
-	var total FaultStats
 	for _, st := range rep.Stages {
-		f := FaultStats{
-			MapFailures:    st.Faults.MapFailures,
-			MapRetries:     st.Faults.MapRetries,
-			SpecLaunched:   st.Faults.SpecLaunched,
-			SpecWins:       st.Faults.SpecWins,
-			ShardFailovers: st.Faults.ShardFailovers,
-			WorkersLost:    st.Faults.WorkersLost,
-		}
 		out.Stages = append(out.Stages, StageStats{
 			Name: st.Name, Duration: st.Duration, OutputBytes: st.OutputBytes,
-			Faults: f,
 		})
-		total.MapFailures += f.MapFailures
-		total.MapRetries += f.MapRetries
-		total.SpecLaunched += f.SpecLaunched
-		total.SpecWins += f.SpecWins
-		total.ShardFailovers += f.ShardFailovers
-		total.WorkersLost += f.WorkersLost
 	}
-	s.faultMu.Lock()
-	s.faults = total
-	s.faultMu.Unlock()
 	s.cubeMu.Lock()
 	s.cube = p.Cube
 	s.cubeMu.Unlock()
@@ -466,16 +339,6 @@ func (s *Study) CubeInfo() CubeInfo {
 		return CubeInfo{}
 	}
 	return CubeInfo{Built: true, Dims: cube.Dims(), Cells: cube.Cells(), SizeBytes: cube.SizeBytes()}
-}
-
-// FaultStats returns the fault-recovery counters latched by the last
-// completed Run (zero before any run, or for fault-free studies).
-// Safe to call concurrently with other methods, so a serving tier can
-// surface chaos counters on its stats endpoint.
-func (s *Study) FaultStats() FaultStats {
-	s.faultMu.Lock()
-	defer s.faultMu.Unlock()
-	return s.faults
 }
 
 // CatastropheLosses returns a copy of the per-trial catastrophe
@@ -605,11 +468,11 @@ func (s *Study) WarmQuotes(ctx context.Context) error {
 
 // quoteTrials returns the first n trials of the quote trial stream
 // (Seed+101) as an aggregate-engine source: a zero-copy prefix of the
-// resident table, grown first when it is shorter; or, for a Streaming
-// study and for an n whose table would not fit quoteBudget, a fused
-// generator that re-derives the trials in bounded batches. Per-trial
-// substreams make all of these the same trials, so a quote does not
-// depend on which it was given, nor on what was asked before it.
+// resident table, grown first when it is shorter; or, for an n whose
+// table would not fit quoteBudget, a fused generator that re-derives
+// the trials in bounded batches. Per-trial substreams make all of
+// these the same trials, so a quote does not depend on which it was
+// given, nor on what was asked before it.
 func (s *Study) quoteTrials(ctx context.Context, p *core.Pipeline, n int) (yelt.Source, error) {
 	if t := s.quoteTable.Load(); t != nil && t.NumTrials >= n {
 		s.quoteHits.Add(1)
@@ -619,7 +482,7 @@ func (s *Study) quoteTrials(ctx context.Context, p *core.Pipeline, n int) (yelt.
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.Streaming || yelt.ResidentBytes(n, int64(float64(n)*g.MeanOccurrences())) > s.quoteBudget {
+	if yelt.ResidentBytes(n, int64(float64(n)*g.MeanOccurrences())) > s.quoteBudget {
 		s.quoteStreamed.Add(1)
 		return g, nil
 	}
@@ -652,14 +515,12 @@ func (s *Study) quoteTrials(ctx context.Context, p *core.Pipeline, n int) (yelt.
 // stats endpoints.
 type QuoteTableInfo struct {
 	// Trials and Bytes are the published table's length and in-memory
-	// size (both 0 before the first quote, and always for a Streaming
-	// study).
+	// size (both 0 before the first quote).
 	Trials int
 	Bytes  int64
 	// Hits counts quotes read from the table as published, Grows those
 	// that lengthened it first, Streamed those that took the fused
-	// generator instead (every quote of a Streaming study; otherwise a
-	// trial count beyond the table's byte budget).
+	// generator instead (a trial count beyond the table's byte budget).
 	Hits, Grows, Streamed int64
 }
 
@@ -685,8 +546,8 @@ func (s *Study) QuoteTableInfo() QuoteTableInfo {
 // the study shares, so a quote is a pure function of (study, contract,
 // trials). They are read from the study's resident trial table, which
 // only the first quote at a new largest trial count pays to lengthen;
-// a Streaming study, and a trial count too large to keep resident,
-// re-derive them in bounded batches inside the simulation instead.
+// a trial count too large to keep resident re-derives them in bounded
+// batches inside the simulation instead.
 // Stage 1 must have run (a full Run, or RunModelling); if it has not,
 // the first quote runs it lazily. The contract index is validated
 // before any lazy initialization, so an invalid request fails in
@@ -719,8 +580,7 @@ func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Q
 		Flat:      flat,
 	}
 	res, err := (aggregate.Parallel{}).Run(ctx, qin, aggregate.Config{
-		Seed: s.cfg.Seed + 103, Sampling: true,
-		Workers: s.cfg.Workers, BatchTrials: s.cfg.BatchTrials,
+		Seed: s.cfg.Seed + 103, Sampling: true, Workers: s.cfg.Workers,
 	})
 	if err != nil {
 		return nil, err

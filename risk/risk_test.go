@@ -2,6 +2,7 @@ package risk
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -109,13 +110,17 @@ func TestPriceContract(t *testing.T) {
 }
 
 func TestEngineKinds(t *testing.T) {
-	for _, k := range []EngineKind{EngineSequential, EngineParallel, EngineChunked, EngineNaive, EngineMapReduce, ""} {
+	for _, k := range []EngineKind{EngineSequential, EngineParallel, EngineMapReduce, ""} {
 		if _, err := k.engine(); err != nil {
 			t.Errorf("engine %q: %v", k, err)
 		}
 	}
 	if _, err := EngineKind("warp-drive").engine(); err == nil {
 		t.Fatal("unknown engine should error")
+	}
+	// The device engines cannot run a study's book and are not offered.
+	if _, err := EngineKind("chunked").engine(); err == nil || !strings.Contains(err.Error(), `unknown engine "chunked"`) {
+		t.Fatalf("chunked engine: %v, want unknown engine", err)
 	}
 }
 

@@ -5,107 +5,13 @@ import (
 	"testing"
 )
 
-// A streaming study must be indistinguishable from a materialized one
-// in every number it reports — stage 2's per-trial catastrophe losses
-// bit-for-bit, and real-time quotes field-for-field — differing only
-// in the memory its stage report accounts.
-func TestStreamingStudyMatchesMaterialized(t *testing.T) {
-	mat := NewStudy(smallConfig(9))
-	matRep, err := mat.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := smallConfig(9)
-	scfg.Streaming = true
-	scfg.BatchTrials = 137 // does not divide the 1500 trials
-	str := NewStudy(scfg)
-	strRep, err := str.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	matLoss, err := mat.CatastropheLosses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	strLoss, err := str.CatastropheLosses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matLoss) != len(strLoss) {
-		t.Fatalf("loss lengths %d vs %d", len(matLoss), len(strLoss))
-	}
-	for i := range matLoss {
-		if matLoss[i] != strLoss[i] {
-			t.Fatalf("trial %d: materialized %v vs streaming %v", i, matLoss[i], strLoss[i])
-		}
-	}
-	if matRep.Catastrophe.AAL != strRep.Catastrophe.AAL {
-		t.Fatalf("AAL %v vs %v", matRep.Catastrophe.AAL, strRep.Catastrophe.AAL)
-	}
-
-	// The stage report accounts the memory envelope, not the table:
-	// streaming's portfolio-risk bytes must come in below materialized.
-	var matS2, strS2 int64
-	for _, s := range matRep.Stages {
-		if s.Name == "portfolio-risk" {
-			matS2 = s.OutputBytes
-		}
-	}
-	for _, s := range strRep.Stages {
-		if s.Name == "portfolio-risk" {
-			strS2 = s.OutputBytes
-		}
-	}
-	if matS2 == 0 || strS2 == 0 {
-		t.Fatal("missing portfolio-risk stage lines")
-	}
-	if strS2 >= matS2 {
-		t.Fatalf("streaming stage-2 bytes %d not below materialized %d", strS2, matS2)
-	}
-}
-
-// The spilled MapReduce study — the paper's distributed shape end to
-// end — must report the same losses as the default materialized
-// Parallel study (sampling draws are trial-keyed, so even the engine
-// swap preserves every number).
-func TestSpilledMapReduceStudyMatchesMaterialized(t *testing.T) {
-	mat := NewStudy(smallConfig(11))
-	if _, err := mat.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	scfg := smallConfig(11)
-	scfg.Engine = EngineMapReduce
-	scfg.Spill = true
-	scfg.SpillParts = 3
-	scfg.BatchTrials = 137
-	sp := NewStudy(scfg)
-	if _, err := sp.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	matLoss, err := mat.CatastropheLosses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spLoss, err := sp.CatastropheLosses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range matLoss {
-		if matLoss[i] != spLoss[i] {
-			t.Fatalf("trial %d: materialized %v vs spilled mapreduce %v", i, matLoss[i], spLoss[i])
-		}
-	}
-}
-
-// Quotes must also be mode-independent: PriceContract through a
-// streaming study equals the materialized quote field-for-field
-// (Elapsed aside).
+// Quotes must be mode-independent: PriceContract over the fused
+// generator (a study with no table budget) equals the quote read from
+// the resident table field-for-field (Elapsed aside).
 func TestStreamingQuoteMatchesMaterialized(t *testing.T) {
 	mat := NewStudy(smallConfig(11))
-	scfg := smallConfig(11)
-	scfg.Streaming = true
-	str := NewStudy(scfg)
+	str := NewStudy(smallConfig(11))
+	str.quoteBudget = 0
 	const trials = 4000
 	mq, err := mat.PriceContract(context.Background(), 1, trials)
 	if err != nil {
