@@ -3,10 +3,12 @@ package aggregate
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/elt"
 	"repro/internal/layers"
+	"repro/internal/mathx"
 	"repro/internal/yelt"
 )
 
@@ -77,6 +79,69 @@ func TestHandComputedBook(t *testing.T) {
 			}
 			bitIdentical(t, name+" contract agg", wantAgg, res.PerContract[0].Agg)
 			bitIdentical(t, name+" contract occmax", wantOccMax, res.PerContract[0].OccMax)
+		}
+	}
+}
+
+// TestGroundUpBookSampledMean checks the sampling kernel against a
+// closed-form mean it has no part in computing. On a ground-up book —
+// no retention, no limit, full share, no annual terms — a year's loss
+// is the plain sum of its occurrence losses, and each sampled loss is a
+// beta scaled to have the record's MeanLoss. So, given the trial years,
+// E[sampled year − expected-mode year] = 0 exactly, trial by trial, and
+// the paired differences are independent: their mean must sit within
+// 4 of its own standard errors of zero. The beta plans are the ones
+// the benchmark books produce (internal/rng's bookShapes) plus one
+// record without spread; the trial years are a fixed pattern, not
+// drawn.
+func TestGroundUpBookSampledMean(t *testing.T) {
+	shapes := [][2]float64{{0.017, 3.6}, {0.08, 7.4}, {0.23, 16.3}, {0.46, 31.8}, {0.74, 48.5}, {6, 86}}
+	var recs []elt.Record
+	for i, ab := range shapes {
+		// Method of moments backwards: Beta(a, b) on [0, ev] has mean
+		// ev·a/(a+b) and variance ev²·mu(1−mu)/(a+b+1).
+		ev := 1e6 * float64(i+1)
+		mu := ab[0] / (ab[0] + ab[1])
+		sigma := ev * math.Sqrt(mu*(1-mu)/(ab[0]+ab[1]+1))
+		recs = append(recs, elt.Record{EventID: uint32(i + 1), MeanLoss: mu * ev, SigmaI: 0.6 * sigma, SigmaC: 0.4 * sigma, ExposedValue: ev})
+	}
+	recs = append(recs, elt.Record{EventID: uint32(len(shapes) + 1), MeanLoss: 5e4, ExposedValue: 1e6})
+	elts := []*elt.Table{elt.New(1, recs), elt.New(2, recs[2:5])}
+	pf := &layers.Portfolio{Contracts: []layers.Contract{
+		{ID: 1, ELTIndex: 0, Layers: []layers.Layer{{}}},
+		{ID: 2, ELTIndex: 1, Layers: []layers.Layer{{}}},
+	}}
+
+	const trials = 120000
+	years := &yelt.Table{NumTrials: trials, Offsets: make([]int64, 1, trials+1)}
+	for tr := 0; tr < trials; tr++ {
+		for j := 0; j < tr%5; j++ {
+			ev := uint32((tr*7+j*3)%(len(recs)+1)) + 1 // one id past the ELT: an event the book does not cover
+			years.Occs = append(years.Occs, yelt.Occurrence{EventID: ev, DayOfYear: uint16(tr%60 + 60*j)})
+		}
+		years.Offsets = append(years.Offsets, int64(len(years.Occs)))
+	}
+
+	for _, e := range []Engine{Sequential{}, LegacyLookup{}} {
+		run := func(sampling bool) []float64 {
+			res, err := e.Run(context.Background(), &Input{YELT: years, ELTs: elts, Portfolio: pf}, Config{Seed: 23, Sampling: sampling})
+			if err != nil {
+				t.Fatalf("%s/sampling=%v: %v", e.Name(), sampling, err)
+			}
+			return res.Portfolio.Agg
+		}
+		expected, sampled := run(false), run(true)
+		diff := make([]float64, trials)
+		for i := range diff {
+			diff[i] = sampled[i] - expected[i]
+		}
+		mean, se, expMean := mathx.Mean(diff), mathx.StdDev(diff)/math.Sqrt(trials), mathx.Mean(expected)
+		if se <= 0 || expMean <= 0 {
+			t.Fatalf("%s: degenerate book (se %v, expected-mode mean %v); the test pins nothing", e.Name(), se, expMean)
+		}
+		t.Logf("%s: sampled − expected mean %.1f (expected-mode mean %.1f), standard error %.1f", e.Name(), mean, expMean, se)
+		if math.Abs(mean) > 4*se {
+			t.Errorf("%s: sampled mean is %.2f standard errors from the expected-mode mean", e.Name(), mean/se)
 		}
 	}
 }

@@ -69,17 +69,48 @@ func (st *Stream) Gamma(shape, scale float64) float64 {
 	}
 }
 
-// Beta returns a draw from Beta(a, b) via the Gamma ratio.
+// Beta returns a draw from Beta(a, b) via the Gamma ratio x/(x+y). It
+// is the secondary-uncertainty draw of stage 2, once per sampled
+// occurrence loss, so its gammas run on the ziggurat primitives
+// (ziggurat.go), not on StdNormal and math.Pow as Gamma does.
 func (st *Stream) Beta(a, b float64) float64 {
 	if a <= 0 || b <= 0 {
 		return 0
 	}
-	x := st.Gamma(a, 1)
-	y := st.Gamma(b, 1)
+	x := st.betaGamma(a)
+	y := st.betaGamma(b)
 	if x+y == 0 {
 		return 0
 	}
 	return x / (x + y)
+}
+
+// betaGamma returns a Gamma(shape, 1) draw by the same Marsaglia-Tsang
+// squeeze as Gamma, over a ziggurat normal. Below shape 1 the boost
+// U^(1/shape) is exp(−E/shape) with E = −log U drawn directly as a
+// ziggurat exponential: one Exp, no Log and no Pow. A tiny shape
+// underflows the boost to 0, never to NaN.
+func (st *Stream) betaGamma(shape float64) float64 {
+	boost := 1.0
+	if shape < 1 {
+		boost = math.Exp(-st.zigExponential() / shape)
+		shape++
+	}
+	d := shape - 1.0/3.0
+	c := 1 / math.Sqrt(9*d)
+	for {
+		x := st.zigNormal()
+		v := 1 + c*x
+		if v <= 0 {
+			continue
+		}
+		v = v * v * v
+		u := st.Float64Open()
+		x2 := x * x
+		if u < 1-0.0331*x2*x2 || math.Log(u) < 0.5*x2+d*(1-v+math.Log(v)) {
+			return d * v * boost
+		}
+	}
 }
 
 // maxDirectPoissonLambda bounds the multiplication method; above it
