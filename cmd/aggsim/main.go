@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/aggregate"
@@ -26,7 +27,7 @@ func main() {
 		trials    = flag.Int("trials", 100_000, "pre-simulated trial years")
 		seed      = flag.Uint64("seed", 1, "master seed")
 		workers   = flag.Int("workers", 0, "parallelism bound (0 = all cores)")
-		engine    = flag.String("engine", "parallel", "sequential|parallel|chunked|naive|mapreduce|reinstatements")
+		engine    = flag.String("engine", "parallel", strings.Join(aggregate.EngineNames(true), "|"))
 		sampling  = flag.Bool("sampling", false, "secondary-uncertainty sampling (host engines only)")
 		streaming = flag.Bool("stream", false, "stream trial batches instead of materializing the YELT (bit-identical results, bounded memory)")
 		batch     = flag.Int("batch", 0, "streaming trial-batch size per worker (0 = engine default)")
@@ -40,7 +41,14 @@ func main() {
 		*streaming = true
 	}
 
-	occOnly := *engine == "chunked" || *engine == "naive"
+	eng, err := aggregate.EngineByName(*engine, true)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "aggsim: %v\n", err)
+		os.Exit(2)
+	}
+	// The device engines take occurrence-only books.
+	dev, _ := eng.(*aggregate.Chunked)
+	reinst, _ := eng.(*aggregate.Reinstatements)
 	s, err := synth.Build(ctx, synth.Params{
 		Seed:                 *seed,
 		NumEvents:            *events,
@@ -48,7 +56,7 @@ func main() {
 		LocationsPerContract: 250,
 		NumTrials:            *trials,
 		MeanEventsPerYear:    10,
-		OccurrenceOnly:       occOnly,
+		OccurrenceOnly:       dev != nil,
 		TwoLayers:            true,
 		Workers:              *workers,
 		SkipYELT:             *streaming,
@@ -57,29 +65,6 @@ func main() {
 		fail(err)
 	}
 
-	var eng aggregate.Engine
-	var dev *aggregate.Chunked
-	var reinst *aggregate.Reinstatements
-	switch *engine {
-	case "sequential":
-		eng = aggregate.Sequential{}
-	case "parallel":
-		eng = aggregate.Parallel{}
-	case "mapreduce":
-		eng = aggregate.MapReduce{}
-	case "reinstatements":
-		reinst = &aggregate.Reinstatements{}
-		eng = reinst
-	case "chunked":
-		dev = &aggregate.Chunked{}
-		eng = dev
-	case "naive":
-		dev = &aggregate.Chunked{Naive: true}
-		eng = dev
-	default:
-		fmt.Fprintf(os.Stderr, "aggsim: unknown engine %q\n", *engine)
-		os.Exit(2)
-	}
 	// Pre-join the book into the event-major loss index once, before
 	// the trial loop, and report it as its own data-volume line: this
 	// is the scan-oriented layout every engine shares.

@@ -11,6 +11,12 @@
 // scan-many file lifecycle across real process boundaries, with
 // bit-identical results to the fused run.
 //
+// Over shards (-spill, or -mode aggregate) the mapreduce engine places
+// its mappers shard-affine — a shard is scanned by a mapper homed on a
+// node that holds it — and the "shard data motion" line prints the
+// share of bytes that stayed node-local. That is what a sharded source
+// gets; there is no placement flag.
+//
 // The "dfa" stage line counts the tables stage 3 keeps: the catastrophe
 // and the enterprise YLT. The pipeline reads only the enterprise total,
 // so the per-source tables are not built (cmd/dfarun builds and prints
@@ -50,13 +56,12 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "master seed")
 		rho       = flag.Float64("rho", 0.25, "DFA copula equicorrelation")
 		workers   = flag.Int("workers", 0, "parallelism bound (0 = all cores)")
-		engine    = flag.String("engine", "parallel", "stage-2 engine: sequential|parallel|mapreduce|reinstatements")
+		engine    = flag.String("engine", "parallel", "stage-2 engine: "+strings.Join(aggregate.EngineNames(false), "|"))
 		streaming = flag.Bool("stream", false, "fuse stage-2 YELT generation into the engine (bounded memory, bit-identical results)")
 		batch     = flag.Int("batch", 0, "streaming trial-batch size per worker (0 = engine default)")
 		spill     = flag.Bool("spill", false, "spill the generated trial stream into diskstore shards and run stage 2 over the shards (implies -stream)")
 		parts     = flag.Int("parts", 0, "spill shard count (0 = derived from the trial count)")
 		nodes     = flag.Int("nodes", 0, "spill store storage-node count (0 = default)")
-		placement = flag.String("placement", "affine", "mapreduce mapper placement over spilled shards: affine|blind|uniform (bit-identical results)")
 		provision = flag.String("provision", "", "per-stage worker provisioning policy: static:N, elastic:N, or degraded:K:POLICY (empty = static -workers bound)")
 		replicas  = flag.Int("replicas", 0, "spill replication factor: each shard written to this many storage nodes (<=1 = none)")
 		chaos     = flag.String("chaos", "", "deterministic fault injection into stage 2, e.g. rate=0.1,shard=3@2,kill=1@4,delay=2@50ms (bit-identical results)")
@@ -77,34 +82,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var place aggregate.Placement
-	switch *placement {
-	case "affine":
-		place = aggregate.PlaceAffine
-	case "blind":
-		place = aggregate.PlaceBlind
-	case "uniform":
-		place = aggregate.PlaceUniform
-	default:
-		fmt.Fprintf(os.Stderr, "riskpipeline: unknown placement %q\n", *placement)
+	eng, err := aggregate.EngineByName(*engine, false)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "riskpipeline: %v\n", err)
 		os.Exit(2)
 	}
-	var eng aggregate.Engine
-	var reinst *aggregate.Reinstatements
-	switch *engine {
-	case "sequential":
-		eng = aggregate.Sequential{}
-	case "parallel":
-		eng = aggregate.Parallel{}
-	case "mapreduce":
-		eng = aggregate.MapReduce{Placement: place}
-	case "reinstatements":
-		reinst = &aggregate.Reinstatements{}
-		eng = reinst
-	default:
-		fmt.Fprintf(os.Stderr, "riskpipeline: unknown engine %q\n", *engine)
-		os.Exit(2)
-	}
+	reinst, _ := eng.(*aggregate.Reinstatements)
 	policy, err := cluster.ParsePolicy(*provision)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "riskpipeline: %v\n", err)
@@ -209,8 +192,8 @@ func main() {
 	}
 	if res := p.AggResult; res != nil && res.LocalBytes+res.RemoteBytes > 0 {
 		total := res.LocalBytes + res.RemoteBytes
-		fmt.Printf("shard data motion (%s placement): %.1f%% of %s scanned node-local\n",
-			*placement, 100*float64(res.LocalBytes)/float64(total), yelt.HumanBytes(float64(total)))
+		fmt.Printf("shard data motion: %.1f%% of %s scanned node-local\n",
+			100*float64(res.LocalBytes)/float64(total), yelt.HumanBytes(float64(total)))
 	}
 	if reinst != nil {
 		var total float64

@@ -45,6 +45,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/elt"
@@ -327,6 +328,46 @@ type Engine interface {
 	// Run executes the analysis. Implementations must be deterministic
 	// functions of (in, cfg).
 	Run(ctx context.Context, in *Input, cfg Config) (*Result, error)
+}
+
+// engines is the one table of engine names, sorted: what every -engine
+// flag accepts and prints. The device engines run the simulated GPU
+// over occurrence-only books, which only cmd/aggsim builds.
+var engines = []struct {
+	name   string
+	device bool
+	make   func() Engine
+}{
+	{"chunked", true, func() Engine { return &Chunked{} }},
+	{"mapreduce", false, func() Engine { return MapReduce{} }},
+	{"naive", true, func() Engine { return &Chunked{Naive: true} }},
+	{"parallel", false, func() Engine { return Parallel{} }},
+	{"reinstatements", false, func() Engine { return &Reinstatements{} }},
+	{"sequential", false, func() Engine { return Sequential{} }},
+}
+
+// EngineNames returns the sorted names EngineByName accepts: the host
+// engines and, with device, the simulated-device engines too.
+func EngineNames(device bool) []string {
+	var names []string
+	for _, e := range engines {
+		if device || !e.device {
+			names = append(names, e.name)
+		}
+	}
+	return names
+}
+
+// EngineByName returns a new engine by its -engine name. Without
+// device the simulated-device engines are as unknown as any other
+// name; the error lists the names on offer.
+func EngineByName(name string, device bool) (Engine, error) {
+	for _, e := range engines {
+		if e.name == name && (device || !e.device) {
+			return e.make(), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown engine %q (want %s)", name, strings.Join(EngineNames(device), "|"))
 }
 
 // trialScratch holds a worker's reusable kernel buffers (blocked.go),

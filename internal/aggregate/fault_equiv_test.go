@@ -51,24 +51,25 @@ func TestFaultEquivalenceMatrix(t *testing.T) {
 		1: replicatedSource(t, s, 1),
 		2: replicatedSource(t, s, 2),
 	}
+	// Every row runs the one scheduler, shard-affine lanes; the placement
+	// in a row's name is only the label the row is pinned under.
 	cases := []struct {
 		name      string
 		replicas  int
-		placement Placement
 		speculate bool
 		rules     func(ds *yelt.DiskSource) []faultinject.Rule
 	}{
-		{"clean/r1/affine", 1, PlaceAffine, false, nil},
-		{"clean/r2/affine", 2, PlaceAffine, false, nil},
+		{"clean/r1/affine", 1, false, nil},
+		{"clean/r2/affine", 2, false, nil},
 		// Every (shard, node) site's first read fails: unreplicated
 		// recovery is purely the map-retry loop.
-		{"first-read-fails/r1/affine", 1, PlaceAffine, false,
+		{"first-read-fails/r1/affine", 1, false,
 			func(*yelt.DiskSource) []faultinject.Rule {
 				return []faultinject.Rule{faultinject.FailShardRead{
 					Shard: faultinject.Any, Node: faultinject.Any, Attempts: 1,
 				}}
 			}},
-		{"first-read-fails/r2/blind", 2, PlaceBlind, false,
+		{"first-read-fails/r2/blind", 2, false,
 			func(*yelt.DiskSource) []faultinject.Rule {
 				return []faultinject.Rule{faultinject.FailShardRead{
 					Shard: faultinject.Any, Node: faultinject.Any, Attempts: 1,
@@ -76,32 +77,32 @@ func TestFaultEquivalenceMatrix(t *testing.T) {
 			}},
 		// Shard 1's primary replica is dead for good: every scan of it
 		// must fail over to the surviving replica.
-		{"primary-dead/r2/affine", 2, PlaceAffine, false,
+		{"primary-dead/r2/affine", 2, false,
 			func(ds *yelt.DiskSource) []faultinject.Rule {
 				return []faultinject.Rule{faultinject.FailShardRead{
 					Shard: 1, Node: ds.ShardNode(1), Attempts: 1 << 30,
 				}}
 			}},
 		// Random 10% read-attempt failures over replicated shards.
-		{"rate10/r2/affine", 2, PlaceAffine, false,
+		{"rate10/r2/affine", 2, false,
 			func(*yelt.DiskSource) []faultinject.Rule {
 				return []faultinject.Rule{faultinject.FailShardReadRate{Rate: 0.10}}
 			}},
 		// A node is dead on arrival; survivors steal its whole lane.
 		// (Dead-on-arrival rather than after-N so the kill fires no
 		// matter how fast the other lanes drain the queue.)
-		{"kill/r1/affine", 1, PlaceAffine, false,
+		{"kill/r1/affine", 1, false,
 			func(*yelt.DiskSource) []faultinject.Rule {
 				return []faultinject.Rule{faultinject.KillNode{Node: 2, AfterTasks: 0}}
 			}},
 		// An injected straggler with speculation on: the backup wins or
 		// loses, the result must not care.
-		{"straggler/r2/affine/spec", 2, PlaceAffine, true,
+		{"straggler/r2/affine/spec", 2, true,
 			func(*yelt.DiskSource) []faultinject.Rule {
 				return []faultinject.Rule{faultinject.DelaySplit{Split: 0, Delay: 60 * time.Millisecond}}
 			}},
-		// Everything at once over blind placement.
-		{"rate+kill/r2/blind", 2, PlaceBlind, false,
+		// Everything at once.
+		{"rate+kill/r2/blind", 2, false,
 			func(*yelt.DiskSource) []faultinject.Rule {
 				return []faultinject.Rule{
 					faultinject.FailShardReadRate{Rate: 0.05},
@@ -119,7 +120,6 @@ func TestFaultEquivalenceMatrix(t *testing.T) {
 			eng := MapReduce{
 				SplitTrials: 200,
 				MaxAttempts: 5,
-				Placement:   tc.placement,
 				Speculate:   tc.speculate,
 				Faults:      plan,
 			}

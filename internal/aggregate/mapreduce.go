@@ -18,8 +18,8 @@ import (
 // Aggregation: ... the Hadoop MapReduce Way"): map over trial splits of
 // any yelt.Source, reduce per-range YLT segments. Each mapper is the
 // shared trial-range driver (runRange) over its split into a segment
-// table, reducers stitch contiguous segments, and the final assembly
-// writes each segment into its disjoint slot range — so the engine is
+// table, and each reducer copies its group's segments into their
+// disjoint slot ranges of the one result — so the engine is
 // bit-identical to Sequential by construction, for any split size,
 // mapper count, or reducer count. Combined with a spilled
 // yelt.DiskSource the engine is the paper's distributed
@@ -34,13 +34,12 @@ import (
 // Over a spilled yelt.DiskSource the engine is locality-aware: splits
 // are derived from the shard boundaries (never straddling a shard, so
 // each map task scans exactly one shard's file) and scheduled on
-// per-node mapper lanes so a shard is scanned by a mapper homed on the
-// node that owns it. Placement selects shard-affine lanes (the
-// default over a DiskSource), the placement-blind baseline, or plain
-// uniform chunking; Result.LocalBytes/RemoteBytes account the data
-// motion either way. Placement cannot change results: splits cover the
-// same disjoint trial ranges regardless of which worker scans them,
-// and the segment stitch is order-insensitive.
+// per-node mapper lanes so a shard is scanned by a mapper homed on a
+// node that holds it; Result.LocalBytes/RemoteBytes account the data
+// motion. Any other source gets uniform chunks and placement-free
+// scheduling. The source's type decides, not an option: where a split
+// runs cannot change results — splits cover the same disjoint trial
+// ranges whichever worker scans them.
 type MapReduce struct {
 	// SplitTrials is the per-mapper trial range — the unit of work
 	// distribution, deliberately coarser than Config.BatchTrials (the
@@ -50,10 +49,6 @@ type MapReduce struct {
 	SplitTrials int
 	// MaxAttempts bounds map-task retries; <= 0 means 2 (one retry).
 	MaxAttempts int
-	// Placement selects mapper placement over a spilled source; see the
-	// Placement constants. The zero value (PlaceAffine) is shard-affine
-	// whenever the source is a yelt.DiskSource and uniform otherwise.
-	Placement Placement
 	// Speculate launches backup attempts for straggling map tasks
 	// (first finisher wins; duplicates are discarded, so results are
 	// unchanged — see mapreduce.Config.Speculate).
@@ -66,56 +61,17 @@ type MapReduce struct {
 	Faults *faultinject.Plan
 }
 
-// Placement is MapReduce's mapper-placement policy over a spilled
-// (sharded) trial source. Placement is purely a scheduling and
-// accounting lever: results are bit-identical across policies.
-type Placement int
-
-const (
-	// PlaceAffine (the default) derives splits from shard boundaries
-	// and runs per-node mapper lanes: a shard is scanned by a mapper
-	// homed on its owning node unless stealing is needed for load
-	// balance. Sources without shards fall back to uniform splits.
-	PlaceAffine Placement = iota
-	// PlaceBlind keeps the shard-derived splits and per-node mapper
-	// homes but serves splits from one global queue regardless of
-	// ownership — the data-motion baseline E16 measures affinity
-	// against (~1/nodes of bytes scanned land local by accident).
-	PlaceBlind
-	// PlaceUniform ignores shards entirely: uniform stream.Chunks
-	// splits with placement-free scheduling — the pre-locality
-	// behaviour, kept for comparison.
-	PlaceUniform
-)
-
-// String names the policy in benchmark tables.
-func (p Placement) String() string {
-	switch p {
-	case PlaceBlind:
-		return "blind"
-	case PlaceUniform:
-		return "uniform"
-	default:
-		return "affine"
-	}
-}
-
 // DefaultSplitTrials is the default mapper split: a few batches per
 // split keeps per-task dispatch negligible while still yielding enough
 // splits to balance mappers on million-trial runs.
 const DefaultSplitTrials = 4 * DefaultBatchTrials
 
-// DefaultSpillParts sizes a yelt.Spill at one shard per
-// DefaultSplitTrials trials (at least one): shards then align with the
-// default mapper split, so a batched shard scan wastes little prefix
-// decoding while per-shard overhead stays negligible. Shared by every
-// spill call site (pipeline, CLIs, benchmarks).
+// DefaultSpillParts sizes a yelt.Spill at one shard per started
+// DefaultSplitTrials trials: no shard is longer than the default mapper
+// split, so each is one map task. Shared by every spill call site
+// (pipeline, CLIs, benchmarks).
 func DefaultSpillParts(numTrials int) int {
-	parts := numTrials / DefaultSplitTrials
-	if parts < 1 {
-		parts = 1
-	}
-	return parts
+	return max(1, (numTrials+DefaultSplitTrials-1)/DefaultSplitTrials)
 }
 
 // Name implements Engine.
@@ -133,9 +89,10 @@ func newSegment(in *Input, cfg Config, r stream.Range) *segment {
 	return &segment{r: r, res: newResultN(in, cfg, r.Len())}
 }
 
-// copyInto writes the segment into dst tables at its global slot range.
-func (s *segment) copyInto(dst *Result, off int) {
-	lo := s.r.Lo - off
+// copyInto writes the segment into dst's tables at its global slot
+// range.
+func (s *segment) copyInto(dst *Result) {
+	lo := s.r.Lo
 	copy(dst.Portfolio.Agg[lo:], s.res.Portfolio.Agg)
 	copy(dst.Portfolio.OccMax[lo:], s.res.Portfolio.OccMax)
 	for ci := range dst.PerContract {
@@ -174,12 +131,11 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 	// Splits are the map inputs; contiguous runs of whole splits form
 	// reducer groups (the per-range YLT segments of the companion
 	// paper), keyed so shuffle hashing lands each group on one reducer.
-	// Over a sharded source (unless PlaceUniform) the splits follow the
-	// shard boundaries — each split lies inside exactly one shard, so a
-	// map task scans one shard's file and the task's data motion is
-	// attributable to one node.
+	// Over a sharded source the splits follow the shard boundaries —
+	// each split lies inside exactly one shard, so a map task scans one
+	// shard's file and the task's data motion is attributable to one
+	// node.
 	ds, sharded := src.(*yelt.DiskSource)
-	sharded = sharded && m.Placement != PlaceUniform
 	var ranges []stream.Range
 	var shardOf []int // shardOf[i] = shard holding split i (sharded only)
 	if sharded {
@@ -213,28 +169,17 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 		emit(groupOf(sp.id), seg)
 		return nil
 	}
-	// Reduce stitches a group's segments into one segment spanning the
-	// group's range. Segments arrive in unspecified order but cover
-	// disjoint slots, so the stitch is order-insensitive — the
-	// commutativity mapreduce.Run requires for determinism.
+	// Reduce copies a group's segments into the result. Segments arrive
+	// in unspecified order and reducers run concurrently, but every
+	// segment owns its slot range, so the copies neither overlap nor
+	// depend on order — the commutativity mapreduce.Run requires for
+	// determinism. The reduced value carries nothing further.
+	res := newResult(in, cfg)
 	reduce := func(_ int, segs []*segment) (*segment, error) {
-		if len(segs) == 1 {
-			return segs[0], nil
-		}
-		span := segs[0].r
-		for _, s := range segs[1:] {
-			if s.r.Lo < span.Lo {
-				span.Lo = s.r.Lo
-			}
-			if s.r.Hi > span.Hi {
-				span.Hi = s.r.Hi
-			}
-		}
-		out := newSegment(in, cfg, span)
 		for _, s := range segs {
-			s.copyInto(out.res, span.Lo)
+			s.copyInto(res)
 		}
-		return out, nil
+		return nil, nil
 	}
 
 	// Busy time is measured for every run (elastic provisioning reports
@@ -266,8 +211,8 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 		mrCfg.NodeFault = m.Faults.NodeTask
 		mrCfg.TaskDelay = m.Faults.SplitDelay
 		// Shard-read faults reach the scan through the spilled store.
-		if d, ok := src.(*yelt.DiskSource); ok {
-			st := d.Store()
+		if sharded {
+			st := ds.Store()
 			st.SetReadFault(m.Faults.DiskRead)
 			defer st.SetReadFault(nil)
 		}
@@ -288,7 +233,6 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 		}
 		mrCfg.Nodes = ds.Nodes()
 		mrCfg.NodeOf = func(split int) int { return ds.ShardNode(shardOf[split]) }
-		mrCfg.Blind = m.Placement == PlaceBlind
 		// Under replication any replica holder reads the shard off its
 		// own disk, so placement accounting treats all of them as local.
 		if ds.Replicas() > 1 {
@@ -304,17 +248,11 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 	}
 
 	var failovers0 int64
-	if ds != nil {
+	if sharded {
 		failovers0 = ds.Failovers()
 	}
-	stitched, err := mapreduce.Run(ctx, splits, mapf, nil, reduce, mrCfg)
-	if err != nil {
+	if _, err := mapreduce.Run(ctx, splits, mapf, nil, reduce, mrCfg); err != nil {
 		return nil, err
-	}
-
-	res := newResult(in, cfg)
-	for _, seg := range stitched {
-		seg.copyInto(res, 0)
 	}
 	res.LocalBytes = localBytes.Load()
 	res.RemoteBytes = remoteBytes.Load()
@@ -324,7 +262,7 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 	res.SpecLaunched = stats.SpecLaunched.Load()
 	res.SpecWins = stats.SpecWins.Load()
 	res.WorkersLost = stats.WorkersLost.Load()
-	if ds != nil {
+	if sharded {
 		res.ShardFailovers = ds.Failovers() - failovers0
 	}
 	finishResident(in, res, rt)
@@ -343,8 +281,7 @@ type mapSplit struct {
 // splits, so no split ever straddles two shards and every split's scan
 // touches exactly one shard file. Returns the split ranges and each
 // split's owning shard. Under default sizing (DefaultSpillParts shards
-// of ~DefaultSplitTrials trials) this degenerates to one or two splits
-// per shard even when the trial count doesn't divide evenly.
+// of at most DefaultSplitTrials trials) that is one split per shard.
 func shardSplits(shards []stream.Range, splitTrials int) (ranges []stream.Range, shardOf []int) {
 	for s, sr := range shards {
 		for _, c := range stream.Chunks(sr.Len(), splitTrials) {

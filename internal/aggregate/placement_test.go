@@ -3,56 +3,90 @@ package aggregate
 import (
 	"context"
 	"testing"
+	"time"
 
+	"repro/internal/diskstore"
+	"repro/internal/faultinject"
 	"repro/internal/lossindex"
 	"repro/internal/stream"
 	"repro/internal/synth"
+	"repro/internal/yelt"
 )
 
-// Placement is a scheduling and accounting lever only: every policy
-// must produce results bit-identical to Sequential, and over a spilled
-// source the local/remote byte split must account for exactly the
-// spilled dataset (each shard's bytes attributed once, to one side).
+// Where a split runs is scheduling and accounting only. Shard-affine
+// lanes over a spilled source and uniform chunks over the materialised
+// table of the same trials must both be bit-identical to Sequential;
+// over the shards the local/remote byte split must account for exactly
+// the spilled dataset (each shard's bytes attributed once, to one side)
+// with nearly all of it local, and without shards no bytes are
+// accounted at all.
 func TestPlacementEquivalenceAndByteAccounting(t *testing.T) {
+	ctx := context.Background()
 	s := buildScenario(t, synth.Small(67))
 	ix, err := lossindex.Build(s.ELTs, s.Portfolio)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := spilledSource(t, s)
+	// Thirty equal shards on three nodes, one mapper homed on each.
+	store, err := diskstore.Create(t.TempDir(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := yelt.Spill(ctx, s.YELT, store, "yelt", 30, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	spilled, err := disk.SizeBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Seed: 41, Sampling: true, PerContract: true, Workers: 3, BatchTrials: 311}
-	want, err := Sequential{}.Run(context.Background(),
-		&Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}, cfg)
+	want, err := Sequential{}.Run(ctx, &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Placement{PlaceAffine, PlaceBlind, PlaceUniform} {
-		in := &Input{Source: disk, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}
-		// SplitTrials larger than any shard: one split per shard, so the
-		// pro-rata byte attribution is exact.
-		got, err := MapReduce{SplitTrials: 4096, Placement: p}.Run(context.Background(), in, cfg)
-		if err != nil {
-			t.Fatalf("placement %v: %v", p, err)
-		}
-		resultsBitIdentical(t, "placement/"+p.String(), want, got)
-		if got.BusySeconds <= 0 {
-			t.Fatalf("placement %v: no busy time measured", p)
-		}
-		switch p {
-		case PlaceUniform:
-			if got.LocalBytes != 0 || got.RemoteBytes != 0 {
-				t.Fatalf("uniform placement accounted bytes: local=%d remote=%d", got.LocalBytes, got.RemoteBytes)
-			}
-		default:
-			if got.LocalBytes+got.RemoteBytes != spilled {
-				t.Fatalf("placement %v: local=%d + remote=%d != spilled %d",
-					p, got.LocalBytes, got.RemoteBytes, spilled)
-			}
-		}
+
+	// Every split's run is stretched by the same delay, so the three
+	// lanes drain in step: a steal — the only way a scan goes remote —
+	// takes a mapper stalling for a whole task, not a late goroutine
+	// start on a microsecond split.
+	var pace []faultinject.Rule
+	for i := 0; i < disk.Shards(); i++ {
+		pace = append(pace, faultinject.DelaySplit{Split: i, Delay: 2 * time.Millisecond})
+	}
+	// SplitTrials larger than any shard: one split per shard, so the
+	// pro-rata byte attribution is exact.
+	affine, err := MapReduce{SplitTrials: 4096, Faults: faultinject.New(1, pace...)}.Run(ctx,
+		&Input{Source: disk, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}, cfg)
+	if err != nil {
+		t.Fatalf("shard-affine: %v", err)
+	}
+	resultsBitIdentical(t, "placement/affine", want, affine)
+	if affine.BusySeconds <= 0 {
+		t.Fatal("shard-affine: no busy time measured")
+	}
+	if affine.LocalBytes+affine.RemoteBytes != spilled {
+		t.Fatalf("shard-affine: local=%d + remote=%d != spilled %d", affine.LocalBytes, affine.RemoteBytes, spilled)
+	}
+	if 10*affine.LocalBytes < 9*spilled {
+		t.Fatalf("shard-affine: only %d of %d bytes scanned node-local", affine.LocalBytes, spilled)
+	}
+
+	tbl, err := disk.ReadTrials(ctx, 0, disk.TrialCount(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := MapReduce{SplitTrials: 300}.Run(ctx,
+		&Input{YELT: tbl, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}, cfg)
+	if err != nil {
+		t.Fatalf("uniform: %v", err)
+	}
+	resultsBitIdentical(t, "placement/uniform", want, uniform)
+	if uniform.BusySeconds <= 0 {
+		t.Fatal("uniform: no busy time measured")
+	}
+	if uniform.LocalBytes != 0 || uniform.RemoteBytes != 0 {
+		t.Fatalf("uniform chunks accounted bytes: local=%d remote=%d", uniform.LocalBytes, uniform.RemoteBytes)
 	}
 }
 
@@ -69,7 +103,7 @@ func TestAffineSingleWorkerAccountsStealsRemote(t *testing.T) {
 	}
 	disk := spilledSource(t, s)
 	in := &Input{Source: disk, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}
-	res, err := MapReduce{SplitTrials: 4096, Placement: PlaceAffine}.Run(context.Background(), in,
+	res, err := MapReduce{SplitTrials: 4096}.Run(context.Background(), in,
 		Config{Workers: 1, BatchTrials: 311})
 	if err != nil {
 		t.Fatal(err)
@@ -93,13 +127,17 @@ func TestAffineSingleWorkerAccountsStealsRemote(t *testing.T) {
 }
 
 // Satellite regression: under default sizing, mapper splits must align
-// with DefaultSpillParts shard boundaries — no split straddles two
-// shards, and the splits exactly tile the trial range — even when the
-// trial count divides into neither shards nor splits evenly.
+// with DefaultSpillParts shard boundaries — every shard is exactly one
+// split, no split straddles two shards, and the splits exactly tile
+// the trial range — even when the trial count divides into neither
+// shards nor splits evenly.
 func TestDefaultSpillShardsAlignWithMapperSplits(t *testing.T) {
 	for _, n := range []int{1_000_000 + 1, 1_000_000, 32768, 32769, 99991, 12345677} {
 		shards := stream.Partition(n, DefaultSpillParts(n))
 		ranges, shardOf := shardSplits(shards, DefaultSplitTrials)
+		if len(ranges) != len(shards) {
+			t.Fatalf("n=%d: %d splits over %d shards, want one split per shard", n, len(ranges), len(shards))
+		}
 		next := 0
 		for i, r := range ranges {
 			if r.Lo != next {

@@ -71,8 +71,8 @@ type Config struct {
 	// SpillDir roots the spill store; "" uses a fresh temp dir removed
 	// when stage 2 finishes, a caller-supplied dir keeps the shards.
 	SpillDir string
-	// SpillParts is the shard count; <= 0 derives one shard per
-	// 4*aggregate.DefaultBatchTrials trials (at least one).
+	// SpillParts is the shard count; <= 0 derives one shard per started
+	// aggregate.DefaultSplitTrials trials (aggregate.DefaultSpillParts).
 	SpillParts int
 	// SpillNodes is the spill store's simulated storage-node count;
 	// <= 0 means yelt.DefaultSpillNodes. Shard-affine engines place

@@ -68,11 +68,6 @@ type Config struct {
 	// NodeOf returns the storage node owning split i. Required when
 	// Nodes > 0.
 	NodeOf func(split int) int
-	// Blind, with Nodes > 0, keeps the per-node mapper homes but serves
-	// splits from one global queue in index order regardless of
-	// ownership — the placement-blind baseline locality is measured
-	// against. Placement accounting (OnTask's local flag) still applies.
-	Blind bool
 	// LocalOf, if non-nil, overrides the placement predicate used for
 	// accounting: whether a worker homed on node home scans split i
 	// locally. The default is NodeOf(i) mod Nodes == home; replicated
@@ -178,30 +173,18 @@ var ErrTooManyFailures = errors.New("mapreduce: map task exhausted attempts")
 var ErrWorkersLost = errors.New("mapreduce: all workers lost")
 
 // laneScheduler hands out split indices to workers keyed by the
-// worker's home node. In affine mode each node has its own FIFO lane
-// and a worker steals from the most-loaded foreign lane only when its
-// own is dry; in blind mode one global FIFO serves every worker. The
-// caller decides locality (owner node == home node) itself — the
+// worker's home node: each node has its own FIFO lane, and a worker
+// steals from the most-loaded foreign lane only when its own is dry.
+// The caller decides locality (owner node == home node) itself — the
 // scheduler only orders the work.
 type laneScheduler struct {
 	mu    sync.Mutex
-	lanes [][]int // per-lane FIFO of split indices; one lane when blind
+	lanes [][]int // per-lane FIFO of split indices
 	heads []int   // consumed prefix per lane
 }
 
-func newLaneScheduler(n, nodes int, nodeOf func(int) int, blind bool) *laneScheduler {
-	s := &laneScheduler{}
-	if blind {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		s.lanes = [][]int{all}
-		s.heads = []int{0}
-		return s
-	}
-	s.lanes = make([][]int, nodes)
-	s.heads = make([]int, nodes)
+func newLaneScheduler(n, nodes int, nodeOf func(int) int) *laneScheduler {
+	s := &laneScheduler{lanes: make([][]int, nodes), heads: make([]int, nodes)}
 	for i := 0; i < n; i++ {
 		lane := nodeOf(i) % nodes
 		if lane < 0 {
@@ -331,7 +314,6 @@ func Run[S any, K comparable, V any](
 		// applies uniformly.
 		cfg.Nodes = 1
 		cfg.NodeOf = func(int) int { return 0 }
-		cfg.Blind = false
 	}
 	if len(splits) == 0 {
 		return map[K]V{}, nil
@@ -517,12 +499,11 @@ func Run[S any, K comparable, V any](
 
 // runLanes is the locality-aware map-phase dispatcher: cfg.Mappers
 // workers, worker w homed on node w mod cfg.Nodes, pulling splits from
-// a laneScheduler (per-node lanes in affine mode, one global queue in
-// blind mode). A task is local when the split's owning node equals the
-// worker's home — true by construction for a home-lane pop, false for
-// a steal, and ~1/Nodes of the time under the blind baseline
-// (Config.LocalOf overrides the predicate for replicated stores). The
-// first fatal error cancels outstanding work, like stream.ForEach.
+// a laneScheduler's per-node lanes. A task is local when the split's
+// owning node equals the worker's home — true by construction for a
+// home-lane pop, false for a steal (Config.LocalOf overrides the
+// predicate for replicated stores). The first fatal error cancels
+// outstanding work, like stream.ForEach.
 //
 // A worker checks NodeFault before each pop, so a killed node strands
 // nothing: unpopped splits are stolen by surviving lanes. When the
@@ -536,7 +517,7 @@ func runLanes(ctx context.Context, n int, cfg Config, stats *Stats,
 	if workers > n {
 		workers = n
 	}
-	sched := newLaneScheduler(n, cfg.Nodes, cfg.NodeOf, cfg.Blind)
+	sched := newLaneScheduler(n, cfg.Nodes, cfg.NodeOf)
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -281,7 +281,7 @@ func TestCancellation(t *testing.T) {
 // most-loaded foreign lane, and blind mode is one global FIFO.
 func TestLaneSchedulerAffineOrder(t *testing.T) {
 	// 7 splits on 3 nodes, nodeOf = i % 3: lanes {0,3,6}, {1,4}, {2,5}.
-	s := newLaneScheduler(7, 3, func(i int) int { return i % 3 }, false)
+	s := newLaneScheduler(7, 3, func(i int) int { return i % 3 })
 	for _, want := range []int{0, 3, 6} {
 		got, ok := s.next(0)
 		if !ok || got != want {
@@ -310,23 +310,10 @@ func TestLaneSchedulerAffineOrder(t *testing.T) {
 	}
 }
 
-func TestLaneSchedulerBlindGlobalFIFO(t *testing.T) {
-	s := newLaneScheduler(5, 3, func(i int) int { return i % 3 }, true)
-	for want := 0; want < 5; want++ {
-		got, ok := s.next(want % 3) // home is irrelevant in blind mode
-		if !ok || got != want {
-			t.Fatalf("blind pop = %d,%v; want %d", got, ok, want)
-		}
-	}
-	if _, ok := s.next(0); ok {
-		t.Fatal("drained blind scheduler handed out work")
-	}
-}
-
 // Locality-aware runs must stay bit-equivalent to placement-free runs
 // (placement only reorders scheduling, never values), every split must
 // be mapped exactly once, and local+remote accounting must cover every
-// task, in both affine and blind modes.
+// task.
 func TestLocalityEquivalenceAndAccounting(t *testing.T) {
 	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
 		for i := 0; i < 200; i++ {
@@ -342,40 +329,37 @@ func TestLocalityEquivalenceAndAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, blind := range []bool{false, true} {
-		var local, remote, tasks atomic.Int64
-		cfg := Config{
-			Mappers: 6, Reducers: 3,
-			Nodes:  4,
-			NodeOf: func(i int) int { return i % 4 },
-			Blind:  blind,
-			OnTask: func(split int, isLocal bool, _ time.Duration) {
-				tasks.Add(1)
-				if isLocal {
-					local.Add(1)
-				} else {
-					remote.Add(1)
-				}
-			},
-		}
-		got, err := Run(context.Background(), splits, mapf, sumReduce, sumReduce, cfg)
-		if err != nil {
-			t.Fatalf("blind=%v: %v", blind, err)
-		}
-		if len(got) != len(base) {
-			t.Fatalf("blind=%v: key count %d vs %d", blind, len(got), len(base))
-		}
-		for k, v := range base {
-			if d := got[k] - v; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("blind=%v key %d: %v vs %v", blind, k, got[k], v)
+	var local, remote, tasks atomic.Int64
+	cfg := Config{
+		Mappers: 6, Reducers: 3,
+		Nodes:  4,
+		NodeOf: func(i int) int { return i % 4 },
+		OnTask: func(split int, isLocal bool, _ time.Duration) {
+			tasks.Add(1)
+			if isLocal {
+				local.Add(1)
+			} else {
+				remote.Add(1)
 			}
+		},
+	}
+	got, err := Run(context.Background(), splits, mapf, sumReduce, sumReduce, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(base) {
+		t.Fatalf("key count %d vs %d", len(got), len(base))
+	}
+	for k, v := range base {
+		if d := got[k] - v; d > 1e-9 || d < -1e-9 {
+			t.Fatalf("key %d: %v vs %v", k, got[k], v)
 		}
-		if tasks.Load() != int64(len(splits)) {
-			t.Fatalf("blind=%v: OnTask fired %d times for %d splits", blind, tasks.Load(), len(splits))
-		}
-		if local.Load()+remote.Load() != int64(len(splits)) {
-			t.Fatalf("blind=%v: local %d + remote %d != %d", blind, local.Load(), remote.Load(), len(splits))
-		}
+	}
+	if tasks.Load() != int64(len(splits)) {
+		t.Fatalf("OnTask fired %d times for %d splits", tasks.Load(), len(splits))
+	}
+	if local.Load()+remote.Load() != int64(len(splits)) {
+		t.Fatalf("local %d + remote %d != %d", local.Load(), remote.Load(), len(splits))
 	}
 }
 

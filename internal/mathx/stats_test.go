@@ -177,56 +177,3 @@ func TestCovariancePropertyBilinear(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // underflow
-	h.Add(10) // overflow (right edge is exclusive)
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Errorf("bin %d count = %d, want 1", i, c)
-		}
-	}
-	if h.Underflow != 1 || h.Overflow != 1 {
-		t.Errorf("under/overflow = %d/%d, want 1/1", h.Underflow, h.Overflow)
-	}
-	if h.Total != 12 {
-		t.Errorf("Total = %d, want 12", h.Total)
-	}
-	if !almostEqual(h.BinCenter(0), 0.5, 1e-12) {
-		t.Errorf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-	if h.String() == "" {
-		t.Error("String() should render bars")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 10, 5)
-	b := NewHistogram(0, 10, 5)
-	a.Add(1)
-	b.Add(1)
-	b.Add(9)
-	if !a.Merge(b) {
-		t.Fatal("Merge of compatible histograms failed")
-	}
-	if a.Total != 3 || a.Counts[0] != 2 || a.Counts[4] != 1 {
-		t.Fatalf("merged: %+v", a)
-	}
-	c := NewHistogram(0, 5, 5)
-	if a.Merge(c) {
-		t.Fatal("Merge of incompatible histograms should report false")
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for hi <= lo")
-		}
-	}()
-	NewHistogram(1, 1, 4)
-}

@@ -265,10 +265,10 @@ func SpillToDir(ctx context.Context, src Source, dir string, nodes, parts, repli
 }
 
 // DiskSource is a Source over the trial-range shards Spill wrote: any
-// batch is re-read from disk by scanning the overlapping shards with
-// the StreamTrials codec (the store offers no random access — these
-// workloads scan). It is safe for concurrent ReadTrials calls: every
-// call opens its own partition readers.
+// batch is re-read from disk by scanning the overlapping shards with a
+// Reader (the store offers no random access — these workloads scan).
+// It is safe for concurrent ReadTrials calls: every call opens its own
+// partition readers.
 type DiskSource struct {
 	store    *diskstore.Store
 	dataset  string
@@ -354,39 +354,12 @@ func OpenDiskSource(store *diskstore.Store, dataset string) (*DiskSource, error)
 	ds := &DiskSource{store: store, dataset: dataset, reps: reps, replicas: replicas}
 	lo := 0
 	for i, want := range wantCounts {
-		var errs []error
-		verified := false
-		for ri, node := range reps[i] {
-			var trials int
-			err := store.ReadPartitionAt(dataset, i, node, func(r io.Reader) error {
-				var hdr [8]byte
-				if _, err := io.ReadFull(r, hdr[:]); err != nil {
-					return fmt.Errorf("yelt: shard %d header: %w", i, err)
-				}
-				if [4]byte(hdr[:4]) != magic {
-					return fmt.Errorf("%w: shard %d magic %q", ErrBadFormat, i, hdr[:4])
-				}
-				trials = int(binary.LittleEndian.Uint32(hdr[4:8]))
-				return nil
-			})
-			if err == nil && trials != want {
-				err = fmt.Errorf("%w: shard %d holds %d trials, manifest expects %d", ErrBadFormat, i, trials, want)
-			}
-			if err == nil {
-				if ri > 0 {
-					ds.failovers.Add(int64(ri))
-					ds.flog.add(fmt.Sprintf("shard %d: attached from replica node %d (%v)", i, node, errors.Join(errs...)))
-				}
-				verified = true
-				break
-			}
-			errs = append(errs, fmt.Errorf("replica node %d: %w", node, err))
-		}
-		if !verified {
-			if len(errs) == 1 {
-				return nil, errs[0]
-			}
-			return nil, fmt.Errorf("yelt: shard %d unreadable on all replicas: %w", i, errors.Join(errs...))
+		err := ds.readShard(i, "attach", func(r io.Reader) error {
+			_, err := openShard(r, i, want)
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		ds.ranges = append(ds.ranges, stream.Range{Lo: lo, Hi: lo + want})
 		lo += want
@@ -410,20 +383,15 @@ func (ds *DiskSource) ShardRange(i int) stream.Range { return ds.ranges[i] }
 
 // ShardNode returns the storage node shard i primarily lives on —
 // where a shard-affine mapper should run to scan it locally.
-func (ds *DiskSource) ShardNode(i int) int { return ds.shardReplicas(i)[0] }
+func (ds *DiskSource) ShardNode(i int) int { return ds.reps[i][0] }
 
 // ShardNodes returns every storage node holding a replica of shard i,
 // in failover order. Affine placement treats any of them as local.
 // The returned slice is shared; callers must not modify it.
-func (ds *DiskSource) ShardNodes(i int) []int { return ds.shardReplicas(i) }
+func (ds *DiskSource) ShardNodes(i int) []int { return ds.reps[i] }
 
 // Replicas returns the replication factor the spill was written with.
-func (ds *DiskSource) Replicas() int {
-	if ds.replicas < 1 {
-		return 1
-	}
-	return ds.replicas
-}
+func (ds *DiskSource) Replicas() int { return ds.replicas }
 
 // Failovers returns how many replica reads were abandoned for the next
 // replica so far — zero on a healthy store.
@@ -436,15 +404,6 @@ func (ds *DiskSource) FailoverLog() []string { return ds.flog.snapshot() }
 // Store exposes the underlying diskstore — the seam where fault
 // injection (Store.SetReadFault) and replica-loss hooks attach.
 func (ds *DiskSource) Store() *diskstore.Store { return ds.store }
-
-func (ds *DiskSource) shardReplicas(i int) []int {
-	if ds.reps == nil {
-		// Pre-replication DiskSource (built by tests or old callers):
-		// primary placement only.
-		return []int{ds.store.NodeOf(i)}
-	}
-	return ds.reps[i]
-}
 
 // ShardSizeBytes returns the on-disk size of shard i — the data-motion
 // cost of scanning it from another node.
@@ -461,14 +420,46 @@ func (ds *DiskSource) SizeBytes() (int64, error) {
 // so far — how much shard data engine passes have re-read from disk.
 func (ds *DiskSource) Scanned() int64 { return ds.scanned.Load() }
 
-// errStopScan aborts a shard scan once the requested range is filled;
-// it never escapes ReadTrials.
-var errStopScan = errors.New("yelt: stop scan")
+// readShard runs fn over the replicas of shard i in failover order
+// until one succeeds, counting and logging every replica abandoned on
+// the way; what names the read ("attach", "scan") in log and error.
+func (ds *DiskSource) readShard(i int, what string, fn func(io.Reader) error) error {
+	var errs []error
+	for ri, node := range ds.reps[i] {
+		err := ds.store.ReadPartitionAt(ds.dataset, i, node, fn)
+		if err == nil {
+			if ri > 0 {
+				ds.failovers.Add(int64(ri))
+				ds.flog.add(fmt.Sprintf("shard %d: %s failed over to replica node %d (%v)", i, what, node, errors.Join(errs...)))
+			}
+			return nil
+		}
+		errs = append(errs, fmt.Errorf("replica node %d: %w", node, err))
+	}
+	if len(errs) == 1 {
+		return fmt.Errorf("yelt: %s of shard %d: %w", what, i, errs[0])
+	}
+	return fmt.Errorf("yelt: %s of shard %d: all replicas failed: %w", what, i, errors.Join(errs...))
+}
+
+// openShard starts decoding one replica of shard i, refusing a file
+// whose header disagrees with the trial count the manifest recorded.
+func openShard(r io.Reader, i, want int) (*Reader, error) {
+	rd, err := newReader(r, fmt.Sprintf("shard %d", i))
+	if err != nil {
+		return nil, err
+	}
+	if rd.NumTrials() != want {
+		return nil, fmt.Errorf("%w: shard %d holds %d trials, manifest expects %d", ErrBadFormat, i, rd.NumTrials(), want)
+	}
+	return rd, nil
+}
 
 // ReadTrials implements Source by scanning the shards overlapping
-// [lo, hi) with StreamTrials, copying the in-range trials into buf and
-// stopping each scan as soon as the range is exhausted. Memory use is
-// bounded by the batch plus one shard's counts header.
+// [lo, hi): each scan skips, as bytes, to the first trial it needs and
+// decodes the in-range trials straight into buf, so a record is decoded
+// once however many batches share its shard. Memory use is bounded by
+// the batch plus one shard's counts header.
 func (ds *DiskSource) ReadTrials(ctx context.Context, lo, hi int, buf *Table) (*Table, error) {
 	if lo < 0 || hi > ds.n || lo > hi {
 		return nil, fmt.Errorf("yelt: read trials [%d,%d) outside [0,%d)", lo, hi, ds.n)
@@ -476,7 +467,7 @@ func (ds *DiskSource) ReadTrials(ctx context.Context, lo, hi int, buf *Table) (*
 	if buf == nil {
 		buf = &Table{}
 	}
-	buf.NumTrials = hi - lo
+	buf.NumTrials = 0
 	buf.Offsets = append(buf.Offsets[:0], 0)
 	buf.Occs = buf.Occs[:0]
 	if lo == hi {
@@ -489,53 +480,28 @@ func (ds *DiskSource) ReadTrials(ctx context.Context, lo, hi int, buf *Table) (*
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		base := ds.ranges[si].Lo
-		// Snapshot the fill level so a replica that fails mid-scan can be
-		// rolled back before the next replica re-scans: the failover read
-		// appends exactly what the healthy read would have, keeping
+		sr := ds.ranges[si]
+		skip := max(lo, sr.Lo) - sr.Lo
+		take := min(hi, sr.Hi) - sr.Lo - skip
+		// Every attempt starts from the fill level the shard found, so a
+		// replica that fails mid-scan leaves nothing behind: the failover
+		// read appends exactly what the healthy read would have, keeping
 		// results bit-identical to a fault-free run.
 		occ0, off0 := len(buf.Occs), len(buf.Offsets)
-		nodes := ds.shardReplicas(si)
-		var errs []error
-		scanned := false
-		for ri, node := range nodes {
-			if ri > 0 {
-				buf.Occs = buf.Occs[:occ0]
-				buf.Offsets = buf.Offsets[:off0]
+		err := ds.readShard(si, "scan", func(r io.Reader) error {
+			buf.Occs, buf.Offsets = buf.Occs[:occ0], buf.Offsets[:off0]
+			rd, err := openShard(r, si, sr.Len())
+			if err != nil {
+				return err
 			}
-			err := ds.store.ReadPartitionAt(ds.dataset, si, node, func(r io.Reader) error {
-				return StreamTrials(r, func(trial int, occs []Occurrence) error {
-					global := base + trial
-					if global < lo {
-						return nil
-					}
-					if global >= hi {
-						return errStopScan
-					}
-					buf.Occs = append(buf.Occs, occs...)
-					buf.Offsets = append(buf.Offsets, int64(len(buf.Occs)))
-					return nil
-				})
-			})
-			if err == nil || errors.Is(err, errStopScan) {
-				if ri > 0 {
-					ds.failovers.Add(int64(ri))
-					ds.flog.add(fmt.Sprintf("shard %d: scanned replica node %d (%v)", si, node, errors.Join(errs...)))
-				}
-				scanned = true
-				break
+			if err := rd.Skip(skip); err != nil {
+				return err
 			}
-			errs = append(errs, fmt.Errorf("replica node %d: %w", node, err))
+			return rd.Next(take, buf)
+		})
+		if err != nil {
+			return nil, err
 		}
-		if !scanned {
-			if len(errs) == 1 {
-				return nil, fmt.Errorf("yelt: scanning shard %d: %w", si, errs[0])
-			}
-			return nil, fmt.Errorf("yelt: scanning shard %d: all replicas failed: %w", si, errors.Join(errs...))
-		}
-	}
-	if got := len(buf.Offsets) - 1; got != hi-lo {
-		return nil, fmt.Errorf("%w: shards yielded %d of %d trials in [%d,%d)", ErrBadFormat, got, hi-lo, lo, hi)
 	}
 	ds.scanned.Add(int64(len(buf.Occs)))
 	return buf, nil

@@ -18,9 +18,12 @@ func mustEncode(f *testing.F, t *Table) []byte {
 // FuzzRead drives the binary codec with arbitrary bytes: inputs Read
 // accepts must round-trip WriteTo → Read → WriteTo byte-identically
 // and satisfy the Table invariants; inputs it rejects must error
-// cleanly (no panic, no huge speculative allocation). The seed corpus
-// is golden encodings — empty, single-trial, multi-trial with empty
-// years — plus corruptions of each.
+// cleanly (no panic, no huge speculative allocation). The shard scan's
+// path through the same decoder — Skip to a trial, Next over a range —
+// must agree with Read + Slice on what Read accepts and fail on what
+// it rejects. The seed corpus is golden encodings — empty,
+// single-trial, multi-trial with empty years — plus corruptions of
+// each.
 func FuzzRead(f *testing.F) {
 	golden := []*Table{
 		{NumTrials: 0, Offsets: []int64{0}},
@@ -50,8 +53,25 @@ func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		t1, err := Read(bytes.NewReader(data))
 		if err != nil {
-			return // rejected input: a clean error is the contract
+			// Rejected input: a clean error is the contract, for a skip
+			// over every trial as much as for a decode of them.
+			if rd, err := NewReader(bytes.NewReader(data)); err == nil && rd.Skip(rd.NumTrials()) == nil {
+				t.Fatalf("Read refused the input (%v), Skip over all of it did not", err)
+			}
+			return
 		}
+		// The input picks its own range: its last two bytes.
+		lo := int(data[len(data)-1]) % (t1.NumTrials + 1)
+		hi := lo + int(data[len(data)-2])%(t1.NumTrials-lo+1)
+		got, err := skipNext(data, lo, hi)
+		if err != nil {
+			t.Fatalf("Skip(%d) + Next(%d) over an input Read accepts: %v", lo, hi-lo, err)
+		}
+		want, err := t1.Slice(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tablesEqual(t, "skip+next", want, got)
 		if len(t1.Offsets) != t1.NumTrials+1 || t1.Offsets[0] != 0 {
 			t.Fatalf("decoded table breaks offset invariant: trials=%d offsets=%d", t1.NumTrials, len(t1.Offsets))
 		}

@@ -1,0 +1,136 @@
+package yelt
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// skipNext decodes trials [lo, hi) of an encoded table the way a shard
+// scan does: header, Skip to lo, Next over the range.
+func skipNext(data []byte, lo, hi int) (*Table, error) {
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	if err := rd.Skip(lo); err != nil {
+		return nil, err
+	}
+	got := &Table{}
+	if err := rd.Next(hi-lo, got); err != nil {
+		return nil, err
+	}
+	return got, nil
+}
+
+// Skipping is byte arithmetic over the counts header; it must land on
+// exactly the trial a full decode would have reached.
+func TestReaderSkipMatchesRead(t *testing.T) {
+	tbl, err := Generate(context.Background(), testCatalog(t, 300), Config{NumTrials: 400}, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := tbl.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	all, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		lo := rnd.Intn(all.NumTrials + 1)
+		hi := lo + rnd.Intn(all.NumTrials-lo+1)
+		got, err := skipNext(buf.Bytes(), lo, hi)
+		if err != nil {
+			t.Fatalf("[%d,%d): %v", lo, hi, err)
+		}
+		want, err := all.Slice(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tablesEqual(t, "skip+next", want, got)
+	}
+
+	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.Skip(399); err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.Skip(2); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("skipping past the last trial: %v, want ErrBadFormat", err)
+	}
+	if err := rd.Next(2, &Table{}); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("decoding past the last trial: %v, want ErrBadFormat", err)
+	}
+	// A refused request consumes nothing: the last trial is still there.
+	last := &Table{}
+	if err := rd.Next(1, last); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := all.Slice(399, 400)
+	tablesEqual(t, "last trial", want, last)
+}
+
+// A header is input from outside the process (-mode aggregate -dir D):
+// one that declares 2^27 trials over no data must be refused before
+// anything is sized from it, whichever parser it arrives through.
+func TestReaderForgedHeaderAllocatesLittle(t *testing.T) {
+	forged := binary.LittleEndian.AppendUint32(append([]byte(nil), magic[:]...), 1<<27)
+
+	ctx := context.Background()
+	tbl, err := Generate(ctx, testCatalog(t, 200), Config{NumTrials: 40}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := testStore(t, 1)
+	ds, err := Spill(ctx, tbl, store, "f", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = store.WritePartition("f", 1, func(w io.Writer) error {
+		_, err := w.Write(forged)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		parse func() error
+	}{
+		{"Read", func() error {
+			_, err := Read(bytes.NewReader(forged))
+			return err
+		}},
+		{"StreamTrials", func() error {
+			return StreamTrials(bytes.NewReader(forged), func(int, []Occurrence) error { return nil })
+		}},
+		{"DiskSource.ReadTrials", func() error {
+			_, err := ds.ReadTrials(ctx, 0, 40, nil)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.parse()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("forged header accepted")
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("refusing the header allocated %d bytes", got)
+			}
+		})
+	}
+}

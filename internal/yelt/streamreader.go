@@ -1,64 +1,25 @@
 package yelt
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
-
-// TrialVisitor receives one trial year at a time during a streaming
-// read. occs is only valid during the call; implementations must copy
-// if they retain it.
-type TrialVisitor func(trial int, occs []Occurrence) error
+import "io"
 
 // StreamTrials reads a serialized table (the WriteTo format) from r
 // and delivers trials one at a time without materializing the table —
 // the access pattern for YELTs that exceed memory, per the paper's
-// "data needs to be scanned over" observation. Memory use is bounded
-// by the largest single trial year plus the counts header.
-func StreamTrials(r io.Reader, visit TrialVisitor) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return fmt.Errorf("yelt: stream magic: %w", err)
+// "data needs to be scanned over" observation. occs is only valid
+// during the call; visit must copy what it retains. Memory use is
+// bounded by the largest single trial year plus the counts header.
+func StreamTrials(r io.Reader, visit func(trial int, occs []Occurrence) error) error {
+	rd, err := NewReader(r)
+	if err != nil {
+		return err
 	}
-	if m != magic {
-		return fmt.Errorf("%w: magic %q", ErrBadFormat, m)
-	}
-	var u4 [4]byte
-	if _, err := io.ReadFull(br, u4[:]); err != nil {
-		return fmt.Errorf("yelt: stream trial count: %w", err)
-	}
-	numTrials := int(binary.LittleEndian.Uint32(u4[:]))
-	const maxTrials = 1 << 27
-	if numTrials < 0 || numTrials > maxTrials {
-		return fmt.Errorf("%w: trial count %d", ErrBadFormat, numTrials)
-	}
-	counts := make([]uint32, numTrials)
-	for i := range counts {
-		if _, err := io.ReadFull(br, u4[:]); err != nil {
-			return fmt.Errorf("yelt: stream count %d: %w", i, err)
+	var year Table
+	for trial := 0; trial < rd.NumTrials(); trial++ {
+		year.Offsets, year.Occs = year.Offsets[:0], year.Occs[:0]
+		if err := rd.Next(1, &year); err != nil {
+			return err
 		}
-		counts[i] = binary.LittleEndian.Uint32(u4[:])
-	}
-	var buf []Occurrence
-	var rec [EntryBytes]byte
-	for trial, n := range counts {
-		if cap(buf) < int(n) {
-			buf = make([]Occurrence, n)
-		}
-		buf = buf[:n]
-		for i := range buf {
-			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				return fmt.Errorf("yelt: stream occurrence (trial %d): %w", trial, err)
-			}
-			buf[i] = Occurrence{
-				EventID:   binary.LittleEndian.Uint32(rec[0:4]),
-				DayOfYear: binary.LittleEndian.Uint16(rec[4:6]),
-			}
-		}
-		if err := visit(trial, buf); err != nil {
+		if err := visit(trial, year.Occs); err != nil {
 			return err
 		}
 	}

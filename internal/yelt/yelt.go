@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/catalog"
 )
@@ -146,52 +147,134 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
-// Read deserializes a table written by WriteTo.
-func Read(r io.Reader) (*Table, error) {
+// Reader is the one decoder of the WriteTo format: it checks and bounds
+// the header once, then hands out trials front to back — skipped as
+// bytes or decoded into a caller's Table. Read, StreamTrials and the
+// spilled-shard scan (DiskSource) all read through it.
+type Reader struct {
+	br     *bufio.Reader
+	counts []uint32 // occurrences per trial, as the header declares them
+	next   int      // first trial not yet skipped or decoded
+}
+
+// preallocCap bounds what a declared size may reserve before the data
+// behind it has been read: a forged header declaring 2^27 trials must
+// not allocate gigabytes before the short read is noticed (the codec
+// fuzzer's finding). Beyond it, slices grow with the bytes consumed.
+const preallocCap = 1 << 16
+
+// NewReader reads and validates the header of a serialized table —
+// magic, trial count, per-trial occurrence counts — leaving r at the
+// first occurrence of trial 0.
+func NewReader(r io.Reader) (*Reader, error) { return newReader(r, "table") }
+
+// newReader is NewReader with the name its errors give the stream
+// ("shard 3" for a spilled shard).
+func newReader(r io.Reader, what string) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("yelt: reading magic: %w", err)
+	var hdr [8]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("yelt: %s header: %w", what, err)
 	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, m)
+	if [4]byte(hdr[:4]) != magic {
+		return nil, fmt.Errorf("%w: %s magic %q", ErrBadFormat, what, hdr[:4])
 	}
-	var u4 [4]byte
-	if _, err := io.ReadFull(br, u4[:]); err != nil {
-		return nil, fmt.Errorf("yelt: reading trial count: %w", err)
-	}
-	numTrials := int(binary.LittleEndian.Uint32(u4[:]))
+	numTrials := binary.LittleEndian.Uint32(hdr[4:])
 	const maxTrials = 1 << 27
-	if numTrials < 0 || numTrials > maxTrials {
-		return nil, fmt.Errorf("%w: trial count %d", ErrBadFormat, numTrials)
+	if numTrials > maxTrials {
+		return nil, fmt.Errorf("%w: %s trial count %d", ErrBadFormat, what, numTrials)
 	}
-	// Cap the initial allocations and grow with the data actually read:
-	// a forged header declaring 2^27 trials must not reserve gigabytes
-	// before the short read is noticed (the codec fuzzer's finding).
-	const preallocCap = 1 << 16
-	t := &Table{NumTrials: numTrials, Offsets: make([]int64, 1, min(numTrials+1, preallocCap))}
+	rd := &Reader{br: br, counts: make([]uint32, 0, min(numTrials, preallocCap))}
 	var total int64
-	for trial := 0; trial < numTrials; trial++ {
+	var u4 [4]byte
+	for trial := uint32(0); trial < numTrials; trial++ {
 		if _, err := io.ReadFull(br, u4[:]); err != nil {
-			return nil, fmt.Errorf("yelt: reading count %d: %w", trial, err)
+			return nil, fmt.Errorf("yelt: %s count %d: %w", what, trial, err)
 		}
-		total += int64(binary.LittleEndian.Uint32(u4[:]))
-		t.Offsets = append(t.Offsets, total)
+		c := binary.LittleEndian.Uint32(u4[:])
+		rd.counts = append(rd.counts, c)
+		total += int64(c)
 	}
 	const maxOccs = 1 << 31
 	if total > maxOccs {
-		return nil, fmt.Errorf("%w: occurrence count %d", ErrBadFormat, total)
+		return nil, fmt.Errorf("%w: %s occurrence count %d", ErrBadFormat, what, total)
 	}
-	t.Occs = make([]Occurrence, 0, min(total, preallocCap))
+	return rd, nil
+}
+
+// NumTrials returns the trial count the header declares.
+func (rd *Reader) NumTrials() int { return len(rd.counts) }
+
+// take claims the next n trials and returns how many occurrences they
+// hold.
+func (rd *Reader) take(n int) (occs int64, err error) {
+	if n < 0 || n > len(rd.counts)-rd.next {
+		return 0, fmt.Errorf("%w: %d trials wanted at trial %d of %d", ErrBadFormat, n, rd.next, len(rd.counts))
+	}
+	for _, c := range rd.counts[rd.next : rd.next+n] {
+		occs += int64(c)
+	}
+	rd.next += n
+	return occs, nil
+}
+
+// Skip passes over the next n trials without decoding them: records
+// are fixed-width and the header says how many each trial holds, so a
+// trial range is a byte range.
+func (rd *Reader) Skip(n int) error {
+	occs, err := rd.take(n)
+	if err != nil {
+		return err
+	}
+	if _, err := rd.br.Discard(int(occs * EntryBytes)); err != nil {
+		return fmt.Errorf("yelt: skipping to trial %d: %w", rd.next, err)
+	}
+	return nil
+}
+
+// Next decodes the next n trials and appends them to buf — their
+// occurrences to buf.Occs, one offset each to buf.Offsets (which gets
+// its leading 0 if empty), NumTrials following — so one buf can collect
+// ranges of several streams. buf is left partly filled on error.
+func (rd *Reader) Next(n int, buf *Table) error {
+	first := rd.next
+	occs, err := rd.take(n)
+	if err != nil {
+		return err
+	}
+	if len(buf.Offsets) == 0 {
+		buf.Offsets = append(buf.Offsets, 0)
+	}
+	// The counts came off the stream, so n offsets are backed by bytes
+	// already read; the occurrences they promise are not yet.
+	buf.Offsets = slices.Grow(buf.Offsets, n)
+	buf.Occs = slices.Grow(buf.Occs, int(min(occs, preallocCap)))
 	var rec [EntryBytes]byte
-	for i := int64(0); i < total; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("yelt: reading occurrence %d: %w", i, err)
+	for i, c := range rd.counts[first:rd.next] {
+		for ; c > 0; c-- {
+			if _, err := io.ReadFull(rd.br, rec[:]); err != nil {
+				return fmt.Errorf("yelt: reading occurrence (trial %d): %w", first+i, err)
+			}
+			buf.Occs = append(buf.Occs, Occurrence{
+				EventID:   binary.LittleEndian.Uint32(rec[0:4]),
+				DayOfYear: binary.LittleEndian.Uint16(rec[4:6]),
+			})
 		}
-		t.Occs = append(t.Occs, Occurrence{
-			EventID:   binary.LittleEndian.Uint32(rec[0:4]),
-			DayOfYear: binary.LittleEndian.Uint16(rec[4:6]),
-		})
+		buf.Offsets = append(buf.Offsets, int64(len(buf.Occs)))
+	}
+	buf.NumTrials = len(buf.Offsets) - 1
+	return nil
+}
+
+// Read deserializes a table written by WriteTo.
+func Read(r io.Reader) (*Table, error) {
+	rd, err := NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{}
+	if err := rd.Next(rd.NumTrials(), t); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -8,12 +8,8 @@
 package ylt
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 
 	"repro/internal/mathx"
 )
@@ -156,106 +152,4 @@ func CombineAggOnly(name string, tables ...*Table) (*Table, error) {
 		}
 	}
 	return out, nil
-}
-
-// --- binary codec ---
-
-var magic = [4]byte{'Y', 'L', 'T', '1'}
-
-// ErrBadFormat reports a malformed serialized table.
-var ErrBadFormat = errors.New("ylt: bad format")
-
-// WriteTo serializes the table. It implements io.WriterTo.
-func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var written int64
-	if _, err := bw.Write(magic[:]); err != nil {
-		return written, err
-	}
-	written += 4
-	nameBytes := []byte(t.Name)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(nameBytes)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(t.Agg)))
-	flags := uint32(0)
-	if t.OccMax != nil {
-		flags = 1
-	}
-	binary.LittleEndian.PutUint32(hdr[8:12], flags)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return written, err
-	}
-	written += 12
-	if _, err := bw.Write(nameBytes); err != nil {
-		return written, err
-	}
-	written += int64(len(nameBytes))
-	var u8 [8]byte
-	writeF := func(xs []float64) error {
-		for _, x := range xs {
-			binary.LittleEndian.PutUint64(u8[:], math.Float64bits(x))
-			if _, err := bw.Write(u8[:]); err != nil {
-				return err
-			}
-			written += 8
-		}
-		return nil
-	}
-	if err := writeF(t.Agg); err != nil {
-		return written, err
-	}
-	if t.OccMax != nil {
-		if err := writeF(t.OccMax); err != nil {
-			return written, err
-		}
-	}
-	return written, bw.Flush()
-}
-
-// Read deserializes a table written by WriteTo.
-func Read(r io.Reader) (*Table, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("ylt: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, m)
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("ylt: reading header: %w", err)
-	}
-	nameLen := binary.LittleEndian.Uint32(hdr[0:4])
-	n := binary.LittleEndian.Uint32(hdr[4:8])
-	flags := binary.LittleEndian.Uint32(hdr[8:12])
-	const maxTrials = 1 << 28
-	if nameLen > 1<<16 || n > maxTrials {
-		return nil, fmt.Errorf("%w: name %d trials %d", ErrBadFormat, nameLen, n)
-	}
-	nameBytes := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBytes); err != nil {
-		return nil, fmt.Errorf("ylt: reading name: %w", err)
-	}
-	t := &Table{Name: string(nameBytes), Agg: make([]float64, n)}
-	var u8 [8]byte
-	readF := func(xs []float64) error {
-		for i := range xs {
-			if _, err := io.ReadFull(br, u8[:]); err != nil {
-				return err
-			}
-			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(u8[:]))
-		}
-		return nil
-	}
-	if err := readF(t.Agg); err != nil {
-		return nil, fmt.Errorf("ylt: reading agg: %w", err)
-	}
-	if flags&1 != 0 {
-		t.OccMax = make([]float64, n)
-		if err := readF(t.OccMax); err != nil {
-			return nil, fmt.Errorf("ylt: reading occmax: %w", err)
-		}
-	}
-	return t, nil
 }

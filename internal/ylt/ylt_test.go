@@ -1,7 +1,6 @@
 package ylt
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -154,69 +153,6 @@ func TestCombineCommutativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	a := New("portfolio-α", 100)
-	for i := range a.Agg {
-		a.Agg[i] = float64(i) * 1.5
-		a.OccMax[i] = float64(i)
-	}
-	var buf bytes.Buffer
-	n, err := a.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("reported %d, wrote %d", n, buf.Len())
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != a.Name || got.NumTrials() != 100 || !got.HasOccurrence() {
-		t.Fatal("header mismatch")
-	}
-	for i := range a.Agg {
-		if got.Agg[i] != a.Agg[i] || got.OccMax[i] != a.OccMax[i] {
-			t.Fatalf("trial %d mismatch", i)
-		}
-	}
-}
-
-func TestCodecAggOnly(t *testing.T) {
-	a := NewAggOnly("inv", 10)
-	for i := range a.Agg {
-		a.Agg[i] = -float64(i) // investment returns can be negative
-	}
-	var buf bytes.Buffer
-	if _, err := a.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.HasOccurrence() {
-		t.Fatal("agg-only flag lost")
-	}
-	if got.Agg[9] != -9 {
-		t.Fatal("negative values mangled")
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("BAD!aaaaaaaaaaaa"))); err == nil {
-		t.Fatal("bad magic should error")
-	}
-	a := New("x", 5)
-	var buf bytes.Buffer
-	if _, err := a.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()-4])); err == nil {
-		t.Fatal("truncation should error")
 	}
 }
 

@@ -98,15 +98,9 @@ var keptUnreached = []struct{ name, reason string }{
 	{"rng.(*Stream).Shuffle", "to delete with TestShuffleKeepsMultiset; catmodel's oracle_test inlines the three lines"},
 	{"elt.Merge", "to delete with TestMergeCommutativeProperty, TestMergePreservesTotalMean, BenchmarkMerge"},
 	{"elt.(*Table).Truncate", "to delete with TestTruncate"},
-	{"catalog.Read", "to delete, with (*Catalog).WriteTo, with catalog's three TestCodec* tests: nothing writes or reads the format"},
-	{"catalog.ErrBadFormat", "to delete with the same codec tests"},
-	{"catalog.(*Catalog).SizeBytes", "to delete with the same codec tests"},
-	{"ylt.Read", "to delete, with (*Table).WriteTo, with TestCodecRoundTrip, TestCodecAggOnly, TestReadRejectsGarbage: nothing writes or reads the format"},
-	{"ylt.ErrBadFormat", "to delete with the same codec tests"},
+	{"yelt.StreamTrials", "to delete with the three TestStreamTrials* tests and BenchmarkStreamTrials: the shard scan, its one caller, reads through yelt.Reader since PR 24, and the two integration tests that map over shards with it can too"},
 	{"ylt.(*Table).Scale", "to delete with TestScale; dfa_test inlines the loop"},
 	{"ylt.CombineAggOnly", "to delete with TestCombineAggOnlyOptIn"},
-	{"mathx.Histogram", "to delete with the three TestHistogram* tests; ROADMAP item 4(a) brings its own"},
-	{"mathx.NewHistogram", "to delete with the three TestHistogram* tests"},
 	{"mathx.Identity", "to delete with TestIdentityMulVec; dfa_test inlines it"},
 	{"mathx.(*Matrix).MulVec", "to delete with TestIdentityMulVec, TestLowerMulVecMatchesMulVec"},
 	{"mathx.NormalCDF", "to delete with TestNormalCDFQuantileShifted"},

@@ -55,18 +55,14 @@ const (
 )
 
 func (k EngineKind) engine() (aggregate.Engine, error) {
-	switch k {
-	case EngineSequential:
-		return aggregate.Sequential{}, nil
-	case EngineParallel, "":
-		return aggregate.Parallel{}, nil
-	case EngineMapReduce:
-		return aggregate.MapReduce{}, nil
-	case EngineReinstatements:
-		return &aggregate.Reinstatements{}, nil
-	default:
-		return nil, fmt.Errorf("risk: unknown engine %q", k)
+	if k == "" {
+		k = EngineParallel
 	}
+	eng, err := aggregate.EngineByName(string(k), false)
+	if err != nil {
+		return nil, fmt.Errorf("risk: %w", err)
+	}
+	return eng, nil
 }
 
 // Config sizes a study. Zero fields take defaults. A study holds its
