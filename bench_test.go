@@ -14,6 +14,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/aggregate"
 	"repro/internal/cluster"
@@ -322,7 +323,7 @@ func BenchmarkE6MapReduce(b *testing.B) {
 	}
 	const parts = 8
 	per := (s.YELT.NumTrials + parts - 1) / parts
-	type split struct{ part, lo, hi int }
+	type split struct{ part, lo int }
 	var splits []split
 	for p := 0; p < parts; p++ {
 		lo, hi := p*per, (p+1)*per
@@ -342,36 +343,33 @@ func BenchmarkE6MapReduce(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-		splits = append(splits, split{p, lo, hi})
+		splits = append(splits, split{p, lo})
 	}
-	sum := func(_ uint64, vs []float64) (float64, error) {
-		var t float64
-		for _, v := range vs {
-			t += v
-		}
-		return t, nil
-	}
+	sums := make([]float64, s.YELT.NumTrials)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := mapreduce.Run(context.Background(), splits,
-			func(_ context.Context, sp split, emit func(uint64, float64)) error {
-				return store.ReadPartition("yelt", sp.part, func(r io.Reader) error {
+		err := mapreduce.Run(context.Background(), splits,
+			func(_ context.Context, sp split) ([]float64, error) {
+				var out []float64
+				err := store.ReadPartition("yelt", sp.part, func(r io.Reader) error {
 					sub, err := yelt.Read(r)
 					if err != nil {
 						return err
 					}
-					for trial := 0; trial < sub.NumTrials; trial++ {
-						var t float64
+					out = make([]float64, sub.NumTrials)
+					for trial := range out {
 						for _, occ := range sub.OccurrencesOf(trial) {
 							if int(occ.EventID) < len(vec) {
-								t += vec[occ.EventID]
+								out[trial] += vec[occ.EventID]
 							}
 						}
-						emit(uint64(sp.lo+trial), t)
 					}
 					return nil
 				})
-			}, sum, sum, mapreduce.Config{Reducers: 4})
+				return out, err
+			},
+			func(i int, trialSums []float64, _ bool, _ time.Duration) { copy(sums[splits[i].lo:], trialSums) },
+			mapreduce.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -520,7 +520,7 @@ func e6MapReduce(ctx context.Context, y *yelt.Table, lossVec []float64) (string,
 	t0 := time.Now()
 	const parts = 16
 	per := (y.NumTrials + parts - 1) / parts
-	type split struct{ part, lo, hi int }
+	type split struct{ part, lo int }
 	var splits []split
 	for p := 0; p < parts; p++ {
 		lo, hi := p*per, (p+1)*per
@@ -540,35 +540,33 @@ func e6MapReduce(ctx context.Context, y *yelt.Table, lossVec []float64) (string,
 		}); err != nil {
 			return "", err
 		}
-		splits = append(splits, split{p, lo, hi})
+		splits = append(splits, split{p, lo})
 	}
-	sum := func(_ uint64, vs []float64) (float64, error) {
-		var s float64
-		for _, v := range vs {
-			s += v
-		}
-		return s, nil
-	}
-	_, err = mapreduce.Run(ctx, splits,
-		func(_ context.Context, sp split, emit func(uint64, float64)) error {
-			return store.ReadPartition("yelt", sp.part, func(r io.Reader) error {
+	// Each map task returns its split's per-trial sums; the commit
+	// places them in the one per-trial slice.
+	sums := make([]float64, y.NumTrials)
+	err = mapreduce.Run(ctx, splits,
+		func(_ context.Context, sp split) ([]float64, error) {
+			var out []float64
+			err := store.ReadPartition("yelt", sp.part, func(r io.Reader) error {
 				sub, err := yelt.Read(r)
 				if err != nil {
 					return err
 				}
-				for trial := 0; trial < sub.NumTrials; trial++ {
-					var s float64
+				out = make([]float64, sub.NumTrials)
+				for trial := range out {
 					for _, occ := range sub.OccurrencesOf(trial) {
 						if int(occ.EventID) < len(lossVec) {
-							s += lossVec[occ.EventID]
+							out[trial] += lossVec[occ.EventID]
 						}
 					}
-					emit(uint64(sp.lo+trial), s)
 				}
 				return nil
 			})
+			return out, err
 		},
-		sum, sum, mapreduce.Config{Mappers: *flagWorkers, Reducers: 4})
+		func(i int, trialSums []float64, _ bool, _ time.Duration) { copy(sums[splits[i].lo:], trialSums) },
+		mapreduce.Config{Mappers: *flagWorkers})
 	if err != nil {
 		return "", err
 	}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/aggregate"
 	"repro/internal/catalog"
@@ -176,7 +177,7 @@ func TestShapeMapReduceMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type split struct{ part, lo, hi int }
+	type split struct{ part, lo int }
 	var splits []split
 	const parts = 5
 	per := (s.YELT.NumTrials + parts - 1) / parts
@@ -195,33 +196,34 @@ func TestShapeMapReduceMatchesDirect(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		splits = append(splits, split{p, lo, hi})
+		splits = append(splits, split{p, lo})
 	}
-	sum := func(_ uint64, vs []float64) (float64, error) {
-		var s float64
-		for _, v := range vs {
-			s += v
-		}
-		return s, nil
-	}
-	got, err := mapreduce.Run(context.Background(), splits,
-		func(_ context.Context, sp split, emit func(uint64, float64)) error {
-			return store.ReadPartition("y", sp.part, func(r io.Reader) error {
-				return yelt.StreamTrials(r, func(trial int, occs []yelt.Occurrence) error {
-					var s float64
-					for _, occ := range occs {
-						s += vec[occ.EventID]
+	got := make([]float64, s.YELT.NumTrials)
+	err = mapreduce.Run(context.Background(), splits,
+		func(_ context.Context, sp split) ([]float64, error) {
+			var out []float64
+			err := store.ReadPartition("y", sp.part, func(r io.Reader) error {
+				sub, err := yelt.Read(r)
+				if err != nil {
+					return err
+				}
+				out = make([]float64, sub.NumTrials)
+				for trial := range out {
+					for _, occ := range sub.OccurrencesOf(trial) {
+						out[trial] += vec[occ.EventID]
 					}
-					emit(uint64(sp.lo+trial), s)
-					return nil
-				})
+				}
+				return nil
 			})
-		}, sum, sum, mapreduce.Config{Reducers: 3})
+			return out, err
+		},
+		func(i int, trialSums []float64, _ bool, _ time.Duration) { copy(got[splits[i].lo:], trialSums) },
+		mapreduce.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial, want := range direct {
-		if g := got[uint64(trial)]; math.Abs(g-want) > 1e-9*(1+want) {
+		if g := got[trial]; math.Abs(g-want) > 1e-9*(1+want) {
 			t.Fatalf("trial %d: mapreduce %v vs direct %v", trial, g, want)
 		}
 	}
@@ -251,16 +253,20 @@ func TestFailureInjectionCorruptPartition(t *testing.T) {
 	if err := store.Corrupt("y", 1); err != nil {
 		t.Fatal(err)
 	}
-	sum := func(_ uint64, vs []float64) (float64, error) { return float64(len(vs)), nil }
-	_, err = mapreduce.Run(context.Background(), []int{0, 1, 2},
-		func(_ context.Context, part int, emit func(uint64, float64)) error {
-			return store.ReadPartition("y", part, func(r io.Reader) error {
-				return yelt.StreamTrials(r, func(trial int, _ []yelt.Occurrence) error {
-					emit(uint64(trial), 1)
-					return nil
-				})
+	err = mapreduce.Run(context.Background(), []int{0, 1, 2},
+		func(_ context.Context, part int) (int, error) {
+			var trials int
+			err := store.ReadPartition("y", part, func(r io.Reader) error {
+				sub, err := yelt.Read(r)
+				if err != nil {
+					return err
+				}
+				trials = sub.NumTrials
+				return nil
 			})
-		}, nil, sum, mapreduce.Config{MaxAttempts: 2})
+			return trials, err
+		},
+		func(int, int, bool, time.Duration) {}, mapreduce.Config{MaxAttempts: 2})
 	if !errors.Is(err, mapreduce.ErrTooManyFailures) {
 		t.Fatalf("err = %v, want ErrTooManyFailures", err)
 	}

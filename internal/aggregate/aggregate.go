@@ -14,7 +14,8 @@
 //     realization of the paper's data-parallel GPU engine; experiment
 //     E1's measured speedup).
 //   - MapReduce: the same driver once per map split, with retries,
-//     speculation and shard-affine placement around it (mapreduce.go).
+//     speculation and shard-affine placement around it, each split
+//     committed into the result once (mapreduce.go).
 //
 // Chunked runs the ground-up portfolio aggregation on the simulated
 // many-core device (internal/gpusim), staging ELT chunks through shared
@@ -97,14 +98,20 @@ type Config struct {
 	// valid beyond the call. Calls may arrive from concurrent workers
 	// but always cover disjoint trial ranges, each exactly once.
 	//
-	// Setting a sink implies per-contract result tables. Only the
-	// engines whose batches complete exactly once honor it (Sequential
-	// and Parallel); MapReduce clears it — failed-split retries and
-	// speculative backup mappers replay batches — and the device
-	// engines do not produce contract-major batches.
-	// Consumers of the other engines feed from Result.PerContract
-	// after the run instead.
+	// Setting a sink implies per-contract result tables, as PerContract
+	// does. Every host engine feeds it: Sequential and Parallel per
+	// batch, MapReduce per committed split — a map task's segment
+	// reaches the sink once, when the winning attempt commits it, so
+	// retries and speculative backups never replay a range. The
+	// reinstatements and device engines produce no per-contract tables
+	// and refuse a sink as they refuse PerContract.
 	BatchSink func(lo int, agg, occ [][]float64)
+}
+
+// perContract reports whether the run must produce per-contract
+// tables: asked for directly, or implied by a sink.
+func (cfg Config) perContract() bool {
+	return cfg.PerContract || cfg.BatchSink != nil
 }
 
 // Kernel is the trial-kernel selector's remaining declaration; see
@@ -393,14 +400,16 @@ type trialScratch struct {
 // slot for global trial t is t-slotOff: full-length tables (the host
 // engines) pass slotOff 0; the MapReduce engine hands each mapper a
 // segment table covering only its split and passes the split's start.
-// worker keys the resident-bytes accounting and must be distinct per
-// concurrent caller. Call after Validate and EnsureFlat.
-func runRange(ctx context.Context, in *Input, cfg Config, r stream.Range, rt *residentTracker, worker int, res *Result, slotOff int) error {
+// Each finished batch goes to sink (nil for none): the host engines
+// pass cfg.BatchSink, a map attempt nil, because only its commit may
+// publish. worker keys the resident-bytes accounting and must be
+// distinct per concurrent caller. Call after Validate and EnsureFlat.
+func runRange(ctx context.Context, in *Input, cfg Config, r stream.Range, rt *residentTracker, worker int, res *Result, slotOff int, sink func(lo int, agg, occ [][]float64)) error {
 	scratch := &trialScratch{}
 	return streamRange(ctx, in.src(), r, cfg.batchTrials(), rt, worker, &yelt.Table{},
 		func(b *yelt.Table, base int) error {
 			runBatchBlocked(in.Flat, in, cfg, b, base, res, scratch, slotOff)
-			emitBatch(cfg, res, base, b.NumTrials, slotOff)
+			emitBatch(sink, res, base, b.NumTrials, slotOff)
 			return nil
 		})
 }
@@ -419,7 +428,7 @@ func runWorkers(ctx context.Context, in *Input, cfg Config, workers int) (*Resul
 	res := newResult(in, cfg)
 	rt := trackerFor(in)
 	err := stream.ForEachRange(ctx, in.src().TrialCount(), workers, func(ctx context.Context, r stream.Range, w int) error {
-		return runRange(ctx, in, cfg, r, rt, w, res, 0)
+		return runRange(ctx, in, cfg, r, rt, w, res, 0, cfg.BatchSink)
 	})
 	if err != nil {
 		return nil, err
@@ -428,12 +437,12 @@ func runWorkers(ctx context.Context, in *Input, cfg Config, workers int) (*Resul
 	return res, nil
 }
 
-// emitBatch delivers a completed batch's per-contract rows to the
-// configured BatchSink as views into the result tables. The row
-// headers are fresh per call (cheap: per batch, not per trial) so a
-// sink may hold them.
-func emitBatch(cfg Config, res *Result, base, n, slotOff int) {
-	if cfg.BatchSink == nil || res.PerContract == nil || n == 0 {
+// emitBatch delivers trials [base, base+n)'s per-contract rows to sink
+// as views into the result tables, whose slot for trial t is t-slotOff.
+// The row headers are fresh per call (cheap: per batch, not per trial)
+// so a sink may hold them.
+func emitBatch(sink func(lo int, agg, occ [][]float64), res *Result, base, n, slotOff int) {
+	if sink == nil || res.PerContract == nil || n == 0 {
 		return
 	}
 	lo := base - slotOff
@@ -443,7 +452,7 @@ func emitBatch(cfg Config, res *Result, base, n, slotOff int) {
 		agg[ci] = t.Agg[lo : lo+n]
 		occ[ci] = t.OccMax[lo : lo+n]
 	}
-	cfg.BatchSink(base, agg, occ)
+	sink(base, agg, occ)
 }
 
 // residentTracker measures the peak bytes of trial data concurrently
@@ -541,7 +550,7 @@ func newResult(in *Input, cfg Config) *Result {
 // engine's segment tables.
 func newResultN(in *Input, cfg Config, n int) *Result {
 	res := &Result{Portfolio: ylt.New("portfolio", n)}
-	if cfg.PerContract || cfg.BatchSink != nil {
+	if cfg.perContract() {
 		res.PerContract = make([]*ylt.Table, len(in.Portfolio.Contracts))
 		for i, c := range in.Portfolio.Contracts {
 			res.PerContract[i] = ylt.New(fmt.Sprintf("contract-%d", c.ID), n)

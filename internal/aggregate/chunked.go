@@ -88,7 +88,7 @@ func (c *Chunked) Run(ctx context.Context, in *Input, cfg Config) (*Result, erro
 	if cfg.Sampling {
 		return nil, fmt.Errorf("%w: %s: sampling", ErrUnsupported, c.Name())
 	}
-	if cfg.PerContract {
+	if cfg.perContract() {
 		return nil, fmt.Errorf("%w: %s: per-contract output", ErrUnsupported, c.Name())
 	}
 	for _, ct := range in.Portfolio.Contracts {

@@ -3,7 +3,6 @@ package aggregate
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -16,20 +15,22 @@ import (
 // MapReduce runs stage 2 as a map/reduce job over trial-range splits —
 // the Yao/Varghese/Rau-Chaplin companion shape ("High Performance Risk
 // Aggregation: ... the Hadoop MapReduce Way"): map over trial splits of
-// any yelt.Source, reduce per-range YLT segments. Each mapper is the
-// shared trial-range driver (runRange) over its split into a segment
-// table, and each reducer copies its group's segments into their
-// disjoint slot ranges of the one result — so the engine is
-// bit-identical to Sequential by construction, for any split size,
-// mapper count, or reducer count. Combined with a spilled
-// yelt.DiskSource the engine is the paper's distributed
+// any yelt.Source into per-range YLT segments, and assemble the YLT
+// from them. Each mapper is the shared trial-range driver (runRange)
+// over its split into a private segment table; the winning attempt's
+// commit copies the segment into its disjoint slot range of the one
+// result and hands that range to Config.BatchSink — so the engine is
+// bit-identical to Sequential by construction, for any split size or
+// mapper count, and feeds a sink exactly once per trial. Combined with
+// a spilled yelt.DiskSource the engine is the paper's distributed
 // data-organization strategy end to end: partitioned loss data on
-// (simulated) storage nodes, scanned by mappers, aggregated by reducers.
+// (simulated) storage nodes, scanned by mappers, committed into one
+// table.
 //
 // Unlike the other engines, failed mappers are retried (MaxAttempts),
 // mirroring speculative re-execution in the systems the in-process
 // mapreduce package stands in for; a mapper's segment is private until
-// it succeeds, so retries cannot corrupt the result.
+// its commit, so retries cannot corrupt the result.
 //
 // Over a spilled yelt.DiskSource the engine is locality-aware: splits
 // are derived from the shard boundaries (never straddling a shard, so
@@ -77,27 +78,14 @@ func DefaultSpillParts(numTrials int) int {
 // Name implements Engine.
 func (MapReduce) Name() string { return "mapreduce" }
 
-// segment is one contiguous trial range of the final YLT: the value
-// type flowing from mappers to reducers. res holds tables of length
-// r.Len() whose slot for global trial t is t-r.Lo.
-type segment struct {
-	r   stream.Range
-	res *Result
-}
-
-func newSegment(in *Input, cfg Config, r stream.Range) *segment {
-	return &segment{r: r, res: newResultN(in, cfg, r.Len())}
-}
-
-// copyInto writes the segment into dst's tables at its global slot
-// range.
-func (s *segment) copyInto(dst *Result) {
-	lo := s.r.Lo
-	copy(dst.Portfolio.Agg[lo:], s.res.Portfolio.Agg)
-	copy(dst.Portfolio.OccMax[lo:], s.res.Portfolio.OccMax)
+// copySegment writes a map task's segment tables into dst's tables
+// from slot lo on.
+func copySegment(dst, seg *Result, lo int) {
+	copy(dst.Portfolio.Agg[lo:], seg.Portfolio.Agg)
+	copy(dst.Portfolio.OccMax[lo:], seg.Portfolio.OccMax)
 	for ci := range dst.PerContract {
-		copy(dst.PerContract[ci].Agg[lo:], s.res.PerContract[ci].Agg)
-		copy(dst.PerContract[ci].OccMax[lo:], s.res.PerContract[ci].OccMax)
+		copy(dst.PerContract[ci].Agg[lo:], seg.PerContract[ci].Agg)
+		copy(dst.PerContract[ci].OccMax[lo:], seg.PerContract[ci].OccMax)
 	}
 }
 
@@ -105,14 +93,6 @@ func (s *segment) copyInto(dst *Result) {
 func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.BatchSink != nil {
-		// A live sink needs exactly-once batch completion; this
-		// engine's failure model replays batches (failed-split retries,
-		// speculative backup mappers). Keep the per-contract tables the
-		// sink implies and let the caller feed from Result.PerContract.
-		cfg.BatchSink = nil
-		cfg.PerContract = true
 	}
 	if _, err := in.EnsureFlat(); err != nil {
 		return nil, err
@@ -128,13 +108,10 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 		maxAttempts = 2
 	}
 
-	// Splits are the map inputs; contiguous runs of whole splits form
-	// reducer groups (the per-range YLT segments of the companion
-	// paper), keyed so shuffle hashing lands each group on one reducer.
-	// Over a sharded source the splits follow the shard boundaries —
-	// each split lies inside exactly one shard, so a map task scans one
-	// shard's file and the task's data motion is attributable to one
-	// node.
+	// Splits are the map inputs. Over a sharded source they follow the
+	// shard boundaries — each split lies inside exactly one shard, so a
+	// map task scans one shard's file and the task's data motion is
+	// attributable to one node.
 	ds, sharded := src.(*yelt.DiskSource)
 	var ranges []stream.Range
 	var shardOf []int // shardOf[i] = shard holding split i (sharded only)
@@ -147,40 +124,18 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 	} else {
 		ranges = stream.Chunks(n, splitTrials)
 	}
-	splits := make([]mapSplit, len(ranges))
-	for i, r := range ranges {
-		splits[i] = mapSplit{id: i, r: r}
-	}
-	nGroups := cfg.Workers
-	if nGroups <= 0 {
-		nGroups = runtime.GOMAXPROCS(0)
-	}
-	if nGroups > len(splits) {
-		nGroups = len(splits)
-	}
-	groupOf := func(id int) int { return id * nGroups / len(splits) }
 
+	// A map attempt runs its range into a private segment table and
+	// publishes nothing; its first trial keys its resident bytes.
 	rt := trackerFor(in)
-	mapf := func(ctx context.Context, sp mapSplit, emit func(int, *segment)) error {
-		seg := newSegment(in, cfg, sp.r)
-		if err := runRange(ctx, in, cfg, sp.r, rt, sp.id, seg.res, sp.r.Lo); err != nil {
-			return err
+	mapf := func(ctx context.Context, r stream.Range) (*Result, error) {
+		seg := newResultN(in, cfg, r.Len())
+		if err := runRange(ctx, in, cfg, r, rt, r.Lo, seg, r.Lo, nil); err != nil {
+			return nil, err
 		}
-		emit(groupOf(sp.id), seg)
-		return nil
+		return seg, nil
 	}
-	// Reduce copies a group's segments into the result. Segments arrive
-	// in unspecified order and reducers run concurrently, but every
-	// segment owns its slot range, so the copies neither overlap nor
-	// depend on order — the commutativity mapreduce.Run requires for
-	// determinism. The reduced value carries nothing further.
 	res := newResult(in, cfg)
-	reduce := func(_ int, segs []*segment) (*segment, error) {
-		for _, s := range segs {
-			s.copyInto(res)
-		}
-		return nil, nil
-	}
 
 	// Busy time is measured for every run (elastic provisioning reports
 	// allocated vs busy processor-time); byte motion only over shards,
@@ -190,22 +145,28 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 	stats := &mapreduce.Stats{}
 	mrCfg := mapreduce.Config{
 		Mappers:     cfg.Workers,
-		Reducers:    nGroups,
 		MaxAttempts: maxAttempts,
 		RetrySeed:   cfg.Seed,
 		Speculate:   m.Speculate,
 		Stats:       stats,
-		OnTask: func(split int, local bool, d time.Duration) {
-			busyNanos.Add(int64(d))
-			if splitBytes == nil {
-				return
-			}
-			if local {
-				localBytes.Add(splitBytes[split])
-			} else {
-				remoteBytes.Add(splitBytes[split])
-			}
-		},
+	}
+	// The commit is the only writer of res: each split's winning
+	// segment lands in its own disjoint slot range exactly once, so
+	// concurrent commits neither overlap nor depend on order, and the
+	// sink sees every trial once. The segment is garbage once copied.
+	commit := func(split int, seg *Result, local bool, busy time.Duration) {
+		r := ranges[split]
+		copySegment(res, seg, r.Lo)
+		emitBatch(cfg.BatchSink, res, r.Lo, r.Len(), 0)
+		busyNanos.Add(int64(busy))
+		if splitBytes == nil {
+			return
+		}
+		if local {
+			localBytes.Add(splitBytes[split])
+		} else {
+			remoteBytes.Add(splitBytes[split])
+		}
 	}
 	if m.Faults != nil {
 		mrCfg.NodeFault = m.Faults.NodeTask
@@ -218,7 +179,7 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 		}
 	}
 	if sharded {
-		splitBytes = make([]int64, len(splits))
+		splitBytes = make([]int64, len(ranges))
 		shardBytes := make([]int64, ds.Shards())
 		for s := range shardBytes {
 			b, err := ds.ShardSizeBytes(s)
@@ -251,7 +212,7 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 	if sharded {
 		failovers0 = ds.Failovers()
 	}
-	if _, err := mapreduce.Run(ctx, splits, mapf, nil, reduce, mrCfg); err != nil {
+	if err := mapreduce.Run(ctx, ranges, mapf, commit, mrCfg); err != nil {
 		return nil, err
 	}
 	res.LocalBytes = localBytes.Load()
@@ -267,13 +228,6 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 	}
 	finishResident(in, res, rt)
 	return res, nil
-}
-
-// mapSplit is one map input: a contiguous trial range, numbered so
-// reducer grouping and shard attribution key off the index.
-type mapSplit struct {
-	id int
-	r  stream.Range
 }
 
 // shardSplits derives the map splits from a spilled source's shard

@@ -127,10 +127,10 @@ func (*Reinstatements) Name() string { return "reinstatements" }
 
 // Run implements Engine.
 func (e *Reinstatements) Run(ctx context.Context, in *Input, cfg Config) (*Result, error) {
-	if cfg.PerContract {
+	if cfg.perContract() {
 		// The stateful path produces no per-contract tables; refuse
-		// loudly rather than return nil PerContract slots (the same
-		// stance the device engines take on sampling).
+		// loudly rather than return nil PerContract slots or never call
+		// a sink (the same stance the device engines take on sampling).
 		return nil, fmt.Errorf("%w: %s: per-contract output", ErrUnsupported, e.Name())
 	}
 	terms := e.Terms

@@ -2,27 +2,46 @@ package aggregate
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/synth"
+	"repro/internal/yelt"
 )
 
-// TestBatchSinkExactlyOnce pins the BatchSink contract on the engines
-// that honor it: every trial is delivered exactly once, rows match
-// the run's PerContract tables bit-for-bit, and a sink alone (no
-// PerContract flag) still produces per-contract tables.
+// TestBatchSinkExactlyOnce pins the BatchSink contract on every host
+// engine: every trial is delivered exactly once, rows match the run's
+// PerContract tables bit-for-bit, and a sink alone (no PerContract
+// flag) still produces per-contract tables. The MapReduce rows include
+// a replicated spill whose every first shard read fails, with
+// speculation on: retries, failovers and backups must not replay a
+// range into the sink.
 func TestBatchSinkExactlyOnce(t *testing.T) {
 	s := buildScenario(t, synth.Small(7))
 	n := s.YELT.NumTrials
 	nc := len(s.Portfolio.Contracts)
+	spill := replicatedSource(t, s, 2)
+	const seed = 11
 	engines := []struct {
 		name string
-		eng  Engine
+		// setup returns a fresh engine (a fault plan counts its
+		// injections) and the source it runs over.
+		setup func(t *testing.T) (Engine, yelt.Source)
 	}{
-		{"sequential", Sequential{}},
-		{"parallel", Parallel{}},
+		{"sequential", func(*testing.T) (Engine, yelt.Source) { return Sequential{}, s.YELT }},
+		{"parallel", func(*testing.T) (Engine, yelt.Source) { return Parallel{}, s.YELT }},
+		{"mapreduce", func(*testing.T) (Engine, yelt.Source) { return MapReduce{SplitTrials: 200}, s.YELT }},
+		{"mapreduce-chaos", func(t *testing.T) (Engine, yelt.Source) {
+			plan, err := faultinject.Parse("shard=*@1", seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return MapReduce{SplitTrials: 200, MaxAttempts: 5, Speculate: true, Faults: plan}, spill
+		}},
 	}
 	for _, e := range engines {
 		for _, batch := range []int{37, 0} {
@@ -31,7 +50,7 @@ func TestBatchSinkExactlyOnce(t *testing.T) {
 			type row struct{ agg, occ [][]float64 }
 			rows := map[int]row{}
 			cfg := Config{
-				Seed:        11,
+				Seed:        seed,
 				Sampling:    true,
 				Workers:     3,
 				BatchTrials: batch,
@@ -44,9 +63,14 @@ func TestBatchSinkExactlyOnce(t *testing.T) {
 					rows[lo] = row{agg, occ}
 				},
 			}
-			res, err := e.eng.Run(context.Background(), input(s), cfg)
+			eng, src := e.setup(t)
+			res, err := eng.Run(context.Background(),
+				&Input{Source: src, ELTs: s.ELTs, Portfolio: s.Portfolio}, cfg)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", e.name, batch, err)
+			}
+			if mr, ok := eng.(MapReduce); ok && mr.Faults != nil && mr.Faults.Injected() == 0 {
+				t.Fatalf("%s/%d: plan injected nothing", e.name, batch)
 			}
 			if res.PerContract == nil {
 				t.Fatalf("%s/%d: sink did not imply per-contract tables", e.name, batch)
@@ -76,28 +100,20 @@ func TestBatchSinkExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestBatchSinkClearedByMapReduce pins the replay-safety rule: the
-// mapreduce engine must not feed a live sink (its failure model
-// replays batches) but still produces the per-contract tables the
-// sink implies, so callers can replay them afterwards.
-func TestBatchSinkClearedByMapReduce(t *testing.T) {
+// A sink implies per-contract tables, so the engines that cannot
+// produce them refuse a sink exactly as they refuse PerContract,
+// instead of running and never calling it.
+func TestBatchSinkWithoutPerContractRefused(t *testing.T) {
 	s := buildScenario(t, synth.Small(7))
 	calls := 0
-	cfg := Config{
-		Seed:     11,
-		Sampling: true,
-		BatchSink: func(lo int, agg, occ [][]float64) {
-			calls++
-		},
-	}
-	res, err := MapReduce{}.Run(context.Background(), input(s), cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg := Config{Seed: 11, BatchSink: func(int, [][]float64, [][]float64) { calls++ }}
+	for _, eng := range []Engine{&Reinstatements{}, &Chunked{}} {
+		_, err := eng.Run(context.Background(), input(s), cfg)
+		if !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), eng.Name()+": per-contract output") {
+			t.Fatalf("%s given a sink: err = %v, want ErrUnsupported for per-contract output", eng.Name(), err)
+		}
 	}
 	if calls != 0 {
-		t.Fatalf("mapreduce fed a live sink %d times", calls)
-	}
-	if res.PerContract == nil {
-		t.Fatal("mapreduce dropped the per-contract tables the sink implies")
+		t.Fatalf("a refused run called the sink %d times", calls)
 	}
 }

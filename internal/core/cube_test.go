@@ -12,10 +12,10 @@ import (
 )
 
 // TestPipelineCubeStage pins the warehouse stage line and the
-// cross-engine equivalence of the pipeline-built cube: the live-sink
-// engines (Sequential, Parallel) and the replay engines (MapReduce)
-// must materialize bit-identical cubes, registry-bearing for delta
-// updates.
+// cross-engine equivalence of the pipeline-built cube: every host
+// engine feeds it live — Sequential and Parallel per batch, MapReduce
+// per committed split — and all must materialize bit-identical cubes,
+// registry-bearing for delta updates.
 func TestPipelineCubeStage(t *testing.T) {
 	run := func(eng aggregate.Engine, streaming bool) *Pipeline {
 		t.Helper()
@@ -57,25 +57,9 @@ func TestPipelineCubeStage(t *testing.T) {
 		streaming bool
 	}{
 		{"sequential-streaming", aggregate.Sequential{}, true},
-		{"mapreduce-replay", aggregate.MapReduce{}, false},
+		{"mapreduce", aggregate.MapReduce{}, false},
 	} {
-		p := run(alt.eng, alt.streaming)
-		if got, want := p.Cube.Keys(), ref.Cube.Keys(); len(got) != len(want) {
-			t.Fatalf("%s: %d cells vs %d", alt.name, len(got), len(want))
-		}
-		for _, key := range ref.Cube.Keys() {
-			a, err := p.Cube.Query(keyFilter(t, p.Cube, key))
-			if err != nil {
-				t.Fatalf("%s: %v", alt.name, err)
-			}
-			b, _ := ref.Cube.Query(keyFilter(t, ref.Cube, key))
-			for i := range b.Table.Agg {
-				if math.Float64bits(a.Table.Agg[i]) != math.Float64bits(b.Table.Agg[i]) ||
-					math.Float64bits(a.Table.OccMax[i]) != math.Float64bits(b.Table.OccMax[i]) {
-					t.Fatalf("%s: cell %s trial %d differs from parallel reference", alt.name, key, i)
-				}
-			}
-		}
+		cubesBitIdentical(t, alt.name, run(alt.eng, alt.streaming).Cube, ref.Cube)
 	}
 
 	// A cube-less re-run drops the stage line and the cube.
@@ -91,6 +75,28 @@ func TestPipelineCubeStage(t *testing.T) {
 	for _, s := range p2.Stages {
 		if s.Name == "warehouse" {
 			t.Fatal("cube-less run left a warehouse stage line")
+		}
+	}
+}
+
+// cubesBitIdentical fails the test unless got has want's cells, each
+// with bit-identical per-trial losses.
+func cubesBitIdentical(t *testing.T, what string, got, want *warehouse.Cube) {
+	t.Helper()
+	if g, w := got.Keys(), want.Keys(); len(g) != len(w) {
+		t.Fatalf("%s: %d cells vs %d", what, len(g), len(w))
+	}
+	for _, key := range want.Keys() {
+		a, err := got.Query(keyFilter(t, got, key))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		b, _ := want.Query(keyFilter(t, want, key))
+		for i := range b.Table.Agg {
+			if math.Float64bits(a.Table.Agg[i]) != math.Float64bits(b.Table.Agg[i]) ||
+				math.Float64bits(a.Table.OccMax[i]) != math.Float64bits(b.Table.OccMax[i]) {
+				t.Fatalf("%s: cell %s trial %d differs from the reference", what, key, i)
+			}
 		}
 	}
 }

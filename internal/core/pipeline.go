@@ -27,7 +27,6 @@ import (
 	"repro/internal/layers"
 	"repro/internal/lossindex"
 	"repro/internal/metrics"
-	"repro/internal/stream"
 	"repro/internal/synth"
 	"repro/internal/warehouse"
 	"repro/internal/yelt"
@@ -109,13 +108,14 @@ type Config struct {
 	Provision cluster.Policy
 	// CubeDims, when non-empty, materializes the warehouse data cube
 	// over the stage-2 per-contract YLTs as a fourth stage line
-	// ("warehouse"): the engines that complete batches exactly once
-	// (Sequential, Parallel) feed the incremental warehouse.Builder
-	// live as trial batches finish; the others replay their
-	// Result.PerContract tables into it after the run — bit-identical
-	// either way. The cube lands on Pipeline.Cube with a per-contract
-	// registry for delta updates. Contract attributes are the
-	// deterministic synthetic ones of warehouse.DefaultAttrs.
+	// ("warehouse"): the engine feeds the incremental warehouse.Builder
+	// live through aggregate.Config.BatchSink — Sequential and Parallel
+	// as trial batches finish, MapReduce as map tasks commit, each
+	// trial exactly once — so no engine replays its tables after the
+	// run. An engine without per-contract tables (reinstatements)
+	// refuses the sink. The cube lands on Pipeline.Cube with a
+	// per-contract registry for delta updates. Contract attributes are
+	// the deterministic synthetic ones of warehouse.DefaultAttrs.
 	CubeDims []string
 	// Stage 3.
 	Sources []dfa.Source // nil = StandardSources scaled to the cat AAL
@@ -454,7 +454,6 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 	// spill attach fixes NumTrials from the shards, and the builder's
 	// cell columns are sized by the final trial count.
 	var builder *warehouse.Builder
-	liveSink := false
 	if len(p.Cfg.CubeDims) > 0 {
 		attrs := warehouse.DefaultAttrs(p.Cfg.NumContracts)
 		b, err := warehouse.NewBuilder(p.Cfg.CubeDims, attrs, p.Cfg.NumTrials, workers)
@@ -462,19 +461,10 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 			return fmt.Errorf("core: stage 2 warehouse: %w", err)
 		}
 		builder = b
-		aggCfg.PerContract = true
-		// Only the exactly-once engines may feed the builder live;
-		// engines with replay semantics (MapReduce retries and
-		// speculative backups) or without contract-major batches feed
-		// from Result.PerContract after the run.
-		switch engine.(type) {
-		case aggregate.Sequential, aggregate.Parallel:
-			liveSink = true
-			aggCfg.BatchSink = func(lo int, agg, occ [][]float64) {
-				// Errors are latched in the builder and surface from
-				// Finalize with full context.
-				_ = b.IngestBatch(lo, agg, occ)
-			}
+		aggCfg.BatchSink = func(lo int, agg, occ [][]float64) {
+			// Errors are latched in the builder and surface from
+			// Finalize with full context.
+			_ = b.IngestBatch(lo, agg, occ)
 		}
 	}
 	res, err := engine.Run(ctx, in, aggCfg)
@@ -484,7 +474,7 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 	p.AggResult = res
 	p.CatYLT = res.Portfolio
 	if builder != nil {
-		if err := p.buildCube(ctx, builder, res, liveSink, workers); err != nil {
+		if err := p.buildCube(ctx, builder, res, workers); err != nil {
 			return err
 		}
 	} else {
@@ -515,36 +505,11 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 	return nil
 }
 
-// buildCube finalizes the incremental warehouse cube after the engine
-// run and records the "warehouse" stage line. When the engine could
-// not feed the builder live, the per-contract result tables are
-// replayed through IngestBatch in batch-sized disjoint ranges — the
-// same fold order as the live path, so the cube is bit-identical. The
-// stage's duration sums the cumulative fold busy-time and the
-// finalize (summarize) wall time; OutputBytes is the materialized
-// cube footprint.
-func (p *Pipeline) buildCube(ctx context.Context, builder *warehouse.Builder, res *aggregate.Result, liveSink bool, workers int) error {
-	if res.PerContract == nil {
-		return fmt.Errorf("core: stage 2 warehouse: engine %q produced no per-contract tables", p.Cfg.Engine.Name())
-	}
-	if !liveSink {
-		batch := p.Cfg.BatchTrials
-		if batch <= 0 {
-			batch = aggregate.DefaultBatchTrials
-		}
-		nc := len(res.PerContract)
-		for _, r := range stream.Chunks(p.Cfg.NumTrials, batch) {
-			agg := make([][]float64, nc)
-			occ := make([][]float64, nc)
-			for ci, t := range res.PerContract {
-				agg[ci] = t.Agg[r.Lo:r.Hi]
-				occ[ci] = t.OccMax[r.Lo:r.Hi]
-			}
-			if err := builder.IngestBatch(r.Lo, agg, occ); err != nil {
-				return fmt.Errorf("core: stage 2 warehouse replay: %w", err)
-			}
-		}
-	}
+// buildCube finalizes the warehouse cube the engine fed through the
+// sink and records the "warehouse" stage line. The stage's duration
+// sums the cumulative fold busy-time and the finalize (summarize) wall
+// time; OutputBytes is the materialized cube footprint.
+func (p *Pipeline) buildCube(ctx context.Context, builder *warehouse.Builder, res *aggregate.Result, workers int) error {
 	finStart := time.Now()
 	cube, err := builder.Finalize(ctx, res.PerContract)
 	if err != nil {

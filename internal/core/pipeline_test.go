@@ -146,14 +146,15 @@ func TestPipelineStreamingMatchesMaterialized(t *testing.T) {
 
 // Chaos at the layer riskpipeline drives: a MapReduce run over a
 // replicated spill whose every first shard read fails, with speculation
-// on, must reproduce the fault-free losses bit for bit and carry its
-// recoveries on the portfolio-risk line alone.
+// on, must reproduce the fault-free losses and the live-fed cube bit
+// for bit and carry its recoveries on the portfolio-risk line alone.
 func TestPipelineChaosCountersOnStageReport(t *testing.T) {
 	base := smallConfig(33)
 	base.Engine = aggregate.MapReduce{}
 	base.Spill = true
 	base.SpillNodes = 3
 	base.SpillReplicas = 2
+	base.CubeDims = []string{"region", "lob"}
 	calm := New(base)
 	calmRep, err := calm.Run(context.Background())
 	if err != nil {
@@ -179,6 +180,9 @@ func TestPipelineChaosCountersOnStageReport(t *testing.T) {
 	if !reflect.DeepEqual(calm.CatYLT, chaos.CatYLT) {
 		t.Fatal("losses under injected faults differ from the fault-free run")
 	}
+	stageLine(t, calmRep, "warehouse")
+	stageLine(t, rep, "warehouse")
+	cubesBitIdentical(t, "chaos", chaos.Cube, calm.Cube)
 	for _, s := range rep.Stages {
 		if s.Name != "portfolio-risk" && s.Faults.Any() {
 			t.Fatalf("stage %s reports recoveries: %+v", s.Name, s.Faults)

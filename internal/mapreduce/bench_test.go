@@ -4,56 +4,29 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 )
 
 func BenchmarkRunSumJob(b *testing.B) {
 	const itemsPerSplit = 100_000
-	splits := make([]int, 16)
-	for i := range splits {
-		splits[i] = i
-	}
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
+	splits := seq(16)
+	mapf := func(_ context.Context, split int) ([]float64, error) {
+		out := make([]float64, 1024)
 		for i := 0; i < itemsPerSplit; i++ {
-			emit(uint64(i%1024), float64(i))
+			out[i%1024] += float64(i)
 		}
-		return nil
+		return out, nil
 	}
-	for _, cfg := range []Config{
-		{Mappers: 1, Reducers: 1},
-		{Mappers: 8, Reducers: 4},
-	} {
-		b.Run(fmt.Sprintf("m%dr%d", cfg.Mappers, cfg.Reducers), func(b *testing.B) {
+	for _, mappers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("m%d", mappers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(context.Background(), splits, mapf, sumReduce, sumReduce, cfg); err != nil {
+				sums := make([][]float64, len(splits))
+				commit := func(split int, r []float64, _ bool, _ time.Duration) { sums[split] = r }
+				if err := Run(context.Background(), splits, mapf, commit, Config{Mappers: mappers}); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(len(splits)*itemsPerSplit)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
-}
-
-func BenchmarkCombinerEffect(b *testing.B) {
-	splits := make([]int, 8)
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		for i := 0; i < 200_000; i++ {
-			emit(uint64(i%64), 1) // few keys, many values: combiner shines
-		}
-		return nil
-	}
-	for _, withCombiner := range []bool{false, true} {
-		name := "without"
-		comb := ReduceFunc[uint64, float64](nil)
-		if withCombiner {
-			name = "with"
-			comb = sumReduce
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(context.Background(), splits, mapf, comb, sumReduce, Config{}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

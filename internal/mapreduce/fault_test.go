@@ -49,15 +49,15 @@ func TestBackoffDelayDeterministicAndCapped(t *testing.T) {
 // promptly even when the next retry is scheduled far in the future.
 func TestBackoffDoesNotDelayCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		return errors.New("always failing")
+	mapf := func(context.Context, int) ([]kv, error) {
+		return nil, errors.New("always failing")
 	}
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err := Run(ctx, []int{0}, mapf, nil, sumReduce,
+	_, _, err := sumJob(ctx, []int{0}, mapf,
 		Config{MaxAttempts: 10, RetryBaseDelay: 30 * time.Second, RetryMaxDelay: 30 * time.Second})
 	if err == nil {
 		t.Fatal("cancelled job should error")
@@ -71,15 +71,14 @@ func TestBackoffDoesNotDelayCancellation(t *testing.T) {
 // process, and succeeds on retry.
 func TestMapPanicRecoveredAndRetried(t *testing.T) {
 	var first atomic.Bool
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
+	mapf := func(_ context.Context, split int) ([]kv, error) {
 		if first.CompareAndSwap(false, true) {
 			panic("poisoned split")
 		}
-		emit(uint64(split), 1)
-		return nil
+		return []kv{{uint64(split), 1}}, nil
 	}
 	var stats Stats
-	got, err := Run(context.Background(), []int{0}, mapf, nil, sumReduce,
+	got, _, err := sumJob(context.Background(), []int{0}, mapf,
 		Config{MaxAttempts: 2, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
@@ -95,10 +94,10 @@ func TestMapPanicRecoveredAndRetried(t *testing.T) {
 // A split that panics on every attempt exhausts its budget like any
 // other permanent failure, and the error names the panic.
 func TestMapPanicExhaustsAttempts(t *testing.T) {
-	mapf := func(_ context.Context, _ int, _ func(uint64, float64)) error {
+	mapf := func(context.Context, int) ([]kv, error) {
 		panic("always")
 	}
-	_, err := Run(context.Background(), []int{0}, mapf, nil, sumReduce, Config{MaxAttempts: 3})
+	_, _, err := sumJob(context.Background(), []int{0}, mapf, Config{MaxAttempts: 3})
 	if !errors.Is(err, ErrTooManyFailures) {
 		t.Fatalf("err = %v, want ErrTooManyFailures", err)
 	}
@@ -107,65 +106,27 @@ func TestMapPanicExhaustsAttempts(t *testing.T) {
 	}
 }
 
-// Combine runs inside the attempt, so a combine panic is retried too.
-func TestCombinePanicRecovered(t *testing.T) {
-	var first atomic.Bool
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		emit(1, 1)
-		emit(1, 2)
-		return nil
-	}
-	combine := func(k uint64, vs []float64) (float64, error) {
-		if first.CompareAndSwap(false, true) {
-			panic("combine poison")
-		}
-		return sumReduce(k, vs)
-	}
-	got, err := Run(context.Background(), []int{0}, mapf, combine, sumReduce, Config{MaxAttempts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[1] != 3 {
-		t.Fatalf("result = %v, want 3", got[1])
-	}
-}
-
-// A reduce panic becomes a job error, not a process crash.
-func TestReducePanicRecovered(t *testing.T) {
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		emit(1, 1)
-		return nil
-	}
-	_, err := Run(context.Background(), []int{0}, mapf, nil,
-		func(uint64, []float64) (float64, error) { panic("reduce poison") }, Config{})
-	if err == nil || !strings.Contains(err.Error(), "reduce panicked") {
-		t.Fatalf("err = %v, want reduce panic error", err)
-	}
-}
-
 // Killing one node's workers mid-job strands nothing: the dead lane's
 // splits are stolen by survivors and the result is unchanged.
 func TestNodeFaultSurvivorsStealWork(t *testing.T) {
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
+	mapf := func(_ context.Context, split int) ([]kv, error) {
+		var out []kv
 		for i := 0; i < 100; i++ {
-			emit(uint64((split+i)%7), float64(split*100+i))
+			out = append(out, kv{uint64((split + i) % 7), float64(split*100 + i)})
 		}
-		return nil
+		return out, nil
 	}
-	splits := make([]int, 16)
-	for i := range splits {
-		splits[i] = i
-	}
-	base, err := Run(context.Background(), splits, mapf, nil, sumReduce, Config{Mappers: 1, Reducers: 1})
+	splits := seq(16)
+	base, _, err := sumJob(context.Background(), splits, mapf, Config{Mappers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lost := errors.New("node 1 is gone")
 	var stats Stats
 	cfg := Config{
-		Mappers: 4, Reducers: 2,
-		Nodes:  2,
-		NodeOf: func(i int) int { return i % 2 },
+		Mappers: 4,
+		Nodes:   2,
+		NodeOf:  func(i int) int { return i % 2 },
 		NodeFault: func(node int) error {
 			if node == 1 {
 				return lost
@@ -174,15 +135,12 @@ func TestNodeFaultSurvivorsStealWork(t *testing.T) {
 		},
 		Stats: &stats,
 	}
-	got, err := Run(context.Background(), splits, mapf, nil, sumReduce, cfg)
+	got, log, err := sumJob(context.Background(), splits, mapf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range base {
-		if d := got[k] - v; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("key %d: %v vs %v (node loss changed the result)", k, got[k], v)
-		}
-	}
+	sameSums(t, "node loss", got, base)
+	onceEach(t, log, len(splits))
 	// Mappers=4 on 2 nodes homes workers 1 and 3 on node 1: both retire.
 	if stats.WorkersLost.Load() != 2 {
 		t.Fatalf("WorkersLost = %d, want 2", stats.WorkersLost.Load())
@@ -199,11 +157,10 @@ func TestAllWorkersLost(t *testing.T) {
 		NodeFault: func(int) error { return lost },
 		Stats:     &stats,
 	}
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		emit(uint64(split), 1)
-		return nil
+	mapf := func(_ context.Context, split int) ([]kv, error) {
+		return []kv{{uint64(split), 1}}, nil
 	}
-	_, err := Run(context.Background(), []int{0, 1, 2, 3}, mapf, nil, sumReduce, cfg)
+	_, _, err := sumJob(context.Background(), seq(4), mapf, cfg)
 	if !errors.Is(err, ErrWorkersLost) {
 		t.Fatalf("err = %v, want ErrWorkersLost", err)
 	}
@@ -212,11 +169,10 @@ func TestAllWorkersLost(t *testing.T) {
 	}
 }
 
-// Injected task delays stretch the recorded duration but never the
-// values.
+// Injected task delays stretch the busy time a commit reports but
+// never the values.
 func TestTaskDelayInjected(t *testing.T) {
 	const delay = 30 * time.Millisecond
-	var slowDur atomic.Int64
 	cfg := Config{
 		Mappers: 2,
 		TaskDelay: func(split int) time.Duration {
@@ -225,66 +181,57 @@ func TestTaskDelayInjected(t *testing.T) {
 			}
 			return 0
 		},
-		OnTask: func(split int, _ bool, d time.Duration) {
-			if split == 0 {
-				slowDur.Store(int64(d))
-			}
-		},
 	}
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		emit(uint64(split), 1)
-		return nil
+	mapf := func(_ context.Context, split int) ([]kv, error) {
+		return []kv{{uint64(split), 1}}, nil
 	}
-	got, err := Run(context.Background(), []int{0, 1, 2}, mapf, nil, sumReduce, cfg)
+	got, log, err := sumJob(context.Background(), seq(3), mapf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 1 || got[1] != 1 || got[2] != 1 {
 		t.Fatalf("got %v", got)
 	}
-	if time.Duration(slowDur.Load()) < delay {
-		t.Fatalf("delayed split ran in %v, want >= %v", time.Duration(slowDur.Load()), delay)
+	for _, c := range log {
+		if c.split == 0 && c.busy < delay {
+			t.Fatalf("delayed split ran in %v, want >= %v", c.busy, delay)
+		}
 	}
 }
 
 // A straggling first execution gets a speculative backup that wins;
-// the loser's emissions are discarded, so the result and the OnTask
-// count are exactly as if the split ran once.
+// the loser's result is discarded, so every split commits exactly once
+// and the sums are as if each split ran once.
 func TestSpeculativeBackupWins(t *testing.T) {
 	var firstRun atomic.Bool
 	release := make(chan struct{})
-	mapf := func(ctx context.Context, split int, emit func(uint64, float64)) error {
+	mapf := func(ctx context.Context, split int) ([]kv, error) {
 		if split == 0 && firstRun.CompareAndSwap(false, true) {
 			// The original execution of split 0 hangs until the job is
 			// effectively over; only a backup can finish it promptly.
 			select {
 			case <-release:
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 		}
-		emit(uint64(split), 1)
-		return nil
+		return []kv{{uint64(split), 1}}, nil
 	}
 	var stats Stats
-	var tasks atomic.Int32
 	cfg := Config{
-		Mappers: 4, Reducers: 2,
+		Mappers:        4,
 		Speculate:      true,
 		SpecMultiplier: 1.5,
 		Stats:          &stats,
-		OnTask:         func(int, bool, time.Duration) { tasks.Add(1) },
 	}
-	splits := make([]int, 12)
-	for i := range splits {
-		splits[i] = i
-	}
+	splits := seq(12)
 	done := make(chan struct{})
 	var got map[uint64]float64
+	var log []commitRec
 	var err error
 	go func() {
 		defer close(done)
-		got, err = Run(context.Background(), splits, mapf, nil, sumReduce, cfg)
+		got, log, err = sumJob(context.Background(), splits, mapf, cfg)
 	}()
 	select {
 	case <-done:
@@ -296,13 +243,11 @@ func TestSpeculativeBackupWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	onceEach(t, log, len(splits))
 	for i := range splits {
 		if got[uint64(i)] != 1 {
-			t.Fatalf("split %d contributed %v, want 1 (duplicate or lost emission)", i, got[uint64(i)])
+			t.Fatalf("split %d contributed %v, want 1 (duplicate or lost commit)", i, got[uint64(i)])
 		}
-	}
-	if tasks.Load() != int32(len(splits)) {
-		t.Fatalf("OnTask fired %d times for %d splits", tasks.Load(), len(splits))
 	}
 	if stats.SpecLaunched.Load() == 0 || stats.SpecWins.Load() == 0 {
 		t.Fatalf("launched=%d wins=%d, want both > 0", stats.SpecLaunched.Load(), stats.SpecWins.Load())
@@ -312,24 +257,21 @@ func TestSpeculativeBackupWins(t *testing.T) {
 // Without stragglers, speculation stays quiet and results are
 // unchanged — backups are a tail-latency lever, not a correctness one.
 func TestSpeculationQuietOnHealthyJob(t *testing.T) {
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		emit(uint64(split%5), float64(split))
-		return nil
+	mapf := func(_ context.Context, split int) ([]kv, error) {
+		return []kv{{uint64(split % 5), float64(split)}}, nil
 	}
-	splits := make([]int, 32)
-	for i := range splits {
-		splits[i] = i
-	}
-	base, err := Run(context.Background(), splits, mapf, nil, sumReduce, Config{Mappers: 1, Reducers: 1})
+	splits := seq(32)
+	base, _, err := sumJob(context.Background(), splits, mapf, Config{Mappers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stats Stats
-	got, err := Run(context.Background(), splits, mapf, nil, sumReduce,
+	got, log, err := sumJob(context.Background(), splits, mapf,
 		Config{Mappers: 4, Speculate: true, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
+	onceEach(t, log, len(splits))
 	for k, v := range base {
 		if got[k] != v {
 			t.Fatalf("key %d: %v vs %v", k, got[k], v)
@@ -341,15 +283,14 @@ func TestSpeculationQuietOnHealthyJob(t *testing.T) {
 // job still accounts one success per split.
 func TestStatsAccounting(t *testing.T) {
 	var flaky atomic.Int32
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
+	mapf := func(_ context.Context, split int) ([]kv, error) {
 		if split == 3 && flaky.Add(1) <= 2 {
-			return errors.New("transient")
+			return nil, errors.New("transient")
 		}
-		emit(uint64(split), 1)
-		return nil
+		return []kv{{uint64(split), 1}}, nil
 	}
 	var stats Stats
-	_, err := Run(context.Background(), []int{0, 1, 2, 3, 4}, mapf, nil, sumReduce,
+	_, _, err := sumJob(context.Background(), seq(5), mapf,
 		Config{MaxAttempts: 4, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)

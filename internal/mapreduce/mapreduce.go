@@ -1,8 +1,17 @@
 // Package mapreduce is a stdlib-only MapReduce engine, the execution
 // model the paper proposes for the distributed-file strategy: "relying
-// on MapReduce or Hadoop style computations on the cloud" (§II). Jobs
-// map over dataset splits in parallel, optionally combine map-side,
-// shuffle by key hash into reducer buckets, and reduce in parallel.
+// on MapReduce or Hadoop style computations on the cloud" (§II). A job
+// maps over dataset splits in parallel and hands each split's result to
+// the caller's commit function exactly once, the moment its winning
+// attempt finishes.
+//
+// There is no keyed shuffle and no reduce phase. The companion Hadoop
+// work (arXiv 1311.5686) maps trial splits to per-range YLT segments
+// and reduces them into the final table, but a segment's place in that
+// table is known before its split runs, so the reduce is a copy the
+// commit can make itself. Committing per task is also what lets a
+// caller feed results downstream while the job runs: a shuffle holds
+// every split's output until the last map task has finished.
 //
 // The failure model mirrors the frameworks it stands in for. Map
 // attempts that fail (errors or recovered panics) are retried with
@@ -11,9 +20,9 @@
 // (Config.NodeFault) stops taking tasks; its queued splits are stolen
 // by survivors. With Config.Speculate, splits whose runtime exceeds a
 // robust percentile of completed tasks get a backup attempt on an idle
-// worker — first finisher wins, the loser's emissions are discarded.
-// All of this is safe because every attempt emits into a private
-// bucket set that is published exactly once, by the winning attempt.
+// worker — first finisher wins, the loser's result is discarded. All
+// of this is safe because every attempt builds its result privately
+// and only the attempt that wins the split's done flag commits it.
 //
 // When the splits live on distinct storage nodes (internal/diskstore),
 // the scheduler can be made locality-aware: Config.Nodes/NodeOf carve
@@ -21,8 +30,8 @@
 // of the node that owns it, and a lane's workers drain their own queue
 // before stealing from the most-loaded other lane. Moving the mapper to
 // the data instead of the data to the mapper is the central lever of
-// the companion Hadoop work (arXiv 1311.5686); Config.OnTask reports
-// each task's placement so callers can account local versus remote data
+// the companion Hadoop work; each commit reports whether its task ran
+// local to the split, so callers can account local versus remote data
 // motion.
 package mapreduce
 
@@ -30,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"runtime"
 	"sort"
 	"sync"
@@ -42,8 +50,6 @@ import (
 type Config struct {
 	// Mappers bounds concurrent map tasks; <= 0 means GOMAXPROCS.
 	Mappers int
-	// Reducers is the shuffle fan-in; <= 0 means GOMAXPROCS.
-	Reducers int
 	// MaxAttempts per map task (>= 1). Transient map failures are
 	// retried up to this bound.
 	MaxAttempts int
@@ -88,7 +94,7 @@ type Config struct {
 	// exceeds SpecMultiplier × the SpecQuantile-quantile of completed
 	// task durations (once SpecMinDone tasks have completed), on a
 	// worker that would otherwise idle. First finisher wins; the
-	// loser's emissions are discarded. Defaults: quantile 0.75,
+	// loser's result is discarded. Defaults: quantile 0.75,
 	// multiplier 2, min done 3.
 	Speculate      bool
 	SpecQuantile   float64
@@ -97,13 +103,6 @@ type Config struct {
 	// Stats, if non-nil, accumulates failure/retry/speculation counters
 	// for the run (added to, not reset — callers aggregate across jobs).
 	Stats *Stats
-	// OnTask, if non-nil, is called once per successful map task with
-	// the split index, whether the task ran on the lane of the node
-	// owning the split (always true when locality is off), and the
-	// winning attempt's wall-clock duration. Called concurrently from
-	// worker goroutines; implementations must be safe for concurrent
-	// use.
-	OnTask func(split int, local bool, d time.Duration)
 }
 
 // Stats counts the failure-model events of one or more jobs. All
@@ -130,9 +129,6 @@ func (c Config) normalized() Config {
 	if c.Mappers <= 0 {
 		c.Mappers = runtime.GOMAXPROCS(0)
 	}
-	if c.Reducers <= 0 {
-		c.Reducers = runtime.GOMAXPROCS(0)
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 1
 	}
@@ -153,17 +149,6 @@ func (c Config) normalized() Config {
 	}
 	return c
 }
-
-// MapFunc processes one split, emitting key/value pairs. It may be
-// retried or run twice concurrently (speculation); it must be
-// idempotent from the job's perspective (emissions of losing attempts
-// are discarded).
-type MapFunc[S any, K comparable, V any] func(ctx context.Context, split S, emit func(K, V)) error
-
-// ReduceFunc folds the values of one key. Values arrive in unspecified
-// order; the function must be insensitive to it (commutative monoid),
-// which is what makes the computation deterministic under parallelism.
-type ReduceFunc[K comparable, V any] func(key K, values []V) (V, error)
 
 // ErrTooManyFailures is returned when a map task exhausts its attempts.
 var ErrTooManyFailures = errors.New("mapreduce: map task exhausted attempts")
@@ -288,23 +273,27 @@ func (c *specCtl) candidate(cfg Config, eligible func(int) bool) (int, bool) {
 	return best, best >= 0
 }
 
-// Run executes a MapReduce job over splits and returns the reduced
-// key/value map. combine, if non-nil, is applied map-side per split to
-// shrink shuffle volume (classic combiner; usually the same function
-// as reduce for associative aggregations).
-func Run[S any, K comparable, V any](
+// Run executes a job over splits: mapf computes a split's result and
+// commit receives it exactly once, from the split's winning attempt,
+// together with whether that attempt ran on a lane of a node holding
+// the split (always true when locality is off) and its wall-clock
+// duration. A failed or losing attempt's result is never committed.
+// mapf may be retried or run twice at once (speculation), so it must
+// publish nothing itself. commit runs on the worker goroutines,
+// concurrently for distinct splits, and Run returns only after every
+// commit has returned.
+func Run[S, R any](
 	ctx context.Context,
 	splits []S,
-	mapf MapFunc[S, K, V],
-	combine ReduceFunc[K, V],
-	reduce ReduceFunc[K, V],
+	mapf func(context.Context, S) (R, error),
+	commit func(split int, r R, local bool, busy time.Duration),
 	cfg Config,
-) (map[K]V, error) {
-	if mapf == nil || reduce == nil {
-		return nil, errors.New("mapreduce: nil map or reduce function")
+) error {
+	if mapf == nil || commit == nil {
+		return errors.New("mapreduce: nil map or commit function")
 	}
 	if cfg.Nodes > 0 && cfg.NodeOf == nil {
-		return nil, errors.New("mapreduce: Nodes set without NodeOf")
+		return errors.New("mapreduce: Nodes set without NodeOf")
 	}
 	cfg = cfg.normalized()
 	if cfg.Nodes <= 0 {
@@ -316,25 +305,13 @@ func Run[S any, K comparable, V any](
 		cfg.NodeOf = func(int) int { return 0 }
 	}
 	if len(splits) == 0 {
-		return map[K]V{}, nil
+		return nil
 	}
 	stats := cfg.Stats
 	if stats == nil {
 		stats = &Stats{}
 	}
 
-	seed := maphash.MakeSeed()
-	nRed := cfg.Reducers
-
-	// Each map attempt owns a private bucket set; the winning attempt
-	// publishes its set exactly once (splitState.done CAS), and buckets
-	// are merged into reducer inputs after the map phase — no locks on
-	// the hot path, and no way for a retried or speculative duplicate
-	// to leak emissions.
-	type bucketSet struct {
-		buckets []map[K][]V
-	}
-	taskBuckets := make([]*bucketSet, len(splits))
 	states := make([]splitState, len(splits))
 	var remaining atomic.Int64
 	remaining.Store(int64(len(splits)))
@@ -343,47 +320,20 @@ func Run[S any, K comparable, V any](
 	// runAttempt executes one map attempt of split i with panics
 	// recovered into errors, so a poisoned split burns its attempt
 	// budget instead of crashing the process.
-	runAttempt := func(ctx context.Context, i int, bs *bucketSet) (err error) {
+	runAttempt := func(ctx context.Context, i int) (r R, err error) {
 		defer func() {
-			if r := recover(); r != nil {
+			if rec := recover(); rec != nil {
 				stats.Panics.Add(1)
-				err = fmt.Errorf("mapreduce: map attempt panicked on split %d: %v", i, r)
+				err = fmt.Errorf("mapreduce: map attempt panicked on split %d: %v", i, rec)
 			}
 		}()
-		emit := func(k K, v V) {
-			var h maphash.Hash
-			h.SetSeed(seed)
-			writeKey(&h, k)
-			b := int(h.Sum64() % uint64(nRed))
-			if bs.buckets[b] == nil {
-				bs.buckets[b] = make(map[K][]V)
-			}
-			bs.buckets[b][k] = append(bs.buckets[b][k], v)
-		}
-		if err := mapf(ctx, splits[i], emit); err != nil {
-			return err
-		}
-		if combine != nil {
-			for _, bucket := range bs.buckets {
-				for k, vs := range bucket {
-					if len(vs) > 1 {
-						c, err := combine(k, vs)
-						if err != nil {
-							return fmt.Errorf("mapreduce: combine: %w", err)
-						}
-						bucket[k] = append(vs[:0], c)
-					}
-				}
-			}
-		}
-		return nil
+		return mapf(ctx, splits[i])
 	}
 
 	// runChain drives one attempt chain of split i through the retry
 	// loop. Two chains may run concurrently for the same split (the
-	// original and a speculative backup); whichever commits the done
-	// CAS first wins and publishes its buckets, the other's work is
-	// dropped on the floor.
+	// original and a speculative backup); whichever wins the done CAS
+	// commits its result, the other's is dropped on the floor.
 	runChain := func(ctx context.Context, i int, local, backup bool) error {
 		var lastErr error
 		for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
@@ -405,8 +355,8 @@ func Run[S any, K comparable, V any](
 				}
 			}
 			stats.Attempts.Add(1)
-			bs := &bucketSet{buckets: make([]map[K][]V, nRed)}
-			if err := runAttempt(ctx, i, bs); err != nil {
+			r, err := runAttempt(ctx, i)
+			if err != nil {
 				// Cancellation is not a task failure: retrying a
 				// cancelled mapper can only fail again, so surface it
 				// immediately instead of burning the attempt budget.
@@ -415,86 +365,23 @@ func Run[S any, K comparable, V any](
 				}
 				stats.Failures.Add(1)
 				lastErr = err
-				continue // retry with fresh buckets
+				continue
 			}
 			if states[i].done.CompareAndSwap(false, true) {
-				taskBuckets[i] = bs
 				d := time.Since(start)
+				commit(i, r, local, d)
 				ctl.complete(i, d)
-				remaining.Add(-1)
 				if backup {
 					stats.SpecWins.Add(1)
 				}
-				if cfg.OnTask != nil {
-					cfg.OnTask(i, local, d)
-				}
+				remaining.Add(-1)
 			}
 			return nil
 		}
 		return fmt.Errorf("%w: split %d after %d attempts: %w", ErrTooManyFailures, i, cfg.MaxAttempts, lastErr)
 	}
 
-	if err := runLanes(ctx, len(splits), cfg, stats, states, ctl, &remaining, runChain); err != nil {
-		return nil, err
-	}
-
-	// Shuffle: merge per-task buckets into per-reducer inputs.
-	reducerIn := make([]map[K][]V, nRed)
-	for r := 0; r < nRed; r++ {
-		reducerIn[r] = make(map[K][]V)
-	}
-	for _, bs := range taskBuckets {
-		if bs == nil {
-			continue
-		}
-		for r, bucket := range bs.buckets {
-			for k, vs := range bucket {
-				reducerIn[r][k] = append(reducerIn[r][k], vs...)
-			}
-		}
-	}
-
-	// Reduce phase: one goroutine per reducer partition. Panics in the
-	// reduce function surface as job errors, not process crashes.
-	results := make([]map[K]V, nRed)
-	var wg sync.WaitGroup
-	errCh := make(chan error, nRed)
-	wg.Add(nRed)
-	for r := 0; r < nRed; r++ {
-		go func(r int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					stats.Panics.Add(1)
-					errCh <- fmt.Errorf("mapreduce: reduce panicked: %v", rec)
-				}
-			}()
-			out := make(map[K]V, len(reducerIn[r]))
-			for k, vs := range reducerIn[r] {
-				v, err := reduce(k, vs)
-				if err != nil {
-					errCh <- fmt.Errorf("mapreduce: reduce key %v: %w", k, err)
-					return
-				}
-				out[k] = v
-			}
-			results[r] = out
-		}(r)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
-	}
-
-	final := make(map[K]V)
-	for _, m := range results {
-		for k, v := range m {
-			final[k] = v
-		}
-	}
-	return final, nil
+	return runLanes(ctx, len(splits), cfg, stats, states, ctl, &remaining, runChain)
 }
 
 // runLanes is the locality-aware map-phase dispatcher: cfg.Mappers
@@ -684,33 +571,4 @@ func mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// writeKey hashes a comparable key. Common key kinds get fast paths;
-// everything else goes through fmt, which is slower but total.
-func writeKey[K comparable](h *maphash.Hash, k K) {
-	switch v := any(k).(type) {
-	case string:
-		h.WriteString(v)
-	case int:
-		writeUint64(h, uint64(v))
-	case int64:
-		writeUint64(h, uint64(v))
-	case uint64:
-		writeUint64(h, v)
-	case uint32:
-		writeUint64(h, uint64(v))
-	case int32:
-		writeUint64(h, uint64(v))
-	default:
-		fmt.Fprintf(h, "%v", v)
-	}
-}
-
-func writeUint64(h *maphash.Hash, v uint64) {
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(v >> (8 * i))
-	}
-	h.Write(buf[:])
 }

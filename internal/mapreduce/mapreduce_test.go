@@ -3,124 +3,136 @@ package mapreduce
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
-func sumReduce(_ uint64, vs []float64) (float64, error) {
-	var s float64
-	for _, v := range vs {
-		s += v
+// kv is one keyed value a test map task returns; sumJob adds the
+// values up per key at commit.
+type kv struct {
+	k uint64
+	v float64
+}
+
+// commitRec is one commit as the job delivered it.
+type commitRec struct {
+	split int
+	local bool
+	busy  time.Duration
+}
+
+// sumJob runs mapf over splits and commits each split's pairs into
+// per-key sums. It returns the sums and the commits in the order they
+// happened.
+func sumJob[S any](ctx context.Context, splits []S, mapf func(context.Context, S) ([]kv, error), cfg Config) (map[uint64]float64, []commitRec, error) {
+	var mu sync.Mutex
+	sums := map[uint64]float64{}
+	var log []commitRec
+	err := Run(ctx, splits, mapf, func(split int, pairs []kv, local bool, busy time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, p := range pairs {
+			sums[p.k] += p.v
+		}
+		log = append(log, commitRec{split, local, busy})
+	}, cfg)
+	return sums, log, err
+}
+
+// onceEach fails the test unless every one of n splits committed
+// exactly once.
+func onceEach(t *testing.T, log []commitRec, n int) {
+	t.Helper()
+	seen := make([]int, n)
+	for _, c := range log {
+		seen[c.split]++
 	}
-	return s, nil
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("split %d committed %d times, want 1", i, c)
+		}
+	}
+}
+
+func sameSums(t *testing.T, what string, got, want map[uint64]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: key count %d vs %d", what, len(got), len(want))
+	}
+	for k, v := range want {
+		if d := got[k] - v; d > 1e-9 || d < -1e-9 {
+			t.Fatalf("%s: key %d: %v vs %v", what, k, got[k], v)
+		}
+	}
+}
+
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
 }
 
 func TestWordCountStyleSum(t *testing.T) {
-	// Splits are integer ranges; map emits (i%10, i).
-	splits := []int{0, 1, 2, 3}
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
+	// Splits are integer ranges; map returns (i%10, i).
+	mapf := func(_ context.Context, split int) ([]kv, error) {
+		var out []kv
 		for i := split * 250; i < (split+1)*250; i++ {
-			emit(uint64(i%10), float64(i))
+			out = append(out, kv{uint64(i % 10), float64(i)})
 		}
-		return nil
+		return out, nil
 	}
-	got, err := Run(context.Background(), splits, mapf, sumReduce, sumReduce, Config{})
+	got, log, err := sumJob(context.Background(), seq(4), mapf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 10 {
-		t.Fatalf("keys = %d", len(got))
-	}
-	// Reference computation.
+	onceEach(t, log, 4)
 	want := map[uint64]float64{}
 	for i := 0; i < 1000; i++ {
 		want[uint64(i%10)] += float64(i)
 	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %d: %v, want %v", k, got[k], v)
-		}
-	}
+	sameSums(t, "sum", got, want)
 }
 
 func TestDeterministicAcrossConfigs(t *testing.T) {
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
+	mapf := func(_ context.Context, split int) ([]kv, error) {
+		var out []kv
 		for i := 0; i < 500; i++ {
-			emit(uint64((split*7+i)%31), float64(i)*1.5)
+			out = append(out, kv{uint64((split*7 + i) % 31), float64(i) * 1.5})
 		}
-		return nil
+		return out, nil
 	}
-	splits := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	base, err := Run(context.Background(), splits, mapf, nil, sumReduce, Config{Mappers: 1, Reducers: 1})
+	splits := seq(8)
+	base, _, err := sumJob(context.Background(), splits, mapf, Config{Mappers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{
-		{Mappers: 4, Reducers: 2},
-		{Mappers: 8, Reducers: 8},
-		{Mappers: 2, Reducers: 5, MaxAttempts: 3},
+		{Mappers: 4},
+		{Mappers: 8},
+		{Mappers: 2, MaxAttempts: 3},
 	} {
-		got, err := Run(context.Background(), splits, mapf, sumReduce, sumReduce, cfg)
+		got, log, err := sumJob(context.Background(), splits, mapf, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(base) {
-			t.Fatalf("cfg %+v: key count %d vs %d", cfg, len(got), len(base))
-		}
-		for k, v := range base {
-			if d := got[k] - v; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("cfg %+v key %d: %v vs %v", cfg, k, got[k], v)
-			}
-		}
-	}
-}
-
-func TestCombinerEquivalenceProperty(t *testing.T) {
-	f := func(data []uint16) bool {
-		splits := [][]uint16{data}
-		if len(data) > 4 {
-			mid := len(data) / 2
-			splits = [][]uint16{data[:mid], data[mid:]}
-		}
-		mapf := func(_ context.Context, split []uint16, emit func(uint64, float64)) error {
-			for _, v := range split {
-				emit(uint64(v%13), float64(v))
-			}
-			return nil
-		}
-		with, err1 := Run(context.Background(), splits, mapf, sumReduce, sumReduce, Config{Reducers: 3})
-		without, err2 := Run(context.Background(), splits, mapf, nil, sumReduce, Config{Reducers: 3})
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if len(with) != len(without) {
-			return false
-		}
-		for k, v := range with {
-			d := without[k] - v
-			if d > 1e-9 || d < -1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+		onceEach(t, log, len(splits))
+		sameSums(t, "config", got, base)
 	}
 }
 
 func TestMapFailureRetried(t *testing.T) {
 	var attempts atomic.Int32
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
+	mapf := func(_ context.Context, split int) ([]kv, error) {
 		if split == 1 && attempts.Add(1) < 3 {
-			return errors.New("transient")
+			return nil, errors.New("transient")
 		}
-		emit(uint64(split), 1)
-		return nil
+		return []kv{{uint64(split), 1}}, nil
 	}
-	got, err := Run(context.Background(), []int{0, 1, 2}, mapf, nil, sumReduce, Config{MaxAttempts: 3, Mappers: 1})
+	got, _, err := sumJob(context.Background(), seq(3), mapf, Config{MaxAttempts: 3, Mappers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,103 +145,110 @@ func TestMapFailureRetried(t *testing.T) {
 }
 
 func TestMapFailureExhaustsAttempts(t *testing.T) {
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		return errors.New("permanent")
+	mapf := func(context.Context, int) ([]kv, error) {
+		return nil, errors.New("permanent")
 	}
-	_, err := Run(context.Background(), []int{0}, mapf, nil, sumReduce, Config{MaxAttempts: 2})
+	_, log, err := sumJob(context.Background(), []int{0}, mapf, Config{MaxAttempts: 2})
 	if !errors.Is(err, ErrTooManyFailures) {
 		t.Fatalf("err = %v, want ErrTooManyFailures", err)
 	}
+	if len(log) != 0 {
+		t.Fatalf("a split that never succeeded committed %d times", len(log))
+	}
 }
 
+// A map task that fails after building its result must not commit it.
+// Under retries, a node killed mid-job and speculation, every split
+// commits exactly once, and always a successful attempt's result; the
+// straggler whose backup won returns a good result too late, and that
+// is dropped as well.
 func TestFailedAttemptEmissionsDiscarded(t *testing.T) {
-	// A map task that emits then fails must not leak its emissions.
-	var first atomic.Bool
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		emit(7, 100)
-		if first.CompareAndSwap(false, true) {
-			return errors.New("fail after emitting")
-		}
-		return nil
+	const n, straggler = 24, 5
+	type out struct {
+		split, attempt int
+		failed         bool
 	}
-	got, err := Run(context.Background(), []int{0}, mapf, nil, sumReduce, Config{MaxAttempts: 2, Mappers: 1})
+	var attempts [n]atomic.Int32
+	stragglerDone := make(chan struct{})
+	mapf := func(_ context.Context, split int) (out, error) {
+		a := int(attempts[split].Add(1))
+		if split%4 == 0 && a == 1 {
+			return out{split, a, true}, errors.New("fail after building a result")
+		}
+		if split == straggler && a == 1 {
+			// The original hangs until its backup has committed, then
+			// returns a good result that must lose the race.
+			select {
+			case <-stragglerDone:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return out{split, a, false}, nil
+	}
+	var nodeOneTasks atomic.Int32
+	var stats Stats
+	cfg := Config{
+		Mappers: 4, MaxAttempts: 3,
+		Nodes:  2,
+		NodeOf: func(i int) int { return i % 2 },
+		NodeFault: func(node int) error {
+			if node == 1 && nodeOneTasks.Add(1) > 3 {
+				return errors.New("node 1 left the cluster")
+			}
+			return nil
+		},
+		Speculate: true,
+		Stats:     &stats,
+	}
+	var mu sync.Mutex
+	var log []commitRec
+	committed := map[int]out{}
+	err := Run(context.Background(), seq(n), mapf, func(split int, r out, local bool, busy time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		log = append(log, commitRec{split, local, busy})
+		if _, again := committed[split]; !again && split == straggler {
+			close(stragglerDone)
+		}
+		committed[split] = r
+	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[7] != 100 {
-		t.Fatalf("key 7 = %v, want 100 (single successful attempt)", got[7])
+	onceEach(t, log, n)
+	for split, r := range committed {
+		if r.failed || r.split != split {
+			t.Fatalf("split %d committed %+v", split, r)
+		}
 	}
-}
-
-func TestReduceErrorPropagates(t *testing.T) {
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		emit(1, 1)
-		return nil
+	if r := committed[straggler]; r.attempt == 1 {
+		t.Fatal("the straggler's original attempt committed after its backup")
 	}
-	boom := errors.New("reduce boom")
-	_, err := Run(context.Background(), []int{0}, mapf, nil,
-		func(uint64, []float64) (float64, error) { return 0, boom }, Config{})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestCombineErrorPropagates(t *testing.T) {
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		emit(1, 1)
-		emit(1, 2)
-		return nil
-	}
-	boom := errors.New("combine boom")
-	_, err := Run(context.Background(), []int{0}, mapf,
-		func(uint64, []float64) (float64, error) { return 0, boom },
-		sumReduce, Config{})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
+	if stats.Failures.Load() == 0 || stats.WorkersLost.Load() == 0 || stats.SpecWins.Load() == 0 {
+		t.Fatalf("failures=%d lost=%d specWins=%d, want all > 0",
+			stats.Failures.Load(), stats.WorkersLost.Load(), stats.SpecWins.Load())
 	}
 }
 
 func TestEmptySplits(t *testing.T) {
-	got, err := Run(context.Background(), nil,
-		func(_ context.Context, _ int, _ func(uint64, float64)) error { return nil },
-		nil, sumReduce, Config{})
+	got, log, err := sumJob(context.Background(), nil,
+		func(context.Context, int) ([]kv, error) { return nil, nil }, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Fatal("no splits should yield no keys")
+	if len(got) != 0 || len(log) != 0 {
+		t.Fatal("no splits should yield no commits")
 	}
 }
 
 func TestNilFuncsRejected(t *testing.T) {
-	if _, err := Run[int, uint64, float64](context.Background(), []int{1}, nil, nil, sumReduce, Config{}); err == nil {
+	commit := func(int, int, bool, time.Duration) {}
+	if err := Run[int, int](context.Background(), []int{1}, nil, commit, Config{}); err == nil {
 		t.Fatal("nil map should error")
 	}
-	mapf := func(_ context.Context, _ int, _ func(uint64, float64)) error { return nil }
-	if _, err := Run[int, uint64, float64](context.Background(), []int{1}, mapf, nil, nil, Config{}); err == nil {
-		t.Fatal("nil reduce should error")
-	}
-}
-
-func TestStringKeys(t *testing.T) {
-	mapf := func(_ context.Context, split int, emit func(string, float64)) error {
-		emit("alpha", 1)
-		emit("beta", 2)
-		return nil
-	}
-	red := func(_ string, vs []float64) (float64, error) {
-		var s float64
-		for _, v := range vs {
-			s += v
-		}
-		return s, nil
-	}
-	got, err := Run(context.Background(), []int{0, 1, 2}, mapf, red, red, Config{Reducers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["alpha"] != 3 || got["beta"] != 6 {
-		t.Fatalf("got %v", got)
+	mapf := func(context.Context, int) (int, error) { return 0, nil }
+	if err := Run[int, int](context.Background(), []int{1}, mapf, nil, Config{}); err == nil {
+		t.Fatal("nil commit should error")
 	}
 }
 
@@ -240,7 +259,7 @@ func TestStringKeys(t *testing.T) {
 func TestMidJobCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started, retries atomic.Int32
-	mapf := func(ctx context.Context, split int, emit func(uint64, float64)) error {
+	mapf := func(ctx context.Context, split int) ([]kv, error) {
 		n := started.Add(1)
 		if n > 3 {
 			retries.Add(1) // any attempt after the cancelling one is a retry or a straggler
@@ -249,13 +268,11 @@ func TestMidJobCancellation(t *testing.T) {
 			cancel() // third task cancels the job partway through
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		emit(uint64(split), 1)
-		return nil
+		return []kv{{uint64(split), 1}}, nil
 	}
-	_, err := Run(ctx, []int{0, 1, 2, 3, 4, 5, 6, 7}, mapf, nil, sumReduce,
-		Config{Mappers: 1, MaxAttempts: 5})
+	_, _, err := sumJob(ctx, seq(8), mapf, Config{Mappers: 1, MaxAttempts: 5})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -267,18 +284,15 @@ func TestMidJobCancellation(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		emit(1, 1)
-		return nil
-	}
-	if _, err := Run(ctx, make([]int, 10000), mapf, nil, sumReduce, Config{}); err == nil {
+	mapf := func(context.Context, int) ([]kv, error) { return []kv{{1, 1}}, nil }
+	if _, _, err := sumJob(ctx, make([]int, 10000), mapf, Config{}); err == nil {
 		t.Fatal("cancelled job should error")
 	}
 }
 
 // Deterministic unit coverage of the lane scheduler itself: affine
-// pops drain the home lane in FIFO order, steals come from the
-// most-loaded foreign lane, and blind mode is one global FIFO.
+// pops drain the home lane in FIFO order, and steals come from the
+// most-loaded foreign lane.
 func TestLaneSchedulerAffineOrder(t *testing.T) {
 	// 7 splits on 3 nodes, nodeOf = i % 3: lanes {0,3,6}, {1,4}, {2,5}.
 	s := newLaneScheduler(7, 3, func(i int) int { return i % 3 })
@@ -312,54 +326,40 @@ func TestLaneSchedulerAffineOrder(t *testing.T) {
 
 // Locality-aware runs must stay bit-equivalent to placement-free runs
 // (placement only reorders scheduling, never values), every split must
-// be mapped exactly once, and local+remote accounting must cover every
+// commit exactly once, and local+remote accounting must cover every
 // task.
 func TestLocalityEquivalenceAndAccounting(t *testing.T) {
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
+	mapf := func(_ context.Context, split int) ([]kv, error) {
+		var out []kv
 		for i := 0; i < 200; i++ {
-			emit(uint64((split*11+i)%17), float64(split*1000+i))
+			out = append(out, kv{uint64((split*11 + i) % 17), float64(split*1000 + i)})
 		}
-		return nil
+		return out, nil
 	}
-	splits := make([]int, 24)
-	for i := range splits {
-		splits[i] = i
-	}
-	base, err := Run(context.Background(), splits, mapf, nil, sumReduce, Config{Mappers: 1, Reducers: 1})
+	splits := seq(24)
+	base, _, err := sumJob(context.Background(), splits, mapf, Config{Mappers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var local, remote, tasks atomic.Int64
 	cfg := Config{
-		Mappers: 6, Reducers: 3,
-		Nodes:  4,
-		NodeOf: func(i int) int { return i % 4 },
-		OnTask: func(split int, isLocal bool, _ time.Duration) {
-			tasks.Add(1)
-			if isLocal {
-				local.Add(1)
-			} else {
-				remote.Add(1)
-			}
-		},
+		Mappers: 6,
+		Nodes:   4,
+		NodeOf:  func(i int) int { return i % 4 },
 	}
-	got, err := Run(context.Background(), splits, mapf, sumReduce, sumReduce, cfg)
+	got, log, err := sumJob(context.Background(), splits, mapf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(base) {
-		t.Fatalf("key count %d vs %d", len(got), len(base))
-	}
-	for k, v := range base {
-		if d := got[k] - v; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("key %d: %v vs %v", k, got[k], v)
+	sameSums(t, "locality", got, base)
+	onceEach(t, log, len(splits))
+	var local int
+	for _, c := range log {
+		if c.local {
+			local++
 		}
 	}
-	if tasks.Load() != int64(len(splits)) {
-		t.Fatalf("OnTask fired %d times for %d splits", tasks.Load(), len(splits))
-	}
-	if local.Load()+remote.Load() != int64(len(splits)) {
-		t.Fatalf("local %d + remote %d != %d", local.Load(), remote.Load(), len(splits))
+	if local == 0 {
+		t.Fatal("no task ran on its split's home lane")
 	}
 }
 
@@ -368,24 +368,14 @@ func TestLocalityEquivalenceAndAccounting(t *testing.T) {
 // local, the rest remote — deterministic because there is no second
 // worker to race.
 func TestSingleWorkerDrainsHomeLaneFirst(t *testing.T) {
-	type placed struct {
-		split int
-		local bool
-	}
-	var order []placed
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
-		emit(0, 1)
-		return nil
-	}
+	mapf := func(context.Context, int) ([]kv, error) { return []kv{{0, 1}}, nil }
 	cfg := Config{
-		Mappers: 1, Reducers: 1,
-		Nodes:  3,
-		NodeOf: func(i int) int { return i % 3 },
-		OnTask: func(split int, local bool, _ time.Duration) {
-			order = append(order, placed{split, local}) // Mappers=1: no races
-		},
+		Mappers: 1,
+		Nodes:   3,
+		NodeOf:  func(i int) int { return i % 3 },
 	}
-	if _, err := Run(context.Background(), make([]int, 9), mapf, nil, sumReduce, cfg); err != nil {
+	_, order, err := sumJob(context.Background(), make([]int, 9), mapf, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 9 {
@@ -403,43 +393,35 @@ func TestSingleWorkerDrainsHomeLaneFirst(t *testing.T) {
 }
 
 func TestNodesWithoutNodeOfRejected(t *testing.T) {
-	mapf := func(_ context.Context, _ int, emit func(uint64, float64)) error {
-		emit(0, 1)
-		return nil
-	}
-	if _, err := Run(context.Background(), []int{0}, mapf, nil, sumReduce, Config{Nodes: 2}); err == nil {
+	mapf := func(context.Context, int) ([]kv, error) { return []kv{{0, 1}}, nil }
+	if _, _, err := sumJob(context.Background(), []int{0}, mapf, Config{Nodes: 2}); err == nil {
 		t.Fatal("Nodes without NodeOf should error")
 	}
 }
 
 // Retries must survive lane scheduling: a transiently failing split on
-// a foreign lane still completes, and placement accounting fires once.
+// a foreign lane still completes, and it commits once.
 func TestLaneRetryStillBounded(t *testing.T) {
 	var attempts atomic.Int32
-	mapf := func(_ context.Context, split int, emit func(uint64, float64)) error {
+	mapf := func(_ context.Context, split int) ([]kv, error) {
 		if split == 2 && attempts.Add(1) < 2 {
-			return errors.New("transient")
+			return nil, errors.New("transient")
 		}
-		emit(uint64(split), 1)
-		return nil
+		return []kv{{uint64(split), 1}}, nil
 	}
-	var tasks atomic.Int32
 	cfg := Config{
 		Mappers: 2, MaxAttempts: 3,
 		Nodes:  2,
 		NodeOf: func(i int) int { return i % 2 },
-		OnTask: func(int, bool, time.Duration) { tasks.Add(1) },
 	}
-	got, err := Run(context.Background(), []int{0, 1, 2, 3}, mapf, nil, sumReduce, cfg)
+	got, log, err := sumJob(context.Background(), seq(4), mapf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[2] != 1 {
 		t.Fatalf("retried split result = %v", got[2])
 	}
-	if tasks.Load() != 4 {
-		t.Fatalf("OnTask fired %d times, want 4 (once per split, not per attempt)", tasks.Load())
-	}
+	onceEach(t, log, 4) // once per split, not per attempt
 }
 
 // Cancellation propagates through the lane pool exactly as through the
@@ -447,12 +429,9 @@ func TestLaneRetryStillBounded(t *testing.T) {
 func TestLaneCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	mapf := func(_ context.Context, _ int, emit func(uint64, float64)) error {
-		emit(1, 1)
-		return nil
-	}
+	mapf := func(context.Context, int) ([]kv, error) { return []kv{{1, 1}}, nil }
 	cfg := Config{Nodes: 3, NodeOf: func(i int) int { return i % 3 }}
-	if _, err := Run(ctx, make([]int, 1000), mapf, nil, sumReduce, cfg); err == nil {
+	if _, _, err := sumJob(ctx, make([]int, 1000), mapf, cfg); err == nil {
 		t.Fatal("cancelled lane job should error")
 	}
 }

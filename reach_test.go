@@ -98,7 +98,7 @@ var keptUnreached = []struct{ name, reason string }{
 	{"rng.(*Stream).Shuffle", "to delete with TestShuffleKeepsMultiset; catmodel's oracle_test inlines the three lines"},
 	{"elt.Merge", "to delete with TestMergeCommutativeProperty, TestMergePreservesTotalMean, BenchmarkMerge"},
 	{"elt.(*Table).Truncate", "to delete with TestTruncate"},
-	{"yelt.StreamTrials", "to delete with the three TestStreamTrials* tests and BenchmarkStreamTrials: the shard scan, its one caller, reads through yelt.Reader since PR 24, and the two integration tests that map over shards with it can too"},
+	{"yelt.StreamTrials", "to delete with the three TestStreamTrials* tests, BenchmarkStreamTrials and TestReaderForgedHeaderAllocatesLittle's StreamTrials case: nothing else calls it — the shard scan reads through yelt.Reader, and the integration tests that map over shards read through yelt.Read"},
 	{"ylt.(*Table).Scale", "to delete with TestScale; dfa_test inlines the loop"},
 	{"ylt.CombineAggOnly", "to delete with TestCombineAggOnlyOptIn"},
 	{"mathx.Identity", "to delete with TestIdentityMulVec; dfa_test inlines it"},
