@@ -3,23 +3,24 @@ package yelt
 import (
 	"bytes"
 	"context"
+	"hash/fnv"
 	"slices"
 	"testing"
+
+	"repro/internal/catalog"
 )
 
 // assembleViaSource reconstructs a full table by reading src in
-// consecutive batches of the given size through one reused buffer —
-// the access pattern of a streaming engine worker.
-func assembleViaSource(t *testing.T, src Source, batch int) *Table {
+// consecutive batches through one reused buffer — the access pattern of
+// a streaming engine worker. Batch sizes cycle through batches, so
+// several sizes give ragged ranges.
+func assembleViaSource(t *testing.T, src Source, batches ...int) *Table {
 	t.Helper()
 	n := src.TrialCount()
 	out := &Table{NumTrials: n, Offsets: []int64{0}}
 	buf := &Table{}
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
+	for lo, i := 0, 0; lo < n; lo, i = lo+batches[i%len(batches)], i+1 {
+		hi := min(lo+batches[i%len(batches)], n)
 		b, err := src.ReadTrials(context.Background(), lo, hi, buf)
 		if err != nil {
 			t.Fatalf("ReadTrials[%d,%d): %v", lo, hi, err)
@@ -71,6 +72,80 @@ func TestGeneratorMatchesGenerate(t *testing.T) {
 	for _, batch := range []int{1, 3, 97, 500, 1000} {
 		got := assembleViaSource(t, g, batch)
 		tablesEqual(t, "generator batch", want, got)
+	}
+}
+
+// TestGeneratorDigests pins the generator's output bit for bit: FNV-1a
+// digests of the encoded Generate output, taken before the year sort
+// and the per-trial stream were rewritten. The three catalogues cover
+// both sides of the sort's short/long-year cut — λ = 10 years are
+// short, λ = 200 years are all long — and a 3-event catalogue at λ = 40
+// where equal (day, event) records occur in years of either length.
+// Each year must be ordered by (day, event), and Generator.ReadTrials
+// over ragged ranges through one reused buffer must equal Generate.
+func TestGeneratorDigests(t *testing.T) {
+	const trials = 3000
+	for _, tc := range []struct {
+		name   string
+		events int
+		rate   float64
+		want   uint64
+	}{
+		{"rate=10", 800, 10, 0x7e57d562aa399f45},
+		{"rate=200", 800, 200, 0xdaba741c6c72c342},
+		{"events=3", 3, 40, 0x1474adcede69f485},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := catalog.DefaultConfig()
+			cfg.NumEvents = tc.events
+			cfg.MeanEventsPerYear = tc.rate
+			cat, err := catalog.Generate(cfg, 1234)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Generate(context.Background(), cat, Config{NumTrials: trials}, 41)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var enc bytes.Buffer
+			if _, err := want.WriteTo(&enc); err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(enc.Bytes())
+			if got := h.Sum64(); got != tc.want {
+				t.Errorf("digest %#x, want %#x", got, tc.want)
+			}
+
+			short, long, ties := 0, 0, 0
+			for trial := 0; trial < want.NumTrials; trial++ {
+				year := want.OccurrencesOf(trial)
+				if len(year) > 32 {
+					long++
+				} else {
+					short++
+				}
+				for i := 1; i < len(year); i++ {
+					a, b := year[i-1], year[i]
+					if a.DayOfYear > b.DayOfYear || a.DayOfYear == b.DayOfYear && a.EventID > b.EventID {
+						t.Fatalf("trial %d: %v before %v", trial, a, b)
+					}
+					if a == b {
+						ties++
+					}
+				}
+			}
+			t.Logf("%d short years, %d long years, %d equal neighbours", short, long, ties)
+			if tc.events == 3 && (ties == 0 || short == 0 || long == 0) {
+				t.Fatalf("3-event catalogue: %d short, %d long years, %d ties; want all three", short, long, ties)
+			}
+
+			g, err := NewGenerator(cat, Config{NumTrials: trials}, 41)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tablesEqual(t, "ragged ReadTrials", want, assembleViaSource(t, g, 1, 977, 3, 64, 1500, 29))
+		})
 	}
 }
 
