@@ -124,8 +124,8 @@ func (s *Store) pathAt(dataset string, part, node int) string {
 // directory is fsynced after it, so a power loss between the rename
 // and an unmount cannot roll a committed shard back to absent (the
 // rename itself lives in the directory, which is its own file). Stray
-// temp files (a leading dot, no ".part-" infix) are invisible to
-// Partitions and ReadPartition.
+// temp files (a leading dot and a ".tmp-" tail) are invisible to
+// Partitions and ReadPartition; Delete reclaims them.
 func (s *Store) WritePartition(dataset string, part int, fn func(io.Writer) error) error {
 	return s.WritePartitionAt(dataset, part, s.NodeOf(part), fn)
 }
@@ -246,21 +246,15 @@ func (s *Store) ReplicaNodes(dataset string, part int) ([]int, error) {
 // partition set, not the physical file set.
 func (s *Store) Partitions(dataset string) ([]int, error) {
 	seen := map[int]bool{}
-	prefix := dataset + ".part-"
 	for n := 0; n < s.nodes; n++ {
 		entries, err := os.ReadDir(nodeDir(s.root, n))
 		if err != nil {
 			return nil, fmt.Errorf("diskstore: listing node %d: %w", n, err)
 		}
 		for _, e := range entries {
-			if !strings.HasPrefix(e.Name(), prefix) {
-				continue
+			if p, temp, ok := partFile(dataset, e.Name()); ok && !temp {
+				seen[p] = true
 			}
-			p, err := strconv.Atoi(strings.TrimPrefix(e.Name(), prefix))
-			if err != nil {
-				continue
-			}
-			seen[p] = true
 		}
 	}
 	if len(seen) == 0 {
@@ -317,24 +311,52 @@ func (s *Store) TotalSizeBytes(dataset string) (int64, error) {
 	return total, nil
 }
 
-// Delete removes all partitions of a dataset, every replica included.
+// Delete removes all partitions of a dataset, every replica included,
+// and the temp files of partition writes that never committed — what a
+// writer killed mid-partition leaves behind, invisible to Partitions
+// but not to the disk. It reports ErrNotFound when no partition was
+// committed, after removing any such temp files all the same.
 func (s *Store) Delete(dataset string) error {
-	parts, err := s.Partitions(dataset)
-	if err != nil {
-		return err
-	}
-	for _, p := range parts {
-		nodes, err := s.ReplicaNodes(dataset, p)
+	committed := false
+	for n := 0; n < s.nodes; n++ {
+		dir := nodeDir(s.root, n)
+		entries, err := os.ReadDir(dir)
 		if err != nil {
-			return err
+			return fmt.Errorf("diskstore: listing node %d: %w", n, err)
 		}
-		for _, n := range nodes {
-			if err := os.Remove(s.pathAt(dataset, p, n)); err != nil {
-				return fmt.Errorf("diskstore: delete part %d node %d: %w", p, n, err)
+		for _, e := range entries {
+			_, temp, ok := partFile(dataset, e.Name())
+			if !ok {
+				continue
 			}
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return fmt.Errorf("diskstore: delete %s on node %d: %w", e.Name(), n, err)
+			}
+			committed = committed || !temp
 		}
+	}
+	if !committed {
+		return fmt.Errorf("%w: dataset %s", ErrNotFound, dataset)
 	}
 	return nil
+}
+
+// partFile reports whether a node-directory entry belongs to dataset:
+// a committed partition, "<dataset>.part-NNNNN" (pathAt), or the temp
+// file WritePartitionAt writes one through, ".<dataset>.part-NNNNN.tmp-*".
+func partFile(dataset, name string) (part int, temp, ok bool) {
+	rest, found := strings.CutPrefix(name, dataset+".part-")
+	if !found {
+		if rest, found = strings.CutPrefix(name, "."+dataset+".part-"); !found {
+			return 0, false, false
+		}
+		if rest, _, found = strings.Cut(rest, ".tmp-"); !found {
+			return 0, false, false
+		}
+		temp = true
+	}
+	part, err := strconv.Atoi(rest)
+	return part, temp, err == nil
 }
 
 // PartitionSizeBytes returns the on-disk size of one partition — the

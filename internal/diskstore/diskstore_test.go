@@ -174,6 +174,60 @@ func TestInProgressTempInvisible(t *testing.T) {
 	}
 }
 
+// A writer killed between creating its temp file and the rename leaves
+// that file behind, and nothing else ever removes it: Delete must
+// reclaim the dataset's temp files on every node, whether or not any
+// of its partitions committed, and leave other datasets' files alone.
+func TestDeleteReclaimsKilledWriterTemps(t *testing.T) {
+	s := newStore(t, 3)
+	kill := func(dataset string, part, node int) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s part %d: writer was not killed", dataset, part)
+			}
+		}()
+		s.WritePartitionAt(dataset, part, node, func(w io.Writer) error {
+			if _, err := w.Write([]byte("torn")); err != nil {
+				return err
+			}
+			w.(*os.File).Close() // the kernel closes a killed process's files
+			panic("killed mid-write")
+		})
+	}
+	for p := 0; p < 2; p++ {
+		if err := s.WritePartition("ds", p, func(w io.Writer) error {
+			_, err := w.Write([]byte("good"))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kill("ds", 2, 2)
+	kill("ds", 0, 1)
+	kill("ds.manifest", 0, 0)
+	kill("other", 0, 0)
+
+	if err := s.Delete("ds"); err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for n := 0; n < s.Nodes(); n++ {
+		left = append(left, nodeFiles(t, s, n)...)
+	}
+	if len(left) != 2 || !strings.HasPrefix(left[0], ".ds.manifest.part-00000.tmp-") || !strings.HasPrefix(left[1], ".other.part-00000.tmp-") {
+		t.Fatalf("after Delete(ds) the nodes hold %q, want only the other datasets' temp files", left)
+	}
+	// A dataset that never committed a partition is not found, and its
+	// temp files go all the same.
+	if err := s.Delete("ds.manifest"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Delete of a dataset with only temp files: %v, want ErrNotFound", err)
+	}
+	if files := nodeFiles(t, s, 0); len(files) != 1 || !strings.HasPrefix(files[0], ".other.part-") {
+		t.Fatalf("node 0 holds %q, want only other's temp file", files)
+	}
+}
+
 // A successful write commits exactly one file — the final partition —
 // with the temp file gone.
 func TestWriteCommitsAtomically(t *testing.T) {

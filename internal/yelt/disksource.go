@@ -72,13 +72,17 @@ func SpillReplicated(ctx context.Context, src Source, store *diskstore.Store, da
 		reps[i] = store.ReplicaNodesFor(i, replicas)
 	}
 	err := stream.ForEach(ctx, len(ranges), workers, func(ctx context.Context, i int) error {
-		shard, err := src.ReadTrials(ctx, ranges[i].Lo, ranges[i].Hi, &Table{})
+		shard, err := src.ReadTrials(ctx, ranges[i].Lo, ranges[i].Hi, nil)
 		if err != nil {
 			return fmt.Errorf("yelt: spill shard %d: %w", i, err)
 		}
+		// Encoded once, written to every replica: the replicas are
+		// byte-identical by construction, as an HDFS write pipeline
+		// makes them.
+		data := shard.encode()
 		for _, node := range reps[i] {
 			err := store.WritePartitionAt(dataset, i, node, func(w io.Writer) error {
-				_, err := shard.WriteTo(w)
+				_, err := w.Write(data)
 				return err
 			})
 			if err != nil {

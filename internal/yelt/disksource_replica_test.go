@@ -1,14 +1,20 @@
 package yelt
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/diskstore"
 	"repro/internal/faultinject"
+	"repro/internal/stream"
 )
 
 // spillReplicatedFixture spills a 301-trial table at r=2 across 4
@@ -42,6 +48,20 @@ func TestSpillReplicatedRoundTrip(t *testing.T) {
 		}
 		if ds.ShardNode(i) != want[0] {
 			t.Fatalf("shard %d primary = %d, want %d", i, ds.ShardNode(i), want[0])
+		}
+		var copies [][]byte
+		for _, node := range want {
+			err := store.ReadPartitionAt("yelt", i, node, func(r io.Reader) error {
+				b, err := io.ReadAll(r)
+				copies = append(copies, b)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(copies[0], copies[1]) {
+			t.Fatalf("shard %d: replicas differ", i)
 		}
 	}
 	want, err := tbl.Slice(0, 301)
@@ -213,6 +233,98 @@ func TestOpenDiskSourceRefusesWhenAllReplicasLost(t *testing.T) {
 		}
 	}
 	wantOpenError(t, store, "yelt", "missing shard 4")
+}
+
+// failingSource is a trial source that dies at trial failAt: every read
+// reaching it fails.
+type failingSource struct {
+	Source
+	failAt int
+}
+
+func (f failingSource) ReadTrials(ctx context.Context, lo, hi int, buf *Table) (*Table, error) {
+	if hi > f.failAt {
+		return nil, errors.New("source died")
+	}
+	return f.Source.ReadTrials(ctx, lo, hi, buf)
+}
+
+// A spill that dies at shard k, after shards 0..k−1 committed on both
+// replicas and with a killed writer's temp file left on shard k's
+// node, must be refused on attach. A re-spill into the same store must
+// then leave exactly its own shard and manifest replicas — no stale
+// shard, no temp file — and read back bit-identical.
+func TestRespillAfterCrashedReplicatedSpill(t *testing.T) {
+	ctx := context.Background()
+	tbl, err := Generate(ctx, testCatalog(t, 500), Config{NumTrials: 301}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := diskstore.Create(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const parts, k = 7, 4
+	crashed := failingSource{Source: tbl, failAt: stream.Partition(tbl.NumTrials, parts)[k].Lo + 1}
+	if _, err := SpillReplicated(ctx, crashed, store, "yelt", parts, 2, 1); err == nil {
+		t.Fatal("spill of a source that dies at shard 4 succeeded")
+	}
+	func() {
+		defer func() { _ = recover() }()
+		store.WritePartitionAt("yelt", k, store.NodeOf(k), func(w io.Writer) error {
+			w.(*os.File).Close() // the kernel closes a killed writer's files
+			panic("killed mid-write")
+		})
+	}()
+	if got, err := store.Partitions("yelt"); err != nil || len(got) != k {
+		t.Fatalf("crashed spill committed shards %v (%v), want 0..%d", got, err, k-1)
+	}
+	if _, err := OpenDiskSource(store, "yelt"); err == nil {
+		t.Fatal("attach to a spill that never committed its manifest succeeded")
+	}
+
+	ds, err := SpillReplicated(ctx, tbl, store, "yelt", 5, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for i := 0; i < 5; i++ {
+		for _, n := range store.ReplicaNodesFor(i, 2) {
+			want[fmt.Sprintf("node-%03d/yelt.part-%05d", n, i)] = true
+		}
+	}
+	for _, n := range store.ReplicaNodesFor(0, 2) {
+		want[fmt.Sprintf("node-%03d/yelt.manifest.part-00000", n)] = true
+	}
+	got, err := filepath.Glob(filepath.Join(dir, "node-*", "*")) // dot files too
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range got {
+		if got[i], err = filepath.Rel(dir, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("re-spill left %d files %q, want %d", len(got), got, len(want))
+	}
+	for _, f := range got {
+		if !want[f] {
+			t.Fatalf("re-spill left %q, which is not one of its shard or manifest replicas", f)
+		}
+	}
+	re, err := OpenDiskSource(store, "yelt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []*DiskSource{ds, re} {
+		read, err := src.ReadTrials(ctx, 0, tbl.NumTrials, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tablesEqual(t, "re-spilled", tbl, read)
+	}
 }
 
 // An unreplicated source hit by a mid-stream read error has nowhere to

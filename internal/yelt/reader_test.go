@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // skipNext decodes trials [lo, hi) of an encoded table the way a shard
@@ -78,6 +81,75 @@ func TestReaderSkipMatchesRead(t *testing.T) {
 	}
 	want, _ := all.Slice(399, 400)
 	tablesEqual(t, "last trial", want, last)
+}
+
+// TestReaderNextLongTrial decodes a trial of 30 000 records, which
+// spans the reader's 64 KiB buffer more than twice, and stream ends
+// at every kind of place: inside a record, on a buffer or decode-block
+// boundary, on the trial boundary, and inside later trials. Each must
+// fail the way io.ReadFull per record did — io.EOF between records,
+// io.ErrUnexpectedEOF inside one, naming the trial the first missing
+// record belongs to — whether the bytes arrive all at once, one at a
+// time, or with the EOF on the last data.
+func TestReaderNextLongTrial(t *testing.T) {
+	counts := []int{30_000, 3, 5}
+	tbl := &Table{NumTrials: len(counts), Offsets: []int64{0}}
+	for _, c := range counts {
+		for j := 0; j < c; j++ {
+			tbl.Occs = append(tbl.Occs, Occurrence{EventID: uint32(len(tbl.Occs)*2654435761 + 1), DayOfYear: uint16(j % 365)})
+		}
+		tbl.Offsets = append(tbl.Offsets, int64(len(tbl.Occs)))
+	}
+	var enc bytes.Buffer
+	if _, err := tbl.WriteTo(&enc); err != nil {
+		t.Fatal(err)
+	}
+	data := enc.Bytes()
+	const body = 8 + 4*3 // header and counts: the records start here
+	rec := func(i int) int { return body + EntryBytes*i }
+	for _, tc := range []struct {
+		name  string
+		cut   int
+		trial int
+		want  error
+	}{
+		{"mid-record", rec(20_000) + 3, 0, io.ErrUnexpectedEOF},
+		{"first 64 KiB buffer", 1 << 16, 0, io.ErrUnexpectedEOF},
+		{"second 64 KiB buffer", 2 << 16, 0, io.EOF}, // (2<<16 − 20) ÷ 6 records exactly
+		{"first decode block", rec(65536 / EntryBytes), 0, io.EOF},
+		{"last record of the long trial", rec(29_999) + 5, 0, io.ErrUnexpectedEOF},
+		{"trial boundary", rec(30_000), 1, io.EOF},
+		{"inside trial 1", rec(30_001) + 2, 1, io.ErrUnexpectedEOF},
+		{"between records of trial 2", rec(30_005), 2, io.EOF},
+		{"last byte", len(data) - 1, 2, io.ErrUnexpectedEOF},
+	} {
+		for _, rdr := range []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{
+			{"whole", func(r io.Reader) io.Reader { return r }},
+			{"one byte", iotest.OneByteReader},
+			{"EOF with data", iotest.DataErrReader},
+		} {
+			t.Run(tc.name+"/"+rdr.name, func(t *testing.T) {
+				got, err := Read(rdr.wrap(bytes.NewReader(data[:tc.cut])))
+				if err == nil {
+					t.Fatalf("truncated at byte %d of %d: decoded %d trials", tc.cut, len(data), got.NumTrials)
+				}
+				if !errors.Is(err, tc.want) || tc.want == io.EOF && errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("err %v, want %v", err, tc.want)
+				}
+				if want := fmt.Sprintf("(trial %d)", tc.trial); !strings.Contains(err.Error(), want) {
+					t.Fatalf("err %q does not name %s", err, want)
+				}
+			})
+		}
+	}
+	got, err := Read(iotest.HalfReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tablesEqual(t, "long trial", tbl, got)
 }
 
 // A header is input from outside the process (-mode aggregate -dir D):

@@ -1,10 +1,11 @@
 package yelt
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -115,28 +116,55 @@ func (g *Generator) Streamed() int64 { return g.streamed.Load() }
 // sorted by (day, event). This is the single per-trial kernel shared
 // by Generate and ReadTrials; the draw order (Poisson count, then per
 // occurrence an alias draw and a uniform day) is the determinism
-// contract and must not change.
+// contract and must not change. The trial's stream lives on the stack:
+// Reseed gives it exactly the state rng.NewStream would allocate.
 func (g *Generator) appendTrial(trial int, occs []Occurrence) []Occurrence {
-	st := rng.NewStream(g.seed, uint64(trial))
+	var st rng.Stream
+	st.Reseed(g.seed, uint64(trial))
 	k := st.Poisson(g.totalRate)
 	start := len(occs)
 	for j := 0; j < k; j++ {
-		ev := g.events[g.alias.Draw(st)]
+		ev := g.events[g.alias.Draw(&st)]
 		day := uint16(st.Intn(365))
 		occs = append(occs, Occurrence{EventID: ev.ID, DayOfYear: day})
 	}
-	year := occs[start:]
-	sort.Slice(year, func(i, j int) bool {
-		if year[i].DayOfYear != year[j].DayOfYear {
-			return year[i].DayOfYear < year[j].DayOfYear
-		}
-		return year[i].EventID < year[j].EventID
-	})
+	sortYear(occs[start:])
 	return occs
 }
 
+// shortYear is the longest year sortYear orders by insertion. At the
+// usual rates (≈ 10 a year) every year is short; a high-rate catalogue's
+// longer years go to slices.SortFunc, so none sorts in quadratic time.
+const shortYear = 32
+
+// sortYear orders a year by (day, event) through the packed key
+// day<<32 | event. An Occurrence is exactly those two fields, so equal
+// keys are equal records and every correct sort yields the same bytes.
+func sortYear(year []Occurrence) {
+	if len(year) > shortYear {
+		slices.SortFunc(year, func(a, b Occurrence) int { return cmp.Compare(yearKey(a), yearKey(b)) })
+		return
+	}
+	for i := 1; i < len(year); i++ {
+		o, k := year[i], yearKey(year[i])
+		j := i
+		for ; j > 0 && yearKey(year[j-1]) > k; j-- {
+			year[j] = year[j-1]
+		}
+		year[j] = o
+	}
+}
+
+func yearKey(o Occurrence) uint64 { return uint64(o.DayOfYear)<<32 | uint64(o.EventID) }
+
+// occsHint is the occurrence capacity n trials are sized for: the
+// catalogue's mean rate plus 10 %, so a batch rarely grows mid-fill.
+func (g *Generator) occsHint(n int) int { return int(float64(n) * g.totalRate * 11 / 10) }
+
 // ReadTrials implements Source by regenerating trials [lo, hi) into
-// buf. Memory use is bounded by the batch, not the trial count.
+// buf. Memory use is bounded by the batch, not the trial count; buf's
+// storage is sized for the batch up front, so a reused buf of the same
+// batch size allocates nothing.
 func (g *Generator) ReadTrials(ctx context.Context, lo, hi int, buf *Table) (*Table, error) {
 	if lo < 0 || hi > g.cfg.NumTrials || lo > hi {
 		return nil, fmt.Errorf("yelt: read trials [%d,%d) outside [0,%d)", lo, hi, g.cfg.NumTrials)
@@ -145,8 +173,8 @@ func (g *Generator) ReadTrials(ctx context.Context, lo, hi int, buf *Table) (*Ta
 		buf = &Table{}
 	}
 	buf.NumTrials = hi - lo
-	buf.Offsets = append(buf.Offsets[:0], 0)
-	buf.Occs = buf.Occs[:0]
+	buf.Offsets = append(slices.Grow(buf.Offsets[:0], hi-lo+1), 0)
+	buf.Occs = slices.Grow(buf.Occs[:0], g.occsHint(hi-lo))
 	for trial := lo; trial < hi; trial++ {
 		if (trial-lo)%1024 == 0 {
 			select {
@@ -193,7 +221,7 @@ func (g *Generator) Extend(ctx context.Context, prev *Table) (*Table, error) {
 		b := &blocks[w]
 		b.NumTrials = r.Len()
 		b.Offsets = append(make([]int64, 0, r.Len()+1), 0)
-		b.Occs = make([]Occurrence, 0, int(float64(r.Len())*g.totalRate*11/10))
+		b.Occs = make([]Occurrence, 0, g.occsHint(r.Len()))
 		lo, hi := have+r.Lo, have+r.Hi
 		for trial := lo; trial < hi; trial++ {
 			if (trial-lo)%4096 == 0 {

@@ -149,6 +149,29 @@ func TestGeneratorDigests(t *testing.T) {
 	}
 }
 
+// A streaming worker reads batch after batch through one buffer: once
+// it is warm, regenerating a batch must allocate nothing — no stream
+// per trial, no sort scaffolding per year, no growth.
+func TestGeneratorReadTrialsAllocs(t *testing.T) {
+	ctx := context.Background()
+	g, err := NewGenerator(testCatalog(t, 500), Config{NumTrials: 4096}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := g.ReadTrials(ctx, 0, 1024, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := g.ReadTrials(ctx, 1024, 2048, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadTrials of 1024 trials into a warm buffer: %v allocations, want 0", allocs)
+	}
+}
+
 // A generator's Streamed counter must equal the occurrence count of
 // the equivalent table after one full pass — the accounting invariant
 // the streaming stage reports rely on.

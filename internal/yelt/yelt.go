@@ -113,38 +113,62 @@ var magic = [4]byte{'Y', 'E', 'L', 'T'}
 // ErrBadFormat reports a malformed serialized table.
 var ErrBadFormat = errors.New("yelt: bad format")
 
-// WriteTo serializes the table. It implements io.WriterTo.
+// WriteTo serializes the table. It implements io.WriterTo. Memory use
+// is one reused 64 KiB chunk, whatever the table's size.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
+	enc := encoder{t: t}
+	chunk := make([]byte, 0, 1<<16)
 	var written int64
-	if _, err := bw.Write(magic[:]); err != nil {
-		return written, err
-	}
-	written += 4
-	var u4 [4]byte
-	binary.LittleEndian.PutUint32(u4[:], uint32(t.NumTrials))
-	if _, err := bw.Write(u4[:]); err != nil {
-		return written, err
-	}
-	written += 4
-	for trial := 0; trial < t.NumTrials; trial++ {
-		n := t.Offsets[trial+1] - t.Offsets[trial]
-		binary.LittleEndian.PutUint32(u4[:], uint32(n))
-		if _, err := bw.Write(u4[:]); err != nil {
+	for {
+		chunk = enc.fill(chunk[:0])
+		if len(chunk) == 0 {
+			return written, nil
+		}
+		n, err := w.Write(chunk)
+		written += int64(n)
+		if err != nil {
 			return written, err
 		}
-		written += 4
 	}
-	var rec [EntryBytes]byte
-	for _, o := range t.Occs {
-		binary.LittleEndian.PutUint32(rec[0:4], o.EventID)
-		binary.LittleEndian.PutUint16(rec[4:6], o.DayOfYear)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return written, err
-		}
-		written += EntryBytes
+}
+
+// encode returns the table's WriteTo encoding in one buffer: what a
+// spill writes, unchanged, to every replica of a shard.
+func (t *Table) encode() []byte {
+	enc := encoder{t: t}
+	return enc.fill(make([]byte, 0, 8+4*t.NumTrials+EntryBytes*len(t.Occs)))
+}
+
+// encoder is the one encoder of the WriteTo format. It produces a
+// table's bytes front to back in pieces as large as its caller's
+// buffer — a reused chunk for WriteTo, the whole table for encode.
+type encoder struct {
+	t      *Table
+	header bool // magic and trial count written
+	trial  int  // next trial whose count to write
+	occ    int  // next occurrence to write
+}
+
+// fill appends the next encoded bytes to dst — after the 8-byte
+// header, never beyond cap(dst) and never splitting a field — and
+// returns dst unchanged once the table is done.
+func (e *encoder) fill(dst []byte) []byte {
+	le := binary.LittleEndian
+	if !e.header {
+		dst = le.AppendUint32(append(dst, magic[:]...), uint32(e.t.NumTrials))
+		e.header = true
 	}
-	return written, bw.Flush()
+	for ; e.trial < e.t.NumTrials && cap(dst)-len(dst) >= 4; e.trial++ {
+		dst = le.AppendUint32(dst, uint32(e.t.Offsets[e.trial+1]-e.t.Offsets[e.trial]))
+	}
+	if e.trial < e.t.NumTrials {
+		return dst
+	}
+	for ; e.occ < len(e.t.Occs) && cap(dst)-len(dst) >= EntryBytes; e.occ++ {
+		o := e.t.Occs[e.occ]
+		dst = le.AppendUint16(le.AppendUint32(dst, o.EventID), o.DayOfYear)
+	}
+	return dst
 }
 
 // Reader is the one decoder of the WriteTo format: it checks and bounds
@@ -249,20 +273,58 @@ func (rd *Reader) Next(n int, buf *Table) error {
 	// already read; the occurrences they promise are not yet.
 	buf.Offsets = slices.Grow(buf.Offsets, n)
 	buf.Occs = slices.Grow(buf.Occs, int(min(occs, preallocCap)))
-	var rec [EntryBytes]byte
-	for i, c := range rd.counts[first:rd.next] {
-		for ; c > 0; c-- {
-			if _, err := io.ReadFull(rd.br, rec[:]); err != nil {
-				return fmt.Errorf("yelt: reading occurrence (trial %d): %w", first+i, err)
+	start := len(buf.Occs)
+	if err := rd.readOccs(int(occs), buf); err != nil {
+		// Name the trial the first missing record belongs to.
+		trial, missing := first, uint32(len(buf.Occs)-start)
+		for _, c := range rd.counts[first:rd.next] {
+			if missing < c {
+				break
 			}
-			buf.Occs = append(buf.Occs, Occurrence{
-				EventID:   binary.LittleEndian.Uint32(rec[0:4]),
-				DayOfYear: binary.LittleEndian.Uint16(rec[4:6]),
-			})
+			missing -= c
+			trial++
 		}
-		buf.Offsets = append(buf.Offsets, int64(len(buf.Occs)))
+		return fmt.Errorf("yelt: reading occurrence (trial %d): %w", trial, err)
+	}
+	end := int64(start)
+	for _, c := range rd.counts[first:rd.next] {
+		end += int64(c)
+		buf.Offsets = append(buf.Offsets, end)
 	}
 	buf.NumTrials = len(buf.Offsets) - 1
+	return nil
+}
+
+// readOccs appends the next c records to buf.Occs, decoding them in
+// place from blocks of up to the read buffer's size, across trial
+// boundaries. A stream that ends early keeps the whole records it
+// held and fails as io.ReadFull would on the first missing one: io.EOF
+// if the stream ends between records, io.ErrUnexpectedEOF inside one.
+func (rd *Reader) readOccs(c int, buf *Table) error {
+	perBlock := rd.br.Size() / EntryBytes
+	for c > 0 {
+		block, err := rd.br.Peek(min(c, perBlock) * EntryBytes)
+		m := len(block) / EntryBytes
+		at := len(buf.Occs)
+		buf.Occs = slices.Grow(buf.Occs, m) // backed by the records in hand
+		dst := buf.Occs[at : at+m]
+		for j := range dst {
+			rec := block[EntryBytes*j:][:EntryBytes]
+			dst[j] = Occurrence{
+				EventID:   binary.LittleEndian.Uint32(rec[0:4]),
+				DayOfYear: binary.LittleEndian.Uint16(rec[4:6]),
+			}
+		}
+		buf.Occs = buf.Occs[:at+m]
+		if err != nil {
+			if err == io.EOF && len(block)%EntryBytes != 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		_, _ = rd.br.Discard(len(block)) // cannot fail: Peek buffered the bytes
+		c -= m
+	}
 	return nil
 }
 
