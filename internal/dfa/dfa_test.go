@@ -328,6 +328,55 @@ func TestRankTransformProperties(t *testing.T) {
 	}
 }
 
+// Stage 3 conditions on how bad a catastrophe year was by its rank, not
+// by its loss: a transform of the catastrophe column that keeps its
+// strict order and its ties must leave every per-source column bit for
+// bit where it was (ROADMAP item 11). Doubling keeps the column's shape;
+// x³ + x bends it, so a copula reading the loss's standardized value
+// instead of its rank is caught as well.
+func TestRankInvarianceLeavesSourcesBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	transforms := []struct {
+		name string
+		f    func(float64) float64
+	}{
+		{"x2", func(x float64) float64 { return 2 * x }},
+		{"cubic", func(x float64) float64 { return x*x*x + x }},
+	}
+	for name, cat := range map[string]*ylt.Table{"tied": catTable(6151, 41), "distinct": distinctTable(4099, 42)} {
+		// The same sources for both runs: StandardSources scales by the
+		// column's mean, which the transform moves.
+		ig := &Integrator{Sources: append(StandardSources(cat.Mean()), tiltSource{scale: 1e5})}
+		cfg := Config{Seed: 17, Rho: 0.25, Workers: 3, KeepPerSource: true}
+		base, err := ig.Run(ctx, cat, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range transforms {
+			moved := ylt.New("cat", cat.NumTrials())
+			copy(moved.OccMax, cat.OccMax)
+			for i, x := range cat.Agg {
+				moved.Agg[i] = tr.f(x)
+			}
+			for r := 1; r < len(base.CatSorted); r++ {
+				a, b := base.CatSorted[r-1], base.CatSorted[r]
+				if a < b && !(tr.f(a) < tr.f(b)) {
+					t.Fatalf("%s/%s: the transform does not keep %v < %v", name, tr.name, a, b)
+				}
+			}
+			got, err := ig.Run(ctx, moved, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range base.PerSource {
+				if !sameBits(got.PerSource[i].Agg, base.PerSource[i].Agg) {
+					t.Errorf("%s/%s: source %s moved with a rank-preserving transform of the catastrophe column", name, tr.name, base.PerSource[i].Name)
+				}
+			}
+		}
+	}
+}
+
 // Inputs Run used to integrate without a word: a catastrophe loss that
 // is not a number (NaN makes < a non-order, so the old stable sort
 // returned an arbitrary permutation and every figure was NaN) and a

@@ -221,6 +221,68 @@ func TestZigguratTablesClose(t *testing.T) {
 	}
 }
 
+// binomialPMF is the exact Binomial(n, p) probability of k, from
+// log-gamma rather than from any recurrence.
+func binomialPMF(n, k int, p float64) float64 {
+	ln, _ := math.Lgamma(float64(n + 1))
+	lk, _ := math.Lgamma(float64(k + 1))
+	lnk, _ := math.Lgamma(float64(n - k + 1))
+	return math.Exp(ln - lk - lnk + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
+}
+
+// chiSquareCritical is the 0.999 quantile of χ² with df degrees of
+// freedom by the Wilson–Hilferty approximation (a little above the
+// exact value at df = 1: 11.1 against 10.8).
+func chiSquareCritical(df int) float64 {
+	v := 2 / (9 * float64(df))
+	c := 1 - v + 3.09*math.Sqrt(v)
+	return float64(df) * c * c * c
+}
+
+// TestBinomialChiSquare holds Binomial's counts to the exact pmf over
+// the small-n range stage 3 draws from, adjacent counts pooled until
+// each cell expects at least five.
+func TestBinomialChiSquare(t *testing.T) {
+	const draws = 200_000
+	for i, n := range []int{1, 40, 64} {
+		for j, p := range []float64{0.001, 0.01, 0.3, 0.97} {
+			s := NewStream(2306, uint64(4*i+j))
+			counts := make([]int, n+1)
+			for d := 0; d < draws; d++ {
+				counts[s.Binomial(n, p)]++
+			}
+			var chi2, obs, exp float64
+			cells := 0
+			for k := 0; k <= n; k++ {
+				obs += float64(counts[k])
+				exp += draws * binomialPMF(n, k, p)
+				if exp >= 5 && (k == n || draws*(1-cumPMF(n, k, p)) >= 5) {
+					chi2 += (obs - exp) * (obs - exp) / exp
+					obs, exp = 0, 0
+					cells++
+				}
+			}
+			if cells < 2 {
+				t.Fatalf("Binomial(%d, %v): %d cell(s), nothing to test", n, p, cells)
+			}
+			crit := chiSquareCritical(cells - 1)
+			t.Logf("Binomial(%d, %v): χ² = %.2f over %d cells, critical %.2f", n, p, chi2, cells, crit)
+			if chi2 >= crit {
+				t.Errorf("Binomial(%d, %v): χ² = %.2f over %d cells, want < %.2f", n, p, chi2, cells, crit)
+			}
+		}
+	}
+}
+
+// cumPMF is P(X ≤ k) for X ~ Binomial(n, p).
+func cumPMF(n, k int, p float64) float64 {
+	var sum float64
+	for j := 0; j <= k; j++ {
+		sum += binomialPMF(n, j, p)
+	}
+	return sum
+}
+
 func TestBetaTinyShapesStayFinite(t *testing.T) {
 	s := New(2305)
 	for _, ab := range [][2]float64{{1e-9, 5}, {5e-324, 5}, {5, 1e-9}} {
@@ -251,6 +313,21 @@ func TestBetaIgnoresPolarSpare(t *testing.T) {
 	used.Reseed(77, 12)
 	if got := [2]float64{used.Beta(0.23, 16.3), used.Beta(6, 86)}; got != want {
 		t.Errorf("after Reseed: %v, want %v", got, want)
+	}
+}
+
+var binomialSink int
+
+// BenchmarkBinomialSmall is one Counterparty default count: 40
+// counterparties at a calm and at a stressed conditional PD.
+func BenchmarkBinomialSmall(b *testing.B) {
+	for _, p := range []float64{0.01, 0.3} {
+		b.Run(fmt.Sprintf("n=40/p=%v", p), func(b *testing.B) {
+			s := New(1)
+			for i := 0; i < b.N; i++ {
+				binomialSink += s.Binomial(40, p)
+			}
+		})
 	}
 }
 
