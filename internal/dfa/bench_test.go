@@ -169,14 +169,17 @@ func TestRadixCandidateSortsAsSortFunc(t *testing.T) {
 	}
 }
 
+// BenchmarkSourceDraws is one trial's call of each standard source as Run
+// makes it: the per-run form at a copula normal of ∓½.
 func BenchmarkSourceDraws(b *testing.B) {
 	cat := catTable(1000, 4)
 	for _, src := range StandardSources(cat.Mean()) {
 		b.Run(src.Name(), func(b *testing.B) {
+			planned := planSource(src)
 			st := newBenchStream()
 			var sink float64
 			for i := 0; i < b.N; i++ {
-				sink += src.Loss(0.3+0.4*float64(i%2), st)
+				sink += planned.loss(float64(i%2)-0.5, st)
 			}
 			_ = sink
 		})

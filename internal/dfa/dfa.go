@@ -61,9 +61,14 @@ type Investment struct {
 func (s Investment) Name() string { return "investment" }
 
 // Loss implements Source.
-func (s Investment) Loss(u float64, _ *rng.Stream) float64 {
-	// High severity u = poor markets = low return (severity convention).
-	ret := s.MeanReturn - s.Volatility*mathx.StdNormalQuantile(u)
+func (s Investment) Loss(u float64, aux *rng.Stream) float64 {
+	return s.lossZ(mathx.StdNormalQuantile(u), aux)
+}
+
+// lossZ is Loss at the copula normal x = Φ⁻¹(u).
+func (s Investment) lossZ(x float64, _ *rng.Stream) float64 {
+	// High severity x = poor markets = low return (severity convention).
+	ret := s.MeanReturn - s.Volatility*x
 	return -s.Assets * ret
 }
 
@@ -80,8 +85,13 @@ type InterestRate struct {
 func (s InterestRate) Name() string { return "interest-rate" }
 
 // Loss implements Source.
-func (s InterestRate) Loss(u float64, _ *rng.Stream) float64 {
-	shift := s.MeanShift + s.Vol*mathx.StdNormalQuantile(u)
+func (s InterestRate) Loss(u float64, aux *rng.Stream) float64 {
+	return s.lossZ(mathx.StdNormalQuantile(u), aux)
+}
+
+// lossZ is Loss at the copula normal x = Φ⁻¹(u).
+func (s InterestRate) lossZ(x float64, _ *rng.Stream) float64 {
+	shift := s.MeanShift + s.Vol*x
 	return s.Notional * s.Duration * shift
 }
 
@@ -96,7 +106,9 @@ type Reserve struct {
 func (s Reserve) Name() string { return "reserve" }
 
 // Loss implements Source.
-func (s Reserve) Loss(u float64, aux *rng.Stream) float64 { return s.plan().loss(u, aux) }
+func (s Reserve) Loss(u float64, aux *rng.Stream) float64 {
+	return s.plan().lossZ(mathx.StdNormalQuantile(u), aux)
+}
 
 // reservePlan is a Reserve with the lognormal parameters evaluated.
 type reservePlan struct {
@@ -108,10 +120,10 @@ func (s Reserve) plan() reservePlan {
 	return reservePlan{reserves: s.Reserves, mu: mu, sigma: sigma}
 }
 
-func (p reservePlan) loss(u float64, _ *rng.Stream) float64 {
-	x := mathx.StdNormalQuantile(u)*p.sigma + p.mu
+// lossZ is Reserve.Loss at the copula normal x = Φ⁻¹(u).
+func (p reservePlan) lossZ(x float64, _ *rng.Stream) float64 {
 	// exp(x) - 1 via Expm1 to avoid cancellation for mild developments.
-	return p.reserves * math.Expm1(x)
+	return p.reserves * math.Expm1(x*p.sigma+p.mu)
 }
 
 // Counterparty models default of reinsurance counterparties holding
@@ -131,7 +143,9 @@ type Counterparty struct {
 func (s Counterparty) Name() string { return "counterparty" }
 
 // Loss implements Source.
-func (s Counterparty) Loss(u float64, aux *rng.Stream) float64 { return s.plan().loss(u, aux) }
+func (s Counterparty) Loss(u float64, aux *rng.Stream) float64 {
+	return s.plan().lossZ(mathx.StdNormalQuantile(u), aux)
+}
 
 // counterpartyPlan is a Counterparty with the Vasicek constants
 // evaluated: Φ⁻¹(PD), √ρ and √(1−ρ).
@@ -150,14 +164,14 @@ func (s Counterparty) plan() counterpartyPlan {
 	}
 }
 
-func (p counterpartyPlan) loss(u float64, aux *rng.Stream) float64 {
+// lossZ is Counterparty.Loss at the copula normal x = Φ⁻¹(u).
+func (p counterpartyPlan) lossZ(x float64, aux *rng.Stream) float64 {
 	if p.N <= 0 || p.PD <= 0 {
 		return 0
 	}
-	z := mathx.StdNormalQuantile(u)
-	// Vasicek conditional PD given systematic factor z (stress when z
+	// Vasicek conditional PD given systematic factor x (stress when x
 	// is large: cat-heavy years impair reinsurers).
-	pdCond := mathx.StdNormalCDF((p.qPD + p.sqrtRho*z) / p.sqrtOneMinusRho)
+	pdCond := mathx.StdNormalCDF((p.qPD + p.sqrtRho*x) / p.sqrtOneMinusRho)
 	defaults := aux.Binomial(p.N, pdCond)
 	return p.Recoverables * float64(defaults) / float64(p.N) * p.LGD
 }
@@ -175,7 +189,9 @@ type Operational struct {
 func (s Operational) Name() string { return "operational" }
 
 // Loss implements Source.
-func (s Operational) Loss(u float64, aux *rng.Stream) float64 { return s.plan().loss(u, aux) }
+func (s Operational) Loss(u float64, aux *rng.Stream) float64 {
+	return s.plan().lossZ(mathx.StdNormalQuantile(u), aux)
+}
 
 // operationalPlan is an Operational with the severity's lognormal
 // parameters evaluated.
@@ -188,17 +204,17 @@ func (s Operational) plan() operationalPlan {
 	return operationalPlan{freq: s.Freq, beta: s.StressBeta, mu: mu, sigma: sigma}
 }
 
-func (p operationalPlan) loss(u float64, aux *rng.Stream) float64 {
+// lossZ is Operational.Loss at the copula normal x = Φ⁻¹(u).
+func (p operationalPlan) lossZ(x float64, aux *rng.Stream) float64 {
 	n := aux.Poisson(p.freq)
 	if n == 0 {
 		return 0
 	}
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += aux.LogNormal(p.mu, p.sigma)
+		sum += math.Exp(p.mu + p.sigma*drawNormal(aux))
 	}
-	z := mathx.StdNormalQuantile(u)
-	stress := math.Exp(p.beta*z - p.beta*p.beta/2)
+	stress := math.Exp(p.beta*x - p.beta*p.beta/2)
 	return sum * stress
 }
 
@@ -246,25 +262,50 @@ func StandardSources(catAAL float64) []Source {
 	}
 }
 
-// lossFunc is a Source.Loss whose per-run constants are already
-// evaluated.
-type lossFunc func(u float64, aux *rng.Stream) float64
+// drawNormal is stage 3's one standard-normal sampler: the copula's
+// independent coordinates and Operational's lognormal severities draw
+// from it, in Run and in its oracle alike.
+func drawNormal(st *rng.Stream) float64 { return st.StdNormal() }
 
-// planLoss returns s's loss function for a whole run. The standard
-// sources that re-derive constants on every Loss call (Reserve,
-// Counterparty, Operational) get their plan — the same expressions,
-// evaluated once; every other source, custom ones included, is called
-// through the interface as before.
-func planLoss(s Source) lossFunc {
+// sourceNormal is the normal a standard source's plan reads for the
+// copula normal x.
+func sourceNormal(x float64) float64 { return mathx.StdNormalQuantile(mathx.StdNormalCDF(x)) }
+
+// sourceUniform is the u a MarketCycle or custom source reads for the
+// copula normal x.
+func sourceUniform(x float64) float64 { return mathx.StdNormalCDF(x) }
+
+// runSource is a source as Run calls it, with its per-run constants
+// evaluated. A standard source with a normal-space plan has lossZ set;
+// MarketCycle and custom sources are called through the interface.
+type runSource struct {
+	lossZ func(x float64, aux *rng.Stream) float64
+	src   Source
+}
+
+// planSource returns s's per-run form.
+func planSource(s Source) runSource {
 	switch s := s.(type) {
+	case Investment:
+		return runSource{lossZ: s.lossZ}
+	case InterestRate:
+		return runSource{lossZ: s.lossZ}
 	case Reserve:
-		return s.plan().loss
+		return runSource{lossZ: s.plan().lossZ}
 	case Counterparty:
-		return s.plan().loss
+		return runSource{lossZ: s.plan().lossZ}
 	case Operational:
-		return s.plan().loss
+		return runSource{lossZ: s.plan().lossZ}
 	}
-	return s.Loss
+	return runSource{src: s}
+}
+
+// loss returns the source's loss for one trial with copula normal x.
+func (r runSource) loss(x float64, aux *rng.Stream) float64 {
+	if r.lossZ != nil {
+		return r.lossZ(sourceNormal(x), aux)
+	}
+	return r.src.Loss(sourceUniform(x), aux)
 }
 
 // Config controls an integration run.
@@ -520,9 +561,9 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 	res.Enterprise = enterprise
 
 	// The run's constants are evaluated once, here, not once per trial.
-	losses := make([]lossFunc, len(ig.Sources))
+	sources := make([]runSource, len(ig.Sources))
 	for i, s := range ig.Sources {
-		losses[i] = planLoss(s)
+		sources[i] = planSource(s)
 	}
 
 	perSource := res.PerSource // nil unless asked for
@@ -547,13 +588,12 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 			// matrix, so w[0] = z[0]).
 			w[0] = zCat[trial]
 			for i := 1; i < k; i++ {
-				w[i] = st.StdNormal()
+				w[i] = drawNormal(&st)
 			}
 			chol.LowerMulVec(w, z)
 			total := cat.Agg[trial]
-			for i, lossOf := range losses {
-				u := mathx.StdNormalCDF(z[i+1])
-				loss := lossOf(u, &st)
+			for i, src := range sources {
+				loss := src.loss(z[i+1], &st)
 				if perSource != nil {
 					perSource[i].Agg[trial] = loss
 				}

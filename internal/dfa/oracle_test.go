@@ -16,10 +16,15 @@ import (
 )
 
 // naiveRun is the body Integrator.Run had before the pair argsort
-// (a90cca3), kept verbatim as the oracle: a serial reflection argsort of
-// the cat losses, a serial z-score pass, one heap rng.Stream per trial,
-// every source's constants re-derived per trial through Source.Loss, and
-// all per-source tables always built.
+// (a90cca3), kept as the oracle: a serial reflection argsort of the cat
+// losses, a serial z-score pass, one heap rng.Stream per trial, every
+// source's constants re-derived per trial (naiveLoss), and all
+// per-source tables always built. It reaches the arithmetic stage 3
+// defines rather than implements — its normal sampler (drawNormal), the
+// normal a standard source reads (sourceNormal) and the uniform any other
+// source reads (sourceUniform) — through the same functions as Run, so
+// the two move together when those change on purpose (DESIGN.md
+// § Determinism, rule 1).
 func naiveRun(ctx context.Context, ig *Integrator, cat *ylt.Table, cfg Config) (*Result, error) {
 	if cat == nil || cat.NumTrials() == 0 {
 		return nil, errors.New("dfa: missing catastrophe YLT")
@@ -91,13 +96,12 @@ func naiveRun(ctx context.Context, ig *Integrator, cat *ylt.Table, cfg Config) (
 			// matrix, so w[0] = z[0]).
 			w[0] = zCat[trial]
 			for i := 1; i < k; i++ {
-				w[i] = st.StdNormal()
+				w[i] = drawNormal(st)
 			}
 			chol.LowerMulVec(w, z)
 			total := cat.Agg[trial]
 			for i, s := range ig.Sources {
-				u := mathx.StdNormalCDF(z[i+1])
-				loss := s.Loss(u, st)
+				loss := naiveLoss(s, z[i+1], st)
 				res.PerSource[i].Agg[trial] = loss
 				total += loss
 			}
@@ -119,48 +123,54 @@ func naiveRun(ctx context.Context, ig *Integrator, cat *ylt.Table, cfg Config) (
 	return res, nil
 }
 
-// naiveLoss is Source.Loss as it was before the per-run plans
-// (a90cca3): Reserve, Counterparty and Operational re-derive their
-// constants on every call. Other sources never had constants to hoist
-// and go through their own Loss.
-func naiveLoss(s Source, u float64, aux *rng.Stream) float64 {
+// naiveLossZ is a standard source's loss at the normal z its formula
+// reads, as Source.Loss computed it before the per-run plans (a90cca3):
+// Reserve, Counterparty and Operational re-derive their constants on
+// every call. It reports false, drawing nothing, for a source without a
+// normal-space plan.
+func naiveLossZ(s Source, z float64, aux *rng.Stream) (float64, bool) {
 	switch s := s.(type) {
+	case Investment:
+		ret := s.MeanReturn - s.Volatility*z
+		return -s.Assets * ret, true
+	case InterestRate:
+		shift := s.MeanShift + s.Vol*z
+		return s.Notional * s.Duration * shift, true
 	case Reserve:
 		mu, sigma := mathx.LogNormalMeanStd(1, s.CoV)
-		x := mathx.StdNormalQuantile(u)*sigma + mu
-		return s.Reserves * math.Expm1(x)
+		return s.Reserves * math.Expm1(z*sigma+mu), true
 	case Counterparty:
 		if s.N <= 0 || s.PD <= 0 {
-			return 0
+			return 0, true
 		}
-		z := mathx.StdNormalQuantile(u)
 		rho := mathx.Clamp(s.FactorRho, 0, 0.97)
 		pdCond := mathx.StdNormalCDF((mathx.StdNormalQuantile(s.PD) + math.Sqrt(rho)*z) / math.Sqrt(1-rho))
 		defaults := aux.Binomial(s.N, pdCond)
-		return s.Recoverables * float64(defaults) / float64(s.N) * s.LGD
+		return s.Recoverables * float64(defaults) / float64(s.N) * s.LGD, true
 	case Operational:
 		n := aux.Poisson(s.Freq)
 		if n == 0 {
-			return 0
+			return 0, true
 		}
 		mu, sigma := mathx.LogNormalMeanStd(s.SevMean, s.SevMean*s.SevCoV)
 		var sum float64
 		for i := 0; i < n; i++ {
-			sum += aux.LogNormal(mu, sigma)
+			sum += math.Exp(mu + sigma*drawNormal(aux))
 		}
-		z := mathx.StdNormalQuantile(u)
 		beta := s.StressBeta
 		stress := math.Exp(beta*z - beta*beta/2)
-		return sum * stress
+		return sum * stress, true
 	}
-	return s.Loss(u, aux)
+	return 0, false
 }
 
-// naiveSource routes a source's Loss through naiveLoss, so that
-// naiveRun shares no plan code with Run.
-type naiveSource struct{ Source }
-
-func (s naiveSource) Loss(u float64, aux *rng.Stream) float64 { return naiveLoss(s.Source, u, aux) }
+// naiveLoss is the oracle's loss of source s for the copula normal x.
+func naiveLoss(s Source, x float64, aux *rng.Stream) float64 {
+	if loss, ok := naiveLossZ(s, sourceNormal(x), aux); ok {
+		return loss
+	}
+	return s.Loss(sourceUniform(x), aux)
+}
 
 func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
@@ -174,11 +184,7 @@ func TestRunMatchesNaive(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 17, 4097, 50_000} {
 		for name, cat := range map[string]*ylt.Table{"tied": catTable(n, uint64(n)), "distinct": distinctTable(n, uint64(n))} {
 			sources := append(StandardSources(cat.Mean()), tiltSource{scale: 1e5})
-			naive := make([]Source, len(sources))
-			for i, s := range sources {
-				naive[i] = naiveSource{s}
-			}
-			want, err := naiveRun(ctx, &Integrator{Sources: naive}, cat, Config{Seed: 41, Rho: 0.2})
+			want, err := naiveRun(ctx, &Integrator{Sources: sources}, cat, Config{Seed: 41, Rho: 0.2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,9 +209,10 @@ func TestRunMatchesNaive(t *testing.T) {
 	}
 }
 
-// A plan must return the bits of the un-planned Loss and leave the
-// auxiliary stream in the same state, over a grid of u that reaches
-// both tails and for parameters on both sides of every branch.
+// A source's per-run form must return the bits of the oracle's loss and
+// leave the auxiliary stream in the same state, over copula normals that
+// reach both tails and for parameters on both sides of every branch; and
+// each standard source's exported Loss(u) must be its formula at Φ⁻¹(u).
 func TestPlansMatchUnplannedLoss(t *testing.T) {
 	sources := append(StandardSources(3e7),
 		Reserve{Reserves: 1e6, CoV: 0},
@@ -216,28 +223,34 @@ func TestPlansMatchUnplannedLoss(t *testing.T) {
 		Operational{Freq: 0, SevMean: 1, SevCoV: 1},
 		Operational{Freq: 45, SevMean: 2e4, SevCoV: 0.7, StressBeta: 0.1},
 		Operational{Freq: 2, SevMean: 0, SevCoV: 1, StressBeta: 0.3},
+		tiltSource{scale: 1e5},
 	)
+	xs := []float64{-39, -8.5, 8.5, 39}
+	for step := 0; step <= 200; step++ {
+		xs = append(xs, -6+0.06*float64(step))
+	}
 	for i, s := range sources {
-		planned := planLoss(s)
+		planned := planSource(s)
 		for id := uint64(0); id < 40; id++ {
 			a, b := rng.NewStream(99, id), rng.NewStream(99, id)
-			a.StdNormal() // leave a cached spare normal, as a trial's copula draws do
+			a.StdNormal() // leave a cached spare normal, as a trial's copula draws may
 			b.StdNormal()
-			for step := 0; step <= 200; step++ {
-				u := (float64(step) + 0.5) / 201
-				if step == 0 {
-					u = 1e-300
-				}
-				got, want := planned(u, a), naiveLoss(s, u, b)
+			for _, x := range xs {
+				got, want := planned.loss(x, a), naiveLoss(s, x, b)
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("source %d (%s) u=%g: planned %v, un-planned %v", i, s.Name(), u, got, want)
+					t.Fatalf("source %d (%s) x=%g: planned %v, oracle %v", i, s.Name(), x, got, want)
 				}
-				if via := s.Loss(u, rng.NewStream(7, id)); math.Float64bits(via) != math.Float64bits(naiveLoss(s, u, rng.NewStream(7, id))) {
-					t.Fatalf("source %d (%s) u=%g: Loss %v differs from its pre-plan body", i, s.Name(), u, via)
+				u := mathx.StdNormalCDF(x)
+				if u <= 0 || u >= 1 {
+					continue
+				}
+				via := s.Loss(u, rng.NewStream(7, id))
+				if want, ok := naiveLossZ(s, mathx.StdNormalQuantile(u), rng.NewStream(7, id)); ok && math.Float64bits(via) != math.Float64bits(want) {
+					t.Fatalf("source %d (%s) u=%g: Loss %v differs from its formula at Φ⁻¹(u), %v", i, s.Name(), u, via, want)
 				}
 			}
 			if a.Uint64() != b.Uint64() {
-				t.Fatalf("source %d (%s): planned and un-planned Loss left the stream in different states", i, s.Name())
+				t.Fatalf("source %d (%s): planned and oracle loss left the stream in different states", i, s.Name())
 			}
 		}
 	}
