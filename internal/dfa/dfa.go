@@ -265,15 +265,21 @@ func StandardSources(catAAL float64) []Source {
 // drawNormal is stage 3's one standard-normal sampler: the copula's
 // independent coordinates and Operational's lognormal severities draw
 // from it, in Run and in its oracle alike.
-func drawNormal(st *rng.Stream) float64 { return st.StdNormal() }
+func drawNormal(st *rng.Stream) float64 { return st.ZigguratNormal() }
 
 // sourceNormal is the normal a standard source's plan reads for the
-// copula normal x.
-func sourceNormal(x float64) float64 { return mathx.StdNormalQuantile(mathx.StdNormalCDF(x)) }
+// copula normal x: x itself. Turning it into Φ(x) and straight back
+// would cost an erfc, an exp and a rational inverse per source and
+// trial, and saturate to ±Inf beyond |x| ≈ 8.3.
+func sourceNormal(x float64) float64 { return x }
 
 // sourceUniform is the u a MarketCycle or custom source reads for the
-// copula normal x.
-func sourceUniform(x float64) float64 { return mathx.StdNormalCDF(x) }
+// copula normal x: Φ(x), kept inside the open interval (0, 1) the Source
+// contract promises where Φ rounds to 0 (x below ≈ −38.5) or to 1 (x
+// above ≈ 8.3).
+func sourceUniform(x float64) float64 {
+	return mathx.Clamp(mathx.StdNormalCDF(x), math.SmallestNonzeroFloat64, 1-0x1p-53)
+}
 
 // runSource is a source as Run calls it, with its per-run constants
 // evaluated. A standard source with a normal-space plan has lossZ set;

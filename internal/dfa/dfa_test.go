@@ -328,6 +328,47 @@ func TestRankTransformProperties(t *testing.T) {
 	}
 }
 
+// uniformProbe is a custom source that records the u it is handed.
+type uniformProbe struct{ seen *[]float64 }
+
+func (uniformProbe) Name() string { return "probe" }
+
+func (p uniformProbe) Loss(u float64, _ *rng.Stream) float64 {
+	*p.seen = append(*p.seen, u)
+	return u
+}
+
+// A copula normal far in a tail used to reach the standard sources as
+// Φ⁻¹(Φ(x)): above x ≈ 8.3 Φ rounds to 1 and Φ⁻¹(1) = +Inf, below
+// ≈ −38.5 Φ underflows to 0 and Φ⁻¹(0) = −Inf, so Investment,
+// InterestRate, Reserve and Operational handed ±Inf to the enterprise
+// total (Investment{…}.Loss(Φ(9), aux) is +Inf). Read in normal space,
+// every standard source is finite there; and the u a MarketCycle or a
+// custom source reads stays inside the open interval (0, 1) its Source
+// contract promises.
+func TestCopulaTailsStayFinite(t *testing.T) {
+	var seen []float64
+	sources := append(StandardSources(1e6), uniformProbe{&seen})
+	for _, x := range []float64{-39, -8.5, 8.5, 39} {
+		for _, s := range sources {
+			planned := planSource(s)
+			for id := uint64(0); id < 20; id++ {
+				if loss := planned.loss(x, rng.NewStream(5, id)); math.IsNaN(loss) || math.IsInf(loss, 0) {
+					t.Fatalf("%s at copula normal %v: loss %v", s.Name(), x, loss)
+				}
+			}
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("the custom source was never called")
+	}
+	for _, u := range seen {
+		if !(u > 0 && u < 1) {
+			t.Fatalf("a custom source was handed u = %v", u)
+		}
+	}
+}
+
 // Stage 3 conditions on how bad a catastrophe year was by its rank, not
 // by its loss: a transform of the catastrophe column that keeps its
 // strict order and its ties must leave every per-source column bit for

@@ -99,7 +99,7 @@ func (st *Stream) betaGamma(shape float64) float64 {
 	d := shape - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
 	for {
-		x := st.zigNormal()
+		x := st.ZigguratNormal()
 		v := 1 + c*x
 		if v <= 0 {
 			continue
@@ -182,15 +182,33 @@ func (st *Stream) TruncPareto(xm, alpha, hi float64) float64 {
 	return xm / math.Pow(1-u, 1/alpha)
 }
 
+// binomialInvert draws Binomial(n, p), 0 < p <= ½, by sequential search:
+// one uniform walks the pmf from f(0) = qⁿ through the recurrence
+// f(k+1) = f(k) · (n−k)/(k+1) · p/q. Rounding that leaves u above the
+// whole mass ends the walk at n.
+func (st *Stream) binomialInvert(n int, p float64) int {
+	q := 1 - p
+	r := p / q
+	f := math.Pow(q, float64(n))
+	u := st.Float64()
+	k := 0
+	for u >= f && k < n {
+		u -= f
+		f *= r * float64(n-k) / float64(k+1)
+		k++
+	}
+	return k
+}
+
 // Bernoulli returns true with probability p.
 func (st *Stream) Bernoulli(p float64) bool {
 	return st.Float64() < p
 }
 
-// Binomial returns a draw from Binomial(n, p) by direct simulation for
-// small n and a normal approximation with continuity correction for
-// large n (used only where exactness is not load-bearing, e.g.
-// counterparty default counts among hundreds of counterparties).
+// Binomial returns a draw from Binomial(n, p): exactly, by inverting one
+// uniform, for n <= 64, and by a rounded normal approximation for larger
+// n (used only where exactness is not load-bearing, e.g. counterparty
+// default counts among hundreds of counterparties).
 func (st *Stream) Binomial(n int, p float64) int {
 	if n <= 0 || p <= 0 {
 		return 0
@@ -199,17 +217,16 @@ func (st *Stream) Binomial(n int, p float64) int {
 		return n
 	}
 	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if st.Float64() < p {
-				k++
-			}
+		// Count the rarer outcome, so that f(0) = qⁿ ≥ 2⁻⁶⁴ never
+		// underflows.
+		if p > 0.5 {
+			return n - st.binomialInvert(n, 1-p)
 		}
-		return k
+		return st.binomialInvert(n, p)
 	}
 	mean := float64(n) * p
 	sd := math.Sqrt(mean * (1 - p))
-	k := int(math.Round(st.Normal(mean, sd)))
+	k := int(math.Round(mean + sd*st.ZigguratNormal()))
 	if k < 0 {
 		k = 0
 	}

@@ -150,7 +150,7 @@ func TestBetaKS(t *testing.T) {
 
 func TestZigguratNormalKS(t *testing.T) {
 	s := New(2302)
-	ksCheck(t, "zigNormal", 1000000, s.zigNormal, mathx.StdNormalCDF)
+	ksCheck(t, "ZigguratNormal", 1000000, s.ZigguratNormal, mathx.StdNormalCDF)
 }
 
 func TestZigguratExponentialKS(t *testing.T) {
@@ -172,7 +172,7 @@ func TestZigguratTailCounts(t *testing.T) {
 	var upper, lower, beyond [4]int
 	s := New(2304)
 	for i := 0; i < n; i++ {
-		z, e := s.zigNormal(), s.zigExponential()
+		z, e := s.ZigguratNormal(), s.zigExponential()
 		for k := range normT {
 			if z > normT[k] {
 				upper[k]++
@@ -194,8 +194,8 @@ func TestZigguratTailCounts(t *testing.T) {
 	}
 	for k := range normT {
 		p := math.Erfc(normT[k]/math.Sqrt2) / 2
-		within("zigNormal upper", normT[k], upper[k], p)
-		within("zigNormal lower", normT[k], lower[k], p)
+		within("ZigguratNormal upper", normT[k], upper[k], p)
+		within("ZigguratNormal lower", normT[k], lower[k], p)
 		within("zigExponential", expT[k], beyond[k], math.Exp(-expT[k]))
 	}
 }

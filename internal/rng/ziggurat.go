@@ -14,12 +14,14 @@ import "math"
 // time. That makes the method exact, not an approximation: the rest is
 // a plain rejection test against f in the wedge, or a tail draw.
 //
+// Stage 3 draws every normal it needs here too: dfa's copula
+// coordinates and operational severities call ZigguratNormal, and so
+// does Binomial's large-n approximation, which only dfa reaches.
 // StdNormal (polar) and Exponential (inversion) in dist.go are left as
 // they are on purpose: stage 1 (catalog magnitudes, exposure jitter)
-// and stage 3 (dfa's copula draws) call them, and moving those changes
-// the books every pinned digest and the benchmark are taken on. Putting
-// them on these tables is a later PR under DESIGN.md's "Changing the
-// numbers on purpose".
+// calls them, and moving those changes the books every pinned digest
+// and the benchmark are taken on. Putting them on these tables is a
+// change under DESIGN.md's "Changing the numbers on purpose".
 
 const (
 	zigLayers = 256
@@ -67,9 +69,10 @@ func zigInit(t *zigTable, r, tail float64, f, finv func(float64) float64) {
 	t.x[zigLayers], t.f[zigLayers] = 0, 1
 }
 
-// zigNormal returns a standard normal draw. The fast path costs one
+// ZigguratNormal returns a standard normal draw. The fast path costs one
 // Uint64: the low 8 bits pick the strip, the top 53 a signed abscissa.
-func (st *Stream) zigNormal() float64 {
+// It neither reads nor leaves StdNormal's cached spare.
+func (st *Stream) ZigguratNormal() float64 {
 	for {
 		r := st.Uint64()
 		i := r & (zigLayers - 1)
