@@ -12,7 +12,9 @@
 // argsort of (loss, trial) pairs, which is the stable order of the
 // losses) and hands the sorted column on as Result.CatSorted; it
 // evaluates each standard source's constants once per run, not once per
-// trial; and it carries only the tables its caller reports.
+// trial, and hands it its copula normal without a round trip through
+// Φ and Φ⁻¹; every normal it draws is a ziggurat normal; and it carries
+// only the tables its caller reports.
 package dfa
 
 import (
@@ -32,8 +34,14 @@ import (
 
 // Source is one non-catastrophe risk model. Implementations must be
 // pure functions of their arguments: u is the copula-correlated
-// uniform in (0,1) driving the source's systematic severity, aux is a
-// per-(trial, source) stream for idiosyncratic draws.
+// uniform driving the source's systematic severity, aux is a
+// per-(trial, source) stream for idiosyncratic draws. Run hands a
+// source u = Φ(x) of its copula normal x, clamped so that u stays
+// strictly inside (0, 1) where Φ would round to 0 or 1.
+//
+// Run calls Loss for MarketCycle and for custom sources only. The other
+// standard sources read x itself: their Loss(u, aux) is the same formula
+// at x = Φ⁻¹(u), for callers that hold a uniform.
 //
 // Severity convention: higher u must mean a worse outcome (larger
 // loss) for the enterprise. The integrator pins u's dependence to the
@@ -267,12 +275,6 @@ func StandardSources(catAAL float64) []Source {
 // from it, in Run and in its oracle alike.
 func drawNormal(st *rng.Stream) float64 { return st.ZigguratNormal() }
 
-// sourceNormal is the normal a standard source's plan reads for the
-// copula normal x: x itself. Turning it into Φ(x) and straight back
-// would cost an erfc, an exp and a rational inverse per source and
-// trial, and saturate to ±Inf beyond |x| ≈ 8.3.
-func sourceNormal(x float64) float64 { return x }
-
 // sourceUniform is the u a MarketCycle or custom source reads for the
 // copula normal x: Φ(x), kept inside the open interval (0, 1) the Source
 // contract promises where Φ rounds to 0 (x below ≈ −38.5) or to 1 (x
@@ -282,8 +284,11 @@ func sourceUniform(x float64) float64 {
 }
 
 // runSource is a source as Run calls it, with its per-run constants
-// evaluated. A standard source with a normal-space plan has lossZ set;
-// MarketCycle and custom sources are called through the interface.
+// evaluated. A standard source with a normal-space plan has lossZ set
+// and reads the copula normal as it is: turning it into Φ(x) and
+// straight back would cost two erfc, an exp and a rational inverse per
+// source and trial, and saturate to ±Inf beyond |x| ≈ 8.3. MarketCycle
+// and custom sources are called through the interface.
 type runSource struct {
 	lossZ func(x float64, aux *rng.Stream) float64
 	src   Source
@@ -309,7 +314,7 @@ func planSource(s Source) runSource {
 // loss returns the source's loss for one trial with copula normal x.
 func (r runSource) loss(x float64, aux *rng.Stream) float64 {
 	if r.lossZ != nil {
-		return r.lossZ(sourceNormal(x), aux)
+		return r.lossZ(x, aux)
 	}
 	return r.src.Loss(sourceUniform(x), aux)
 }

@@ -20,11 +20,10 @@ import (
 // losses, a serial z-score pass, one heap rng.Stream per trial, every
 // source's constants re-derived per trial (naiveLoss), and all
 // per-source tables always built. It reaches the arithmetic stage 3
-// defines rather than implements — its normal sampler (drawNormal), the
-// normal a standard source reads (sourceNormal) and the uniform any other
-// source reads (sourceUniform) — through the same functions as Run, so
-// the two move together when those change on purpose (DESIGN.md
-// § Determinism, rule 1).
+// defines rather than implements — its normal sampler (drawNormal) and
+// the uniform a MarketCycle or custom source reads (sourceUniform) —
+// through the same functions as Run, so the two move together when
+// those change on purpose (DESIGN.md § Determinism, rule 1).
 func naiveRun(ctx context.Context, ig *Integrator, cat *ylt.Table, cfg Config) (*Result, error) {
 	if cat == nil || cat.NumTrials() == 0 {
 		return nil, errors.New("dfa: missing catastrophe YLT")
@@ -166,7 +165,7 @@ func naiveLossZ(s Source, z float64, aux *rng.Stream) (float64, bool) {
 
 // naiveLoss is the oracle's loss of source s for the copula normal x.
 func naiveLoss(s Source, x float64, aux *rng.Stream) float64 {
-	if loss, ok := naiveLossZ(s, sourceNormal(x), aux); ok {
+	if loss, ok := naiveLossZ(s, x, aux); ok {
 		return loss
 	}
 	return s.Loss(sourceUniform(x), aux)

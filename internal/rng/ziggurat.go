@@ -2,7 +2,7 @@ package rng
 
 import "math"
 
-// Ziggurat primitives under Beta (Marsaglia & Tsang 2000, with
+// Ziggurat primitives under Beta and stage 3 (Marsaglia & Tsang 2000, with
 // Doornik's 2005 fix of drawing the layer and the abscissa from
 // disjoint bits). A density f is covered by zigLayers horizontal strips
 // of equal area V: strip i ≥ 1 is the rectangle [0, x[i]) × [f(x[i]),
