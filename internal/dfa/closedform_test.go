@@ -47,8 +47,8 @@ var closedFormRun = sync.OnceValues(func() (*Result, error) {
 	return ig.Run(context.Background(), cat, Config{Seed: 61, Rho: 0.25, Workers: 2, KeepPerSource: true})
 })
 
-// closedFormColumn returns the run's standard sources and the named
-// source's per-trial losses.
+// closedFormColumn returns the shared run, the named standard source and
+// its per-trial losses.
 func closedFormColumn(t *testing.T, name string) (*Result, Source, []float64) {
 	t.Helper()
 	res, err := closedFormRun()
