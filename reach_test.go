@@ -1,11 +1,11 @@
-// The seed-sweep guards: nothing exported under internal/ that no
-// program reaches, and no exported struct field under internal/ or risk/
-// that some program reads and none can set. One scan type-checks every
-// package's non-test files (stdlib only: go/parser + go/types, packages
-// from `go list`) for both: the first builds a graph from each top-level
-// declaration to the declarations it mentions and walks it from every
-// main package, the second sorts every mention of a field into writes
-// and reads.
+// The seed-sweep guards: no declaration under internal/, exported or
+// not, that no program reaches, and no exported struct field under
+// internal/ or risk/ that some program reads and none can set. One scan
+// type-checks every package's non-test files (stdlib only: go/parser +
+// go/types, packages from `go list`) for both: the first builds a graph
+// from each top-level declaration to the declarations it mentions and
+// walks it from every main package, the second sorts every mention of a
+// field into writes and reads.
 package repro_test
 
 import (
@@ -29,11 +29,11 @@ import (
 	"testing"
 )
 
-// keptUnreached is the only place an unreached export may live on: one
-// row per top-level identifier or method (an unreached type's row
-// covers its methods), each with the reason it stays. A row whose
-// identifier is gone, or is reached by a program after all, fails the
-// test, so the table can only shrink.
+// keptUnreached is the only place an unreached declaration may live on:
+// one row per top-level identifier or method (an unreached type's row
+// covers its methods), each with the reason it stays. What a row uses
+// stays with it. A row whose identifier is gone, or is reached by a
+// program after all, fails the test, so the table can only shrink.
 //
 // The rows marked "to delete" are dead code that outlived PR 21 only
 // because a PR may retire no more than a few of the tests that existed
@@ -151,14 +151,17 @@ func TestNoUnreachedExports(t *testing.T) {
 		}
 	}
 
+	// What a kept row uses lives with it; a method of an unreached type is
+	// reported through its type.
+	live = s.walk(slices.Collect(maps.Keys(kept))...)
 	for _, d := range s.decls {
-		if live[d.obj] || kept[d.obj] || !d.internal || !d.obj.Exported() {
+		if live[d.obj] || !d.internal {
 			continue
 		}
-		if recv := receiverType(d.obj); recv != nil && (kept[recv] || !recv.Exported()) {
+		if recv := receiverType(d.obj); recv != nil && (kept[recv] || !live[recv]) {
 			continue
 		}
-		t.Errorf("%s %s: exported, but no non-test file reaches it from a main package", objName(d.obj), s.pos(d.obj))
+		t.Errorf("%s %s: neither a main package nor a kept row reaches it through non-test code", objName(d.obj), s.pos(d.obj))
 	}
 
 	for _, p := range s.pkgs {
@@ -591,10 +594,10 @@ func receiverType(o types.Object) *types.TypeName {
 	return nil
 }
 
-// walk returns what the main packages reach. A method is reached when
-// something reached selects it, or when its receiver type is reached
-// and needs it to satisfy an interface.
-func (s *reachScan) walk() map[types.Object]bool {
+// walk returns what the main packages, and any extra roots, reach. A
+// method is reached when something reached selects it, or when its
+// receiver type is reached and needs it to satisfy an interface.
+func (s *reachScan) walk(roots ...types.Object) map[types.Object]bool {
 	live := map[types.Object]bool{}
 	var queue []types.Object
 	mark := func(o types.Object) {
@@ -607,6 +610,9 @@ func (s *reachScan) walk() map[types.Object]bool {
 		if d.root {
 			mark(d.obj)
 		}
+	}
+	for _, o := range roots {
+		mark(o)
 	}
 	for len(queue) > 0 {
 		o := queue[len(queue)-1]
