@@ -354,7 +354,7 @@ type Result struct {
 	// has occurrence detail, Enterprise.OccMax is an element-wise copy of
 	// Cat.OccMax (no source has occurrences), so the two tables' sorted
 	// occurrence columns are the same column. It is a copy, not an
-	// alias: ylt.Table.Scale on one table must not reach the other.
+	// alias: scaling one table in place must not reach the other.
 	Enterprise *ylt.Table
 	// TotalBytes is the summed serialized size of the tables the run
 	// holds — Cat, Enterprise and, with KeepPerSource, every per-source

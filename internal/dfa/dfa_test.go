@@ -92,13 +92,13 @@ func TestCorrelationInducedByCopula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rStrong := mathx.Correlation(cat.Agg, strong.PerSource[0].Agg)
+	rStrong := pearson(cat.Agg, strong.PerSource[0].Agg)
 
 	weak, err := ig.Run(context.Background(), cat, Config{Seed: 5, Rho: 0.0, KeepPerSource: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rWeak := mathx.Correlation(cat.Agg, weak.PerSource[0].Agg)
+	rWeak := pearson(cat.Agg, weak.PerSource[0].Agg)
 
 	if rStrong < 0.2 {
 		t.Fatalf("rho=0.7 should induce visible loss correlation, got %v", rStrong)
@@ -227,7 +227,10 @@ func TestRunValidation(t *testing.T) {
 		t.Error("no sources should error")
 	}
 	// Wrong-size custom correlation matrix.
-	bad := mathx.Identity(3)
+	bad := mathx.NewMatrix(3)
+	for i := range 3 {
+		bad.Set(i, i, 1)
+	}
 	if _, err := ig.Run(context.Background(), catTable(10, 1), Config{Corr: bad}); err == nil {
 		t.Error("wrong correlation size should error")
 	}
@@ -512,7 +515,9 @@ func TestKeepPerSource(t *testing.T) {
 		t.Fatal("Enterprise.OccMax is not a copy of Cat.OccMax")
 	}
 	before := slices.Clone(cat.OccMax)
-	lean.Enterprise.Scale(2)
+	for i := range lean.Enterprise.OccMax {
+		lean.Enterprise.OccMax[i] *= 2
+	}
 	if !sameBits(cat.OccMax, before) {
 		t.Fatal("Enterprise.OccMax aliases Cat.OccMax: scaling one table reached the other")
 	}

@@ -44,15 +44,6 @@ func BenchmarkSampleLoss(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkMerge(b *testing.B) {
-	a := benchTable(50_000)
-	c := benchTable(50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Merge(9, a, c)
-	}
-}
-
 func BenchmarkCodecRoundTrip(b *testing.B) {
 	t := benchTable(100_000)
 	b.SetBytes(t.SizeBytes())

@@ -106,21 +106,6 @@ func (t *Table) ExpectedLoss() float64 {
 	return s
 }
 
-// Merge returns a new table combining t and other (for the same or a
-// consolidated contract): the union of events with moment addition on
-// overlaps. Merge is commutative and associative up to float rounding.
-func Merge(contractID uint32, tables ...*Table) *Table {
-	var n int
-	for _, t := range tables {
-		n += len(t.Records)
-	}
-	recs := make([]Record, 0, n)
-	for _, t := range tables {
-		recs = append(recs, t.Records...)
-	}
-	return New(contractID, recs)
-}
-
 // SampleParams resolves a record's secondary-uncertainty sampling
 // plan: the method-of-moments beta parameters (a, b) with the
 // ExposedValue scale when a draw is needed (a > 0), or the constant
@@ -259,17 +244,4 @@ func Read(r io.Reader) (*Table, error) {
 // SizeBytes returns the serialized size of the table.
 func (t *Table) SizeBytes() int64 {
 	return int64(4 + 8 + len(t.Records)*recordSize)
-}
-
-// Truncate returns a copy keeping only records with MeanLoss >= floor,
-// the standard thinning applied before shipping ELTs downstream: tiny
-// means contribute nothing to portfolio tails but dominate table size.
-func (t *Table) Truncate(floor float64) *Table {
-	recs := make([]Record, 0, len(t.Records))
-	for _, r := range t.Records {
-		if r.MeanLoss >= floor {
-			recs = append(recs, r)
-		}
-	}
-	return &Table{ContractID: t.ContractID, Records: recs}
 }

@@ -59,54 +59,6 @@ func TestExpectedLoss(t *testing.T) {
 	}
 }
 
-func TestMergeCommutativeProperty(t *testing.T) {
-	f := func(aRaw, bRaw []uint16) bool {
-		mk := func(raw []uint16, cid uint32) *Table {
-			recs := make([]Record, 0, len(raw))
-			for _, v := range raw {
-				recs = append(recs, Record{
-					EventID:      uint32(v%50) + 1,
-					MeanLoss:     float64(v%97) + 1,
-					SigmaI:       float64(v % 13),
-					SigmaC:       float64(v % 7),
-					ExposedValue: float64(v%997) + 10,
-				})
-			}
-			return New(cid, recs)
-		}
-		ab := Merge(1, mk(aRaw, 1), mk(bRaw, 2))
-		ba := Merge(1, mk(bRaw, 2), mk(aRaw, 1))
-		if ab.Len() != ba.Len() {
-			return false
-		}
-		for i := range ab.Records {
-			x, y := ab.Records[i], ba.Records[i]
-			if x.EventID != y.EventID ||
-				math.Abs(x.MeanLoss-y.MeanLoss) > 1e-9 ||
-				math.Abs(x.SigmaI-y.SigmaI) > 1e-9 ||
-				math.Abs(x.SigmaC-y.SigmaC) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMergePreservesTotalMean(t *testing.T) {
-	a := sampleTable()
-	b := New(8, []Record{{EventID: 3, MeanLoss: 60, SigmaI: 5, SigmaC: 5, ExposedValue: 500}})
-	m := Merge(9, a, b)
-	if m.ContractID != 9 {
-		t.Fatal("contract ID not set")
-	}
-	if got := m.ExpectedLoss(); math.Abs(got-285) > 1e-9 {
-		t.Fatalf("merged ExpectedLoss = %v, want 285", got)
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	tbl := sampleTable()
 	var buf bytes.Buffer
@@ -230,22 +182,6 @@ func TestSampleLossEdgeCases(t *testing.T) {
 	// Mean at/above exposed value saturates.
 	if got := SampleLoss(st, Record{MeanLoss: 100, SigmaI: 5, ExposedValue: 100}); got != 100 {
 		t.Errorf("saturated record should return exposure, got %v", got)
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	tbl := sampleTable()
-	tr := tbl.Truncate(75)
-	if tr.Len() != 2 {
-		t.Fatalf("truncated Len = %d, want 2", tr.Len())
-	}
-	for _, r := range tr.Records {
-		if r.MeanLoss < 75 {
-			t.Fatalf("record %+v below floor survived", r)
-		}
-	}
-	if tbl.Len() != 3 {
-		t.Fatal("Truncate must not mutate the original")
 	}
 }
 

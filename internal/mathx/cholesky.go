@@ -29,15 +29,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.N+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.N+j] = v }
 
-// Identity returns the N×N identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // CorrelationMatrix builds an N×N matrix with 1 on the diagonal and
 // rho everywhere else (a one-factor equicorrelation structure, the
 // standard first-order model for dependency between risk classes).
@@ -111,20 +102,6 @@ func CholeskyJittered(a *Matrix, maxTries int) (l *Matrix, jitter float64, err e
 		jitter *= 10
 	}
 	return nil, jitter, ErrNotPositiveDefinite
-}
-
-// MulVec computes y = M·x. x must have length M.N.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	y := make([]float64, m.N)
-	for i := 0; i < m.N; i++ {
-		var s float64
-		row := m.Data[i*m.N : (i+1)*m.N]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
 }
 
 // LowerMulVec computes y = L·x exploiting lower-triangular structure,

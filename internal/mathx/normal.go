@@ -9,12 +9,6 @@ func StdNormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// NormalCDF returns the CDF of a Normal(mu, sigma) at x.
-// sigma must be > 0.
-func NormalCDF(x, mu, sigma float64) float64 {
-	return StdNormalCDF((x - mu) / sigma)
-}
-
 // Coefficients for Acklam's rational approximation of the inverse
 // standard normal CDF. Relative error is ~1.15e-9 before refinement;
 // one Halley step below brings it to full double precision.
@@ -74,16 +68,6 @@ func StdNormalQuantile(p float64) float64 {
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
 	x = x - u/(1+x*u/2)
 	return x
-}
-
-// NormalQuantile returns the p-quantile of a Normal(mu, sigma).
-func NormalQuantile(p, mu, sigma float64) float64 {
-	return mu + sigma*StdNormalQuantile(p)
-}
-
-// StdNormalPDF returns φ(x), the standard normal density.
-func StdNormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
 }
 
 // LogNormalMeanStd converts the mean and standard deviation of a

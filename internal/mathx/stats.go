@@ -1,7 +1,7 @@
 // Package mathx provides the numerical kernels shared across the risk
 // analytics pipeline: descriptive statistics, quantiles, the standard
-// normal distribution, Cholesky factorization for correlated sampling,
-// histograms, and bootstrap confidence intervals.
+// normal distribution, and Cholesky factorization for correlated
+// sampling.
 //
 // Everything here is deterministic and allocation-conscious: the hot
 // paths of the aggregate-analysis engines (internal/aggregate) and the
@@ -60,72 +60,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// MinMax returns the minimum and maximum of xs.
-// It returns (0, 0) for empty input.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// Skewness returns the adjusted Fisher-Pearson sample skewness.
-// It returns 0 when len(xs) < 3 or the variance is 0.
-func Skewness(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 3 {
-		return 0
-	}
-	m := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		return 0
-	}
-	g1 := m3 / math.Pow(m2, 1.5)
-	return math.Sqrt(n*(n-1)) / (n - 2) * g1
-}
-
-// Covariance returns the unbiased sample covariance of xs and ys,
-// which must be the same length. It returns 0 when len(xs) < 2.
-func Covariance(xs, ys []float64) float64 {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var s float64
-	for i := range xs {
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(n-1)
-}
-
-// Correlation returns the Pearson correlation coefficient of xs and ys.
-// It returns 0 if either series has zero variance.
-func Correlation(xs, ys []float64) float64 {
-	sx, sy := StdDev(xs), StdDev(ys)
-	if sx == 0 || sy == 0 {
-		return 0
-	}
-	return Covariance(xs, ys) / (sx * sy)
-}
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (the R type-7 / Excel

@@ -1,9 +1,6 @@
 package memstore
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 func benchTableRows(b *testing.B, rows int) *Table {
 	b.Helper()
@@ -44,23 +41,5 @@ func BenchmarkScanSequential(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = sink
-	}
-}
-
-func BenchmarkScanParallel(b *testing.B) {
-	t := benchTableRows(b, 2_000_000)
-	b.SetBytes(2_000_000 * 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := t.ScanParallel(context.Background(), 0, func(v ChunkView) error {
-			var local float64
-			for _, x := range v.F64[0] {
-				local += x
-			}
-			_ = local
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

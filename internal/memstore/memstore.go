@@ -9,12 +9,9 @@
 package memstore
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
-
-	"repro/internal/stream"
 )
 
 // ErrBudgetExceeded is returned when an append would push the store
@@ -200,33 +197,4 @@ func (t *Table) view(ci int, c *chunk) ChunkView {
 		v.U32[i] = c.u32[i][:c.n]
 	}
 	return v
-}
-
-// ScanParallel streams chunks through fn on up to workers goroutines.
-// fn must be safe for concurrent calls on distinct chunks; use
-// per-worker accumulators and merge afterwards (MapReduceLocal-style).
-func (t *Table) ScanParallel(ctx context.Context, workers int, fn func(ChunkView) error) error {
-	return stream.ForEach(ctx, len(t.chunks), workers, func(_ context.Context, ci int) error {
-		return fn(t.view(ci, t.chunks[ci]))
-	})
-}
-
-// Float64Col returns the schema index of a float64 column by name.
-func (t *Table) Float64Col(name string) (int, error) {
-	for i, n := range t.schema.Float64Cols {
-		if n == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("memstore: no float64 column %q", name)
-}
-
-// Uint32Col returns the schema index of a uint32 column by name.
-func (t *Table) Uint32Col(name string) (int, error) {
-	for i, n := range t.schema.Uint32Cols {
-		if n == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("memstore: no uint32 column %q", name)
 }

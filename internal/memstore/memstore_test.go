@@ -1,10 +1,7 @@
 package memstore
 
 import (
-	"context"
 	"errors"
-	"math"
-	"sync/atomic"
 	"testing"
 )
 
@@ -64,48 +61,6 @@ func TestAppendArityChecked(t *testing.T) {
 	}
 }
 
-func TestScanParallelMatchesSequential(t *testing.T) {
-	tbl := NewTable(testSchema(), nil, 32)
-	const n = 1000
-	for i := 0; i < n; i++ {
-		if err := tbl.Append([]float64{float64(i)}, []uint32{0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var seq float64
-	if err := tbl.Scan(func(v ChunkView) error {
-		for _, x := range v.F64[0] {
-			seq += x
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var bits atomic.Uint64
-	addFloat := func(x float64) {
-		for {
-			old := bits.Load()
-			nf := float64frombits(old) + x
-			if bits.CompareAndSwap(old, float64bits(nf)) {
-				return
-			}
-		}
-	}
-	if err := tbl.ScanParallel(context.Background(), 8, func(v ChunkView) error {
-		var local float64
-		for _, x := range v.F64[0] {
-			local += x
-		}
-		addFloat(local)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := float64frombits(bits.Load()); got != seq {
-		t.Fatalf("parallel sum %v != sequential %v", got, seq)
-	}
-}
-
 func TestScanError(t *testing.T) {
 	tbl := NewTable(testSchema(), nil, 4)
 	for i := 0; i < 20; i++ {
@@ -116,9 +71,6 @@ func TestScanError(t *testing.T) {
 	boom := errors.New("scan boom")
 	if err := tbl.Scan(func(ChunkView) error { return boom }); !errors.Is(err, boom) {
 		t.Fatal("sequential scan should propagate error")
-	}
-	if err := tbl.ScanParallel(context.Background(), 4, func(ChunkView) error { return boom }); !errors.Is(err, boom) {
-		t.Fatal("parallel scan should propagate error")
 	}
 }
 
@@ -173,22 +125,6 @@ func TestArenaSharedBetweenTables(t *testing.T) {
 	}
 }
 
-func TestColumnLookup(t *testing.T) {
-	tbl := NewTable(Schema{Float64Cols: []string{"a", "b"}, Uint32Cols: []string{"x"}}, nil, 4)
-	if i, err := tbl.Float64Col("b"); err != nil || i != 1 {
-		t.Fatalf("Float64Col(b) = %d, %v", i, err)
-	}
-	if _, err := tbl.Float64Col("zzz"); err == nil {
-		t.Fatal("unknown float column should error")
-	}
-	if i, err := tbl.Uint32Col("x"); err != nil || i != 0 {
-		t.Fatalf("Uint32Col(x) = %d, %v", i, err)
-	}
-	if _, err := tbl.Uint32Col("zzz"); err == nil {
-		t.Fatal("unknown u32 column should error")
-	}
-}
-
 func TestChunkViewRows(t *testing.T) {
 	v := ChunkView{}
 	if v.Rows() != 0 {
@@ -199,7 +135,3 @@ func TestChunkViewRows(t *testing.T) {
 		t.Fatal("u32-only view rows")
 	}
 }
-
-// Tiny helpers for the atomic float accumulation above.
-func float64bits(f float64) uint64     { return math.Float64bits(f) }
-func float64frombits(b uint64) float64 { return math.Float64frombits(b) }

@@ -54,13 +54,3 @@ func BenchmarkSummarize(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkReturnPeriodCI(b *testing.B) {
-	losses := benchLosses(50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReturnPeriodCI(losses, 100, 0.9, 200, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

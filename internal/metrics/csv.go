@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 )
 
@@ -44,34 +43,4 @@ func WriteSummaryCSV(w io.Writer, s *Summary) error {
 	return cw.Error()
 }
 
-// WriteEPCurveCSV emits the full empirical exceedance curve (one row
-// per distinct probability step) for plotting.
-func WriteEPCurveCSV(w io.Writer, c *EPCurve, points int) error {
-	if points <= 1 {
-		points = 100
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"exceedance_prob", "loss"}); err != nil {
-		return fmt.Errorf("metrics: csv: %w", err)
-	}
-	for i := 0; i < points; i++ {
-		// Log-spaced probabilities from 0.5 down to 1/trials.
-		frac := float64(i) / float64(points-1)
-		p := 0.5 * pow(2.0/float64(c.Trials()), frac)
-		rec := []string{formatF(p), formatF(c.LossAt(p))}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("metrics: csv: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 func formatF(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
-
-func pow(base, exp float64) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return math.Pow(base, exp)
-}

@@ -53,52 +53,3 @@ func TestWriteSummaryCSV(t *testing.T) {
 		t.Fatalf("CSV has %d RP rows, summary %d", rpRows, len(s.ReturnRows))
 	}
 }
-
-func TestWriteEPCurveCSV(t *testing.T) {
-	losses := make([]float64, 10_000)
-	for i := range losses {
-		losses[i] = float64(i)
-	}
-	c, err := NewEPCurve(losses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteEPCurveCSV(&buf, c, 50); err != nil {
-		t.Fatal(err)
-	}
-	r := csv.NewReader(&buf)
-	recs, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 51 { // header + 50 points
-		t.Fatalf("rows = %d", len(recs))
-	}
-	// Probabilities strictly decreasing, losses non-decreasing.
-	var prevP, prevL float64
-	for i, rec := range recs[1:] {
-		p, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 {
-			if p >= prevP {
-				t.Fatalf("probabilities should decrease: %v then %v", prevP, p)
-			}
-			if l < prevL {
-				t.Fatalf("losses should not decrease as p falls: %v then %v", prevL, l)
-			}
-		}
-		prevP, prevL = p, l
-	}
-	// Default points path.
-	var buf2 bytes.Buffer
-	if err := WriteEPCurveCSV(&buf2, c, 0); err != nil {
-		t.Fatal(err)
-	}
-}

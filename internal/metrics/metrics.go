@@ -33,8 +33,7 @@ var ErrNoOccurrence = errors.New("metrics: YLT has no occurrence data")
 var StandardReturnPeriods = []float64{2, 5, 10, 25, 50, 100, 250, 500, 1000}
 
 // EPCurve is an exceedance-probability curve built from per-trial
-// losses. It answers both directions: loss at a given exceedance
-// probability and exceedance probability of a given loss.
+// losses: it answers the loss at a given exceedance probability.
 type EPCurve struct {
 	sorted []float64 // ascending
 }
@@ -66,16 +65,6 @@ func (c *EPCurve) LossAtReturnPeriod(rp float64) (float64, error) {
 		return 0, fmt.Errorf("metrics: return period %g must exceed 1", rp)
 	}
 	return c.LossAt(1 / rp), nil
-}
-
-// ExceedanceProb returns the empirical P(loss > x).
-func (c *EPCurve) ExceedanceProb(x float64) float64 {
-	// First index with value > x.
-	i := sort.SearchFloat64s(c.sorted, x)
-	for i < len(c.sorted) && c.sorted[i] == x {
-		i++
-	}
-	return float64(len(c.sorted)-i) / float64(len(c.sorted))
 }
 
 // VaR returns the p-quantile of per-trial losses (value at risk at

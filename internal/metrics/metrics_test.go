@@ -53,39 +53,6 @@ func TestEPCurveErrors(t *testing.T) {
 	}
 }
 
-func TestExceedanceProb(t *testing.T) {
-	c, _ := NewEPCurve([]float64{10, 20, 30, 40})
-	cases := []struct{ x, want float64 }{
-		{5, 1}, {10, 0.75}, {25, 0.5}, {40, 0}, {100, 0},
-	}
-	for _, cse := range cases {
-		if got := c.ExceedanceProb(cse.x); got != cse.want {
-			t.Errorf("ExceedanceProb(%v) = %v, want %v", cse.x, got, cse.want)
-		}
-	}
-}
-
-func TestExceedanceInverseProperty(t *testing.T) {
-	// For any p in (0,1), P(L > LossAt(p)) <= p (empirical inverse).
-	losses := make([]float64, 500)
-	s := uint64(3)
-	for i := range losses {
-		s = s*6364136223846793005 + 1442695040888963407
-		losses[i] = float64(s % 100000)
-	}
-	c, _ := NewEPCurve(losses)
-	// Interpolated quantiles sit between order statistics, so the
-	// empirical exceedance can overshoot p by up to one trial weight.
-	slack := 1.0 / float64(c.Trials())
-	f := func(pRaw uint16) bool {
-		p := (float64(pRaw%998) + 1) / 1000
-		return c.ExceedanceProb(c.LossAt(p)) <= p+slack
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestVaRTVaR(t *testing.T) {
 	losses := make([]float64, 1000)
 	for i := range losses {

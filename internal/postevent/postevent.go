@@ -45,8 +45,6 @@ func keyOf(lat, lon float64) cellKey {
 type Estimator struct {
 	Hazard hazard.Model
 	Vuln   *vulnerability.Matrix
-	// Workers bounds footprint evaluation parallelism; <= 0 GOMAXPROCS.
-	Workers int
 
 	lats, lons []float64
 	values     []float64
@@ -181,7 +179,8 @@ func (e *Estimator) evaluate(ctx context.Context, ev catalog.Event, idxs []int32
 	if vuln == nil {
 		vuln = vulnerability.Default()
 	}
-	total, err := stream.MapReduceLocal(ctx, len(idxs), e.Workers,
+	// Footprint evaluation runs on GOMAXPROCS workers.
+	total, err := stream.MapReduceLocal(ctx, len(idxs), 0,
 		func() *partialEstimate { return &partialEstimate{} },
 		func(_ context.Context, r stream.Range, acc *partialEstimate) error {
 			for k := r.Lo; k < r.Hi; k++ {

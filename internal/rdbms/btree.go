@@ -196,40 +196,6 @@ func (t *Table) Scan(fn func(key uint64, vals []float64) error) error {
 	return nil
 }
 
-// ScanRange streams rows with lo <= key < hi in key order.
-func (t *Table) ScanRange(lo, hi uint64, fn func(key uint64, vals []float64) error) error {
-	n := t.root
-	// Descend to the leaf containing lo.
-	for {
-		t.stats.PageReads++
-		inner, ok := n.(*innerNode)
-		if !ok {
-			break
-		}
-		idx := sort.Search(len(inner.keys), func(i int) bool { return lo < inner.keys[i] })
-		n = inner.children[idx]
-	}
-	leaf := n.(*leafNode)
-	for leaf != nil {
-		for i, k := range leaf.keys {
-			if k < lo {
-				continue
-			}
-			if k >= hi {
-				return nil
-			}
-			if err := fn(k, leaf.vals[i*t.width:(i+1)*t.width]); err != nil {
-				return err
-			}
-		}
-		leaf = leaf.next
-		if leaf != nil {
-			t.stats.PageReads++
-		}
-	}
-	return nil
-}
-
 func (t *Table) leftmost() *leafNode {
 	n := t.root
 	for {

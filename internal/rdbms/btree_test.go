@@ -113,37 +113,6 @@ func TestScanError(t *testing.T) {
 	}
 }
 
-func TestScanRange(t *testing.T) {
-	tbl, _ := New(1, 6)
-	for i := uint64(0); i < 1000; i++ {
-		if err := tbl.Insert(i, []float64{float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []uint64
-	err := tbl.ScanRange(100, 110, func(k uint64, _ []float64) error {
-		got = append(got, k)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 || got[0] != 100 || got[9] != 109 {
-		t.Fatalf("range = %v", got)
-	}
-	// Empty range.
-	got = nil
-	if err := tbl.ScanRange(5000, 6000, func(k uint64, _ []float64) error {
-		got = append(got, k)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("empty range returned %v", got)
-	}
-}
-
 func TestPageAccounting(t *testing.T) {
 	tbl, _ := New(1, 8)
 	const n = 50_000

@@ -149,18 +149,6 @@ func (st *Stream) poissonDirect(lambda float64) int {
 	}
 }
 
-// NegBinomial returns a draw from the negative binomial distribution
-// with r failures and success probability p, via the Gamma-Poisson
-// mixture. It is the standard over-dispersed frequency model for
-// catastrophe counts when Poisson under-states clustering.
-func (st *Stream) NegBinomial(r, p float64) int {
-	if r <= 0 || p <= 0 || p >= 1 {
-		return 0
-	}
-	lambda := st.Gamma(r, (1-p)/p)
-	return st.Poisson(lambda)
-}
-
 // Pareto returns a draw from a Pareto distribution with minimum xm and
 // tail index alpha — the canonical heavy-tailed severity model for
 // large catastrophe losses.
@@ -198,11 +186,6 @@ func (st *Stream) binomialInvert(n int, p float64) int {
 		k++
 	}
 	return k
-}
-
-// Bernoulli returns true with probability p.
-func (st *Stream) Bernoulli(p float64) bool {
-	return st.Float64() < p
 }
 
 // Binomial returns a draw from Binomial(n, p): exactly, by inverting one

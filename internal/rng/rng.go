@@ -1,8 +1,9 @@
 // Package rng supplies the deterministic random-number machinery used
 // throughout the pipeline: a xoshiro256** generator with splitmix64
-// seeding, cheap stream splitting (so every worker, trial block, and
-// risk source draws from an independent, reproducible stream), and the
-// distribution samplers the catastrophe and DFA models need.
+// seeding, cheap substreams keyed by (seed, id) (so every worker, trial
+// block, and risk source draws from an independent, reproducible
+// stream), and the distribution samplers the catastrophe and DFA
+// models need.
 //
 // Determinism is a hard requirement: the paper's "consistent lens"
 // argument for pre-simulated YELTs (§II) is about actuaries seeing the
@@ -75,15 +76,6 @@ func (st *Stream) Reseed(seed, id uint64) {
 	st.seed(splitmix64(&sm))
 }
 
-// Split derives a child stream from the current stream state without
-// disturbing the parent's sequence. It hashes the parent state with
-// the child id rather than drawing from the parent so that the
-// parent's replayability is unaffected by how many children are split.
-func (st *Stream) Split(id uint64) *Stream {
-	sm := st.s[0] ^ bits.RotateLeft64(st.s[2], 13) ^ (id+1)*0x9e3779b97f4a7c15
-	return New(splitmix64(&sm))
-}
-
 // Uint64 returns the next value of the xoshiro256** sequence.
 func (st *Stream) Uint64() uint64 {
 	s := &st.s
@@ -96,28 +88,6 @@ func (st *Stream) Uint64() uint64 {
 	s[2] ^= t
 	s[3] = bits.RotateLeft64(s[3], 45)
 	return result
-}
-
-// jumpPoly is the xoshiro256** 2^128-jump polynomial: Jump advances
-// the stream by 2^128 steps, partitioning the period into 2^128
-// non-overlapping substreams.
-var jumpPoly = [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-
-// Jump advances the generator by 2^128 steps in O(256) time.
-func (st *Stream) Jump() {
-	var s0, s1, s2, s3 uint64
-	for _, jp := range jumpPoly {
-		for b := 0; b < 64; b++ {
-			if jp&(1<<uint(b)) != 0 {
-				s0 ^= st.s[0]
-				s1 ^= st.s[1]
-				s2 ^= st.s[2]
-				s3 ^= st.s[3]
-			}
-			st.Uint64()
-		}
-	}
-	st.s[0], st.s[1], st.s[2], st.s[3] = s0, s1, s2, s3
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
@@ -150,25 +120,4 @@ func (st *Stream) Intn(n int) int {
 		}
 	}
 	return int(hi)
-}
-
-// Perm returns a random permutation of [0, n) via Fisher-Yates.
-func (st *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := st.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle randomly permutes the first n elements using swap.
-func (st *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := st.Intn(i + 1)
-		swap(i, j)
-	}
 }

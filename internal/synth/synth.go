@@ -19,8 +19,8 @@ import (
 	"repro/internal/yelt"
 )
 
-// Params sizes a scenario. The zero value is invalid; use Small or
-// Default and override.
+// Params sizes a scenario. The zero value is invalid; use Small and
+// override.
 type Params struct {
 	Seed                 uint64
 	NumEvents            int
@@ -50,18 +50,6 @@ func Small(seed uint64) Params {
 		NumContracts:         4,
 		LocationsPerContract: 120,
 		NumTrials:            2_000,
-		MeanEventsPerYear:    10,
-	}
-}
-
-// Default returns the example/CLI scale: a few seconds of build time.
-func Default(seed uint64) Params {
-	return Params{
-		Seed:                 seed,
-		NumEvents:            10_000,
-		NumContracts:         16,
-		LocationsPerContract: 400,
-		NumTrials:            50_000,
 		MeanEventsPerYear:    10,
 	}
 }

@@ -91,10 +91,3 @@ func TestBuildPortfolioSizing(t *testing.T) {
 		}
 	}
 }
-
-func TestDefaultParamsReasonable(t *testing.T) {
-	p := Default(1)
-	if p.NumEvents < 1000 || p.NumTrials < 10000 {
-		t.Fatal("Default should be a meaningful scale")
-	}
-}

@@ -105,27 +105,3 @@ func BenchmarkCodecRead(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkStreamTrials(b *testing.B) {
-	cat := benchCatalog(b, 5_000)
-	t, err := Generate(context.Background(), cat, Config{NumTrials: 50_000}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := t.WriteTo(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var count int
-		if err := StreamTrials(bytes.NewReader(data), func(int, []Occurrence) error {
-			count++
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

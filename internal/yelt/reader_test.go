@@ -184,9 +184,6 @@ func TestReaderForgedHeaderAllocatesLittle(t *testing.T) {
 			_, err := Read(bytes.NewReader(forged))
 			return err
 		}},
-		{"StreamTrials", func() error {
-			return StreamTrials(bytes.NewReader(forged), func(int, []Occurrence) error { return nil })
-		}},
 		{"DiskSource.ReadTrials", func() error {
 			_, err := ds.ReadTrials(ctx, 0, 40, nil)
 			return err

@@ -173,8 +173,8 @@ func (e *encoder) fill(dst []byte) []byte {
 
 // Reader is the one decoder of the WriteTo format: it checks and bounds
 // the header once, then hands out trials front to back — skipped as
-// bytes or decoded into a caller's Table. Read, StreamTrials and the
-// spilled-shard scan (DiskSource) all read through it.
+// bytes or decoded into a caller's Table. Read and the spilled-shard
+// scan (DiskSource) both read through it.
 type Reader struct {
 	br     *bufio.Reader
 	counts []uint32 // occurrences per trial, as the header declares them

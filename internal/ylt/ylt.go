@@ -47,16 +47,6 @@ func (t *Table) Mean() float64 { return mathx.Mean(t.Agg) }
 // StdDev returns the standard deviation of annual losses.
 func (t *Table) StdDev() float64 { return mathx.StdDev(t.Agg) }
 
-// Scale multiplies all losses by f (e.g. currency or share scaling).
-func (t *Table) Scale(f float64) {
-	for i := range t.Agg {
-		t.Agg[i] *= f
-	}
-	for i := range t.OccMax {
-		t.OccMax[i] *= f
-	}
-}
-
 // EntryBytes is the encoded footprint per trial (one float64 for Agg;
 // occurrence tables carry a second).
 const EntryBytes = 8
@@ -76,11 +66,9 @@ func (t *Table) SizeBytes() int64 {
 var ErrTrialMismatch = errors.New("ylt: trial count mismatch")
 
 // ErrOccurrenceMismatch is returned by Combine when the inputs mix
-// occurrence-bearing and aggregate-only tables. Silently dropping the
-// OccMax columns (the old behaviour) made occurrence metrics vanish
-// from a combined table depending on which members happened to be in
-// it; callers that genuinely want an aggregate-only combination of
-// mixed inputs must opt in via CombineAggOnly.
+// occurrence-bearing and aggregate-only tables: silently dropping the
+// OccMax columns would make occurrence metrics vanish from a combined
+// table depending on which members happened to be in it.
 var ErrOccurrenceMismatch = errors.New("ylt: occurrence coverage mismatch")
 
 // Combine returns the aligned per-trial sum of the given tables. For
@@ -89,8 +77,7 @@ var ErrOccurrenceMismatch = errors.New("ylt: occurrence coverage mismatch")
 // combination would need event-level detail that the YLT, by design,
 // no longer carries). The inputs must agree on occurrence coverage:
 // all carry OccMax (result does too) or none do (result is
-// aggregate-only). Mixed coverage returns ErrOccurrenceMismatch; use
-// CombineAggOnly to deliberately discard occurrence structure.
+// aggregate-only). Mixed coverage returns ErrOccurrenceMismatch.
 func Combine(name string, tables ...*Table) (*Table, error) {
 	if len(tables) == 0 {
 		return nil, errors.New("ylt: nothing to combine")
@@ -125,30 +112,6 @@ func Combine(name string, tables ...*Table) (*Table, error) {
 					out.OccMax[i] = v
 				}
 			}
-		}
-	}
-	return out, nil
-}
-
-// CombineAggOnly returns the aligned per-trial sum of the given
-// tables as an aggregate-only YLT, regardless of the inputs'
-// occurrence coverage. This is the explicit opt-in for mixed inputs:
-// occurrence maxima, where present, are deliberately dropped (an
-// occurrence basis over a partial member set would be misleading).
-func CombineAggOnly(name string, tables ...*Table) (*Table, error) {
-	if len(tables) == 0 {
-		return nil, errors.New("ylt: nothing to combine")
-	}
-	n := tables[0].NumTrials()
-	for _, t := range tables {
-		if t.NumTrials() != n {
-			return nil, fmt.Errorf("%w: %d vs %d", ErrTrialMismatch, t.NumTrials(), n)
-		}
-	}
-	out := NewAggOnly(name, n)
-	for _, t := range tables {
-		for i, v := range t.Agg {
-			out.Agg[i] += v
 		}
 	}
 	return out, nil

@@ -29,16 +29,6 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	a := New("x", 2)
-	copy(a.Agg, []float64{1, 2})
-	copy(a.OccMax, []float64{3, 4})
-	a.Scale(10)
-	if a.Agg[1] != 20 || a.OccMax[0] != 30 {
-		t.Fatal("Scale broken")
-	}
-}
-
 func TestCombineAlignedSum(t *testing.T) {
 	a := New("a", 3)
 	copy(a.Agg, []float64{1, 2, 3})
@@ -89,30 +79,6 @@ func TestCombineRejectsMixedOccurrence(t *testing.T) {
 	}
 	if c.HasOccurrence() || c.Agg[1] != 40 {
 		t.Fatalf("agg-only combine wrong: occ=%v agg=%v", c.HasOccurrence(), c.Agg)
-	}
-}
-
-func TestCombineAggOnlyOptIn(t *testing.T) {
-	a := New("a", 2)
-	copy(a.Agg, []float64{1, 2})
-	copy(a.OccMax, []float64{3, 4})
-	b := NewAggOnly("b", 2)
-	copy(b.Agg, []float64{10, 20})
-	c, err := CombineAggOnly("c", a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.HasOccurrence() {
-		t.Fatal("CombineAggOnly must drop occurrence structure")
-	}
-	if c.Agg[0] != 11 || c.Agg[1] != 22 {
-		t.Fatalf("Agg = %v", c.Agg)
-	}
-	if _, err := CombineAggOnly("c", a, New("d", 3)); !errors.Is(err, ErrTrialMismatch) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := CombineAggOnly("c"); err == nil {
-		t.Fatal("empty combine should error")
 	}
 }
 

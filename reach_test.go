@@ -1,11 +1,11 @@
-// The seed-sweep guards: no declaration under internal/, exported or
-// not, that no program reaches, and no exported struct field under
-// internal/ or risk/ that some program reads and none can set. One scan
-// type-checks every package's non-test files (stdlib only: go/parser +
-// go/types, packages from `go list`) for both: the first builds a graph
-// from each top-level declaration to the declarations it mentions and
-// walks it from every main package, the second sorts every mention of a
-// field into writes and reads.
+// The seed-sweep guards: no declaration under internal/ or risk/,
+// exported or not, that no program reaches, and no exported struct
+// field under internal/ or risk/ that some program reads and none can
+// set. One scan type-checks every package's non-test files (stdlib
+// only: go/parser + go/types, packages from `go list`) for both: the
+// first builds a graph from each top-level declaration to the
+// declarations it mentions and walks it from every main package, the
+// second sorts every mention of a field into writes and reads.
 package repro_test
 
 import (
@@ -33,16 +33,12 @@ import (
 // one row per top-level identifier or method (an unreached type's row
 // covers its methods), each with the reason it stays. What a row uses
 // stays with it. A row whose identifier is gone, or is reached by a
-// program after all, fails the test, so the table can only shrink.
-//
-// The rows marked "to delete" are dead code that outlived PR 21 only
-// because a PR may retire no more than a few of the tests that existed
-// before it; each names the tests that go with it. The others are
-// fixtures, probes and oracles that surviving tests are written against.
+// program after all, fails the test, so the table can only shrink. The
+// rows are fixtures, probes and oracles that surviving tests are written
+// against.
 var keptUnreached = []struct{ name, reason string }{
 	// Kept on purpose.
 	{"aggregate.KernelBlocked", "pinned by bench/replica.go's Config literal until ROADMAP item 4(b) retires the replica"},
-	{"mathx.BootstrapCI", "ROADMAP item 5(a) names it for the sampling-error report"},
 	{"elt.Read", "the only reader, and the fuzz target, of the format `cmd/catmodel -out` writes"},
 	{"elt.ErrBadFormat", "what elt.Read wraps when it refuses a file"},
 	{"catmodel.(*Engine).RunPortfolio", "TestGoldenELTDigest pins stage 1 through it; also TestRunPortfolioAssignsContractIDs, TestRunRejectsDanglingInterest"},
@@ -56,6 +52,9 @@ var keptUnreached = []struct{ name, reason string }{
 	{"diskstore.(*Store).RemoveAt", "fault fixture: lost replica"},
 	{"diskstore.(*Store).Corrupt", "fault fixture: bit rot in a partition"},
 	{"diskstore.(*Store).CorruptAt", "fault fixture: bit rot in one replica"},
+	{"risk.EngineSequential", "a documented value of risk.Config.Engine, which waits for ROADMAP item 3(b) because bench/workloads.go writes it; TestEngineKinds and TestSequentialEngineStudy run it"},
+	{"risk.EngineMapReduce", "same field; TestEngineKinds runs it"},
+	{"risk.EngineReinstatements", "same field; TestStudyReinstatementsEngine runs it"},
 
 	// Probes and references surviving tests assert through.
 	{"aggregate.UnlimitedReinstatements", "builds the all-unlimited regime in eight reinstatement tests of internal/aggregate"},
@@ -87,44 +86,6 @@ var keptUnreached = []struct{ name, reason string }{
 	{"metrics.PML", "reference of TestGoldenSummaryDigest, TestViewMatchesNaiveOracle and TestNewViewSorted"},
 	{"metrics.(*EPCurve).Trials", "read by the golden digest and the naive oracle"},
 	{"catalog.(*Catalog).Lookup", "TestLookup, and the probe of TestNewCatalogIndexes and TestPostEventConsistentWithELT"},
-
-	// To delete, each with the tests that go with it.
-	{"synth.Default", "to delete with TestDefaultParamsReasonable: every command sizes its scenario from flags"},
-	{"rng.(*Stream).Split", "to delete with TestSplitDoesNotDisturbParent, TestSplitChildrenDiffer"},
-	{"rng.(*Stream).Bernoulli", "to delete with TestBernoulliRate"},
-	{"rng.(*Stream).NegBinomial", "to delete with TestNegBinomialMoments"},
-	{"rng.(*Stream).Jump", "to delete with TestJumpProducesDisjointStream"},
-	{"rng.(*Stream).Perm", "to delete with TestPermIsPermutation"},
-	{"rng.(*Stream).Shuffle", "to delete with TestShuffleKeepsMultiset; catmodel's oracle_test inlines the three lines"},
-	{"elt.Merge", "to delete with TestMergeCommutativeProperty, TestMergePreservesTotalMean, BenchmarkMerge"},
-	{"elt.(*Table).Truncate", "to delete with TestTruncate"},
-	{"yelt.StreamTrials", "to delete with the three TestStreamTrials* tests, BenchmarkStreamTrials and TestReaderForgedHeaderAllocatesLittle's StreamTrials case: nothing else calls it — the shard scan reads through yelt.Reader, and the integration tests that map over shards read through yelt.Read"},
-	{"ylt.(*Table).Scale", "to delete with TestScale; dfa_test inlines the loop"},
-	{"ylt.CombineAggOnly", "to delete with TestCombineAggOnlyOptIn"},
-	{"mathx.Identity", "to delete with TestIdentityMulVec; dfa_test inlines it"},
-	{"mathx.(*Matrix).MulVec", "to delete with TestIdentityMulVec, TestLowerMulVecMatchesMulVec"},
-	{"mathx.NormalCDF", "to delete with TestNormalCDFQuantileShifted"},
-	{"mathx.NormalQuantile", "to delete with TestNormalCDFQuantileShifted"},
-	{"mathx.StdNormalPDF", "to delete with TestStdNormalPDF"},
-	{"mathx.MinMax", "to delete with TestMinMax"},
-	{"mathx.Skewness", "to delete with TestSkewnessSign"},
-	{"mathx.Covariance", "to delete with TestCovariancePropertyBilinear"},
-	{"mathx.Correlation", "to delete with TestCorrelationPerfect; dfa_test inlines it"},
-	{"vulnerability.(*Matrix).SampleDamage", "to delete with TestSampleDamageDistribution, TestSampleDamageZeroIntensity"},
-	{"metrics.ReturnPeriodCI", "to delete with ci.go, the four TestReturnPeriodCI* tests and BenchmarkReturnPeriodCI"},
-	{"metrics.TVaRCI", "to delete with ci.go and TestTVaRCI"},
-	{"metrics.CI", "to delete with ci.go: the result type of the two functions above"},
-	{"metrics.HillTailIndex", "to delete with tail.go, TestHillRecoversAlpha, TestHillValidation"},
-	{"metrics.(*EPCurve).ExtrapolatedLossAtReturnPeriod", "to delete with tail.go and the three TestExtrapolation* tests"},
-	{"metrics.ErrTailDegenerate", "to delete with tail.go and TestHillValidation"},
-	{"metrics.WriteEPCurveCSV", "to delete with TestWriteEPCurveCSV"},
-	{"metrics.(*EPCurve).ExceedanceProb", "to delete with TestExceedanceProb, TestExceedanceInverseProperty"},
-	{"memstore.(*Table).ScanParallel", "to delete with TestScanParallelMatchesSequential, BenchmarkScanParallel"},
-	{"memstore.(*Table).Float64Col", "to delete with TestColumnLookup"},
-	{"memstore.(*Table).Uint32Col", "to delete with TestColumnLookup"},
-	{"rdbms.BulkLoad", "to delete with bulkload.go, the five TestBulkLoad* tests and BenchmarkBulkLoadVsInserts"},
-	{"rdbms.ErrUnsorted", "to delete with bulkload.go and TestBulkLoadRejectsUnsorted"},
-	{"rdbms.(*Table).ScanRange", "to delete with TestScanRange"},
 }
 
 func TestNoUnreachedExports(t *testing.T) {
@@ -141,7 +102,7 @@ func TestNoUnreachedExports(t *testing.T) {
 		case row.reason == "":
 			t.Errorf("allowlist row %s has no reason", row.name)
 		case obj == nil:
-			t.Errorf("stale allowlist row %s: no such identifier under internal/", row.name)
+			t.Errorf("stale allowlist row %s: no such identifier under internal/ or risk/", row.name)
 		case live[obj]:
 			t.Errorf("stale allowlist row %s: a program reaches it now, delete the row", row.name)
 		case kept[obj]:
@@ -155,7 +116,7 @@ func TestNoUnreachedExports(t *testing.T) {
 	// reported through its type.
 	live = s.walk(slices.Collect(maps.Keys(kept))...)
 	for _, d := range s.decls {
-		if live[d.obj] || !d.internal {
+		if live[d.obj] || !d.guarded {
 			continue
 		}
 		if recv := receiverType(d.obj); recv != nil && (kept[recv] || !live[recv]) {
@@ -195,15 +156,6 @@ var keptUnsettable = []struct{ name, reason string }{
 	{"catmodel.Engine.TermsFor", "TestCustomTermsReduceLoss and the oracle's custom-terms engine"},
 	{"hazard.Model.MaxRangeFactor", "the footprint bound TestRunMatchesNaiveOracle and TestIndexedMatchesFullScan vary"},
 	{"postevent.Estimator.Hazard", "TestIndexedMatchesFullScan varies MaxRangeFactor through it"},
-	{"postevent.Estimator.Workers", "Estimate's worker bound; risk.Study.EstimateEvent leaves it at GOMAXPROCS, parked with /v1/watch"},
-
-	// risk/postevent.go is the entry point of the parked /v1/watch item:
-	// only its own tests build a bulletin today.
-	{"risk.EventBulletin.Peril", "parked /v1/watch entry point (ROADMAP, Parked)"},
-	{"risk.EventBulletin.Lat", "same"},
-	{"risk.EventBulletin.Lon", "same"},
-	{"risk.EventBulletin.Magnitude", "same"},
-	{"risk.EventBulletin.RadiusKm", "same"},
 }
 
 // TestNoUnsettableOptions fails for every exported struct field under
@@ -359,10 +311,10 @@ type listedPkg struct {
 // reachDecl is one node of the graph: a package-level object or a
 // method, with the objects its declaration mentions.
 type reachDecl struct {
-	obj      types.Object
-	uses     []types.Object
-	root     bool // main.main, init, and `var _ =` declarations
-	internal bool
+	obj     types.Object
+	uses    []types.Object
+	root    bool // main.main, init, and `var _ =` declarations
+	guarded bool // under internal/ or risk/: reported when unreached
 }
 
 type reachScan struct {
@@ -372,7 +324,7 @@ type reachScan struct {
 	imported map[string]bool
 	decls    []*reachDecl
 	byObj    map[types.Object]*reachDecl
-	named    map[string]types.Object // under internal/ only, keyed by objName
+	named    map[string]types.Object // under internal/ or risk/, keyed by objName
 	ifaces   []*types.Interface
 	fields   fieldScan
 }
@@ -497,9 +449,9 @@ func (s *reachScan) collectNamedIfaces(tp *types.Package, seen map[*types.Packag
 
 // addPackage turns one checked package into graph nodes.
 func (s *reachScan) addPackage(p *listedPkg, tp *types.Package, files []*ast.File, info *types.Info) {
-	internal := strings.Contains(p.ImportPath, "/internal/")
+	guarded := strings.Contains(p.ImportPath, "/internal/") || strings.HasSuffix(p.ImportPath, "/risk")
 	add := func(obj types.Object, node ast.Node, root bool) {
-		d := &reachDecl{obj: obj, root: root, internal: internal}
+		d := &reachDecl{obj: obj, root: root, guarded: guarded}
 		seen := map[types.Object]bool{}
 		ast.Inspect(node, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
@@ -514,7 +466,7 @@ func (s *reachScan) addPackage(p *listedPkg, tp *types.Package, files []*ast.Fil
 		})
 		s.decls = append(s.decls, d)
 		s.byObj[obj] = d
-		if internal {
+		if guarded {
 			s.named[objName(obj)] = obj
 		}
 	}

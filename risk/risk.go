@@ -31,7 +31,6 @@ import (
 	"repro/internal/layers"
 	"repro/internal/lossindex"
 	"repro/internal/metrics"
-	"repro/internal/postevent"
 	"repro/internal/warehouse"
 	"repro/internal/yelt"
 )
@@ -163,10 +162,9 @@ type Report struct {
 // any time. All other method combinations require external
 // serialization.
 type Study struct {
-	cfg       Config
-	p         *core.Pipeline
-	ran       bool
-	postEvent *postevent.Estimator
+	cfg Config
+	p   *core.Pipeline
+	ran bool
 	// quoteIdx/quoteFlat cache the single-contract loss index and its
 	// flat kernel layout per contract, so repeated real-time quotes
 	// skip the pre-join as well as stage 1. quoteMu guards both maps
@@ -345,17 +343,6 @@ func (s *Study) CatastropheLosses() ([]float64, error) {
 	}
 	out := make([]float64, len(s.p.CatYLT.Agg))
 	copy(out, s.p.CatYLT.Agg)
-	return out, nil
-}
-
-// EnterpriseLosses returns a copy of the per-trial enterprise losses
-// after DFA integration. Run must have completed.
-func (s *Study) EnterpriseLosses() ([]float64, error) {
-	if !s.ran {
-		return nil, errors.New("risk: study has not run")
-	}
-	out := make([]float64, len(s.p.DFAResult.Enterprise.Agg))
-	copy(out, s.p.DFAResult.Enterprise.Agg)
 	return out, nil
 }
 

@@ -61,9 +61,6 @@ func TestLossesAccessors(t *testing.T) {
 	if _, err := study.CatastropheLosses(); err == nil {
 		t.Fatal("losses before Run should error")
 	}
-	if _, err := study.EnterpriseLosses(); err == nil {
-		t.Fatal("losses before Run should error")
-	}
 	if _, err := study.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +70,6 @@ func TestLossesAccessors(t *testing.T) {
 	}
 	if len(cat) != 1500 {
 		t.Fatalf("cat losses = %d", len(cat))
-	}
-	ent, err := study.EnterpriseLosses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ent) != 1500 {
-		t.Fatalf("enterprise losses = %d", len(ent))
 	}
 	// Accessors must return copies.
 	cat[0] = -12345
