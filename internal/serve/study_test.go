@@ -242,3 +242,97 @@ func TestStatzSurfacesQuoteTable(t *testing.T) {
 		t.Fatalf("quote table after quotes at 2k, 5k, 2k trials: %+v", stz)
 	}
 }
+
+// jsonKeys lists a JSON object's keys in the order they were written.
+func jsonKeys(t *testing.T, raw []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object (%v): %s", err, raw)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// checkSummaryWire holds one served risk summary to its key order, and
+// its return-period rows to theirs, in ascending years.
+func checkSummaryWire(t *testing.T, what string, raw []byte) {
+	t.Helper()
+	want := []string{"name", "trials", "aal", "stddev", "var99", "tvar99", "var995", "tvar995", "return_periods"}
+	if got := jsonKeys(t, raw); !slices.Equal(got, want) {
+		t.Fatalf("%s keys:\n got %q\nwant %q", what, got, want)
+	}
+	var doc struct {
+		ReturnPeriods []json.RawMessage `json:"return_periods"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.ReturnPeriods) == 0 {
+		t.Fatalf("%s has no return-period rows: %s", what, raw)
+	}
+	prev := 0.0
+	for _, row := range doc.ReturnPeriods {
+		if got := jsonKeys(t, row); !slices.Equal(got, []string{"years", "oep", "aep"}) {
+			t.Fatalf("%s return-period row keys: %q", what, got)
+		}
+		var r struct{ Years float64 }
+		if err := json.Unmarshal(row, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Years <= prev {
+			t.Fatalf("%s return periods not ascending: %s", what, raw)
+		}
+		prev = r.Years
+	}
+}
+
+// The summary and quote answers are interfaces too: their keys, and the
+// order they are written in, may only change by editing this test.
+func TestServedAnswerKeys(t *testing.T) {
+	cfg := smallStudyConfig(36)
+	cfg.CubeDims = []string{"region"}
+	_, ts := newTestServer(t, risk.NewStudy(cfg), Config{Workers: 1})
+
+	code, cube := getCube(t, ts, "?region=coastal")
+	if code != http.StatusOK {
+		t.Fatalf("cube query: status %d (%s)", code, cube)
+	}
+	checkSummaryWire(t, "cube answer", cube)
+
+	resp, err := http.Get(ts.URL + "/v1/portfolio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var port map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&port); err != nil {
+		t.Fatal(err)
+	}
+	checkSummaryWire(t, "portfolio catastrophe", port["catastrophe"])
+
+	qresp, err := http.Post(ts.URL+"/v1/quote", "application/json", bytes.NewBufferString(`{"contract": 1, "trials": 1000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qresp.Body.Close()
+	var quote json.RawMessage
+	if err := json.NewDecoder(qresp.Body).Decode(&quote); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"contract_id", "trials", "aal", "stddev", "tvar99", "pml250", "premium", "elapsed_ms"}
+	if got := jsonKeys(t, quote); !slices.Equal(got, want) {
+		t.Fatalf("quote keys:\n got %q\nwant %q", got, want)
+	}
+}
