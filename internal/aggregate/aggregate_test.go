@@ -216,6 +216,19 @@ func TestChunkedOversizedBlockFallback(t *testing.T) {
 	}
 	tablesAlmostEqual(t, "oversized-block agg", seq.Portfolio.Agg, dev.Portfolio.Agg, 1e-9)
 	tablesAlmostEqual(t, "oversized-block occmax", seq.Portfolio.OccMax, dev.Portfolio.OccMax, 1e-9)
+
+	// The fallback is the naive kernel's loop: the same work at the same
+	// block size, plus the two offset loads read before the fit check.
+	naive := &Chunked{TrialsPerBlock: huge.TrialsPerBlock, Naive: true}
+	if _, err := naive.Run(context.Background(), input(s), cfg); err != nil {
+		t.Fatal(err)
+	}
+	got, want := huge.LastStats, naive.LastStats
+	if got.GlobalAccesses != want.GlobalAccesses+2 || got.SharedAccesses != 0 ||
+		got.ArithOps != want.ArithOps || got.TransferFloats != want.TransferFloats ||
+		got.ResidentTransferFloats != want.ResidentTransferFloats {
+		t.Fatalf("fallback stats %+v, naive %+v", got, want)
+	}
 }
 
 func TestChunkedCheaperThanNaive(t *testing.T) {
