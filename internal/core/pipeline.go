@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/aggregate"
@@ -669,7 +670,9 @@ func (p *Pipeline) Run(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: enterprise summary: %w", err)
 	}
-	return &Report{Stages: p.Stages, Catastrophe: catSum, Enterprise: entSum}, nil
+	// The report gets its own stage lines: setStage rewrites p.Stages in
+	// place when a stage runs again.
+	return &Report{Stages: slices.Clone(p.Stages), Catastrophe: catSum, Enterprise: entSum}, nil
 }
 
 // ReportViews builds the two reports' views from a stage-3 result with

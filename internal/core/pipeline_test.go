@@ -364,6 +364,24 @@ func TestRepeatedStage2ReplacesStageLine(t *testing.T) {
 	}
 }
 
+// A returned report is the caller's: re-running a stage on the same
+// pipeline must not rewrite the stage lines it already handed out.
+func TestReportStagesOutliveRerun(t *testing.T) {
+	p := New(smallConfig(12))
+	rep, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := stageLine(t, rep, "portfolio-risk")
+	p.Cfg.Engine = aggregate.Sequential{}
+	if err := p.RunStage2(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if after := stageLine(t, rep, "portfolio-risk"); after != before {
+		t.Fatalf("report's portfolio-risk line moved after a stage-2 re-run:\n before %+v\n after  %+v", before, after)
+	}
+}
+
 // A non-spill stage-2 re-run supersedes an earlier spilled run: the
 // stale yelt-spill line must not linger in the report.
 func TestStage2RerunDropsStaleSpillLine(t *testing.T) {
