@@ -32,8 +32,10 @@ func main() {
 
 	fmt.Printf("\ncatastrophe book: AAL %.0f, 99%% TVaR %.0f\n",
 		report.Catastrophe.AAL, report.Catastrophe.TVaR99)
-	if rp, ok := report.Catastrophe.ReturnPeriods[250]; ok {
-		fmt.Printf("250-year PML (OEP): %.0f   250-year AEP: %.0f\n", rp.OEP, rp.AEP)
+	for _, rp := range report.Catastrophe.ReturnRows {
+		if rp.ReturnPeriod == 250 {
+			fmt.Printf("250-year PML (OEP): %.0f   250-year AEP: %.0f\n", rp.OEP, rp.AEP)
+		}
 	}
 	fmt.Printf("\nenterprise after DFA: AAL %.0f, 99.5%% TVaR %.0f\n",
 		report.Enterprise.AAL, report.Enterprise.TVaR995)

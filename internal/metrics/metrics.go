@@ -105,24 +105,25 @@ func tailMean(losses []float64, v float64) float64 {
 	return sum / float64(n)
 }
 
-// Summary is the standard one-portfolio risk report.
+// Summary is the standard one-portfolio risk report. Its JSON tags are
+// the keys the serving tier writes it under.
 type Summary struct {
-	Name       string
-	Trials     int
-	AAL        float64 // average annual loss
-	AggStdDev  float64
-	VaR99      float64
-	TVaR99     float64
-	VaR995     float64
-	TVaR995    float64
-	ReturnRows []ReturnRow
+	Name       string      `json:"name"`
+	Trials     int         `json:"trials"`
+	AAL        float64     `json:"aal"` // average annual loss
+	AggStdDev  float64     `json:"stddev"`
+	VaR99      float64     `json:"var99"`
+	TVaR99     float64     `json:"tvar99"`
+	VaR995     float64     `json:"var995"`
+	TVaR995    float64     `json:"tvar995"`
+	ReturnRows []ReturnRow `json:"return_periods"` // ascending ReturnPeriod
 }
 
 // ReturnRow is one line of the return-period table.
 type ReturnRow struct {
-	ReturnPeriod float64
-	OEP          float64 // occurrence exceedance (PML) — 0 if unavailable
-	AEP          float64 // aggregate exceedance
+	ReturnPeriod float64 `json:"years"`
+	OEP          float64 `json:"oep"` // occurrence exceedance (PML) — 0 if unavailable
+	AEP          float64 `json:"aep"` // aggregate exceedance
 }
 
 // View is a YLT with each loss column sorted once. Every order

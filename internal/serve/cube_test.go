@@ -60,7 +60,7 @@ func TestCubeEndpoint(t *testing.T) {
 	}
 
 	snap := s.stats.snapshot(s)
-	if !snap.CubeBuilt || snap.CubeCells <= 0 || snap.CubeSizeBytes <= 0 {
+	if !snap.Built || snap.Cells <= 0 || snap.SizeBytes <= 0 {
 		t.Fatalf("statz cube state: %+v", snap)
 	}
 	if snap.CubeQueries != 2 || snap.CubeMisses != 1 {

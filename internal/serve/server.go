@@ -39,7 +39,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -262,13 +261,7 @@ type quoteRequest struct {
 }
 
 type quoteResponse struct {
-	ContractID uint32  `json:"contract_id"`
-	Trials     int     `json:"trials"`
-	AAL        float64 `json:"aal"`
-	StdDev     float64 `json:"stddev"`
-	TVaR99     float64 `json:"tvar99"`
-	PML250     float64 `json:"pml250"`
-	Premium    float64 `json:"premium"`
+	*risk.Quote
 	// ElapsedMS is the simulation wall time; the latency the client
 	// observed additionally includes queue wait.
 	ElapsedMS float64 `json:"elapsed_ms"`
@@ -336,14 +329,8 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 		s.stats.served.Add(1)
 		s.stats.lat.observe(time.Since(start))
 		writeJSON(w, http.StatusOK, quoteResponse{
-			ContractID: res.quote.ContractID,
-			Trials:     res.quote.Trials,
-			AAL:        res.quote.AAL,
-			StdDev:     res.quote.StdDev,
-			TVaR99:     res.quote.TVaR99,
-			PML250:     res.quote.PML250,
-			Premium:    res.quote.Premium,
-			ElapsedMS:  float64(res.quote.Elapsed) / float64(time.Millisecond),
+			Quote:     res.quote,
+			ElapsedMS: float64(res.quote.Elapsed) / float64(time.Millisecond),
 		})
 	case <-ctx.Done():
 		// Budget exhausted while queued or mid-simulation; the worker
@@ -354,50 +341,9 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 }
 
 type portfolioResponse struct {
-	Catastrophe summaryJSON `json:"catastrophe"`
-	Enterprise  summaryJSON `json:"enterprise"`
-	Stages      []stageLine `json:"stages"`
-}
-
-// summaryJSON is risk.Summary reshaped for JSON: the float-keyed
-// return-period map (which encoding/json rejects) becomes a sorted
-// slice.
-type summaryJSON struct {
-	Name          string             `json:"name"`
-	Trials        int                `json:"trials"`
-	AAL           float64            `json:"aal"`
-	StdDev        float64            `json:"stddev"`
-	VaR99         float64            `json:"var99"`
-	TVaR99        float64            `json:"tvar99"`
-	VaR995        float64            `json:"var995"`
-	TVaR995       float64            `json:"tvar995"`
-	ReturnPeriods []returnPeriodJSON `json:"return_periods"`
-}
-
-type returnPeriodJSON struct {
-	Years float64 `json:"years"`
-	OEP   float64 `json:"oep"`
-	AEP   float64 `json:"aep"`
-}
-
-func toSummaryJSON(s risk.Summary) summaryJSON {
-	out := summaryJSON{
-		Name:    s.Name,
-		Trials:  s.Trials,
-		AAL:     s.AAL,
-		StdDev:  s.StdDev,
-		VaR99:   s.VaR99,
-		TVaR99:  s.TVaR99,
-		VaR995:  s.VaR995,
-		TVaR995: s.TVaR995,
-	}
-	for years, rl := range s.ReturnPeriods {
-		out.ReturnPeriods = append(out.ReturnPeriods, returnPeriodJSON{Years: years, OEP: rl.OEP, AEP: rl.AEP})
-	}
-	sort.Slice(out.ReturnPeriods, func(i, j int) bool {
-		return out.ReturnPeriods[i].Years < out.ReturnPeriods[j].Years
-	})
-	return out
+	Catastrophe *risk.Summary `json:"catastrophe"`
+	Enterprise  *risk.Summary `json:"enterprise"`
+	Stages      []stageLine   `json:"stages"`
 }
 
 type stageLine struct {
@@ -433,7 +379,7 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	out := portfolioResponse{Catastrophe: toSummaryJSON(rep.Catastrophe), Enterprise: toSummaryJSON(rep.Enterprise)}
+	out := portfolioResponse{Catastrophe: rep.Catastrophe, Enterprise: rep.Enterprise}
 	for _, st := range rep.Stages {
 		out.Stages = append(out.Stages, stageLine{
 			Name:        st.Name,
@@ -502,7 +448,7 @@ func (s *Server) handleCube(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.cubeQueries.Add(1)
-	writeJSON(w, http.StatusOK, toSummaryJSON(sum))
+	writeJSON(w, http.StatusOK, sum)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -42,33 +42,18 @@ type statzResponse struct {
 	Failed      int64   `json:"failed"`
 	P50MS       float64 `json:"p50_ms"`
 	P99MS       float64 `json:"p99_ms"`
-	// Warehouse-cube state and counters (zero/false until the backing
-	// study's first full run materializes a cube).
-	CubeBuilt     bool     `json:"cube_built"`
-	CubeDims      []string `json:"cube_dims,omitempty"`
-	CubeCells     int      `json:"cube_cells"`
-	CubeSizeBytes int64    `json:"cube_size_bytes"`
-	CubeQueries   int64    `json:"cube_queries"`
-	CubeMisses    int64    `json:"cube_misses"`
-	// The backing study's resident quote trial table: its length and
-	// in-memory size, and how many quotes read it as published, grew it
-	// first, or streamed their trials from the generator instead.
-	QuoteTableTrials int   `json:"quote_table_trials"`
-	QuoteTableBytes  int64 `json:"quote_table_bytes"`
-	QuoteTableHits   int64 `json:"quote_table_hits"`
-	QuoteTableGrows  int64 `json:"quote_table_grows"`
-	QuoteStreamed    int64 `json:"quote_streamed"`
+	// Warehouse-cube state (zero/false until the backing study's first
+	// full run materializes a cube) and serve's own cube counters.
+	risk.CubeInfo
+	CubeQueries int64 `json:"cube_queries"`
+	CubeMisses  int64 `json:"cube_misses"`
+	// The backing study's resident quote trial table.
+	risk.QuoteTableInfo
 }
 
 func (st *stats) snapshot(s *Server) statzResponse {
-	var cube risk.CubeInfo
-	var qt risk.QuoteTableInfo
-	if s.study != nil {
-		cube = s.study.CubeInfo()
-		qt = s.study.QuoteTableInfo()
-	}
 	lat := st.lat.sorted()
-	return statzResponse{
+	out := statzResponse{
 		UptimeMS:    float64(time.Since(s.start)) / float64(time.Millisecond),
 		Contracts:   s.q.NumContracts(),
 		Workers:     s.cfg.Workers,
@@ -84,20 +69,14 @@ func (st *stats) snapshot(s *Server) statzResponse {
 		Failed:      st.failed.Load(),
 		P50MS:       float64(quantile(lat, 0.50)) / float64(time.Millisecond),
 		P99MS:       float64(quantile(lat, 0.99)) / float64(time.Millisecond),
-
-		CubeBuilt:     cube.Built,
-		CubeDims:      cube.Dims,
-		CubeCells:     cube.Cells,
-		CubeSizeBytes: cube.SizeBytes,
-		CubeQueries:   st.cubeQueries.Load(),
-		CubeMisses:    st.cubeMisses.Load(),
-
-		QuoteTableTrials: qt.Trials,
-		QuoteTableBytes:  qt.Bytes,
-		QuoteTableHits:   qt.Hits,
-		QuoteTableGrows:  qt.Grows,
-		QuoteStreamed:    qt.Streamed,
+		CubeQueries: st.cubeQueries.Load(),
+		CubeMisses:  st.cubeMisses.Load(),
 	}
+	if s.study != nil {
+		out.CubeInfo = s.study.CubeInfo()
+		out.QuoteTableInfo = s.study.QuoteTableInfo()
+	}
+	return out
 }
 
 // reservoir keeps the most recent latencies in a fixed-size ring and

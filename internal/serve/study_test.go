@@ -237,8 +237,7 @@ func TestStatzSurfacesQuoteTable(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stz); err != nil {
 		t.Fatal(err)
 	}
-	if stz.QuoteTableTrials != 5000 || stz.QuoteTableGrows != 2 || stz.QuoteTableHits != 1 || stz.QuoteStreamed != 0 ||
-		stz.QuoteTableBytes < 8*5001 {
+	if stz.Trials != 5000 || stz.Grows != 2 || stz.Hits != 1 || stz.Streamed != 0 || stz.Bytes < 8*5001 {
 		t.Fatalf("quote table after quotes at 2k, 5k, 2k trials: %+v", stz)
 	}
 }

@@ -47,7 +47,7 @@ func TestCubeQueryMatchesDirectSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := toSummary(direct); !reflect.DeepEqual(served, want) {
+	if want := *direct; !reflect.DeepEqual(served, want) {
 		t.Fatalf("served summary differs from direct Summarize:\nserved %+v\ndirect %+v", served, want)
 	}
 

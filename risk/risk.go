@@ -14,13 +14,19 @@
 //	study := risk.NewStudy(risk.DefaultConfig())
 //	report, err := study.Run(ctx)
 //	// report.Catastrophe.AAL, report.Enterprise.TVaR99, ...
+//	// report.Catastrophe.ReturnRows: OEP and AEP by return period
 //	quote, err := study.PriceContract(ctx, 0, 1_000_000)
+//
+// A summary and a report are the pipeline's own types (Summary is
+// metrics.Summary, Report is core.Report), so the serving tier writes
+// what the pipeline computed without reshaping it.
 package risk
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,49 +109,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Summary is a portfolio risk report.
-type Summary struct {
-	Name    string
-	Trials  int
-	AAL     float64
-	StdDev  float64
-	VaR99   float64
-	TVaR99  float64
-	VaR995  float64
-	TVaR995 float64
-	// ReturnPeriods maps a return period in years to its (OEP, AEP)
-	// losses; OEP is 0 when occurrence detail is unavailable.
-	ReturnPeriods map[float64]ReturnLosses
-}
+// Summary is a portfolio risk report: metrics' own, tagged with the
+// keys the serving tier writes. Its ReturnRows ascend in return period.
+type Summary = metrics.Summary
 
-// ReturnLosses is one return-period row.
-type ReturnLosses struct{ OEP, AEP float64 }
-
-func toSummary(s *metrics.Summary) Summary {
-	out := Summary{
-		Name: s.Name, Trials: s.Trials, AAL: s.AAL, StdDev: s.AggStdDev,
-		VaR99: s.VaR99, TVaR99: s.TVaR99, VaR995: s.VaR995, TVaR995: s.TVaR995,
-		ReturnPeriods: make(map[float64]ReturnLosses, len(s.ReturnRows)),
-	}
-	for _, r := range s.ReturnRows {
-		out.ReturnPeriods[r.ReturnPeriod] = ReturnLosses{OEP: r.OEP, AEP: r.AEP}
-	}
-	return out
-}
-
-// StageStats reports one pipeline stage's cost.
-type StageStats struct {
-	Name        string
-	Duration    time.Duration
-	OutputBytes int64
-}
-
-// Report is the result of a full study run.
-type Report struct {
-	Stages      []StageStats
-	Catastrophe Summary
-	Enterprise  Summary
-}
+// Report is the result of a full study run: the pipeline's own.
+type Report = core.Report
 
 // Study is a configured pipeline instance. Create with NewStudy.
 //
@@ -245,19 +214,10 @@ func (s *Study) Run(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 	s.ran = true
-	out := &Report{
-		Catastrophe: toSummary(rep.Catastrophe),
-		Enterprise:  toSummary(rep.Enterprise),
-	}
-	for _, st := range rep.Stages {
-		out.Stages = append(out.Stages, StageStats{
-			Name: st.Name, Duration: st.Duration, OutputBytes: st.OutputBytes,
-		})
-	}
 	s.cubeMu.Lock()
 	s.cube = p.Cube
 	s.cubeMu.Unlock()
-	return out, nil
+	return rep, nil
 }
 
 // ErrCubeNotBuilt is returned by the cube query methods before a cube
@@ -281,8 +241,9 @@ func (s *Study) cubeHandle() (*warehouse.Cube, error) {
 
 // CubeQuery serves a pre-computed risk summary from the warehouse
 // cube for a dimension filter such as {"region": "coastal"} — a
-// dictionary lookup, no simulation. Safe to call concurrently with
-// other methods once a Run has completed.
+// dictionary lookup, no simulation. The answer is a copy: concurrent
+// queries share the cell. Safe to call concurrently with other methods
+// once a Run has completed.
 func (s *Study) CubeQuery(filter map[string]string) (Summary, error) {
 	cube, err := s.cubeHandle()
 	if err != nil {
@@ -292,7 +253,9 @@ func (s *Study) CubeQuery(filter map[string]string) (Summary, error) {
 	if err != nil {
 		return Summary{}, fmt.Errorf("%w: %v", ErrNoCubeCell, err)
 	}
-	return toSummary(cell.Summary), nil
+	sum := *cell.Summary
+	sum.ReturnRows = slices.Clone(sum.ReturnRows)
+	return sum, nil
 }
 
 // CubeQueryDirect re-derives the same summary from the cube's
@@ -311,16 +274,16 @@ func (s *Study) CubeQueryDirect(filter map[string]string) (Summary, error) {
 		}
 		return Summary{}, err
 	}
-	return toSummary(sum), nil
+	return *sum, nil
 }
 
 // CubeInfo describes the study's materialized cube for stats
 // endpoints.
 type CubeInfo struct {
-	Built     bool
-	Dims      []string
-	Cells     int
-	SizeBytes int64
+	Built     bool     `json:"cube_built"`
+	Dims      []string `json:"cube_dims,omitempty"`
+	Cells     int      `json:"cube_cells"`
+	SizeBytes int64    `json:"cube_size_bytes"`
 }
 
 // CubeInfo reports the cube's shape (zero value before a cube
@@ -351,17 +314,17 @@ func (s *Study) CatastropheLosses() ([]float64, error) {
 // typical contract only takes 25 seconds and can therefore support
 // real-time pricing", §II).
 type Quote struct {
-	ContractID uint32
-	Trials     int
-	AAL        float64
-	StdDev     float64
-	TVaR99     float64
-	PML250     float64
+	ContractID uint32  `json:"contract_id"`
+	Trials     int     `json:"trials"`
+	AAL        float64 `json:"aal"`
+	StdDev     float64 `json:"stddev"`
+	TVaR99     float64 `json:"tvar99"`
+	PML250     float64 `json:"pml250"`
 	// Premium is a standard-deviation-loaded technical premium:
 	// AAL + 0.35·σ.
-	Premium float64
+	Premium float64 `json:"premium"`
 	// Elapsed is the wall-clock simulation time for the quote.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"-"`
 }
 
 // NumContracts reports how many contracts the study's book holds (the
@@ -499,12 +462,14 @@ func (s *Study) quoteTrials(ctx context.Context, p *core.Pipeline, n int) (yelt.
 type QuoteTableInfo struct {
 	// Trials and Bytes are the published table's length and in-memory
 	// size (both 0 before the first quote).
-	Trials int
-	Bytes  int64
+	Trials int   `json:"quote_table_trials"`
+	Bytes  int64 `json:"quote_table_bytes"`
 	// Hits counts quotes read from the table as published, Grows those
 	// that lengthened it first, Streamed those that took the fused
 	// generator instead (a trial count beyond the table's byte budget).
-	Hits, Grows, Streamed int64
+	Hits     int64 `json:"quote_table_hits"`
+	Grows    int64 `json:"quote_table_grows"`
+	Streamed int64 `json:"quote_streamed"`
 }
 
 // QuoteTableInfo reports the resident quote trial table and its
@@ -621,5 +586,5 @@ func (s *Study) IntegrateEnterprise(ctx context.Context, sources []dfa.Source, r
 	if err != nil {
 		return Summary{}, err
 	}
-	return toSummary(sum), nil
+	return *sum, nil
 }

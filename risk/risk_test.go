@@ -2,8 +2,11 @@ package risk
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func smallConfig(seed uint64) Config {
@@ -33,11 +36,12 @@ func TestStudyRun(t *testing.T) {
 	if rep.Catastrophe.TVaR99 < rep.Catastrophe.VaR99 {
 		t.Fatal("TVaR < VaR")
 	}
-	if len(rep.Catastrophe.ReturnPeriods) == 0 {
+	rows := rep.Catastrophe.ReturnRows
+	if len(rows) == 0 {
 		t.Fatal("no return periods")
 	}
-	if rp, ok := rep.Catastrophe.ReturnPeriods[100]; !ok || rp.AEP <= 0 {
-		t.Fatalf("100-year AEP missing or zero: %+v", rep.Catastrophe.ReturnPeriods)
+	if i := slices.IndexFunc(rows, func(r metrics.ReturnRow) bool { return r.ReturnPeriod == 100 }); i < 0 || rows[i].AEP <= 0 {
+		t.Fatalf("100-year AEP missing or zero: %+v", rows)
 	}
 }
 
