@@ -9,10 +9,13 @@ import (
 	"time"
 )
 
-// The backoff schedule is a pure function of (config, split, attempt):
+// The backoff schedule is a pure function of (seed, split, attempt):
 // capped exponential with jitter in [d/2, d), replayable run to run.
 func TestBackoffDelayDeterministicAndCapped(t *testing.T) {
-	cfg := Config{RetryBaseDelay: time.Millisecond, RetryMaxDelay: 64 * time.Millisecond, RetrySeed: 42}.normalized()
+	if retryBaseDelay<<8 < retryMaxDelay {
+		t.Fatal("attempt 9 no longer reaches the cap: the attempts below miss the capped regime")
+	}
+	cfg := Config{RetrySeed: 42}
 	for attempt := 1; attempt <= 12; attempt++ {
 		for split := 0; split < 5; split++ {
 			d1 := backoffDelay(cfg, split, attempt)
@@ -20,9 +23,9 @@ func TestBackoffDelayDeterministicAndCapped(t *testing.T) {
 			if d1 != d2 {
 				t.Fatalf("attempt %d split %d: %v != %v (jitter not deterministic)", attempt, split, d1, d2)
 			}
-			nominal := cfg.RetryMaxDelay
+			nominal := retryMaxDelay
 			if shift := attempt - 1; shift < 20 {
-				if b := cfg.RetryBaseDelay << shift; b < nominal {
+				if b := retryBaseDelay << shift; b < nominal {
 					nominal = b
 				}
 			}
@@ -45,22 +48,18 @@ func TestBackoffDelayDeterministicAndCapped(t *testing.T) {
 	}
 }
 
-// A pending retry backoff must not delay cancellation: the job returns
-// promptly even when the next retry is scheduled far in the future.
+// A pending retry backoff must not delay cancellation: the sleep every
+// backoff takes returns promptly even when it is far longer than the
+// time to cancellation.
 func TestBackoffDoesNotDelayCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	mapf := func(context.Context, int) ([]kv, error) {
-		return nil, errors.New("always failing")
-	}
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := sumJob(ctx, []int{0}, mapf,
-		Config{MaxAttempts: 10, RetryBaseDelay: 30 * time.Second, RetryMaxDelay: 30 * time.Second})
-	if err == nil {
-		t.Fatal("cancelled job should error")
+	if err := sleepCtx(ctx, 30*time.Second); err == nil {
+		t.Fatal("cancelled sleep should error")
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("cancellation took %v; backoff sleep is not context-aware", el)
@@ -219,10 +218,9 @@ func TestSpeculativeBackupWins(t *testing.T) {
 	}
 	var stats Stats
 	cfg := Config{
-		Mappers:        4,
-		Speculate:      true,
-		SpecMultiplier: 1.5,
-		Stats:          &stats,
+		Mappers:   4,
+		Speculate: true,
+		Stats:     &stats,
 	}
 	splits := seq(12)
 	done := make(chan struct{})

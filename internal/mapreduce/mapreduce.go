@@ -53,16 +53,8 @@ type Config struct {
 	// MaxAttempts per map task (>= 1). Transient map failures are
 	// retried up to this bound.
 	MaxAttempts int
-	// RetryBaseDelay is the backoff before the first retry; each later
-	// retry doubles it up to RetryMaxDelay. Defaults: 1ms base, 250ms
-	// cap. The actual sleep is jittered to 50–100% of the nominal
-	// delay, deterministically from (RetrySeed, split, attempt), so
-	// retry storms decorrelate without a global RNG making runs
-	// unreproducible. Backoff sleeps watch the context: cancellation
-	// is never delayed by a pending retry.
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// RetrySeed seeds the deterministic backoff jitter.
+	// RetrySeed seeds the deterministic backoff jitter (see
+	// retryBaseDelay).
 	RetrySeed uint64
 	// Nodes, with NodeOf, turns on locality-aware lane scheduling:
 	// mapper w belongs to node w mod Nodes, and split i is queued on
@@ -91,15 +83,11 @@ type Config struct {
 	// (faultinject.Plan.SplitDelay). The sleep watches the context.
 	TaskDelay func(split int) time.Duration
 	// Speculate launches a backup attempt for a split whose runtime
-	// exceeds SpecMultiplier × the SpecQuantile-quantile of completed
-	// task durations (once SpecMinDone tasks have completed), on a
+	// exceeds specMultiplier × the specQuantile-quantile of completed
+	// task durations (once specMinDone tasks have completed), on a
 	// worker that would otherwise idle. First finisher wins; the
-	// loser's result is discarded. Defaults: quantile 0.75,
-	// multiplier 2, min done 3.
-	Speculate      bool
-	SpecQuantile   float64
-	SpecMultiplier float64
-	SpecMinDone    int
+	// loser's result is discarded.
+	Speculate bool
 	// Stats, if non-nil, accumulates failure/retry/speculation counters
 	// for the run (added to, not reset — callers aggregate across jobs).
 	Stats *Stats
@@ -125,27 +113,30 @@ type Stats struct {
 	WorkersLost atomic.Int64
 }
 
+// The retry backoff is retryBaseDelay before the first retry, doubling
+// with each later one up to retryMaxDelay. The actual sleep is jittered
+// to 50–100% of the nominal delay, deterministically from (RetrySeed,
+// split, attempt), so retry storms decorrelate without a global RNG
+// making runs unreproducible. Backoff sleeps watch the context:
+// cancellation is never delayed by a pending retry.
+const (
+	retryBaseDelay = time.Millisecond
+	retryMaxDelay  = 250 * time.Millisecond
+)
+
+// The straggler threshold of Config.Speculate.
+const (
+	specQuantile   = 0.75
+	specMultiplier = 2
+	specMinDone    = 3
+)
+
 func (c Config) normalized() Config {
 	if c.Mappers <= 0 {
 		c.Mappers = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 1
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = time.Millisecond
-	}
-	if c.RetryMaxDelay <= 0 {
-		c.RetryMaxDelay = 250 * time.Millisecond
-	}
-	if c.SpecQuantile <= 0 || c.SpecQuantile > 1 {
-		c.SpecQuantile = 0.75
-	}
-	if c.SpecMultiplier <= 0 {
-		c.SpecMultiplier = 2
-	}
-	if c.SpecMinDone <= 0 {
-		c.SpecMinDone = 3
 	}
 	return c
 }
@@ -245,16 +236,16 @@ func (c *specCtl) complete(i int, d time.Duration) {
 
 // candidate returns the longest-running eligible split past the
 // straggler threshold, if any.
-func (c *specCtl) candidate(cfg Config, eligible func(int) bool) (int, bool) {
+func (c *specCtl) candidate(eligible func(int) bool) (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.durs) < cfg.SpecMinDone || len(c.running) == 0 {
+	if len(c.durs) < specMinDone || len(c.running) == 0 {
 		return 0, false
 	}
 	sorted := append([]time.Duration(nil), c.durs...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	q := sorted[int(cfg.SpecQuantile*float64(len(sorted)-1))]
-	thr := time.Duration(float64(q) * cfg.SpecMultiplier)
+	q := sorted[int(specQuantile*float64(len(sorted)-1))]
+	thr := time.Duration(float64(q) * specMultiplier)
 	if thr < time.Millisecond {
 		// Floor: with microsecond tasks, an OS scheduling hiccup would
 		// otherwise look like a straggler.
@@ -496,7 +487,7 @@ func runLanes(ctx context.Context, n int, cfg Config, stats *Stats,
 					// nothing useful left for this one.
 					return
 				}
-				i, ok := ctl.candidate(cfg, func(s int) bool {
+				i, ok := ctl.candidate(func(s int) bool {
 					return !states[s].spec.Load() && !states[s].done.Load()
 				})
 				if ok && states[i].spec.CompareAndSwap(false, true) {
@@ -534,13 +525,13 @@ func sleepBackoff(ctx context.Context, cfg Config, split, attempt int) error {
 }
 
 // backoffDelay is the pure delay schedule: base·2^(attempt-1) capped at
-// RetryMaxDelay, jittered to 50–100% of nominal by a hash of
+// retryMaxDelay, jittered to 50–100% of nominal by a hash of
 // (RetrySeed, split, attempt) — the same run replays the same sleeps,
 // different splits decorrelate.
 func backoffDelay(cfg Config, split, attempt int) time.Duration {
-	d := cfg.RetryMaxDelay
+	d := retryMaxDelay
 	if shift := attempt - 1; shift < 20 {
-		if base := cfg.RetryBaseDelay << shift; base < d {
+		if base := retryBaseDelay << shift; base < d {
 			d = base
 		}
 	}

@@ -163,7 +163,10 @@ var keptUnsettable = []struct{ name, reason string }{
 // code behind such a field runs with one value for every program, so
 // the field is either a constant or dead. A write is a composite-literal
 // key (or a positional literal of the struct), an assignment or ++/--
-// through the field, or taking its address. Fields with a json tag (a
+// through the field, or taking its address — except through a function's
+// own copy: a field reached from a struct-typed, non-pointer receiver or
+// parameter with no pointer in between, as in a defaulting method's
+// c.X = default, which no caller sees. Fields with a json tag (a
 // decoder writes them) and fields of sync/atomic types (written through
 // methods) are exempt; embedded fields are not options and are skipped.
 func TestNoUnsettableOptions(t *testing.T) {
@@ -208,12 +211,34 @@ type fieldScan struct {
 func (fs *fieldScan) addPackage(p *listedPkg, files []*ast.File, info *types.Info) {
 	guarded := strings.Contains(p.ImportPath, "/internal/") || strings.HasSuffix(p.ImportPath, "/risk")
 	writes := map[*ast.Ident]bool{}
+	// copies holds the struct-typed, non-pointer receivers and
+	// parameters: each is its function's own copy of the caller's value.
+	copies := map[types.Object]bool{}
+	// inCopy reports whether e is one of copies, or a field of one
+	// selected without going through a pointer.
+	var inCopy func(e ast.Expr) bool
+	inCopy = func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return copies[info.Uses[e]]
+		case *ast.ParenExpr:
+			return inCopy(e.X)
+		case *ast.SelectorExpr:
+			sel := info.Selections[e]
+			return sel != nil && sel.Kind() == types.FieldVal && !sel.Indirect() && inCopy(e.X)
+		}
+		return false
+	}
 	// spine marks the fields an assignment goes through: x.A.B[i] = v
-	// sets B and changes A.
+	// sets B and changes A. A write into a function's own copy sets
+	// nothing.
 	var spine func(e ast.Expr)
 	spine = func(e ast.Expr) {
 		switch e := e.(type) {
 		case *ast.SelectorExpr:
+			if inCopy(e) {
+				return
+			}
 			writes[e.Sel] = true
 			spine(e.X)
 		case *ast.IndexExpr:
@@ -226,9 +251,28 @@ func (fs *fieldScan) addPackage(p *listedPkg, files []*ast.File, info *types.Inf
 			spine(e.X)
 		}
 	}
+	addCopies := func(fl *ast.FieldList) {
+		if fl == nil {
+			return
+		}
+		for _, field := range fl.List {
+			for _, name := range field.Names {
+				if obj := info.Defs[name]; obj != nil {
+					if _, ok := obj.Type().Underlying().(*types.Struct); ok {
+						copies[obj] = true
+					}
+				}
+			}
+		}
+	}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				addCopies(n.Recv)
+				addCopies(n.Type.Params)
+			case *ast.FuncLit:
+				addCopies(n.Type.Params)
 			case *ast.TypeSpec:
 				if st, ok := n.Type.(*ast.StructType); ok && guarded {
 					fs.declare(p.Name+"."+n.Name.Name, st, info)
@@ -419,6 +463,9 @@ func (im *repoImporter) Import(path string) (*types.Package, error) {
 		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
 		Types: map[ast.Expr]types.TypeAndValue{},
+		// Selections tells a field of a receiver's own copy from one
+		// reached through a pointer (see fieldScan.addPackage).
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	tp, err := (&types.Config{Importer: im}).Check(path, im.s.fset, files, info)
 	if err != nil {
