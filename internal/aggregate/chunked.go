@@ -251,36 +251,36 @@ func (c *Chunked) Run(ctx context.Context, in *Input, cfg Config) (*Result, erro
 // of bn trials: the naive global-memory form, or the chunked
 // shared-memory form staging occurrences and loss-vector chunks.
 func (c *Chunked) buildKernel(bn, tpb, shared, numRows int, occBuf, offBuf, aggVecBuf, occVecBuf, outAgg, outMax gpusim.Buffer) func(*gpusim.BlockCtx) {
+	// naiveTrials runs trials [lo, hi) straight from global memory.
+	naiveTrials := func(b *gpusim.BlockCtx, lo, hi int) {
+		for trial := lo; trial < hi; trial++ {
+			start := int(b.LoadGlobal(offBuf, trial))
+			end := int(b.LoadGlobal(offBuf, trial+1))
+			var agg, max float64
+			for i := start; i < end; i++ {
+				rid := int(b.LoadGlobal(occBuf, i))
+				b.AddArith(1)
+				if rid < 0 {
+					// Event never produced a loss on any contract: no
+					// index row, nothing to add (mirrors the host
+					// engines' empty index probe).
+					continue
+				}
+				agg += b.LoadGlobal(aggVecBuf, rid)
+				o := b.LoadGlobal(occVecBuf, rid)
+				b.AddArith(2)
+				if o > max {
+					max = o
+				}
+			}
+			b.StoreGlobal(outAgg, trial, agg)
+			b.StoreGlobal(outMax, trial, max)
+		}
+	}
 	if c.Naive {
 		return func(b *gpusim.BlockCtx) {
 			lo := b.BlockID * tpb
-			hi := lo + tpb
-			if hi > bn {
-				hi = bn
-			}
-			for trial := lo; trial < hi; trial++ {
-				start := int(b.LoadGlobal(offBuf, trial))
-				end := int(b.LoadGlobal(offBuf, trial+1))
-				var agg, max float64
-				for i := start; i < end; i++ {
-					rid := int(b.LoadGlobal(occBuf, i))
-					b.AddArith(1)
-					if rid < 0 {
-						// Event never produced a loss on any contract:
-						// no index row, nothing to add (mirrors the host
-						// engines' empty index probe).
-						continue
-					}
-					agg += b.LoadGlobal(aggVecBuf, rid)
-					o := b.LoadGlobal(occVecBuf, rid)
-					b.AddArith(2)
-					if o > max {
-						max = o
-					}
-				}
-				b.StoreGlobal(outAgg, trial, agg)
-				b.StoreGlobal(outMax, trial, max)
-			}
+			naiveTrials(b, lo, min(lo+tpb, bn))
 		}
 	}
 	// Chunked kernel: stage the block's occurrences into shared
@@ -289,17 +289,11 @@ func (c *Chunked) buildKernel(bn, tpb, shared, numRows int, occBuf, offBuf, aggV
 	// chunk. Per-trial accumulators live in "registers" (locals).
 	return func(b *gpusim.BlockCtx) {
 		lo := b.BlockID * tpb
-		hi := lo + tpb
-		if hi > bn {
-			hi = bn
-		}
+		hi := min(lo+tpb, bn)
 		nTrials := hi - lo
 		start := int(b.LoadGlobal(offBuf, lo))
 		end := int(b.LoadGlobal(offBuf, hi))
 		nOccs := end - start
-
-		agg := make([]float64, nTrials)
-		max := make([]float64, nTrials)
 
 		// Shared layout: [occurrences][trial bounds][vector chunk×2].
 		occBase := 0
@@ -310,29 +304,11 @@ func (c *Chunked) buildKernel(bn, tpb, shared, numRows int, occBuf, offBuf, aggV
 			// memory: degrade to the naive global path for this
 			// block rather than faulting — the shape a real kernel
 			// guards with a launch-bounds check.
-			for t := 0; t < nTrials; t++ {
-				s := int(b.LoadGlobal(offBuf, lo+t))
-				e := int(b.LoadGlobal(offBuf, lo+t+1))
-				for i := s; i < e; i++ {
-					rid := int(b.LoadGlobal(occBuf, i))
-					b.AddArith(1)
-					if rid < 0 {
-						continue
-					}
-					agg[t] += b.LoadGlobal(aggVecBuf, rid)
-					o := b.LoadGlobal(occVecBuf, rid)
-					b.AddArith(2)
-					if o > max[t] {
-						max[t] = o
-					}
-				}
-			}
-			for t := 0; t < nTrials; t++ {
-				b.StoreGlobal(outAgg, lo+t, agg[t])
-				b.StoreGlobal(outMax, lo+t, max[t])
-			}
+			naiveTrials(b, lo, hi)
 			return
 		}
+		agg := make([]float64, nTrials)
+		max := make([]float64, nTrials)
 		chunkCap := (shared - chunkBase) / 2
 		if chunkCap < 64 {
 			// Degenerate: occurrences crowd out the staging area;
