@@ -58,6 +58,11 @@ func TestCubeQueryMatchesDirectSummarize(t *testing.T) {
 	if !reflect.DeepEqual(served, fromRegistry) {
 		t.Fatalf("CubeQueryDirect differs from CubeQuery:\n%+v\n%+v", served, fromRegistry)
 	}
+	// An answer is the caller's: writing to it leaves the shared cell.
+	served.ReturnRows[0].AEP = -1
+	if again, err := study.CubeQuery(filter); err != nil || !reflect.DeepEqual(again, fromRegistry) {
+		t.Fatalf("a caller's write reached the cube cell: %+v (%v)", again, err)
+	}
 
 	if _, err := study.CubeQuery(map[string]string{"region": "atlantis"}); !errors.Is(err, ErrNoCubeCell) {
 		t.Fatalf("missing cell: err = %v", err)
