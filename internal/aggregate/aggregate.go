@@ -384,6 +384,7 @@ func EngineByName(name string, device bool) (Engine, error) {
 // is ready to use.
 type trialScratch struct {
 	blockAgg []float64
+	spanPos  []int32
 	spanLo   []int32
 	spanHi   []int32
 	spanSum  []float64

@@ -13,7 +13,9 @@ import (
 //   - The per-occurrence span resolution (Flat.Span: a rowOf probe plus
 //     two offset loads) is hoisted out of the trial loop into one
 //     event-major pass over the block's contiguous occurrence stream,
-//     so the accumulation loops consume precomputed [lo, hi) spans.
+//     so the accumulation loops consume precomputed [lo, hi) spans. The
+//     entry-structured paths keep only the hits, the occurrences whose
+//     event carries a loss in the book, and walk nothing else.
 //   - The per-trial accumulators are rows of one contiguous
 //     block×NumLayers matrix, zeroed with a single bulk clear per block
 //     instead of one clear per trial, and the annual-terms columns are
@@ -53,17 +55,20 @@ func (cfg Config) trialBlock() int {
 // blockBufs returns the blocked kernel's per-block scratch: the
 // block×NumLayers accumulator matrix (zeroed by the caller) and the
 // span staging arrays for nOccs occurrences, grown on demand and
-// reused across blocks.
-func (s *trialScratch) blockBufs(cells, nOccs int) (blockAgg []float64, spanLo, spanHi []int32, spanSum []float64) {
+// reused across blocks. spanPos holds the hit list's stream positions
+// (hits.stage), spanSum the dense path's occurrence sums
+// (stageExpSpans).
+func (s *trialScratch) blockBufs(cells, nOccs int) (blockAgg []float64, spanPos, spanLo, spanHi []int32, spanSum []float64) {
 	if cap(s.blockAgg) < cells {
 		s.blockAgg = make([]float64, cells)
 	}
 	if cap(s.spanLo) < nOccs {
+		s.spanPos = make([]int32, nOccs)
 		s.spanLo = make([]int32, nOccs)
 		s.spanHi = make([]int32, nOccs)
 		s.spanSum = make([]float64, nOccs)
 	}
-	return s.blockAgg[:cells], s.spanLo[:nOccs], s.spanHi[:nOccs], s.spanSum[:nOccs]
+	return s.blockAgg[:cells], s.spanPos[:nOccs], s.spanLo[:nOccs], s.spanHi[:nOccs], s.spanSum[:nOccs]
 }
 
 // blockCABuf returns the annual stage's per-trial contract-sum
@@ -101,7 +106,7 @@ func runBatchBlocked(fx *lossindex.Flat, in *Input, cfg Config, batch *yelt.Tabl
 		t1 := min(t0+block, batch.NumTrials)
 		n := t1 - t0
 		nOccs := int(offs[t1] - offs[t0])
-		blockAgg, spanLo, spanHi, spanSum := scratch.blockBufs(n*nl, nOccs)
+		blockAgg, spanPos, spanLo, spanHi, spanSum := scratch.blockBufs(n*nl, nOccs)
 		for i := range blockAgg {
 			blockAgg[i] = 0
 		}
@@ -123,18 +128,19 @@ func runBatchBlocked(fx *lossindex.Flat, in *Input, cfg Config, batch *yelt.Tabl
 		// the per-occurrence span work is paid here once, not inside the
 		// trial loop. The dense expected path stages ExpRec-frame
 		// coordinates plus the precomputed per-event occurrence sum; the
-		// entry-structured paths (sampling, per-contract maxima) stage
-		// entry spans.
+		// entry-structured paths (sampling, per-contract maxima) stage the
+		// entry spans of the hits only.
 		stream := batch.Occs[offs[t0]:offs[t1]]
 		if !cfg.Sampling && pco == nil {
 			stageExpSpans(stream, fx, spanLo, spanHi, spanSum)
 			blockExpectedDense(batch, t0, t1, fx, nl, blockAgg, spanLo, spanHi, spanSum, occOut)
 		} else {
-			stageSpans(stream, fx, spanLo, spanHi)
+			h := hits{pos: spanPos, lo: spanLo, hi: spanHi}
+			h.stage(stream, fx)
 			if cfg.Sampling {
-				blockSampledOccurrences(batch, t0, t1, fx, cfg.Seed, base, nl, nc, blockAgg, spanLo, spanHi, occOut, pco)
+				blockSampledOccurrences(batch, t0, t1, fx, cfg.Seed, base, nl, nc, blockAgg, h, occOut, pco)
 			} else {
-				blockExpectedOccurrences(batch, t0, t1, fx, nl, nc, blockAgg, spanLo, spanHi, occOut, pco)
+				blockExpectedOccurrences(batch, t0, t1, fx, nl, nc, blockAgg, h, occOut, pco)
 			}
 		}
 		blockAnnual(fx, n, nl, blockAgg, aggOut, pc, nc, scratch.blockCABuf(n))
@@ -152,14 +158,42 @@ func runBatchBlocked(fx *lossindex.Flat, in *Input, cfg Config, batch *yelt.Tabl
 	}
 }
 
-// stageSpans resolves the packed-entry span of every occurrence in the
-// stream — the blocked kernel's event-major pre-pass.
-func stageSpans(occs []yelt.Occurrence, fx *lossindex.Flat, spanLo, spanHi []int32) {
-	spanLo = spanLo[:len(occs)]
-	spanHi = spanHi[:len(occs)]
+// hits is a block's hit list: the occurrences of its stream whose
+// event carries a loss in the book (a non-empty entry span), in stream
+// order. Hit j is occurrence pos[j] of the stream, counted from the
+// block's first, with entry span [lo[j], hi[j]).
+type hits struct {
+	pos, lo, hi []int32
+}
+
+// stage resolves the entry span of every occurrence in the stream — the
+// blocked kernel's event-major pre-pass — and keeps the hits, cutting
+// the lists to their number. The append has no branch on the span:
+// every occurrence is written at the next free slot, which advances by
+// one only for a hit (a conditional move: on a one-contract book about
+// four occurrences in five miss, in no pattern a branch predictor could
+// learn). The lists must be at least as long as the stream.
+func (h *hits) stage(occs []yelt.Occurrence, fx *lossindex.Flat) {
+	pos, lo, hi := h.pos[:len(occs)], h.lo[:len(occs)], h.hi[:len(occs)]
+	n := 0
 	for i := range occs {
-		spanLo[i], spanHi[i] = fx.Span(occs[i].EventID)
+		l, u := fx.Span(occs[i].EventID)
+		pos[n], lo[n], hi[n] = int32(i), l, u
+		if l < u {
+			n++
+		}
 	}
+	h.pos, h.lo, h.hi = pos[:n], lo[:n], hi[:n]
+}
+
+// next returns the end of one trial's run of hits: given cur, the index
+// of the trial's first hit (if it has any), the index of the first hit
+// at or beyond end, the trial's end in the stream.
+func (h hits) next(cur int, end int32) int {
+	for cur < len(h.pos) && h.pos[cur] < end {
+		cur++
+	}
+	return cur
 }
 
 // stageExpSpans resolves, for every occurrence in the stream, the
@@ -208,47 +242,36 @@ func blockExpectedDense(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl int, b
 }
 
 // blockExpectedOccurrences is the blocked expected-mode occurrence
-// stage: for each trial of the block, gather the pre-applied
-// recoveries of its occurrences' (pre-staged) spans into the trial's
-// accumulator row, entries ascending and layers in declaration order
-// within each, through a length-pinned destination re-slice.
-func blockExpectedOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl, nc int, blockAgg []float64, spanLo, spanHi []int32, occMaxOut, pco []float64) {
+// stage with per-contract maxima (without them, the dense path runs):
+// for each trial of the block, gather the pre-applied recoveries of its
+// hits' spans into the trial's accumulator row, entries ascending and
+// layers in declaration order within each, through a length-pinned
+// destination re-slice. A miss would add nothing and raise no maximum,
+// so walking only the hits changes no bit.
+func blockExpectedOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl, nc int, blockAgg []float64, hs hits, occMaxOut, pco []float64) {
 	expOff, expRec, expSum := fx.ExpOff, fx.ExpRec, fx.ExpSum
 	layerOff, contract := fx.LayerOff, fx.Contract
 	offs := b.Offsets
 	streamBase := offs[t0]
+	h0 := 0
 	for t := t0; t < t1; t++ {
+		h1 := hs.next(h0, int32(offs[t+1]-streamBase))
 		row := blockAgg[(t-t0)*nl : (t-t0)*nl+nl]
-		var pcoRow []float64
-		if pco != nil {
-			pcoRow = pco[(t-t0)*nc : (t-t0)*nc+nc]
-		}
+		pcoRow := pco[(t-t0)*nc : (t-t0)*nc+nc]
 		var occMax float64
-		for o := int(offs[t] - streamBase); o < int(offs[t+1]-streamBase); o++ {
+		for o := h0; o < h1; o++ {
 			var portfolioOccLoss float64
-			if pcoRow == nil {
-				for k := spanLo[o]; k < spanHi[o]; k++ {
-					rec := expRec[expOff[k]:expOff[k+1]]
-					dst := row[layerOff[k]:]
-					dst = dst[:len(rec)]
-					for j, r := range rec {
-						dst[j] += r
-					}
-					portfolioOccLoss += expSum[k]
+			for k := hs.lo[o]; k < hs.hi[o]; k++ {
+				rec := expRec[expOff[k]:expOff[k+1]]
+				dst := row[layerOff[k]:]
+				dst = dst[:len(rec)]
+				for j, r := range rec {
+					dst[j] += r
 				}
-			} else {
-				for k := spanLo[o]; k < spanHi[o]; k++ {
-					rec := expRec[expOff[k]:expOff[k+1]]
-					dst := row[layerOff[k]:]
-					dst = dst[:len(rec)]
-					for j, r := range rec {
-						dst[j] += r
-					}
-					s := expSum[k]
-					portfolioOccLoss += s
-					if ci := contract[k]; s > pcoRow[ci] {
-						pcoRow[ci] = s
-					}
+				s := expSum[k]
+				portfolioOccLoss += s
+				if ci := contract[k]; s > pcoRow[ci] {
+					pcoRow[ci] = s
 				}
 			}
 			if portfolioOccLoss > occMax {
@@ -256,6 +279,7 @@ func blockExpectedOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl,
 			}
 		}
 		occMaxOut[t-t0] = occMax
+		h0 = h1
 	}
 }
 
@@ -263,15 +287,23 @@ func blockExpectedOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl,
 // stage. Draw order is sacrosanct — each trial's substream consumes
 // its beta draws in YELT occurrence order — so the walk stays
 // trial-major within the block; the blocked win is the pre-staged
-// spans and the hoisted plan/term columns.
-func blockSampledOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, seed uint64, base, nl, nc int, blockAgg []float64, spanLo, spanHi []int32, occMaxOut, pco []float64) {
+// hits and the hoisted plan/term columns. A miss draws nothing, so
+// walking only the hits leaves every draw where it was, and a trial
+// without hits never seeds its substream.
+func blockSampledOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, seed uint64, base, nl, nc int, blockAgg []float64, hs hits, occMaxOut, pco []float64) {
 	ft := fx.Terms
 	expOff, layerOff, contract := fx.ExpOff, fx.LayerOff, fx.Contract
 	sampleConst, sampleA, sampleB, sampleScale := fx.SampleConst, fx.SampleA, fx.SampleB, fx.SampleScale
 	occRet, occLim := ft.OccRet, ft.OccLim
 	offs := b.Offsets
 	streamBase := offs[t0]
+	h0 := 0
 	for t := t0; t < t1; t++ {
+		h1 := hs.next(h0, int32(offs[t+1]-streamBase))
+		if h0 == h1 {
+			occMaxOut[t-t0] = 0
+			continue
+		}
 		st := rng.NewStream(seed, uint64(base+t))
 		row := blockAgg[(t-t0)*nl : (t-t0)*nl+nl]
 		var pcoRow []float64
@@ -279,9 +311,9 @@ func blockSampledOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, seed
 			pcoRow = pco[(t-t0)*nc : (t-t0)*nc+nc]
 		}
 		var occMax float64
-		for o := int(offs[t] - streamBase); o < int(offs[t+1]-streamBase); o++ {
+		for o := h0; o < h1; o++ {
 			var portfolioOccLoss float64
-			for k := spanLo[o]; k < spanHi[o]; k++ {
+			for k := hs.lo[o]; k < hs.hi[o]; k++ {
 				loss := sampleConst[k]
 				if a := sampleA[k]; a > 0 {
 					loss = sampleScale[k] * st.Beta(a, sampleB[k])
@@ -314,6 +346,7 @@ func blockSampledOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, seed
 			}
 		}
 		occMaxOut[t-t0] = occMax
+		h0 = h1
 	}
 }
 

@@ -676,11 +676,12 @@ func (p *Pipeline) Run(ctx context.Context) (*Report, error) {
 }
 
 // ReportViews builds the two reports' views from a stage-3 result with
-// two column sorts instead of four: the catastrophe view takes its
-// sorted aggregate column from the rank transform (res.CatSorted) and
-// sorts only OccMax; the enterprise view sorts only its aggregate column
-// and shares the catastrophe view's sorted OccMax, of which its own is a
-// copy.
+// two column copies instead of four: the catastrophe view reads its
+// aggregate column as the rank transform sorted it (res.CatSorted) and
+// selects only in OccMax; the enterprise view selects in its own
+// aggregate column and shares the catastrophe view's OccMax curve, of
+// whose column its own is a copy. The two views share a curve that
+// reorders itself as it selects, so they are read by one goroutine.
 func ReportViews(res *dfa.Result) (cat, enterprise *metrics.View, err error) {
 	if cat, err = metrics.NewViewSorted(res.Cat, res.CatSorted, nil); err != nil {
 		return nil, nil, fmt.Errorf("core: cat view: %w", err)

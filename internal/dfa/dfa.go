@@ -344,8 +344,8 @@ type Result struct {
 	// Cat is the input catastrophe YLT (coordinate 0).
 	Cat *ylt.Table
 	// CatSorted is Cat.Agg in ascending order — a by-product of the rank
-	// transform, handed on so that the catastrophe report does not sort
-	// the column again (metrics.NewViewSorted).
+	// transform, handed on so that the catastrophe report reads its order
+	// statistics from it directly (metrics.NewViewSorted).
 	CatSorted []float64
 	// PerSource holds one YLT per non-cat source, in input order. It is
 	// nil unless Config.KeepPerSource was set.

@@ -75,7 +75,9 @@ func Quantile(xs []float64, q float64) (float64, error) {
 }
 
 // QuantileSorted returns the q-quantile of an ascending-sorted slice
-// using linear interpolation (type-7). q outside [0,1] is clamped.
+// using linear interpolation (type-7). q outside [0,1] is clamped, and
+// a NaN q gives NaN. It reads sorted[0] at q ≤ 0, and otherwise the two
+// ranks QuantileRank names or, where it names none, sorted[n-1].
 // It panics on empty input: callers on the hot path are expected to
 // have validated once up front.
 func QuantileSorted(sorted []float64, q float64) float64 {
@@ -83,19 +85,32 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	if n == 0 {
 		panic("mathx: QuantileSorted on empty slice")
 	}
+	if q != q {
+		return math.NaN()
+	}
 	if q <= 0 {
 		return sorted[0]
 	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	h := q * float64(n-1)
-	i := int(h)
-	frac := h - float64(i)
-	if i+1 >= n {
+	i, frac, ok := QuantileRank(n, q)
+	if !ok {
 		return sorted[n-1]
 	}
 	return sorted[i] + frac*(sorted[i+1]-sorted[i])
+}
+
+// QuantileRank says where QuantileSorted reads the q-quantile of n
+// sorted elements: between ranks i and i+1, with weight frac on the
+// upper one, when ok; at an endpoint when not, which is when q is not
+// inside (0, 1) (NaN included) or the upper rank would be past the last.
+func QuantileRank(n int, q float64) (i int, frac float64, ok bool) {
+	if !(q > 0 && q < 1) {
+		return 0, 0, false
+	}
+	h := q * float64(n-1)
+	if i = int(h); i+1 >= n {
+		return 0, 0, false
+	}
+	return i, h - float64(i), true
 }
 
 // Clamp limits x to the closed interval [lo, hi].

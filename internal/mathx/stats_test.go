@@ -107,3 +107,16 @@ func TestClampLerp(t *testing.T) {
 		t.Error("Clamp broken")
 	}
 }
+
+// A NaN level has no rank: QuantileRank names none and QuantileSorted
+// returns NaN instead of indexing at int(NaN).
+func TestQuantileSortedNaNLevel(t *testing.T) {
+	for _, xs := range [][]float64{{1}, {1, 2}, {10, 20, 30, 40}} {
+		if _, _, ok := QuantileRank(len(xs), math.NaN()); ok {
+			t.Errorf("QuantileRank(%d, NaN) names a rank", len(xs))
+		}
+		if got := QuantileSorted(xs, math.NaN()); !math.IsNaN(got) {
+			t.Errorf("QuantileSorted(%v, NaN) = %v, want NaN", xs, got)
+		}
+	}
+}

@@ -237,8 +237,8 @@ func TestNewViewSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &entView.oep.sorted[0] != &catView.oep.sorted[0] {
-		t.Fatal("the enterprise view sorted its own copy of the occurrence column")
+	if entView.oep != catView.oep {
+		t.Fatal("the enterprise view built its own occurrence curve")
 	}
 	for _, c := range []struct {
 		view *View

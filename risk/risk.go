@@ -535,11 +535,13 @@ func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Q
 	}
 	elapsed := time.Since(start)
 
+	// A quote reads two order statistics, the VaR under TVaR99 and
+	// PML250: the view selects those ranks and builds no Summary.
 	view, err := metrics.NewView(res.Portfolio)
 	if err != nil {
 		return nil, err
 	}
-	sum, err := view.Summary()
+	tvar, err := view.TVaR(0.99)
 	if err != nil {
 		return nil, err
 	}
@@ -547,14 +549,15 @@ func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Q
 	if err != nil {
 		return nil, err
 	}
+	aal, sd := res.Portfolio.Mean(), res.Portfolio.StdDev()
 	return &Quote{
 		ContractID: single.Contracts[0].ID,
 		Trials:     trials,
-		AAL:        sum.AAL,
-		StdDev:     sum.AggStdDev,
-		TVaR99:     sum.TVaR99,
+		AAL:        aal,
+		StdDev:     sd,
+		TVaR99:     tvar,
 		PML250:     pml,
-		Premium:    sum.AAL + 0.35*sum.AggStdDev,
+		Premium:    aal + 0.35*sd,
 		Elapsed:    elapsed,
 	}, nil
 }
