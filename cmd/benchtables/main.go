@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/aggregate"
+	"repro/internal/cliflags"
 	"repro/internal/cluster"
 	"repro/internal/dfa"
 	"repro/internal/diskstore"
@@ -53,8 +54,8 @@ func singleContract(s *synth.Scenario, i int) *layers.Portfolio {
 var (
 	flagExperiments = flag.String("e", "all", "experiments to run: 'all' or comma list like '1,4,5'")
 	flagQuick       = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
-	flagWorkers     = flag.Int("workers", 0, "worker bound (0 = all cores)")
-	flagSeed        = flag.Uint64("seed", 42, "master seed")
+	flagSeed        = uint64(42) // -seed, bound in main
+	flagWorkers     int          // -workers, bound in main
 )
 
 // runners maps an experiment's number to its table. It is the one
@@ -114,6 +115,8 @@ func selectExperiments(spec string) ([]int, error) {
 }
 
 func main() {
+	cliflags.Seed(&flagSeed)
+	cliflags.Workers(&flagWorkers)
 	flag.Parse()
 	ctx := context.Background()
 
@@ -124,7 +127,7 @@ func main() {
 	}
 
 	fmt.Printf("# benchtables — %d logical CPUs, quick=%v, seed=%d\n\n",
-		runtime.NumCPU(), *flagQuick, *flagSeed)
+		runtime.NumCPU(), *flagQuick, flagSeed)
 
 	for _, k := range keys {
 		if err := runners[k](ctx); err != nil {
@@ -137,7 +140,7 @@ func main() {
 
 func scenario(ctx context.Context, trials int, occOnly bool) (*synth.Scenario, error) {
 	p := synth.Params{
-		Seed:                 *flagSeed,
+		Seed:                 flagSeed,
 		NumEvents:            10_000,
 		NumContracts:         16,
 		LocationsPerContract: 250,
@@ -145,7 +148,7 @@ func scenario(ctx context.Context, trials int, occOnly bool) (*synth.Scenario, e
 		MeanEventsPerYear:    10,
 		OccurrenceOnly:       occOnly,
 		TwoLayers:            true,
-		Workers:              *flagWorkers,
+		Workers:              flagWorkers,
 	}
 	if *flagQuick {
 		p.NumEvents = 2_000
@@ -233,7 +236,7 @@ func e2RealtimePricing(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	y, err := yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: *flagWorkers}, *flagSeed+5)
+	y, err := yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: flagWorkers}, flagSeed+5)
 	if err != nil {
 		return err
 	}
@@ -247,7 +250,7 @@ func e2RealtimePricing(ctx context.Context) error {
 	}
 	for _, eng := range []aggregate.Engine{aggregate.Sequential{}, aggregate.Parallel{}} {
 		t0 := time.Now()
-		res, err := eng.Run(ctx, in, aggregate.Config{Seed: 2, Sampling: true, Workers: *flagWorkers})
+		res, err := eng.Run(ctx, in, aggregate.Config{Seed: 2, Sampling: true, Workers: flagWorkers})
 		if err != nil {
 			return err
 		}
@@ -297,7 +300,7 @@ func e3DataVolumes(ctx context.Context) error {
 	idxBuild := time.Since(t0)
 	in := aggInput(s)
 	in.Index = idx
-	res, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Workers: *flagWorkers})
+	res, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Workers: flagWorkers})
 	if err != nil {
 		return err
 	}
@@ -440,7 +443,7 @@ func e6MemoryVsMapReduce(ctx context.Context) error {
 	lossVec := portfolioLossVec(s)
 
 	for _, trials := range sizes {
-		y, err := yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: *flagWorkers}, *flagSeed+9)
+		y, err := yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: flagWorkers}, flagSeed+9)
 		if err != nil {
 			return err
 		}
@@ -566,7 +569,7 @@ func e6MapReduce(ctx context.Context, y *yelt.Table, lossVec []float64) (string,
 			return out, err
 		},
 		func(i int, trialSums []float64, _ bool, _ time.Duration) { copy(sums[splits[i].lo:], trialSums) },
-		mapreduce.Config{Mappers: *flagWorkers})
+		mapreduce.Config{Mappers: flagWorkers})
 	if err != nil {
 		return "", err
 	}
@@ -607,7 +610,7 @@ func e8TrialsSweep(ctx context.Context) error {
 	}
 	fmt.Printf("%-12s %14s %14s %16s\n", "trials", "sequential", "parallel", "par trials/s")
 	for _, trials := range sweep {
-		y, err := yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: *flagWorkers}, *flagSeed+11)
+		y, err := yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: flagWorkers}, flagSeed+11)
 		if err != nil {
 			return err
 		}
@@ -621,7 +624,7 @@ func e8TrialsSweep(ctx context.Context) error {
 		}
 		seq := time.Since(t0)
 		t0 = time.Now()
-		if _, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Sampling: true, Seed: 3, Workers: *flagWorkers}); err != nil {
+		if _, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Sampling: true, Seed: 3, Workers: flagWorkers}); err != nil {
 			return err
 		}
 		par := time.Since(t0)
@@ -644,7 +647,7 @@ func e9DFA(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	res, err := (aggregate.Parallel{}).Run(ctx, aggInput(s), aggregate.Config{Workers: *flagWorkers})
+	res, err := (aggregate.Parallel{}).Run(ctx, aggInput(s), aggregate.Config{Workers: flagWorkers})
 	if err != nil {
 		return err
 	}
@@ -659,7 +662,7 @@ func e9DFA(ctx context.Context) error {
 		}
 		ig := &dfa.Integrator{Sources: sources}
 		t0 := time.Now()
-		dres, err := ig.Run(ctx, cat, dfa.Config{Seed: 7, Rho: 0.2, Workers: *flagWorkers, KeepPerSource: true})
+		dres, err := ig.Run(ctx, cat, dfa.Config{Seed: 7, Rho: 0.2, Workers: flagWorkers, KeepPerSource: true})
 		if err != nil {
 			return err
 		}

@@ -14,39 +14,37 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/catmodel"
+	"repro/internal/cliflags"
 	"repro/internal/exposure"
 	"repro/internal/yelt"
 )
 
 func main() {
-	var (
-		events    = flag.Int("events", 10_000, "stochastic catalogue size")
-		contracts = flag.Int("contracts", 8, "number of contracts")
-		locations = flag.Int("locations", 400, "locations per contract")
-		seed      = flag.Uint64("seed", 1, "master seed")
-		workers   = flag.Int("workers", 0, "parallelism bound (0 = all cores)")
-		out       = flag.String("out", "", "output directory for ELT files (empty = report only)")
-	)
+	ccfg := catalog.DefaultConfig()
+	ecfg := exposure.DefaultConfig()
+	ecfg.NumLocations = 400
+	eng := catmodel.New()
+	seed, contracts := uint64(1), 8
+	cliflags.Events(&ccfg.NumEvents)
+	cliflags.Contracts(&contracts)
+	cliflags.Locations(&ecfg.NumLocations)
+	cliflags.Seed(&seed)
+	cliflags.Workers(&eng.Workers)
+	out := flag.String("out", "", "output directory for ELT files (empty = report only)")
 	flag.Parse()
 	ctx := context.Background()
 
-	ccfg := catalog.DefaultConfig()
-	ccfg.NumEvents = *events
-	cat, err := catalog.Generate(ccfg, *seed)
+	cat, err := catalog.Generate(ccfg, seed)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("catalogue: %d events, %.1f expected occurrences/year\n", cat.Len(), cat.TotalRate())
 
-	eng := catmodel.New()
-	eng.Workers = *workers
 	start := time.Now()
 	var totalRecords int
 	var totalBytes int64
-	for c := 0; c < *contracts; c++ {
-		ecfg := exposure.DefaultConfig()
-		ecfg.NumLocations = *locations
-		db, err := exposure.Generate(ecfg, *seed+uint64(1000+c))
+	for c := 0; c < contracts; c++ {
+		db, err := exposure.Generate(ecfg, seed+uint64(1000+c))
 		if err != nil {
 			fail(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/aggregate"
+	"repro/internal/cliflags"
 	"repro/internal/dfa"
 	"repro/internal/metrics"
 	"repro/internal/synth"
@@ -19,26 +20,26 @@ import (
 )
 
 func main() {
-	var (
-		trials  = flag.Int("trials", 100_000, "trial years")
-		seed    = flag.Uint64("seed", 1, "master seed")
-		rho     = flag.Float64("rho", 0.25, "copula equicorrelation across risks")
-		workers = flag.Int("workers", 0, "parallelism bound (0 = all cores)")
-	)
+	sp := synth.Params{
+		Seed: 1, NumEvents: 5_000, NumContracts: 8,
+		LocationsPerContract: 200, NumTrials: 100_000,
+		MeanEventsPerYear: 10, TwoLayers: true,
+	}
+	dcfg := dfa.Config{Rho: 0.25, KeepPerSource: true}
+	cliflags.Trials(&sp.NumTrials)
+	cliflags.Seed(&sp.Seed)
+	cliflags.Rho(&dcfg.Rho)
+	cliflags.Workers(&sp.Workers)
 	flag.Parse()
 	ctx := context.Background()
 
-	s, err := synth.Build(ctx, synth.Params{
-		Seed: *seed, NumEvents: 5_000, NumContracts: 8,
-		LocationsPerContract: 200, NumTrials: *trials,
-		MeanEventsPerYear: 10, TwoLayers: true, Workers: *workers,
-	})
+	s, err := synth.Build(ctx, sp)
 	if err != nil {
 		fail(err)
 	}
 	res, err := (aggregate.Parallel{}).Run(ctx,
 		&aggregate.Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio},
-		aggregate.Config{Seed: *seed + 13, Sampling: true, Workers: *workers})
+		aggregate.Config{Seed: sp.Seed + 13, Sampling: true, Workers: sp.Workers})
 	if err != nil {
 		fail(err)
 	}
@@ -46,7 +47,8 @@ func main() {
 
 	ig := &dfa.Integrator{Sources: dfa.StandardSources(cat.Mean())}
 	start := time.Now()
-	dres, err := ig.Run(ctx, cat, dfa.Config{Seed: *seed + 29, Rho: *rho, Workers: *workers, KeepPerSource: true})
+	dcfg.Seed, dcfg.Workers = sp.Seed+29, sp.Workers
+	dres, err := ig.Run(ctx, cat, dcfg)
 	if err != nil {
 		fail(err)
 	}

@@ -9,7 +9,11 @@
 // initialization; -warm=false defers that work to first demand. The
 // trial years are shared by every quote and kept resident: the first
 // quote to ask for more of them than any before it generates the
-// difference, once (/v1/statz: quote_table_*).
+// difference, once (/v1/statz: quote_table_*). -trials sizes the
+// portfolio run behind /v1/portfolio; a quote's trial count is its
+// request's, -quote-trials when the request omits it. The book flags
+// (-seed, -events, -contracts, -locations) mean what they mean to
+// cmd/riskpipeline and default alike, so both price the same book.
 // Quotes run on a bounded worker pool with admission control: beyond
 // -queue waiting requests the server answers 429 immediately, and a
 // request that cannot finish inside -timeout answers 503. SIGINT or
@@ -35,62 +39,50 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/serve"
 	"repro/risk"
 )
 
 func main() {
+	// The book the server quotes against. Each quote simulates
+	// single-threaded; the worker pool carries the parallelism across
+	// concurrent requests.
+	cfg := risk.DefaultConfig()
+	cfg.Workers = 1
+	cliflags.Seed(&cfg.Seed)
+	cliflags.Events(&cfg.Events)
+	cliflags.Contracts(&cfg.Contracts)
+	cliflags.Locations(&cfg.LocationsPerContract)
+	cliflags.Trials(&cfg.Trials)
+	cliflags.CubeDims(&cfg.CubeDims)
+
+	// The serving tier.
+	srvCfg := serve.Config{Timeout: 30 * time.Second, DefaultTrials: 100_000, MaxTrials: 2_000_000}
+	cliflags.Workers(&srvCfg.Workers)
+	flag.IntVar(&srvCfg.QueueDepth, "queue", srvCfg.QueueDepth, "admission queue depth (0 = 2x workers)")
+	flag.DurationVar(&srvCfg.Timeout, "timeout", srvCfg.Timeout, "per-request budget (queue wait + simulation)")
+	flag.IntVar(&srvCfg.DefaultTrials, "quote-trials", srvCfg.DefaultTrials, "default trials per quote when the request omits it")
+	flag.IntVar(&srvCfg.MaxTrials, "max-quote-trials", srvCfg.MaxTrials, "cap on requested trials per quote")
 	var (
-		addr = flag.String("addr", ":8087", "listen address")
-
-		// Study sizing: the book the server quotes against.
-		seed      = flag.Uint64("seed", 42, "master seed")
-		events    = flag.Int("events", 10_000, "event catalogue size")
-		contracts = flag.Int("contracts", 16, "contracts in the book")
-		locations = flag.Int("locations", 250, "locations per contract")
-		trials    = flag.Int("trials", 100_000, "portfolio simulation trials (stage 2/3 via /v1/portfolio)")
-
-		// Serving tier.
-		workers   = flag.Int("workers", 0, "quote worker pool size (0 = all cores)")
-		queue     = flag.Int("queue", 0, "admission queue depth (0 = 2x workers)")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request budget (queue wait + simulation)")
-		defTrials = flag.Int("quote-trials", 100_000, "default trials per quote when the request omits it")
-		maxTrials = flag.Int("max-quote-trials", 2_000_000, "cap on requested trials per quote")
+		addr      = flag.String("addr", ":8087", "listen address")
 		warm      = flag.Bool("warm", true, "pre-run stage 1 and build all quote layouts before listening")
 		drainWait = flag.Duration("drain-timeout", time.Minute, "grace period for in-flight quotes on shutdown")
-		cubeDims  = flag.String("cube-dims", "", "comma-separated warehouse cube dimensions (e.g. region,lob); empty disables /v1/cube")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	study := risk.NewStudy(risk.Config{
-		Seed:                 *seed,
-		Events:               *events,
-		Contracts:            *contracts,
-		LocationsPerContract: *locations,
-		Trials:               *trials,
-		// Each quote simulates single-threaded; the worker pool carries
-		// the parallelism across concurrent requests.
-		Workers:  1,
-		CubeDims: splitDims(*cubeDims),
-	})
-	srv := serve.New(study, serve.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		Timeout:       *timeout,
-		DefaultTrials: *defTrials,
-		MaxTrials:     *maxTrials,
-	})
+	study := risk.NewStudy(cfg)
+	srv := serve.New(study, srvCfg)
 
 	if *warm {
 		log.Printf("warming: stage 1 + %d quote layouts (events=%d locations=%d)",
-			study.NumContracts(), *events, *locations)
+			study.NumContracts(), cfg.Events, cfg.LocationsPerContract)
 		t0 := time.Now()
 		if err := srv.Warm(ctx); err != nil {
 			log.Fatalf("warm-up: %v", err)
@@ -98,14 +90,14 @@ func main() {
 		log.Printf("warm in %v", time.Since(t0).Round(time.Millisecond))
 	}
 
-	pool := *workers
+	pool := srvCfg.Workers
 	if pool <= 0 {
 		pool = runtime.GOMAXPROCS(0)
 	}
 	httpSrv := newHTTPServer(*addr, srv.Handler(), readHeaderTimeout, readTimeout, idleTimeout)
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s (pool=%d, timeout=%v)", *addr, pool, *timeout)
+		log.Printf("listening on %s (pool=%d, timeout=%v)", *addr, pool, srvCfg.Timeout)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errc <- err
 		}
@@ -157,16 +149,4 @@ func newHTTPServer(addr string, h http.Handler, readHeader, read, idle time.Dura
 		ReadTimeout:       read,
 		IdleTimeout:       idle,
 	}
-}
-
-// splitDims parses a comma-separated dimension list, dropping empty
-// segments so "-cube-dims region," means {region}.
-func splitDims(s string) []string {
-	var dims []string
-	for _, d := range strings.Split(s, ",") {
-		if d = strings.TrimSpace(d); d != "" {
-			dims = append(dims, d)
-		}
-	}
-	return dims
 }

@@ -30,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/aggregate"
+	"repro/internal/cliflags"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -45,126 +47,91 @@ import (
 )
 
 func main() {
+	cfg := core.DefaultConfig()
+	cfg.Sampling = true
+	cliflags.Seed(&cfg.Seed)
+	cliflags.Events(&cfg.NumEvents)
+	cliflags.Contracts(&cfg.NumContracts)
+	cliflags.Locations(&cfg.LocationsPerContract)
+	cliflags.Trials(&cfg.NumTrials)
+	cliflags.Workers(&cfg.Workers)
+	cliflags.Rho(&cfg.Rho)
+	cliflags.CubeDims(&cfg.CubeDims)
+	flag.BoolVar(&cfg.Sampling, "sampling", cfg.Sampling, "secondary-uncertainty sampling in stage 2")
+	flag.BoolVar(&cfg.Streaming, "stream", cfg.Streaming, "fuse stage-2 YELT generation into the engine (bounded memory, bit-identical results)")
+	flag.IntVar(&cfg.BatchTrials, "batch", cfg.BatchTrials, "streaming trial-batch size per worker (0 = engine default)")
+	flag.BoolVar(&cfg.Spill, "spill", cfg.Spill, "spill the generated trial stream into diskstore shards and run stage 2 over the shards (implies -stream)")
+	flag.StringVar(&cfg.SpillDir, "dir", cfg.SpillDir, "spill store directory (required for -mode spill/aggregate; optional shard-keeping dir for -spill)")
+	flag.IntVar(&cfg.SpillParts, "parts", cfg.SpillParts, "spill shard count (0 = derived from the trial count)")
+	flag.IntVar(&cfg.SpillNodes, "nodes", cfg.SpillNodes, "spill store storage-node count (0 = default)")
+	flag.IntVar(&cfg.SpillReplicas, "replicas", cfg.SpillReplicas, "spill replication factor: each shard written to this many storage nodes (<=1 = none)")
+	flag.BoolVar(&cfg.Speculate, "speculate", cfg.Speculate, "speculative re-execution of straggling map tasks (mapreduce engine)")
 	var (
-		mode      = flag.String("mode", "run", "run = fused pipeline; spill = stage 1 + shard write into -dir, no aggregation; aggregate = re-attach to -dir shards and run stages 2-3")
-		dir       = flag.String("dir", "", "spill store directory (required for -mode spill/aggregate; optional shard-keeping dir for -spill)")
-		events    = flag.Int("events", 10_000, "stochastic catalogue size")
-		contracts = flag.Int("contracts", 16, "number of reinsurance contracts")
-		locations = flag.Int("locations", 300, "locations per contract")
-		trials    = flag.Int("trials", 100_000, "pre-simulated trial years (ignored by -mode aggregate: the shards decide)")
-		sampling  = flag.Bool("sampling", true, "secondary-uncertainty sampling in stage 2")
-		seed      = flag.Uint64("seed", 1, "master seed")
-		rho       = flag.Float64("rho", 0.25, "DFA copula equicorrelation")
-		workers   = flag.Int("workers", 0, "parallelism bound (0 = all cores)")
-		engine    = flag.String("engine", "parallel", "stage-2 engine: "+strings.Join(aggregate.EngineNames(false), "|"))
-		streaming = flag.Bool("stream", false, "fuse stage-2 YELT generation into the engine (bounded memory, bit-identical results)")
-		batch     = flag.Int("batch", 0, "streaming trial-batch size per worker (0 = engine default)")
-		spill     = flag.Bool("spill", false, "spill the generated trial stream into diskstore shards and run stage 2 over the shards (implies -stream)")
-		parts     = flag.Int("parts", 0, "spill shard count (0 = derived from the trial count)")
-		nodes     = flag.Int("nodes", 0, "spill store storage-node count (0 = default)")
+		mode      = flag.String("mode", "run", "run = fused pipeline; spill = stage 1 + shard write into -dir, no aggregation; aggregate = re-attach to -dir shards and run stages 2-3 (the shards decide the trial count)")
+		engine    = flag.String("engine", "parallel", "stage-2 engine: "+strings.Join(aggregate.EngineNames(), "|"))
 		provision = flag.String("provision", "", "per-stage worker provisioning policy: static:N, elastic:N, or degraded:K:POLICY (empty = static -workers bound)")
-		replicas  = flag.Int("replicas", 0, "spill replication factor: each shard written to this many storage nodes (<=1 = none)")
 		chaos     = flag.String("chaos", "", "deterministic fault injection into stage 2, e.g. rate=0.1,shard=3@2,kill=1@4,delay=2@50ms (bit-identical results)")
 		faultSeed = flag.Uint64("fault-seed", 0, "fault-plan seed (0 = -seed)")
-		speculate = flag.Bool("speculate", false, "speculative re-execution of straggling map tasks (mapreduce engine)")
-		cubeDims  = flag.String("cube-dims", "", "comma-separated warehouse cube dimensions (e.g. region,lob); empty skips the cube")
 		cubeQuery = flag.String("cube-query", "", "print one cube cell, as dim=value pairs joined by commas (requires -cube-dims)")
 	)
 	flag.Parse()
 
 	cubeFilter, err := parseCubeQuery(*cubeQuery)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "riskpipeline: %v\n", err)
-		os.Exit(2)
+		exit(2, err)
 	}
-	if cubeFilter != nil && *cubeDims == "" {
-		fmt.Fprintln(os.Stderr, "riskpipeline: -cube-query requires -cube-dims")
-		os.Exit(2)
+	if cubeFilter != nil && len(cfg.CubeDims) == 0 {
+		exit(2, errors.New("-cube-query requires -cube-dims"))
 	}
 
-	eng, err := aggregate.EngineByName(*engine, false)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "riskpipeline: %v\n", err)
-		os.Exit(2)
+	if cfg.Engine, err = aggregate.EngineByName(*engine); err != nil {
+		exit(2, err)
 	}
-	reinst, _ := eng.(*aggregate.Reinstatements)
-	policy, err := cluster.ParsePolicy(*provision)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "riskpipeline: %v\n", err)
-		os.Exit(2)
+	reinst, _ := cfg.Engine.(*aggregate.Reinstatements)
+	if cfg.Provision, err = cluster.ParsePolicy(*provision); err != nil {
+		exit(2, err)
 	}
 	fseed := *faultSeed
 	if fseed == 0 {
-		fseed = *seed
+		fseed = cfg.Seed
 	}
-	plan, err := faultinject.Parse(*chaos, fseed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "riskpipeline: %v\n", err)
-		os.Exit(2)
-	}
-
-	cfg := core.Config{
-		Seed:                 *seed,
-		NumEvents:            *events,
-		NumContracts:         *contracts,
-		LocationsPerContract: *locations,
-		NumTrials:            *trials,
-		Engine:               eng,
-		Sampling:             *sampling,
-		Streaming:            *streaming,
-		BatchTrials:          *batch,
-		Spill:                *spill,
-		SpillDir:             *dir,
-		SpillParts:           *parts,
-		SpillNodes:           *nodes,
-		SpillReplicas:        *replicas,
-		Faults:               plan,
-		Speculate:            *speculate,
-		Provision:            policy,
-		Rho:                  *rho,
-		Workers:              *workers,
-		TwoLayers:            true,
-		CubeDims:             splitDims(*cubeDims),
+	if cfg.Faults, err = faultinject.Parse(*chaos, fseed); err != nil {
+		exit(2, err)
 	}
 
 	ctx := context.Background()
 	switch *mode {
 	case "run":
 	case "spill":
-		if *dir == "" {
-			fmt.Fprintln(os.Stderr, "riskpipeline: -mode spill requires -dir")
-			os.Exit(2)
+		if cfg.SpillDir == "" {
+			exit(2, errors.New("-mode spill requires -dir"))
 		}
 		p := core.New(cfg)
 		if err := p.SpillStage2(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "riskpipeline: %v\n", err)
-			os.Exit(1)
+			exit(1, err)
 		}
 		fmt.Println("=== spill stages ===")
-		printStages(p.Stages, policy != nil)
-		fmt.Printf("shards + manifest committed under %s; aggregate with: riskpipeline -mode aggregate -dir %s\n", *dir, *dir)
+		printStages(p.Stages, cfg.Provision != nil)
+		fmt.Printf("shards + manifest committed under %s; aggregate with: riskpipeline -mode aggregate -dir %s\n", cfg.SpillDir, cfg.SpillDir)
 		return
 	case "aggregate":
-		if *dir == "" {
-			fmt.Fprintln(os.Stderr, "riskpipeline: -mode aggregate requires -dir")
-			os.Exit(2)
+		if cfg.SpillDir == "" {
+			exit(2, errors.New("-mode aggregate requires -dir"))
 		}
 		cfg.SpillAttach = true
 		cfg.Spill = false
 	default:
-		fmt.Fprintf(os.Stderr, "riskpipeline: unknown mode %q\n", *mode)
-		os.Exit(2)
+		exit(2, fmt.Errorf("unknown mode %q", *mode))
 	}
 
 	p := core.New(cfg)
 	rep, err := p.Run(ctx)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "riskpipeline: %v\n", err)
-		os.Exit(1)
+		exit(1, err)
 	}
 
 	fmt.Println("=== pipeline stages ===")
-	printStages(rep.Stages, policy != nil)
+	printStages(rep.Stages, cfg.Provision != nil)
 	var stage1, stage2 float64
 	for _, s := range rep.Stages {
 		switch s.Name {
@@ -175,13 +142,13 @@ func main() {
 		}
 	}
 	fmt.Printf("stage-1 → stage-2 data burst: %.1fx\n", stage2/stage1)
-	if *streaming || *spill || *mode == "aggregate" {
+	if cfg.Streaming || cfg.Spill || cfg.SpillAttach {
 		fmt.Printf("(streaming stage 2: the portfolio-risk line accounts peak-resident trial bytes, not a materialized YELT)\n")
 	}
-	if *spill {
+	if cfg.Spill {
 		fmt.Printf("(spilled stage 2: the yelt-spill line is the shard write; the engine re-scanned those shards from disk)\n")
 	}
-	if *mode == "aggregate" {
+	if cfg.SpillAttach {
 		fmt.Printf("(two-process stage 2: shards spilled by an earlier process, re-attached via the manifest)\n")
 	}
 	for _, s := range rep.Stages {
@@ -209,8 +176,7 @@ func main() {
 		if cubeFilter != nil {
 			cell, err := cube.Query(cubeFilter)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "riskpipeline: cube query: %v\n", err)
-				os.Exit(1)
+				exit(1, fmt.Errorf("cube query: %v", err))
 			}
 			fmt.Printf("=== cube cell %s ===\n", *cubeQuery)
 			printSummary(cell.Summary)
@@ -224,16 +190,11 @@ func main() {
 	printSummary(rep.Enterprise)
 }
 
-// splitDims parses a comma-separated dimension list, dropping empty
-// segments.
-func splitDims(s string) []string {
-	var dims []string
-	for _, d := range strings.Split(s, ",") {
-		if d = strings.TrimSpace(d); d != "" {
-			dims = append(dims, d)
-		}
-	}
-	return dims
+// exit reports err and ends the process with code: 2 for a bad
+// command line, 1 for a run that failed.
+func exit(code int, err error) {
+	fmt.Fprintf(os.Stderr, "riskpipeline: %v\n", err)
+	os.Exit(code)
 }
 
 // parseCubeQuery turns "region=coastal,lob=marine" into a warehouse

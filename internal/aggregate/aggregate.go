@@ -337,44 +337,39 @@ type Engine interface {
 	Run(ctx context.Context, in *Input, cfg Config) (*Result, error)
 }
 
-// engines is the one table of engine names, sorted: what every -engine
-// flag accepts and prints. The device engines run the simulated GPU
-// over occurrence-only books, which only cmd/aggsim builds.
+// engines is the one table of engine names, sorted: what
+// riskpipeline's -engine flag accepts and prints. The device engine
+// (Chunked) is not in it: it runs over occurrence-only books, which no
+// pipeline builds, so cmd/benchtables constructs it directly for E1
+// and E4.
 var engines = []struct {
-	name   string
-	device bool
-	make   func() Engine
+	name string
+	make func() Engine
 }{
-	{"chunked", true, func() Engine { return &Chunked{} }},
-	{"mapreduce", false, func() Engine { return MapReduce{} }},
-	{"naive", true, func() Engine { return &Chunked{Naive: true} }},
-	{"parallel", false, func() Engine { return Parallel{} }},
-	{"reinstatements", false, func() Engine { return &Reinstatements{} }},
-	{"sequential", false, func() Engine { return Sequential{} }},
+	{"mapreduce", func() Engine { return MapReduce{} }},
+	{"parallel", func() Engine { return Parallel{} }},
+	{"reinstatements", func() Engine { return &Reinstatements{} }},
+	{"sequential", func() Engine { return Sequential{} }},
 }
 
-// EngineNames returns the sorted names EngineByName accepts: the host
-// engines and, with device, the simulated-device engines too.
-func EngineNames(device bool) []string {
-	var names []string
-	for _, e := range engines {
-		if device || !e.device {
-			names = append(names, e.name)
-		}
+// EngineNames returns the sorted names EngineByName accepts.
+func EngineNames() []string {
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.name
 	}
 	return names
 }
 
-// EngineByName returns a new engine by its -engine name. Without
-// device the simulated-device engines are as unknown as any other
-// name; the error lists the names on offer.
-func EngineByName(name string, device bool) (Engine, error) {
+// EngineByName returns a new engine by its -engine name; the error
+// lists the names on offer.
+func EngineByName(name string) (Engine, error) {
 	for _, e := range engines {
-		if e.name == name && (device || !e.device) {
+		if e.name == name {
 			return e.make(), nil
 		}
 	}
-	return nil, fmt.Errorf("unknown engine %q (want %s)", name, strings.Join(EngineNames(device), "|"))
+	return nil, fmt.Errorf("unknown engine %q (want %s)", name, strings.Join(EngineNames(), "|"))
 }
 
 // trialScratch holds a worker's reusable kernel buffers (blocked.go),

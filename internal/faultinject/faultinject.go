@@ -263,7 +263,7 @@ func Parse(spec string, seed uint64) (*Plan, error) {
 		switch key {
 		case "rate":
 			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r < 0 || r > 1 {
+			if err != nil || !(r >= 0 && r <= 1) { // also refuses NaN
 				return nil, fmt.Errorf("faultinject: rate %q: want a probability in [0,1]", val)
 			}
 			rules = append(rules, FailShardReadRate{Rate: r})
@@ -284,9 +284,9 @@ func Parse(spec string, seed uint64) (*Plan, error) {
 			if !ok {
 				return nil, fmt.Errorf("faultinject: delay rule %q: want delay=SPLIT@DURATION", val)
 			}
-			split, err := strconv.Atoi(target)
-			if err != nil {
-				return nil, fmt.Errorf("faultinject: delay split %q: %v", target, err)
+			split, err := parseTarget(target)
+			if err != nil || split == Any {
+				return nil, fmt.Errorf("faultinject: delay split %q: want a split number", target)
 			}
 			d, err := time.ParseDuration(dur)
 			if err != nil || d < 0 {
@@ -306,9 +306,7 @@ func parseAt(s string) (target, count int, err error) {
 	if !ok {
 		return 0, 0, errors.New("missing '@'")
 	}
-	if ts == "*" {
-		target = Any
-	} else if target, err = strconv.Atoi(ts); err != nil {
+	if target, err = parseTarget(ts); err != nil {
 		return 0, 0, err
 	}
 	if count, err = strconv.Atoi(cs); err != nil {
@@ -318,6 +316,23 @@ func parseAt(s string) (target, count int, err error) {
 		return 0, 0, errors.New("negative count")
 	}
 	return target, count, nil
+}
+
+// parseTarget reads a shard, node or split number. "*" is the only
+// spelling of Any: a negative number names nothing that exists, so it
+// is refused rather than read as a wildcard.
+func parseTarget(s string) (int, error) {
+	if s == "*" {
+		return Any, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, errors.New("negative target")
+	}
+	return n, nil
 }
 
 // splitmix64 is the finalizer from Vigna's SplitMix64 — a cheap,

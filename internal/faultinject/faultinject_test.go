@@ -161,9 +161,14 @@ func TestParse(t *testing.T) {
 	} else if err := p.DiskRead("yelt", 9, 3); !errors.Is(err, ErrInjected) {
 		t.Fatal("wildcard shard rule should match every shard")
 	}
+	// A spec that parses must mean what it says: a NaN rate would never
+	// fire, a negative target names no node, shard or split, and -1 is
+	// Any inside the plan, so "shard=-1@2" must not read as "shard=*@2".
 	for _, bad := range []string{"bogus", "what=1", "rate=2", "rate=x",
 		"shard=3", "shard=x@1", "kill=*@1", "kill=1", "delay=1",
-		"delay=x@50ms", "delay=1@zzz", "shard=1@-1"} {
+		"delay=x@50ms", "delay=1@zzz", "shard=1@-1",
+		"rate=NaN", "rate=nan", "shard=-1@2", "shard=-3@1", "kill=-5@1",
+		"delay=-2@1s", "delay=*@1s"} {
 		if _, err := Parse(bad, 1); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
 		}

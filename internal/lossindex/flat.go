@@ -17,7 +17,6 @@ import (
 //
 //	Contract[k]          portfolio contract of entry k (per-contract outputs)
 //	LayerOff[k]          first flat layer slot of entry k's contract
-//	Mean[k]              entry k's raw mean loss, before any terms
 //	ExpOff[k]..ExpOff[k+1]  entry k's frame in ExpRec (one cell per layer)
 //	ExpRec[...]          pre-applied occurrence recovery of the entry's
 //	                     mean loss through each layer (expected mode)
@@ -53,7 +52,6 @@ type Flat struct {
 
 	Contract []int32
 	LayerOff []int32
-	Mean     []float64
 	ExpOff   []int32 // len NumEntries+1
 	ExpRec   []float64
 	ExpDst   []int32 // parallel to ExpRec
@@ -92,7 +90,6 @@ func Flatten(ix *Index, pf *layers.Portfolio) (*Flat, error) {
 		Terms:       ft,
 		Contract:    make([]int32, n),
 		LayerOff:    make([]int32, n),
-		Mean:        make([]float64, n),
 		ExpOff:      make([]int32, n+1),
 		ExpSum:      make([]float64, n),
 		SampleConst: make([]float64, n),
@@ -105,7 +102,6 @@ func Flatten(ix *Index, pf *layers.Portfolio) (*Flat, error) {
 		ci := e.Contract
 		f.Contract[k] = ci
 		f.LayerOff[k] = ft.First[ci]
-		f.Mean[k] = e.Rec.MeanLoss
 		f.ExpOff[k] = total
 		total += ft.First[ci+1] - ft.First[ci]
 	}
@@ -220,7 +216,6 @@ func (f *Flat) NumEntries() int { return len(f.Contract) }
 func (f *Flat) SizeBytes() int64 {
 	return int64(len(f.Contract))*4 +
 		int64(len(f.LayerOff))*4 +
-		int64(len(f.Mean))*8 +
 		int64(len(f.ExpOff))*4 +
 		int64(len(f.ExpRec))*8 +
 		int64(len(f.ExpDst))*4 +

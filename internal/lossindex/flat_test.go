@@ -60,9 +60,6 @@ func TestFlattenColumnsMatchEntries(t *testing.T) {
 			if fx.ExpSum[k] != sum {
 				t.Fatalf("entry %d: exp sum %g, want %g", k, fx.ExpSum[k], sum)
 			}
-			if fx.Mean[k] != e.Rec.MeanLoss {
-				t.Fatalf("entry %d: mean %g, want %g", k, fx.Mean[k], e.Rec.MeanLoss)
-			}
 			wc, wa, wb, ws := elt.SampleParams(e.Rec)
 			if fx.SampleConst[k] != wc || fx.SampleA[k] != wa || fx.SampleB[k] != wb || fx.SampleScale[k] != ws {
 				t.Fatalf("entry %d: sampling plan (%g,%g,%g,%g), want (%g,%g,%g,%g)",

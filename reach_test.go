@@ -52,9 +52,6 @@ var keptUnreached = []struct{ name, reason string }{
 	{"diskstore.(*Store).RemoveAt", "fault fixture: lost replica"},
 	{"diskstore.(*Store).Corrupt", "fault fixture: bit rot in a partition"},
 	{"diskstore.(*Store).CorruptAt", "fault fixture: bit rot in one replica"},
-	{"risk.EngineSequential", "a documented value of risk.Config.Engine, which waits for ROADMAP item 3(b) because bench/workloads.go writes it; TestEngineKinds and TestSequentialEngineStudy run it"},
-	{"risk.EngineMapReduce", "same field; TestEngineKinds runs it"},
-	{"risk.EngineReinstatements", "same field; TestStudyReinstatementsEngine runs it"},
 
 	// Probes and references surviving tests assert through.
 	{"aggregate.UnlimitedReinstatements", "builds the all-unlimited regime in eight reinstatement tests of internal/aggregate"},
@@ -71,6 +68,7 @@ var keptUnreached = []struct{ name, reason string }{
 	{"vulnerability.Curve.MDR", "the damage curve the vulnerability tests check the prepared moments against"},
 	{"vulnerability.(*Matrix).Curve", "same tests look a class's curve up through it"},
 	{"vulnerability.(*Matrix).MeanDamage", "same tests: fragility ordering and monotonicity"},
+	{"synth.(*Scenario).YELTGenerator", "the streaming trial source of internal/aggregate's streaming, flat and MapReduce equivalence suites"},
 	{"yelt.Spill", "one-call spill used by thirteen disk-source tests"},
 	{"yelt.(*DiskSource).FailoverLog", "the replica tests assert which shard failed over through it"},
 	{"warehouse.(*Builder).NumTrials", "probe of internal/core's cube and handoff tests"},

@@ -41,29 +41,22 @@ import (
 	"repro/internal/yelt"
 )
 
-// EngineKind selects the stage-2 aggregate-analysis engine.
+// EngineKind selects the stage-2 aggregate-analysis engine by the
+// name riskpipeline's -engine flag takes: "parallel" (the default, and
+// what the serving tier and the benchmark run), "sequential",
+// "mapreduce" or "reinstatements". The simulated-device engine takes
+// occurrence-only books, which a study's never is, so it has no name
+// here; cmd/benchtables runs it (E1, E4).
 type EngineKind string
 
-// Available engines. Sequential is the paper's CPU baseline; Parallel
-// is the native data-parallel engine; MapReduce runs stage 2 as a
-// map/reduce job over trial-range splits (the companion paper's Hadoop
-// shape); Reinstatements runs the stateful occurrence-ordered path,
-// eroding and reinstating layer limits in date order under
-// market-standard terms (the fine-grained contractual-terms workload).
-// The simulated-device engines take occurrence-only books, which a
-// study's never is; cmd/aggsim runs them.
-const (
-	EngineSequential     EngineKind = "sequential"
-	EngineParallel       EngineKind = "parallel"
-	EngineMapReduce      EngineKind = "mapreduce"
-	EngineReinstatements EngineKind = "reinstatements"
-)
+// EngineParallel is the native data-parallel engine, the default.
+const EngineParallel EngineKind = "parallel"
 
 func (k EngineKind) engine() (aggregate.Engine, error) {
 	if k == "" {
 		k = EngineParallel
 	}
-	eng, err := aggregate.EngineByName(string(k), false)
+	eng, err := aggregate.EngineByName(string(k))
 	if err != nil {
 		return nil, fmt.Errorf("risk: %w", err)
 	}

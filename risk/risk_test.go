@@ -49,7 +49,7 @@ func TestStudyRun(t *testing.T) {
 // API.
 func TestStudyReinstatementsEngine(t *testing.T) {
 	cfg := smallConfig(7)
-	cfg.Engine = EngineReinstatements
+	cfg.Engine = "reinstatements"
 	cfg.Sampling = true
 	rep, err := NewStudy(cfg).Run(context.Background())
 	if err != nil {
@@ -104,7 +104,7 @@ func TestPriceContract(t *testing.T) {
 }
 
 func TestEngineKinds(t *testing.T) {
-	for _, k := range []EngineKind{EngineSequential, EngineParallel, EngineMapReduce, ""} {
+	for _, k := range []EngineKind{"sequential", EngineParallel, "mapreduce", "reinstatements", ""} {
 		if _, err := k.engine(); err != nil {
 			t.Errorf("engine %q: %v", k, err)
 		}
@@ -120,7 +120,7 @@ func TestEngineKinds(t *testing.T) {
 
 func TestSequentialEngineStudy(t *testing.T) {
 	cfg := smallConfig(4)
-	cfg.Engine = EngineSequential
+	cfg.Engine = "sequential"
 	rep, err := NewStudy(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
