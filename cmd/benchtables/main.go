@@ -75,7 +75,7 @@ var removed = map[int]struct{ lastRun, now string }{
 	11: {"c38e85b", "bench workload spill-expected (yelt.spill_s, yelt.scan_s, mapreduce.map_busy_s), TestMapReduceEquivalenceMatrix"},
 	12: {"8b424c6", "the kernels it compared are gone; TestGoldenYLTDigest, TestKernelEquivalenceAllEngines"},
 	13: {"8b424c6", "the kernels it compared are gone; TestReinstKernelEquivalence"},
-	14: {"8b424c6", "the kernels it compared are gone; TestKernelEquivalenceAcrossBlockSizes, TestChunkedResidentUploadOnce"},
+	14: {"8b424c6", "the kernels it compared are gone; TestKernelEquivalenceAcrossBlockSizes; the device arena is gone, TestChunkedOnePassTransfers"},
 	15: {"c38e85b", "bench workload quote-serve (op_p50_ms, serve.closed_qps, serve.closed_p99_ms, serve.rejected), TestQuoteQueueFullFast429"},
 	16: {"c38e85b", "bench workload spill-expected (mapreduce.local_share), TestPlacementEquivalenceAndByteAccounting"},
 	17: {"c38e85b", "bench workload spill-expected (yelt.failovers, mapreduce.map_retries, mapreduce.spec_launched), TestFaultEquivalenceMatrix"},

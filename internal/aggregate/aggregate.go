@@ -7,7 +7,8 @@
 // its ELT, applies per-occurrence and annual-aggregate reinsurance
 // terms, and emits the trial's loss into a Year-Loss Table.
 //
-// The host engines share one trial kernel and one trial-range driver:
+// The host engines share one trial-range driver (runWorkers/runRange),
+// each worker running a batch kernel:
 //
 //   - Sequential: one worker, the paper's CPU baseline.
 //   - Parallel: trials partitioned across goroutines (the native
@@ -16,11 +17,14 @@
 //   - MapReduce: the same driver once per map split, with retries,
 //     speculation and shard-affine placement around it, each split
 //     committed into the result once (mapreduce.go).
+//   - Reinstatements: the stateful occurrence-ordered engine, the
+//     driver with the flat year-state kernel in place of the blocked
+//     one (reinstatements.go).
 //
 // Chunked runs the ground-up portfolio aggregation on the simulated
-// many-core device (internal/gpusim), staging ELT chunks through shared
-// memory — the paper's "chunking" memory strategy (experiment E4's
-// modeled-cycle ablation).
+// many-core device (internal/gpusim) in one pass, staging ELT chunks
+// through shared memory — the paper's "chunking" memory strategy
+// (experiment E4's modeled-cycle ablation).
 //
 // Every engine consumes the pre-joined event-major loss index
 // (internal/lossindex) instead of binary-searching per-contract ELTs
@@ -77,7 +81,8 @@ type Config struct {
 	// when the input is consumed through a streaming Source; <= 0 means
 	// DefaultBatchTrials. Results are bit-independent of the batch size
 	// (each trial draws from its own stream); only peak memory and the
-	// cancellation-poll granularity change.
+	// cancellation-poll granularity change. The device engine (Chunked)
+	// reads its whole source in one pass and ignores it.
 	BatchTrials int
 	// Kernel has one value and is read by nothing. It is declared only
 	// because bench/replica.go sets it, and is deleted together with
@@ -388,33 +393,61 @@ type trialScratch struct {
 	blockPCO []float64
 }
 
-// runRange is the one trial-range driver: it streams trials
-// [r.Lo, r.Hi) in BatchTrials-bounded batches through a worker's own
-// scratch and runs the kernel on each batch. Local trial i of a batch
-// is global trial lo+i, which fixes the RNG substream, so results are
-// independent of how trials were partitioned and batched. The result
-// slot for global trial t is t-slotOff: full-length tables (the host
-// engines) pass slotOff 0; the MapReduce engine hands each mapper a
-// segment table covering only its split and passes the split's start.
-// Each finished batch goes to sink (nil for none): the host engines
-// pass cfg.BatchSink, a map attempt nil, because only its commit may
-// publish. worker keys the resident-bytes accounting and must be
-// distinct per concurrent caller. Call after Validate and EnsureFlat.
-func runRange(ctx context.Context, in *Input, cfg Config, r stream.Range, rt *residentTracker, worker int, res *Result, slotOff int, sink func(lo int, agg, occ [][]float64)) error {
+// batchKernel is one worker's trial kernel over a batch: local trial i
+// of b is global trial base+i, which fixes the RNG substream. A kernel
+// owns its scratch, so each concurrent worker needs its own.
+type batchKernel func(b *yelt.Table, base int)
+
+// blockedKernel returns a worker's batch kernel for the stateless
+// engines: the blocked kernel (blocked.go) over in.Flat into res, whose
+// slot for global trial t is t-slotOff, then each finished batch to sink
+// (nil for none). Full-length tables pass slotOff 0; the MapReduce
+// engine hands each mapper a segment table covering only its split and
+// passes the split's start. The host engines pass cfg.BatchSink, a map
+// attempt nil, because only its commit may publish. Call after Validate
+// and EnsureFlat.
+func blockedKernel(in *Input, cfg Config, res *Result, slotOff int, sink func(lo int, agg, occ [][]float64)) batchKernel {
 	scratch := &trialScratch{}
+	return func(b *yelt.Table, base int) {
+		runBatchBlocked(in.Flat, in, cfg, b, base, res, scratch, slotOff)
+		emitBatch(sink, res, base, b.NumTrials, slotOff)
+	}
+}
+
+// runRange is the one trial-range driver: it streams trials
+// [r.Lo, r.Hi) in BatchTrials-bounded batches through kernel, so
+// results are independent of how trials were partitioned and batched.
+// worker keys the resident-bytes accounting and must be distinct per
+// concurrent caller.
+func runRange(ctx context.Context, in *Input, cfg Config, r stream.Range, rt *residentTracker, worker int, kernel batchKernel) error {
 	return streamRange(ctx, in.src(), r, cfg.batchTrials(), rt, worker, &yelt.Table{},
 		func(b *yelt.Table, base int) error {
-			runBatchBlocked(in.Flat, in, cfg, b, base, res, scratch, slotOff)
-			emitBatch(sink, res, base, b.NumTrials, slotOff)
+			kernel(b, base)
 			return nil
 		})
 }
 
-// runWorkers is the host engines' Run: the whole trial range
-// partitioned across workers goroutines, each a runRange into its own
-// disjoint slots of one full-length result, so no synchronization is
-// needed beyond the final join.
-func runWorkers(ctx context.Context, in *Input, cfg Config, workers int) (*Result, error) {
+// runWorkers is the host engines' trial loop: the whole trial range
+// partitioned across workers goroutines, each a runRange through its
+// own kernel (newKernel is called once per worker) into disjoint slots
+// of res, so no synchronization is needed beyond the final join. It
+// records the run's memory envelope on res. Call after Validate and
+// EnsureFlat.
+func runWorkers(ctx context.Context, in *Input, cfg Config, workers int, res *Result, newKernel func() batchKernel) error {
+	rt := trackerFor(in)
+	err := stream.ForEachRange(ctx, in.src().TrialCount(), workers, func(ctx context.Context, r stream.Range, w int) error {
+		return runRange(ctx, in, cfg, r, rt, w, newKernel())
+	})
+	if err != nil {
+		return err
+	}
+	finishResident(in, res, rt)
+	return nil
+}
+
+// runBlocked is Sequential's and Parallel's Run: the blocked kernel on
+// runWorkers, every batch to cfg.BatchSink.
+func runBlocked(ctx context.Context, in *Input, cfg Config, workers int) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -422,14 +455,12 @@ func runWorkers(ctx context.Context, in *Input, cfg Config, workers int) (*Resul
 		return nil, err
 	}
 	res := newResult(in, cfg)
-	rt := trackerFor(in)
-	err := stream.ForEachRange(ctx, in.src().TrialCount(), workers, func(ctx context.Context, r stream.Range, w int) error {
-		return runRange(ctx, in, cfg, r, rt, w, res, 0, cfg.BatchSink)
+	err := runWorkers(ctx, in, cfg, workers, res, func() batchKernel {
+		return blockedKernel(in, cfg, res, 0, cfg.BatchSink)
 	})
 	if err != nil {
 		return nil, err
 	}
-	finishResident(in, res, rt)
 	return res, nil
 }
 
@@ -495,19 +526,15 @@ func trackerFor(in *Input) *residentTracker {
 	return nil
 }
 
-// peakResident is the run's memory envelope: the tracked batch
-// high-water mark for streaming runs, the table footprint otherwise.
-// Shared by every result type that reports PeakResidentBytes.
-func peakResident(in *Input, rt *residentTracker) int64 {
-	if rt != nil {
-		return rt.Peak()
-	}
-	return in.materializedBytes()
-}
-
-// finishResident records the run's memory envelope on the result.
+// finishResident records the run's memory envelope on the result: the
+// tracked batch high-water mark for streaming runs, the table footprint
+// otherwise.
 func finishResident(in *Input, res *Result, rt *residentTracker) {
-	res.PeakResidentBytes = peakResident(in, rt)
+	if rt != nil {
+		res.PeakResidentBytes = rt.Peak()
+		return
+	}
+	res.PeakResidentBytes = in.materializedBytes()
 }
 
 // streamRange feeds trials [r.Lo, r.Hi) to fn in batches of at most
@@ -565,7 +592,7 @@ func (Sequential) Name() string { return "sequential" }
 
 // Run implements Engine.
 func (Sequential) Run(ctx context.Context, in *Input, cfg Config) (*Result, error) {
-	return runWorkers(ctx, in, cfg, 1)
+	return runBlocked(ctx, in, cfg, 1)
 }
 
 // Parallel partitions trials across cfg.Workers goroutines. Because
@@ -578,5 +605,5 @@ func (Parallel) Name() string { return "parallel" }
 
 // Run implements Engine.
 func (Parallel) Run(ctx context.Context, in *Input, cfg Config) (*Result, error) {
-	return runWorkers(ctx, in, cfg, cfg.Workers)
+	return runBlocked(ctx, in, cfg, cfg.Workers)
 }

@@ -225,8 +225,7 @@ func TestChunkedOversizedBlockFallback(t *testing.T) {
 	}
 	got, want := huge.LastStats, naive.LastStats
 	if got.GlobalAccesses != want.GlobalAccesses+2 || got.SharedAccesses != 0 ||
-		got.ArithOps != want.ArithOps || got.TransferFloats != want.TransferFloats ||
-		got.ResidentTransferFloats != want.ResidentTransferFloats {
+		got.ArithOps != want.ArithOps || got.TransferFloats != want.TransferFloats {
 		t.Fatalf("fallback stats %+v, naive %+v", got, want)
 	}
 }

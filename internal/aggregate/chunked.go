@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/gpusim"
-	"repro/internal/lossindex"
-	"repro/internal/stream"
 	"repro/internal/yelt"
 	"repro/internal/ylt"
 )
@@ -19,16 +17,10 @@ import (
 // for the E4 ablation; the Naive field switches staging off to
 // quantify exactly what chunking buys.
 //
-// Device memory uses two lifetimes: the portfolio loss vectors are
-// study-resident (uploaded once per run, surviving every streaming
-// batch pass via gpusim.FreeBatch), while occurrences, offsets and
-// output tables cycle per batch. LastStats separates the two transfer
-// flows (ResidentTransferFloats vs TransferFloats), so the
-// steady-state per-batch link cost excludes the loss vectors.
+// A run is one device pass: the whole trial source is read once, a
+// device sized for it is made, and the loss vectors, occurrences and
+// offsets go up, the grid runs and the YLT comes down once each.
 type Chunked struct {
-	// Device is the simulated accelerator; nil allocates a default
-	// device sized for the input.
-	Device *gpusim.Device
 	// Naive disables shared-memory staging: every access goes to
 	// global memory. Results are identical; modeled cost is not.
 	Naive bool
@@ -37,26 +29,6 @@ type Chunked struct {
 	TrialsPerBlock int
 	// LastStats holds the device cost counters of the most recent run.
 	LastStats gpusim.Stats
-
-	// Loss-vector cache: the vectors are a pure projection of the flat
-	// kernel layout, which Input memoizes per (ELTs, Portfolio), so
-	// re-running the engine over the same book (as the ablations do)
-	// reuses them without re-sweeping the entries. Like Input's lazy
-	// Index/Flat, this makes a shared *Chunked unsafe for concurrent
-	// Run calls (LastStats already was).
-	vecFlat *lossindex.Flat
-	aggVec  []float64
-	occVec  []float64
-}
-
-// recoveryVectors returns the per-row loss vectors for fx, projecting
-// and caching them on first use per layout.
-func (c *Chunked) recoveryVectors(fx *lossindex.Flat) (aggVec, occVec []float64) {
-	if c.vecFlat != fx {
-		c.aggVec, c.occVec = fx.DeviceVectors()
-		c.vecFlat = fx
-	}
-	return c.aggVec, c.occVec
 }
 
 // Name implements Engine.
@@ -71,16 +43,9 @@ func (c *Chunked) Name() string {
 // expected mode (Sampling=false) for portfolios whose layers carry
 // only occurrence terms, up to floating-point re-association (the
 // device kernel folds shares into a per-event vector before the trial
-// sweep; the host engines fold them after).
-//
-// Streaming inputs are processed as a sequence of device passes, one
-// per trial batch: the loss vectors upload once into the device's
-// study-resident arena, then each pass uploads only the batch's
-// occurrences and offsets, launches the grid, and downloads the
-// batch's YLT rows — so neither host nor device ever holds the full
-// YELT, and the per-batch link traffic excludes the loss vectors.
-// Per-trial results are bit-identical to the single-upload
-// materialized path; only the modeled transfer counters differ.
+// sweep; the host engines fold them after). A streaming source is read
+// whole, so Config.BatchTrials does not apply and PeakResidentBytes is
+// the full table's footprint.
 func (c *Chunked) Run(ctx context.Context, in *Input, cfg Config) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -98,157 +63,88 @@ func (c *Chunked) Run(ctx context.Context, in *Input, cfg Config) (*Result, erro
 			}
 		}
 	}
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	default:
+	// A materialized table's ReadTrials ignores its context, so poll it
+	// here.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	// The portfolio's per-row recovery vectors (ELT preprocessing, done
 	// once per portfolio, not per trial): aggVec folds each layer's
 	// share in, occVec is the share-free occurrence recovery that
 	// drives OccMax — mirroring the host kernel's accounting exactly.
-	// They are projected straight from the flat kernel layout's pre-applied
-	// ExpRec column (one linear sweep, bit-identical to the nested
-	// Contract walk it replaced — see lossindex.DeviceVectors) and
-	// cached across runs. Working in the index's dense row space
-	// (loss-bearing events only) instead of raw event-ID space shrinks
-	// the vectors the kernel sweeps through shared memory.
+	// They are projected straight from the flat kernel layout's
+	// pre-applied ExpRec column (one linear sweep, bit-identical to the
+	// nested Contract walk it replaced — see lossindex.DeviceVectors).
+	// Working in the index's dense row space (loss-bearing events only)
+	// instead of raw event-ID space shrinks the vectors the kernel
+	// sweeps through shared memory.
 	fx, err := in.EnsureFlat()
 	if err != nil {
 		return nil, err
 	}
 	idx := fx.Index()
 	numRows := idx.NumRows()
-	aggVec, occVec := c.recoveryVectors(fx)
+	aggVec, occVec := fx.DeviceVectors()
 
 	src := in.src()
-	numTrials := src.TrialCount()
-	res := &Result{Portfolio: ylt.New("portfolio", numTrials)}
-	rt := trackerFor(in)
-
-	// Materialized inputs run as one device pass over the whole table
-	// (today's E4 shape); streaming sources go batch by batch.
-	batchT := numTrials
-	if in.streaming() {
-		batchT = cfg.batchTrials()
-	}
-
-	dev := c.Device
-	devOwned := dev == nil
-	devCap := 0
-	var carried gpusim.Stats
-	if !devOwned {
-		dev.FreeAll()
-		dev.ResetStats()
-	}
-	var aggVecBuf, occVecBuf gpusim.Buffer
-	residentUp := false
-	var hostOcc, hostOff []float64
-
-	err = streamRange(ctx, src, stream.Range{Lo: 0, Hi: numTrials}, batchT, rt, 0, &yelt.Table{}, func(b *yelt.Table, base int) error {
-		bn := b.NumTrials
-		bOccs := len(b.Occs)
-		need := 2*numRows + bOccs + (bn + 1) + 2*bn + 1024
-		if devOwned && (dev == nil || devCap < need) {
-			// Grow the owned device, carrying the accumulated cost-model
-			// counters across the replacement. The fresh device has an
-			// empty arena, so the resident vectors re-upload below.
-			if dev != nil {
-				carried = carried.Add(dev.Stats())
-			}
-			devCap = need
-			dev = gpusim.NewDevice(gpusim.DefaultConfig(), devCap)
-			residentUp = false
-		}
-
-		if !residentUp {
-			// First pass on this device: lay down the study-resident
-			// arena and upload the loss vectors once. They survive every
-			// subsequent FreeBatch below — the two-lifetime split that
-			// keeps the steady-state batch traffic to occurrences,
-			// offsets and outputs only.
-			dev.FreeAll()
-			var err error
-			if aggVecBuf, err = dev.AllocResident(numRows); err != nil {
-				return err
-			}
-			if occVecBuf, err = dev.AllocResident(numRows); err != nil {
-				return err
-			}
-			if err = dev.CopyToDevice(aggVecBuf, aggVec); err != nil {
-				return err
-			}
-			if err = dev.CopyToDevice(occVecBuf, occVec); err != nil {
-				return err
-			}
-			residentUp = true
-		} else {
-			dev.FreeBatch()
-		}
-
-		// Per-batch upload: occurrence index rows (as float64 — exact
-		// below 2^53; -1 marks loss-free events, resolved on the host so
-		// the device never probes the event-id table), per-trial
-		// offsets, and the output tables.
-		occBuf, err := dev.Alloc(bOccs)
-		if err != nil {
-			return err
-		}
-		offBuf, err := dev.Alloc(bn + 1)
-		if err != nil {
-			return err
-		}
-		outAgg, err := dev.Alloc(bn)
-		if err != nil {
-			return err
-		}
-		outMax, err := dev.Alloc(bn)
-		if err != nil {
-			return err
-		}
-
-		hostOcc = hostOcc[:0]
-		for _, o := range b.Occs {
-			hostOcc = append(hostOcc, float64(idx.Row(o.EventID)))
-		}
-		if err := dev.CopyToDevice(occBuf, hostOcc); err != nil {
-			return err
-		}
-		hostOff = hostOff[:0]
-		for _, o := range b.Offsets {
-			hostOff = append(hostOff, float64(o))
-		}
-		if err := dev.CopyToDevice(offBuf, hostOff); err != nil {
-			return err
-		}
-
-		devCfg := dev.Config()
-		tpb := c.TrialsPerBlock
-		if tpb <= 0 {
-			tpb = devCfg.ThreadsPerBlock
-		}
-		grid := (bn + tpb - 1) / tpb
-		kernel := c.buildKernel(bn, tpb, devCfg.SharedMemPerBlock, numRows,
-			occBuf, offBuf, aggVecBuf, occVecBuf, outAgg, outMax)
-		if err := dev.Launch(grid, kernel); err != nil {
-			return err
-		}
-		if err := dev.CopyFromDevice(outAgg, res.Portfolio.Agg[base:base+bn]); err != nil {
-			return err
-		}
-		return dev.CopyFromDevice(outMax, res.Portfolio.OccMax[base:base+bn])
-	})
+	n := src.TrialCount()
+	tab, err := src.ReadTrials(ctx, 0, n, &yelt.Table{})
 	if err != nil {
 		return nil, err
 	}
-	c.LastStats = carried.Add(dev.Stats())
-	finishResident(in, res, rt)
+	res := &Result{Portfolio: ylt.New("portfolio", n), PeakResidentBytes: tab.SizeBytes()}
+
+	dev := gpusim.NewDevice(gpusim.DefaultConfig(), 2*numRows+len(tab.Occs)+(n+1)+2*n+1024)
+	var bufs [6]gpusim.Buffer
+	for i, size := range []int{numRows, numRows, len(tab.Occs), n + 1, n, n} {
+		if bufs[i], err = dev.Alloc(size); err != nil {
+			return nil, err
+		}
+	}
+	aggVecBuf, occVecBuf, occBuf, offBuf, outAgg, outMax := bufs[0], bufs[1], bufs[2], bufs[3], bufs[4], bufs[5]
+
+	// Occurrences go up as index rows (as float64 — exact below 2^53;
+	// -1 marks loss-free events, resolved on the host so the device
+	// never probes the event-id table), then the per-trial offsets.
+	hostOcc := make([]float64, len(tab.Occs))
+	for i, o := range tab.Occs {
+		hostOcc[i] = float64(idx.Row(o.EventID))
+	}
+	hostOff := make([]float64, len(tab.Offsets))
+	for i, o := range tab.Offsets {
+		hostOff[i] = float64(o)
+	}
+	for _, up := range []struct {
+		buf  gpusim.Buffer
+		data []float64
+	}{{aggVecBuf, aggVec}, {occVecBuf, occVec}, {occBuf, hostOcc}, {offBuf, hostOff}} {
+		if err := dev.CopyToDevice(up.buf, up.data); err != nil {
+			return nil, err
+		}
+	}
+
+	devCfg := dev.Config()
+	tpb := c.TrialsPerBlock
+	if tpb <= 0 {
+		tpb = devCfg.ThreadsPerBlock
+	}
+	kernel := c.buildKernel(n, tpb, devCfg.SharedMemPerBlock, numRows,
+		occBuf, offBuf, aggVecBuf, occVecBuf, outAgg, outMax)
+	if err := dev.Launch((n+tpb-1)/tpb, kernel); err != nil {
+		return nil, err
+	}
+	if err := dev.CopyFromDevice(outAgg, res.Portfolio.Agg); err != nil {
+		return nil, err
+	}
+	if err := dev.CopyFromDevice(outMax, res.Portfolio.OccMax); err != nil {
+		return nil, err
+	}
+	c.LastStats = dev.Stats()
 	return res, nil
 }
 
-// buildKernel returns the per-pass device kernel over one trial batch
-// of bn trials: the naive global-memory form, or the chunked
+// buildKernel returns the device kernel over bn trials: the naive global-memory form, or the chunked
 // shared-memory form staging occurrences and loss-vector chunks.
 func (c *Chunked) buildKernel(bn, tpb, shared, numRows int, occBuf, offBuf, aggVecBuf, occVecBuf, outAgg, outMax gpusim.Buffer) func(*gpusim.BlockCtx) {
 	// naiveTrials runs trials [lo, hi) straight from global memory.

@@ -129,15 +129,14 @@ func TestGoldenReinstatementsConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rin := &ReinstatementInput{Input: input(s), Terms: UnlimitedReinstatements(s.Portfolio)}
-	rres, err := RunReinstatements(context.Background(), rin, cfg)
+	rres, _, err := runReinst(context.Background(), input(s), UnlimitedReinstatements(s.Portfolio), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range seq.Portfolio.Agg {
-		if math.Abs(seq.Portfolio.Agg[i]-rres.Portfolio.Agg[i]) > 1e-9*(1+seq.Portfolio.Agg[i]) {
+		if math.Abs(seq.Portfolio.Agg[i]-rres.Agg[i]) > 1e-9*(1+seq.Portfolio.Agg[i]) {
 			t.Fatalf("trial %d: stateless %v vs unlimited reinstatements %v",
-				i, seq.Portfolio.Agg[i], rres.Portfolio.Agg[i])
+				i, seq.Portfolio.Agg[i], rres.Agg[i])
 		}
 	}
 }

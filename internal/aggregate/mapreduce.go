@@ -130,7 +130,7 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 	rt := trackerFor(in)
 	mapf := func(ctx context.Context, r stream.Range) (*Result, error) {
 		seg := newResultN(in, cfg, r.Len())
-		if err := runRange(ctx, in, cfg, r, rt, r.Lo, seg, r.Lo, nil); err != nil {
+		if err := runRange(ctx, in, cfg, r, rt, r.Lo, blockedKernel(in, cfg, seg, r.Lo, nil)); err != nil {
 			return nil, err
 		}
 		return seg, nil

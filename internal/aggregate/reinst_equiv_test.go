@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -27,7 +26,7 @@ import (
 // structs' nested []Layer, one layers.YearState per (contract, layer)
 // and elt.SampleLoss — none of lossindex.Flat, layers.FlatYearStates or
 // the precomputed sampling plans the kernel reads.
-func naiveReinstatements(t *testing.T, in *ReinstatementInput, cfg Config) *ReinstatementResult {
+func naiveReinstatements(t *testing.T, in *Input, terms [][]layers.ReinstatementTerms, cfg Config) (*ylt.Table, []float64) {
 	t.Helper()
 	if err := in.Validate(); err != nil {
 		t.Fatal(err)
@@ -37,10 +36,8 @@ func naiveReinstatements(t *testing.T, in *ReinstatementInput, cfg Config) *Rein
 		t.Fatal(err)
 	}
 	n := in.YELT.NumTrials
-	res := &ReinstatementResult{
-		Portfolio:     ylt.New("portfolio-reinst", n),
-		ReinstPremium: make([]float64, n),
-	}
+	res := ylt.New("portfolio-reinst", n)
+	premiums := make([]float64, n)
 	contracts := in.Portfolio.Contracts
 	states := make([][]layers.YearState, len(contracts))
 	sums := make([][]float64, len(contracts))
@@ -52,7 +49,7 @@ func naiveReinstatements(t *testing.T, in *ReinstatementInput, cfg Config) *Rein
 		st := rng.NewStream(cfg.Seed, uint64(trial))
 		for ci, c := range contracts {
 			for li := range c.Layers {
-				states[ci][li] = c.Layers[li].NewYearState(in.Terms[ci][li])
+				states[ci][li] = c.Layers[li].NewYearState(terms[ci][li])
 				sums[ci][li] = 0
 			}
 		}
@@ -83,11 +80,11 @@ func naiveReinstatements(t *testing.T, in *ReinstatementInput, cfg Config) *Rein
 				agg += states[ci][li].CloseYear(sums[ci][li])
 			}
 		}
-		res.Portfolio.Agg[trial] = agg
-		res.Portfolio.OccMax[trial] = occMax
-		res.ReinstPremium[trial] = premium
+		res.Agg[trial] = agg
+		res.OccMax[trial] = occMax
+		premiums[trial] = premium
 	}
-	return res
+	return res, premiums
 }
 
 // reinstRegimes builds the terms regimes the suite sweeps: terms that
@@ -123,11 +120,17 @@ func reinstRegimes(pf *layers.Portfolio) map[string][][]layers.ReinstatementTerm
 	}
 }
 
-func reinstBitIdentical(t *testing.T, name string, want, got *ReinstatementResult) {
+// reinstBitIdentical runs the engine on in under terms and holds its
+// YLT and premium ledger bit for bit to want and wantPrem.
+func reinstBitIdentical(t *testing.T, name string, in *Input, terms [][]layers.ReinstatementTerms, cfg Config, want *ylt.Table, wantPrem []float64) {
 	t.Helper()
-	bitIdentical(t, name+" agg", want.Portfolio.Agg, got.Portfolio.Agg)
-	bitIdentical(t, name+" occmax", want.Portfolio.OccMax, got.Portfolio.OccMax)
-	bitIdentical(t, name+" premium", want.ReinstPremium, got.ReinstPremium)
+	got, gotPrem, err := runReinst(context.Background(), in, terms, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	bitIdentical(t, name+" agg", want.Agg, got.Agg)
+	bitIdentical(t, name+" occmax", want.OccMax, got.OccMax)
+	bitIdentical(t, name+" premium", wantPrem, gotPrem)
 }
 
 func TestReinstKernelEquivalence(t *testing.T) {
@@ -140,22 +143,14 @@ func TestReinstKernelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for regime, terms := range reinstRegimes(s.Portfolio) {
 		for _, seed := range []uint64{5, 17} {
 			for _, sampling := range []bool{false, true} {
 				name := fmt.Sprintf("%s/sampling=%v/seed=%d", regime, sampling, seed)
 				cfg := Config{Seed: seed, Sampling: sampling, Workers: 3}
-				in := &ReinstatementInput{
-					Input: &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix, Flat: fx},
-					Terms: terms,
-				}
-				want := naiveReinstatements(t, in, cfg)
-				got, err := RunReinstatements(ctx, in, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				reinstBitIdentical(t, name, want, got)
+				in := &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix, Flat: fx}
+				want, wantPrem := naiveReinstatements(t, in, terms, cfg)
+				reinstBitIdentical(t, name, in, terms, cfg, want, wantPrem)
 			}
 		}
 	}
@@ -172,21 +167,11 @@ func TestReinstKernelEquivalenceAcrossBatchSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	terms := reinstRegimes(s.Portfolio)["binding"]
-	ctx := context.Background()
-	want := naiveReinstatements(t, &ReinstatementInput{
-		Input: &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix},
-		Terms: terms,
-	}, Config{Seed: 9, Sampling: true})
+	want, wantPrem := naiveReinstatements(t, &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix},
+		terms, Config{Seed: 9, Sampling: true})
 	for _, batch := range equivBatchSizes {
 		cfg := Config{Seed: 9, Sampling: true, Workers: 2, BatchTrials: batch}
-		got, err := RunReinstatements(ctx, &ReinstatementInput{
-			Input: streamingInput(t, s, ix),
-			Terms: terms,
-		}, cfg)
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		reinstBitIdentical(t, fmt.Sprintf("batch=%d", batch), want, got)
+		reinstBitIdentical(t, fmt.Sprintf("batch=%d", batch), streamingInput(t, s, ix), terms, cfg, want, wantPrem)
 	}
 }
 
@@ -196,44 +181,10 @@ func TestReinstKernelLazyBuild(t *testing.T) {
 	s := buildScenario(t, synth.Small(53))
 	terms := reinstRegimes(s.Portfolio)["binding"]
 	in := input(s)
-	if _, err := RunReinstatements(context.Background(), &ReinstatementInput{Input: in, Terms: terms}, Config{Seed: 3, Sampling: true}); err != nil {
+	if _, _, err := runReinst(context.Background(), in, terms, Config{Seed: 3, Sampling: true}); err != nil {
 		t.Fatal(err)
 	}
 	if in.Index == nil || in.Flat == nil {
 		t.Fatal("stateful run did not memoize its layouts")
-	}
-}
-
-// The Reinstatements engine adapter must agree with a direct
-// RunReinstatements call under the same (derived) terms, and retain
-// the premium ledger on the engine.
-func TestReinstatementsEngineAdapter(t *testing.T) {
-	s := buildScenario(t, synth.Small(54))
-	cfg := Config{Seed: 7, Sampling: true}
-	eng := &Reinstatements{}
-	res, err := eng.Run(context.Background(), input(s), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunReinstatements(context.Background(), &ReinstatementInput{
-		Input: input(s), Terms: StandardReinstatements(s.Portfolio),
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitIdentical(t, "adapter agg", want.Portfolio.Agg, res.Portfolio.Agg)
-	bitIdentical(t, "adapter occmax", want.Portfolio.OccMax, res.Portfolio.OccMax)
-	bitIdentical(t, "adapter premium", want.ReinstPremium, eng.LastPremium)
-	var total float64
-	for _, p := range eng.LastPremium {
-		total += p
-	}
-	if total <= 0 {
-		t.Fatal("standard terms on a loss-making book should charge premium")
-	}
-	// The stateful path has no per-contract tables; the adapter must
-	// refuse the option rather than return nil slots.
-	if _, err := eng.Run(context.Background(), input(s), Config{PerContract: true}); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("PerContract on an engine that cannot produce it: err = %v, want ErrUnsupported", err)
 	}
 }

@@ -9,7 +9,33 @@ import (
 	"repro/internal/layers"
 	"repro/internal/synth"
 	"repro/internal/yelt"
+	"repro/internal/ylt"
 )
+
+// runReinst runs the reinstatements engine under terms and returns the
+// portfolio YLT and the premium ledger.
+func runReinst(ctx context.Context, in *Input, terms [][]layers.ReinstatementTerms, cfg Config) (*ylt.Table, []float64, error) {
+	eng := &Reinstatements{Terms: terms}
+	res, err := eng.Run(ctx, in, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Portfolio, eng.LastPremium, nil
+}
+
+// UnlimitedReinstatements builds terms that never bind (a large count
+// and no premium), under which the reinstatements engine must agree
+// with the stateless engines.
+func UnlimitedReinstatements(pf *layers.Portfolio) [][]layers.ReinstatementTerms {
+	out := make([][]layers.ReinstatementTerms, len(pf.Contracts))
+	for ci, c := range pf.Contracts {
+		out[ci] = make([]layers.ReinstatementTerms, len(c.Layers))
+		for li := range c.Layers {
+			out[ci][li] = layers.ReinstatementTerms{Count: 1 << 20}
+		}
+	}
+	return out
+}
 
 func reinstTerms(pf *layers.Portfolio, count int, rate float64) [][]layers.ReinstatementTerms {
 	out := make([][]layers.ReinstatementTerms, len(pf.Contracts))
@@ -32,18 +58,17 @@ func TestUnlimitedReinstatementsMatchStateless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rin := &ReinstatementInput{Input: base, Terms: UnlimitedReinstatements(s.Portfolio)}
-	stateful, err := RunReinstatements(context.Background(), rin, cfg)
+	stateful, premium, err := runReinst(context.Background(), base, UnlimitedReinstatements(s.Portfolio), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range stateless.Portfolio.Agg {
-		if math.Abs(stateless.Portfolio.Agg[i]-stateful.Portfolio.Agg[i]) > 1e-9*(1+stateless.Portfolio.Agg[i]) {
+		if math.Abs(stateless.Portfolio.Agg[i]-stateful.Agg[i]) > 1e-9*(1+stateless.Portfolio.Agg[i]) {
 			t.Fatalf("trial %d: stateless %v vs unlimited-reinstatement %v",
-				i, stateless.Portfolio.Agg[i], stateful.Portfolio.Agg[i])
+				i, stateless.Portfolio.Agg[i], stateful.Agg[i])
 		}
-		if stateful.ReinstPremium[i] != 0 {
-			t.Fatalf("trial %d: premium %v with zero rate", i, stateful.ReinstPremium[i])
+		if premium[i] != 0 {
+			t.Fatalf("trial %d: premium %v with zero rate", i, premium[i])
 		}
 	}
 }
@@ -52,47 +77,49 @@ func TestLimitedReinstatementsReduceRecovery(t *testing.T) {
 	s := buildScenario(t, synth.Small(22))
 	base := input(s)
 	cfg := Config{Seed: 5, Sampling: true}
-	unlimited, err := RunReinstatements(context.Background(),
-		&ReinstatementInput{Input: base, Terms: UnlimitedReinstatements(s.Portfolio)}, cfg)
+	unlimited, _, err := runReinst(context.Background(), base, UnlimitedReinstatements(s.Portfolio), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	limited, err := RunReinstatements(context.Background(),
-		&ReinstatementInput{Input: base, Terms: reinstTerms(s.Portfolio, 0, 1)}, cfg)
+	limited, _, err := runReinst(context.Background(), base, reinstTerms(s.Portfolio, 0, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sumU, sumL float64
-	for i := range unlimited.Portfolio.Agg {
-		if limited.Portfolio.Agg[i] > unlimited.Portfolio.Agg[i]+1e-9 {
+	for i := range unlimited.Agg {
+		if limited.Agg[i] > unlimited.Agg[i]+1e-9 {
 			t.Fatalf("trial %d: limited recovery exceeds unlimited", i)
 		}
-		sumU += unlimited.Portfolio.Agg[i]
-		sumL += limited.Portfolio.Agg[i]
+		sumU += unlimited.Agg[i]
+		sumL += limited.Agg[i]
 	}
 	if sumL >= sumU {
 		t.Fatalf("zero reinstatements should cut total recoveries: %v vs %v", sumL, sumU)
 	}
 }
 
+// Premium accrues under explicit terms and under the standard terms
+// nil Terms stands for.
 func TestReinstatementPremiumsAccrue(t *testing.T) {
 	s := buildScenario(t, synth.Small(23))
-	base := input(s)
-	res, err := RunReinstatements(context.Background(),
-		&ReinstatementInput{Input: base, Terms: reinstTerms(s.Portfolio, 2, 1.0)},
-		Config{Seed: 5, Sampling: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, p := range res.ReinstPremium {
-		if p < 0 {
-			t.Fatal("negative premium")
+	for name, terms := range map[string][][]layers.ReinstatementTerms{
+		"explicit": reinstTerms(s.Portfolio, 2, 1.0),
+		"standard": nil,
+	} {
+		_, premium, err := runReinst(context.Background(), input(s), terms, Config{Seed: 5, Sampling: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		total += p
-	}
-	if total == 0 {
-		t.Fatal("a loss-making book should charge some reinstatement premium")
+		var total float64
+		for _, p := range premium {
+			if p < 0 {
+				t.Fatalf("%s: negative premium", name)
+			}
+			total += p
+		}
+		if total == 0 {
+			t.Fatalf("%s terms: a loss-making book should charge some reinstatement premium", name)
+		}
 	}
 }
 
@@ -100,18 +127,16 @@ func TestReinstatementsDeterministicAcrossWorkers(t *testing.T) {
 	s := buildScenario(t, synth.Small(24))
 	base := input(s)
 	terms := reinstTerms(s.Portfolio, 1, 1.0)
-	a, err := RunReinstatements(context.Background(),
-		&ReinstatementInput{Input: base, Terms: terms}, Config{Seed: 3, Sampling: true, Workers: 1})
+	a, aPrem, err := runReinst(context.Background(), base, terms, Config{Seed: 3, Sampling: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunReinstatements(context.Background(),
-		&ReinstatementInput{Input: base, Terms: terms}, Config{Seed: 3, Sampling: true, Workers: 8})
+	b, bPrem, err := runReinst(context.Background(), base, terms, Config{Seed: 3, Sampling: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Portfolio.Agg {
-		if a.Portfolio.Agg[i] != b.Portfolio.Agg[i] || a.ReinstPremium[i] != b.ReinstPremium[i] {
+	for i := range a.Agg {
+		if a.Agg[i] != b.Agg[i] || aPrem[i] != bPrem[i] {
 			t.Fatalf("trial %d differs across worker counts", i)
 		}
 	}
@@ -120,21 +145,23 @@ func TestReinstatementsDeterministicAcrossWorkers(t *testing.T) {
 func TestReinstatementValidation(t *testing.T) {
 	s := buildScenario(t, synth.Small(25))
 	base := input(s)
-	if _, err := RunReinstatements(context.Background(),
-		&ReinstatementInput{Input: base, Terms: nil}, Config{}); err == nil {
-		t.Fatal("missing terms should error")
+	if _, _, err := runReinst(context.Background(), base, [][]layers.ReinstatementTerms{}, Config{}); err == nil {
+		t.Fatal("terms with no rows should error")
 	}
 	short := UnlimitedReinstatements(s.Portfolio)
 	short[0] = short[0][:0]
-	if _, err := RunReinstatements(context.Background(),
-		&ReinstatementInput{Input: base, Terms: short}, Config{}); err == nil {
+	if _, _, err := runReinst(context.Background(), base, short, Config{}); err == nil {
 		t.Fatal("mis-shaped terms should error")
 	}
 	bad := UnlimitedReinstatements(s.Portfolio)
 	bad[0][0].Count = -1
-	if _, err := RunReinstatements(context.Background(),
-		&ReinstatementInput{Input: base, Terms: bad}, Config{}); err == nil {
+	if _, _, err := runReinst(context.Background(), base, bad, Config{}); err == nil {
 		t.Fatal("negative count should error")
+	}
+	// The stateful path has no per-contract tables; the engine must
+	// refuse the option rather than return nil slots.
+	if _, _, err := runReinst(context.Background(), base, nil, Config{PerContract: true}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("PerContract on an engine that cannot produce it: err = %v, want ErrUnsupported", err)
 	}
 }
 
@@ -142,9 +169,7 @@ func TestReinstatementsCancellation(t *testing.T) {
 	s := buildScenario(t, synth.Small(26))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunReinstatements(ctx,
-		&ReinstatementInput{Input: input(s), Terms: UnlimitedReinstatements(s.Portfolio)},
-		Config{}); err == nil {
+	if _, _, err := runReinst(ctx, input(s), UnlimitedReinstatements(s.Portfolio), Config{}); err == nil {
 		t.Fatal("cancelled run should error")
 	}
 }
@@ -177,11 +202,8 @@ func TestReinstatementsMidRunCancellation(t *testing.T) {
 	s := buildScenario(t, synth.Small(27))
 	ctx, cancel := context.WithCancel(context.Background())
 	src := &cancellingSource{inner: s.YELT, cancel: cancel, cancelAfter: 2}
-	in := &ReinstatementInput{
-		Input: &Input{Source: src, ELTs: s.ELTs, Portfolio: s.Portfolio},
-		Terms: UnlimitedReinstatements(s.Portfolio),
-	}
-	_, err := RunReinstatements(ctx, in, Config{Workers: 1, BatchTrials: 100})
+	in := &Input{Source: src, ELTs: s.ELTs, Portfolio: s.Portfolio}
+	_, _, err := runReinst(ctx, in, UnlimitedReinstatements(s.Portfolio), Config{Workers: 1, BatchTrials: 100})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -197,20 +219,16 @@ func TestReinstatementsMidRunCancellation(t *testing.T) {
 func TestReinstatementsExpectedModeSeedIndependent(t *testing.T) {
 	s := buildScenario(t, synth.Small(28))
 	terms := reinstTerms(s.Portfolio, 1, 0.5)
-	a, err := RunReinstatements(context.Background(),
-		&ReinstatementInput{Input: input(s), Terms: terms}, Config{Seed: 1})
+	a, aPrem, err := runReinst(context.Background(), input(s), terms, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunReinstatements(context.Background(),
-		&ReinstatementInput{Input: input(s), Terms: terms}, Config{Seed: 999_999_937})
+	b, bPrem, err := runReinst(context.Background(), input(s), terms, Config{Seed: 999_999_937})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Portfolio.Agg {
-		if a.Portfolio.Agg[i] != b.Portfolio.Agg[i] ||
-			a.Portfolio.OccMax[i] != b.Portfolio.OccMax[i] ||
-			a.ReinstPremium[i] != b.ReinstPremium[i] {
+	for i := range a.Agg {
+		if a.Agg[i] != b.Agg[i] || a.OccMax[i] != b.OccMax[i] || aPrem[i] != bPrem[i] {
 			t.Fatalf("expected-mode trial %d depends on the seed", i)
 		}
 	}

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/layers"
@@ -128,25 +129,15 @@ func TestStreamingEquivalenceReinstatements(t *testing.T) {
 	for _, terms := range [][][]layers.ReinstatementTerms{UnlimitedReinstatements(s.Portfolio), binding} {
 		for _, sampling := range []bool{false, true} {
 			cfg := Config{Seed: 29, Sampling: sampling, Workers: 2}
-			matIn := &ReinstatementInput{
-				Input: &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix},
-				Terms: terms,
-			}
-			want, err := RunReinstatements(context.Background(), matIn, cfg)
+			matIn := &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}
+			want, wantPrem, err := runReinst(context.Background(), matIn, terms, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, batch := range equivBatchSizes {
 				scfg := cfg
 				scfg.BatchTrials = batch
-				strIn := &ReinstatementInput{Input: streamingInput(t, s, ix), Terms: terms}
-				got, err := RunReinstatements(context.Background(), strIn, scfg)
-				if err != nil {
-					t.Fatalf("streaming batch=%d: %v", batch, err)
-				}
-				bitIdentical(t, "reinst agg", want.Portfolio.Agg, got.Portfolio.Agg)
-				bitIdentical(t, "reinst occmax", want.Portfolio.OccMax, got.Portfolio.OccMax)
-				bitIdentical(t, "reinst premium", want.ReinstPremium, got.ReinstPremium)
+				reinstBitIdentical(t, fmt.Sprintf("streaming batch=%d", batch), streamingInput(t, s, ix), terms, scfg, want, wantPrem)
 			}
 		}
 	}

@@ -52,47 +52,25 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats aggregates the cost-model counters of a device. Transfers are
-// split by allocation lifetime: TransferFloats counts copies touching
-// per-batch buffers (the streaming steady-state cost), while
-// ResidentTransferFloats counts copies touching study-resident buffers
-// (paid once per run, however many batches stream through) — the split
-// is what makes the two-lifetime arena's saving visible in reports.
+// Stats aggregates the cost-model counters of a device.
 type Stats struct {
-	GlobalAccesses         uint64
-	SharedAccesses         uint64
-	ArithOps               uint64
-	TransferFloats         uint64 // floats moved to/from per-batch buffers
-	ResidentTransferFloats uint64 // floats moved to/from study-resident buffers
-	BlockCycles            uint64 // summed cycles across all blocks
-	Blocks                 uint64
-}
-
-// Add returns the field-wise sum of two snapshots — the carry when a
-// run spans several devices (e.g. streaming growth replaces an owned
-// device mid-run and the old device's counters must not be lost).
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		GlobalAccesses:         s.GlobalAccesses + o.GlobalAccesses,
-		SharedAccesses:         s.SharedAccesses + o.SharedAccesses,
-		ArithOps:               s.ArithOps + o.ArithOps,
-		TransferFloats:         s.TransferFloats + o.TransferFloats,
-		ResidentTransferFloats: s.ResidentTransferFloats + o.ResidentTransferFloats,
-		BlockCycles:            s.BlockCycles + o.BlockCycles,
-		Blocks:                 s.Blocks + o.Blocks,
-	}
+	GlobalAccesses uint64
+	SharedAccesses uint64
+	ArithOps       uint64
+	TransferFloats uint64 // floats moved host<->device, either way
+	BlockCycles    uint64 // summed cycles across all blocks
+	Blocks         uint64
 }
 
 // ModeledCycles is the device-time estimate: summed block cycles
 // divided across SMs (ideal balance), plus transfer cycles which are
-// serialized on the host link. Resident and per-batch transfers cross
-// the same link, so both are charged.
+// serialized on the host link.
 func (s Stats) ModeledCycles(cfg Config) uint64 {
 	sms := uint64(cfg.NumSMs)
 	if sms == 0 {
 		sms = 1
 	}
-	return s.BlockCycles/sms + (s.TransferFloats+s.ResidentTransferFloats)*cfg.TransferCost
+	return s.BlockCycles/sms + s.TransferFloats*cfg.TransferCost
 }
 
 // ModeledSeconds converts modeled cycles to seconds at the configured
@@ -119,13 +97,12 @@ var (
 // serialized by the caller as on a single CUDA stream; kernels run
 // blocks concurrently internally.
 type Device struct {
-	cfg         Config
-	global      []float64
-	globalTop   int
-	residentTop int // global[0:residentTop) is the study-resident arena
+	cfg       Config
+	global    []float64
+	globalTop int
 
 	stats struct {
-		global, shared, arith, transfer, residentTransfer, blockCycles, blocks atomic.Uint64
+		global, shared, arith, transfer, blockCycles, blocks atomic.Uint64
 	}
 }
 
@@ -172,29 +149,17 @@ func (d *Device) Config() Config { return d.cfg }
 // Stats returns a snapshot of the cost-model counters.
 func (d *Device) Stats() Stats {
 	return Stats{
-		GlobalAccesses:         d.stats.global.Load(),
-		SharedAccesses:         d.stats.shared.Load(),
-		ArithOps:               d.stats.arith.Load(),
-		TransferFloats:         d.stats.transfer.Load(),
-		ResidentTransferFloats: d.stats.residentTransfer.Load(),
-		BlockCycles:            d.stats.blockCycles.Load(),
-		Blocks:                 d.stats.blocks.Load(),
+		GlobalAccesses: d.stats.global.Load(),
+		SharedAccesses: d.stats.shared.Load(),
+		ArithOps:       d.stats.arith.Load(),
+		TransferFloats: d.stats.transfer.Load(),
+		BlockCycles:    d.stats.blockCycles.Load(),
+		Blocks:         d.stats.blocks.Load(),
 	}
 }
 
-// ResetStats zeroes the cost-model counters (allocations persist).
-func (d *Device) ResetStats() {
-	d.stats.global.Store(0)
-	d.stats.shared.Store(0)
-	d.stats.arith.Store(0)
-	d.stats.transfer.Store(0)
-	d.stats.residentTransfer.Store(0)
-	d.stats.blockCycles.Store(0)
-	d.stats.blocks.Store(0)
-}
-
-// Alloc reserves n floats of global memory with per-batch lifetime:
-// the allocation is released by the next FreeBatch (or FreeAll).
+// Alloc reserves n floats of global memory for the device's lifetime
+// (a bump allocator: nothing is freed).
 func (d *Device) Alloc(n int) (Buffer, error) {
 	if n < 0 || d.globalTop+n > len(d.global) {
 		return Buffer{}, fmt.Errorf("%w: want %d floats, %d free", ErrOutOfMemory, n, len(d.global)-d.globalTop)
@@ -204,69 +169,23 @@ func (d *Device) Alloc(n int) (Buffer, error) {
 	return b, nil
 }
 
-// AllocResident reserves n floats of global memory with study-resident
-// lifetime: the allocation survives FreeBatch and is only released by
-// FreeAll. The two lifetimes share one arena with the resident region
-// at the bottom, so resident allocations must all be made before the
-// first per-batch Alloc of a run — interleaving them would let a later
-// FreeBatch strand a hole, and is rejected instead.
-func (d *Device) AllocResident(n int) (Buffer, error) {
-	if d.globalTop != d.residentTop {
-		return Buffer{}, fmt.Errorf("gpusim: resident alloc after batch allocs (%d batch floats live); allocate resident buffers first or FreeBatch",
-			d.globalTop-d.residentTop)
-	}
-	b, err := d.Alloc(n)
-	if err != nil {
-		return Buffer{}, err
-	}
-	d.residentTop = d.globalTop
-	return b, nil
-}
-
-// FreeAll releases all global allocations, resident included
-// (arena-style).
-func (d *Device) FreeAll() {
-	d.globalTop = 0
-	d.residentTop = 0
-}
-
-// FreeBatch releases the per-batch allocations, keeping the
-// study-resident arena intact — the between-batches reset of a
-// streaming run.
-func (d *Device) FreeBatch() { d.globalTop = d.residentTop }
-
-// resident reports whether b lives in the study-resident arena.
-// Resident buffers are allocated before any batch buffer, so the
-// arenas never interleave and the offset comparison is exact.
-func (d *Device) resident(b Buffer) bool { return b.off < d.residentTop }
-
-// CopyToDevice uploads data into b, charging transfer cycles against
-// the counter matching b's lifetime (resident vs per-batch).
+// CopyToDevice uploads data into b, charging transfer cycles.
 func (d *Device) CopyToDevice(b Buffer, data []float64) error {
 	if len(data) > b.n {
 		return fmt.Errorf("gpusim: copy of %d floats into buffer of %d", len(data), b.n)
 	}
 	copy(d.global[b.off:b.off+len(data)], data)
-	if d.resident(b) {
-		d.stats.residentTransfer.Add(uint64(len(data)))
-	} else {
-		d.stats.transfer.Add(uint64(len(data)))
-	}
+	d.stats.transfer.Add(uint64(len(data)))
 	return nil
 }
 
-// CopyFromDevice downloads b into out, charging transfer cycles
-// against the counter matching b's lifetime (resident vs per-batch).
+// CopyFromDevice downloads b into out, charging transfer cycles.
 func (d *Device) CopyFromDevice(b Buffer, out []float64) error {
 	if len(out) > b.n {
 		return fmt.Errorf("gpusim: copy of %d floats from buffer of %d", len(out), b.n)
 	}
 	copy(out, d.global[b.off:b.off+len(out)])
-	if d.resident(b) {
-		d.stats.residentTransfer.Add(uint64(len(out)))
-	} else {
-		d.stats.transfer.Add(uint64(len(out)))
-	}
+	d.stats.transfer.Add(uint64(len(out)))
 	return nil
 }
 

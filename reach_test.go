@@ -54,7 +54,6 @@ var keptUnreached = []struct{ name, reason string }{
 	{"diskstore.(*Store).CorruptAt", "fault fixture: bit rot in one replica"},
 
 	// Probes and references surviving tests assert through.
-	{"aggregate.UnlimitedReinstatements", "builds the all-unlimited regime in eight reinstatement tests of internal/aggregate"},
 	{"faultinject.(*Plan).Injected", "the injected-fault count the fault tests of aggregate, mapreduce, yelt and faultinject assert on"},
 	{"lossindex.(*Index).Entries", "per-row reference of TestFlattenColumnsMatchEntries and aggregate's legacyVectors"},
 	{"lossindex.(*Index).EntriesFor", "per-event reference of the lossindex tests and aggregate's naiveReinstatements oracle"},
@@ -146,8 +145,7 @@ var keptUnsettable = []struct{ name, reason string }{
 	// Parameters the equivalence and oracle suites vary.
 	{"aggregate.MapReduce.SplitTrials", "TestMapReduceEquivalenceMatrix, TestFaultEquivalenceMatrix and the goldens cut splits that do not divide the trial count"},
 	{"aggregate.MapReduce.MaxAttempts", "the fault tests give retries room (5) or too little (TestFaultUnrecoverableFailsLoudly)"},
-	{"aggregate.Chunked.Device", "TestChunkedResidentUploadOnce hands in a device to read its transfer counters"},
-	{"aggregate.Chunked.TrialsPerBlock", "TestChunkedOversizedBlockFallback and TestChunkedStreamingDeviceGrowthCarriesStats force block sizes"},
+	{"aggregate.Chunked.TrialsPerBlock", "TestChunkedOversizedBlockFallback forces one giant block; BenchmarkDeviceTrialsPerBlock sweeps it"},
 	{"aggregate.Reinstatements.Terms", "the reinstatement equivalence suite runs regimes other than the standard one"},
 	{"catmodel.Engine.Hazard", "TestRunMatchesNaiveOracle varies MaxRangeFactor through it"},
 	{"catmodel.Engine.MinMeanLoss", "TestMinMeanLossTruncates and the oracle's truncated engine"},

@@ -117,22 +117,22 @@ type Report = core.Report
 // proceed concurrently with quote calls — quotes read only the
 // immutable stage-1 artifacts, which an idempotent Run no longer
 // regenerates, and three pieces of quote-only state a Run never
-// touches: the per-contract layouts (quoteIdx/quoteFlat, under
-// quoteMu), the resident quote trial table (quoteTable, published
-// through an atomic pointer and never written after publication) and
-// its counters (atomics). QuoteTableInfo and CubeInfo may be polled at
+// touches: the per-contract layouts (quoteFlat, under quoteMu), the
+// resident quote trial table (quoteTable, published through an atomic
+// pointer and never written after publication) and its counters
+// (atomics). QuoteTableInfo and CubeInfo may be polled at
 // any time. All other method combinations require external
 // serialization.
 type Study struct {
 	cfg Config
 	p   *core.Pipeline
 	ran bool
-	// quoteIdx/quoteFlat cache the single-contract loss index and its
-	// flat kernel layout per contract, so repeated real-time quotes
-	// skip the pre-join as well as stage 1. quoteMu guards both maps
-	// and PriceContract's lazy pipeline/stage-1 initialization.
+	// quoteFlat caches the single-contract flat kernel layout (and,
+	// through Flat.Index, its loss index) per contract, so repeated
+	// real-time quotes skip the pre-join as well as stage 1. quoteMu
+	// guards the map and PriceContract's lazy pipeline/stage-1
+	// initialization.
 	quoteMu   sync.Mutex
-	quoteIdx  map[int]*lossindex.Index
 	quoteFlat map[int]*lossindex.Flat
 	// quoteTable is the resident quote trial table: trials [0, n) of
 	// the Seed+101 stream for the largest n a quote has asked for. The
@@ -349,9 +349,9 @@ func (s *Study) ensureModelled(ctx context.Context) (*core.Pipeline, error) {
 }
 
 // quoteLayout returns the single-contract portfolio view plus the
-// cached per-contract loss index and flat kernel layout, building and
-// caching them under quoteMu on first use.
-func (s *Study) quoteLayout(p *core.Pipeline, contract int) (*lossindex.Index, *lossindex.Flat, *layers.Portfolio, error) {
+// cached per-contract flat kernel layout, building and caching it (and
+// the loss index it derives from) under quoteMu on first use.
+func (s *Study) quoteLayout(p *core.Pipeline, contract int) (*lossindex.Flat, *layers.Portfolio, error) {
 	single := &layers.Portfolio{Contracts: []layers.Contract{{
 		ID:       p.Portfolio.Contracts[contract].ID,
 		ELTIndex: 0,
@@ -359,29 +359,22 @@ func (s *Study) quoteLayout(p *core.Pipeline, contract int) (*lossindex.Index, *
 	}}}
 	s.quoteMu.Lock()
 	defer s.quoteMu.Unlock()
-	if s.quoteIdx == nil {
-		s.quoteIdx = make(map[int]*lossindex.Index)
+	if flat := s.quoteFlat[contract]; flat != nil {
+		return flat, single, nil
+	}
+	idx, err := lossindex.Build(p.ELTs[contract:contract+1], single)
+	if err != nil {
+		return nil, nil, err
+	}
+	flat, err := lossindex.Flatten(idx, single)
+	if err != nil {
+		return nil, nil, err
+	}
+	if s.quoteFlat == nil {
 		s.quoteFlat = make(map[int]*lossindex.Flat)
 	}
-	idx := s.quoteIdx[contract]
-	if idx == nil {
-		var err error
-		idx, err = lossindex.Build(p.ELTs[contract:contract+1], single)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		s.quoteIdx[contract] = idx
-	}
-	flat := s.quoteFlat[contract]
-	if flat == nil {
-		var err error
-		flat, err = lossindex.Flatten(idx, single)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		s.quoteFlat[contract] = flat
-	}
-	return idx, flat, single, nil
+	s.quoteFlat[contract] = flat
+	return flat, single, nil
 }
 
 // WarmQuotes lazily runs stage 1 if needed and pre-builds every
@@ -398,7 +391,7 @@ func (s *Study) WarmQuotes(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if _, _, _, err := s.quoteLayout(p, c); err != nil {
+		if _, _, err := s.quoteLayout(p, c); err != nil {
 			return err
 		}
 	}
@@ -509,7 +502,7 @@ func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Q
 	if err != nil {
 		return nil, err
 	}
-	idx, flat, single, err := s.quoteLayout(p, contract)
+	flat, single, err := s.quoteLayout(p, contract)
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +510,7 @@ func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Q
 		Source:    src,
 		ELTs:      p.ELTs[contract : contract+1],
 		Portfolio: single,
-		Index:     idx,
+		Index:     flat.Index(),
 		Flat:      flat,
 	}
 	res, err := (aggregate.Parallel{}).Run(ctx, qin, aggregate.Config{
