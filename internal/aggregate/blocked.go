@@ -289,12 +289,15 @@ func blockExpectedOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl,
 // trial-major within the block; the blocked win is the pre-staged
 // hits and the hoisted plan/term columns. A miss draws nothing, so
 // walking only the hits leaves every draw where it was, and a trial
-// without hits never seeds its substream.
+// without hits never seeds its substream. A draw that ScaledBetaAbove
+// proves at or below the contract's lowest retention recovers 0 through
+// every layer, adds nothing and raises no maximum, so the entry is
+// skipped without evaluating it.
 func blockSampledOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, seed uint64, base, nl, nc int, blockAgg []float64, hs hits, occMaxOut, pco []float64) {
 	ft := fx.Terms
 	expOff, layerOff, contract := fx.ExpOff, fx.LayerOff, fx.Contract
 	sampleConst, sampleA, sampleB, sampleScale := fx.SampleConst, fx.SampleA, fx.SampleB, fx.SampleScale
-	occRet, occLim := ft.OccRet, ft.OccLim
+	occRet, occLim, minOccRet := ft.OccRet, ft.OccLim, ft.MinOccRet
 	offs := b.Offsets
 	streamBase := offs[t0]
 	h0 := 0
@@ -316,7 +319,10 @@ func blockSampledOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, seed
 			for k := hs.lo[o]; k < hs.hi[o]; k++ {
 				loss := sampleConst[k]
 				if a := sampleA[k]; a > 0 {
-					loss = sampleScale[k] * st.Beta(a, sampleB[k])
+					var above bool
+					if loss, above = st.ScaledBetaAbove(a, sampleB[k], sampleScale[k], minOccRet[contract[k]]); !above {
+						continue
+					}
 				}
 				fb := layerOff[k]
 				end := fb + (expOff[k+1] - expOff[k])

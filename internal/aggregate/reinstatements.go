@@ -136,7 +136,13 @@ func runTrialReinstFlat(
 			if sampling {
 				loss := fx.SampleConst[k]
 				if a := fx.SampleA[k]; a > 0 {
-					loss = fx.SampleScale[k] * st.Beta(a, fx.SampleB[k])
+					var above bool
+					if loss, above = st.ScaledBetaAbove(a, fx.SampleB[k], fx.SampleScale[k], ft.MinOccRet[fx.Contract[k]]); !above {
+						// At or below every retention: each layer
+						// passes 0 to FlatYearStates.Occurrence,
+						// which returns (0, 0) and changes no state.
+						continue
+					}
 				}
 				for fl := base; fl < base+n; fl++ {
 					rcv, p := fy.Occurrence(fl, ft.ApplyOccurrence(fl, loss))

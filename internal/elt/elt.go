@@ -37,6 +37,16 @@ type Record struct {
 	ExposedValue float64
 }
 
+// finite reports whether every moment of r is a finite number.
+func (r Record) finite() bool {
+	for _, v := range [...]float64{r.MeanLoss, r.SigmaI, r.SigmaC, r.ExposedValue} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Sigma returns the total standard deviation. Following ELT
 // convention the independent and correlated components are stored
 // separately and added when a single spread is needed.
@@ -113,9 +123,11 @@ func (t *Table) ExpectedLoss() float64 {
 // per-record half of SampleLoss, split out so scan-oriented layouts
 // can precompute it once per (event, contract) entry instead of
 // re-deriving it for every one of millions of trials; SampleLoss
-// delegates here, so the two can never diverge.
+// delegates here, so the two can never diverge. A record with a NaN
+// or infinite moment has no distribution to match and gets the plan
+// for no loss.
 func SampleParams(r Record) (c, a, b, scale float64) {
-	if r.MeanLoss <= 0 || r.ExposedValue <= 0 {
+	if !r.finite() || r.MeanLoss <= 0 || r.ExposedValue <= 0 {
 		return 0, 0, 0, 0
 	}
 	sigma := r.Sigma()
@@ -142,10 +154,11 @@ func SampleParams(r Record) (c, a, b, scale float64) {
 // industry-standard beta-on-[0, ExposedValue] secondary-uncertainty
 // model: mean and sigma are matched by method of moments. Degenerate
 // parameters fall back to the mean (or the distribution's bounds)
-// without consuming a draw.
+// without consuming a draw. It draws exactly when a > 0, the test the
+// stage-2 kernels make on the precomputed plan.
 func SampleLoss(st *rng.Stream, r Record) float64 {
 	c, a, b, scale := SampleParams(r)
-	if a == 0 {
+	if !(a > 0) {
 		return c
 	}
 	return scale * st.Beta(a, b)
@@ -237,6 +250,13 @@ func Read(r io.Reader) (*Table, error) {
 	// Stored tables are sorted; tolerate unsorted input defensively.
 	if !sort.SliceIsSorted(t.Records, func(i, j int) bool { return t.Records[i].EventID < t.Records[j].EventID }) {
 		t.normalize()
+	}
+	// Checked after coalescing, which can overflow two finite
+	// duplicates into an infinite moment.
+	for _, rec := range t.Records {
+		if !rec.finite() {
+			return nil, fmt.Errorf("%w: event %d has a non-finite moment", ErrBadFormat, rec.EventID)
+		}
 	}
 	return t, nil
 }

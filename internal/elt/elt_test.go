@@ -2,6 +2,7 @@ package elt
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -142,6 +143,41 @@ func TestReadRejectsGarbage(t *testing.T) {
 	hdr[8], hdr[9], hdr[10], hdr[11] = 0xff, 0xff, 0xff, 0xff
 	if _, err := Read(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("absurd count should error")
+	}
+}
+
+// Read refuses a record with a NaN or infinite moment, and a table whose
+// finite duplicates coalesce into one, with ErrBadFormat.
+func TestReadRefusesNonFiniteMoments(t *testing.T) {
+	bad := []Record{
+		{EventID: 4, MeanLoss: math.NaN(), ExposedValue: 10},
+		{EventID: 4, MeanLoss: 1, SigmaI: math.Inf(1), ExposedValue: 10},
+		{EventID: 4, MeanLoss: 1, SigmaC: math.Inf(-1), ExposedValue: 10},
+		{EventID: 4, MeanLoss: 1, ExposedValue: math.Inf(1)},
+	}
+	for _, r := range bad {
+		tbl := &Table{ContractID: 1, Records: []Record{{EventID: 1, MeanLoss: 1, ExposedValue: 2}, r}}
+		var buf bytes.Buffer
+		if _, err := tbl.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("%+v: err %v, want ErrBadFormat", r, err)
+		}
+	}
+	// Unsorted on the wire, so Read coalesces the two event-5 records,
+	// whose means sum past MaxFloat64.
+	tbl := &Table{ContractID: 1, Records: []Record{
+		{EventID: 5, MeanLoss: math.MaxFloat64, ExposedValue: math.MaxFloat64},
+		{EventID: 1, MeanLoss: 1, ExposedValue: 2},
+		{EventID: 5, MeanLoss: math.MaxFloat64, ExposedValue: math.MaxFloat64},
+	}}
+	var buf bytes.Buffer
+	if _, err := tbl.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("overflowing duplicates: err %v, want ErrBadFormat", err)
 	}
 }
 

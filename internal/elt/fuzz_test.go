@@ -2,6 +2,7 @@ package elt
 
 import (
 	"bytes"
+	"math"
 	"sort"
 	"testing"
 )
@@ -40,6 +41,15 @@ func FuzzRead(f *testing.F) {
 			{EventID: 9, MeanLoss: 4, ExposedValue: 40},
 			{EventID: 1, MeanLoss: 3, ExposedValue: 30},
 		}},
+		// Non-finite moments, and finite duplicates whose coalesced
+		// mean overflows: Read must refuse each.
+		{ContractID: 4, Records: []Record{{EventID: 2, MeanLoss: 1, SigmaI: math.NaN(), ExposedValue: 10}}},
+		{ContractID: 5, Records: []Record{{EventID: 2, MeanLoss: 1, ExposedValue: math.Inf(1)}}},
+		{ContractID: 6, Records: []Record{
+			{EventID: 8, MeanLoss: math.MaxFloat64, ExposedValue: math.MaxFloat64},
+			{EventID: 1, MeanLoss: 1, ExposedValue: 2},
+			{EventID: 8, MeanLoss: math.MaxFloat64, ExposedValue: math.MaxFloat64},
+		}},
 	}
 	for _, t := range golden {
 		enc := mustEncode(f, t)
@@ -67,6 +77,11 @@ func FuzzRead(f *testing.F) {
 			return t1.Records[i].EventID < t1.Records[j].EventID
 		}) {
 			t.Fatal("decoded table is not sorted by event ID")
+		}
+		for _, r := range t1.Records {
+			if !r.finite() {
+				t.Fatalf("accepted event %d with a non-finite moment: %+v", r.EventID, r)
+			}
 		}
 
 		var b1 bytes.Buffer

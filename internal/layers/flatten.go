@@ -33,6 +33,11 @@ type FlatTerms struct {
 	AggRet []float64
 	AggLim []float64 // +Inf when the layer's aggregate limit is unlimited
 	Share  []float64 // zero shares normalized to 1
+	// MinOccRet is per contract: the lowest OccRet of contract ci's
+	// layers (NaN if any is NaN). A loss at or below it recovers 0
+	// through every layer of the contract, which lets the sampling
+	// kernels skip evaluating such a loss (rng.Stream.ScaledBetaAbove).
+	MinOccRet []float64
 }
 
 // FlattenTerms extracts a portfolio's layer terms into the flat SoA
@@ -56,11 +61,15 @@ func FlattenTerms(pf *Portfolio) (*FlatTerms, error) {
 		AggRet: make([]float64, total),
 		AggLim: make([]float64, total),
 		Share:  make([]float64, total),
+
+		MinOccRet: make([]float64, len(pf.Contracts)),
 	}
 	fl := int32(0)
 	for ci, c := range pf.Contracts {
 		ft.First[ci] = fl
+		ft.MinOccRet[ci] = math.Inf(1)
 		for _, l := range c.Layers {
+			ft.MinOccRet[ci] = math.Min(ft.MinOccRet[ci], l.OccRetention)
 			ft.OccRet[fl] = l.OccRetention
 			ft.OccLim[fl] = limitOrInf(l.OccLimit)
 			ft.AggRet[fl] = l.AggRetention
@@ -123,5 +132,5 @@ func (ft *FlatTerms) ApplyAggregate(fl int32, sum float64) float64 {
 
 // SizeBytes returns the in-memory footprint of the flattened terms.
 func (ft *FlatTerms) SizeBytes() int64 {
-	return int64(len(ft.First))*4 + int64(ft.NumLayers())*5*8
+	return int64(len(ft.First))*4 + int64(ft.NumLayers())*5*8 + int64(len(ft.MinOccRet))*8
 }

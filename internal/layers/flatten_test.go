@@ -28,7 +28,8 @@ func randomLayer(u [4]float64) Layer {
 // including the 0-means-unlimited and 0-means-full-share sentinel
 // encodings — the SoA columns must reproduce Layer.ApplyOccurrence
 // and Layer.ApplyAggregate bit-for-bit on random losses, including
-// losses pinned exactly at the retention and limit boundaries.
+// losses pinned exactly at the retention and limit boundaries. A loss
+// at or below a contract's MinOccRet recovers 0 through its layers.
 func TestFlatTermsRoundTripProperty(t *testing.T) {
 	prop := func(u1, u2, u3, u4, lossSeed float64) bool {
 		u := [4]float64{frac(u1), frac(u2), frac(u3), frac(u4)}
@@ -53,6 +54,18 @@ func TestFlatTermsRoundTripProperty(t *testing.T) {
 			l2.AggRetention,
 			l2.AggRetention + l2.AggLimit + 0.5,
 			math.MaxFloat64 / 4,
+		}
+		// A loss at or below a contract's MinOccRet recovers 0 through
+		// every layer of the contract.
+		for ci := 0; ci < ft.NumContracts(); ci++ {
+			for fl := ft.First[ci]; fl < ft.First[ci+1]; fl++ {
+				for _, loss := range []float64{0, ft.MinOccRet[ci] / 2, ft.MinOccRet[ci]} {
+					if r := ft.ApplyOccurrence(fl, loss); r != 0 {
+						t.Logf("contract %d slot %d: loss %g at or below MinOccRet recovers %g", ci, fl, loss, r)
+						return false
+					}
+				}
+			}
 		}
 		all := []Layer{l1, l2, l2}
 		for fl, l := range all {
@@ -115,6 +128,33 @@ func TestFlattenTermsFrames(t *testing.T) {
 	}
 	if ft.SizeBytes() <= 0 {
 		t.Fatal("SizeBytes not positive")
+	}
+}
+
+// MinOccRet is the lowest retention of each contract's layers, in any
+// order, and NaN for a contract with a NaN retention, which Validate
+// lets through and ApplyOccurrence turns into a NaN recovery: no loss
+// may count as below it.
+func TestMinOccRet(t *testing.T) {
+	nan := math.NaN()
+	rets := [][]float64{{5, nan}, {nan, 5}, {7, 5}, {5, 7, 6}, {9, 0, 3}, {4}}
+	want := []float64{nan, nan, 5, 5, 0, 4}
+	pf := &Portfolio{}
+	for ci, rs := range rets {
+		c := Contract{ID: uint32(ci)}
+		for _, r := range rs {
+			c.Layers = append(c.Layers, Layer{OccRetention: r})
+		}
+		pf.Contracts = append(pf.Contracts, c)
+	}
+	ft, err := FlattenTerms(pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, w := range want {
+		if got := ft.MinOccRet[ci]; got != w && !(math.IsNaN(got) && math.IsNaN(w)) {
+			t.Fatalf("MinOccRet = %v, want %v", ft.MinOccRet, want)
+		}
 	}
 }
 

@@ -91,11 +91,23 @@ func (st *Stream) Beta(a, b float64) float64 {
 // ziggurat exponential: one Exp, no Log and no Pow. A tiny shape
 // underflows the boost to 0, never to NaN.
 func (st *Stream) betaGamma(shape float64) float64 {
-	boost := 1.0
 	if shape < 1 {
-		boost = math.Exp(-st.zigExponential() / shape)
-		shape++
+		z := st.boostExponent(shape)
+		return st.mtGamma(shape+1) * math.Exp(z)
 	}
+	return st.mtGamma(shape)
+}
+
+// boostExponent draws the exponent z = −E/shape ≤ 0 of the boost
+// e^z = U^(1/shape) that turns a Gamma(shape+1) draw into a
+// Gamma(shape) one. It is drawn before the gamma it scales.
+func (st *Stream) boostExponent(shape float64) float64 {
+	return -st.zigExponential() / shape
+}
+
+// mtGamma returns a Gamma(shape, 1) draw for shape >= 1: the
+// Marsaglia-Tsang d·v, accepted by the squeeze or the exact test.
+func (st *Stream) mtGamma(shape float64) float64 {
 	d := shape - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
 	for {
@@ -108,9 +120,96 @@ func (st *Stream) betaGamma(shape float64) float64 {
 		u := st.Float64Open()
 		x2 := x * x
 		if u < 1-0.0331*x2*x2 || math.Log(u) < 0.5*x2+d*(1-v+math.Log(v)) {
-			return d * v * boost
+			return d * v
 		}
 	}
+}
+
+// skipMargin is the relative margin δ of ScaledBetaAbove's skip test.
+const skipMargin = 0x1p-40
+
+// ScaledBetaAbove returns scale·Beta(a, b), bit for bit, and true — or
+// false, with the value unevaluated, when a cheap upper bound proves it
+// is at most floor. A stage-2 kernel passes the lowest occurrence
+// retention of the entry's contract as floor: a loss at or below it
+// recovers 0 through every layer, so no output reads it. Either way
+// the stream advances exactly as Beta advances it — E, the shape a+1
+// gamma, then the b gamma (E only when a < 1) — so the draws after it
+// do not depend on the answer.
+//
+// What is skipped is the boost's math.Exp and the final divide. With
+// g the shape-(a+1) gamma and z = −E/a ≤ 0, Beta's x is fl(g·Exp(z)).
+// The bound replaces Exp(z) by 2^k, k = trunc(z·log₂e·(1−2⁻³⁰))
+// floored at −1021, built from exponent bits (expBound). Soundness, in
+// four steps, with u = 2⁻⁵³ and δ = 2⁻⁴⁰:
+//
+//  1. 2^k ≥ Exp(z). The rounded product w = fl(z·c), c = fl(log₂e·
+//     (1−2⁻³⁰)), has |w| ≤ |z|·log₂e·(1−2⁻³⁰)(1+u)² < |z|·log₂e, and
+//     trunc and the floor only raise it, so k ≥ w ≥ z·log₂e and
+//     2^k ≥ e^z. Exp is faithful (error below 1 ulp), so it returns a
+//     float no greater than the float 2^k. Off k = 0 the factor
+//     (1−2⁻³⁰) leaves 2^k at least 2^(2⁻³⁰) above e^z, a margin of
+//     ~10⁻⁹ for an Exp that is a few ulp off; at k = 0 it needs only
+//     Exp(z) ≤ 1 for z ≤ 0.
+//  2. Monotone rounding carries it through g·2^k: x = fl(g·Exp(z)) ≤
+//     fl(g·2^k) = xh. For a ≥ 1 there is no boost: z = 0, 2^k = 1 and
+//     xh = x = g.
+//  3. The test. With y the b gamma, L = fl(fl(xh·scale)·(1+δ)) and
+//     R = fl(fl(fl(xh+y)·floor)·(1−δ)), the skip needs L ≤ R,
+//     L ≥ 2⁻¹⁰²¹, R finite and scale ≤ floor·2¹⁰⁰⁰. The middle two keep
+//     every product of L and R a normal float (R ≥ L), so each carries
+//     relative error ≤ u, and L ≤ R gives
+//     ρ = scale·xh/(xh+y) ≤ floor·(1−δ)(1+u)³/((1+δ)(1−u)²) < floor·(1−2⁻⁴⁰).
+//  4. The value. x/(x+y) ≤ xh/(xh+y) since x ≤ xh and y ≥ 0; fl(x+y) ≥
+//     (x+y)(1−u); the divide rounds up by at most a factor (1+u) or, in
+//     the subnormal range, by 2⁻¹⁰⁷⁵; so scale·fl(x/fl(x+y)) ≤
+//     ρ(1+3u) + scale·2⁻¹⁰⁷⁵ < floor(1−2⁻⁴⁰)(1+3u) + floor·2⁻⁷⁵ < floor
+//     (the last step by scale ≤ floor·2¹⁰⁰⁰). floor is a float, so the
+//     rounded product fl(scale·…) — the value — is at most floor too;
+//     x+y == 0 gives 0.
+//
+// Every step only needs rounding errors at most u per operation, so a
+// compiler that fuses a multiply and an add (arm64 FMA) keeps it: a
+// fused operation rounds once instead of twice. NaN in any input fails
+// one of the comparisons, and the value is computed.
+func (st *Stream) ScaledBetaAbove(a, b, scale, floor float64) (float64, bool) {
+	if a <= 0 || b <= 0 {
+		return scale * 0, true
+	}
+	var z float64
+	shape := a
+	if a < 1 {
+		z = st.boostExponent(a)
+		shape++
+	}
+	g := st.mtGamma(shape)
+	y := st.betaGamma(b)
+	xh := g * expBound(z)
+	lhs := xh * scale * (1 + skipMargin)
+	rhs := (xh + y) * floor * (1 - skipMargin)
+	if lhs <= rhs && lhs >= 0x1p-1021 && rhs <= math.MaxFloat64 && scale <= floor*0x1p1000 {
+		return 0, false
+	}
+	x := g
+	if a < 1 {
+		x = g * math.Exp(z)
+	}
+	if x+y == 0 {
+		return scale * 0, true
+	}
+	return scale * (x / (x + y)), true
+}
+
+// expBound returns 2^k ≥ math.Exp(z) for z ≤ 0, with k =
+// trunc(z·log₂e·(1−2⁻³⁰)) floored at −1021 (ScaledBetaAbove, step 1),
+// assembled from its exponent bits.
+func expBound(z float64) float64 {
+	w := z * (math.Log2E * (1 - 0x1p-30))
+	k := int64(-1021)
+	if w > -1021 {
+		k = int64(w)
+	}
+	return math.Float64frombits(uint64(k+1023) << 52)
 }
 
 // maxDirectPoissonLambda bounds the multiplication method; above it
