@@ -66,6 +66,7 @@ func main() {
 	flag.IntVar(&cfg.SpillNodes, "nodes", cfg.SpillNodes, "spill store storage-node count (0 = default)")
 	flag.IntVar(&cfg.SpillReplicas, "replicas", cfg.SpillReplicas, "spill replication factor: each shard written to this many storage nodes (<=1 = none)")
 	flag.BoolVar(&cfg.Speculate, "speculate", cfg.Speculate, "speculative re-execution of straggling map tasks (mapreduce engine)")
+	flag.BoolVar(&cfg.Reinstatements, "reinstatements", cfg.Reinstatements, "write standard reinstatement terms on the book's limited layers (one reinstatement at 100%, 5% rate-on-line) and print the premium")
 	var (
 		mode      = flag.String("mode", "run", "run = fused pipeline; spill = stage 1 + shard write into -dir, no aggregation; aggregate = re-attach to -dir shards and run stages 2-3 (the shards decide the trial count)")
 		engine    = flag.String("engine", "parallel", "stage-2 engine: "+strings.Join(aggregate.EngineNames(), "|"))
@@ -87,7 +88,6 @@ func main() {
 	if cfg.Engine, err = aggregate.EngineByName(*engine); err != nil {
 		exit(2, err)
 	}
-	reinst, _ := cfg.Engine.(*aggregate.Reinstatements)
 	if cfg.Provision, err = cluster.ParsePolicy(*provision); err != nil {
 		exit(2, err)
 	}
@@ -162,13 +162,13 @@ func main() {
 		fmt.Printf("shard data motion: %.1f%% of %s scanned node-local\n",
 			100*float64(res.LocalBytes)/float64(total), yelt.HumanBytes(float64(total)))
 	}
-	if reinst != nil {
+	if prem := p.AggResult.Premium; prem != nil {
 		var total float64
-		for _, prem := range reinst.LastPremium {
-			total += prem
+		for _, v := range prem {
+			total += v
 		}
 		fmt.Printf("reinstatement premium (standard terms): total=%.0f mean/trial=%.2f\n",
-			total, total/float64(len(reinst.LastPremium)))
+			total, total/float64(len(prem)))
 	}
 	if cube := p.Cube; cube != nil {
 		fmt.Printf("warehouse cube: %d cells over dims %s (%s resident)\n",

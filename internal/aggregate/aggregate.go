@@ -17,9 +17,11 @@
 //   - MapReduce: the same driver once per map split, with retries,
 //     speculation and shard-affine placement around it, each split
 //     committed into the result once (mapreduce.go).
-//   - Reinstatements: the stateful occurrence-ordered engine, the
-//     driver with the flat year-state kernel in place of the blocked
-//     one (reinstatements.go).
+//
+// Reinstatements are terms of the book, not an engine: a book whose
+// layers declare them (layers.Layer.Reinstatements) runs on the same
+// driver, with the flat year-state walk in place of the blocked kernel
+// (reinstatements.go) and a premium column on the result.
 //
 // Chunked runs the ground-up portfolio aggregation on the simulated
 // many-core device (internal/gpusim) in one pass, staging ELT chunks
@@ -107,9 +109,9 @@ type Config struct {
 	// does. Every host engine feeds it: Sequential and Parallel per
 	// batch, MapReduce per committed split — a map task's segment
 	// reaches the sink once, when the winning attempt commits it, so
-	// retries and speculative backups never replay a range. The
-	// reinstatements and device engines produce no per-contract tables
-	// and refuse a sink as they refuse PerContract.
+	// retries and speculative backups never replay a range, a book with
+	// reinstatement terms included. The device engine produces no
+	// per-contract tables and refuses a sink as it refuses PerContract.
 	BatchSink func(lo int, agg, occ [][]float64)
 }
 
@@ -283,6 +285,11 @@ type Result struct {
 	// PerContract, when requested, holds one YLT per contract in
 	// portfolio order.
 	PerContract []*ylt.Table
+	// Premium is the per-trial reinstatement premium of a book that
+	// declares reinstatement terms: Premium[t] is the total charged in
+	// trial t across the book (reinsurer income offsetting recoveries).
+	// Nil for a book without terms.
+	Premium []float64
 	// PeakResidentBytes is the maximum bytes of trial (YELT) data
 	// resident at any instant during the run: the full table footprint
 	// for materialized inputs, the concurrent-batch high-water mark for
@@ -327,10 +334,11 @@ func (f FaultCounters) Any() bool {
 
 // ErrUnsupported is returned by an engine asked for a configuration
 // outside its scope, always wrapped with the engine's name and the
-// offending setting: sampling on the device engines (the paper's GPU
+// offending setting: sampling on the device engine (the paper's GPU
 // engine [7] likewise ran the expected-loss occurrence pipeline on
-// device), per-contract output on the reinstatements and device
-// engines, annual-aggregate layer terms on the device engines.
+// device), per-contract output and annual-aggregate layer terms on the
+// device engine, and reinstatement terms on the device engine and the
+// LegacyLookup oracle.
 var ErrUnsupported = errors.New("aggregate: configuration unsupported by engine")
 
 // Engine runs aggregate analysis over an input.
@@ -353,7 +361,6 @@ var engines = []struct {
 }{
 	{"mapreduce", func() Engine { return MapReduce{} }},
 	{"parallel", func() Engine { return Parallel{} }},
-	{"reinstatements", func() Engine { return &Reinstatements{} }},
 	{"sequential", func() Engine { return Sequential{} }},
 }
 
@@ -380,9 +387,12 @@ func EngineByName(name string) (Engine, error) {
 // trialScratch holds a worker's reusable kernel buffers (blocked.go),
 // grown on demand so the per-trial hot path is allocation-free: the
 // block×NumLayers accumulator matrix, the event-major span staging
-// arrays, and the block×numContracts output matrices. The zero value
-// is ready to use.
+// arrays, and the block×numContracts output matrices; for a book with
+// reinstatement terms, the worker's live year states and per-layer
+// annual sums (reinstatements.go). The zero value is ready to use.
 type trialScratch struct {
+	years    *layers.FlatYearStates
+	sums     []float64
 	blockAgg []float64
 	spanPos  []int32
 	spanLo   []int32
@@ -570,9 +580,13 @@ func newResult(in *Input, cfg Config) *Result {
 
 // newResultN builds the result tables for n trial slots — the full
 // trial count for whole-run results, a range length for the MapReduce
-// engine's segment tables.
+// engine's segment tables — with a premium column when the flat layout
+// carries year states.
 func newResultN(in *Input, cfg Config, n int) *Result {
 	res := &Result{Portfolio: ylt.New("portfolio", n)}
+	if fx := in.Flat; fx != nil && fx.Terms.YearStates != nil {
+		res.Premium = make([]float64, n)
+	}
 	if cfg.perContract() {
 		res.PerContract = make([]*ylt.Table, len(in.Portfolio.Contracts))
 		for i, c := range in.Portfolio.Contracts {

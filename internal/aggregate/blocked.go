@@ -96,8 +96,13 @@ func (s *trialScratch) blockPerContractBufs(cells int) (pc, pco []float64) {
 // the occurrence and annual stages below. Local trial i of the batch
 // is global trial base+i (fixing the RNG substream) and lands in result
 // slot base+i-slotOff, so results are independent of both the batch
-// and the block tiling.
+// and the block tiling. A book with reinstatement terms takes the
+// stateful walk instead.
 func runBatchBlocked(fx *lossindex.Flat, in *Input, cfg Config, batch *yelt.Table, base int, res *Result, scratch *trialScratch, slotOff int) {
+	if fx.Terms.YearStates != nil {
+		runBatchReinst(fx, cfg, batch, base, res, scratch, slotOff)
+		return
+	}
 	nl := fx.NumLayers()
 	nc := len(in.Portfolio.Contracts)
 	block := cfg.trialBlock()

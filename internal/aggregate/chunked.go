@@ -58,6 +58,9 @@ func (c *Chunked) Run(ctx context.Context, in *Input, cfg Config) (*Result, erro
 	}
 	for _, ct := range in.Portfolio.Contracts {
 		for _, l := range ct.Layers {
+			if l.Reinstatements != nil {
+				return nil, fmt.Errorf("%w: %s: reinstatement terms on contract %d", ErrUnsupported, c.Name(), ct.ID)
+			}
 			if l.AggRetention != 0 || l.AggLimit != 0 {
 				return nil, fmt.Errorf("%w: %s: annual aggregate terms on contract %d", ErrUnsupported, c.Name(), ct.ID)
 			}

@@ -120,8 +120,8 @@ func TestGoldenCrossEngineSharedIndex(t *testing.T) {
 	bitIdentical(t, "single-contract device occmax", seq1.Portfolio.OccMax, dev1.Portfolio.OccMax)
 }
 
-// Reinstatements with never-binding terms must still agree with the
-// stateless indexed engines after the index refactor.
+// A book with never-binding reinstatement terms must still agree with
+// the same book without terms.
 func TestGoldenReinstatementsConsistency(t *testing.T) {
 	s := buildScenario(t, synth.Small(24))
 	cfg := Config{Seed: 31, Sampling: true}
@@ -129,7 +129,7 @@ func TestGoldenReinstatementsConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, _, err := runReinst(context.Background(), input(s), UnlimitedReinstatements(s.Portfolio), cfg)
+	rres, _, err := runReinst(context.Background(), reinstInput(input(s), UnlimitedReinstatements(s.Portfolio)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/diskstore"
 	"repro/internal/faultinject"
+	"repro/internal/layers"
 	"repro/internal/lossindex"
 	"repro/internal/synth"
 	"repro/internal/yelt"
@@ -41,10 +42,19 @@ func TestFaultEquivalenceMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Seed: 43, Sampling: true, PerContract: true, Workers: 3, BatchTrials: 151}
-	want, err := Sequential{}.Run(context.Background(),
-		&Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// Each row runs the book as built and again under standard
+	// reinstatement terms, whose premium column a commit must land once.
+	books := []struct {
+		name string
+		pf   *layers.Portfolio
+		want *Result
+	}{{name: "stateless", pf: s.Portfolio}, {name: "standard-terms", pf: withTerms(s.Portfolio, nil)}}
+	for i := range books {
+		books[i].want, err = Sequential{}.Run(context.Background(),
+			&Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: books[i].pf, Index: ix}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	sources := map[int]*yelt.DiskSource{
@@ -113,24 +123,28 @@ func TestFaultEquivalenceMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := sources[tc.replicas]
-			var plan *faultinject.Plan
-			if tc.rules != nil {
-				plan = faultinject.New(cfg.Seed, tc.rules(ds)...)
-			}
-			eng := MapReduce{
-				SplitTrials: 200,
-				MaxAttempts: 5,
-				Speculate:   tc.speculate,
-				Faults:      plan,
-			}
-			in := &Input{Source: ds, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}
-			got, err := eng.Run(context.Background(), in, cfg)
-			if err != nil {
-				t.Fatalf("run under %s: %v", tc.name, err)
-			}
-			resultsBitIdentical(t, "faults/"+tc.name, want, got)
-			if tc.rules != nil && plan.Injected() == 0 {
-				t.Fatalf("%s: plan injected nothing — the case tests no fault path", tc.name)
+			for _, b := range books {
+				// A fresh plan per run: a plan counts the faults it has
+				// injected.
+				var plan *faultinject.Plan
+				if tc.rules != nil {
+					plan = faultinject.New(cfg.Seed, tc.rules(ds)...)
+				}
+				eng := MapReduce{
+					SplitTrials: 200,
+					MaxAttempts: 5,
+					Speculate:   tc.speculate,
+					Faults:      plan,
+				}
+				in := &Input{Source: ds, ELTs: s.ELTs, Portfolio: b.pf, Index: ix}
+				got, err := eng.Run(context.Background(), in, cfg)
+				if err != nil {
+					t.Fatalf("run under %s, %s book: %v", tc.name, b.name, err)
+				}
+				resultsBitIdentical(t, "faults/"+tc.name+"/"+b.name, b.want, got)
+				if tc.rules != nil && plan.Injected() == 0 {
+					t.Fatalf("%s, %s book: plan injected nothing — the case tests no fault path", tc.name, b.name)
+				}
 			}
 		})
 	}

@@ -92,13 +92,17 @@ func TestGoldenYLTDigest(t *testing.T) {
 				}
 			}
 		}
-		eng := &Reinstatements{}
-		res, err := eng.Run(ctx, input(s), Config{Seed: 77, Sampling: sampling, Workers: 3})
-		if err != nil {
-			t.Fatalf("reinstatements/sampling=%v: %v", sampling, err)
-		}
-		if got := digestFloats(res.Portfolio.Agg, res.Portfolio.OccMax, eng.LastPremium); got != wantReinst {
-			t.Errorf("reinstatements/sampling=%v: YLT changed: digest %#x, want %#x", sampling, got, wantReinst)
+		// The same book under layers.StandardReinstatements, through
+		// every host engine: the portfolio YLT and the premium column.
+		book := reinstInput(input(s), nil)
+		for _, e := range engines {
+			res, err := e.engine.Run(ctx, book, Config{Seed: 77, Sampling: sampling, Workers: e.workers})
+			if err != nil {
+				t.Fatalf("%s/reinstatements/sampling=%v: %v", e.name, sampling, err)
+			}
+			if got := digestFloats(res.Portfolio.Agg, res.Portfolio.OccMax, res.Premium); got != wantReinst {
+				t.Errorf("%s/reinstatements/sampling=%v: YLT changed: digest %#x, want %#x", e.name, sampling, got, wantReinst)
+			}
 		}
 	}
 }

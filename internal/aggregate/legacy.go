@@ -3,6 +3,7 @@ package aggregate
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/elt"
 	"repro/internal/rng"
@@ -97,6 +98,9 @@ func (LegacyLookup) Run(ctx context.Context, in *Input, cfg Config) (*Result, er
 	}
 	if in.YELT == nil || in.Source != nil {
 		return nil, errors.New("aggregate: legacy lookup requires a materialized YELT input")
+	}
+	if in.Portfolio.DeclaresReinstatements() {
+		return nil, fmt.Errorf("%w: legacy-lookup: reinstatement terms", ErrUnsupported)
 	}
 	res := newResult(in, cfg)
 	nc := len(in.Portfolio.Contracts)

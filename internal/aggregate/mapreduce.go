@@ -83,6 +83,9 @@ func (MapReduce) Name() string { return "mapreduce" }
 func copySegment(dst, seg *Result, lo int) {
 	copy(dst.Portfolio.Agg[lo:], seg.Portfolio.Agg)
 	copy(dst.Portfolio.OccMax[lo:], seg.Portfolio.OccMax)
+	if dst.Premium != nil {
+		copy(dst.Premium[lo:], seg.Premium)
+	}
 	for ci := range dst.PerContract {
 		copy(dst.PerContract[ci].Agg[lo:], seg.PerContract[ci].Agg)
 		copy(dst.PerContract[ci].OccMax[lo:], seg.PerContract[ci].OccMax)

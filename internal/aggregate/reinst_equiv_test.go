@@ -17,16 +17,19 @@ import (
 // kernel (runTrialReinstFlat over lossindex.Flat + layers.FlatYearStates)
 // must be bit-identical to the nested-slice state machine it replaced
 // (naiveReinstatements below, the production body until 8b424c6) for
-// every sampling × seed × batch-size × terms-regime combination.
-// Recoveries, occurrence maxima, AND the per-trial premium ledger all
-// have to survive the flattening.
+// every engine × sampling × seed × batch-size × terms-regime
+// combination. Recoveries, occurrence maxima, per-contract tables AND
+// the per-trial premium column all have to survive the flattening.
 
 // naiveReinstatements is the oracle: one trial at a time over the
 // materialized table, the loss index's entry scan, the Contract
 // structs' nested []Layer, one layers.YearState per (contract, layer)
 // and elt.SampleLoss — none of lossindex.Flat, layers.FlatYearStates or
-// the precomputed sampling plans the kernel reads.
-func naiveReinstatements(t *testing.T, in *Input, terms [][]layers.ReinstatementTerms, cfg Config) (*ylt.Table, []float64) {
+// the precomputed sampling plans the kernel reads. It reads the terms
+// off the input's book, and fills per-contract tables when cfg asks for
+// them: a contract's annual recovery sums its layers' closes, its
+// occurrence maximum its layers' recoveries per occurrence.
+func naiveReinstatements(t *testing.T, in *Input, cfg Config) *Result {
 	t.Helper()
 	if err := in.Validate(); err != nil {
 		t.Fatal(err)
@@ -36,9 +39,14 @@ func naiveReinstatements(t *testing.T, in *Input, terms [][]layers.Reinstatement
 		t.Fatal(err)
 	}
 	n := in.YELT.NumTrials
-	res := ylt.New("portfolio-reinst", n)
-	premiums := make([]float64, n)
 	contracts := in.Portfolio.Contracts
+	res := &Result{Portfolio: ylt.New("portfolio", n), Premium: make([]float64, n)}
+	if cfg.PerContract {
+		res.PerContract = make([]*ylt.Table, len(contracts))
+		for ci, c := range contracts {
+			res.PerContract[ci] = ylt.New(fmt.Sprintf("contract-%d", c.ID), n)
+		}
+	}
 	states := make([][]layers.YearState, len(contracts))
 	sums := make([][]float64, len(contracts))
 	for ci, c := range contracts {
@@ -49,7 +57,7 @@ func naiveReinstatements(t *testing.T, in *Input, terms [][]layers.Reinstatement
 		st := rng.NewStream(cfg.Seed, uint64(trial))
 		for ci, c := range contracts {
 			for li := range c.Layers {
-				states[ci][li] = c.Layers[li].NewYearState(terms[ci][li])
+				states[ci][li] = c.Layers[li].NewYearState()
 				sums[ci][li] = 0
 			}
 		}
@@ -63,11 +71,16 @@ func naiveReinstatements(t *testing.T, in *Input, terms [][]layers.Reinstatement
 				if cfg.Sampling {
 					loss = elt.SampleLoss(st, e.Rec)
 				}
+				var contractOcc float64
 				for li := range c.Layers {
 					rcv, p := states[ci][li].Occurrence(loss)
 					sums[ci][li] += rcv
 					occTotal += rcv
+					contractOcc += rcv
 					premium += p
+				}
+				if res.PerContract != nil && contractOcc > res.PerContract[ci].OccMax[trial] {
+					res.PerContract[ci].OccMax[trial] = contractOcc
 				}
 			}
 			if occTotal > occMax {
@@ -77,14 +90,18 @@ func naiveReinstatements(t *testing.T, in *Input, terms [][]layers.Reinstatement
 		var agg float64
 		for ci := range contracts {
 			for li := range sums[ci] {
-				agg += states[ci][li].CloseYear(sums[ci][li])
+				v := states[ci][li].CloseYear(sums[ci][li])
+				agg += v
+				if res.PerContract != nil {
+					res.PerContract[ci].Agg[trial] += v
+				}
 			}
 		}
-		res.Agg[trial] = agg
-		res.OccMax[trial] = occMax
-		premiums[trial] = premium
+		res.Portfolio.Agg[trial] = agg
+		res.Portfolio.OccMax[trial] = occMax
+		res.Premium[trial] = premium
 	}
-	return res, premiums
+	return res
 }
 
 // reinstRegimes builds the terms regimes the suite sweeps: terms that
@@ -120,38 +137,69 @@ func reinstRegimes(pf *layers.Portfolio) map[string][][]layers.ReinstatementTerm
 	}
 }
 
-// reinstBitIdentical runs the engine on in under terms and holds its
-// YLT and premium ledger bit for bit to want and wantPrem.
-func reinstBitIdentical(t *testing.T, name string, in *Input, terms [][]layers.ReinstatementTerms, cfg Config, want *ylt.Table, wantPrem []float64) {
+// reinstBitIdentical runs eng on in and holds its YLT, per-contract
+// tables and premium column bit for bit to want.
+func reinstBitIdentical(t *testing.T, name string, eng Engine, in *Input, cfg Config, want *Result) {
 	t.Helper()
-	got, gotPrem, err := runReinst(context.Background(), in, terms, cfg)
+	got, err := eng.Run(context.Background(), in, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	bitIdentical(t, name+" agg", want.Agg, got.Agg)
-	bitIdentical(t, name+" occmax", want.OccMax, got.OccMax)
-	bitIdentical(t, name+" premium", wantPrem, gotPrem)
+	resultsBitIdentical(t, name, want, got)
 }
 
+// reinstEngines are the host engines a reinstatement book runs on; the
+// MapReduce split does not divide the 2000-trial synth.Small scenario.
+var reinstEngines = []Engine{Sequential{}, Parallel{}, MapReduce{SplitTrials: 643}}
+
+// Every host engine must match the oracle on every regime, in both
+// modes, with and without per-contract tables.
 func TestReinstKernelEquivalence(t *testing.T) {
 	s := buildScenario(t, synth.Small(51))
 	ix, err := lossindex.Build(s.ELTs, s.Portfolio)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx, err := lossindex.Flatten(ix, s.Portfolio)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for regime, terms := range reinstRegimes(s.Portfolio) {
+		in := reinstInput(&Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}, terms)
 		for _, seed := range []uint64{5, 17} {
 			for _, sampling := range []bool{false, true} {
-				name := fmt.Sprintf("%s/sampling=%v/seed=%d", regime, sampling, seed)
-				cfg := Config{Seed: seed, Sampling: sampling, Workers: 3}
-				in := &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix, Flat: fx}
-				want, wantPrem := naiveReinstatements(t, in, terms, cfg)
-				reinstBitIdentical(t, name, in, terms, cfg, want, wantPrem)
+				for _, perContract := range []bool{false, true} {
+					cfg := Config{Seed: seed, Sampling: sampling, PerContract: perContract, Workers: 3}
+					want := naiveReinstatements(t, in, cfg)
+					for _, eng := range reinstEngines {
+						name := fmt.Sprintf("%s/%s/sampling=%v/seed=%d/percontract=%v", regime, eng.Name(), sampling, seed, perContract)
+						reinstBitIdentical(t, name, eng, in, cfg, want)
+					}
+				}
 			}
+		}
+	}
+}
+
+// In expected mode no draw depends on the rest of the book, so each
+// contract's column of a book run must equal the run of a book holding
+// that contract alone, bit for bit.
+func TestReinstPerContractMatchesOneContractBook(t *testing.T) {
+	s := buildScenario(t, synth.Small(54))
+	for regime, terms := range reinstRegimes(s.Portfolio) {
+		pf := withTerms(s.Portfolio, terms)
+		cfg := Config{Seed: 5, PerContract: true, Workers: 3}
+		book, err := Parallel{}.Run(context.Background(), &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: pf}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, c := range pf.Contracts {
+			one := &Input{YELT: s.YELT, ELTs: []*elt.Table{s.ELTs[c.ELTIndex]}}
+			c.ELTIndex = 0
+			one.Portfolio = &layers.Portfolio{Contracts: []layers.Contract{c}}
+			alone, err := Parallel{}.Run(context.Background(), one, Config{Seed: 5, Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/contract %d", regime, ci)
+			bitIdentical(t, name+" agg", book.PerContract[ci].Agg, alone.Portfolio.Agg)
+			bitIdentical(t, name+" occmax", book.PerContract[ci].OccMax, alone.Portfolio.OccMax)
 		}
 	}
 }
@@ -167,11 +215,11 @@ func TestReinstKernelEquivalenceAcrossBatchSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	terms := reinstRegimes(s.Portfolio)["binding"]
-	want, wantPrem := naiveReinstatements(t, &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix},
-		terms, Config{Seed: 9, Sampling: true})
+	want := naiveReinstatements(t, reinstInput(&Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}, terms),
+		Config{Seed: 9, Sampling: true})
 	for _, batch := range equivBatchSizes {
 		cfg := Config{Seed: 9, Sampling: true, Workers: 2, BatchTrials: batch}
-		reinstBitIdentical(t, fmt.Sprintf("batch=%d", batch), streamingInput(t, s, ix), terms, cfg, want, wantPrem)
+		reinstBitIdentical(t, fmt.Sprintf("batch=%d", batch), Parallel{}, reinstInput(streamingInput(t, s, ix), terms), cfg, want)
 	}
 }
 
@@ -179,9 +227,8 @@ func TestReinstKernelEquivalenceAcrossBatchSizes(t *testing.T) {
 // scans — the same laziness contract the stateless engines keep.
 func TestReinstKernelLazyBuild(t *testing.T) {
 	s := buildScenario(t, synth.Small(53))
-	terms := reinstRegimes(s.Portfolio)["binding"]
-	in := input(s)
-	if _, _, err := runReinst(context.Background(), in, terms, Config{Seed: 3, Sampling: true}); err != nil {
+	in := reinstInput(input(s), reinstRegimes(s.Portfolio)["binding"])
+	if _, _, err := runReinst(context.Background(), in, Config{Seed: 3, Sampling: true}); err != nil {
 		t.Fatal(err)
 	}
 	if in.Index == nil || in.Flat == nil {

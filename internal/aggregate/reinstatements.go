@@ -1,97 +1,49 @@
 package aggregate
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/layers"
 	"repro/internal/lossindex"
 	"repro/internal/rng"
 	"repro/internal/yelt"
-	"repro/internal/ylt"
 )
 
-// Reinstatements is the stateful occurrence-ordered engine: each trial
-// year walks its events in date order, eroding and reinstating layer
-// limits (see internal/layers). Like the stateless engines it is a pure
-// function of (input, cfg); the YELT's day-of-year ordering is what
-// makes limit erosion well-defined.
+// runBatchReinst is runBatchBlocked for a book that declares
+// reinstatement terms (lossindex.Flat's Terms.YearStates is set): each
+// trial year walks its events in date order, eroding and reinstating
+// layer limits (see internal/layers). The YELT's day-of-year ordering
+// is what makes limit erosion well-defined.
 //
 // Limit erosion is stateful per trial, so there is no event-major
-// blocking to exploit: on the shared trial-range driver, each worker's
-// kernel runs runTrialReinstFlat over lossindex.Flat and its own clone
-// of a layers.FlatYearStates — contiguous year-state columns reset by
-// bulk copy. The nested-slice state machine it replaced is the oracle
-// in reinst_equiv_test.go. The per-trial premium ledger, which Result
-// has no slot for, is retained on the engine (LastPremium), as Chunked
-// retains its device statistics.
-type Reinstatements struct {
-	// Terms are the per-contract-layer reinstatement provisions:
-	// Terms[ci][li] covers Portfolio.Contracts[ci].Layers[li]. Nil
-	// derives StandardReinstatements from the input's portfolio at Run
-	// time.
-	Terms [][]layers.ReinstatementTerms
-	// LastPremium is the per-trial reinstatement premium of the most
-	// recent Run: LastPremium[t] is the total charged in trial t across
-	// the book (reinsurer income offsetting recoveries).
-	LastPremium []float64
-}
-
-// Name implements Engine.
-func (*Reinstatements) Name() string { return "reinstatements" }
-
-// Run implements Engine.
-func (e *Reinstatements) Run(ctx context.Context, in *Input, cfg Config) (*Result, error) {
-	if cfg.perContract() {
-		// The stateful path produces no per-contract tables; refuse
-		// loudly rather than return nil PerContract slots or never call
-		// a sink (the same stance the device engine takes on sampling).
-		return nil, fmt.Errorf("%w: %s: per-contract output", ErrUnsupported, e.Name())
+// blocking to exploit: each trial runs runTrialReinstFlat over the
+// worker's own clone of the year-state template, held in its scratch —
+// contiguous columns reset by bulk copy. The nested-slice state machine
+// it replaced is the oracle in reinst_equiv_test.go. Local trial i of
+// the batch is global trial base+i and lands in result slot
+// base+i-slotOff, premium column included.
+func runBatchReinst(fx *lossindex.Flat, cfg Config, batch *yelt.Table, base int, res *Result, scratch *trialScratch, slotOff int) {
+	if scratch.years == nil {
+		scratch.years = fx.Terms.YearStates.Clone()
+		scratch.sums = make([]float64, fx.NumLayers())
 	}
-	if err := in.Validate(); err != nil {
-		return nil, err
+	var pc, pco []float64
+	if res.PerContract != nil {
+		pc, pco = scratch.blockPerContractBufs(fx.NumContracts())
 	}
-	fx, err := in.EnsureFlat()
-	if err != nil {
-		return nil, err
-	}
-	terms := e.Terms
-	if terms == nil {
-		terms = StandardReinstatements(in.Portfolio)
-	}
-	// One validated template shared by every worker; workers Clone it
-	// so only the live columns are per-worker.
-	tmpl, err := fx.Terms.NewFlatYearStates(terms)
-	if err != nil {
-		return nil, fmt.Errorf("aggregate: flattening year states: %w", err)
-	}
-	n := in.src().TrialCount()
-	res := &Result{Portfolio: ylt.New("portfolio-reinst", n)}
-	premium := make([]float64, n)
-	err = runWorkers(ctx, in, cfg, cfg.Workers, res, func() batchKernel {
-		// Per-worker year states and annual sums, reused across trials.
-		fy := tmpl.Clone()
-		sums := make([]float64, tmpl.NumLayers())
-		return func(b *yelt.Table, base int) {
-			for i := 0; i < b.NumTrials; i++ {
-				trial := base + i
-				// The trial's substream only feeds secondary-uncertainty
-				// draws; expected mode never draws, so skip the stream
-				// setup entirely.
-				var st *rng.Stream
-				if cfg.Sampling {
-					st = rng.NewStream(cfg.Seed, uint64(trial))
-				}
-				res.Portfolio.Agg[trial], res.Portfolio.OccMax[trial], premium[trial] =
-					runTrialReinstFlat(b.OccurrencesOf(i), fx, fy, cfg.Sampling, st, sums)
-			}
+	for i := 0; i < batch.NumTrials; i++ {
+		trial := base + i
+		// The trial's substream only feeds secondary-uncertainty draws;
+		// expected mode never draws, so skip the stream setup entirely.
+		var st *rng.Stream
+		if cfg.Sampling {
+			st = rng.NewStream(cfg.Seed, uint64(trial))
 		}
-	})
-	if err != nil {
-		return nil, err
+		slot := trial - slotOff
+		res.Portfolio.Agg[slot], res.Portfolio.OccMax[slot], res.Premium[slot] =
+			runTrialReinstFlat(batch.OccurrencesOf(i), fx, scratch.years, cfg.Sampling, st, scratch.sums, pc, pco)
+		for ci, t := range res.PerContract {
+			t.Agg[slot], t.OccMax[slot] = pc[ci], pco[ci]
+		}
 	}
-	e.LastPremium = premium
-	return res, nil
 }
 
 // runTrialReinstFlat is the flat-SoA trial kernel for the stateful
@@ -105,7 +57,11 @@ func (e *Reinstatements) Run(ctx context.Context, in *Input, cfg Config) (*Resul
 // columns (sampling mode), and annual sums accumulate into one flat
 // sums vector. Occurrence order still serializes within the trial —
 // that is the contractual semantics — but every memory access in the
-// serial walk is a linear-offset load.
+// serial walk is a linear-offset load. pc and pco, when not nil, get
+// each contract's annual recovery and largest occurrence recovery: a
+// contract's entry and layer frames are a subsequence of the walk, so
+// in expected mode, where no draw depends on the rest of the book, each
+// is the sum a one-contract book of that contract computes.
 //
 // Ordering contract: occurrences in YELT (day) order, entries in
 // portfolio contract order within each event, layer frames in
@@ -119,11 +75,11 @@ func runTrialReinstFlat(
 	fy *layers.FlatYearStates,
 	sampling bool,
 	st *rng.Stream,
-	sums []float64,
+	sums, pc, pco []float64,
 ) (agg, occMax, premium float64) {
-	for i := range sums {
-		sums[i] = 0
-	}
+	clear(sums)
+	clear(pc)
+	clear(pco)
 	fy.Reset()
 	ft := fx.Terms
 	expOff, layerOff := fx.ExpOff, fx.LayerOff
@@ -131,10 +87,9 @@ func runTrialReinstFlat(
 		lo, hi := fx.Span(occ.EventID)
 		var occTotal float64
 		for k := lo; k < hi; k++ {
-			base := layerOff[k]
-			n := expOff[k+1] - expOff[k]
+			var loss float64
 			if sampling {
-				loss := fx.SampleConst[k]
+				loss = fx.SampleConst[k]
 				if a := fx.SampleA[k]; a > 0 {
 					var above bool
 					if loss, above = st.ScaledBetaAbove(a, fx.SampleB[k], fx.SampleScale[k], ft.MinOccRet[fx.Contract[k]]); !above {
@@ -144,20 +99,24 @@ func runTrialReinstFlat(
 						continue
 					}
 				}
-				for fl := base; fl < base+n; fl++ {
-					rcv, p := fy.Occurrence(fl, ft.ApplyOccurrence(fl, loss))
-					sums[fl] += rcv
-					occTotal += rcv
-					premium += p
+			}
+			var contractOcc float64
+			off, base := expOff[k], layerOff[k]
+			for j := int32(0); j < expOff[k+1]-off; j++ {
+				fl := base + j
+				rec := fx.ExpRec[off+j]
+				if sampling {
+					rec = ft.ApplyOccurrence(fl, loss)
 				}
-			} else {
-				off := expOff[k]
-				for j := int32(0); j < n; j++ {
-					fl := base + j
-					rcv, p := fy.Occurrence(fl, fx.ExpRec[off+j])
-					sums[fl] += rcv
-					occTotal += rcv
-					premium += p
+				rcv, p := fy.Occurrence(fl, rec)
+				sums[fl] += rcv
+				occTotal += rcv
+				contractOcc += rcv
+				premium += p
+			}
+			if pco != nil {
+				if ci := fx.Contract[k]; contractOcc > pco[ci] {
+					pco[ci] = contractOcc
 				}
 			}
 		}
@@ -167,30 +126,15 @@ func runTrialReinstFlat(
 	}
 	// Annual close: every flat slot in frame order — the same addition
 	// sequence as the nested for-ci/for-li walk.
-	for fl := int32(0); fl < int32(len(sums)); fl++ {
-		agg += fy.CloseYear(fl, sums[fl])
-	}
-	return agg, occMax, premium
-}
-
-// StandardReinstatements builds market-style terms against every
-// limited layer of the portfolio: one reinstatement "at 100%"
-// (PremiumRate 1) of an upfront premium quoted at a 5% rate-on-line.
-// Unlimited layers get zero terms — reinstatements are meaningless
-// without an occurrence limit. This is the default book the
-// reinstatements engine and the CLIs run when no explicit terms are
-// supplied.
-func StandardReinstatements(pf *layers.Portfolio) [][]layers.ReinstatementTerms {
-	out := make([][]layers.ReinstatementTerms, len(pf.Contracts))
-	for ci, c := range pf.Contracts {
-		out[ci] = make([]layers.ReinstatementTerms, len(c.Layers))
-		for li, l := range c.Layers {
-			if l.OccLimit > 0 {
-				out[ci][li] = layers.ReinstatementTerms{
-					Count: 1, PremiumRate: 1, UpfrontPremium: 0.05 * l.OccLimit,
-				}
+	first := ft.First
+	for ci := 0; ci+1 < len(first); ci++ {
+		for fl := first[ci]; fl < first[ci+1]; fl++ {
+			v := fy.CloseYear(fl, sums[fl])
+			agg += v
+			if pc != nil {
+				pc[ci] += v
 			}
 		}
 	}
-	return out
+	return agg, occMax, premium
 }

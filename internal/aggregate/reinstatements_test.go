@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/layers"
@@ -12,20 +14,50 @@ import (
 	"repro/internal/ylt"
 )
 
-// runReinst runs the reinstatements engine under terms and returns the
-// portfolio YLT and the premium ledger.
-func runReinst(ctx context.Context, in *Input, terms [][]layers.ReinstatementTerms, cfg Config) (*ylt.Table, []float64, error) {
-	eng := &Reinstatements{Terms: terms}
-	res, err := eng.Run(ctx, in, cfg)
+// withTerms returns a copy of the book whose layers carry reinstatement
+// terms: terms[ci][li] on contract ci's layer li, or
+// layers.StandardReinstatements when terms is nil.
+func withTerms(pf *layers.Portfolio, terms [][]layers.ReinstatementTerms) *layers.Portfolio {
+	out := &layers.Portfolio{Contracts: slices.Clone(pf.Contracts)}
+	for ci := range out.Contracts {
+		ls := slices.Clone(out.Contracts[ci].Layers)
+		if terms != nil {
+			for li := range ls {
+				t := terms[ci][li]
+				ls[li].Reinstatements = &t
+			}
+		}
+		out.Contracts[ci].Layers = ls
+	}
+	if terms == nil {
+		layers.StandardReinstatements(out)
+	}
+	return out
+}
+
+// reinstInput returns in over withTerms(in.Portfolio, terms): the same
+// trials, ELTs and loss index, and a flat layout built for the new book
+// on first use.
+func reinstInput(in *Input, terms [][]layers.ReinstatementTerms) *Input {
+	b := *in
+	b.Portfolio = withTerms(in.Portfolio, terms)
+	b.Flat = nil
+	return &b
+}
+
+// runReinst runs Parallel over a book with reinstatement terms and
+// returns the portfolio YLT and the premium column.
+func runReinst(ctx context.Context, in *Input, cfg Config) (*ylt.Table, []float64, error) {
+	res, err := Parallel{}.Run(ctx, in, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res.Portfolio, eng.LastPremium, nil
+	return res.Portfolio, res.Premium, nil
 }
 
 // UnlimitedReinstatements builds terms that never bind (a large count
-// and no premium), under which the reinstatements engine must agree
-// with the stateless engines.
+// and no premium), under which a book must agree with the same book
+// without terms.
 func UnlimitedReinstatements(pf *layers.Portfolio) [][]layers.ReinstatementTerms {
 	out := make([][]layers.ReinstatementTerms, len(pf.Contracts))
 	for ci, c := range pf.Contracts {
@@ -58,7 +90,7 @@ func TestUnlimitedReinstatementsMatchStateless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stateful, premium, err := runReinst(context.Background(), base, UnlimitedReinstatements(s.Portfolio), cfg)
+	stateful, premium, err := runReinst(context.Background(), reinstInput(base, UnlimitedReinstatements(s.Portfolio)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +109,11 @@ func TestLimitedReinstatementsReduceRecovery(t *testing.T) {
 	s := buildScenario(t, synth.Small(22))
 	base := input(s)
 	cfg := Config{Seed: 5, Sampling: true}
-	unlimited, _, err := runReinst(context.Background(), base, UnlimitedReinstatements(s.Portfolio), cfg)
+	unlimited, _, err := runReinst(context.Background(), reinstInput(base, UnlimitedReinstatements(s.Portfolio)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	limited, _, err := runReinst(context.Background(), base, reinstTerms(s.Portfolio, 0, 1), cfg)
+	limited, _, err := runReinst(context.Background(), reinstInput(base, reinstTerms(s.Portfolio, 0, 1)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,15 +130,15 @@ func TestLimitedReinstatementsReduceRecovery(t *testing.T) {
 	}
 }
 
-// Premium accrues under explicit terms and under the standard terms
-// nil Terms stands for.
+// Premium accrues under explicit terms and under
+// layers.StandardReinstatements.
 func TestReinstatementPremiumsAccrue(t *testing.T) {
 	s := buildScenario(t, synth.Small(23))
 	for name, terms := range map[string][][]layers.ReinstatementTerms{
 		"explicit": reinstTerms(s.Portfolio, 2, 1.0),
 		"standard": nil,
 	} {
-		_, premium, err := runReinst(context.Background(), input(s), terms, Config{Seed: 5, Sampling: true})
+		_, premium, err := runReinst(context.Background(), reinstInput(input(s), terms), Config{Seed: 5, Sampling: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -125,13 +157,12 @@ func TestReinstatementPremiumsAccrue(t *testing.T) {
 
 func TestReinstatementsDeterministicAcrossWorkers(t *testing.T) {
 	s := buildScenario(t, synth.Small(24))
-	base := input(s)
-	terms := reinstTerms(s.Portfolio, 1, 1.0)
-	a, aPrem, err := runReinst(context.Background(), base, terms, Config{Seed: 3, Sampling: true, Workers: 1})
+	base := reinstInput(input(s), reinstTerms(s.Portfolio, 1, 1.0))
+	a, aPrem, err := runReinst(context.Background(), base, Config{Seed: 3, Sampling: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, bPrem, err := runReinst(context.Background(), base, terms, Config{Seed: 3, Sampling: true, Workers: 8})
+	b, bPrem, err := runReinst(context.Background(), base, Config{Seed: 3, Sampling: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,23 +176,28 @@ func TestReinstatementsDeterministicAcrossWorkers(t *testing.T) {
 func TestReinstatementValidation(t *testing.T) {
 	s := buildScenario(t, synth.Small(25))
 	base := input(s)
-	if _, _, err := runReinst(context.Background(), base, [][]layers.ReinstatementTerms{}, Config{}); err == nil {
-		t.Fatal("terms with no rows should error")
-	}
-	short := UnlimitedReinstatements(s.Portfolio)
-	short[0] = short[0][:0]
-	if _, _, err := runReinst(context.Background(), base, short, Config{}); err == nil {
-		t.Fatal("mis-shaped terms should error")
-	}
 	bad := UnlimitedReinstatements(s.Portfolio)
 	bad[0][0].Count = -1
-	if _, _, err := runReinst(context.Background(), base, bad, Config{}); err == nil {
+	if _, _, err := runReinst(context.Background(), reinstInput(base, bad), Config{}); err == nil {
 		t.Fatal("negative count should error")
 	}
-	// The stateful path has no per-contract tables; the engine must
-	// refuse the option rather than return nil slots.
-	if _, _, err := runReinst(context.Background(), base, nil, Config{PerContract: true}); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("PerContract on an engine that cannot produce it: err = %v, want ErrUnsupported", err)
+	// The stateful walk fills per-contract tables like the stateless
+	// one: one full-length table per contract, next to the premium.
+	book := reinstInput(base, nil)
+	res, err := Parallel{}.Run(context.Background(), book, Config{PerContract: true})
+	if err != nil {
+		t.Fatalf("per-contract tables over a reinstatement book: %v", err)
+	}
+	if len(res.PerContract) != len(s.Portfolio.Contracts) || len(res.Premium) != s.YELT.NumTrials {
+		t.Fatalf("%d per-contract tables and %d premium slots, want %d and %d",
+			len(res.PerContract), len(res.Premium), len(s.Portfolio.Contracts), s.YELT.NumTrials)
+	}
+	// The engines that would drop the terms refuse the book instead.
+	for _, eng := range []Engine{LegacyLookup{}, &Chunked{}} {
+		if _, err := eng.Run(context.Background(), book, Config{}); !errors.Is(err, ErrUnsupported) ||
+			!strings.Contains(err.Error(), "reinstatement terms") {
+			t.Fatalf("%s over a reinstatement book: err = %v, want ErrUnsupported for reinstatement terms", eng.Name(), err)
+		}
 	}
 }
 
@@ -169,7 +205,7 @@ func TestReinstatementsCancellation(t *testing.T) {
 	s := buildScenario(t, synth.Small(26))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := runReinst(ctx, input(s), UnlimitedReinstatements(s.Portfolio), Config{}); err == nil {
+	if _, _, err := runReinst(ctx, reinstInput(input(s), UnlimitedReinstatements(s.Portfolio)), Config{}); err == nil {
 		t.Fatal("cancelled run should error")
 	}
 }
@@ -195,15 +231,15 @@ func (c *cancellingSource) ReadTrials(ctx context.Context, lo, hi int, buf *yelt
 }
 
 // A cancellation arriving mid-run — after trials have already been
-// processed — must abort the stateful engine promptly with
-// context.Canceled (every other engine has this test; the
-// reinstatements path polls in the same streamRange loop).
+// processed — must abort a reinstatement book's run promptly with
+// context.Canceled (every engine has this test; the stateful walk
+// polls in the same streamRange loop).
 func TestReinstatementsMidRunCancellation(t *testing.T) {
 	s := buildScenario(t, synth.Small(27))
 	ctx, cancel := context.WithCancel(context.Background())
 	src := &cancellingSource{inner: s.YELT, cancel: cancel, cancelAfter: 2}
 	in := &Input{Source: src, ELTs: s.ELTs, Portfolio: s.Portfolio}
-	_, _, err := runReinst(ctx, in, UnlimitedReinstatements(s.Portfolio), Config{Workers: 1, BatchTrials: 100})
+	_, _, err := runReinst(ctx, reinstInput(in, UnlimitedReinstatements(s.Portfolio)), Config{Workers: 1, BatchTrials: 100})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -214,16 +250,16 @@ func TestReinstatementsMidRunCancellation(t *testing.T) {
 }
 
 // Expected mode never draws from the per-trial substream, so results
-// must be independent of the seed — the contract that lets the engine
+// must be independent of the seed — the contract that lets the walk
 // skip RNG stream setup entirely when sampling is off.
 func TestReinstatementsExpectedModeSeedIndependent(t *testing.T) {
 	s := buildScenario(t, synth.Small(28))
-	terms := reinstTerms(s.Portfolio, 1, 0.5)
-	a, aPrem, err := runReinst(context.Background(), input(s), terms, Config{Seed: 1})
+	book := reinstInput(input(s), reinstTerms(s.Portfolio, 1, 0.5))
+	a, aPrem, err := runReinst(context.Background(), book, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, bPrem, err := runReinst(context.Background(), input(s), terms, Config{Seed: 999_999_937})
+	b, bPrem, err := runReinst(context.Background(), book, Config{Seed: 999_999_937})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,18 +100,17 @@ func TestBatchSinkExactlyOnce(t *testing.T) {
 	}
 }
 
-// A sink implies per-contract tables, so the engines that cannot
-// produce them refuse a sink exactly as they refuse PerContract,
-// instead of running and never calling it.
+// A sink implies per-contract tables, so the device engine, which
+// cannot produce them, refuses a sink exactly as it refuses
+// PerContract, instead of running and never calling it.
 func TestBatchSinkWithoutPerContractRefused(t *testing.T) {
 	s := buildScenario(t, synth.Small(7))
 	calls := 0
 	cfg := Config{Seed: 11, BatchSink: func(int, [][]float64, [][]float64) { calls++ }}
-	for _, eng := range []Engine{&Reinstatements{}, &Chunked{}} {
-		_, err := eng.Run(context.Background(), input(s), cfg)
-		if !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), eng.Name()+": per-contract output") {
-			t.Fatalf("%s given a sink: err = %v, want ErrUnsupported for per-contract output", eng.Name(), err)
-		}
+	eng := &Chunked{}
+	_, err := eng.Run(context.Background(), input(s), cfg)
+	if !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), eng.Name()+": per-contract output") {
+		t.Fatalf("%s given a sink: err = %v, want ErrUnsupported for per-contract output", eng.Name(), err)
 	}
 	if calls != 0 {
 		t.Fatalf("a refused run called the sink %d times", calls)

@@ -19,8 +19,8 @@ import (
 // (layers.FlatTerms.MinOccRet). These books put the retentions where
 // the skip decides something, and hold every engine to its oracle bit
 // for bit: Sequential and Parallel to LegacyLookup, which draws every
-// loss through elt.SampleLoss and plain Beta, and Reinstatements to
-// naiveReinstatements, which does the same.
+// loss through elt.SampleLoss and plain Beta, and a book with
+// reinstatement terms to naiveReinstatements, which does the same.
 
 const skipSeed = 61
 
@@ -176,8 +176,8 @@ func TestSkipBooksSkip(t *testing.T) {
 
 // TestSkipEquivalence runs each skip book through Sequential and
 // Parallel against LegacyLookup, with and without per-contract tables,
-// and through Reinstatements against naiveReinstatements under terms
-// that bind and terms that never do.
+// and, with reinstatement terms that bind and terms that never do,
+// through Parallel against naiveReinstatements.
 func TestSkipEquivalence(t *testing.T) {
 	s := skipScenario(t)
 	ctx := context.Background()
@@ -200,9 +200,9 @@ func TestSkipEquivalence(t *testing.T) {
 		regimes := reinstRegimes(pf)
 		for _, regime := range []string{"binding", "unlimited"} {
 			cfg := Config{Seed: skipSeed, Sampling: true, Workers: 3}
-			in := &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: pf}
-			want, wantPrem := naiveReinstatements(t, in, regimes[regime], cfg)
-			reinstBitIdentical(t, fmt.Sprintf("%s/reinstatements/%s", name, regime), in, regimes[regime], cfg, want, wantPrem)
+			in := reinstInput(&Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: pf}, regimes[regime])
+			want := naiveReinstatements(t, in, cfg)
+			reinstBitIdentical(t, fmt.Sprintf("%s/reinstatements/%s", name, regime), Parallel{}, in, cfg, want)
 		}
 	}
 }

@@ -56,6 +56,7 @@ func resultsBitIdentical(t *testing.T, name string, want, got *Result) {
 	t.Helper()
 	bitIdentical(t, name+" agg", want.Portfolio.Agg, got.Portfolio.Agg)
 	bitIdentical(t, name+" occmax", want.Portfolio.OccMax, got.Portfolio.OccMax)
+	bitIdentical(t, name+" premium", want.Premium, got.Premium)
 	if len(want.PerContract) != len(got.PerContract) {
 		t.Fatalf("%s: per-contract tables %d vs %d", name, len(want.PerContract), len(got.PerContract))
 	}
@@ -110,8 +111,8 @@ func TestStreamingEquivalenceAllEngines(t *testing.T) {
 	}
 }
 
-// The stateful reinstatements path must stream identically too —
-// including the per-trial premium ledger — with both binding and
+// A book with reinstatement terms must stream identically too —
+// including the per-trial premium column — with both binding and
 // never-binding terms.
 func TestStreamingEquivalenceReinstatements(t *testing.T) {
 	s := buildScenario(t, synth.Small(43))
@@ -129,15 +130,15 @@ func TestStreamingEquivalenceReinstatements(t *testing.T) {
 	for _, terms := range [][][]layers.ReinstatementTerms{UnlimitedReinstatements(s.Portfolio), binding} {
 		for _, sampling := range []bool{false, true} {
 			cfg := Config{Seed: 29, Sampling: sampling, Workers: 2}
-			matIn := &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}
-			want, wantPrem, err := runReinst(context.Background(), matIn, terms, cfg)
+			matIn := reinstInput(&Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}, terms)
+			want, err := Parallel{}.Run(context.Background(), matIn, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, batch := range equivBatchSizes {
 				scfg := cfg
 				scfg.BatchTrials = batch
-				reinstBitIdentical(t, fmt.Sprintf("streaming batch=%d", batch), streamingInput(t, s, ix), terms, scfg, want, wantPrem)
+				reinstBitIdentical(t, fmt.Sprintf("streaming batch=%d", batch), Parallel{}, reinstInput(streamingInput(t, s, ix), terms), scfg, want)
 			}
 		}
 	}

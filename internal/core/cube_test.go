@@ -2,9 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/aggregate"
@@ -129,19 +128,46 @@ func splitList(s string, sep byte) []string {
 	return append(out, s[start:])
 }
 
-// TestPipelineCubeRejectsEngineWithoutPerContract pins the clear
-// error for engines that cannot produce per-contract tables: it names
-// the engine and the setting, not some other engine's limitation.
-func TestPipelineCubeRejectsEngineWithoutPerContract(t *testing.T) {
-	cfg := smallConfig(5)
-	cfg.Engine = &aggregate.Reinstatements{}
-	cfg.CubeDims = []string{"region", "lob"}
-	p := New(cfg)
-	_, err := p.Run(context.Background())
-	if !errors.Is(err, aggregate.ErrUnsupported) {
-		t.Fatalf("reinstatements engine cannot feed the cube: err = %v, want ErrUnsupported", err)
+// TestPipelineCubeOverReinstatementBook builds the cube over a book
+// with standard reinstatement terms: every host engine feeds it live
+// through the stateful walk, the cubes agree bit for bit, each cell
+// equals the one its registry recomputes, and the premium column is on
+// the stage-2 result.
+func TestPipelineCubeOverReinstatementBook(t *testing.T) {
+	run := func(eng aggregate.Engine) *Pipeline {
+		t.Helper()
+		cfg := smallConfig(5)
+		cfg.Engine = eng
+		cfg.Sampling = true
+		cfg.Reinstatements = true
+		cfg.CubeDims = []string{"region", "lob"}
+		p := New(cfg)
+		if _, err := p.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if msg := err.Error(); !strings.Contains(msg, "unsupported by engine: reinstatements: per-contract output") {
-		t.Fatalf("error does not name the engine and the setting: %q", msg)
+	ref := run(aggregate.Parallel{})
+	var premium float64
+	for _, v := range ref.AggResult.Premium {
+		premium += v
 	}
+	if len(ref.AggResult.Premium) != ref.Cfg.NumTrials || premium <= 0 {
+		t.Fatalf("premium column: %d slots, total %g", len(ref.AggResult.Premium), premium)
+	}
+	for _, key := range ref.Cube.Keys() {
+		filter := keyFilter(t, ref.Cube, key)
+		cell, err := ref.Cube.Query(filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := ref.Cube.RecomputeCell(filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cell.Summary, direct) {
+			t.Fatalf("cell %s: precomputed %+v != recomputed %+v", key, cell.Summary, direct)
+		}
+	}
+	cubesBitIdentical(t, "mapreduce", run(aggregate.MapReduce{SplitTrials: 401}).Cube, ref.Cube)
 }

@@ -113,10 +113,10 @@ type Config struct {
 	// live through aggregate.Config.BatchSink — Sequential and Parallel
 	// as trial batches finish, MapReduce as map tasks commit, each
 	// trial exactly once — so no engine replays its tables after the
-	// run. An engine without per-contract tables (reinstatements)
-	// refuses the sink. The cube lands on Pipeline.Cube with a
-	// per-contract registry for delta updates. Contract attributes are
-	// the deterministic synthetic ones of warehouse.DefaultAttrs.
+	// run, whether or not the book declares reinstatement terms. The
+	// cube lands on Pipeline.Cube with a per-contract registry for delta
+	// updates. Contract attributes are the deterministic synthetic ones
+	// of warehouse.DefaultAttrs.
 	CubeDims []string
 	// Stage 3.
 	Sources []dfa.Source // nil = StandardSources scaled to the cat AAL
@@ -125,6 +125,11 @@ type Config struct {
 	Workers int
 	// TwoLayers adds working layers to each program.
 	TwoLayers bool
+	// Reinstatements writes layers.StandardReinstatements on the book's
+	// limited layers after stage 1 builds it, so every engine runs it
+	// through the stateful year-state walk and AggResult carries the
+	// premium column.
+	Reinstatements bool
 }
 
 // DefaultConfig returns a laptop-scale full pipeline run.
@@ -320,6 +325,9 @@ func (p *Pipeline) RunStage1(ctx context.Context) error {
 		return fmt.Errorf("core: stage 1: %w", err)
 	}
 	p.Catalog, p.Exposures, p.ELTs, p.Portfolio = book.Catalog, book.Exposures, book.ELTs, book.Portfolio
+	if p.Cfg.Reinstatements {
+		layers.StandardReinstatements(p.Portfolio)
+	}
 	var bytes, items int64
 	for _, tbl := range p.ELTs {
 		bytes += tbl.SizeBytes()

@@ -38,6 +38,10 @@ type FlatTerms struct {
 	// through every layer of the contract, which lets the sampling
 	// kernels skip evaluating such a loss (rng.Stream.ScaledBetaAbove).
 	MinOccRet []float64
+	// YearStates is the year-state template of the book's reinstatement
+	// terms, nil when no layer declares any: the kernels run a book
+	// with a template through the stateful occurrence-ordered walk.
+	YearStates *FlatYearStates
 }
 
 // FlattenTerms extracts a portfolio's layer terms into the flat SoA
@@ -83,6 +87,7 @@ func FlattenTerms(pf *Portfolio) (*FlatTerms, error) {
 		}
 	}
 	ft.First[len(pf.Contracts)] = fl
+	ft.YearStates = flattenYearStates(ft, pf)
 	return ft, nil
 }
 
@@ -92,9 +97,6 @@ func limitOrInf(lim float64) float64 {
 	}
 	return lim
 }
-
-// NumContracts returns the number of contract frames.
-func (ft *FlatTerms) NumContracts() int { return len(ft.First) - 1 }
 
 // NumLayers returns the total number of flattened layers.
 func (ft *FlatTerms) NumLayers() int { return len(ft.OccRet) }
@@ -130,7 +132,12 @@ func (ft *FlatTerms) ApplyAggregate(fl int32, sum float64) float64 {
 	return r * ft.Share[fl]
 }
 
-// SizeBytes returns the in-memory footprint of the flattened terms.
+// SizeBytes returns the in-memory footprint of the flattened terms,
+// the year-state template included.
 func (ft *FlatTerms) SizeBytes() int64 {
-	return int64(len(ft.First))*4 + int64(ft.NumLayers())*5*8 + int64(len(ft.MinOccRet))*8
+	n := int64(len(ft.First))*4 + int64(ft.NumLayers())*5*8 + int64(len(ft.MinOccRet))*8
+	if ft.YearStates != nil {
+		n += int64(ft.NumLayers()) * 3 * 8 // the template's three columns
+	}
+	return n
 }

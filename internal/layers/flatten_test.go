@@ -42,7 +42,7 @@ func TestFlatTermsRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if ft.NumContracts() != 2 || ft.NumLayers() != 3 {
+		if len(ft.First)-1 != 2 || ft.NumLayers() != 3 {
 			return false
 		}
 		losses := []float64{
@@ -57,7 +57,7 @@ func TestFlatTermsRoundTripProperty(t *testing.T) {
 		}
 		// A loss at or below a contract's MinOccRet recovers 0 through
 		// every layer of the contract.
-		for ci := 0; ci < ft.NumContracts(); ci++ {
+		for ci := 0; ci < len(ft.First)-1; ci++ {
 			for fl := ft.First[ci]; fl < ft.First[ci+1]; fl++ {
 				for _, loss := range []float64{0, ft.MinOccRet[ci] / 2, ft.MinOccRet[ci]} {
 					if r := ft.ApplyOccurrence(fl, loss); r != 0 {

@@ -1,6 +1,7 @@
 package layers
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -34,22 +35,19 @@ func TestFlatYearStatesDifferentialProperty(t *testing.T) {
 		la, lb := randomLayer(u), randomLayer([4]float64{u[2], u[3], u[0], u[1]})
 		ta := randomTerms([3]float64{frac(t1), frac(t2), frac(t3)})
 		tb := randomTerms([3]float64{frac(t3), frac(t1), frac(t2)})
+		la, lb = withTerms(la, ta), withTerms(lb, tb)
 		pf := &Portfolio{Contracts: []Contract{
 			{ID: 1, Layers: []Layer{la, lb}},
 			{ID: 2, Layers: []Layer{lb}},
 		}}
 		ft, err := FlattenTerms(pf)
 		if err != nil {
+			t.Logf("FlattenTerms: %v", err)
 			return false
 		}
-		terms := [][]ReinstatementTerms{{ta, tb}, {tb}}
-		fy, err := ft.NewFlatYearStates(terms)
-		if err != nil {
-			t.Logf("NewFlatYearStates: %v", err)
-			return false
-		}
+		fy := ft.YearStates.Clone()
 		scalars := []YearState{
-			la.NewYearState(ta), lb.NewYearState(tb), lb.NewYearState(tb),
+			la.NewYearState(), lb.NewYearState(), lb.NewYearState(),
 		}
 		// The loss sequence replays several magnitudes, including losses
 		// pinned at attachment and exhaustion points.
@@ -68,11 +66,11 @@ func TestFlatYearStatesDifferentialProperty(t *testing.T) {
 					t.Logf("slot %d loss %g: flat (%g, %g), scalar (%g, %g)", fl, loss, gotR, gotP, wantR, wantP)
 					return false
 				}
-				if fy.Remaining(int32(fl)) != ys.Remaining() {
-					t.Logf("slot %d: remaining %g vs %g", fl, fy.Remaining(int32(fl)), ys.Remaining())
+				if fy.Available[fl] != ys.Remaining() {
+					t.Logf("slot %d: remaining %g vs %g", fl, fy.Available[fl], ys.Remaining())
 					return false
 				}
-				if fy.Exhausted(int32(fl)) != ys.Exhausted() {
+				if exhausted := fy.Available[fl] == 0 && fy.ReinstBal[fl] == 0; exhausted != ys.Exhausted() {
 					t.Logf("slot %d: exhausted mismatch", fl)
 					return false
 				}
@@ -83,7 +81,7 @@ func TestFlatYearStatesDifferentialProperty(t *testing.T) {
 					return false
 				}
 				if avail := fy.Available[int32(fl)]; avail >= 0 {
-					if avail > fy.Terms().OccLim[fl]+1e-9 {
+					if avail > ft.OccLim[fl]+1e-9 {
 						return false
 					}
 				}
@@ -109,18 +107,15 @@ func TestFlatYearStatesDifferentialProperty(t *testing.T) {
 // year by bulk copy is the whole point of the layout.
 func TestFlatYearStatesResetByCopy(t *testing.T) {
 	l := Layer{OccRetention: 100, OccLimit: 1000, Share: 1}
-	pf := &Portfolio{Contracts: []Contract{{ID: 1, Layers: []Layer{l, l}}}}
+	pf := &Portfolio{Contracts: []Contract{{ID: 1, Layers: []Layer{
+		withTerms(l, ReinstatementTerms{Count: 1, PremiumRate: 1, UpfrontPremium: 50}),
+		withTerms(l, ReinstatementTerms{Count: 2, PremiumRate: 0.5, UpfrontPremium: 80}),
+	}}}}
 	ft, err := FlattenTerms(pf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fy, err := ft.NewFlatYearStates([][]ReinstatementTerms{{
-		{Count: 1, PremiumRate: 1, UpfrontPremium: 50},
-		{Count: 2, PremiumRate: 0.5, UpfrontPremium: 80},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fy := ft.YearStates.Clone()
 	fresh := []struct{ avail, bal float64 }{{1000, 1000}, {1000, 2000}}
 	check := func(when string) {
 		t.Helper()
@@ -137,7 +132,7 @@ func TestFlatYearStatesResetByCopy(t *testing.T) {
 		fy.Occurrence(0, ft.ApplyOccurrence(0, 1500))
 		fy.Occurrence(1, ft.ApplyOccurrence(1, 1500))
 	}
-	if !fy.Exhausted(0) {
+	if fy.Available[0] != 0 || fy.ReinstBal[0] != 0 {
 		t.Fatal("slot 0 should be exhausted after burning limit + reinstatement")
 	}
 	fy.Reset()
@@ -151,31 +146,60 @@ func TestFlatYearStatesResetByCopy(t *testing.T) {
 	}
 	c.Reset()
 	check("clone after reset")
-	if fy.NumLayers() != 2 {
+	if len(fy.Available) != 2 {
 		t.Fatal("bad accessor values")
 	}
 }
 
-// Shape and negativity validation mirrors the stateful engine's
-// input checks.
+// Negative terms are refused by Layer.Validate before any template is
+// built; a book without terms gets no template at all.
 func TestFlatYearStatesValidation(t *testing.T) {
 	l := Layer{OccLimit: 100}
-	pf := &Portfolio{Contracts: []Contract{{ID: 1, Layers: []Layer{l}}, {ID: 2, Layers: []Layer{l, l}}}}
+	book := func(terms ...ReinstatementTerms) *Portfolio {
+		second := []Layer{l, l}
+		for i, tm := range terms {
+			second[i] = withTerms(l, tm)
+		}
+		return &Portfolio{Contracts: []Contract{{ID: 1, Layers: []Layer{l}}, {ID: 2, Layers: second}}}
+	}
+	if _, err := FlattenTerms(book(ReinstatementTerms{Count: -1}, ReinstatementTerms{})); !errors.Is(err, ErrInvalidLayer) {
+		t.Fatalf("negative count: err = %v, want ErrInvalidLayer", err)
+	}
+	ft, err := FlattenTerms(book(ReinstatementTerms{}, ReinstatementTerms{}))
+	if err != nil {
+		t.Fatalf("valid terms rejected: %v", err)
+	}
+	if ft.YearStates == nil {
+		t.Fatal("a book with terms got no year-state template")
+	}
+	if ft, err = FlattenTerms(book()); err != nil || ft.YearStates != nil {
+		t.Fatalf("a book without terms: template %v, err %v; want none", ft.YearStates, err)
+	}
+}
+
+// A limited layer with nil terms, in a book that declares terms on
+// another layer, keeps the stateless behaviour: its template slot is
+// the unlimited sentinel, so no occurrence is capped by a spent limit
+// and no premium accrues.
+func TestFlatYearStatesNilTermsSlot(t *testing.T) {
+	l := xlLayer()
+	pf := &Portfolio{Contracts: []Contract{{ID: 1, Layers: []Layer{
+		withTerms(l, ReinstatementTerms{Count: 1, PremiumRate: 1, UpfrontPremium: 100}),
+		l,
+	}}}}
 	ft, err := FlattenTerms(pf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ft.NewFlatYearStates(nil); err == nil {
-		t.Fatal("missing term rows accepted")
+	fy := ft.YearStates.Clone()
+	if fy.Available[0] != 1000 || fy.Available[1] != -1 {
+		t.Fatalf("template slots (%g, %g), want (1000, -1)", fy.Available[0], fy.Available[1])
 	}
-	if _, err := ft.NewFlatYearStates([][]ReinstatementTerms{{{}}, {{}}}); err == nil {
-		t.Fatal("mis-shaped term row accepted")
-	}
-	if _, err := ft.NewFlatYearStates([][]ReinstatementTerms{{{}}, {{Count: -1}, {}}}); err == nil {
-		t.Fatal("negative count accepted")
-	}
-	if _, err := ft.NewFlatYearStates([][]ReinstatementTerms{{{}}, {{}, {}}}); err != nil {
-		t.Fatalf("valid terms rejected: %v", err)
+	for i := 0; i < 5; i++ {
+		r, p := fy.Occurrence(1, ft.ApplyOccurrence(1, 5000))
+		if r != 1000 || p != 0 {
+			t.Fatalf("occurrence %d on the nil-terms slot: (%g, %g), want (1000, 0)", i, r, p)
+		}
 	}
 }
 
@@ -183,20 +207,17 @@ func TestFlatYearStatesValidation(t *testing.T) {
 // -1 sentinel — exactly as the scalar state does, and never charge
 // premium.
 func TestFlatYearStatesUnlimitedLayer(t *testing.T) {
-	l := Layer{OccRetention: 50} // no occurrence limit
+	l := withTerms(Layer{OccRetention: 50}, ReinstatementTerms{Count: 3, PremiumRate: 1, UpfrontPremium: 100}) // no occurrence limit
 	pf := &Portfolio{Contracts: []Contract{{ID: 1, Layers: []Layer{l}}}}
 	ft, err := FlattenTerms(pf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fy, err := ft.NewFlatYearStates([][]ReinstatementTerms{{{Count: 3, PremiumRate: 1, UpfrontPremium: 100}}})
-	if err != nil {
-		t.Fatal(err)
+	fy := ft.YearStates.Clone()
+	if fy.Available[0] != -1 {
+		t.Fatalf("unlimited slot remaining = %g, want -1", fy.Available[0])
 	}
-	if fy.Remaining(0) != -1 {
-		t.Fatalf("unlimited slot remaining = %g, want -1", fy.Remaining(0))
-	}
-	ys := l.NewYearState(ReinstatementTerms{Count: 3, PremiumRate: 1, UpfrontPremium: 100})
+	ys := l.NewYearState()
 	for _, loss := range []float64{0, 49, 51, 1e9} {
 		wantR, wantP := ys.Occurrence(loss)
 		gotR, gotP := fy.Occurrence(0, ft.ApplyOccurrence(0, loss))

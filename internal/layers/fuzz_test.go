@@ -37,26 +37,24 @@ func FuzzYearState(f *testing.F) {
 			}
 			return math.Min(v, 1e12)
 		}
-		l := Layer{
-			OccRetention: sane(occRet), OccLimit: sane(occLim),
-			AggRetention: sane(aggRet), AggLimit: sane(aggLim),
-			Share: math.Min(sane(share), 1),
-		}
 		terms := ReinstatementTerms{
 			Count:          int(count % 8),
 			PremiumRate:    sane(rate),
 			UpfrontPremium: sane(upfront),
+		}
+		l := Layer{
+			OccRetention: sane(occRet), OccLimit: sane(occLim),
+			AggRetention: sane(aggRet), AggLimit: sane(aggLim),
+			Share:          math.Min(sane(share), 1),
+			Reinstatements: &terms,
 		}
 		pf := &Portfolio{Contracts: []Contract{{ID: 1, Layers: []Layer{l}}}}
 		ft, err := FlattenTerms(pf)
 		if err != nil {
 			t.Skip() // the fuzzer found an invalid layer; not this fuzz target's concern
 		}
-		fy, err := ft.NewFlatYearStates([][]ReinstatementTerms{{terms}})
-		if err != nil {
-			t.Fatalf("valid terms rejected: %v", err)
-		}
-		ys := l.NewYearState(terms)
+		fy := ft.YearStates.Clone()
+		ys := l.NewYearState()
 
 		capacity := math.Inf(1)
 		if l.OccLimit > 0 {

@@ -29,6 +29,10 @@ type Layer struct {
 	// Share is the reinsurer's participation in the layer, (0, 1];
 	// 0 is normalized to 1.
 	Share float64
+	// Reinstatements are the layer's reinstatement provisions (see
+	// reinstatements.go); nil means none, and the layer's limit is not
+	// eroded through the year.
+	Reinstatements *ReinstatementTerms
 }
 
 // Validate reports whether the layer's terms are consistent.
@@ -41,6 +45,9 @@ func (l Layer) Validate() error {
 	}
 	if l.Share < 0 || l.Share > 1 {
 		return fmt.Errorf("%w: share %g outside [0,1]", ErrInvalidLayer, l.Share)
+	}
+	if t := l.Reinstatements; t != nil && (t.Count < 0 || t.PremiumRate < 0 || t.UpfrontPremium < 0) {
+		return fmt.Errorf("%w: negative reinstatement terms", ErrInvalidLayer)
 	}
 	return nil
 }

@@ -7,11 +7,13 @@ package layers
 // therefore walk occurrences *in date order* (the reason the YELT
 // carries day-of-year), maintaining per-layer year state.
 //
-// Relationship to the stateless path: a layer with Reinstatements == 0
-// behaves as its plain occurrence/aggregate terms; engines use the
-// stateful path only when a portfolio declares reinstatements.
+// Relationship to the stateless path: a layer with nil Reinstatements
+// behaves as its plain occurrence/aggregate terms, with no annual cap
+// and no premium; the engines walk a book through the year states only
+// when some layer of it declares terms. Zero terms (&ReinstatementTerms{})
+// are not nil terms: they cap the layer at one limit per year.
 
-// ReinstatementTerms extends a Layer with reinstatement provisions.
+// ReinstatementTerms are a Layer's reinstatement provisions.
 type ReinstatementTerms struct {
 	// Count is the number of reinstatements (limit refills). The
 	// layer's total annual capacity is (Count+1) · OccLimit.
@@ -28,22 +30,21 @@ type ReinstatementTerms struct {
 // YearState tracks one layer's erosion through a trial year.
 type YearState struct {
 	layer     Layer
-	terms     ReinstatementTerms
 	available float64 // remaining limit capacity this year
 	reinstBal float64 // limit amount still reinstatable
 }
 
-// NewYearState starts a fresh contractual year for the layer. For
-// layers without an occurrence limit, reinstatements are meaningless
-// and the state degrades to unlimited capacity.
-func (l Layer) NewYearState(t ReinstatementTerms) YearState {
-	ys := YearState{layer: l, terms: t}
-	if l.OccLimit <= 0 {
+// NewYearState starts a fresh contractual year for the layer under its
+// Reinstatements terms. A layer without terms, or without an occurrence
+// limit (where reinstatements are meaningless), has unlimited capacity.
+func (l Layer) NewYearState() YearState {
+	ys := YearState{layer: l}
+	if l.OccLimit <= 0 || l.Reinstatements == nil {
 		ys.available = -1 // unlimited
 		return ys
 	}
 	ys.available = l.OccLimit
-	ys.reinstBal = float64(t.Count) * l.OccLimit
+	ys.reinstBal = float64(l.Reinstatements.Count) * l.OccLimit
 	return ys
 }
 
@@ -70,8 +71,8 @@ func (ys *YearState) Occurrence(loss float64) (recovery, reinstPremium float64) 
 		if reinstate > 0 {
 			ys.reinstBal -= reinstate
 			ys.available += reinstate
-			if ys.layer.OccLimit > 0 && ys.terms.UpfrontPremium > 0 {
-				reinstPremium = ys.terms.PremiumRate * ys.terms.UpfrontPremium * reinstate / ys.layer.OccLimit
+			if t := ys.layer.Reinstatements; t.UpfrontPremium > 0 {
+				reinstPremium = t.PremiumRate * t.UpfrontPremium * reinstate / ys.layer.OccLimit
 			}
 		}
 	}
@@ -93,4 +94,21 @@ func (ys *YearState) Remaining() float64 { return ys.available }
 // recoveries returned by Occurrence during the year.
 func (ys *YearState) CloseYear(sum float64) float64 {
 	return ys.layer.ApplyAggregate(sum)
+}
+
+// StandardReinstatements writes market-style terms on every limited
+// layer of the book, in place: one reinstatement "at 100%"
+// (PremiumRate 1) of an upfront premium quoted at a 5% rate-on-line.
+// Unlimited layers keep nil terms, since reinstatements are meaningless
+// without an occurrence limit. It is the book riskpipeline's
+// -reinstatements flag runs.
+func StandardReinstatements(pf *Portfolio) {
+	for ci := range pf.Contracts {
+		ls := pf.Contracts[ci].Layers
+		for li := range ls {
+			if lim := ls[li].OccLimit; lim > 0 {
+				ls[li].Reinstatements = &ReinstatementTerms{Count: 1, PremiumRate: 1, UpfrontPremium: 0.05 * lim}
+			}
+		}
+	}
 }

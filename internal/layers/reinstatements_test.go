@@ -10,8 +10,14 @@ func xlLayer() Layer {
 	return Layer{OccRetention: 100, OccLimit: 1000, Share: 1}
 }
 
+// withTerms returns l carrying reinstatement terms t.
+func withTerms(l Layer, t ReinstatementTerms) Layer {
+	l.Reinstatements = &t
+	return l
+}
+
 func TestYearStateSingleEventWithinLimit(t *testing.T) {
-	ys := xlLayer().NewYearState(ReinstatementTerms{Count: 1, PremiumRate: 1, UpfrontPremium: 50})
+	ys := withTerms(xlLayer(), ReinstatementTerms{Count: 1, PremiumRate: 1, UpfrontPremium: 50}).NewYearState()
 	r, p := ys.Occurrence(600)
 	if r != 500 {
 		t.Fatalf("recovery = %v, want 500", r)
@@ -28,7 +34,7 @@ func TestYearStateSingleEventWithinLimit(t *testing.T) {
 
 func TestYearStateExhaustion(t *testing.T) {
 	// One reinstatement: total annual capacity = 2 × 1000.
-	ys := xlLayer().NewYearState(ReinstatementTerms{Count: 1, PremiumRate: 1, UpfrontPremium: 100})
+	ys := withTerms(xlLayer(), ReinstatementTerms{Count: 1, PremiumRate: 1, UpfrontPremium: 100}).NewYearState()
 	var total float64
 	losses := []float64{1200, 1200, 1200} // each pierces the full limit
 	for _, l := range losses {
@@ -48,7 +54,7 @@ func TestYearStateExhaustion(t *testing.T) {
 }
 
 func TestYearStateZeroReinstatements(t *testing.T) {
-	ys := xlLayer().NewYearState(ReinstatementTerms{})
+	ys := withTerms(xlLayer(), ReinstatementTerms{}).NewYearState()
 	r1, p1 := ys.Occurrence(1200)
 	if r1 != 1000 || p1 != 0 {
 		t.Fatalf("first occurrence: (%v, %v)", r1, p1)
@@ -61,7 +67,7 @@ func TestYearStateZeroReinstatements(t *testing.T) {
 
 func TestYearStateUnlimitedLayer(t *testing.T) {
 	l := Layer{OccRetention: 10} // no occurrence limit
-	ys := l.NewYearState(ReinstatementTerms{Count: 3, PremiumRate: 1, UpfrontPremium: 100})
+	ys := withTerms(l, ReinstatementTerms{Count: 3, PremiumRate: 1, UpfrontPremium: 100}).NewYearState()
 	for i := 0; i < 10; i++ {
 		r, p := ys.Occurrence(1_000_000)
 		if r != 999_990 {
@@ -79,7 +85,7 @@ func TestYearStateUnlimitedLayer(t *testing.T) {
 func TestYearStatePartialReinstatement(t *testing.T) {
 	// Count=1 but the second loss consumes more than the remaining
 	// reinstatement balance.
-	ys := xlLayer().NewYearState(ReinstatementTerms{Count: 1, PremiumRate: 0.5, UpfrontPremium: 200})
+	ys := withTerms(xlLayer(), ReinstatementTerms{Count: 1, PremiumRate: 0.5, UpfrontPremium: 200}).NewYearState()
 	r1, p1 := ys.Occurrence(800) // consumes 700, reinstates 700
 	if r1 != 700 {
 		t.Fatalf("r1 = %v", r1)
@@ -113,7 +119,7 @@ func TestYearStateTotalCapacityProperty(t *testing.T) {
 	f := func(lossesRaw []uint16, countRaw uint8) bool {
 		count := int(countRaw % 4)
 		l := Layer{OccRetention: 50, OccLimit: 500, Share: 1}
-		ys := l.NewYearState(ReinstatementTerms{Count: count, PremiumRate: 1, UpfrontPremium: 100})
+		ys := withTerms(l, ReinstatementTerms{Count: count, PremiumRate: 1, UpfrontPremium: 100}).NewYearState()
 		var total, premiums float64
 		for _, lr := range lossesRaw {
 			r, p := ys.Occurrence(float64(lr))
@@ -137,7 +143,7 @@ func TestYearStateTotalCapacityProperty(t *testing.T) {
 
 func TestCloseYearAppliesAggregateTerms(t *testing.T) {
 	l := Layer{OccRetention: 0, OccLimit: 1000, AggRetention: 500, AggLimit: 1200, Share: 0.5}
-	ys := l.NewYearState(ReinstatementTerms{Count: 5, PremiumRate: 0, UpfrontPremium: 0})
+	ys := withTerms(l, ReinstatementTerms{Count: 5, PremiumRate: 0, UpfrontPremium: 0}).NewYearState()
 	var sum float64
 	for i := 0; i < 3; i++ {
 		r, _ := ys.Occurrence(900)

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync/atomic"
 
@@ -113,23 +112,32 @@ func (g *Generator) MeanOccurrences() float64 { return g.totalRate }
 func (g *Generator) Streamed() int64 { return g.streamed.Load() }
 
 // appendTrial re-derives one trial year and appends its occurrences,
-// sorted by (day, event). This is the single per-trial kernel shared
-// by Generate and ReadTrials; the draw order (Poisson count, then per
-// occurrence an alias draw and a uniform day) is the determinism
-// contract and must not change. The trial's stream lives on the stack:
-// Reseed gives it exactly the state rng.NewStream would allocate.
+// sorted by (day, event); Extend takes the same two steps into a table
+// sized in advance. The draw order (Poisson count, then per occurrence
+// an alias draw and a uniform day) is the determinism contract and
+// must not change. The trial's stream lives on the stack: Reseed gives
+// it exactly the state rng.NewStream would allocate.
 func (g *Generator) appendTrial(trial int, occs []Occurrence) []Occurrence {
 	var st rng.Stream
-	st.Reseed(g.seed, uint64(trial))
-	k := st.Poisson(g.totalRate)
-	start := len(occs)
-	for j := 0; j < k; j++ {
-		ev := g.events[g.alias.Draw(&st)]
-		day := uint16(st.Intn(365))
-		occs = append(occs, Occurrence{EventID: ev.ID, DayOfYear: day})
-	}
-	sortYear(occs[start:])
+	start, k := len(occs), g.openTrial(&st, trial)
+	occs = slices.Grow(occs, k)[:start+k]
+	g.fillYear(&st, occs[start:])
 	return occs
+}
+
+// openTrial reseeds st to trial's substream and draws the year's count.
+func (g *Generator) openTrial(st *rng.Stream, trial int) int {
+	st.Reseed(g.seed, uint64(trial))
+	return st.Poisson(g.totalRate)
+}
+
+// fillYear draws a whole year after openTrial's count, and sorts it.
+func (g *Generator) fillYear(st *rng.Stream, year []Occurrence) {
+	for j := range year {
+		// Calls run left to right: the alias draw, then the day.
+		year[j] = Occurrence{EventID: g.events[g.alias.Draw(st)].ID, DayOfYear: uint16(st.Intn(365))}
+	}
+	sortYear(year)
 }
 
 // shortYear is the longest year sortYear orders by insertion. At the
@@ -211,17 +219,29 @@ func (g *Generator) Extend(ctx context.Context, prev *Table) (*Table, error) {
 	if have > g.cfg.NumTrials {
 		return nil, fmt.Errorf("yelt: extending %d trials to %d", have, g.cfg.NumTrials)
 	}
-	nBlocks := g.cfg.Workers
-	if nBlocks <= 0 {
-		nBlocks = runtime.GOMAXPROCS(0)
+	// The first pass draws only each new year's occurrence count, which
+	// fixes the offsets, so the table is allocated once at its final size
+	// and the second pass fills every year in place: no block is copied.
+	n := g.cfg.NumTrials - have
+	t := &Table{NumTrials: g.cfg.NumTrials, Offsets: make([]int64, g.cfg.NumTrials+1)}
+	copy(t.Offsets, prev.Offsets)
+	err := stream.ForEachRange(ctx, n, g.cfg.Workers, func(ctx context.Context, r stream.Range, _ int) error {
+		var st rng.Stream
+		for trial := have + r.Lo; trial < have+r.Hi; trial++ {
+			t.Offsets[trial+1] = int64(g.openTrial(&st, trial))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	ranges := stream.Partition(g.cfg.NumTrials-have, nBlocks)
-	blocks := make([]Table, len(ranges))
-	err := stream.ForEachRange(ctx, g.cfg.NumTrials-have, nBlocks, func(ctx context.Context, r stream.Range, w int) error {
-		b := &blocks[w]
-		b.NumTrials = r.Len()
-		b.Offsets = append(make([]int64, 0, r.Len()+1), 0)
-		b.Occs = make([]Occurrence, 0, g.occsHint(r.Len()))
+	for i := have; i < g.cfg.NumTrials; i++ {
+		t.Offsets[i+1] += t.Offsets[i]
+	}
+	t.Occs = make([]Occurrence, t.Offsets[g.cfg.NumTrials])
+	copy(t.Occs, prev.Occs)
+	err = stream.ForEachRange(ctx, n, g.cfg.Workers, func(ctx context.Context, r stream.Range, _ int) error {
+		var st rng.Stream
 		lo, hi := have+r.Lo, have+r.Hi
 		for trial := lo; trial < hi; trial++ {
 			if (trial-lo)%4096 == 0 {
@@ -231,28 +251,13 @@ func (g *Generator) Extend(ctx context.Context, prev *Table) (*Table, error) {
 				default:
 				}
 			}
-			b.Occs = g.appendTrial(trial, b.Occs)
-			b.Offsets = append(b.Offsets, int64(len(b.Occs)))
+			g.openTrial(&st, trial)
+			g.fillYear(&st, t.Occs[t.Offsets[trial]:t.Offsets[trial+1]])
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-
-	t := &Table{NumTrials: g.cfg.NumTrials}
-	total := len(prev.Occs)
-	for i := range blocks {
-		total += len(blocks[i].Occs)
-	}
-	t.Offsets = append(make([]int64, 0, g.cfg.NumTrials+1), prev.Offsets...)
-	t.Occs = append(make([]Occurrence, 0, total), prev.Occs...)
-	for i := range blocks {
-		base := t.Offsets[len(t.Offsets)-1]
-		for _, off := range blocks[i].Offsets[1:] {
-			t.Offsets = append(t.Offsets, base+off)
-		}
-		t.Occs = append(t.Occs, blocks[i].Occs...)
 	}
 	return t, nil
 }

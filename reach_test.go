@@ -59,9 +59,6 @@ var keptUnreached = []struct{ name, reason string }{
 	{"lossindex.(*Index).EntriesFor", "per-event reference of the lossindex tests and aggregate's naiveReinstatements oracle"},
 	{"lossindex.(*Index).EventAt", "TestRowTableShape reads the row table through it"},
 	{"lossindex.(*Flat).NumEntries", "TestFlattenColumnsMatchEntries compares it with the index"},
-	{"layers.(*FlatYearStates).Exhausted", "TestFlatYearStatesDifferentialProperty compares it with the YearState oracle"},
-	{"layers.(*FlatYearStates).Remaining", "same differential test"},
-	{"layers.(*FlatYearStates).Terms", "same differential test reads the limits through it"},
 	{"gpusim.(*BlockCtx).Shared", "probe of TestSharedMemoryIsolationBetweenBlocks"},
 	{"gpusim.(*BlockCtx).StoreShared", "probe of TestSharedMemoryIsolationBetweenBlocks"},
 	{"vulnerability.Curve.MDR", "the damage curve the vulnerability tests check the prepared moments against"},
@@ -146,7 +143,6 @@ var keptUnsettable = []struct{ name, reason string }{
 	{"aggregate.MapReduce.SplitTrials", "TestMapReduceEquivalenceMatrix, TestFaultEquivalenceMatrix and the goldens cut splits that do not divide the trial count"},
 	{"aggregate.MapReduce.MaxAttempts", "the fault tests give retries room (5) or too little (TestFaultUnrecoverableFailsLoudly)"},
 	{"aggregate.Chunked.TrialsPerBlock", "TestChunkedOversizedBlockFallback forces one giant block; BenchmarkDeviceTrialsPerBlock sweeps it"},
-	{"aggregate.Reinstatements.Terms", "the reinstatement equivalence suite runs regimes other than the standard one"},
 	{"catmodel.Engine.Hazard", "TestRunMatchesNaiveOracle varies MaxRangeFactor through it"},
 	{"catmodel.Engine.MinMeanLoss", "TestMinMeanLossTruncates and the oracle's truncated engine"},
 	{"catmodel.Engine.TermsFor", "TestCustomTermsReduceLoss and the oracle's custom-terms engine"},

@@ -43,10 +43,11 @@ import (
 
 // EngineKind selects the stage-2 aggregate-analysis engine by the
 // name riskpipeline's -engine flag takes: "parallel" (the default, and
-// what the serving tier and the benchmark run), "sequential",
-// "mapreduce" or "reinstatements". The simulated-device engine takes
-// occurrence-only books, which a study's never is, so it has no name
-// here; cmd/benchtables runs it (E1, E4).
+// what the serving tier and the benchmark run), "sequential" or
+// "mapreduce". Reinstatements are terms of a book, not an engine
+// (riskpipeline's -reinstatements flag). The simulated-device engine
+// takes occurrence-only books, which a study's never is, so it has no
+// name here; cmd/benchtables runs it (E1, E4).
 type EngineKind string
 
 // EngineParallel is the native data-parallel engine, the default.
