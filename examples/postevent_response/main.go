@@ -1,9 +1,9 @@
 // Post-event response: when a real catastrophe strikes, the book must
 // be re-estimated in seconds — the rapid post-event modelling workflow
-// of the authors' companion work (paper reference [2]). The estimator
-// indexes the portfolio once, then prices incoming event bulletins
-// interactively, with uncertainty bands, comparing the spatial-index
-// path against a full exposure scan.
+// of the authors' companion work (paper reference [2]). The stage-1
+// engine prepares the portfolio once, then prices incoming event
+// bulletins interactively, with uncertainty bands, through the same
+// footprint kernel that builds the event-loss tables.
 //
 //	go run ./examples/postevent_response
 package main
@@ -14,8 +14,8 @@ import (
 	"log"
 
 	"repro/internal/catalog"
+	"repro/internal/catmodel"
 	"repro/internal/exposure"
-	"repro/internal/postevent"
 )
 
 func main() {
@@ -32,11 +32,11 @@ func main() {
 		}
 		dbs = append(dbs, db)
 	}
-	est, err := postevent.New(dbs, nil)
+	est, err := catmodel.New().PostEvent(dbs)
 	if err != nil {
 		log.Fatalf("postevent_response: %v", err)
 	}
-	fmt.Printf("book indexed: %d insured interests\n\n", est.Sites())
+	fmt.Printf("book prepared: %d insured interests\n\n", est.Sites())
 
 	// Three bulletins arrive as the event is tracked and upgraded.
 	anchor := dbs[0].Locations[0]
@@ -56,16 +56,4 @@ func main() {
 			ev.ID, res.SitesTouched, res.ExposedValue, res.GrossMean,
 			res.Low, res.High, res.Elapsed.Round(1000))
 	}
-
-	// Index vs full scan on the final bulletin.
-	fast, err := est.Estimate(ctx, bulletins[2])
-	if err != nil {
-		log.Fatal(err)
-	}
-	slow, err := est.EstimateFullScan(ctx, bulletins[2])
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nspatial index: %v vs full scan %v (same estimate: %.0f vs %.0f)\n",
-		fast.Elapsed.Round(1000), slow.Elapsed.Round(1000), fast.GrossMean, slow.GrossMean)
 }

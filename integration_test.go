@@ -13,12 +13,11 @@ import (
 	"time"
 
 	"repro/internal/aggregate"
-	"repro/internal/catalog"
+	"repro/internal/catmodel"
 	"repro/internal/cluster"
 	"repro/internal/diskstore"
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
-	"repro/internal/postevent"
 	"repro/internal/rdbms"
 	"repro/internal/stream"
 	"repro/internal/synth"
@@ -272,39 +271,32 @@ func TestFailureInjectionCorruptPartition(t *testing.T) {
 	}
 }
 
-// Post-event rapid estimation integrates with the stage-1 portfolio:
-// the estimate for a catalogue event should be of the same order as
-// that event's ELT row (same modules, different aggregation paths).
+// Post-event estimation is a stage-1 engine call: for one database,
+// the estimate's gross mean for every event of contract 1's ELT is that
+// record's MeanLoss bit for bit (same footprint, same interests, same
+// order of additions). ExposedValue is not compared: Run leaves out the
+// interests whose gross moments are both zero, the estimate counts them.
 func TestPostEventConsistentWithELT(t *testing.T) {
 	s := smallScenario(t, 8, false)
-	est, err := postevent.New(s.Exposures[:1], nil)
+	est, err := catmodel.New().PostEvent(s.Exposures[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find an event with a substantial ELT loss on contract 1.
-	var best catalog.Event
-	var bestLoss float64
+	if s.ELTs[0].Len() == 0 {
+		t.Fatal("contract 1 has an empty ELT: nothing compared")
+	}
 	for _, r := range s.ELTs[0].Records {
-		if r.MeanLoss > bestLoss {
-			ev, ok := s.Catalog.Lookup(r.EventID)
-			if ok {
-				best, bestLoss = ev, r.MeanLoss
-			}
+		ev, ok := s.Catalog.Lookup(r.EventID)
+		if !ok {
+			t.Fatalf("ELT event %d is not in the catalogue", r.EventID)
 		}
-	}
-	if bestLoss == 0 {
-		t.Skip("scenario produced no material losses")
-	}
-	res, err := est.Estimate(context.Background(), best)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GrossMean <= 0 {
-		t.Fatal("post-event estimate is zero for the book's worst event")
-	}
-	ratio := res.GrossMean / bestLoss
-	if ratio < 0.5 || ratio > 2 {
-		t.Fatalf("post-event estimate %v vs ELT mean %v (ratio %v) — paths diverged", res.GrossMean, bestLoss, ratio)
+		res, err := est.Estimate(context.Background(), ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.GrossMean) != math.Float64bits(r.MeanLoss) {
+			t.Fatalf("event %d: post-event gross %v, ELT mean %v", r.EventID, res.GrossMean, r.MeanLoss)
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ func benchWorld(b *testing.B, nEvents, nLocs int) (*catalog.Catalog, *exposure.D
 // the interests at the sites each event's footprint keeps.
 func feltPairs(b *testing.B, eng *Engine, cat *catalog.Catalog, db *exposure.Database) float64 {
 	b.Helper()
-	book, err := Flatten(db, nil)
+	book, err := flatten(db, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func feltPairs(b *testing.B, eng *Engine, cat *catalog.Catalog, db *exposure.Dat
 	var pairs []feltInterest
 	n := 0
 	for _, ev := range cat.Events {
-		sites = eng.Hazard.Footprint(ev, book.Sites, sites)
+		sites = eng.Hazard.Footprint(ev, book.sites, sites)
 		pairs = book.gather(sites, pairs)
 		n += len(pairs)
 	}

@@ -13,7 +13,7 @@
 //
 // Work is proportional to the pairs an event is felt at, not to all
 // (event, interest) pairs — on the default book 2–3 % of them. The
-// exposure database is flattened once per run (Flatten) into a hazard
+// exposure database is flattened once per run (flatten) into a hazard
 // site table, one entry per location, and per-interest columns. For
 // each event hazard.Model.Footprint rejects the sites beyond the felt
 // radius with one dot product each and returns the few remaining with
@@ -83,7 +83,7 @@ func (e *Engine) Run(ctx context.Context, cat *catalog.Catalog, db *exposure.Dat
 		corr = 0.3
 	}
 
-	book, err := Flatten(db, e.TermsFor)
+	book, err := flatten(db, e.TermsFor)
 	if err != nil {
 		return nil, err
 	}
@@ -108,25 +108,25 @@ func (e *Engine) Run(ctx context.Context, cat *catalog.Catalog, db *exposure.Dat
 					}
 				}
 				ev := cat.Events[evIdx]
-				acc.sites = e.Hazard.Footprint(ev, book.Sites, acc.sites)
+				acc.sites = e.Hazard.Footprint(ev, book.sites, acc.sites)
 				acc.pairs = book.gather(acc.sites, acc.pairs)
 				var meanSum, varISum, sigmaCSum, exposed float64
 				for _, p := range acc.pairs {
 					i := p.interest
-					mdr, sd := e.Vulnerability.DamageMoments(ev.Peril, book.Construction[i], p.intensity)
+					mdr, sd := e.Vulnerability.DamageMoments(ev.Peril, book.construction[i], p.intensity)
 					if mdr <= 0 {
 						continue
 					}
-					guMean := mdr * book.Value[i]
-					guSD := sd * book.Value[i]
-					gMean, gSD := book.Terms[i].ApplyMoments(guMean, guSD)
+					guMean := mdr * book.value[i]
+					guSD := sd * book.value[i]
+					gMean, gSD := book.terms[i].ApplyMoments(guMean, guSD)
 					if gMean <= 0 && gSD <= 0 {
 						continue
 					}
 					meanSum += gMean
 					varISum += independent * gSD * gSD
 					sigmaCSum += sqrtCorr * gSD
-					exposed += book.Value[i]
+					exposed += book.value[i]
 				}
 				if meanSum < e.MinMeanLoss || meanSum <= 0 {
 					continue

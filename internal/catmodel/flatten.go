@@ -9,18 +9,17 @@ import (
 	"repro/internal/hazard"
 )
 
-// Book is one exposure database flattened for the per-event kernels
-// (Engine.Run here, the post-event estimator): the locations as a
-// hazard site table, the interests as parallel columns — the "organise
-// data in large flat tables" idiom from the paper, in miniature.
-type Book struct {
-	Sites *hazard.Sites // one per location
+// book is one exposure database flattened for the per-event kernels
+// (Engine.Run and PostEvent.Estimate): the locations as a hazard site
+// table, the interests as parallel columns — the "organise data in
+// large flat tables" idiom from the paper, in miniature.
+type book struct {
+	sites *hazard.Sites // one per location
 
 	// One entry per interest, in the database's order.
-	Location     []int // index into Sites
-	Value        []float64
-	Construction []exposure.Construction
-	Terms        []financial.Terms
+	value        []float64
+	construction []exposure.Construction
+	terms        []financial.Terms
 
 	// The interests at location l are start[l]..start[l+1]: of the
 	// interest columns themselves when the database lists its interests
@@ -41,25 +40,24 @@ func standardTerms(in exposure.Interest) financial.Terms {
 	}
 }
 
-// Flatten lays db out as a Book; termsFor nil applies standard terms
+// flatten lays db out as a book; termsFor nil applies standard terms
 // by occupancy. It is where a database is checked: an interest that
 // names a location or a construction class that does not exist is an
 // error here, not an index out of range in a kernel, and so are policy
 // terms that fail financial.Terms.Validate, which would otherwise scale
 // every loss of the interest silently.
-func Flatten(db *exposure.Database, termsFor func(exposure.Interest) financial.Terms) (*Book, error) {
+func flatten(db *exposure.Database, termsFor func(exposure.Interest) financial.Terms) (*book, error) {
 	if termsFor == nil {
 		termsFor = standardTerms
 	}
 	nLoc, n := len(db.Locations), len(db.Interests)
-	b := &Book{
-		Sites: hazard.NewSites(nLoc, func(i int) (lat, lon float64) {
+	b := &book{
+		sites: hazard.NewSites(nLoc, func(i int) (lat, lon float64) {
 			return db.Locations[i].Lat, db.Locations[i].Lon
 		}),
-		Location:     make([]int, n),
-		Value:        make([]float64, n),
-		Construction: make([]exposure.Construction, n),
-		Terms:        make([]financial.Terms, n),
+		value:        make([]float64, n),
+		construction: make([]exposure.Construction, n),
+		terms:        make([]financial.Terms, n),
 		start:        make([]int, nLoc+1),
 	}
 	grouped := true
@@ -71,14 +69,13 @@ func Flatten(db *exposure.Database, termsFor func(exposure.Interest) financial.T
 		if int(in.Construction) >= exposure.NumConstruction {
 			return nil, fmt.Errorf("catmodel: interest %d has unknown construction class %d", i, in.Construction)
 		}
-		if i > 0 && l < b.Location[i-1] {
+		if i > 0 && l < db.Interests[i-1].LocationIndex {
 			grouped = false
 		}
-		b.Location[i] = l
-		b.Value[i] = in.Value
-		b.Construction[i] = in.Construction
-		b.Terms[i] = termsFor(in)
-		if err := b.Terms[i].Validate(); err != nil {
+		b.value[i] = in.Value
+		b.construction[i] = in.Construction
+		b.terms[i] = termsFor(in)
+		if err := b.terms[i].Validate(); err != nil {
 			return nil, fmt.Errorf("catmodel: interest %d: %w", i, err)
 		}
 		b.start[l+1]++
@@ -90,7 +87,8 @@ func Flatten(db *exposure.Database, termsFor func(exposure.Interest) financial.T
 		// Counting sort: each location's slots fill in interest order.
 		b.byLocation = make([]int, n)
 		next := append([]int(nil), b.start[:nLoc]...)
-		for i, l := range b.Location {
+		for i, in := range db.Interests {
+			l := in.LocationIndex
 			b.byLocation[next[l]] = i
 			next[l]++
 		}
@@ -108,7 +106,7 @@ type feltInterest struct {
 // its site's intensity, in ascending interest order: the order the ELT
 // sums have always been accumulated in, which keeps them bit-identical
 // whatever the order of the database.
-func (b *Book) gather(felt []hazard.Felt, out []feltInterest) []feltInterest {
+func (b *book) gather(felt []hazard.Felt, out []feltInterest) []feltInterest {
 	out = out[:0]
 	for _, f := range felt {
 		for k := b.start[f.Site]; k < b.start[f.Site+1]; k++ {

@@ -155,7 +155,7 @@ func TestRunMatchesNaiveOracle(t *testing.T) {
 func TestFlattenGroupsInterestsByLocation(t *testing.T) {
 	_, db := smallWorld(t, 10, 40, 21)
 	for name, d := range variants(db, 21) {
-		book, err := Flatten(d, nil)
+		book, err := flatten(d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestFlattenRejectsInvalidTerms(t *testing.T) {
 		"infinite limit":      {Limit: math.Inf(1)},
 	} {
 		calls := 0
-		_, err := Flatten(db, func(in exposure.Interest) financial.Terms {
+		_, err := flatten(db, func(in exposure.Interest) financial.Terms {
 			if calls++; calls == 5 {
 				return bad
 			}
@@ -231,7 +231,7 @@ func TestFlattenRejectsInvalidTerms(t *testing.T) {
 			t.Fatalf("%s: want ErrInvalidTerms naming interest 4, got %v", name, err)
 		}
 	}
-	if _, err := Flatten(db, nil); err != nil {
+	if _, err := flatten(db, nil); err != nil {
 		t.Fatalf("standard terms: %v", err)
 	}
 }

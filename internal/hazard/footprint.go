@@ -30,9 +30,6 @@ func NewSites(n int, coord func(i int) (lat, lon float64)) *Sites {
 	return s
 }
 
-// At returns the coordinates of site i.
-func (s *Sites) At(i int) (lat, lon float64) { return s.lat[i], s.lon[i] }
-
 // unitVector returns the point's direction from the Earth's centre.
 // Anything that is not a geographic coordinate (NaN, ±Inf, |lat| > 90,
 // |lon| > 360) gets a NaN vector: every comparison with its dot

@@ -79,6 +79,7 @@ var keptUnreached = []struct{ name, reason string }{
 	{"rdbms.(*Table).Height", "TestPageAccounting: page reads = lookups × height"},
 	{"metrics.PML", "reference of TestGoldenSummaryDigest, TestViewMatchesNaiveOracle and TestNewViewSorted"},
 	{"metrics.(*EPCurve).Trials", "read by the golden digest and the naive oracle"},
+	{"hazard.Model.IntensityAt", "the per-pair reference of TestFootprintMatchesPointwise and of catmodel's naiveRun and naiveEstimate oracles"},
 	{"catalog.(*Catalog).Lookup", "TestLookup, and the probe of TestNewCatalogIndexes and TestPostEventConsistentWithELT"},
 }
 
@@ -143,11 +144,10 @@ var keptUnsettable = []struct{ name, reason string }{
 	{"aggregate.MapReduce.SplitTrials", "TestMapReduceEquivalenceMatrix, TestFaultEquivalenceMatrix and the goldens cut splits that do not divide the trial count"},
 	{"aggregate.MapReduce.MaxAttempts", "the fault tests give retries room (5) or too little (TestFaultUnrecoverableFailsLoudly)"},
 	{"aggregate.Chunked.TrialsPerBlock", "TestChunkedOversizedBlockFallback forces one giant block; BenchmarkDeviceTrialsPerBlock sweeps it"},
-	{"catmodel.Engine.Hazard", "TestRunMatchesNaiveOracle varies MaxRangeFactor through it"},
+	{"catmodel.Engine.Hazard", "TestRunMatchesNaiveOracle and TestPostEventMatchesNaiveOracle vary MaxRangeFactor through it"},
 	{"catmodel.Engine.MinMeanLoss", "TestMinMeanLossTruncates and the oracle's truncated engine"},
-	{"catmodel.Engine.TermsFor", "TestCustomTermsReduceLoss and the oracle's custom-terms engine"},
-	{"hazard.Model.MaxRangeFactor", "the footprint bound TestRunMatchesNaiveOracle and TestIndexedMatchesFullScan vary"},
-	{"postevent.Estimator.Hazard", "TestIndexedMatchesFullScan varies MaxRangeFactor through it"},
+	{"catmodel.Engine.TermsFor", "TestCustomTermsReduceLoss, TestPostEventCustomTerms and the oracle's custom-terms engine"},
+	{"hazard.Model.MaxRangeFactor", "the footprint bound TestRunMatchesNaiveOracle and TestPostEventMatchesNaiveOracle vary"},
 }
 
 // TestNoUnsettableOptions fails for every exported struct field under
