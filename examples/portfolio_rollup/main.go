@@ -1,14 +1,15 @@
-// Portfolio rollup: per-contract aggregate analysis followed by
-// warehouse-style pre-computed rollups — the stage-3 "parallel data
+// Portfolio rollup: warehouse-style pre-computed rollups over
+// per-contract aggregate analysis — the stage-3 "parallel data
 // warehousing" remedy for analyst queries over large YLT sets. The
 // cube materializes every region × line-of-business group once; each
 // analyst query is then a dictionary lookup.
 //
-// The second half shows the incremental half of the story: the same
-// cube built by streaming per-contract trial batches through a
-// warehouse.Builder (bit-identical to the batch build), then a
-// delta re-price of one contract via Cube.Replace, which refolds
-// only the cells that contract touches.
+// The cube is built the one way there is, the way the pipeline builds
+// it: a warehouse.Builder folds each trial batch of every contract
+// into its cells as stage 2 simulates it, and Finalize summarizes the
+// cells over the per-contract tables as the cube's registry. A delta
+// re-price of one contract via Cube.Replace then refolds only the
+// cells that contract touches.
 //
 //	go run ./examples/portfolio_rollup
 package main
@@ -27,42 +28,49 @@ import (
 
 func main() {
 	ctx := context.Background()
+	const numTrials = 30_000
 	s, err := synth.Build(ctx, synth.Params{
 		Seed: 7, NumEvents: 5_000, NumContracts: 12,
-		LocationsPerContract: 200, NumTrials: 30_000,
+		LocationsPerContract: 200, NumTrials: numTrials,
 		MeanEventsPerYear: 10, TwoLayers: true,
 	})
 	if err != nil {
 		log.Fatalf("portfolio_rollup: %v", err)
 	}
 
-	// Stage 2 with per-contract YLTs.
-	res, err := (aggregate.Parallel{}).Run(ctx,
-		&aggregate.Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio},
-		aggregate.Config{Seed: 11, Sampling: true, PerContract: true})
-	if err != nil {
-		log.Fatalf("portfolio_rollup: aggregate: %v", err)
-	}
-
 	// Tag each contract with reporting dimensions (in production these
 	// come from the underwriting system).
 	regions := []string{"coastal", "interior", "secondary"}
 	lobs := []string{"property", "engineering"}
-	in := &warehouse.Input{}
-	for i, tbl := range res.PerContract {
-		in.Tables = append(in.Tables, tbl)
-		in.Attrs = append(in.Attrs, map[string]string{
+	attrs := make([]map[string]string, len(s.Portfolio.Contracts))
+	for i := range attrs {
+		attrs[i] = map[string]string{
 			"region": regions[i%len(regions)],
 			"lob":    lobs[i%len(lobs)],
-		})
+		}
 	}
 
+	// Stage 2 with per-contract YLTs, each trial batch folded into the
+	// cube as the engine completes it.
 	start := time.Now()
-	cube, err := warehouse.Build(ctx, in, []string{"region", "lob"}, 0)
+	bld, err := warehouse.NewBuilder([]string{"region", "lob"}, attrs, numTrials, 0)
+	if err != nil {
+		log.Fatalf("portfolio_rollup: builder: %v", err)
+	}
+	res, err := (aggregate.Parallel{}).Run(ctx,
+		&aggregate.Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio},
+		aggregate.Config{Seed: 11, Sampling: true, PerContract: true,
+			// An ingest error is latched and returned by Finalize.
+			BatchSink: func(lo int, agg, occ [][]float64) { _ = bld.IngestBatch(lo, agg, occ) }})
+	if err != nil {
+		log.Fatalf("portfolio_rollup: aggregate: %v", err)
+	}
+	cube, err := bld.Finalize(ctx, res.PerContract)
 	if err != nil {
 		log.Fatalf("portfolio_rollup: cube: %v", err)
 	}
-	fmt.Printf("materialized %d rollup cells in %v\n\n", cube.Cells(), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("stage 2 and %d rollup cells in %v (cube fold %v)\n\n", cube.Cells(),
+		time.Since(start).Round(time.Millisecond), bld.FoldDuration().Round(time.Millisecond))
 
 	queries := []map[string]string{
 		{"region": "coastal"},
@@ -87,57 +95,23 @@ func main() {
 	}
 	fmt.Printf("\nwhole book: AAL %.0f over %d trials\n", whole.Mean(), whole.NumTrials())
 
-	// The same cube, built incrementally: trial batches fold into the
-	// running cells as they "arrive" (the pipeline's warehouse stage
-	// does exactly this while stage 2 streams).
-	numTrials := whole.NumTrials()
-	start = time.Now()
-	bld, err := warehouse.NewBuilder([]string{"region", "lob"}, in.Attrs, numTrials, 0)
-	if err != nil {
-		log.Fatalf("portfolio_rollup: builder: %v", err)
-	}
-	const batch = 5_000
-	for lo := 0; lo < numTrials; lo += batch {
-		k := batch
-		if lo+k > numTrials {
-			k = numTrials - lo
-		}
-		agg := make([][]float64, len(in.Tables))
-		occ := make([][]float64, len(in.Tables))
-		for ci, t := range in.Tables {
-			agg[ci] = t.Agg[lo : lo+k]
-			occ[ci] = t.OccMax[lo : lo+k]
-		}
-		if err := bld.IngestBatch(lo, agg, occ); err != nil {
-			log.Fatalf("portfolio_rollup: ingest: %v", err)
-		}
-	}
-	inc, err := bld.Finalize(ctx, in.Tables)
-	if err != nil {
-		log.Fatalf("portfolio_rollup: finalize: %v", err)
-	}
-	cell, _ := cube.Query(map[string]string{"region": "coastal"})
-	incCell, _ := inc.Query(map[string]string{"region": "coastal"})
-	fmt.Printf("\nincremental build: %d cells in %v (%d-trial batches); coastal AAL %.0f == batch %.0f\n",
-		inc.Cells(), time.Since(start).Round(time.Millisecond), batch,
-		incCell.Summary.AAL, cell.Summary.AAL)
-
 	// Delta re-price: contract 3's terms change, its YLT scales up.
 	// Replace refolds only the cells contract 3 belongs to.
-	old := inc.Contract(3)
-	next := &ylt.Table{Name: old.Name,
-		Agg: make([]float64, numTrials), OccMax: make([]float64, numTrials)}
+	coastal := map[string]string{"region": "coastal"}
+	before, _ := cube.Query(coastal)
+	old := cube.Contract(3)
+	next := ylt.New(old.Name, numTrials)
 	for i := range next.Agg {
 		next.Agg[i] = old.Agg[i] * 1.3
 		next.OccMax[i] = old.OccMax[i] * 1.3
 	}
 	start = time.Now()
-	touched, err := inc.Replace(ctx, 3, old, next)
+	touched, err := cube.Replace(ctx, 3, old, next)
 	if err != nil {
 		log.Fatalf("portfolio_rollup: replace: %v", err)
 	}
-	after, _ := inc.Query(map[string]string{"region": "coastal"})
+	after, _ := cube.Query(coastal)
 	fmt.Printf("re-priced contract 3 in %v: %d/%d cells refolded; coastal AAL %.0f → %.0f\n",
-		time.Since(start).Round(time.Millisecond), touched, inc.Cells(),
-		incCell.Summary.AAL, after.Summary.AAL)
+		time.Since(start).Round(time.Millisecond), touched, cube.Cells(),
+		before.Summary.AAL, after.Summary.AAL)
 }

@@ -13,8 +13,8 @@ import (
 // TestPipelineCubeStage pins the warehouse stage line and the
 // cross-engine equivalence of the pipeline-built cube: every host
 // engine feeds it live — Sequential and Parallel per batch, MapReduce
-// per committed split — and all must materialize bit-identical cubes,
-// registry-bearing for delta updates.
+// per committed split — and all must materialize the same cube: a
+// bit-identical registry and equal cell summaries.
 func TestPipelineCubeStage(t *testing.T) {
 	run := func(eng aggregate.Engine, streaming bool) *Pipeline {
 		t.Helper()
@@ -46,8 +46,13 @@ func TestPipelineCubeStage(t *testing.T) {
 	if wh.Duration <= 0 || wh.OutputBytes <= 0 || wh.Items != int64(ref.Cube.Cells()) {
 		t.Fatalf("warehouse line not accounted: %+v", wh)
 	}
-	if ref.Cube.NumContracts() != ref.Cfg.NumContracts {
-		t.Fatalf("cube registry has %d contracts", ref.Cube.NumContracts())
+	if len(ref.AggResult.PerContract) != ref.Cfg.NumContracts || ref.Cube.Contract(ref.Cfg.NumContracts) != nil {
+		t.Fatalf("stage 2 has %d per-contract tables for %d contracts", len(ref.AggResult.PerContract), ref.Cfg.NumContracts)
+	}
+	for i, tbl := range ref.AggResult.PerContract {
+		if ref.Cube.Contract(i) != tbl {
+			t.Fatalf("cube registry entry %d is not stage 2's table", i)
+		}
 	}
 
 	for _, alt := range []struct {
@@ -78,10 +83,22 @@ func TestPipelineCubeStage(t *testing.T) {
 	}
 }
 
-// cubesBitIdentical fails the test unless got has want's cells, each
-// with bit-identical per-trial losses.
+// cubesBitIdentical fails the test unless got's registry is want's,
+// bit for bit, and got has want's cells, each with an equal summary.
 func cubesBitIdentical(t *testing.T, what string, got, want *warehouse.Cube) {
 	t.Helper()
+	for i := 0; want.Contract(i) != nil || got.Contract(i) != nil; i++ {
+		g, w := got.Contract(i), want.Contract(i)
+		if g == nil || w == nil || len(g.Agg) != len(w.Agg) || len(g.OccMax) != len(w.OccMax) {
+			t.Fatalf("%s: registry entry %d: %v vs %v", what, i, g, w)
+		}
+		for j := range w.Agg {
+			if math.Float64bits(g.Agg[j]) != math.Float64bits(w.Agg[j]) ||
+				math.Float64bits(g.OccMax[j]) != math.Float64bits(w.OccMax[j]) {
+				t.Fatalf("%s: contract %d trial %d differs from the reference", what, i, j)
+			}
+		}
+	}
 	if g, w := got.Keys(), want.Keys(); len(g) != len(w) {
 		t.Fatalf("%s: %d cells vs %d", what, len(g), len(w))
 	}
@@ -91,11 +108,8 @@ func cubesBitIdentical(t *testing.T, what string, got, want *warehouse.Cube) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		b, _ := want.Query(keyFilter(t, want, key))
-		for i := range b.Table.Agg {
-			if math.Float64bits(a.Table.Agg[i]) != math.Float64bits(b.Table.Agg[i]) ||
-				math.Float64bits(a.Table.OccMax[i]) != math.Float64bits(b.Table.OccMax[i]) {
-				t.Fatalf("%s: cell %s trial %d differs from the reference", what, key, i)
-			}
+		if a.Members != b.Members || !reflect.DeepEqual(a.Summary, b.Summary) {
+			t.Fatalf("%s: cell %s differs from the reference: %+v vs %+v", what, key, a, b)
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"repro/internal/dfa"
 	"repro/internal/diskstore"
 	"repro/internal/elt"
-	"repro/internal/exposure"
 	"repro/internal/faultinject"
 	"repro/internal/layers"
 	"repro/internal/lossindex"
@@ -57,7 +56,7 @@ type Config struct {
 	// never materialized, so NumTrials is bounded by time instead of
 	// memory. Results are bit-identical to the materialized path; the
 	// stage report then accounts peak-resident bytes instead of the
-	// table footprint, and Pipeline.YELT stays nil.
+	// table footprint.
 	Streaming bool
 	// BatchTrials bounds the per-worker resident trial batch in
 	// streaming mode; <= 0 means aggregate.DefaultBatchTrials.
@@ -185,7 +184,6 @@ type Pipeline struct {
 	Cfg Config
 
 	Catalog   *catalog.Catalog
-	Exposures []*exposure.Database
 	ELTs      []*elt.Table
 	Portfolio *layers.Portfolio
 	// Index is the pre-joined event-major loss index over (ELTs,
@@ -197,12 +195,11 @@ type Pipeline struct {
 	// functions of the ELTs and portfolio) and shared read-only by
 	// every stage-2 run.
 	Flat      *lossindex.Flat
-	YELT      *yelt.Table
 	CatYLT    *ylt.Table
 	AggResult *aggregate.Result
 	// Cube is the materialized warehouse cube when Cfg.CubeDims is set
-	// (nil otherwise), registry-bearing so contracts can be re-priced
-	// in place via Cube.Replace.
+	// (nil otherwise); its registry lets contracts be re-priced in
+	// place via Cube.Replace.
 	Cube      *warehouse.Cube
 	DFAResult *dfa.Result
 
@@ -324,7 +321,7 @@ func (p *Pipeline) RunStage1(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("core: stage 1: %w", err)
 	}
-	p.Catalog, p.Exposures, p.ELTs, p.Portfolio = book.Catalog, book.Exposures, book.ELTs, book.Portfolio
+	p.Catalog, p.ELTs, p.Portfolio = book.Catalog, book.ELTs, book.Portfolio
 	if p.Cfg.Reinstatements {
 		layers.StandardReinstatements(p.Portfolio)
 	}
@@ -385,6 +382,7 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 	}
 	start := time.Now()
 	in := &aggregate.Input{ELTs: p.ELTs, Portfolio: p.Portfolio, Index: p.Index, Flat: p.Flat}
+	var y *yelt.Table // the materialized trial table, garbage once stage 2 returns
 	var gen *yelt.Generator
 	var ds *yelt.DiskSource
 	switch {
@@ -430,11 +428,10 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 		}
 	default:
 		ycfg := yelt.Config{NumTrials: p.Cfg.NumTrials, Workers: p.Cfg.Workers}
-		y, err := yelt.Generate(ctx, p.Catalog, ycfg, p.Cfg.Seed+7)
-		if err != nil {
+		var err error
+		if y, err = yelt.Generate(ctx, p.Catalog, ycfg, p.Cfg.Seed+7); err != nil {
 			return fmt.Errorf("core: stage 2 yelt: %w", err)
 		}
-		p.YELT = y
 		in.YELT = y
 	}
 
@@ -505,8 +502,8 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 		// each pass.
 		rep.Items = gen.Streamed()
 	default:
-		rep.OutputBytes = p.YELT.SizeBytes() + res.Portfolio.SizeBytes()
-		rep.Items = int64(p.YELT.Len())
+		rep.OutputBytes = y.SizeBytes() + res.Portfolio.SizeBytes()
+		rep.Items = int64(y.Len())
 	}
 	rep.Faults = res.FaultCounters
 	account(&rep, workers, demand, res.BusySeconds)
@@ -517,7 +514,7 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 // buildCube finalizes the warehouse cube the engine fed through the
 // sink and records the "warehouse" stage line. The stage's duration
 // sums the cumulative fold busy-time and the finalize (summarize) wall
-// time; OutputBytes is the materialized cube footprint.
+// time; OutputBytes is the cube's footprint, its per-contract registry.
 func (p *Pipeline) buildCube(ctx context.Context, builder *warehouse.Builder, res *aggregate.Result, workers int) error {
 	finStart := time.Now()
 	cube, err := builder.Finalize(ctx, res.PerContract)

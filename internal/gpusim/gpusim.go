@@ -203,11 +203,6 @@ type BlockCtx struct {
 	arith     uint64
 }
 
-// Shared returns the block's shared-memory scratchpad. Reads/writes
-// through the slice are not cost-counted; use LoadShared/StoreShared
-// on modeled paths and the raw slice only for zero-fill.
-func (c *BlockCtx) Shared() []float64 { return c.shared }
-
 // LoadGlobal reads one float from global memory.
 func (c *BlockCtx) LoadGlobal(b Buffer, i int) float64 {
 	c.global++

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,14 +29,17 @@ type cellAcc struct {
 // folds a trial range of every contract straight into the matching
 // cells' running columns, so resident state is just the cube columns
 // themselves — bounded by cells × trials regardless of book size.
+// Finalize summarizes each cell and drops its columns: the cube keeps
+// the summaries and the per-contract registry only.
 //
-// Bit-identity with the batch Build path comes from fold order: for
-// any (cell, trial), ylt.Combine adds members in ascending contract
-// order, and IngestBatch folds all contracts of a batch in ascending
-// order within one call. Batches cover disjoint trial ranges, so the
-// per-(cell, trial) addition order is the same no matter how many
-// workers deliver batches or how the trial space is cut — the same
-// argument that makes the streaming engines batch-size-independent.
+// Bit-identity with the cube's re-fold from its registry (Replace,
+// RecomputeCell) comes from fold order: for any (cell, trial),
+// ylt.Combine adds members in ascending contract order, and
+// IngestBatch folds all contracts of a batch in ascending order within
+// one call. Batches cover disjoint trial ranges, so the per-(cell,
+// trial) addition order is the same no matter how many workers deliver
+// batches or how the trial space is cut — the same argument that makes
+// the streaming engines batch-size-independent.
 //
 // IngestBatch is safe to call concurrently for disjoint trial ranges;
 // each contract's matching cells are written only in the [lo, lo+k)
@@ -50,12 +54,14 @@ type Builder struct {
 	// byContract[ci] lists the cells contract ci folds into.
 	byContract [][]*cellAcc
 
-	folded    []atomic.Int64 // per-contract trials folded so far
 	foldNanos atomic.Int64
 
 	mu   sync.Mutex
 	err  error
 	done bool
+	// ingested lists the trial ranges folded so far; every batch folds
+	// every contract, so Finalize checks that they tile [0, n).
+	ingested []stream.Range
 }
 
 // NewBuilder prepares an incremental cube over numTrials trials for a
@@ -83,7 +89,6 @@ func NewBuilder(dims []string, attrs []map[string]string, numTrials, workers int
 		members:    members,
 		cells:      make(map[string]*cellAcc, len(keys)),
 		byContract: make([][]*cellAcc, len(attrs)),
-		folded:     make([]atomic.Int64, len(attrs)),
 	}
 	for _, key := range keys {
 		acc := &cellAcc{
@@ -99,12 +104,6 @@ func NewBuilder(dims []string, attrs []map[string]string, numTrials, workers int
 	}
 	return b, nil
 }
-
-// NumTrials returns the trial count the builder was sized for.
-func (b *Builder) NumTrials() int { return b.n }
-
-// Cells returns the number of cube cells under construction.
-func (b *Builder) Cells() int { return len(b.keys) }
 
 // FoldDuration returns the cumulative wall time spent folding batches
 // (summed across concurrent callers, like a busy-time counter).
@@ -127,7 +126,7 @@ func (b *Builder) setErr(err error) error {
 // aggregate and largest single-occurrence loss for trial lo+j, and k
 // is the row length. Rows are read, never retained. Calls covering
 // disjoint trial ranges may run concurrently; each trial range must
-// be delivered exactly once.
+// be delivered exactly once, or Finalize refuses the build.
 func (b *Builder) IngestBatch(lo int, agg, occ [][]float64) error {
 	b.mu.Lock()
 	done := b.done
@@ -138,9 +137,6 @@ func (b *Builder) IngestBatch(lo int, agg, occ [][]float64) error {
 	nc := len(b.byContract)
 	if len(agg) != nc || len(occ) != nc {
 		return b.setErr(fmt.Errorf("warehouse: batch has %d/%d contract rows, builder has %d", len(agg), len(occ), nc))
-	}
-	if nc == 0 {
-		return nil
 	}
 	k := len(agg[0])
 	if k == 0 {
@@ -169,63 +165,70 @@ func (b *Builder) IngestBatch(lo int, agg, occ [][]float64) error {
 				}
 			}
 		}
-		b.folded[ci].Add(int64(k))
 	}
 	b.foldNanos.Add(int64(time.Since(start)))
+	b.mu.Lock()
+	b.ingested = append(b.ingested, stream.Range{Lo: lo, Hi: lo + k})
+	b.mu.Unlock()
 	return nil
 }
 
-// Finalize summarizes every cell and returns the cube. Every contract
-// must have had exactly its full trial space folded in. tables, when
-// non-nil, becomes the cube's per-contract delta registry (it must
-// align with the builder's book: same contract count and trial
-// count, occurrence-bearing); pass nil for a query-only cube that
-// cannot Replace or RecomputeCell. The builder cannot ingest after
-// Finalize — the cell columns are handed off to the cube.
+// Finalize summarizes every cell and returns the cube. The folded
+// trial ranges must tile [0, n) exactly: no trial missed, none folded
+// twice. tables becomes the cube's per-contract registry and must
+// align with the builder's book: same contract count and trial count,
+// occurrence-bearing. The builder cannot ingest after Finalize, and
+// each cell's columns are released once summarized.
 func (b *Builder) Finalize(ctx context.Context, tables []*ylt.Table) (*Cube, error) {
 	b.mu.Lock()
 	err := b.err
 	b.done = true
+	ingested := b.ingested
 	b.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: ingest failed: %w", err)
 	}
-	for ci := range b.folded {
-		if got := b.folded[ci].Load(); got != int64(b.n) {
-			return nil, fmt.Errorf("warehouse: contract %d has %d of %d trials folded", ci, got, b.n)
+	sort.Slice(ingested, func(i, j int) bool { return ingested[i].Lo < ingested[j].Lo })
+	next := 0
+	for _, r := range ingested {
+		switch {
+		case r.Lo < next:
+			return nil, fmt.Errorf("warehouse: trial %d folded twice", r.Lo)
+		case r.Lo > next:
+			return nil, fmt.Errorf("warehouse: trials [%d,%d) never folded", next, r.Lo)
 		}
+		next = r.Hi
 	}
-	if tables != nil {
-		if len(tables) != len(b.byContract) {
-			return nil, fmt.Errorf("warehouse: registry has %d tables, builder has %d contracts", len(tables), len(b.byContract))
+	if next != b.n {
+		return nil, fmt.Errorf("warehouse: trials [%d,%d) never folded", next, b.n)
+	}
+	if len(tables) != len(b.byContract) {
+		return nil, fmt.Errorf("warehouse: registry has %d tables, builder has %d contracts", len(tables), len(b.byContract))
+	}
+	for ci, t := range tables {
+		if t == nil || t.NumTrials() != b.n {
+			return nil, fmt.Errorf("warehouse: registry table %d does not span %d trials", ci, b.n)
 		}
-		for ci, t := range tables {
-			if t == nil || t.NumTrials() != b.n {
-				return nil, fmt.Errorf("warehouse: registry table %d does not span %d trials", ci, b.n)
-			}
-			if !t.HasOccurrence() {
-				return nil, fmt.Errorf("warehouse: registry table %d lacks occurrence data", ci)
-			}
+		if !t.HasOccurrence() {
+			return nil, fmt.Errorf("warehouse: registry table %d lacks occurrence data", ci)
 		}
 	}
 	cube := &Cube{
 		dims:    append([]string(nil), b.dims...),
 		cells:   make(map[string]*Cell, len(b.keys)),
 		members: b.members,
+		tables:  append([]*ylt.Table(nil), tables...),
 		workers: b.workers,
-	}
-	if tables != nil {
-		cube.tables = append([]*ylt.Table(nil), tables...)
 	}
 	var mu sync.Mutex
 	ferr := stream.ForEach(ctx, len(b.keys), b.workers, func(_ context.Context, i int) error {
 		acc := b.cells[b.keys[i]]
-		tbl := &ylt.Table{Name: acc.key, Agg: acc.agg, OccMax: acc.occ}
-		summary, serr := metrics.Summarize(tbl)
+		summary, serr := metrics.Summarize(&ylt.Table{Name: acc.key, Agg: acc.agg, OccMax: acc.occ})
 		if serr != nil {
 			return fmt.Errorf("warehouse: summarizing %q: %w", acc.key, serr)
 		}
-		cell := &Cell{Key: acc.key, Members: len(acc.members), Table: tbl, Summary: summary}
+		acc.agg, acc.occ = nil, nil
+		cell := &Cell{Key: acc.key, Members: len(acc.members), Summary: summary}
 		mu.Lock()
 		cube.cells[acc.key] = cell
 		mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/internal/ylt"
@@ -33,25 +34,62 @@ func testBook(nc, n int) ([]*ylt.Table, []map[string]string) {
 // disjoint-range delivery the pipeline performs.
 func ingestAll(t *testing.T, b *Builder, tables []*ylt.Table, batch, workers int) {
 	t.Helper()
-	n := b.NumTrials()
-	ranges := stream.Chunks(n, batch)
+	ranges := stream.Chunks(b.n, batch)
 	err := stream.ForEach(context.Background(), len(ranges), workers, func(_ context.Context, i int) error {
-		r := ranges[i]
-		agg := make([][]float64, len(tables))
-		occ := make([][]float64, len(tables))
-		for ci, tbl := range tables {
-			agg[ci] = tbl.Agg[r.Lo:r.Hi]
-			occ[ci] = tbl.OccMax[r.Lo:r.Hi]
-		}
-		return b.IngestBatch(r.Lo, agg, occ)
+		return ingestRange(b, tables, ranges[i])
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// requireCubesIdentical asserts bit-identical cells: same keys, same
-// member counts, Float64bits-equal columns, equal summaries.
+// ingestRange folds one trial range of every contract into b.
+func ingestRange(b *Builder, tables []*ylt.Table, r stream.Range) error {
+	agg := make([][]float64, len(tables))
+	occ := make([][]float64, len(tables))
+	for ci, tbl := range tables {
+		agg[ci] = tbl.Agg[r.Lo:r.Hi]
+		occ[ci] = tbl.OccMax[r.Lo:r.Hi]
+	}
+	return b.IngestBatch(r.Lo, agg, occ)
+}
+
+// buildCube builds the cube over tables the one way there is: a
+// Builder fed in batches that do not divide the trial count, then
+// Finalize with the tables as the registry.
+func buildCube(t *testing.T, tables []*ylt.Table, attrs []map[string]string, dims []string, workers int) *Cube {
+	t.Helper()
+	n := tables[0].NumTrials()
+	b, err := NewBuilder(dims, attrs, n, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, b, tables, n/3+1, workers)
+	cube, err := b.Finalize(context.Background(), tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cube
+}
+
+// cellFilters maps every cell key of a cube over dims and attrs to a
+// Query filter that names it.
+func cellFilters(dims []string, attrs []map[string]string) map[string]map[string]string {
+	out := map[string]map[string]string{}
+	for _, subset := range subsets(dims) {
+		for _, a := range attrs {
+			filter := map[string]string{}
+			for _, d := range subset {
+				filter[d] = a[d]
+			}
+			out[groupKey(subset, a)] = filter
+		}
+	}
+	return out
+}
+
+// requireCubesIdentical asserts the same cells with the same member
+// counts and equal summaries, over bit-identical registries.
 func requireCubesIdentical(t *testing.T, got, want *Cube) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Keys(), want.Keys()) {
@@ -62,38 +100,48 @@ func requireCubesIdentical(t *testing.T, got, want *Cube) {
 		if g.Members != w.Members {
 			t.Fatalf("%s: members %d vs %d", key, g.Members, w.Members)
 		}
-		if len(g.Table.Agg) != len(w.Table.Agg) || len(g.Table.OccMax) != len(w.Table.OccMax) {
-			t.Fatalf("%s: column shapes differ", key)
-		}
-		for i := range w.Table.Agg {
-			if math.Float64bits(g.Table.Agg[i]) != math.Float64bits(w.Table.Agg[i]) {
-				t.Fatalf("%s: Agg[%d] = %x vs %x", key, i,
-					math.Float64bits(g.Table.Agg[i]), math.Float64bits(w.Table.Agg[i]))
-			}
-			if math.Float64bits(g.Table.OccMax[i]) != math.Float64bits(w.Table.OccMax[i]) {
-				t.Fatalf("%s: OccMax[%d] = %x vs %x", key, i,
-					math.Float64bits(g.Table.OccMax[i]), math.Float64bits(w.Table.OccMax[i]))
-			}
-		}
 		if !reflect.DeepEqual(g.Summary, w.Summary) {
 			t.Fatalf("%s: summaries differ: %+v vs %+v", key, g.Summary, w.Summary)
 		}
 	}
+	if len(got.tables) != len(want.tables) {
+		t.Fatalf("registries hold %d vs %d tables", len(got.tables), len(want.tables))
+	}
+	for ci := range want.tables {
+		if !sameBits(got.tables[ci], want.tables[ci]) {
+			t.Fatalf("registry table %d differs", ci)
+		}
+	}
 }
 
-// TestIncrementalMatchesBatch is the equivalence suite: the
-// incremental Builder cube is bit-identical to batch Build across
+// TestIncrementalMatchesBatch is the equivalence suite: across
 // dimension counts, worker counts, and batch sizes that do not divide
-// the trial space.
+// the trial space, every cell's folded columns are bit-identical, trial
+// by trial, to ylt.Combine of the cell's registry members (the batch
+// fold RecomputeCell and Replace run), and every finalized summary is
+// that combination's summary. Finalize then releases the columns.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	const n = 1000
 	tables, attrs := testBook(8, n)
 	allDims := []string{"region", "lob", "peril"}
 	for nd := 1; nd <= len(allDims); nd++ {
 		dims := allDims[:nd]
-		batchRef, err := Build(context.Background(), &Input{Tables: tables, Attrs: attrs}, dims, 4)
-		if err != nil {
-			t.Fatal(err)
+		_, members := cellMembers(dims, attrs)
+		refs := map[string]*ylt.Table{}
+		sums := map[string]*metrics.Summary{}
+		for key, idxs := range members {
+			tbls := make([]*ylt.Table, len(idxs))
+			for i, ci := range idxs {
+				tbls[i] = tables[ci]
+			}
+			ref, err := ylt.Combine(key, tbls...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sums[key], err = metrics.Summarize(ref); err != nil {
+				t.Fatal(err)
+			}
+			refs[key] = ref
 		}
 		for _, workers := range []int{1, 4} {
 			for _, batch := range []int{7, 997, n} {
@@ -102,6 +150,18 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 					t.Fatal(err)
 				}
 				ingestAll(t, b, tables, batch, workers)
+				for key, ref := range refs {
+					acc := b.cells[key]
+					for i := range ref.Agg {
+						if math.Float64bits(acc.agg[i]) != math.Float64bits(ref.Agg[i]) ||
+							math.Float64bits(acc.occ[i]) != math.Float64bits(ref.OccMax[i]) {
+							t.Fatalf("dims %v workers %d batch %d: %s trial %d: fold (%x, %x) vs combine (%x, %x)",
+								dims, workers, batch, key, i,
+								math.Float64bits(acc.agg[i]), math.Float64bits(acc.occ[i]),
+								math.Float64bits(ref.Agg[i]), math.Float64bits(ref.OccMax[i]))
+						}
+					}
+				}
 				cube, err := b.Finalize(context.Background(), tables)
 				if err != nil {
 					t.Fatal(err)
@@ -109,23 +169,30 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				if b.FoldDuration() <= 0 {
 					t.Fatal("fold duration not accounted")
 				}
-				requireCubesIdentical(t, cube, batchRef)
+				if cube.Cells() != len(refs) {
+					t.Fatalf("%d cells, want %d", cube.Cells(), len(refs))
+				}
+				for key, want := range sums {
+					if got := cube.cells[key]; got.Members != len(members[key]) || !reflect.DeepEqual(got.Summary, want) {
+						t.Fatalf("%s: cell %+v, want %d members and %+v", key, got, len(members[key]), want)
+					}
+					if acc := b.cells[key]; acc.agg != nil || acc.occ != nil {
+						t.Fatalf("%s: Finalize kept the fold columns", key)
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestReplaceMatchesRebuild pins delta updates: after Replace, the
-// cube is bit-identical to a batch rebuild with the new table, and
+// cube is identical to a Builder rebuild with the new table, and
 // untouched cells keep their original materializations.
 func TestReplaceMatchesRebuild(t *testing.T) {
 	const n = 600
 	tables, attrs := testBook(9, n)
 	dims := []string{"region", "lob"}
-	cube, err := Build(context.Background(), &Input{Tables: tables, Attrs: attrs}, dims, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := buildCube(t, tables, attrs, dims, 4)
 
 	// Re-price contract 2: scale its losses.
 	const target = 2
@@ -165,21 +232,13 @@ func TestReplaceMatchesRebuild(t *testing.T) {
 
 	newTables := append([]*ylt.Table(nil), tables...)
 	newTables[target] = repriced
-	rebuilt, err := Build(context.Background(), &Input{Tables: newTables, Attrs: attrs}, dims, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireCubesIdentical(t, cube, rebuilt)
+	requireCubesIdentical(t, cube, buildCube(t, newTables, attrs, dims, 4))
 }
 
 func TestReplaceValidation(t *testing.T) {
 	const n = 100
 	tables, attrs := testBook(4, n)
-	dims := []string{"region"}
-	cube, err := Build(context.Background(), &Input{Tables: tables, Attrs: attrs}, dims, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := buildCube(t, tables, attrs, []string{"region"}, 2)
 	fresh := ylt.New("x", n)
 
 	if _, err := cube.Replace(context.Background(), -1, tables[0], fresh); err == nil {
@@ -203,63 +262,44 @@ func TestReplaceValidation(t *testing.T) {
 	if _, err := cube.Replace(context.Background(), 0, copyOld, fresh); err != nil {
 		t.Fatalf("bitwise-equal old table rejected: %v", err)
 	}
-
-	// A query-only cube (no registry) cannot Replace or RecomputeCell.
-	b, err := NewBuilder(dims, attrs, n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestAll(t, b, tables, n, 1)
-	qonly, err := b.Finalize(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := qonly.Replace(context.Background(), 0, tables[0], fresh); !errors.Is(err, ErrNoRegistry) {
-		t.Fatalf("query-only Replace: err = %v", err)
-	}
-	if _, err := qonly.RecomputeCell(map[string]string{"region": attrs[0]["region"]}); !errors.Is(err, ErrNoRegistry) {
-		t.Fatalf("query-only RecomputeCell: err = %v", err)
-	}
 }
 
+// TestRecomputeCellMatchesPrecomputed holds every cell's pre-computed
+// summary to the one RecomputeCell re-derives from the registry. Twelve
+// contracts give cells of three and four members, where a fold in
+// another member order would move the low bits.
 func TestRecomputeCellMatchesPrecomputed(t *testing.T) {
-	tables, attrs := testBook(6, 400)
-	cube, err := Build(context.Background(), &Input{Tables: tables, Attrs: attrs}, []string{"region", "lob"}, 2)
-	if err != nil {
-		t.Fatal(err)
+	tables, attrs := testBook(12, 400)
+	dims := []string{"region", "lob"}
+	cube := buildCube(t, tables, attrs, dims, 2)
+	filters := cellFilters(dims, attrs)
+	if len(filters) != cube.Cells() {
+		t.Fatalf("%d filters for %d cells", len(filters), cube.Cells())
 	}
-	filter := map[string]string{"region": attrs[0]["region"]}
-	cell, err := cube.Query(filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := cube.RecomputeCell(filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cell.Summary, direct) {
-		t.Fatalf("precomputed %+v != recomputed %+v", cell.Summary, direct)
+	for key, filter := range filters {
+		cell, err := cube.Query(filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := cube.RecomputeCell(filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cell.Key != key || !reflect.DeepEqual(cell.Summary, direct) {
+			t.Fatalf("%s: precomputed %+v != recomputed %+v", key, cell.Summary, direct)
+		}
 	}
 	if _, err := cube.RecomputeCell(map[string]string{"region": "atlantis"}); !errors.Is(err, ErrNoCell) {
 		t.Fatalf("missing cell: err = %v", err)
 	}
 }
 
+// TestBuilderValidation pins what Finalize refuses after ingest: a
+// latched ingest error, a partly folded trial space, a registry that
+// is nil or misaligned; and that a finalized builder ingests nothing.
+// NewBuilder's own refusals are TestBuildValidation's.
 func TestBuilderValidation(t *testing.T) {
 	tables, attrs := testBook(3, 50)
-	if _, err := NewBuilder([]string{"region", "region"}, attrs, 50, 1); err == nil {
-		t.Fatal("duplicate dims should error")
-	}
-	if _, err := NewBuilder([]string{"region"}, attrs, 0, 1); err == nil {
-		t.Fatal("zero trials should error")
-	}
-	if _, err := NewBuilder([]string{"region"}, nil, 50, 1); err == nil {
-		t.Fatal("no attrs should error")
-	}
-	if _, err := NewBuilder([]string{"zone"}, attrs, 50, 1); err == nil {
-		t.Fatal("missing dimension should error")
-	}
-
 	b, err := NewBuilder([]string{"region"}, attrs, 50, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +322,8 @@ func TestBuilderValidation(t *testing.T) {
 	}
 	// The latched error must surface from Finalize even if later
 	// ingests are clean.
-	if _, err := b.Finalize(context.Background(), nil); err == nil {
+	ingestAll(t, b, tables, 50, 1)
+	if _, err := b.Finalize(context.Background(), tables); err == nil {
 		t.Fatal("Finalize should report latched ingest error")
 	}
 
@@ -305,7 +346,7 @@ func TestBuilderValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestAll(t, b3, tables, 50, 1)
-	if _, err := b3.Finalize(context.Background(), nil); err != nil {
+	if _, err := b3.Finalize(context.Background(), tables); err != nil {
 		t.Fatal(err)
 	}
 	agg, occ = mkRows(10)
@@ -313,13 +354,46 @@ func TestBuilderValidation(t *testing.T) {
 		t.Fatal("ingest after Finalize should error")
 	}
 
-	// Registry misalignment.
-	b4, err := NewBuilder([]string{"region"}, attrs, 50, 1)
-	if err != nil {
-		t.Fatal(err)
+	// Every cube carries its registry: nil and short ones are refused.
+	for _, reg := range [][]*ylt.Table{nil, tables[:2]} {
+		b4, err := NewBuilder([]string{"region"}, attrs, 50, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingestAll(t, b4, tables, 50, 1)
+		if _, err := b4.Finalize(context.Background(), reg); err == nil {
+			t.Fatalf("a registry of %d tables should error", len(reg))
+		}
 	}
-	ingestAll(t, b4, tables, 50, 1)
-	if _, err := b4.Finalize(context.Background(), tables[:2]); err == nil {
-		t.Fatal("short registry should error")
+}
+
+// TestFinalizeRequiresExactTiling pins that the folded trial ranges
+// must tile the trial space: a range folded twice is refused even when
+// another range of the same length was never folded, which a per-
+// contract trial count cannot tell from a complete build.
+func TestFinalizeRequiresExactTiling(t *testing.T) {
+	tables, attrs := testBook(3, 50)
+	for _, tc := range []struct {
+		name   string
+		ranges []stream.Range
+		ok     bool
+	}{
+		{"twice-and-never", []stream.Range{{Lo: 0, Hi: 25}, {Lo: 0, Hi: 25}}, false},
+		{"overlap", []stream.Range{{Lo: 0, Hi: 30}, {Lo: 20, Hi: 40}, {Lo: 40, Hi: 50}}, false},
+		{"gap", []stream.Range{{Lo: 0, Hi: 20}, {Lo: 30, Hi: 50}}, false},
+		{"out-of-order", []stream.Range{{Lo: 25, Hi: 50}, {Lo: 0, Hi: 10}, {Lo: 10, Hi: 25}}, true},
+	} {
+		b, err := NewBuilder([]string{"region"}, attrs, 50, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range tc.ranges {
+			if err := ingestRange(b, tables, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := b.Finalize(context.Background(), tables); (err == nil) != tc.ok {
+			t.Fatalf("%s: Finalize err = %v, want ok = %v", tc.name, err, tc.ok)
+		}
 	}
 }

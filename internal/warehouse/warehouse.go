@@ -6,13 +6,13 @@
 // once, in parallel, so that analyst queries become dictionary
 // lookups instead of trial-level scans.
 //
-// The cube can be built two ways with bit-identical results: Build
-// combines fully-resident per-contract YLTs in one pass, and Builder
-// folds streamed per-contract trial batches into running cell columns
-// as stage 2 produces them (bounded memory). A built cube retains a
-// per-contract table registry — one table per contract, linear in the
-// book — so Replace can re-price a single contract by re-folding only
-// the cells it belongs to instead of rebuilding the whole cube.
+// A cube is built one way: a Builder folds streamed per-contract trial
+// batches into running cell columns as stage 2 produces them, and
+// Finalize summarizes each cell and lets its columns go. A cube holds
+// each cell's summary and the per-contract table registry — one table
+// per contract, linear in the book — from which RecomputeCell
+// re-derives a cell and Replace re-prices a single contract by
+// re-folding only the cells it belongs to.
 package warehouse
 
 import (
@@ -28,14 +28,6 @@ import (
 	"repro/internal/stream"
 	"repro/internal/ylt"
 )
-
-// Input couples per-contract YLTs with their dimensional attributes
-// (e.g. region, line of business, peril bucket).
-type Input struct {
-	Tables []*ylt.Table
-	// Attrs[i] maps dimension name -> value for Tables[i].
-	Attrs []map[string]string
-}
 
 // validateDims checks the dimension list itself: non-empty, bounded
 // (the cube is 2^d group-bys), and free of duplicates — a repeated
@@ -71,45 +63,26 @@ func validateAttrs(attrs []map[string]string, dims []string) error {
 	return nil
 }
 
-// Validate checks the dimension list, alignment, and dimension
-// coverage.
-func (in *Input) Validate(dims []string) error {
-	if err := validateDims(dims); err != nil {
-		return err
-	}
-	if len(in.Tables) == 0 {
-		return errors.New("warehouse: no tables")
-	}
-	if len(in.Tables) != len(in.Attrs) {
-		return fmt.Errorf("warehouse: %d tables vs %d attr sets", len(in.Tables), len(in.Attrs))
-	}
-	return validateAttrs(in.Attrs, dims)
-}
-
-// Cell is one materialized group: the combined YLT and its
-// pre-computed risk summary.
+// Cell is one materialized group: its member count and pre-computed
+// risk summary.
 type Cell struct {
 	Key     string
 	Members int
-	Table   *ylt.Table
 	Summary *metrics.Summary
 }
 
-// Cube is the materialized set of group-bys over the dimensions. When
-// built with a table registry (Build, or Builder.Finalize given the
-// per-contract tables) it also supports Replace and RecomputeCell.
+// Cube is the materialized set of group-bys over the dimensions, with
+// the per-contract table registry behind Replace and RecomputeCell.
 type Cube struct {
 	dims  []string
 	cells map[string]*Cell
 	// members[key] lists the cell's member contract indices in
-	// ascending order — the canonical fold order shared by Build,
-	// Builder, and Replace, which is what makes the three
-	// bit-identical.
+	// ascending order — the canonical fold order shared by Builder and
+	// Replace, which is what makes the two bit-identical.
 	members map[string][]int
 	// tables is the per-contract YLT registry backing delta updates:
 	// one table per contract (linear in the book), vs duplicating
 	// members per cell (each contract appears in 2^dims-ish cells).
-	// Nil for query-only cubes.
 	tables  []*ylt.Table
 	workers int
 }
@@ -148,8 +121,9 @@ func subsets(dims []string) [][]string {
 
 // cellMembers enumerates every cell key and its member contract
 // indices (ascending) for the given dimensions and attribute sets.
-// Both Build and Builder derive their cell structure from this one
-// enumeration, so member order — and therefore fold order — agrees.
+// Builder derives its cells from this one enumeration and hands the
+// member lists to the cube, so a refold adds members in the Builder's
+// order.
 func cellMembers(dims []string, attrs []map[string]string) (keys []string, members map[string][]int) {
 	members = make(map[string][]int)
 	for _, subset := range subsets(dims) {
@@ -165,9 +139,9 @@ func cellMembers(dims []string, attrs []map[string]string) (keys []string, membe
 }
 
 // combineCell folds the registry tables of one cell's members, in
-// member order, and summarizes the result. Replace and RecomputeCell
-// share this with the batch Build path so a re-fold is bit-identical
-// to the original build.
+// member order, into a transient table and summarizes it. Replace and
+// RecomputeCell share it, and its fold order is the Builder's, so a
+// re-fold is bit-identical to the original build.
 func (c *Cube) combineCell(key string) (*Cell, error) {
 	idxs := c.members[key]
 	tbls := make([]*ylt.Table, len(idxs))
@@ -182,30 +156,7 @@ func (c *Cube) combineCell(key string) (*Cell, error) {
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: summarizing %q: %w", key, err)
 	}
-	return &Cell{Key: key, Members: len(idxs), Table: combined, Summary: summary}, nil
-}
-
-// Build materializes the cube: for every subset of dims and every
-// value combination, the member YLTs are combined and summarized.
-// Groups are processed in parallel (the "parallel data warehousing"
-// of the paper). The input tables are retained as the cube's delta
-// registry (see Replace).
-func Build(ctx context.Context, in *Input, dims []string, workers int) (*Cube, error) {
-	if err := in.Validate(dims); err != nil {
-		return nil, err
-	}
-	keys, members := cellMembers(dims, in.Attrs)
-	cube := &Cube{
-		dims:    append([]string(nil), dims...),
-		cells:   make(map[string]*Cell, len(keys)),
-		members: members,
-		tables:  append([]*ylt.Table(nil), in.Tables...),
-		workers: workers,
-	}
-	if err := cube.refold(ctx, keys); err != nil {
-		return nil, err
-	}
-	return cube, nil
+	return &Cell{Key: key, Members: len(idxs), Summary: summary}, nil
 }
 
 // refold recomputes the given cells from the registry, in parallel.
@@ -225,10 +176,6 @@ func (c *Cube) refold(ctx context.Context, keys []string) error {
 
 // ErrNoCell is returned by Query when no materialized group matches.
 var ErrNoCell = errors.New("warehouse: no such cell")
-
-// ErrNoRegistry is returned by Replace and RecomputeCell on a
-// query-only cube (one finalized without its per-contract tables).
-var ErrNoRegistry = errors.New("warehouse: cube has no table registry")
 
 // ErrStaleTable is returned by Replace when oldYLT does not match the
 // registry's current table for the contract — the caller is holding
@@ -268,13 +215,9 @@ func (c *Cube) filterKey(filter map[string]string) (string, error) {
 }
 
 // RecomputeCell re-derives a cell's summary from the member registry,
-// bypassing the pre-computed columns — the self-check behind the
-// serving tier's check=direct mode and the CI smoke diff. Requires a
-// registry-bearing cube.
+// bypassing the pre-computed summary — the self-check behind the
+// serving tier's check=direct mode and the CI smoke diff.
 func (c *Cube) RecomputeCell(filter map[string]string) (*metrics.Summary, error) {
-	if c.tables == nil {
-		return nil, ErrNoRegistry
-	}
 	key, err := c.filterKey(filter)
 	if err != nil {
 		return nil, err
@@ -299,9 +242,6 @@ func (c *Cube) RecomputeCell(filter map[string]string) (*metrics.Summary, error)
 // Replace is not safe to run concurrently with Query on the same cube.
 // It returns the number of cells updated.
 func (c *Cube) Replace(ctx context.Context, contract int, oldYLT, newYLT *ylt.Table) (int, error) {
-	if c.tables == nil {
-		return 0, ErrNoRegistry
-	}
 	if contract < 0 || contract >= len(c.tables) {
 		return 0, fmt.Errorf("warehouse: contract %d out of range [0,%d)", contract, len(c.tables))
 	}
@@ -360,17 +300,14 @@ func sameBits(a, b *ylt.Table) bool {
 	return true
 }
 
-// Contract returns the registry's current YLT for a contract (nil for
-// query-only cubes). Callers pass it back to Replace as oldYLT.
+// Contract returns the registry's current YLT for a contract (nil out
+// of range). Callers pass it back to Replace as oldYLT.
 func (c *Cube) Contract(i int) *ylt.Table {
-	if c.tables == nil || i < 0 || i >= len(c.tables) {
+	if i < 0 || i >= len(c.tables) {
 		return nil
 	}
 	return c.tables[i]
 }
-
-// NumContracts returns the registry size (0 for query-only cubes).
-func (c *Cube) NumContracts() int { return len(c.tables) }
 
 // Dims returns a copy of the cube's dimension list.
 func (c *Cube) Dims() []string { return append([]string(nil), c.dims...) }
@@ -378,13 +315,10 @@ func (c *Cube) Dims() []string { return append([]string(nil), c.dims...) }
 // Cells returns the number of materialized groups.
 func (c *Cube) Cells() int { return len(c.cells) }
 
-// SizeBytes returns the encoded footprint of the materialized cell
-// tables plus the delta registry.
+// SizeBytes returns the encoded footprint of the per-contract
+// registry, which is what the cube holds beyond its cell summaries.
 func (c *Cube) SizeBytes() int64 {
 	var n int64
-	for _, cell := range c.cells {
-		n += cell.Table.SizeBytes()
-	}
 	for _, t := range c.tables {
 		n += t.SizeBytes()
 	}

@@ -3,39 +3,38 @@ package warehouse
 import (
 	"context"
 	"errors"
-	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/ylt"
 )
 
-func testInput(nTables, nTrials int) *Input {
-	in := &Input{}
+func testInput(nTables, nTrials int) ([]*ylt.Table, []map[string]string) {
 	regions := []string{"coastal", "interior"}
 	lobs := []string{"property", "marine"}
 	st := rng.New(42)
-	for i := 0; i < nTables; i++ {
+	tables := make([]*ylt.Table, nTables)
+	attrs := make([]map[string]string, nTables)
+	for i := range tables {
 		t := ylt.New("c", nTrials)
 		for j := range t.Agg {
 			t.Agg[j] = st.Pareto(1000, 2.5)
 			t.OccMax[j] = t.Agg[j] * 0.8
 		}
-		in.Tables = append(in.Tables, t)
-		in.Attrs = append(in.Attrs, map[string]string{
+		tables[i] = t
+		attrs[i] = map[string]string{
 			"region": regions[i%2],
 			"lob":    lobs[(i/2)%2],
-		})
+		}
 	}
-	return in
+	return tables, attrs
 }
 
 func TestBuildAndQuery(t *testing.T) {
-	in := testInput(8, 2000)
-	cube, err := Build(context.Background(), in, []string{"region", "lob"}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables, attrs := testInput(8, 2000)
+	cube := buildCube(t, tables, attrs, []string{"region", "lob"}, 4)
 	// Groups: region (2) + lob (2) + region×lob (4) = 8 cells.
 	if cube.Cells() != 8 {
 		t.Fatalf("cells = %d, want 8 (%v)", cube.Cells(), cube.Keys())
@@ -57,34 +56,35 @@ func TestBuildAndQuery(t *testing.T) {
 	if pair.Members != 2 {
 		t.Fatalf("coastal×marine members = %d", pair.Members)
 	}
+	if want := tables[0].SizeBytes() * int64(len(tables)); cube.SizeBytes() != want {
+		t.Fatalf("SizeBytes = %d, want the registry's %d", cube.SizeBytes(), want)
+	}
 }
 
 func TestCellMatchesDirectCombination(t *testing.T) {
-	in := testInput(4, 1000)
-	cube, err := Build(context.Background(), in, []string{"region"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables, attrs := testInput(4, 1000)
+	cube := buildCube(t, tables, attrs, []string{"region"}, 2)
 	cell, err := cube.Query(map[string]string{"region": "interior"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Direct combination of the interior tables (indices 1, 3).
-	want, err := ylt.Combine("direct", in.Tables[1], in.Tables[3])
+	combined, err := ylt.Combine(cell.Key, tables[1], tables[3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(cell.Table.Mean()-want.Mean()) > 1e-9*(1+want.Mean()) {
-		t.Fatalf("cube AAL %v != direct %v", cell.Table.Mean(), want.Mean())
+	want, err := metrics.Summarize(combined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cell.Summary, want) {
+		t.Fatalf("cube summary %+v != direct %+v", cell.Summary, want)
 	}
 }
 
 func TestQueryErrors(t *testing.T) {
-	in := testInput(4, 100)
-	cube, err := Build(context.Background(), in, []string{"region"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables, attrs := testInput(4, 100)
+	cube := buildCube(t, tables, attrs, []string{"region"}, 2)
 	if _, err := cube.Query(map[string]string{"region": "atlantis"}); !errors.Is(err, ErrNoCell) {
 		t.Fatalf("err = %v", err)
 	}
@@ -96,23 +96,25 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestBuildValidation pins what NewBuilder refuses before any trial is
+// folded: a bad dimension list, a bad trial count, and attribute sets
+// that are missing or do not cover every dimension.
 func TestBuildValidation(t *testing.T) {
-	in := testInput(2, 100)
-	if _, err := Build(context.Background(), in, nil, 1); err == nil {
+	_, attrs := testInput(2, 100)
+	if _, err := NewBuilder(nil, attrs, 100, 1); err == nil {
 		t.Fatal("no dimensions should error")
 	}
-	if _, err := Build(context.Background(), in, []string{"a", "b", "c", "d", "e", "f", "g"}, 1); err == nil {
+	if _, err := NewBuilder([]string{"a", "b", "c", "d", "e", "f", "g"}, attrs, 100, 1); err == nil {
 		t.Fatal("too many dimensions should error")
 	}
-	if _, err := Build(context.Background(), in, []string{"nonexistent"}, 1); err == nil {
+	if _, err := NewBuilder([]string{"nonexistent"}, attrs, 100, 1); err == nil {
 		t.Fatal("missing attribute should error")
 	}
-	bad := &Input{Tables: in.Tables, Attrs: in.Attrs[:1]}
-	if _, err := Build(context.Background(), bad, []string{"region"}, 1); err == nil {
-		t.Fatal("misaligned attrs should error")
+	if _, err := NewBuilder([]string{"region"}, attrs, 0, 1); err == nil {
+		t.Fatal("zero trials should error")
 	}
-	if _, err := Build(context.Background(), &Input{}, []string{"region"}, 1); err == nil {
-		t.Fatal("empty input should error")
+	if _, err := NewBuilder([]string{"region"}, nil, 100, 1); err == nil {
+		t.Fatal("no attrs should error")
 	}
 }
 
@@ -131,24 +133,17 @@ func TestKeyCollisionRegression(t *testing.T) {
 		}
 		return tbl
 	}
-	in := &Input{
-		Tables: []*ylt.Table{mk(1), mk(100)},
-		Attrs: []map[string]string{
-			{"region": "a", "lob": "b"},
-			{"region": "a,lob=b", "lob": "z"},
-		},
-	}
-	cube, err := Build(context.Background(), in, []string{"region", "lob"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := buildCube(t, []*ylt.Table{mk(1), mk(100)}, []map[string]string{
+		{"region": "a", "lob": "b"},
+		{"region": "a,lob=b", "lob": "z"},
+	}, []string{"region", "lob"}, 2)
 	// {region: a, lob: b} must hold only table 0...
 	pair, err := cube.Query(map[string]string{"region": "a", "lob": "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pair.Members != 1 || pair.Table.Agg[0] != 1 {
-		t.Fatalf("collided cell: members=%d agg0=%v", pair.Members, pair.Table.Agg[0])
+	if pair.Members != 1 || pair.Summary.AAL != 1 {
+		t.Fatalf("collided cell: members=%d AAL=%v", pair.Members, pair.Summary.AAL)
 	}
 	// ...and the hostile single-dimension value must resolve to its
 	// own distinct cell holding only table 1.
@@ -156,21 +151,14 @@ func TestKeyCollisionRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hostile.Members != 1 || hostile.Table.Agg[0] != 100 {
-		t.Fatalf("hostile cell: members=%d agg0=%v", hostile.Members, hostile.Table.Agg[0])
+	if hostile.Members != 1 || hostile.Summary.AAL != 100 {
+		t.Fatalf("hostile cell: members=%d AAL=%v", hostile.Members, hostile.Summary.AAL)
 	}
 	// Values differing only by escape-looking text stay distinct too.
-	in2 := &Input{
-		Tables: []*ylt.Table{mk(1), mk(2)},
-		Attrs: []map[string]string{
-			{"region": "x%2C"},
-			{"region": "x,"},
-		},
-	}
-	cube2, err := Build(context.Background(), in2, []string{"region"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube2 := buildCube(t, []*ylt.Table{mk(1), mk(2)}, []map[string]string{
+		{"region": "x%2C"},
+		{"region": "x,"},
+	}, []string{"region"}, 1)
 	if cube2.Cells() != 2 {
 		t.Fatalf("escape-prefix values collided: %v", cube2.Keys())
 	}
@@ -180,24 +168,32 @@ func TestKeyCollisionRegression(t *testing.T) {
 // {"region","region"} used to enumerate the region subset twice and
 // double-count every member.
 func TestDuplicateDimsRejected(t *testing.T) {
-	in := testInput(4, 50)
-	if _, err := Build(context.Background(), in, []string{"region", "region"}, 1); err == nil {
-		t.Fatal("duplicate dims should be rejected by Build")
+	_, attrs := testInput(4, 50)
+	for _, dims := range [][]string{{"region", "region"}, {"region", "lob", "region"}} {
+		if _, err := NewBuilder(dims, attrs, 50, 1); err == nil {
+			t.Fatalf("duplicate dims %v should be rejected", dims)
+		}
 	}
-	if err := in.Validate([]string{"region", "lob", "region"}); err == nil {
-		t.Fatal("duplicate dims should be rejected by Validate")
-	}
-	if err := in.Validate([]string{"region", "lob"}); err != nil {
+	if _, err := NewBuilder([]string{"region", "lob"}, attrs, 50, 1); err != nil {
 		t.Fatalf("clean dims rejected: %v", err)
 	}
 }
 
+// TestBuildTrialMismatch pins that a registry table whose trial count
+// differs from the folded one is refused, so RecomputeCell and Replace
+// never combine tables of different lengths.
 func TestBuildTrialMismatch(t *testing.T) {
-	in := testInput(4, 100)
-	// Tables 0 and 2 share region "coastal"; shortening table 2 makes
-	// that group's combination fail.
-	in.Tables[2] = ylt.New("short", 50)
-	if _, err := Build(context.Background(), in, []string{"region"}, 1); err == nil {
-		t.Fatal("trial mismatch should surface from Combine")
+	tables, attrs := testInput(4, 100)
+	b, err := NewBuilder([]string{"region"}, attrs, 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, b, tables, 100, 1)
+	// Tables 0 and 2 share region "coastal"; shortening table 2 would
+	// make that group's recombination fail.
+	short := append([]*ylt.Table(nil), tables...)
+	short[2] = ylt.New("short", 50)
+	if _, err := b.Finalize(context.Background(), short); err == nil {
+		t.Fatal("a registry table of another trial count should be refused")
 	}
 }

@@ -59,7 +59,6 @@ var keptUnreached = []struct{ name, reason string }{
 	{"lossindex.(*Index).EntriesFor", "per-event reference of the lossindex tests and aggregate's naiveReinstatements oracle"},
 	{"lossindex.(*Index).EventAt", "TestRowTableShape reads the row table through it"},
 	{"lossindex.(*Flat).NumEntries", "TestFlattenColumnsMatchEntries compares it with the index"},
-	{"gpusim.(*BlockCtx).Shared", "probe of TestSharedMemoryIsolationBetweenBlocks"},
 	{"gpusim.(*BlockCtx).StoreShared", "probe of TestSharedMemoryIsolationBetweenBlocks"},
 	{"vulnerability.Curve.MDR", "the damage curve the vulnerability tests check the prepared moments against"},
 	{"vulnerability.(*Matrix).Curve", "same tests look a class's curve up through it"},
@@ -67,10 +66,7 @@ var keptUnreached = []struct{ name, reason string }{
 	{"synth.(*Scenario).YELTGenerator", "the streaming trial source of internal/aggregate's streaming, flat and MapReduce equivalence suites"},
 	{"yelt.Spill", "one-call spill used by thirteen disk-source tests"},
 	{"yelt.(*DiskSource).FailoverLog", "the replica tests assert which shard failed over through it"},
-	{"warehouse.(*Builder).NumTrials", "probe of internal/core's cube and handoff tests"},
-	{"warehouse.(*Builder).Cells", "probe of TestReplaceMatchesRebuild and TestPipelineCubeStage"},
-	{"warehouse.(*Cube).NumContracts", "probe of TestPipelineCubeStage"},
-	{"warehouse.(*Cube).Keys", "requireCubesIdentical walks two cubes through it"},
+	{"warehouse.(*Cube).Keys", "requireCubesIdentical and core's cubesBitIdentical walk two cubes through it"},
 	{"memstore.(*Arena).Used", "TestArenaBudgetEnforced asserts the budget through it"},
 	{"memstore.(*Arena).Budget", "same test"},
 	{"memstore.(*Table).Rows", "row count asserted by four memstore tests"},
