@@ -10,20 +10,14 @@ package repro_test
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/aggregate"
 	"repro/internal/cluster"
 	"repro/internal/dfa"
-	"repro/internal/diskstore"
 	"repro/internal/gpusim"
 	"repro/internal/layers"
-	"repro/internal/mapreduce"
-	"repro/internal/memstore"
 	"repro/internal/rdbms"
 	"repro/internal/synth"
 	"repro/internal/yelt"
@@ -260,120 +254,41 @@ func BenchmarkE5Scan(b *testing.B) {
 	b.ReportMetric(float64(len(s.YELT.Occs))*float64(b.N)/b.Elapsed().Seconds(), "equiv-lookups/s")
 }
 
-// --- E6: in-memory vs MapReduce-over-files per-trial aggregation ---
-
-func lossVec(s *synth.Scenario) []float64 {
-	var maxID uint32
-	for _, e := range s.ELTs {
-		if n := e.Len(); n > 0 && e.Records[n-1].EventID > maxID {
-			maxID = e.Records[n-1].EventID
-		}
-	}
-	vec := make([]float64, maxID+1)
-	for _, e := range s.ELTs {
-		for _, r := range e.Records {
-			vec[r.EventID] += r.MeanLoss
-		}
-	}
-	return vec
-}
+// --- E6: Parallel over the resident table vs MapReduce over its
+// spilled shards, one book in expected mode ---
 
 func BenchmarkE6InMemory(b *testing.B) {
 	s, _ := scenarios(b)
-	vec := lossVec(s)
+	in := aggInput(s)
+	if _, err := in.EnsureFlat(); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl := memstore.NewTable(memstore.Schema{
-			Float64Cols: []string{"loss"}, Uint32Cols: []string{"trial"},
-		}, nil, 1<<15)
-		for trial := 0; trial < s.YELT.NumTrials; trial++ {
-			for _, occ := range s.YELT.OccurrencesOf(trial) {
-				var l float64
-				if int(occ.EventID) < len(vec) {
-					l = vec[occ.EventID]
-				}
-				if err := tbl.Append([]float64{l}, []uint32{uint32(trial)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		sums := make([]float64, s.YELT.NumTrials)
-		if err := tbl.Scan(func(v memstore.ChunkView) error {
-			for r := 0; r < v.Rows(); r++ {
-				sums[v.U32[0][r]] += v.F64[0][r]
-			}
-			return nil
-		}); err != nil {
+		if _, err := (aggregate.Parallel{}).Run(context.Background(), in, aggregate.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(benchTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 }
 
 func BenchmarkE6MapReduce(b *testing.B) {
 	s, _ := scenarios(b)
-	vec := lossVec(s)
-	dir, err := os.MkdirTemp("", "e6bench-*")
+	ds, err := yelt.SpillToDir(context.Background(), s.YELT, b.TempDir(), 0, aggregate.DefaultSpillParts(benchTrials), 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer os.RemoveAll(dir)
-	store, err := diskstore.Create(dir, 4)
-	if err != nil {
+	in := &aggregate.Input{Source: ds, ELTs: s.ELTs, Portfolio: s.Portfolio}
+	if _, err := in.EnsureFlat(); err != nil {
 		b.Fatal(err)
 	}
-	const parts = 8
-	per := (s.YELT.NumTrials + parts - 1) / parts
-	type split struct{ part, lo int }
-	var splits []split
-	for p := 0; p < parts; p++ {
-		lo, hi := p*per, (p+1)*per
-		if hi > s.YELT.NumTrials {
-			hi = s.YELT.NumTrials
-		}
-		if lo >= hi {
-			break
-		}
-		sub, err := s.YELT.Slice(lo, hi)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := store.WritePartition("yelt", p, func(w io.Writer) error {
-			_, err := sub.WriteTo(w)
-			return err
-		}); err != nil {
-			b.Fatal(err)
-		}
-		splits = append(splits, split{p, lo})
-	}
-	sums := make([]float64, s.YELT.NumTrials)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := mapreduce.Run(context.Background(), splits,
-			func(_ context.Context, sp split) ([]float64, error) {
-				var out []float64
-				err := store.ReadPartition("yelt", sp.part, func(r io.Reader) error {
-					sub, err := yelt.Read(r)
-					if err != nil {
-						return err
-					}
-					out = make([]float64, sub.NumTrials)
-					for trial := range out {
-						for _, occ := range sub.OccurrencesOf(trial) {
-							if int(occ.EventID) < len(vec) {
-								out[trial] += vec[occ.EventID]
-							}
-						}
-					}
-					return nil
-				})
-				return out, err
-			},
-			func(i int, trialSums []float64, _ bool, _ time.Duration) { copy(sums[splits[i].lo:], trialSums) },
-			mapreduce.Config{})
-		if err != nil {
+		if _, err := (aggregate.MapReduce{}).Run(context.Background(), in, aggregate.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(benchTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 }
 
 // --- E7: provisioning policies over the bursty demand profile ---

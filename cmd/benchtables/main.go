@@ -16,7 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -28,16 +28,14 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/cluster"
 	"repro/internal/dfa"
-	"repro/internal/diskstore"
 	"repro/internal/gpusim"
 	"repro/internal/layers"
 	"repro/internal/lossindex"
-	"repro/internal/mapreduce"
-	"repro/internal/memstore"
 	"repro/internal/metrics"
 	"repro/internal/rdbms"
 	"repro/internal/synth"
 	"repro/internal/yelt"
+	"repro/internal/ylt"
 )
 
 func devDefault() gpusim.Config { return gpusim.DefaultConfig() }
@@ -423,157 +421,101 @@ func maxEvent(s *synth.Scenario) uint32 {
 }
 
 // E6 — in-memory analytics vs MapReduce over distributed files, with
-// the memory budget deciding the crossover.
+// the memory budget deciding the crossover. Both columns run a shipped
+// engine over one book in expected mode: Parallel over the materialized
+// table, and MapReduce over the same table spilled to shards on disk
+// (the spill is inside its timing; generation is outside both). The two
+// portfolio YLTs must agree bit for bit wherever both ran.
 func e6MemoryVsMapReduce(ctx context.Context) error {
-	fmt.Printf("## E6 — in-memory vs distributed-file MapReduce (per-trial aggregation)\n")
+	fmt.Printf("## E6 — in-memory Parallel vs MapReduce over spilled shards (one book, expected mode)\n")
 	sizes := []int{20_000, 100_000, 400_000}
 	if *flagQuick {
-		sizes = []int{10_000, 50_000}
+		// The two largest sizes still span four or more shards each, so
+		// MapReduce's resident peak is flat on up to four workers.
+		sizes = []int{10_000, 100_000, 200_000}
 	}
-	// Budget sized so the largest dataset no longer fits — the scaled
-	// analogue of the paper's "<1 TB in memory" boundary.
-	budget := int64(sizes[len(sizes)-1]) * 10 * 12 / 2
-	fmt.Printf("memory budget: %s\n", yelt.HumanBytes(float64(budget)))
-	fmt.Printf("%-12s %16s %16s\n", "trials", "in-memory", "mapreduce")
-
 	s, err := scenario(ctx, 1000, false)
 	if err != nil {
 		return err
 	}
-	lossVec := portfolioLossVec(s)
+	book := aggInput(s)
+	if _, err := book.EnsureFlat(); err != nil {
+		return err
+	}
+	tables := make([]*yelt.Table, len(sizes))
+	for i, trials := range sizes {
+		if tables[i], err = yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: flagWorkers}, flagSeed+9); err != nil {
+			return err
+		}
+	}
+	// The budget lies between the two largest tables, so only the
+	// largest no longer fits — the scaled analogue of the paper's
+	// "<1 TB in memory" boundary.
+	n := len(tables)
+	budget := (tables[n-2].SizeBytes() + tables[n-1].SizeBytes()) / 2
+	fmt.Printf("memory budget: %s\n", yelt.HumanBytes(float64(budget)))
+	fmt.Printf("%-10s %14s %12s %14s %12s\n", "trials", "in-memory", "resident", "mapreduce", "resident")
 
-	for _, trials := range sizes {
-		y, err := yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: flagWorkers}, flagSeed+9)
+	cfg := aggregate.Config{Workers: flagWorkers}
+	for i, y := range tables {
+		in := *book
+		in.YELT = y
+		memCell, memPeak := "EXCEEDS BUDGET", ""
+		var mem *aggregate.Result
+		if y.SizeBytes() <= budget {
+			t0 := time.Now()
+			if mem, err = (aggregate.Parallel{}).Run(ctx, &in, cfg); err != nil {
+				return err
+			}
+			memCell = time.Since(t0).Round(time.Millisecond).String()
+			memPeak = yelt.HumanBytes(float64(mem.PeakResidentBytes))
+		}
+		mr, mrDur, err := e6MapReduce(ctx, &in, cfg)
 		if err != nil {
 			return err
 		}
-		memCell, memErr := e6InMemory(ctx, y, lossVec, budget)
-		mrCell, err := e6MapReduce(ctx, y, lossVec)
-		if err != nil {
-			return err
+		if mem != nil {
+			if err := sameYLT(mem.Portfolio, mr.Portfolio); err != nil {
+				return fmt.Errorf("%d trials: MapReduce differs from Parallel: %w", sizes[i], err)
+			}
 		}
-		memStr := memCell
-		if memErr != nil {
-			memStr = "EXCEEDS BUDGET"
-		}
-		fmt.Printf("%-12d %16s %16s\n", trials, memStr, mrCell)
+		fmt.Printf("%-10d %14s %12s %14s %12s\n", sizes[i], memCell, memPeak,
+			mrDur.Round(time.Millisecond), yelt.HumanBytes(float64(mr.PeakResidentBytes)))
 	}
 	return nil
 }
 
-func portfolioLossVec(s *synth.Scenario) []float64 {
-	var maxID uint32
-	for _, e := range s.ELTs {
-		if n := e.Len(); n > 0 && e.Records[n-1].EventID > maxID {
-			maxID = e.Records[n-1].EventID
-		}
-	}
-	vec := make([]float64, maxID+1)
-	for _, e := range s.ELTs {
-		for _, r := range e.Records {
-			vec[r.EventID] += r.MeanLoss
-		}
-	}
-	return vec
-}
-
-func e6InMemory(ctx context.Context, y *yelt.Table, lossVec []float64, budget int64) (string, error) {
-	arena := memstore.NewArena(budget)
-	tbl := memstore.NewTable(memstore.Schema{
-		Float64Cols: []string{"loss"},
-		Uint32Cols:  []string{"trial"},
-	}, arena, 1<<15)
-	t0 := time.Now()
-	for trial := 0; trial < y.NumTrials; trial++ {
-		for _, occ := range y.OccurrencesOf(trial) {
-			var l float64
-			if int(occ.EventID) < len(lossVec) {
-				l = lossVec[occ.EventID]
-			}
-			if err := tbl.Append([]float64{l}, []uint32{uint32(trial)}); err != nil {
-				tbl.Release()
-				return "", err
-			}
-		}
-	}
-	sums := make([]float64, y.NumTrials)
-	err := tbl.Scan(func(v memstore.ChunkView) error {
-		for i := 0; i < v.Rows(); i++ {
-			sums[v.U32[0][i]] += v.F64[0][i]
-		}
-		return nil
-	})
-	tbl.Release()
-	if err != nil {
-		return "", err
-	}
-	return time.Since(t0).Round(time.Millisecond).String(), nil
-}
-
-func e6MapReduce(ctx context.Context, y *yelt.Table, lossVec []float64) (string, error) {
+// e6MapReduce spills in's table to DefaultSpillParts shards in a
+// temporary directory and runs MapReduce over them, timing both.
+func e6MapReduce(ctx context.Context, in *aggregate.Input, cfg aggregate.Config) (*aggregate.Result, time.Duration, error) {
 	dir, err := os.MkdirTemp("", "e6-*")
 	if err != nil {
-		return "", err
+		return nil, 0, err
 	}
 	defer os.RemoveAll(dir)
-	store, err := diskstore.Create(dir, 4)
-	if err != nil {
-		return "", err
-	}
 	t0 := time.Now()
-	const parts = 16
-	per := (y.NumTrials + parts - 1) / parts
-	type split struct{ part, lo int }
-	var splits []split
-	for p := 0; p < parts; p++ {
-		lo, hi := p*per, (p+1)*per
-		if hi > y.NumTrials {
-			hi = y.NumTrials
-		}
-		if lo >= hi {
-			break
-		}
-		sub, err := y.Slice(lo, hi)
-		if err != nil {
-			return "", err
-		}
-		if err := store.WritePartition("yelt", p, func(w io.Writer) error {
-			_, err := sub.WriteTo(w)
-			return err
-		}); err != nil {
-			return "", err
-		}
-		splits = append(splits, split{p, lo})
-	}
-	// Each map task returns its split's per-trial sums; the commit
-	// places them in the one per-trial slice.
-	sums := make([]float64, y.NumTrials)
-	err = mapreduce.Run(ctx, splits,
-		func(_ context.Context, sp split) ([]float64, error) {
-			var out []float64
-			err := store.ReadPartition("yelt", sp.part, func(r io.Reader) error {
-				sub, err := yelt.Read(r)
-				if err != nil {
-					return err
-				}
-				out = make([]float64, sub.NumTrials)
-				for trial := range out {
-					for _, occ := range sub.OccurrencesOf(trial) {
-						if int(occ.EventID) < len(lossVec) {
-							out[trial] += lossVec[occ.EventID]
-						}
-					}
-				}
-				return nil
-			})
-			return out, err
-		},
-		func(i int, trialSums []float64, _ bool, _ time.Duration) { copy(sums[splits[i].lo:], trialSums) },
-		mapreduce.Config{Mappers: flagWorkers})
+	ds, err := yelt.SpillToDir(ctx, in.YELT, dir, 0, aggregate.DefaultSpillParts(in.YELT.NumTrials), 1, cfg.Workers)
 	if err != nil {
-		return "", err
+		return nil, 0, err
 	}
-	return time.Since(t0).Round(time.Millisecond).String(), nil
+	spilled := *in
+	spilled.YELT, spilled.Source = nil, ds
+	res, err := (aggregate.MapReduce{}).Run(ctx, &spilled, cfg)
+	return res, time.Since(t0), err
+}
+
+// sameYLT reports the first trial at which two YLTs differ in any bit.
+func sameYLT(a, b *ylt.Table) error {
+	if len(a.Agg) != len(b.Agg) || len(a.OccMax) != len(b.OccMax) {
+		return fmt.Errorf("%d trials vs %d", len(a.Agg), len(b.Agg))
+	}
+	for i := range a.Agg {
+		if math.Float64bits(a.Agg[i]) != math.Float64bits(b.Agg[i]) ||
+			math.Float64bits(a.OccMax[i]) != math.Float64bits(b.OccMax[i]) {
+			return fmt.Errorf("trial %d: (%v, %v) vs (%v, %v)", i, a.Agg[i], a.OccMax[i], b.Agg[i], b.OccMax[i])
+		}
+	}
+	return nil
 }
 
 // E7 — elastic vs static provisioning over the pipeline's bursty

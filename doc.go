@@ -3,7 +3,8 @@
 // three-stage reinsurance risk analytics pipeline — catastrophe
 // modelling, portfolio aggregate analysis, dynamic financial analysis —
 // together with the data-management substrates the paper discusses
-// (in-memory columnar analytics, distributed-file MapReduce, a
+// (in-memory analytics — the Parallel engine over a materialized trial
+// table — against distributed-file MapReduce over its spilled shards, a
 // traditional-RDBMS baseline, a simulated many-core device with
 // shared-memory chunking, and an elastic cluster model).
 //

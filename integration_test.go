@@ -6,22 +6,21 @@ package repro_test
 import (
 	"context"
 	"errors"
-	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/aggregate"
 	"repro/internal/catmodel"
 	"repro/internal/cluster"
-	"repro/internal/diskstore"
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 	"repro/internal/rdbms"
 	"repro/internal/stream"
 	"repro/internal/synth"
 	"repro/internal/yelt"
+	"repro/internal/ylt"
 )
 
 func smallScenario(t *testing.T, seed uint64, occOnly bool) *synth.Scenario {
@@ -154,120 +153,79 @@ func TestShapeScanBeatsRandomAccessOnPages(t *testing.T) {
 	}
 }
 
-// E6 shape: MapReduce over diskstore partitions must agree exactly
-// with a direct in-memory computation of the same per-trial sums.
+// E6 shape: the two strategies E6 times are two engines over one book,
+// and they must agree bit for bit: MapReduce over the table spilled to
+// shards on disk equals Parallel over the resident table, with sampling
+// on, for the portfolio and every contract. The MapReduce run must
+// really have scanned the shards.
 func TestShapeMapReduceMatchesDirect(t *testing.T) {
 	s := smallScenario(t, 6, false)
-	vec := map[uint32]float64{}
-	for _, e := range s.ELTs {
-		for _, r := range e.Records {
-			vec[r.EventID] += r.MeanLoss
-		}
-	}
-	direct := make([]float64, s.YELT.NumTrials)
-	for trial := 0; trial < s.YELT.NumTrials; trial++ {
-		for _, occ := range s.YELT.OccurrencesOf(trial) {
-			direct[trial] += vec[occ.EventID]
-		}
-	}
-
-	dir := t.TempDir()
-	store, err := diskstore.Create(dir, 3)
+	ctx := context.Background()
+	cfg := aggregate.Config{Seed: 3, Sampling: true, PerContract: true, Workers: 2}
+	mem, err := (aggregate.Parallel{}).Run(ctx, &aggregate.Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type split struct{ part, lo int }
-	var splits []split
-	const parts = 5
-	per := (s.YELT.NumTrials + parts - 1) / parts
-	for p := 0; p < parts; p++ {
-		lo, hi := p*per, (p+1)*per
-		if hi > s.YELT.NumTrials {
-			hi = s.YELT.NumTrials
-		}
-		sub, err := s.YELT.Slice(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.WritePartition("y", p, func(w io.Writer) error {
-			_, err := sub.WriteTo(w)
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		splits = append(splits, split{p, lo})
-	}
-	got := make([]float64, s.YELT.NumTrials)
-	err = mapreduce.Run(context.Background(), splits,
-		func(_ context.Context, sp split) ([]float64, error) {
-			var out []float64
-			err := store.ReadPartition("y", sp.part, func(r io.Reader) error {
-				sub, err := yelt.Read(r)
-				if err != nil {
-					return err
-				}
-				out = make([]float64, sub.NumTrials)
-				for trial := range out {
-					for _, occ := range sub.OccurrencesOf(trial) {
-						out[trial] += vec[occ.EventID]
-					}
-				}
-				return nil
-			})
-			return out, err
-		},
-		func(i int, trialSums []float64, _ bool, _ time.Duration) { copy(got[splits[i].lo:], trialSums) },
-		mapreduce.Config{})
+	ds, err := yelt.SpillToDir(ctx, s.YELT, t.TempDir(), 3, 5, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for trial, want := range direct {
-		if g := got[trial]; math.Abs(g-want) > 1e-9*(1+want) {
-			t.Fatalf("trial %d: mapreduce %v vs direct %v", trial, g, want)
+	mr, err := (aggregate.MapReduce{}).Run(ctx, &aggregate.Input{Source: ds, ELTs: s.ELTs, Portfolio: s.Portfolio}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := ds.SizeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned := mr.LocalBytes + mr.RemoteBytes; scanned != size {
+		t.Fatalf("MapReduce scanned %d shard bytes, the spill holds %d", scanned, size)
+	}
+	if len(mr.PerContract) != len(s.Portfolio.Contracts) || len(mem.PerContract) != len(s.Portfolio.Contracts) {
+		t.Fatalf("per-contract tables: MapReduce %d, Parallel %d, book %d", len(mr.PerContract), len(mem.PerContract), len(s.Portfolio.Contracts))
+	}
+	pairs := [][2]*ylt.Table{{mr.Portfolio, mem.Portfolio}}
+	for ci := range mem.PerContract {
+		pairs = append(pairs, [2]*ylt.Table{mr.PerContract[ci], mem.PerContract[ci]})
+	}
+	for k, p := range pairs {
+		got, want := p[0], p[1]
+		if len(got.Agg) != s.YELT.NumTrials || len(want.Agg) != s.YELT.NumTrials {
+			t.Fatalf("table %d: %d and %d trials, want %d", k, len(got.Agg), len(want.Agg), s.YELT.NumTrials)
+		}
+		for i := range want.Agg {
+			if math.Float64bits(got.Agg[i]) != math.Float64bits(want.Agg[i]) ||
+				math.Float64bits(got.OccMax[i]) != math.Float64bits(want.OccMax[i]) {
+				t.Fatalf("table %d (0 = portfolio) trial %d: MapReduce (%v, %v), Parallel (%v, %v)", k, i,
+					got.Agg[i], got.OccMax[i], want.Agg[i], want.OccMax[i])
+			}
 		}
 	}
 }
 
-// Failure injection: a corrupted partition must fail the job with a
-// diagnosable error after exhausting retries, not hang or misreport.
+// Failure injection: a corrupted shard with no other replica must fail
+// the MapReduce engine with a diagnosable error once its retries are
+// spent, not hang, misreport or return a short YLT.
 func TestFailureInjectionCorruptPartition(t *testing.T) {
 	s := smallScenario(t, 7, false)
-	dir := t.TempDir()
-	store, err := diskstore.Create(dir, 2)
+	ctx := context.Background()
+	ds, err := yelt.SpillToDir(ctx, s.YELT, t.TempDir(), 2, 3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := s.YELT.Slice(0, 100)
-	if err != nil {
+	if err := ds.Store().Corrupt("yelt", 1); err != nil {
 		t.Fatal(err)
 	}
-	for p := 0; p < 3; p++ {
-		if err := store.WritePartition("y", p, func(w io.Writer) error {
-			_, err := sub.WriteTo(w)
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Corrupt("y", 1); err != nil {
-		t.Fatal(err)
-	}
-	err = mapreduce.Run(context.Background(), []int{0, 1, 2},
-		func(_ context.Context, part int) (int, error) {
-			var trials int
-			err := store.ReadPartition("y", part, func(r io.Reader) error {
-				sub, err := yelt.Read(r)
-				if err != nil {
-					return err
-				}
-				trials = sub.NumTrials
-				return nil
-			})
-			return trials, err
-		},
-		func(int, int, bool, time.Duration) {}, mapreduce.Config{MaxAttempts: 2})
+	res, err := (aggregate.MapReduce{MaxAttempts: 2}).Run(ctx,
+		&aggregate.Input{Source: ds, ELTs: s.ELTs, Portfolio: s.Portfolio}, aggregate.Config{Workers: 2})
 	if !errors.Is(err, mapreduce.ErrTooManyFailures) {
 		t.Fatalf("err = %v, want ErrTooManyFailures", err)
+	}
+	if !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("err = %v: does not name shard 1", err)
+	}
+	if res != nil {
+		t.Fatalf("a failed run returned a result: %+v", res)
 	}
 }
 
@@ -300,8 +258,9 @@ func TestPostEventConsistentWithELT(t *testing.T) {
 	}
 }
 
-// E7 shape plus E8 linkage: the measured stage-2 work fits the
-// elasticity model's premise that stage 2 dominates stage 1.
+// E7 shape: the demand profile the elasticity model runs on makes stage
+// 2 dominate stage 1. It checks cluster.PipelinePhases' constants, not a
+// measured stage-2 run.
 func TestShapeStage2DominatesStage1(t *testing.T) {
 	phases := cluster.PipelinePhases(100)
 	if phases[1].Work/phases[0].Work < 100 {

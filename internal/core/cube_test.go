@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/aggregate"
+	"repro/internal/metrics"
 	"repro/internal/warehouse"
+	"repro/internal/ylt"
 )
 
 // TestPipelineCubeStage pins the warehouse stage line and the
@@ -81,6 +83,86 @@ func TestPipelineCubeStage(t *testing.T) {
 			t.Fatal("cube-less run left a warehouse stage line")
 		}
 	}
+}
+
+// TestPipelineCubeFoldOrder holds every cell of a pipeline-built cube
+// to a fold written out here: the member contracts' registry tables, in
+// ascending contract order, combined and summarized. Both the Builder's
+// pre-computed summary and RecomputeCell's re-fold must equal it bit for
+// bit. The book has 12 contracts, so its region cells have three
+// members and its lob cells four, where a sum taken in another order
+// shows in the low bits.
+func TestPipelineCubeFoldOrder(t *testing.T) {
+	cfg := smallConfig(11)
+	cfg.NumContracts = 12
+	cfg.Sampling = true
+	cfg.CubeDims = []string{"region", "lob"}
+	p := New(cfg)
+	if _, err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	attrs := warehouse.DefaultAttrs(cfg.NumContracts)
+	widest := 0
+	for _, key := range p.Cube.Keys() {
+		filter := keyFilter(t, p.Cube, key)
+		var members []*ylt.Table
+		for i, a := range attrs {
+			in := true
+			for d, v := range filter {
+				in = in && a[d] == v
+			}
+			if in {
+				members = append(members, p.Cube.Contract(i))
+			}
+		}
+		widest = max(widest, len(members))
+		combined, err := ylt.Combine(key, members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := metrics.Summarize(combined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, err := p.Cube.Query(filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cell.Members != len(members) {
+			t.Fatalf("cell %s has %d members, the attributes give %d", key, cell.Members, len(members))
+		}
+		if !summariesSameBits(cell.Summary, want) {
+			t.Fatalf("cell %s: pre-computed %+v, fold in contract order %+v", key, cell.Summary, want)
+		}
+		direct, err := p.Cube.RecomputeCell(filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !summariesSameBits(direct, want) {
+			t.Fatalf("cell %s: recomputed %+v, fold in contract order %+v", key, direct, want)
+		}
+	}
+	if widest < 3 {
+		t.Fatalf("widest cell has %d members: a fold of fewer than three cannot show its order", widest)
+	}
+}
+
+// summariesSameBits reports whether two summaries agree in every field,
+// floats compared by their bits.
+func summariesSameBits(a, b *metrics.Summary) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if a.Name != b.Name || a.Trials != b.Trials || len(a.ReturnRows) != len(b.ReturnRows) {
+		return false
+	}
+	for i, ra := range a.ReturnRows {
+		rb := b.ReturnRows[i]
+		if !same(ra.ReturnPeriod, rb.ReturnPeriod) || !same(ra.OEP, rb.OEP) || !same(ra.AEP, rb.AEP) {
+			return false
+		}
+	}
+	return same(a.AAL, b.AAL) && same(a.AggStdDev, b.AggStdDev) &&
+		same(a.VaR99, b.VaR99) && same(a.TVaR99, b.TVaR99) &&
+		same(a.VaR995, b.VaR995) && same(a.TVaR995, b.TVaR995)
 }
 
 // cubesBitIdentical fails the test unless got's registry is want's,

@@ -114,9 +114,10 @@ func (s *Store) pathAt(dataset string, part, node int) string {
 		fmt.Sprintf("%s.part-%05d", dataset, part))
 }
 
-// WritePartition creates partition part of dataset, streaming content
-// through fn. The content is written to a temporary file on the
-// partition's node and renamed into place only after fn, Sync and
+// WritePartitionAt creates one replica of partition part of dataset
+// under node's directory, streaming content through fn (NodeOf(part) is
+// the partition's primary node). The content is written to a temporary
+// file on that node and renamed into place only after fn, Sync and
 // Close succeed, so a crash or error mid-write can never leave a torn
 // partition that Open/Partitions would treat as valid: the partition
 // either exists complete or not at all. The commit is durable, not
@@ -125,16 +126,10 @@ func (s *Store) pathAt(dataset string, part, node int) string {
 // and an unmount cannot roll a committed shard back to absent (the
 // rename itself lives in the directory, which is its own file). Stray
 // temp files (a leading dot and a ".tmp-" tail) are invisible to
-// Partitions and ReadPartition; Delete reclaims them.
-func (s *Store) WritePartition(dataset string, part int, fn func(io.Writer) error) error {
-	return s.WritePartitionAt(dataset, part, s.NodeOf(part), fn)
-}
-
-// WritePartitionAt writes one replica of a partition under an explicit
-// node's directory, with the same temp+fsync+rename commit protocol as
-// WritePartition. Replicated spills call it once per replica node;
-// each replica commits (or fails) independently, and the dataset-level
-// commit record (e.g. a manifest) is what makes the set authoritative.
+// Partitions and ReadPartitionAt; Delete reclaims them. Replicated
+// spills call it once per replica node; each replica commits (or
+// fails) independently, and the dataset-level commit record (e.g. a
+// manifest) is what makes the set authoritative.
 func (s *Store) WritePartitionAt(dataset string, part, node int, fn func(io.Writer) error) error {
 	if node < 0 || node >= s.nodes {
 		return fmt.Errorf("diskstore: node %d out of range [0,%d)", node, s.nodes)
@@ -194,17 +189,11 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// ReadPartition streams partition part of dataset through fn, from its
-// primary node. Replica-aware callers use ReadPartitionAt and supply
-// their own failover order.
-func (s *Store) ReadPartition(dataset string, part int, fn func(io.Reader) error) error {
-	return s.ReadPartitionAt(dataset, part, s.NodeOf(part), fn)
-}
-
-// ReadPartitionAt streams one replica of a partition through fn. The
-// read-fault hook (SetReadFault) is consulted first, so an injected
-// fault fails the attempt even when the file on disk is healthy —
-// modelling a node whose disk errors, not a missing file.
+// ReadPartitionAt streams one replica of a partition through fn;
+// callers supply their own failover order. The read-fault hook
+// (SetReadFault) is consulted first, so an injected fault fails the
+// attempt even when the file on disk is healthy — modelling a node
+// whose disk errors, not a missing file.
 func (s *Store) ReadPartitionAt(dataset string, part, node int, fn func(io.Reader) error) error {
 	if s.readFault != nil {
 		if err := s.readFault(dataset, part, node); err != nil {

@@ -29,7 +29,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	s := newStore(t, 3)
 	for p := 0; p < 7; p++ {
 		p := p
-		err := s.WritePartition("yelt", p, func(w io.Writer) error {
+		err := s.WritePartitionAt("yelt", p, s.NodeOf(p), func(w io.Writer) error {
 			_, err := fmt.Fprintf(w, "partition-%d", p)
 			return err
 		})
@@ -39,7 +39,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	for p := 0; p < 7; p++ {
 		var got string
-		err := s.ReadPartition("yelt", p, func(r io.Reader) error {
+		err := s.ReadPartitionAt("yelt", p, s.NodeOf(p), func(r io.Reader) error {
 			b, err := io.ReadAll(r)
 			got = string(b)
 			return err
@@ -56,7 +56,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestPartitionsSortedAndPlacement(t *testing.T) {
 	s := newStore(t, 3)
 	for _, p := range []int{4, 0, 2, 1, 3} {
-		if err := s.WritePartition("ds", p, func(w io.Writer) error {
+		if err := s.WritePartitionAt("ds", p, s.NodeOf(p), func(w io.Writer) error {
 			_, err := w.Write([]byte{1})
 			return err
 		}); err != nil {
@@ -86,7 +86,7 @@ func TestMissingDataset(t *testing.T) {
 	if _, err := s.Partitions("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := s.ReadPartition("nope", 0, func(io.Reader) error { return nil }); !errors.Is(err, ErrNotFound) {
+	if err := s.ReadPartitionAt("nope", 0, s.NodeOf(0), func(io.Reader) error { return nil }); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := s.SizeBytes("nope"); !errors.Is(err, ErrNotFound) {
@@ -97,7 +97,7 @@ func TestMissingDataset(t *testing.T) {
 func TestWriteErrorCleansUp(t *testing.T) {
 	s := newStore(t, 1)
 	boom := errors.New("write boom")
-	err := s.WritePartition("bad", 0, func(io.Writer) error { return boom })
+	err := s.WritePartitionAt("bad", 0, s.NodeOf(0), func(io.Writer) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -124,7 +124,7 @@ func nodeFiles(t *testing.T, s *Store, node int) []string {
 // the atomic-rename protocol writes through.
 func TestWriteErrorLeavesNoTempFile(t *testing.T) {
 	s := newStore(t, 1)
-	err := s.WritePartition("torn", 0, func(w io.Writer) error {
+	err := s.WritePartitionAt("torn", 0, s.NodeOf(0), func(w io.Writer) error {
 		// Partial content followed by a failure — the torn-write shape.
 		if _, err := w.Write([]byte("half a part")); err != nil {
 			return err
@@ -140,11 +140,11 @@ func TestWriteErrorLeavesNoTempFile(t *testing.T) {
 }
 
 // A write interrupted before commit (simulated by a stray in-progress
-// temp file) must be invisible to Partitions, ReadPartition, and
+// temp file) must be invisible to Partitions, ReadPartitionAt, and
 // SizeBytes: only renamed-in partitions exist.
 func TestInProgressTempInvisible(t *testing.T) {
 	s := newStore(t, 1)
-	if err := s.WritePartition("ds", 0, func(w io.Writer) error {
+	if err := s.WritePartitionAt("ds", 0, s.NodeOf(0), func(w io.Writer) error {
 		_, err := w.Write([]byte("good"))
 		return err
 	}); err != nil {
@@ -162,7 +162,7 @@ func TestInProgressTempInvisible(t *testing.T) {
 	if len(parts) != 1 || parts[0] != 0 {
 		t.Fatalf("Partitions = %v, want [0] (temp file must be invisible)", parts)
 	}
-	if err := s.ReadPartition("ds", 1, func(io.Reader) error { return nil }); !errors.Is(err, ErrNotFound) {
+	if err := s.ReadPartitionAt("ds", 1, s.NodeOf(1), func(io.Reader) error { return nil }); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("reading the torn partition: err = %v, want ErrNotFound", err)
 	}
 	size, err := s.SizeBytes("ds")
@@ -196,7 +196,7 @@ func TestDeleteReclaimsKilledWriterTemps(t *testing.T) {
 		})
 	}
 	for p := 0; p < 2; p++ {
-		if err := s.WritePartition("ds", p, func(w io.Writer) error {
+		if err := s.WritePartitionAt("ds", p, s.NodeOf(p), func(w io.Writer) error {
 			_, err := w.Write([]byte("good"))
 			return err
 		}); err != nil {
@@ -232,7 +232,7 @@ func TestDeleteReclaimsKilledWriterTemps(t *testing.T) {
 // with the temp file gone.
 func TestWriteCommitsAtomically(t *testing.T) {
 	s := newStore(t, 1)
-	if err := s.WritePartition("ok", 3, func(w io.Writer) error {
+	if err := s.WritePartitionAt("ok", 3, s.NodeOf(3), func(w io.Writer) error {
 		_, err := w.Write([]byte("payload"))
 		return err
 	}); err != nil {
@@ -243,7 +243,7 @@ func TestWriteCommitsAtomically(t *testing.T) {
 		t.Fatalf("node files = %v, want exactly [ok.part-00003]", files)
 	}
 	var got string
-	if err := s.ReadPartition("ok", 3, func(r io.Reader) error {
+	if err := s.ReadPartitionAt("ok", 3, s.NodeOf(3), func(r io.Reader) error {
 		b, err := io.ReadAll(r)
 		got = string(b)
 		return err
@@ -259,7 +259,7 @@ func TestSizeAndDelete(t *testing.T) {
 	s := newStore(t, 2)
 	payload := make([]byte, 1000)
 	for p := 0; p < 4; p++ {
-		if err := s.WritePartition("big", p, func(w io.Writer) error {
+		if err := s.WritePartitionAt("big", p, s.NodeOf(p), func(w io.Writer) error {
 			_, err := w.Write(payload)
 			return err
 		}); err != nil {
@@ -283,7 +283,7 @@ func TestSizeAndDelete(t *testing.T) {
 
 func TestCorruptTruncates(t *testing.T) {
 	s := newStore(t, 1)
-	if err := s.WritePartition("c", 0, func(w io.Writer) error {
+	if err := s.WritePartitionAt("c", 0, s.NodeOf(0), func(w io.Writer) error {
 		_, err := w.Write(make([]byte, 100))
 		return err
 	}); err != nil {
@@ -293,7 +293,7 @@ func TestCorruptTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var n int
-	if err := s.ReadPartition("c", 0, func(r io.Reader) error {
+	if err := s.ReadPartitionAt("c", 0, s.NodeOf(0), func(r io.Reader) error {
 		b, err := io.ReadAll(r)
 		n = len(b)
 		return err
@@ -343,12 +343,12 @@ func TestNodeDirectoriesOnDisk(t *testing.T) {
 
 // The durable-commit path (content fsync, rename, node-dir fsync) must
 // still present exactly the committed file: no temp residue survives,
-// and the commit is readable immediately after WritePartition returns.
+// and the commit is readable immediately after WritePartitionAt returns.
 func TestWriteDurableCommitLeavesOnlyFinalFile(t *testing.T) {
 	s := newStore(t, 2)
 	for p := 0; p < 4; p++ {
 		payload := fmt.Sprintf("shard-%d", p)
-		if err := s.WritePartition("dur", p, func(w io.Writer) error {
+		if err := s.WritePartitionAt("dur", p, s.NodeOf(p), func(w io.Writer) error {
 			_, err := w.Write([]byte(payload))
 			return err
 		}); err != nil {
@@ -364,7 +364,7 @@ func TestWriteDurableCommitLeavesOnlyFinalFile(t *testing.T) {
 	}
 	for p := 0; p < 4; p++ {
 		var got string
-		if err := s.ReadPartition("dur", p, func(r io.Reader) error {
+		if err := s.ReadPartitionAt("dur", p, s.NodeOf(p), func(r io.Reader) error {
 			b, err := io.ReadAll(r)
 			got = string(b)
 			return err
@@ -380,7 +380,7 @@ func TestWriteDurableCommitLeavesOnlyFinalFile(t *testing.T) {
 func TestPartitionSizeBytes(t *testing.T) {
 	s := newStore(t, 2)
 	for p, n := range []int{100, 250, 7} {
-		if err := s.WritePartition("sz", p, func(w io.Writer) error {
+		if err := s.WritePartitionAt("sz", p, s.NodeOf(p), func(w io.Writer) error {
 			_, err := w.Write(make([]byte, n))
 			return err
 		}); err != nil {
@@ -404,7 +404,7 @@ func TestPartitionSizeBytes(t *testing.T) {
 func TestRemoveSinglePartition(t *testing.T) {
 	s := newStore(t, 3)
 	for p := 0; p < 3; p++ {
-		if err := s.WritePartition("rm", p, func(w io.Writer) error {
+		if err := s.WritePartitionAt("rm", p, s.NodeOf(p), func(w io.Writer) error {
 			_, err := w.Write([]byte{1})
 			return err
 		}); err != nil {

@@ -47,9 +47,9 @@ func Partition(n, parts int) []Range {
 	return out
 }
 
-// Chunks splits [0, n) into consecutive ranges of size at most chunk.
-// It is the unit of streaming I/O throughout the repo: YELT scans,
-// memstore scans and mapreduce splits all iterate chunk-wise.
+// Chunks splits [0, n) into consecutive ranges of size at most chunk:
+// the MapReduce engine's map splits, over a whole source or within one
+// spilled shard.
 func Chunks(n, chunk int) []Range {
 	if n <= 0 || chunk <= 0 {
 		return nil

@@ -269,7 +269,7 @@ func TestOpenDiskSourceRefusesOversizedManifest(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := testStore(t, 2)
-			err := store.WritePartition(manifestDataset("ds"), 0, func(w io.Writer) error {
+			err := store.WritePartitionAt(manifestDataset("ds"), 0, store.NodeOf(0), func(w io.Writer) error {
 				hdr := append([]byte(nil), manifestMagic[:]...)
 				hdr = binary.LittleEndian.AppendUint32(hdr, tc.parts)
 				hdr = binary.LittleEndian.AppendUint32(hdr, 120)
@@ -321,7 +321,7 @@ func TestOpenDiskSourceReattachFailureModes(t *testing.T) {
 	})
 	t.Run("truncated header", func(t *testing.T) {
 		store := spill(t)
-		err := store.WritePartition("ds", 2, func(w io.Writer) error {
+		err := store.WritePartitionAt("ds", 2, store.NodeOf(2), func(w io.Writer) error {
 			_, err := w.Write([]byte{'Y', 'E'})
 			return err
 		})
@@ -332,7 +332,7 @@ func TestOpenDiskSourceReattachFailureModes(t *testing.T) {
 	})
 	t.Run("bad shard magic", func(t *testing.T) {
 		store := spill(t)
-		err := store.WritePartition("ds", 2, func(w io.Writer) error {
+		err := store.WritePartitionAt("ds", 2, store.NodeOf(2), func(w io.Writer) error {
 			_, err := w.Write(make([]byte, 16))
 			return err
 		})
@@ -343,7 +343,7 @@ func TestOpenDiskSourceReattachFailureModes(t *testing.T) {
 	})
 	t.Run("retired manifest magic", func(t *testing.T) {
 		store := spill(t)
-		err := store.WritePartition(manifestDataset("ds"), 0, func(w io.Writer) error {
+		err := store.WritePartitionAt(manifestDataset("ds"), 0, store.NodeOf(0), func(w io.Writer) error {
 			_, err := w.Write(append([]byte("YSP2"), make([]byte, 24)...))
 			return err
 		})
@@ -360,7 +360,7 @@ func TestOpenDiskSourceReattachFailureModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = store.WritePartition("ds", 3, func(w io.Writer) error {
+		err = store.WritePartitionAt("ds", 3, store.NodeOf(3), func(w io.Writer) error {
 			_, err := short.WriteTo(w)
 			return err
 		})
@@ -371,7 +371,7 @@ func TestOpenDiskSourceReattachFailureModes(t *testing.T) {
 	})
 	t.Run("stray extra shard", func(t *testing.T) {
 		store := spill(t)
-		err := store.WritePartition("ds", 9, func(w io.Writer) error {
+		err := store.WritePartitionAt("ds", 9, store.NodeOf(9), func(w io.Writer) error {
 			_, err := tbl.WriteTo(w)
 			return err
 		})
@@ -468,7 +468,7 @@ func TestShardIsPlainCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shard *Table
-	err = store.ReadPartition("p", 1, func(r io.Reader) error {
+	err = store.ReadPartitionAt("p", 1, store.NodeOf(1), func(r io.Reader) error {
 		var err error
 		shard, err = Read(r)
 		return err

@@ -168,7 +168,7 @@ func TestReaderForgedHeaderAllocatesLittle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = store.WritePartition("f", 1, func(w io.Writer) error {
+	err = store.WritePartitionAt("f", 1, store.NodeOf(1), func(w io.Writer) error {
 		_, err := w.Write(forged)
 		return err
 	})

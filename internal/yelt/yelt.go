@@ -358,8 +358,9 @@ func (t *Table) view(lo, hi int, buf *Table) *Table {
 }
 
 // Slice returns a view of trials [lo, hi) as a standalone table
-// sharing the underlying occurrence storage. It is the unit handed to
-// distributed scans (mapreduce splits, memstore chunks).
+// sharing the underlying occurrence storage, with offsets rebased to
+// the range start: the reference the reader and disk-source tests
+// compare a decoded trial range against.
 func (t *Table) Slice(lo, hi int) (*Table, error) {
 	if lo < 0 || hi > t.NumTrials || lo > hi {
 		return nil, fmt.Errorf("yelt: slice [%d,%d) outside [0,%d)", lo, hi, t.NumTrials)

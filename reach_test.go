@@ -41,6 +41,7 @@ var keptUnreached = []struct{ name, reason string }{
 	{"aggregate.KernelBlocked", "pinned by bench/replica.go's Config literal until ROADMAP item 4(b) retires the replica"},
 	{"elt.Read", "the only reader, and the fuzz target, of the format `cmd/catmodel -out` writes"},
 	{"elt.ErrBadFormat", "what elt.Read wraps when it refuses a file"},
+	{"yelt.Read", "FuzzRead's target and the whole-table decode of the yelt codec tests, as elt.Read is for its codec; keeps NewReader with it"},
 	{"catmodel.(*Engine).RunPortfolio", "TestGoldenELTDigest pins stage 1 through it; also TestRunPortfolioAssignsContractIDs, TestRunRejectsDanglingInterest"},
 	{"rng.New", "the seed-only stream every package's tests draw fixtures from"},
 	{"rng.(*Stream).Pareto", "loss fixture of TestGoldenSummaryDigest, TestGoldenDFADigest and the metrics, dfa and warehouse tests; body pinned with the goldens"},
@@ -65,12 +66,9 @@ var keptUnreached = []struct{ name, reason string }{
 	{"vulnerability.(*Matrix).MeanDamage", "same tests: fragility ordering and monotonicity"},
 	{"synth.(*Scenario).YELTGenerator", "the streaming trial source of internal/aggregate's streaming, flat and MapReduce equivalence suites"},
 	{"yelt.Spill", "one-call spill used by thirteen disk-source tests"},
+	{"yelt.(*Table).Slice", "the reference view every reader, disk-source, slice-property and fuzz test compares a decoded trial range against"},
 	{"yelt.(*DiskSource).FailoverLog", "the replica tests assert which shard failed over through it"},
 	{"warehouse.(*Cube).Keys", "requireCubesIdentical and core's cubesBitIdentical walk two cubes through it"},
-	{"memstore.(*Arena).Used", "TestArenaBudgetEnforced asserts the budget through it"},
-	{"memstore.(*Arena).Budget", "same test"},
-	{"memstore.(*Table).Rows", "row count asserted by four memstore tests"},
-	{"memstore.(*Table).NumChunks", "chunking asserted by TestAppendAndScan and TestArenaBudgetEnforced"},
 	{"rdbms.(*Table).Len", "row count asserted by the B-tree tests"},
 	{"rdbms.(*Table).Height", "TestPageAccounting: page reads = lookups × height"},
 	{"metrics.PML", "reference of TestGoldenSummaryDigest, TestViewMatchesNaiveOracle and TestNewViewSorted"},
