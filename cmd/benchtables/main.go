@@ -27,6 +27,7 @@ import (
 	"repro/internal/aggregate"
 	"repro/internal/cliflags"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/dfa"
 	"repro/internal/gpusim"
 	"repro/internal/layers"
@@ -137,6 +138,12 @@ func main() {
 }
 
 func scenario(ctx context.Context, trials int, occOnly bool) (*synth.Scenario, error) {
+	return synth.Build(ctx, scenarioParams(trials, occOnly))
+}
+
+// scenarioParams sizes the experiments' book: the full or, with -quick,
+// the smaller one.
+func scenarioParams(trials int, occOnly bool) synth.Params {
 	p := synth.Params{
 		Seed:                 flagSeed,
 		NumEvents:            10_000,
@@ -153,7 +160,7 @@ func scenario(ctx context.Context, trials int, occOnly bool) (*synth.Scenario, e
 		p.NumContracts = 6
 		p.LocationsPerContract = 100
 	}
-	return synth.Build(ctx, p)
+	return p
 }
 
 func aggInput(s *synth.Scenario) *aggregate.Input {
@@ -383,14 +390,16 @@ func e5ScanVsRandom(ctx context.Context) error {
 	randDur := time.Since(t0)
 	randPages := tbl.Stats().PageReads
 
-	// Scan: one pass accumulating the same aggregate via a dense
-	// event-occurrence count (how scan-oriented engines do it).
-	counts := make([]float64, maxEvent(s)+1)
+	// Scan: count each event's occurrences in one pass over the YELT,
+	// then one pass over the table accumulating the same aggregate (how
+	// scan-oriented engines do it). Both passes are timed.
+	nEvents := maxEvent(s) + 1
+	tbl.ResetStats()
+	t0 = time.Now()
+	counts := make([]float64, nEvents)
 	for _, occ := range s.YELT.Occs {
 		counts[occ.EventID]++
 	}
-	tbl.ResetStats()
-	t0 = time.Now()
 	var sumScan float64
 	if err := tbl.Scan(func(k uint64, vals []float64) error {
 		sumScan += vals[0] * counts[k]
@@ -407,15 +416,18 @@ func e5ScanVsRandom(ctx context.Context) error {
 	fmt.Printf("%-16s %12v %14d %16.0f\n", "sequential scan", scanDur.Round(time.Microsecond), scanPages, n/scanDur.Seconds())
 	fmt.Printf("scan advantage: %.1fx faster, %.0fx fewer page touches (agreement: %.6g vs %.6g)\n",
 		randDur.Seconds()/scanDur.Seconds(), float64(randPages)/float64(scanPages), sumRand, sumScan)
+	if math.Abs(sumRand-sumScan) > 1e-9*math.Max(math.Abs(sumRand), math.Abs(sumScan)) {
+		return fmt.Errorf("random-access sum %v and scan sum %v differ by more than a relative 1e-9", sumRand, sumScan)
+	}
 	return nil
 }
 
+// maxEvent is the largest event ID in the scenario's catalogue, which
+// bounds every occurrence's EventID.
 func maxEvent(s *synth.Scenario) uint32 {
 	var m uint32
-	for _, o := range s.YELT.Occs {
-		if o.EventID > m {
-			m = o.EventID
-		}
+	for _, ev := range s.Catalog.Events {
+		m = max(m, ev.ID)
 	}
 	return m
 }
@@ -518,25 +530,71 @@ func sameYLT(a, b *ylt.Table) error {
 	return nil
 }
 
-// E7 — elastic vs static provisioning over the pipeline's bursty
-// demand profile.
-func e7Elasticity(_ context.Context) error {
-	fmt.Printf("## E7 — bursty processor demand: stage 1 <10 procs, stages 2-3 thousands\n")
-	phases := cluster.PipelinePhases(3600) // one processor-hour of stage-1 work
-	results, err := cluster.Compare(phases, []cluster.Policy{
-		cluster.Static{N: 8},
-		cluster.Static{N: 5000},
-		cluster.Elastic{Max: 5000},
-	})
+// E7 — elastic vs static provisioning, measured on the pipeline: one
+// book runs through core.Pipeline three times, under an elastic policy
+// capped above every stage's demand, a static fleet as wide as the
+// widest stage the elastic run provisioned, and one processor. Stage 2
+// runs the MapReduce engine, so its busy column is measured map-task
+// time. Every column comes from the runs' stage reports, and the three
+// runs' catastrophe and enterprise tables must agree bit for bit.
+func e7Elasticity(ctx context.Context) error {
+	trials := 1_000_000
+	if *flagQuick {
+		trials = 300_000
+	}
+	book := scenarioParams(trials, false)
+	cfg := core.DefaultConfig()
+	cfg.Seed = book.Seed
+	cfg.NumEvents, cfg.NumContracts, cfg.LocationsPerContract = book.NumEvents, book.NumContracts, book.LocationsPerContract
+	cfg.MeanEventsPerYear, cfg.NumTrials, cfg.TwoLayers = book.MeanEventsPerYear, book.NumTrials, book.TwoLayers
+	cfg.Engine = aggregate.MapReduce{}
+	fmt.Printf("## E7 — elastic vs static provisioning of the pipeline (%d contracts, %d trials, mapreduce)\n",
+		cfg.NumContracts, cfg.NumTrials)
+	fmt.Printf("%-14s %10s %14s %12s %12s   %s\n", "policy", "makespan", "billed proc-s", "busy proc-s", "utilization", "workers per stage")
+
+	elastic, widest, err := e7Run(ctx, cfg, cluster.Elastic{Max: 64})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-18s %14s %18s %14s\n", "policy", "makespan", "proc-hours billed", "utilization")
-	for _, r := range results {
-		fmt.Printf("%-18s %14s %18.1f %13.1f%%\n", r.Policy,
-			fmtSec(r.Makespan), r.AllocatedSecs/3600, 100*r.Utilization)
+	for _, policy := range []cluster.Policy{cluster.Static{N: widest}, cluster.Static{N: 1}} {
+		p, _, err := e7Run(ctx, cfg, policy)
+		if err != nil {
+			return err
+		}
+		if err := sameYLT(elastic.CatYLT, p.CatYLT); err != nil {
+			return fmt.Errorf("%s: catastrophe table differs from the elastic run's: %w", policy.Name(), err)
+		}
+		if err := sameYLT(elastic.DFAResult.Enterprise, p.DFAResult.Enterprise); err != nil {
+			return fmt.Errorf("%s: enterprise table differs from the elastic run's: %w", policy.Name(), err)
+		}
 	}
 	return nil
+}
+
+// e7Run runs the pipeline under policy, prints its row of stage-report
+// totals, and returns the pipeline and its widest stage's worker count.
+func e7Run(ctx context.Context, cfg core.Config, policy cluster.Policy) (*core.Pipeline, int, error) {
+	cfg.Provision = policy
+	p := core.New(cfg)
+	if _, err := p.Run(ctx); err != nil {
+		return nil, 0, err
+	}
+	var makespan time.Duration
+	var billed, busy float64
+	var widest int
+	var workers []string
+	for _, st := range p.Stages {
+		makespan += st.Duration
+		billed += st.AllocatedProcSecs
+		busy += st.BusyProcSecs
+		if st.Workers > 0 {
+			widest = max(widest, st.Workers)
+			workers = append(workers, fmt.Sprintf("%s %d", st.Name, st.Workers))
+		}
+	}
+	fmt.Printf("%-14s %10s %14.2f %12.2f %11.1f%%   %s\n", policy.Name(),
+		makespan.Round(time.Millisecond), billed, busy, 100*busy/billed, strings.Join(workers, ", "))
+	return p, widest, nil
 }
 
 // E8 — runtime vs trial count: the weekly-vs-real-time scaling.

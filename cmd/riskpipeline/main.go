@@ -70,7 +70,7 @@ func main() {
 	var (
 		mode      = flag.String("mode", "run", "run = fused pipeline; spill = stage 1 + shard write into -dir, no aggregation; aggregate = re-attach to -dir shards and run stages 2-3 (the shards decide the trial count)")
 		engine    = flag.String("engine", "parallel", "stage-2 engine: "+strings.Join(aggregate.EngineNames(), "|"))
-		provision = flag.String("provision", "", "per-stage worker provisioning policy: static:N, elastic:N, or degraded:K:POLICY (empty = static -workers bound)")
+		provision = flag.String("provision", "", "per-stage worker provisioning policy: static:N or elastic:N (empty = static -workers bound)")
 		chaos     = flag.String("chaos", "", "deterministic fault injection into stage 2, e.g. rate=0.1,shard=3@2,kill=1@4,delay=2@50ms (bit-identical results)")
 		faultSeed = flag.Uint64("fault-seed", 0, "fault-plan seed (0 = -seed)")
 		cubeQuery = flag.String("cube-query", "", "print one cube cell, as dim=value pairs joined by commas (requires -cube-dims)")

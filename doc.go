@@ -6,7 +6,8 @@
 // (in-memory analytics — the Parallel engine over a materialized trial
 // table — against distributed-file MapReduce over its spilled shards, a
 // traditional-RDBMS baseline, a simulated many-core device with
-// shared-memory chunking, and an elastic cluster model).
+// shared-memory chunking, and static and elastic provisioning policies
+// the pipeline's stages run under).
 //
 // The public API lives in repro/risk; runnable tools in cmd/; worked
 // examples in examples/. DESIGN.md describes the three-stage pipeline

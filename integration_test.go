@@ -14,6 +14,7 @@ import (
 	"repro/internal/aggregate"
 	"repro/internal/catmodel"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 	"repro/internal/rdbms"
@@ -258,13 +259,31 @@ func TestPostEventConsistentWithELT(t *testing.T) {
 	}
 }
 
-// E7 shape: the demand profile the elasticity model runs on makes stage
-// 2 dominate stage 1. It checks cluster.PipelinePhases' constants, not a
-// measured stage-2 run.
+// E7 shape, measured: under an elastic policy the pipeline provisions
+// stage 2 wider than stage 1, read from a run's stage reports. Stage 1
+// asks for one worker per contract, stage 2 for one per mapper split,
+// so a book of two contracts over three splits' worth of trials gets 2
+// and 3; stage 2's busy time is measured map-task time.
 func TestShapeStage2DominatesStage1(t *testing.T) {
-	phases := cluster.PipelinePhases(100)
-	if phases[1].Work/phases[0].Work < 100 {
-		t.Fatal("demand profile should make stage 2 dominate")
+	p := core.New(core.Config{
+		Seed: 3, NumEvents: 300, NumContracts: 2, LocationsPerContract: 30,
+		MeanEventsPerYear: 10, NumTrials: 3 * aggregate.DefaultSplitTrials,
+		Engine: aggregate.MapReduce{}, Provision: cluster.Elastic{Max: 64},
+	})
+	rep, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := map[string]core.StageReport{}
+	for _, s := range rep.Stages {
+		stages[s.Name] = s
+	}
+	stage1, stage2 := stages["risk-modelling"], stages["portfolio-risk"]
+	if stage1.Workers != 2 || stage2.Workers != 3 {
+		t.Fatalf("workers: risk-modelling %d, portfolio-risk %d; want 2 and 3", stage1.Workers, stage2.Workers)
+	}
+	if stage2.BusyProcSecs <= 0 || stage2.BusyProcSecs > stage2.AllocatedProcSecs*1.01 {
+		t.Fatalf("portfolio-risk busy %v of %v allocated processor-seconds", stage2.BusyProcSecs, stage2.AllocatedProcSecs)
 	}
 }
 

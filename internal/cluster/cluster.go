@@ -1,42 +1,21 @@
-// Package cluster simulates the elastic processor demand of the risk
-// analytics pipeline: "While in the first stage less than ten
-// processors may be sufficient to handle the data, in the second and
-// third stages thousands or even tens of thousands of processors need
-// to be put together ... The elastic demand ... makes cloud-based
-// computing attractive" (§II). The simulator runs a phase sequence
-// under a provisioning policy and accounts allocated versus busy
-// processor-time, which is what experiment E7 tabulates.
+// Package cluster holds the provisioning policies the pipeline runs
+// under: "While in the first stage less than ten processors may be
+// sufficient to handle the data, in the second and third stages
+// thousands or even tens of thousands of processors need to be put
+// together ... The elastic demand ... makes cloud-based computing
+// attractive" (§II). core.Config.Provision asks a policy for each
+// stage's worker bound, given the stage's exploitable parallelism, and
+// the stage reports account allocated versus busy processor-time from
+// the measured run; experiment E7 tabulates them.
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 )
 
-// Phase is one pipeline stage's resource demand: an amount of work and
-// the maximum parallelism the stage can exploit.
-type Phase struct {
-	Name string
-	// Work is the total processor-seconds the phase needs.
-	Work float64
-	// MaxParallelism is the stage's scaling ceiling.
-	MaxParallelism int
-}
-
-// PipelinePhases returns the canonical three-stage demand profile,
-// parameterized by the stage-1 work unit: stage 2 dominates compute by
-// orders of magnitude (millions of trials), stage 3 sits between.
-func PipelinePhases(stage1Work float64) []Phase {
-	return []Phase{
-		{Name: "risk-modelling", Work: stage1Work, MaxParallelism: 8},
-		{Name: "portfolio-risk", Work: 500 * stage1Work, MaxParallelism: 5000},
-		{Name: "dfa", Work: 120 * stage1Work, MaxParallelism: 2000},
-	}
-}
-
-// Policy decides how many processors are provisioned while a phase
+// Policy decides how many processors are provisioned while a stage
 // with the given demand ceiling runs.
 type Policy interface {
 	// Name labels the policy in reports.
@@ -46,8 +25,8 @@ type Policy interface {
 }
 
 // Static provisions a fixed fleet regardless of demand — the owned
-// cluster. Capacity idles through low-demand phases, and high-demand
-// phases are capped at the fleet size.
+// cluster. Capacity idles through low-demand stages, and high-demand
+// stages are capped at the fleet size.
 type Static struct{ N int }
 
 // Name implements Policy.
@@ -71,145 +50,27 @@ func (e Elastic) Provision(demand int) int {
 	return demand
 }
 
-// Degraded wraps another policy and models a cluster running with
-// failed nodes: whatever the inner policy allocates, Lost processors
-// are gone (never dropping below one). This is the capacity picture of
-// the fault-tolerance experiment — a node kill shrinks the fleet and
-// stretches the stage, it does not stop the job.
-type Degraded struct {
-	Inner Policy
-	Lost  int
-}
-
-// Name implements Policy.
-func (d Degraded) Name() string {
-	return fmt.Sprintf("degraded-%d(%s)", d.Lost, d.Inner.Name())
-}
-
-// Provision implements Policy.
-func (d Degraded) Provision(demand int) int {
-	n := d.Inner.Provision(demand) - d.Lost
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// ParsePolicy parses the CLI form of a provisioning policy:
-// "static:N" (fixed fleet of N), "elastic:N" (scale to demand, capped
-// at N), or "degraded:K:POLICY" (POLICY minus K lost processors). ""
+// ParsePolicy parses the CLI form of a provisioning policy: "static:N"
+// (fixed fleet of N) or "elastic:N" (scale to demand, capped at N). ""
 // returns (nil, nil) — no policy, static Workers bound. This is how
-// the pipeline CLIs select the elasticity model the engines run under.
+// the pipeline CLIs select the policy the stages run under.
 func ParsePolicy(s string) (Policy, error) {
 	if s == "" {
 		return nil, nil
 	}
 	kind, arg, ok := strings.Cut(s, ":")
 	if !ok {
-		return nil, fmt.Errorf("cluster: policy %q: want kind:N (static:8, elastic:64) or degraded:K:POLICY", s)
-	}
-	if kind == "degraded" {
-		ks, rest, ok := strings.Cut(arg, ":")
-		if !ok {
-			return nil, fmt.Errorf("cluster: policy %q: want degraded:K:POLICY (degraded:2:elastic:64)", s)
-		}
-		k, err := strconv.Atoi(ks)
-		if err != nil || k < 0 {
-			return nil, fmt.Errorf("cluster: policy %q: lost count %q must be a non-negative integer", s, ks)
-		}
-		inner, err := ParsePolicy(rest)
-		if err != nil {
-			return nil, err
-		}
-		if inner == nil {
-			return nil, fmt.Errorf("cluster: policy %q: degraded needs an inner policy", s)
-		}
-		return Degraded{Inner: inner, Lost: k}, nil
+		return nil, fmt.Errorf("cluster: policy %q: want kind:N (static:8, elastic:64)", s)
 	}
 	n, err := strconv.Atoi(arg)
-	if err != nil || n <= 0 {
+	switch {
+	case kind != "static" && kind != "elastic":
+		return nil, fmt.Errorf("cluster: unknown policy kind %q (want static or elastic)", kind)
+	case err != nil || n <= 0:
 		return nil, fmt.Errorf("cluster: policy %q: processor count %q must be a positive integer", s, arg)
-	}
-	switch kind {
-	case "static":
+	case kind == "static":
 		return Static{N: n}, nil
-	case "elastic":
-		return Elastic{Max: n}, nil
 	default:
-		return nil, fmt.Errorf("cluster: unknown policy kind %q (want static, elastic, or degraded)", kind)
+		return Elastic{Max: n}, nil
 	}
-}
-
-// Sample is one timeline point of the simulation.
-type Sample struct {
-	T         float64
-	Phase     string
-	Demand    int
-	Allocated int
-	Busy      int
-}
-
-// Result aggregates a simulated run.
-type Result struct {
-	Policy        string
-	Makespan      float64 // wall-clock seconds
-	AllocatedSecs float64 // Σ allocated processors · time (the bill)
-	BusySecs      float64 // Σ busy processors · time (useful work)
-	Utilization   float64 // BusySecs / AllocatedSecs
-	Timeline      []Sample
-}
-
-// Simulate runs the phases sequentially under the policy. sampleEvery
-// controls timeline resolution (<= 0 disables the timeline).
-func Simulate(phases []Phase, policy Policy, sampleEvery float64) (*Result, error) {
-	if len(phases) == 0 {
-		return nil, errors.New("cluster: no phases")
-	}
-	res := &Result{Policy: policy.Name()}
-	now := 0.0
-	nextSample := 0.0
-	for _, ph := range phases {
-		if ph.Work <= 0 || ph.MaxParallelism <= 0 {
-			return nil, fmt.Errorf("cluster: invalid phase %+v", ph)
-		}
-		alloc := policy.Provision(ph.MaxParallelism)
-		if alloc <= 0 {
-			return nil, fmt.Errorf("cluster: policy %s provisioned %d processors", policy.Name(), alloc)
-		}
-		busy := alloc
-		if busy > ph.MaxParallelism {
-			busy = ph.MaxParallelism
-		}
-		dur := ph.Work / float64(busy)
-		if sampleEvery > 0 {
-			for ; nextSample < now+dur; nextSample += sampleEvery {
-				res.Timeline = append(res.Timeline, Sample{
-					T: nextSample, Phase: ph.Name,
-					Demand: ph.MaxParallelism, Allocated: alloc, Busy: busy,
-				})
-			}
-		}
-		now += dur
-		res.AllocatedSecs += float64(alloc) * dur
-		res.BusySecs += float64(busy) * dur
-	}
-	res.Makespan = now
-	if res.AllocatedSecs > 0 {
-		res.Utilization = res.BusySecs / res.AllocatedSecs
-	}
-	return res, nil
-}
-
-// Compare runs every policy over the same phases and returns results
-// in input order — the rows of the E7 table.
-func Compare(phases []Phase, policies []Policy) ([]*Result, error) {
-	out := make([]*Result, 0, len(policies))
-	for _, p := range policies {
-		r, err := Simulate(phases, p, 0)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

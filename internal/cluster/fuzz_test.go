@@ -1,13 +1,15 @@
 package cluster
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParsePolicy drives the -provision grammar with arbitrary strings.
-// ParsePolicy may refuse one but must not panic, and a policy it
-// accepts provisions at least one processor: every fleet size and cap
-// is positive, every lost count is at least zero, and each "degraded:"
-// level costs the input at least len("degraded:0:") bytes, so the
-// nesting is bounded by its length.
+// ParsePolicy may refuse one but must not panic, it refuses every
+// "degraded:" form (that policy kind is gone), and a policy it accepts
+// provisions at least one processor: every fleet size and cap is
+// positive.
 func FuzzParsePolicy(f *testing.F) {
 	for _, s := range []string{
 		"", "static:8", "elastic:64", "degraded:2:elastic:64", "degraded:0:static:8",
@@ -24,15 +26,8 @@ func FuzzParsePolicy(f *testing.F) {
 			}
 			return
 		}
-		for depth := 1; ; depth++ {
-			d, ok := p.(Degraded)
-			if !ok {
-				break
-			}
-			if d.Lost < 0 || depth*len("degraded:0:") > len(s) {
-				t.Fatalf("ParsePolicy(%q): level %d is %+v", s, depth, d)
-			}
-			p = d.Inner
+		if strings.HasPrefix(s, "degraded:") {
+			t.Fatalf("ParsePolicy(%q) accepted a degraded policy: %#v", s, p)
 		}
 		switch q := p.(type) {
 		case Static:
@@ -44,7 +39,7 @@ func FuzzParsePolicy(f *testing.F) {
 				t.Fatalf("ParsePolicy(%q): cap of %d", s, q.Max)
 			}
 		default:
-			t.Fatalf("ParsePolicy(%q): inner policy %#v", s, p)
+			t.Fatalf("ParsePolicy(%q): policy %#v", s, p)
 		}
 	})
 }

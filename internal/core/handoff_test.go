@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/aggregate"
 	"repro/internal/cluster"
 	"repro/internal/diskstore"
+	"repro/internal/ylt"
 )
 
 // The two-process handoff contract: a pipeline that only spills
@@ -167,15 +169,33 @@ func TestProvisionedStageAccounting(t *testing.T) {
 			t.Fatalf("stage %q workers = %d under static:2", s.Name, s.Workers)
 		}
 	}
-	// Provisioning is a scheduling lever: results must match the
-	// unprovisioned run bit-for-bit.
+	// Provisioning is a scheduling lever: the catastrophe and
+	// enterprise tables must match the unprovisioned run bit for bit.
 	base := New(smallConfig(9))
 	if _, err := base.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for i := range base.CatYLT.Agg {
-		if base.CatYLT.Agg[i] != p.CatYLT.Agg[i] || base.CatYLT.Agg[i] != sp.CatYLT.Agg[i] {
-			t.Fatalf("trial %d: provisioning changed results", i)
+	for _, run := range []struct {
+		name string
+		p    *Pipeline
+	}{{"elastic:4", p}, {"static:2", sp}} {
+		for _, tbl := range []struct {
+			name      string
+			got, want *ylt.Table
+		}{
+			{"catastrophe", run.p.CatYLT, base.CatYLT},
+			{"enterprise", run.p.DFAResult.Enterprise, base.DFAResult.Enterprise},
+		} {
+			if len(tbl.got.Agg) != len(tbl.want.Agg) || len(tbl.got.OccMax) != len(tbl.want.OccMax) {
+				t.Fatalf("%s %s: %d trials, unprovisioned %d", run.name, tbl.name, len(tbl.got.Agg), len(tbl.want.Agg))
+			}
+			for i := range tbl.want.Agg {
+				if math.Float64bits(tbl.got.Agg[i]) != math.Float64bits(tbl.want.Agg[i]) ||
+					math.Float64bits(tbl.got.OccMax[i]) != math.Float64bits(tbl.want.OccMax[i]) {
+					t.Fatalf("%s %s trial %d: (%v, %v), unprovisioned (%v, %v)", run.name, tbl.name, i,
+						tbl.got.Agg[i], tbl.got.OccMax[i], tbl.want.Agg[i], tbl.want.OccMax[i])
+				}
+			}
 		}
 	}
 }

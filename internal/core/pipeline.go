@@ -104,7 +104,7 @@ type Config struct {
 	// Workers value: each stage asks for its exploitable parallelism
 	// and runs on what the policy allocates. Stage reports then carry
 	// allocated-vs-busy processor-time — the paper's §II elasticity
-	// story measured in the real pipeline, not just the E7 simulation.
+	// story measured in the real pipeline, which is what E7 tabulates.
 	Provision cluster.Policy
 	// CubeDims, when non-empty, materializes the warehouse data cube
 	// over the stage-2 per-contract YLTs as a fourth stage line
@@ -385,6 +385,10 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 	var y *yelt.Table // the materialized trial table, garbage once stage 2 returns
 	var gen *yelt.Generator
 	var ds *yelt.DiskSource
+	// The worker bound is resolved before the trials are generated, so
+	// generation runs on the processors the stage is billed for.
+	demand := stage2Demand(p.Cfg.NumTrials)
+	workers := p.provisioned(demand)
 	switch {
 	case p.Cfg.SpillAttach:
 		d, err := p.AttachSpill()
@@ -394,6 +398,8 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 		// The shards fix the trial count: the spilling process decided
 		// it, this process just scans.
 		p.Cfg.NumTrials = d.TrialCount()
+		demand = stage2Demand(p.Cfg.NumTrials)
+		workers = p.provisioned(demand)
 		ds = d
 		in.Source = ds
 		attachBytes, err := ds.SizeBytes()
@@ -406,7 +412,7 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 		})
 		start = time.Now()
 	case p.Cfg.Streaming || p.Cfg.Spill:
-		ycfg := yelt.Config{NumTrials: p.Cfg.NumTrials, Workers: p.Cfg.Workers}
+		ycfg := yelt.Config{NumTrials: p.Cfg.NumTrials, Workers: workers}
 		g, err := yelt.NewGenerator(p.Catalog, ycfg, p.Cfg.Seed+7)
 		if err != nil {
 			return fmt.Errorf("core: stage 2 yelt: %w", err)
@@ -427,7 +433,7 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 			start = time.Now()
 		}
 	default:
-		ycfg := yelt.Config{NumTrials: p.Cfg.NumTrials, Workers: p.Cfg.Workers}
+		ycfg := yelt.Config{NumTrials: p.Cfg.NumTrials, Workers: workers}
 		var err error
 		if y, err = yelt.Generate(ctx, p.Catalog, ycfg, p.Cfg.Seed+7); err != nil {
 			return fmt.Errorf("core: stage 2 yelt: %w", err)
@@ -435,8 +441,6 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 		in.YELT = y
 	}
 
-	demand := stage2Demand(p.Cfg.NumTrials)
-	workers := p.provisioned(demand)
 	// The fault plan and speculation flag ride into the one engine with
 	// a failure model; other engines run fault-free (their store-level
 	// read faults would surface as plain errors, not recoveries).
