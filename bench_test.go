@@ -19,7 +19,6 @@ import (
 	"repro/internal/dfa"
 	"repro/internal/gpusim"
 	"repro/internal/layers"
-	"repro/internal/rdbms"
 	"repro/internal/synth"
 	"repro/internal/yelt"
 )
@@ -86,35 +85,6 @@ func BenchmarkE1ParallelEngine(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(benchTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-}
-
-// --- Loss-index ablation: the oracle's per-(occurrence × contract)
-// binary-search loop, 100k trials on the default sparse book; its
-// trials/s against BenchmarkE1SequentialEngine's is what the pre-joined
-// scan-oriented layout buys. ---
-
-const idxBenchTrials = 100_000
-
-func idxBenchInput(b *testing.B) *aggregate.Input {
-	b.Helper()
-	s, _ := scenarios(b)
-	y, err := yelt.Generate(context.Background(), s.Catalog, yelt.Config{NumTrials: idxBenchTrials}, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &aggregate.Input{YELT: y, ELTs: s.ELTs, Portfolio: s.Portfolio}
-}
-
-func BenchmarkLegacyLookupKernel(b *testing.B) {
-	in := idxBenchInput(b)
-	cfg := aggregate.Config{Seed: 1, Sampling: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (aggregate.LegacyLookup{}).Run(context.Background(), in, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(idxBenchTrials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 }
 
 // --- E2: the million-trial single-contract quote ---
@@ -190,69 +160,44 @@ func BenchmarkE4NaiveKernel(b *testing.B) {
 	b.ReportMetric(eng.LastStats.ModeledSeconds(gpusim.DefaultConfig())*1e3, "devms")
 }
 
-// --- E5: scan vs indexed random access ---
+// --- E5: the oracle's per-(occurrence × contract) ELT binary search
+// against the Sequential engine's scan of the pre-joined loss index,
+// one 100k-trial book in expected mode. The scan's index and flat build
+// is inside its loop, as in cmd/benchtables. ---
 
-func e5Table(b *testing.B, s *synth.Scenario) *rdbms.Table {
+const idxBenchTrials = 100_000
+
+func idxBenchInput(b *testing.B) *aggregate.Input {
 	b.Helper()
-	tbl, err := rdbms.New(1, 64)
+	s, _ := scenarios(b)
+	y, err := yelt.Generate(context.Background(), s.Catalog, yelt.Config{NumTrials: idxBenchTrials}, 17)
 	if err != nil {
 		b.Fatal(err)
 	}
-	loss := map[uint64]float64{}
-	for _, e := range s.ELTs {
-		for _, r := range e.Records {
-			loss[uint64(r.EventID)] += r.MeanLoss
-		}
-	}
-	for k, v := range loss {
-		if err := tbl.Insert(k, []float64{v}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return tbl
+	return &aggregate.Input{YELT: y, ELTs: s.ELTs, Portfolio: s.Portfolio}
 }
 
 func BenchmarkE5RandomAccess(b *testing.B) {
-	s, _ := scenarios(b)
-	tbl := e5Table(b, s)
+	in := idxBenchInput(b)
 	b.ResetTimer()
-	var sink float64
 	for i := 0; i < b.N; i++ {
-		for _, occ := range s.YELT.Occs {
-			if v, ok := tbl.Get(uint64(occ.EventID)); ok {
-				sink += v[0]
-			}
-		}
-	}
-	_ = sink
-	b.ReportMetric(float64(len(s.YELT.Occs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-func BenchmarkE5Scan(b *testing.B) {
-	s, _ := scenarios(b)
-	tbl := e5Table(b, s)
-	var maxID uint32
-	for _, ev := range s.Catalog.Events {
-		maxID = max(maxID, ev.ID)
-	}
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		// Counting each event's occurrences is part of the scan path's
-		// work, as the B-tree lookups are of the random-access path's.
-		counts := make([]float64, maxID+1)
-		for _, o := range s.YELT.Occs {
-			counts[o.EventID]++
-		}
-		if err := tbl.Scan(func(k uint64, vals []float64) error {
-			sink += vals[0] * counts[k]
-			return nil
-		}); err != nil {
+		if _, err := (aggregate.LegacyLookup{}).Run(context.Background(), in, aggregate.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	_ = sink
-	b.ReportMetric(float64(len(s.YELT.Occs))*float64(b.N)/b.Elapsed().Seconds(), "equiv-lookups/s")
+	b.ReportMetric(float64(len(in.YELT.Occs))*float64(b.N)/b.Elapsed().Seconds(), "occurrences/s")
+}
+
+func BenchmarkE5Scan(b *testing.B) {
+	in := idxBenchInput(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run := *in // no index or flat yet: the engine builds both
+		if _, err := (aggregate.Sequential{}).Run(context.Background(), &run, aggregate.Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(in.YELT.Occs))*float64(b.N)/b.Elapsed().Seconds(), "occurrences/s")
 }
 
 // --- E6: Parallel over the resident table vs MapReduce over its

@@ -5,9 +5,9 @@
 // together with the data-management substrates the paper discusses
 // (in-memory analytics — the Parallel engine over a materialized trial
 // table — against distributed-file MapReduce over its spilled shards, a
-// traditional-RDBMS baseline, a simulated many-core device with
-// shared-memory chunking, and static and elastic provisioning policies
-// the pipeline's stages run under).
+// random-access oracle the scan-oriented engines are held to, a
+// simulated many-core device with shared-memory chunking, and static
+// and elastic provisioning policies the pipeline's stages run under).
 //
 // The public API lives in repro/risk; runnable tools in cmd/; worked
 // examples in examples/. DESIGN.md describes the three-stage pipeline

@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
-	"repro/internal/rdbms"
 	"repro/internal/stream"
 	"repro/internal/synth"
 	"repro/internal/yelt"
@@ -124,33 +124,52 @@ func TestShapeChunkingBeatsNaive(t *testing.T) {
 	}
 }
 
-// E5 shape: per-row page touches of indexed access must exceed those
-// of a scan by at least the tree height.
-func TestShapeScanBeatsRandomAccessOnPages(t *testing.T) {
+// E5 shape: the scan-oriented engine agrees with the random-access
+// oracle bit for bit, in expected and sampling mode, and reads at least
+// ten times fewer records. LegacyLookup binary-searches each contract's
+// ELT once per occurrence, reading bits.Len(n) of an n-record table's
+// records; Sequential probes the pre-joined index's row for the event
+// and reads its packed entries. Both counts come from the data, not
+// from a counter in either engine, and no wall clock is asserted.
+func TestShapeScanBeatsRandomAccess(t *testing.T) {
 	s := smallScenario(t, 5, false)
-	tbl, err := rdbms.New(1, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range s.ELTs {
-		for _, r := range e.Records {
-			if err := tbl.Insert(uint64(r.EventID), []float64{r.MeanLoss}); err != nil {
-				t.Fatal(err)
+	ctx := context.Background()
+	in := &aggregate.Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio}
+	for _, sampling := range []bool{false, true} {
+		cfg := aggregate.Config{Seed: 5, Sampling: sampling}
+		want, err := (aggregate.LegacyLookup{}).Run(ctx, in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := (aggregate.Sequential{}).Run(ctx, in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Portfolio.Agg {
+			if math.Float64bits(got.Portfolio.Agg[i]) != math.Float64bits(want.Portfolio.Agg[i]) ||
+				math.Float64bits(got.Portfolio.OccMax[i]) != math.Float64bits(want.Portfolio.OccMax[i]) {
+				t.Fatalf("sampling=%v trial %d: Sequential (%v, %v), LegacyLookup (%v, %v)", sampling, i,
+					got.Portfolio.Agg[i], got.Portfolio.OccMax[i], want.Portfolio.Agg[i], want.Portfolio.OccMax[i])
 			}
 		}
 	}
-	tbl.ResetStats()
-	for _, occ := range s.YELT.Occs[:10_000] {
-		tbl.Get(uint64(occ.EventID))
-	}
-	randPages := tbl.Stats().PageReads
-	tbl.ResetStats()
-	if err := tbl.Scan(func(uint64, []float64) error { return nil }); err != nil {
+
+	flat, err := in.EnsureFlat()
+	if err != nil {
 		t.Fatal(err)
 	}
-	scanPages := tbl.Stats().PageReads
-	if randPages < 10*scanPages {
-		t.Fatalf("random pages %d should dwarf scan pages %d", randPages, scanPages)
+	var perOcc, scanReads int64
+	for _, c := range s.Portfolio.Contracts {
+		perOcc += int64(bits.Len(uint(len(s.ELTs[c.ELTIndex].Records))))
+	}
+	for _, occ := range s.YELT.Occs {
+		lo, hi := flat.Span(occ.EventID)
+		scanReads += int64(1 + hi - lo)
+	}
+	randReads := perOcc * int64(len(s.YELT.Occs))
+	t.Logf("record reads: random %d, scan %d (%.1fx)", randReads, scanReads, float64(randReads)/float64(scanReads))
+	if randReads < 10*scanReads {
+		t.Fatalf("random record reads %d should be at least 10x the scan's %d", randReads, scanReads)
 	}
 }
 

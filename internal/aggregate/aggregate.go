@@ -305,7 +305,9 @@ type Result struct {
 	RemoteBytes int64
 	// BusySeconds is the summed wall-clock time of the run's map tasks
 	// (MapReduce only) — the "busy" side of the allocated-vs-busy
-	// processor-time elasticity report.
+	// processor-time elasticity report. A task's clock runs while it
+	// waits for a core, so with more workers than GOMAXPROCS the sum
+	// can exceed cores × the run's duration.
 	BusySeconds float64
 	// FaultCounters are the failure-model events of a MapReduce run
 	// (zero elsewhere).

@@ -136,7 +136,7 @@ func TestProvisionedStageAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range rep.Stages {
-		if s.Name == "yelt-spill" || s.Name == "loss-index" || s.Name == "yelt-attach" {
+		if s.Name == "loss-index" || s.Name == "yelt-attach" {
 			continue // sub-stage lines don't carry worker accounting
 		}
 		if s.Workers <= 0 || s.Workers > 4 {
@@ -162,13 +162,39 @@ func TestProvisionedStageAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range srep.Stages {
-		if s.Name == "yelt-spill" || s.Name == "loss-index" || s.Name == "yelt-attach" {
+		if s.Name == "loss-index" || s.Name == "yelt-attach" {
 			continue
 		}
 		if s.Workers != 2 {
 			t.Fatalf("stage %q workers = %d under static:2", s.Name, s.Workers)
 		}
 	}
+	// A spilled run bills its shard write too: under static:1 the
+	// yelt-spill line is written by, and billed for, one worker.
+	spillCfg := smallConfig(9)
+	spillCfg.Provision = cluster.Static{N: 1}
+	spillCfg.Spill = true
+	spillCfg.SpillParts = 3
+	spilled := New(spillCfg)
+	sprep, err := spilled.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sawSpill bool
+	for _, s := range sprep.Stages {
+		if s.Name == "loss-index" {
+			continue
+		}
+		sawSpill = sawSpill || s.Name == "yelt-spill"
+		if s.Workers != 1 || s.AllocatedProcSecs <= 0 {
+			t.Fatalf("stage %q under static:1 with spill: workers %d, allocated %v proc-s; want 1 and > 0",
+				s.Name, s.Workers, s.AllocatedProcSecs)
+		}
+	}
+	if !sawSpill {
+		t.Fatal("spilled run reported no yelt-spill stage")
+	}
+
 	// Provisioning is a scheduling lever: the catastrophe and
 	// enterprise tables must match the unprovisioned run bit for bit.
 	base := New(smallConfig(9))
@@ -178,7 +204,7 @@ func TestProvisionedStageAccounting(t *testing.T) {
 	for _, run := range []struct {
 		name string
 		p    *Pipeline
-	}{{"elastic:4", p}, {"static:2", sp}} {
+	}{{"elastic:4", p}, {"static:2", sp}, {"static:1 spilled", spilled}} {
 		for _, tbl := range []struct {
 			name      string
 			got, want *ylt.Table

@@ -159,9 +159,11 @@ type StageReport struct {
 	// by Config.Provision when set, the static Workers bound otherwise.
 	Workers int
 	// AllocatedProcSecs is workers × duration: the processor-time
-	// billed for the stage. BusyProcSecs is the processor-time actually
-	// spent working — measured task time where the engine reports it
-	// (MapReduce map tasks), min(demand, workers) × duration otherwise.
+	// billed for the stage. BusyProcSecs is summed task wall time —
+	// the map tasks' where the engine measures them (MapReduce),
+	// min(demand, workers) × duration otherwise. It is not processor
+	// time: with more workers than GOMAXPROCS the tasks wait for a core
+	// while their clocks run, and the sum can exceed cores × duration.
 	// The gap between the two is what elastic provisioning reclaims.
 	AllocatedProcSecs float64
 	BusyProcSecs      float64
@@ -540,7 +542,9 @@ func (p *Pipeline) buildCube(ctx context.Context, builder *warehouse.Builder, re
 // spillYELT generates the trial stream once and writes it as shards
 // under Cfg.SpillDir (a fresh temp dir when empty; cleanup removes it
 // — a no-op for caller-supplied dirs, whose shards outlive the run).
-// The write is recorded as the yelt-spill stage line.
+// The write runs on the workers provisioned for its shard count and is
+// recorded, with their processor-time columns, as the yelt-spill stage
+// line.
 func (p *Pipeline) spillYELT(ctx context.Context, gen *yelt.Generator) (ds *yelt.DiskSource, cleanup func(), err error) {
 	spillStart := time.Now()
 	dir := p.Cfg.SpillDir
@@ -557,7 +561,9 @@ func (p *Pipeline) spillYELT(ctx context.Context, gen *yelt.Generator) (ds *yelt
 	if parts <= 0 {
 		parts = aggregate.DefaultSpillParts(p.Cfg.NumTrials)
 	}
-	d, err := yelt.SpillToDir(ctx, gen, dir, p.Cfg.SpillNodes, parts, p.Cfg.SpillReplicas, p.Cfg.Workers)
+	// Each shard is one spill task: the shard count is the write's demand.
+	workers := p.provisioned(parts)
+	d, err := yelt.SpillToDir(ctx, gen, dir, p.Cfg.SpillNodes, parts, p.Cfg.SpillReplicas, workers)
 	if err != nil {
 		cleanup()
 		return nil, nil, fmt.Errorf("core: stage 2 spill: %w", err)
@@ -572,10 +578,12 @@ func (p *Pipeline) spillYELT(ctx context.Context, gen *yelt.Generator) (ds *yelt
 		cleanup()
 		return nil, nil, fmt.Errorf("core: stage 2 spill size: %w", err)
 	}
-	p.setStage(StageReport{
+	rep := StageReport{
 		Name: "yelt-spill", Duration: time.Since(spillStart),
 		OutputBytes: spillBytes, Items: int64(d.Shards()),
-	})
+	}
+	account(&rep, workers, parts, 0)
+	p.setStage(rep)
 	return d, cleanup, nil
 }
 

@@ -9,11 +9,14 @@ import (
 	"repro/internal/mathx"
 )
 
-// Distributional tests of Beta and the ziggurat primitives under it.
-// The reference CDFs below share no code with the samplers: a
-// continued fraction over math.Lgamma, mathx.StdNormalCDF (erfc) and
-// 1 − e^{−x}. They are the acceptance test DESIGN.md's "Changing the
-// numbers on purpose" asks of a PR that replaces a sampler.
+// Distributional tests of Beta and the ziggurat primitives under it,
+// and of the samplers stage 1 and the trial generator call: Gamma and
+// TruncPareto at the catalogue's parameters, Exponential, and Poisson
+// on both sides of its chunked decomposition. The reference CDFs and
+// pmfs below share no code with the samplers: a continued fraction
+// over math.Lgamma, mathx.StdNormalCDF (erfc), closed forms and
+// log-gamma pmfs. They are the acceptance test DESIGN.md's "Changing
+// the numbers on purpose" asks of a PR that replaces a sampler.
 
 // ksCritical bounds D·√n at α = 0.001 (Kolmogorov's asymptotic
 // distribution: 2·exp(−2·1.95²) ≈ 0.001).
@@ -159,6 +162,60 @@ func TestZigguratExponentialKS(t *testing.T) {
 		func(x float64) float64 { return -math.Expm1(-x) })
 }
 
+func TestExponentialKS(t *testing.T) {
+	const rate = 2.5
+	s := New(2307)
+	ksCheck(t, "Exponential(2.5)", 200000, func() float64 { return s.Exponential(rate) },
+		func(x float64) float64 { return -math.Expm1(-rate * x) })
+}
+
+// erlangCDF is the Gamma(n, scale) CDF for a whole shape n:
+// 1 − e^{−y} Σ_{k<n} y^k/k!, y = x/scale.
+func erlangCDF(n int, scale, x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	y := x / scale
+	term, sum := 1.0, 0.0
+	for k := 0; k < n; k++ {
+		if k > 0 {
+			term *= y / float64(k)
+		}
+		sum += term
+	}
+	return 1 - math.Exp(-y)*sum
+}
+
+// TestGammaKS draws Gamma at the catalogue's flood-depth (2, 0.8) and
+// gust (3, 3) parameters.
+func TestGammaKS(t *testing.T) {
+	for i, c := range []struct {
+		shape int
+		scale float64
+	}{{2, 0.8}, {3, 3}} {
+		s := NewStream(2308, uint64(i))
+		ksCheck(t, fmt.Sprintf("Gamma(%d, %v)", c.shape, c.scale), 200000,
+			func() float64 { return s.Gamma(float64(c.shape), c.scale) },
+			func(x float64) float64 { return erlangCDF(c.shape, c.scale, x) })
+	}
+}
+
+// TestTruncParetoKS draws TruncPareto at the catalogue's earthquake,
+// hurricane and tornado parameters. The truncated CDF is
+// (1 − (xm/x)^α) / (1 − (xm/hi)^α) on [xm, hi].
+func TestTruncParetoKS(t *testing.T) {
+	for i, c := range [][3]float64{{1, 1.4, 4.5}, {1, 2.0, 2.6}, {1, 2.5, 5}} {
+		xm, alpha, hi := c[0], c[1], c[2]
+		s := NewStream(2309, uint64(i))
+		ksCheck(t, fmt.Sprintf("TruncPareto(%v, %v, %v)", xm, alpha, hi), 200000,
+			func() float64 { return s.TruncPareto(xm, alpha, hi) },
+			func(x float64) float64 {
+				x = math.Min(math.Max(x, xm), hi)
+				return -math.Expm1(alpha*math.Log(xm/x)) / -math.Expm1(alpha*math.Log(xm/hi))
+			})
+	}
+}
+
 // TestZigguratTailCounts holds the counts beyond fixed thresholds to
 // their exact binomial expectations, within 4 σ. Beyond R these are the
 // two rarely taken branches — the normal's Marsaglia tail and the
@@ -251,17 +308,7 @@ func TestBinomialChiSquare(t *testing.T) {
 			for d := 0; d < draws; d++ {
 				counts[s.Binomial(n, p)]++
 			}
-			var chi2, obs, exp float64
-			cells := 0
-			for k := 0; k <= n; k++ {
-				obs += float64(counts[k])
-				exp += draws * binomialPMF(n, k, p)
-				if exp >= 5 && (k == n || draws*(1-cumPMF(n, k, p)) >= 5) {
-					chi2 += (obs - exp) * (obs - exp) / exp
-					obs, exp = 0, 0
-					cells++
-				}
-			}
+			chi2, cells := pooledChiSquare(counts, draws, func(k int) float64 { return binomialPMF(n, k, p) })
 			if cells < 2 {
 				t.Fatalf("Binomial(%d, %v): %d cell(s), nothing to test", n, p, cells)
 			}
@@ -274,13 +321,55 @@ func TestBinomialChiSquare(t *testing.T) {
 	}
 }
 
-// cumPMF is P(X ≤ k) for X ~ Binomial(n, p).
-func cumPMF(n, k int, p float64) float64 {
-	var sum float64
-	for j := 0; j <= k; j++ {
-		sum += binomialPMF(n, j, p)
+// pooledChiSquare returns Pearson's χ² of counts (counts[k] of draws
+// fell on k) against draws · pmf(k), adjacent values pooled until each
+// cell expects at least five, and the number of cells. pmf must sum to
+// one over the counts' range.
+func pooledChiSquare(counts []int, draws int, pmf func(k int) float64) (chi2 float64, cells int) {
+	last := len(counts) - 1
+	var obs, exp, cum float64
+	for k := 0; k <= last; k++ {
+		pk := pmf(k)
+		cum += pk
+		obs += float64(counts[k])
+		exp += float64(draws) * pk
+		if exp >= 5 && (k == last || float64(draws)*(1-cum) >= 5) {
+			chi2 += (obs - exp) * (obs - exp) / exp
+			obs, exp = 0, 0
+			cells++
+		}
 	}
-	return sum
+	return chi2, cells
+}
+
+// TestPoissonChiSquare holds Poisson's counts to the exact pmf at the
+// generator's scale (λ = 10, one multiplication-method draw) and above
+// maxDirectPoissonLambda (λ = 45, a sum of two chunk draws). Counts
+// above kmax share its cell, whose mass is the pmf's whole upper tail.
+func TestPoissonChiSquare(t *testing.T) {
+	const draws = 200_000
+	for i, lambda := range []float64{10, 45} {
+		kmax := int(lambda + 10*math.Sqrt(lambda))
+		pmf := make([]float64, kmax+1)
+		tail := 1.0
+		for k := 0; k < kmax; k++ {
+			lk, _ := math.Lgamma(float64(k + 1))
+			pmf[k] = math.Exp(float64(k)*math.Log(lambda) - lambda - lk)
+			tail -= pmf[k]
+		}
+		pmf[kmax] = tail
+		s := NewStream(2310, uint64(i))
+		counts := make([]int, kmax+1)
+		for d := 0; d < draws; d++ {
+			counts[min(s.Poisson(lambda), kmax)]++
+		}
+		chi2, cells := pooledChiSquare(counts, draws, func(k int) float64 { return pmf[k] })
+		crit := chiSquareCritical(cells - 1)
+		t.Logf("Poisson(%v): χ² = %.2f over %d cells, critical %.2f", lambda, chi2, cells, crit)
+		if chi2 >= crit {
+			t.Errorf("Poisson(%v): χ² = %.2f over %d cells, want < %.2f", lambda, chi2, cells, crit)
+		}
+	}
 }
 
 func TestBetaTinyShapesStayFinite(t *testing.T) {

@@ -69,8 +69,6 @@ var keptUnreached = []struct{ name, reason string }{
 	{"yelt.(*Table).Slice", "the reference view every reader, disk-source, slice-property and fuzz test compares a decoded trial range against"},
 	{"yelt.(*DiskSource).FailoverLog", "the replica tests assert which shard failed over through it"},
 	{"warehouse.(*Cube).Keys", "requireCubesIdentical and core's cubesBitIdentical walk two cubes through it"},
-	{"rdbms.(*Table).Len", "row count asserted by the B-tree tests"},
-	{"rdbms.(*Table).Height", "TestPageAccounting: page reads = lookups × height"},
 	{"metrics.PML", "reference of TestGoldenSummaryDigest, TestViewMatchesNaiveOracle and TestNewViewSorted"},
 	{"metrics.(*EPCurve).Trials", "read by the golden digest and the naive oracle"},
 	{"hazard.Model.IntensityAt", "the per-pair reference of TestFootprintMatchesPointwise and of catmodel's naiveRun and naiveEstimate oracles"},
