@@ -19,8 +19,9 @@
 //
 // The "dfa" stage line counts the tables stage 3 keeps: the catastrophe
 // and the enterprise YLT. The pipeline reads only the enterprise total,
-// so the per-source tables are not built (cmd/dfarun builds and prints
-// them) and the line's output bytes are those two tables', not 2 + K.
+// so the per-source tables are not built (experiment E9, `benchtables
+// -e 9`, builds them and counts their bytes) and the line's output
+// bytes are those two tables', not 2 + K.
 //
 // -cube-dims materializes the warehouse cube over those dimensions
 // while stage 2 runs (a "warehouse" stage line appears in the table),
@@ -72,7 +73,6 @@ func main() {
 		engine    = flag.String("engine", "parallel", "stage-2 engine: "+strings.Join(aggregate.EngineNames(), "|"))
 		provision = flag.String("provision", "", "per-stage worker provisioning policy: static:N or elastic:N (empty = static -workers bound)")
 		chaos     = flag.String("chaos", "", "deterministic fault injection into stage 2, e.g. rate=0.1,shard=3@2,kill=1@4,delay=2@50ms (bit-identical results)")
-		faultSeed = flag.Uint64("fault-seed", 0, "fault-plan seed (0 = -seed)")
 		cubeQuery = flag.String("cube-query", "", "print one cube cell, as dim=value pairs joined by commas (requires -cube-dims)")
 	)
 	flag.Parse()
@@ -91,11 +91,7 @@ func main() {
 	if cfg.Provision, err = cluster.ParsePolicy(*provision); err != nil {
 		exit(2, err)
 	}
-	fseed := *faultSeed
-	if fseed == 0 {
-		fseed = cfg.Seed
-	}
-	if cfg.Faults, err = faultinject.Parse(*chaos, fseed); err != nil {
+	if cfg.Faults, err = faultinject.Parse(*chaos, cfg.Seed); err != nil {
 		exit(2, err)
 	}
 

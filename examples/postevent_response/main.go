@@ -15,22 +15,16 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/catmodel"
-	"repro/internal/exposure"
+	"repro/internal/synth"
 )
 
 func main() {
 	ctx := context.Background()
 
 	// Load the book: eight cedants' exposure databases.
-	var dbs []*exposure.Database
-	for i := 0; i < 8; i++ {
-		cfg := exposure.DefaultConfig()
-		cfg.NumLocations = 800
-		db, err := exposure.Generate(cfg, uint64(100+i))
-		if err != nil {
-			log.Fatalf("postevent_response: %v", err)
-		}
-		dbs = append(dbs, db)
+	dbs, err := synth.Exposures(1, 8, 800)
+	if err != nil {
+		log.Fatalf("postevent_response: %v", err)
 	}
 	est, err := catmodel.New().PostEvent(dbs)
 	if err != nil {

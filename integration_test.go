@@ -129,12 +129,41 @@ func TestShapeChunkingBeatsNaive(t *testing.T) {
 // ten times fewer records. LegacyLookup binary-searches each contract's
 // ELT once per occurrence, reading bits.Len(n) of an n-record table's
 // records; Sequential probes the pre-joined index's row for the event
-// and reads its packed entries. Both counts come from the data, not
-// from a counter in either engine, and no wall clock is asserted.
+// and reads its packed entries, which are exactly the book's contracts
+// whose ELT gives the event a positive mean loss. Both counts come from
+// the data, not from a counter in either engine, and no wall clock is
+// asserted.
 func TestShapeScanBeatsRandomAccess(t *testing.T) {
 	s := smallScenario(t, 5, false)
 	ctx := context.Background()
 	in := &aggregate.Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio}
+	flat, err := in.EnsureFlat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perOcc, scanReads int64
+	for _, c := range s.Portfolio.Contracts {
+		perOcc += int64(bits.Len(uint(len(s.ELTs[c.ELTIndex].Records))))
+	}
+	for _, occ := range s.YELT.Occs {
+		lo, hi := flat.Span(occ.EventID)
+		var bearing int32
+		for _, c := range s.Portfolio.Contracts {
+			if r, ok := s.ELTs[c.ELTIndex].Lookup(occ.EventID); ok && r.MeanLoss > 0 {
+				bearing++
+			}
+		}
+		if hi-lo != bearing {
+			t.Fatalf("event %d: the scan reads %d entries, %d contracts carry a loss for it", occ.EventID, hi-lo, bearing)
+		}
+		scanReads += int64(1 + hi - lo)
+	}
+	randReads := perOcc * int64(len(s.YELT.Occs))
+	t.Logf("record reads: random %d, scan %d (%.1fx)", randReads, scanReads, float64(randReads)/float64(scanReads))
+	if randReads < 10*scanReads {
+		t.Fatalf("random record reads %d should be at least 10x the scan's %d", randReads, scanReads)
+	}
+
 	for _, sampling := range []bool{false, true} {
 		cfg := aggregate.Config{Seed: 5, Sampling: sampling}
 		want, err := (aggregate.LegacyLookup{}).Run(ctx, in, cfg)
@@ -152,24 +181,6 @@ func TestShapeScanBeatsRandomAccess(t *testing.T) {
 					got.Portfolio.Agg[i], got.Portfolio.OccMax[i], want.Portfolio.Agg[i], want.Portfolio.OccMax[i])
 			}
 		}
-	}
-
-	flat, err := in.EnsureFlat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var perOcc, scanReads int64
-	for _, c := range s.Portfolio.Contracts {
-		perOcc += int64(bits.Len(uint(len(s.ELTs[c.ELTIndex].Records))))
-	}
-	for _, occ := range s.YELT.Occs {
-		lo, hi := flat.Span(occ.EventID)
-		scanReads += int64(1 + hi - lo)
-	}
-	randReads := perOcc * int64(len(s.YELT.Occs))
-	t.Logf("record reads: random %d, scan %d (%.1fx)", randReads, scanReads, float64(randReads)/float64(scanReads))
-	if randReads < 10*scanReads {
-		t.Fatalf("random record reads %d should be at least 10x the scan's %d", randReads, scanReads)
 	}
 }
 

@@ -334,8 +334,8 @@ type Config struct {
 	// KeepPerSource makes Run fill Result.PerSource: one full-length
 	// table per source, three fifths of the stage's bytes with the six
 	// standard sources. The pipeline reads only the enterprise total and
-	// leaves it off; dfarun and experiment E9 report per source and set
-	// it.
+	// leaves it off; experiment E9 (`benchtables -e 9`) reports per
+	// source and sets it.
 	KeepPerSource bool
 }
 

@@ -1,7 +1,6 @@
 package elt
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/rng"
@@ -42,20 +41,4 @@ func BenchmarkSampleLoss(b *testing.B) {
 		sink += SampleLoss(st, t.Records[i%1000])
 	}
 	_ = sink
-}
-
-func BenchmarkCodecRoundTrip(b *testing.B) {
-	t := benchTable(100_000)
-	b.SetBytes(t.SizeBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		buf.Grow(int(t.SizeBytes()))
-		if _, err := t.WriteTo(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Read(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

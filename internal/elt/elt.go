@@ -12,11 +12,6 @@
 package elt
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -164,104 +159,14 @@ func SampleLoss(st *rng.Stream, r Record) float64 {
 	return scale * st.Beta(a, b)
 }
 
-// --- binary codec ---
-
-// Binary layout: magic "ELT1", u32 contractID, u32 count, then per
-// record u32 eventID + 4 float64s, all little-endian. The format is a
-// stand-in for the "small number of very large tables" stage-1 storage;
-// it streams, it does not seek.
-var magic = [4]byte{'E', 'L', 'T', '1'}
-
-// ErrBadFormat is returned when decoding encounters a malformed table.
-var ErrBadFormat = errors.New("elt: bad format")
-
+// recordSize is one record's bytes: a u32 event ID and four float64
+// moments.
 const recordSize = 4 + 8*4
 
-// WriteTo serializes the table. It implements io.WriterTo.
-func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var written int64
-	if _, err := bw.Write(magic[:]); err != nil {
-		return written, err
-	}
-	written += 4
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], t.ContractID)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(t.Records)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return written, err
-	}
-	written += 8
-	var buf [recordSize]byte
-	for _, r := range t.Records {
-		binary.LittleEndian.PutUint32(buf[0:4], r.EventID)
-		binary.LittleEndian.PutUint64(buf[4:12], math.Float64bits(r.MeanLoss))
-		binary.LittleEndian.PutUint64(buf[12:20], math.Float64bits(r.SigmaI))
-		binary.LittleEndian.PutUint64(buf[20:28], math.Float64bits(r.SigmaC))
-		binary.LittleEndian.PutUint64(buf[28:36], math.Float64bits(r.ExposedValue))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return written, err
-		}
-		written += recordSize
-	}
-	return written, bw.Flush()
-}
-
-// Read deserializes a table written by WriteTo.
-func Read(r io.Reader) (*Table, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("elt: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, m)
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("elt: reading header: %w", err)
-	}
-	contractID := binary.LittleEndian.Uint32(hdr[0:4])
-	count := binary.LittleEndian.Uint32(hdr[4:8])
-	const maxRecords = 1 << 28 // 256M records ≈ 9.7 GB; refuse absurd headers
-	if count > maxRecords {
-		return nil, fmt.Errorf("%w: record count %d too large", ErrBadFormat, count)
-	}
-	// Cap the initial allocation and grow with the data actually read,
-	// so a forged header declaring 2^28 records cannot reserve
-	// gigabytes before the short read surfaces (the codec fuzzer's
-	// finding).
-	const preallocCap = 1 << 16
-	recs := make([]Record, 0, min(count, preallocCap))
-	var buf [recordSize]byte
-	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("elt: reading record %d: %w", i, err)
-		}
-		recs = append(recs, Record{
-			EventID:      binary.LittleEndian.Uint32(buf[0:4]),
-			MeanLoss:     math.Float64frombits(binary.LittleEndian.Uint64(buf[4:12])),
-			SigmaI:       math.Float64frombits(binary.LittleEndian.Uint64(buf[12:20])),
-			SigmaC:       math.Float64frombits(binary.LittleEndian.Uint64(buf[20:28])),
-			ExposedValue: math.Float64frombits(binary.LittleEndian.Uint64(buf[28:36])),
-		})
-	}
-	t := &Table{ContractID: contractID, Records: recs}
-	// Stored tables are sorted; tolerate unsorted input defensively.
-	if !sort.SliceIsSorted(t.Records, func(i, j int) bool { return t.Records[i].EventID < t.Records[j].EventID }) {
-		t.normalize()
-	}
-	// Checked after coalescing, which can overflow two finite
-	// duplicates into an infinite moment.
-	for _, rec := range t.Records {
-		if !rec.finite() {
-			return nil, fmt.Errorf("%w: event %d has a non-finite moment", ErrBadFormat, rec.EventID)
-		}
-	}
-	return t, nil
-}
-
-// SizeBytes returns the serialized size of the table.
+// SizeBytes returns the bytes a table counts for as stage-1 output: a
+// 12-B header (a 4-B tag, the u32 contract ID and the u32 record count)
+// plus 36 B per record. The pipeline's risk-modelling stage reports
+// their sum over the book as its output bytes.
 func (t *Table) SizeBytes() int64 {
 	return int64(4 + 8 + len(t.Records)*recordSize)
 }

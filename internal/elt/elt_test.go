@@ -1,11 +1,8 @@
 package elt
 
 import (
-	"bytes"
-	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -35,6 +32,11 @@ func TestNewSortsAndIndexes(t *testing.T) {
 	if _, ok := tbl.Lookup(4); ok {
 		t.Fatal("Lookup of absent event should fail")
 	}
+	for _, tb := range []*Table{New(1, nil), tbl} {
+		if got, want := tb.SizeBytes(), int64(12+36*tb.Len()); got != want {
+			t.Fatalf("SizeBytes of a %d-record table = %d, want 12 + 36·%d = %d", tb.Len(), got, tb.Len(), want)
+		}
+	}
 }
 
 func TestNewCoalescesDuplicates(t *testing.T) {
@@ -57,127 +59,6 @@ func TestNewCoalescesDuplicates(t *testing.T) {
 func TestExpectedLoss(t *testing.T) {
 	if got := sampleTable().ExpectedLoss(); got != 225 {
 		t.Fatalf("ExpectedLoss = %v", got)
-	}
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	tbl := sampleTable()
-	var buf bytes.Buffer
-	n, err := tbl.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != tbl.SizeBytes() {
-		t.Fatalf("WriteTo wrote %d bytes, SizeBytes says %d", n, tbl.SizeBytes())
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ContractID != tbl.ContractID || got.Len() != tbl.Len() {
-		t.Fatal("header mismatch")
-	}
-	for i := range tbl.Records {
-		if got.Records[i] != tbl.Records[i] {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, got.Records[i], tbl.Records[i])
-		}
-	}
-}
-
-func TestCodecRoundTripProperty(t *testing.T) {
-	f := func(raw []uint32, cid uint32) bool {
-		recs := make([]Record, 0, len(raw))
-		for i, v := range raw {
-			recs = append(recs, Record{
-				EventID:      uint32(i) + 1,
-				MeanLoss:     float64(v) / 7,
-				SigmaI:       float64(v % 1000),
-				SigmaC:       float64(v % 333),
-				ExposedValue: float64(v) + 1,
-			})
-		}
-		tbl := New(cid, recs)
-		var buf bytes.Buffer
-		if _, err := tbl.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			return false
-		}
-		if got.Len() != tbl.Len() {
-			return false
-		}
-		for i := range tbl.Records {
-			if got.Records[i] != tbl.Records[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("XXXX????"))); err == nil {
-		t.Fatal("bad magic should error")
-	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input should error")
-	}
-	// Truncated records.
-	tbl := sampleTable()
-	var buf bytes.Buffer
-	if _, err := tbl.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated table should error")
-	}
-	// Absurd count header.
-	hdr := make([]byte, 12)
-	copy(hdr, "ELT1")
-	hdr[8], hdr[9], hdr[10], hdr[11] = 0xff, 0xff, 0xff, 0xff
-	if _, err := Read(bytes.NewReader(hdr)); err == nil {
-		t.Fatal("absurd count should error")
-	}
-}
-
-// Read refuses a record with a NaN or infinite moment, and a table whose
-// finite duplicates coalesce into one, with ErrBadFormat.
-func TestReadRefusesNonFiniteMoments(t *testing.T) {
-	bad := []Record{
-		{EventID: 4, MeanLoss: math.NaN(), ExposedValue: 10},
-		{EventID: 4, MeanLoss: 1, SigmaI: math.Inf(1), ExposedValue: 10},
-		{EventID: 4, MeanLoss: 1, SigmaC: math.Inf(-1), ExposedValue: 10},
-		{EventID: 4, MeanLoss: 1, ExposedValue: math.Inf(1)},
-	}
-	for _, r := range bad {
-		tbl := &Table{ContractID: 1, Records: []Record{{EventID: 1, MeanLoss: 1, ExposedValue: 2}, r}}
-		var buf bytes.Buffer
-		if _, err := tbl.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Read(&buf); !errors.Is(err, ErrBadFormat) {
-			t.Fatalf("%+v: err %v, want ErrBadFormat", r, err)
-		}
-	}
-	// Unsorted on the wire, so Read coalesces the two event-5 records,
-	// whose means sum past MaxFloat64.
-	tbl := &Table{ContractID: 1, Records: []Record{
-		{EventID: 5, MeanLoss: math.MaxFloat64, ExposedValue: math.MaxFloat64},
-		{EventID: 1, MeanLoss: 1, ExposedValue: 2},
-		{EventID: 5, MeanLoss: math.MaxFloat64, ExposedValue: math.MaxFloat64},
-	}}
-	var buf bytes.Buffer
-	if _, err := tbl.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("overflowing duplicates: err %v, want ErrBadFormat", err)
 	}
 }
 

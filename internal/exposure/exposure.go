@@ -98,11 +98,7 @@ type Interest struct {
 type Database struct {
 	Locations []Location
 	Interests []Interest
-	totalTIV  float64
 }
-
-// TotalValue returns the summed insured value of all interests.
-func (db *Database) TotalValue() float64 { return db.totalTIV }
 
 // Config controls synthetic exposure generation.
 type Config struct {
@@ -232,7 +228,6 @@ func Generate(cfg Config, seed uint64) (*Database, error) {
 				Value:         st.LogNormal(mu, sigma) * valScale,
 			}
 			db.Interests = append(db.Interests, in)
-			db.totalTIV += in.Value
 		}
 	}
 	return db, nil

@@ -87,21 +87,13 @@ func Build(ctx context.Context, p Params) (*Scenario, error) {
 	s := &Scenario{Params: p, Catalog: cat}
 
 	// Stage 1: one exposure database and ELT per contract.
+	if s.Exposures, err = Exposures(p.Seed, p.NumContracts, p.LocationsPerContract); err != nil {
+		return nil, err
+	}
 	eng := catmodel.New()
 	eng.Workers = p.Workers
-	for c := 0; c < p.NumContracts; c++ {
-		ecfg := exposure.DefaultConfig()
-		ecfg.NumLocations = p.LocationsPerContract
-		db, err := exposure.Generate(ecfg, p.Seed+uint64(1000+c))
-		if err != nil {
-			return nil, fmt.Errorf("synth: exposure %d: %w", c, err)
-		}
-		s.Exposures = append(s.Exposures, db)
-		tbl, err := eng.Run(ctx, cat, db, uint32(c+1))
-		if err != nil {
-			return nil, fmt.Errorf("synth: catmodel %d: %w", c, err)
-		}
-		s.ELTs = append(s.ELTs, tbl)
+	if s.ELTs, err = eng.RunPortfolio(ctx, cat, s.Exposures); err != nil {
+		return nil, fmt.Errorf("synth: %w", err)
 	}
 
 	s.Portfolio = BuildPortfolio(s.ELTs, p.OccurrenceOnly, p.TwoLayers)
@@ -115,6 +107,22 @@ func Build(ctx context.Context, p Params) (*Scenario, error) {
 		}
 	}
 	return s, nil
+}
+
+// Exposures generates a book's exposure databases: contract c (from 0)
+// has the given number of locations and is drawn from seed+1000+c.
+func Exposures(seed uint64, contracts, locations int) ([]*exposure.Database, error) {
+	dbs := make([]*exposure.Database, contracts)
+	for c := range dbs {
+		ecfg := exposure.DefaultConfig()
+		ecfg.NumLocations = locations
+		db, err := exposure.Generate(ecfg, seed+uint64(1000+c))
+		if err != nil {
+			return nil, fmt.Errorf("synth: exposure %d: %w", c, err)
+		}
+		dbs[c] = db
+	}
+	return dbs, nil
 }
 
 // YELTGenerator returns the streaming trial source that re-derives

@@ -128,30 +128,10 @@ func shardCounts(ranges []stream.Range) []int {
 	return counts
 }
 
-// Manifest layout, all little-endian u32 after the magic:
-//
-//	"YSP3" | parts | trials | replicas r | parts × count | parts × r × node
+// writeManifest writes the encoded manifest to each of its replica
+// nodes.
 func writeManifest(store *diskstore.Store, dataset string, counts []int, reps [][]int, replicas int) error {
-	trials := 0
-	for _, c := range counts {
-		trials += c
-	}
-	buf := make([]byte, 16+4*len(counts)+4*replicas*len(counts))
-	copy(buf[:4], manifestMagic[:])
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(counts)))
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(trials))
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(replicas))
-	off := 16
-	for _, c := range counts {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(c))
-		off += 4
-	}
-	for _, nodes := range reps {
-		for _, n := range nodes {
-			binary.LittleEndian.PutUint32(buf[off:], uint32(n))
-			off += 4
-		}
-	}
+	buf := encodeManifest(counts, reps, replicas)
 	for _, node := range store.ReplicaNodesFor(0, replicas) {
 		err := store.WritePartitionAt(manifestDataset(dataset), 0, node, func(w io.Writer) error {
 			_, err := w.Write(buf)
@@ -164,9 +144,35 @@ func writeManifest(store *diskstore.Store, dataset string, counts []int, reps []
 	return nil
 }
 
+// encodeManifest lays a manifest out, all little-endian u32 after the
+// magic:
+//
+//	"YSP3" | parts | trials | replicas r | parts × count | parts × r × node
+func encodeManifest(counts []int, reps [][]int, replicas int) []byte {
+	trials := 0
+	for _, c := range counts {
+		trials += c
+	}
+	buf := make([]byte, 0, 16+4*len(counts)+4*replicas*len(counts))
+	buf = append(buf, manifestMagic[:]...)
+	for _, v := range []int{len(counts), trials, replicas} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
+	for _, c := range counts {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
+	}
+	for _, nodes := range reps {
+		for _, n := range nodes {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+		}
+	}
+	return buf
+}
+
 // readManifest reads the spill's commit record, failing over across
 // its replicas (the same node loss that takes out data shards can take
-// out the manifest's primary copy).
+// out the manifest's primary copy, and a torn copy is refused on its
+// own bytes).
 func readManifest(store *diskstore.Store, dataset string) (counts []int, reps [][]int, replicas int, err error) {
 	mds := manifestDataset(dataset)
 	nodes, err := store.ReplicaNodes(mds, 0)
@@ -175,7 +181,14 @@ func readManifest(store *diskstore.Store, dataset string) (counts []int, reps []
 	}
 	var errs []error
 	for _, node := range nodes {
-		counts, reps, replicas, err = parseManifestAt(store, mds, node)
+		var b []byte
+		err = store.ReadPartitionAt(mds, 0, node, func(r io.Reader) (err error) {
+			b, err = io.ReadAll(r)
+			return err
+		})
+		if err == nil {
+			counts, reps, replicas, err = parseManifest(b, store.Nodes())
+		}
 		if err == nil {
 			return counts, reps, replicas, nil
 		}
@@ -187,65 +200,53 @@ func readManifest(store *diskstore.Store, dataset string) (counts []int, reps []
 	return nil, nil, 0, fmt.Errorf("yelt: spill manifest unreadable on all replicas: %w", errors.Join(errs...))
 }
 
-func parseManifestAt(store *diskstore.Store, mds string, node int) (counts []int, reps [][]int, replicas int, err error) {
-	// parts comes straight off the disk: no table is allocated before
-	// the partition is known to be large enough to hold it.
-	size, err := store.PartitionSizeBytes(mds, 0)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("yelt: spill manifest: %w", err)
+// parseManifest decodes one replica's manifest bytes for a store of
+// nodes storage nodes. Bytes past the replica table are ignored. parts
+// comes straight off the disk, so no table is allocated before b is
+// known to hold it: what parseManifest allocates is bounded by len(b).
+func parseManifest(b []byte, nodes int) (counts []int, reps [][]int, replicas int, err error) {
+	fail := func(format string, args ...any) ([]int, [][]int, int, error) {
+		return nil, nil, 0, fmt.Errorf(format, args...)
 	}
-	err = store.ReadPartitionAt(mds, 0, node, func(r io.Reader) error {
-		var magicBuf [4]byte
-		if _, err := io.ReadFull(r, magicBuf[:]); err != nil {
-			return fmt.Errorf("yelt: spill manifest: %w", err)
-		}
-		if magicBuf != manifestMagic {
-			return fmt.Errorf("%w: spill manifest magic %q", ErrBadFormat, magicBuf[:])
-		}
-		var hdr [12]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return fmt.Errorf("yelt: spill manifest: %w", err)
-		}
-		parts := int(binary.LittleEndian.Uint32(hdr[0:4]))
-		trials := int(binary.LittleEndian.Uint32(hdr[4:8]))
-		replicas = int(binary.LittleEndian.Uint32(hdr[8:12]))
-		if replicas < 1 || replicas > store.Nodes() {
-			return fmt.Errorf("%w: spill manifest replication factor %d (store has %d nodes)", ErrBadFormat, replicas, store.Nodes())
-		}
-		if need := 16 + 4*int64(parts)*int64(1+replicas); need > size {
-			return fmt.Errorf("%w: spill manifest declares %d shards × %d replicas (%d bytes), its partition holds %d", ErrBadFormat, parts, replicas, need, size)
-		}
-		body := make([]byte, 4*parts)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return fmt.Errorf("yelt: spill manifest shard table: %w", err)
-		}
-		counts = make([]int, parts)
-		sum := 0
-		for i := range counts {
-			counts[i] = int(binary.LittleEndian.Uint32(body[4*i:]))
-			sum += counts[i]
-		}
-		if sum != trials {
-			return fmt.Errorf("%w: spill manifest shard counts sum to %d, header says %d", ErrBadFormat, sum, trials)
-		}
-		rbody := make([]byte, 4*replicas*parts)
-		if _, err := io.ReadFull(r, rbody); err != nil {
-			return fmt.Errorf("yelt: spill manifest replica table: %w", err)
-		}
-		reps = make([][]int, parts)
-		for i := range reps {
-			reps[i] = make([]int, replicas)
-			for k := range reps[i] {
-				n := int(binary.LittleEndian.Uint32(rbody[4*(i*replicas+k):]))
-				if n < 0 || n >= store.Nodes() {
-					return fmt.Errorf("%w: spill manifest shard %d replica node %d (store has %d nodes)", ErrBadFormat, i, n, store.Nodes())
-				}
-				reps[i][k] = n
+	if len(b) < 16 {
+		return fail("%w: spill manifest holds %d bytes, its header needs 16", ErrBadFormat, len(b))
+	}
+	if [4]byte(b[:4]) != manifestMagic {
+		return fail("%w: spill manifest magic %q", ErrBadFormat, b[:4])
+	}
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(b[off:])) }
+	parts, trials := u32(4), u32(8)
+	replicas = u32(12)
+	if replicas < 1 || replicas > nodes {
+		return fail("%w: spill manifest replication factor %d (store has %d nodes)", ErrBadFormat, replicas, nodes)
+	}
+	if need := 16 + 4*int64(parts)*int64(1+replicas); need > int64(len(b)) {
+		return fail("%w: spill manifest declares %d shards × %d replicas (%d bytes), its partition holds %d", ErrBadFormat, parts, replicas, need, len(b))
+	}
+	counts = make([]int, parts)
+	sum := 0
+	for i := range counts {
+		counts[i] = u32(16 + 4*i)
+		sum += counts[i]
+	}
+	if sum != trials {
+		return fail("%w: spill manifest shard counts sum to %d, header says %d", ErrBadFormat, sum, trials)
+	}
+	flat := make([]int, parts*replicas)
+	reps = make([][]int, parts)
+	off := 16 + 4*parts
+	for i := range reps {
+		reps[i] = flat[i*replicas : (i+1)*replicas : (i+1)*replicas]
+		for k := range reps[i] {
+			n := u32(off)
+			off += 4
+			if n < 0 || n >= nodes {
+				return fail("%w: spill manifest shard %d replica node %d (store has %d nodes)", ErrBadFormat, i, n, nodes)
 			}
+			reps[i][k] = n
 		}
-		return nil
-	})
-	return counts, reps, replicas, err
+	}
+	return counts, reps, replicas, nil
 }
 
 // DefaultSpillNodes is the simulated storage-node count spills default

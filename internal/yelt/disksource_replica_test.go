@@ -223,6 +223,30 @@ func TestOpenDiskSourceFailsOverLostReplica(t *testing.T) {
 	tablesEqual(t, "post-loss reattach", want, got)
 }
 
+// A torn primary copy of the manifest must not stop a re-attach either:
+// each replica is bounded by its own bytes, so the intact copy on the
+// next node opens the spill.
+func TestOpenDiskSourceFailsOverTornManifest(t *testing.T) {
+	ctx := context.Background()
+	tbl, store, _ := spillReplicatedFixture(t)
+	if err := store.CorruptAt("yelt.manifest", 0, store.NodeOf(0)); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDiskSource(store, "yelt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tbl.Slice(0, 301)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := re.ReadTrials(ctx, 0, 301, &Table{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tablesEqual(t, "torn-manifest reattach", want, got)
+}
+
 // Losing every replica of a shard is unrecoverable and must be
 // refused by name, exactly like the unreplicated missing-shard case.
 func TestOpenDiskSourceRefusesWhenAllReplicasLost(t *testing.T) {

@@ -2,6 +2,8 @@ package yelt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -102,6 +104,85 @@ func FuzzRead(f *testing.F) {
 		}
 		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 			t.Fatal("WriteTo → Read → WriteTo is not byte-identical")
+		}
+	})
+}
+
+// FuzzManifest drives the spill-manifest parser with arbitrary replica
+// bytes and store sizes. It must not panic, and what it allocates is
+// bounded by the input's length: a forged shard count must be refused
+// before any table is made. An accepted manifest is well formed: its
+// shard counts sum to the header's trial count, every replica node is a
+// node of the store, and encoding what was parsed reproduces the
+// input's prefix (bytes past the replica table are ignored). The seed
+// corpus is encodings of one- and seven-shard spills, unreplicated and
+// replicated, plus corruptions of each.
+func FuzzManifest(f *testing.F) {
+	golden := []struct {
+		counts   []int
+		reps     [][]int
+		replicas int
+	}{
+		{nil, nil, 1},
+		{[]int{120}, [][]int{{0}}, 1},
+		{[]int{43, 43, 43, 43, 43, 43, 43}, [][]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 1}, {1, 2}, {2, 3}}, 2},
+	}
+	for _, g := range golden {
+		enc := encodeManifest(g.counts, g.reps, g.replicas)
+		f.Add(enc, uint8(4))
+		f.Add(append(bytes.Clone(enc), 0xAA, 0xBB), uint8(4)) // trailing bytes
+		f.Add(enc[:len(enc)/2], uint8(4))                     // torn replica
+		f.Add(enc, uint8(1))                                  // store smaller than the placement
+		corrupt := bytes.Clone(enc)
+		corrupt[0] = 'X' // bad magic
+		f.Add(corrupt, uint8(4))
+		huge := bytes.Clone(enc)
+		binary.LittleEndian.PutUint32(huge[4:], 0xFFFFFFFF) // forged shard count
+		f.Add(huge, uint8(4))
+		sum := bytes.Clone(enc)
+		binary.LittleEndian.PutUint32(sum[8:], 7) // trial count the shards do not sum to
+		f.Add(sum, uint8(4))
+		zero := bytes.Clone(enc)
+		binary.LittleEndian.PutUint32(zero[12:], 0) // no replicas
+		f.Add(zero, uint8(4))
+	}
+	f.Add([]byte{}, uint8(4))
+
+	f.Fuzz(func(t *testing.T, b []byte, n uint8) {
+		nodes := 1 + int(n%16)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		counts, reps, replicas, err := parseManifest(b, nodes)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(b)+1<<16); got > limit {
+			t.Fatalf("parsing %d bytes allocated %d, more than %d", len(b), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if len(reps) != len(counts) {
+			t.Fatalf("%d shard counts, %d replica sets", len(counts), len(reps))
+		}
+		sum := 0
+		for _, c := range counts {
+			sum += c
+		}
+		if trials := int(binary.LittleEndian.Uint32(b[8:])); sum != trials {
+			t.Fatalf("accepted shard counts sum to %d, header says %d", sum, trials)
+		}
+		for i, rs := range reps {
+			if len(rs) != replicas {
+				t.Fatalf("shard %d has %d replicas, manifest says %d", i, len(rs), replicas)
+			}
+			for _, node := range rs {
+				if node < 0 || node >= nodes {
+					t.Fatalf("shard %d replica on node %d of a %d-node store", i, node, nodes)
+				}
+			}
+		}
+		enc := encodeManifest(counts, reps, replicas)
+		if !bytes.HasPrefix(b, enc) {
+			t.Fatalf("re-encoding %x is not a prefix of the input %x", enc, b)
 		}
 	})
 }

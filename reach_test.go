@@ -39,10 +39,7 @@ import (
 var keptUnreached = []struct{ name, reason string }{
 	// Kept on purpose.
 	{"aggregate.KernelBlocked", "pinned by bench/replica.go's Config literal until ROADMAP item 4(b) retires the replica"},
-	{"elt.Read", "the only reader, and the fuzz target, of the format `cmd/catmodel -out` writes"},
-	{"elt.ErrBadFormat", "what elt.Read wraps when it refuses a file"},
-	{"yelt.Read", "FuzzRead's target and the whole-table decode of the yelt codec tests, as elt.Read is for its codec; keeps NewReader with it"},
-	{"catmodel.(*Engine).RunPortfolio", "TestGoldenELTDigest pins stage 1 through it; also TestRunPortfolioAssignsContractIDs, TestRunRejectsDanglingInterest"},
+	{"yelt.Read", "FuzzRead's target and the whole-table decode of the yelt codec tests; keeps NewReader with it"},
 	{"rng.New", "the seed-only stream every package's tests draw fixtures from"},
 	{"rng.(*Stream).Pareto", "loss fixture of TestGoldenSummaryDigest, TestGoldenDFADigest and the metrics, dfa and warehouse tests; body pinned with the goldens"},
 	{"rng.(*Stream).Exponential", "loss fixture of TestGoldenDFADigest's custom source; body pinned with the golden"},
