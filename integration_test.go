@@ -244,7 +244,7 @@ func TestFailureInjectionCorruptPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Store().Corrupt("yelt", 1); err != nil {
+	if err := ds.Store().CorruptAt("yelt", 1, ds.ShardNodes(1)[0]); err != nil {
 		t.Fatal(err)
 	}
 	res, err := (aggregate.MapReduce{MaxAttempts: 2}).Run(ctx,

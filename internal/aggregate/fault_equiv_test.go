@@ -28,7 +28,7 @@ func replicatedSource(t *testing.T, s *synth.Scenario, replicas int) *yelt.DiskS
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := yelt.SpillReplicated(context.Background(), s.YELT, store, "yelt", 5, replicas, 2)
+	ds, err := yelt.Spill(context.Background(), s.YELT, store, "yelt", 5, replicas, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestFaultEquivalenceMatrix(t *testing.T) {
 		{"primary-dead/r2/affine", 2, false,
 			func(ds *yelt.DiskSource) []faultinject.Rule {
 				return []faultinject.Rule{faultinject.FailShardRead{
-					Shard: 1, Node: ds.ShardNode(1), Attempts: 1 << 30,
+					Shard: 1, Node: ds.ShardNodes(1)[0], Attempts: 1 << 30,
 				}}
 			}},
 		// Random 10% read-attempt failures over replicated shards.

@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -142,7 +141,7 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 
 	// Busy time is measured for every run (elastic provisioning reports
 	// allocated vs busy processor-time); byte motion only over shards,
-	// where a split's cost is its pro-rata share of its shard's file.
+	// where a split's cost is its pro-rata share of its shard's size.
 	var busyNanos, localBytes, remoteBytes atomic.Int64
 	var splitBytes []int64
 	stats := &mapreduce.Stats{}
@@ -183,32 +182,13 @@ func (m MapReduce) Run(ctx context.Context, in *Input, cfg Config) (*Result, err
 	}
 	if sharded {
 		splitBytes = make([]int64, len(ranges))
-		shardBytes := make([]int64, ds.Shards())
-		for s := range shardBytes {
-			b, err := ds.ShardSizeBytes(s)
-			if err != nil {
-				return nil, fmt.Errorf("aggregate: sizing shard %d: %w", s, err)
-			}
-			shardBytes[s] = b
-		}
 		for i, r := range ranges {
-			sr := ds.ShardRange(shardOf[i])
-			splitBytes[i] = shardBytes[shardOf[i]] * int64(r.Len()) / int64(sr.Len())
+			s := shardOf[i]
+			splitBytes[i] = ds.ShardSizeBytes(s) * int64(r.Len()) / int64(ds.ShardRange(s).Len())
 		}
 		mrCfg.Nodes = ds.Nodes()
-		mrCfg.NodeOf = func(split int) int { return ds.ShardNode(shardOf[split]) }
-		// Under replication any replica holder reads the shard off its
-		// own disk, so placement accounting treats all of them as local.
-		if ds.Replicas() > 1 {
-			mrCfg.LocalOf = func(split, home int) bool {
-				for _, n := range ds.ShardNodes(shardOf[split]) {
-					if n == home {
-						return true
-					}
-				}
-				return false
-			}
-		}
+		// Any holder of a split's shard scans it off its own disk.
+		mrCfg.Holders = func(split int) []int { return ds.ShardNodes(shardOf[split]) }
 	}
 
 	var failovers0 int64

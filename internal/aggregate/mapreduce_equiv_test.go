@@ -26,7 +26,7 @@ func spilledSource(t *testing.T, s *synth.Scenario) *yelt.DiskSource {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := yelt.Spill(context.Background(), s.YELT, store, "yelt", 5, 2)
+	ds, err := yelt.Spill(context.Background(), s.YELT, store, "yelt", 5, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

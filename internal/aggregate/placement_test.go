@@ -32,7 +32,7 @@ func TestPlacementEquivalenceAndByteAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := yelt.Spill(ctx, s.YELT, store, "yelt", 30, 2)
+	disk, err := yelt.Spill(ctx, s.YELT, store, "yelt", 30, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +90,56 @@ func TestPlacementEquivalenceAndByteAccounting(t *testing.T) {
 	}
 }
 
+// A torn primary replica must not shrink the data motion: shard 2's
+// primary is truncated in its body, the re-attach verifies its intact
+// header, and every scan of the shard fails over to the other replica,
+// which holds the whole shard. The run's local and remote bytes must
+// sum to the healthy spill's size, as must the re-attached source's
+// SizeBytes, and the YLT must still be Sequential's bit for bit.
+func TestTornPrimaryByteAccounting(t *testing.T) {
+	ctx := context.Background()
+	s := buildScenario(t, synth.Small(77))
+	ix, err := lossindex.Build(s.ELTs, s.Portfolio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 53, Sampling: true, PerContract: true, Workers: 3, BatchTrials: 151}
+	want, err := Sequential{}.Run(ctx, &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled := replicatedSource(t, s, 2)
+	healthy, err := spilled.SizeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := spilled.Store()
+	if err := store.CorruptAt("yelt", 2, spilled.ShardNodes(2)[0]); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := yelt.OpenDiskSource(store, "yelt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// SplitTrials larger than any shard: one split per shard, so the
+	// pro-rata byte attribution is exact.
+	got, err := MapReduce{SplitTrials: 4096}.Run(ctx,
+		&Input{Source: disk, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsBitIdentical(t, "torn-primary", want, got)
+	if got.ShardFailovers == 0 {
+		t.Fatal("no scan failed over from the torn primary: the case tests nothing")
+	}
+	if got.LocalBytes+got.RemoteBytes != healthy {
+		t.Fatalf("local=%d + remote=%d != %d, the bytes the scans read", got.LocalBytes, got.RemoteBytes, healthy)
+	}
+	if size, err := disk.SizeBytes(); err != nil || size != healthy {
+		t.Fatalf("re-attached SizeBytes = %d, %v; the healthy spill's is %d", size, err, healthy)
+	}
+}
+
 // With a single mapper lane per node and one worker, every home-lane
 // shard scans local — only the end-of-run steals of other nodes'
 // shards pay remote. The deterministic single-worker schedule makes
@@ -110,11 +160,8 @@ func TestAffineSingleWorkerAccountsStealsRemote(t *testing.T) {
 	}
 	var wantLocal, wantRemote int64
 	for sh := 0; sh < disk.Shards(); sh++ {
-		b, err := disk.ShardSizeBytes(sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if disk.ShardNode(sh) == 0 {
+		b := disk.ShardSizeBytes(sh)
+		if disk.ShardNodes(sh)[0] == 0 {
 			wantLocal += b
 		} else {
 			wantRemote += b

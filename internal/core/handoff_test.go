@@ -109,7 +109,7 @@ func TestAttachRefusesDamagedSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Remove("yelt", 2); err != nil {
+	if err := store.RemoveAt("yelt", 2, store.ReplicaNodesFor(2, 1)[0]); err != nil {
 		t.Fatal(err)
 	}
 	aggCfg := smallConfig(5)

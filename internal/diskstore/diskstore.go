@@ -105,10 +105,6 @@ func (s *Store) ReplicaNodesFor(part, replicas int) []int {
 	return nodes
 }
 
-func (s *Store) partPath(dataset string, part int) string {
-	return s.pathAt(dataset, part, s.NodeOf(part))
-}
-
 func (s *Store) pathAt(dataset string, part, node int) string {
 	return filepath.Join(nodeDir(s.root, node),
 		fmt.Sprintf("%s.part-%05d", dataset, part))
@@ -257,25 +253,6 @@ func (s *Store) Partitions(dataset string) ([]int, error) {
 	return parts, nil
 }
 
-// SizeBytes returns the logical on-disk size of a dataset: each
-// partition counted once, from its first surviving replica. Compare
-// TotalSizeBytes for the physical footprint including replicas.
-func (s *Store) SizeBytes(dataset string) (int64, error) {
-	parts, err := s.Partitions(dataset)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, p := range parts {
-		n, err := s.PartitionSizeBytes(dataset, p)
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
 // TotalSizeBytes returns the physical on-disk size of a dataset —
 // every replica of every partition. The replication cost column.
 func (s *Store) TotalSizeBytes(dataset string) (int64, error) {
@@ -348,32 +325,6 @@ func partFile(dataset, name string) (part int, temp, ok bool) {
 	return part, temp, err == nil
 }
 
-// PartitionSizeBytes returns the on-disk size of one partition — the
-// unit of data-motion accounting for shard-affine mappers. When the
-// primary replica is gone it falls back to the first survivor, so
-// accounting keeps working through a node loss.
-func (s *Store) PartitionSizeBytes(dataset string, part int) (int64, error) {
-	info, err := os.Stat(s.partPath(dataset, part))
-	if os.IsNotExist(err) {
-		nodes, nerr := s.ReplicaNodes(dataset, part)
-		if nerr != nil {
-			return 0, fmt.Errorf("%w: %s part %d", ErrNotFound, dataset, part)
-		}
-		info, err = os.Stat(s.pathAt(dataset, part, nodes[0]))
-	}
-	if err != nil {
-		return 0, fmt.Errorf("diskstore: stat part %d: %w", part, err)
-	}
-	return info.Size(), nil
-}
-
-// Remove deletes a single partition's primary replica — a
-// failure-injection hook for re-attach tests (a shard lost between
-// spill and aggregate).
-func (s *Store) Remove(dataset string, part int) error {
-	return s.RemoveAt(dataset, part, s.NodeOf(part))
-}
-
 // RemoveAt deletes one replica of a partition from one node — the
 // replicated-store failure-injection hook.
 func (s *Store) RemoveAt(dataset string, part, node int) error {
@@ -384,12 +335,6 @@ func (s *Store) RemoveAt(dataset string, part, node int) error {
 		return fmt.Errorf("diskstore: remove part %d node %d: %w", part, node, err)
 	}
 	return nil
-}
-
-// Corrupt truncates a partition's primary replica to half its size —
-// a failure-injection hook for recovery tests.
-func (s *Store) Corrupt(dataset string, part int) error {
-	return s.CorruptAt(dataset, part, s.NodeOf(part))
 }
 
 // CorruptAt truncates one replica of a partition to half its size,

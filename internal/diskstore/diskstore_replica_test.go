@@ -71,9 +71,6 @@ func TestReplicaDiscoveryAndSizes(t *testing.T) {
 	if !reflect.DeepEqual(nodes, []int{1, 2}) {
 		t.Fatalf("ReplicaNodes = %v, want [1 2]", nodes)
 	}
-	if n, err := s.SizeBytes("ds"); err != nil || n != 10 {
-		t.Fatalf("SizeBytes = %d, %v; want 10 (logical)", n, err)
-	}
 	if n, err := s.TotalSizeBytes("ds"); err != nil || n != 20 {
 		t.Fatalf("TotalSizeBytes = %d, %v; want 20 (physical)", n, err)
 	}
@@ -87,8 +84,8 @@ func TestReplicaDiscoveryAndSizes(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(nodes, []int{2}) {
 		t.Fatalf("after primary loss ReplicaNodes = %v, %v; want [2]", nodes, err)
 	}
-	if n, err := s.PartitionSizeBytes("ds", 1); err != nil || n != 10 {
-		t.Fatalf("PartitionSizeBytes after primary loss = %d, %v; want 10", n, err)
+	if n, err := s.TotalSizeBytes("ds"); err != nil || n != 10 {
+		t.Fatalf("TotalSizeBytes after primary loss = %d, %v; want 10 (the survivor)", n, err)
 	}
 	if err := s.Delete("ds"); err != nil {
 		t.Fatalf("Delete: %v", err)

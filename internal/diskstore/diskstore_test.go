@@ -89,7 +89,7 @@ func TestMissingDataset(t *testing.T) {
 	if err := s.ReadPartitionAt("nope", 0, s.NodeOf(0), func(io.Reader) error { return nil }); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := s.SizeBytes("nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.TotalSizeBytes("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -141,7 +141,7 @@ func TestWriteErrorLeavesNoTempFile(t *testing.T) {
 
 // A write interrupted before commit (simulated by a stray in-progress
 // temp file) must be invisible to Partitions, ReadPartitionAt, and
-// SizeBytes: only renamed-in partitions exist.
+// TotalSizeBytes: only renamed-in partitions exist.
 func TestInProgressTempInvisible(t *testing.T) {
 	s := newStore(t, 1)
 	if err := s.WritePartitionAt("ds", 0, s.NodeOf(0), func(w io.Writer) error {
@@ -165,12 +165,12 @@ func TestInProgressTempInvisible(t *testing.T) {
 	if err := s.ReadPartitionAt("ds", 1, s.NodeOf(1), func(io.Reader) error { return nil }); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("reading the torn partition: err = %v, want ErrNotFound", err)
 	}
-	size, err := s.SizeBytes("ds")
+	size, err := s.TotalSizeBytes("ds")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if size != 4 {
-		t.Fatalf("SizeBytes = %d, want 4 (committed partition only)", size)
+		t.Fatalf("TotalSizeBytes = %d, want 4 (committed partition only)", size)
 	}
 }
 
@@ -266,7 +266,7 @@ func TestSizeAndDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	size, err := s.SizeBytes("big")
+	size, err := s.TotalSizeBytes("big")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestCorruptTruncates(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Corrupt("c", 0); err != nil {
+	if err := s.CorruptAt("c", 0, s.NodeOf(0)); err != nil {
 		t.Fatal(err)
 	}
 	var n int
@@ -303,7 +303,7 @@ func TestCorruptTruncates(t *testing.T) {
 	if n != 50 {
 		t.Fatalf("corrupted partition has %d bytes, want 50", n)
 	}
-	if err := s.Corrupt("c", 9); !errors.Is(err, ErrNotFound) {
+	if err := s.CorruptAt("c", 9, s.NodeOf(9)); !errors.Is(err, ErrNotFound) {
 		t.Fatal("corrupting a missing partition should report not found")
 	}
 }
@@ -377,30 +377,6 @@ func TestWriteDurableCommitLeavesOnlyFinalFile(t *testing.T) {
 	}
 }
 
-func TestPartitionSizeBytes(t *testing.T) {
-	s := newStore(t, 2)
-	for p, n := range []int{100, 250, 7} {
-		if err := s.WritePartitionAt("sz", p, s.NodeOf(p), func(w io.Writer) error {
-			_, err := w.Write(make([]byte, n))
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for p, want := range []int64{100, 250, 7} {
-		got, err := s.PartitionSizeBytes("sz", p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("part %d size = %d, want %d", p, got, want)
-		}
-	}
-	if _, err := s.PartitionSizeBytes("sz", 9); !errors.Is(err, ErrNotFound) {
-		t.Fatal("missing partition size should report not found")
-	}
-}
-
 func TestRemoveSinglePartition(t *testing.T) {
 	s := newStore(t, 3)
 	for p := 0; p < 3; p++ {
@@ -411,7 +387,7 @@ func TestRemoveSinglePartition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Remove("rm", 1); err != nil {
+	if err := s.RemoveAt("rm", 1, s.NodeOf(1)); err != nil {
 		t.Fatal(err)
 	}
 	parts, err := s.Partitions("rm")
@@ -421,7 +397,7 @@ func TestRemoveSinglePartition(t *testing.T) {
 	if len(parts) != 2 || parts[0] != 0 || parts[1] != 2 {
 		t.Fatalf("Partitions = %v, want [0 2]", parts)
 	}
-	if err := s.Remove("rm", 1); !errors.Is(err, ErrNotFound) {
+	if err := s.RemoveAt("rm", 1, s.NodeOf(1)); !errors.Is(err, ErrNotFound) {
 		t.Fatal("removing a missing partition should report not found")
 	}
 }

@@ -125,7 +125,7 @@ func TestNodeFaultSurvivorsStealWork(t *testing.T) {
 	cfg := Config{
 		Mappers: 4,
 		Nodes:   2,
-		NodeOf:  func(i int) int { return i % 2 },
+		Holders: func(i int) []int { return []int{i % 2} },
 		NodeFault: func(node int) error {
 			if node == 1 {
 				return lost

@@ -25,9 +25,9 @@
 // and only the attempt that wins the split's done flag commits it.
 //
 // When the splits live on distinct storage nodes (internal/diskstore),
-// the scheduler can be made locality-aware: Config.Nodes/NodeOf carve
+// the scheduler can be made locality-aware: Config.Nodes/Holders carve
 // the mapper pool into per-node lanes, each split is queued on the lane
-// of the node that owns it, and a lane's workers drain their own queue
+// of its primary holder, and a lane's workers drain their own queue
 // before stealing from the most-loaded other lane. Moving the mapper to
 // the data instead of the data to the mapper is the central lever of
 // the companion Hadoop work; each commit reports whether its task ran
@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,21 +57,18 @@ type Config struct {
 	// RetrySeed seeds the deterministic backoff jitter (see
 	// retryBaseDelay).
 	RetrySeed uint64
-	// Nodes, with NodeOf, turns on locality-aware lane scheduling:
+	// Nodes, with Holders, turns on locality-aware lane scheduling:
 	// mapper w belongs to node w mod Nodes, and split i is queued on
-	// the lane of node NodeOf(i). A worker drains its own lane first
-	// and steals from the most-loaded other lane only when its own is
-	// empty (load balance on skewed splits costs remote motion, never
-	// idle workers). <= 0 leaves scheduling placement-free.
+	// the lane of node Holders(i)[0]. A worker drains its own lane
+	// first and steals from the most-loaded other lane only when its
+	// own is empty (load balance on skewed splits costs remote motion,
+	// never idle workers). <= 0 leaves scheduling placement-free.
 	Nodes int
-	// NodeOf returns the storage node owning split i. Required when
-	// Nodes > 0.
-	NodeOf func(split int) int
-	// LocalOf, if non-nil, overrides the placement predicate used for
-	// accounting: whether a worker homed on node home scans split i
-	// locally. The default is NodeOf(i) mod Nodes == home; replicated
-	// stores pass "home holds any replica of the split's shard".
-	LocalOf func(split, home int) bool
+	// Holders returns the storage nodes holding split i's data, primary
+	// first; a task runs local when its worker's home node (mod Nodes)
+	// is any of them. Required, and non-empty for every split, when
+	// Nodes > 0. Run calls it once per split.
+	Holders func(split int) []int
 	// NodeFault, if non-nil, is consulted by each lane worker before it
 	// takes another task; a non-nil error retires the worker (its node
 	// left the cluster). Queued splits of a retired lane are stolen by
@@ -151,24 +149,37 @@ var ErrWorkersLost = errors.New("mapreduce: all workers lost")
 // laneScheduler hands out split indices to workers keyed by the
 // worker's home node: each node has its own FIFO lane, and a worker
 // steals from the most-loaded foreign lane only when its own is dry.
-// The caller decides locality (owner node == home node) itself — the
-// scheduler only orders the work.
+// It keeps every split's holders, so it also answers whether a worker
+// runs a split local; it never lets locality change the order of work.
 type laneScheduler struct {
-	mu    sync.Mutex
-	lanes [][]int // per-lane FIFO of split indices
-	heads []int   // consumed prefix per lane
+	mu      sync.Mutex
+	lanes   [][]int // per-lane FIFO of split indices
+	heads   []int   // consumed prefix per lane
+	holders [][]int // per split, its holders mod the lane count, primary first
 }
 
-func newLaneScheduler(n, nodes int, nodeOf func(int) int) *laneScheduler {
-	s := &laneScheduler{lanes: make([][]int, nodes), heads: make([]int, nodes)}
-	for i := 0; i < n; i++ {
-		lane := nodeOf(i) % nodes
-		if lane < 0 {
-			lane += nodes
+// newLaneScheduler asks holders for each of n splits' holder list once
+// and queues the split on its primary holder's lane. A split nobody
+// holds has no lane: it is refused, not queued on lane 0.
+func newLaneScheduler(n, nodes int, holders func(int) []int) (*laneScheduler, error) {
+	s := &laneScheduler{lanes: make([][]int, nodes), heads: make([]int, nodes), holders: make([][]int, n)}
+	for i := range n {
+		hs := holders(i)
+		if len(hs) == 0 {
+			return nil, fmt.Errorf("mapreduce: split %d has no holders", i)
 		}
+		for _, h := range hs {
+			s.holders[i] = append(s.holders[i], (h%nodes+nodes)%nodes)
+		}
+		lane := s.holders[i][0]
 		s.lanes[lane] = append(s.lanes[lane], i)
 	}
-	return s
+	return s, nil
+}
+
+// local reports whether a worker homed on node home holds split.
+func (s *laneScheduler) local(split, home int) bool {
+	return slices.Contains(s.holders[split], home)
 }
 
 // next returns the next split for a worker homed on the given node,
@@ -283,8 +294,8 @@ func Run[S, R any](
 	if mapf == nil || commit == nil {
 		return errors.New("mapreduce: nil map or commit function")
 	}
-	if cfg.Nodes > 0 && cfg.NodeOf == nil {
-		return errors.New("mapreduce: Nodes set without NodeOf")
+	if cfg.Nodes > 0 && cfg.Holders == nil {
+		return errors.New("mapreduce: Nodes set without Holders")
 	}
 	cfg = cfg.normalized()
 	if cfg.Nodes <= 0 {
@@ -293,7 +304,7 @@ func Run[S, R any](
 		// panic recovery, node faults against node 0, speculation)
 		// applies uniformly.
 		cfg.Nodes = 1
-		cfg.NodeOf = func(int) int { return 0 }
+		cfg.Holders = func(int) []int { return []int{0} }
 	}
 	if len(splits) == 0 {
 		return nil
@@ -377,11 +388,10 @@ func Run[S, R any](
 
 // runLanes is the locality-aware map-phase dispatcher: cfg.Mappers
 // workers, worker w homed on node w mod cfg.Nodes, pulling splits from
-// a laneScheduler's per-node lanes. A task is local when the split's
-// owning node equals the worker's home — true by construction for a
-// home-lane pop, false for a steal (Config.LocalOf overrides the
-// predicate for replicated stores). The first fatal error cancels
-// outstanding work, like stream.ForEach.
+// a laneScheduler's per-node lanes. A task is local when the worker's
+// home holds the split — true by construction for a home-lane pop, and
+// for a steal only when the home holds a replica. The first fatal error
+// cancels outstanding work, like stream.ForEach.
 //
 // A worker checks NodeFault before each pop, so a killed node strands
 // nothing: unpopped splits are stolen by surviving lanes. When the
@@ -391,11 +401,11 @@ func runLanes(ctx context.Context, n int, cfg Config, stats *Stats,
 	states []splitState, ctl *specCtl, remaining *atomic.Int64,
 	runChain func(ctx context.Context, i int, local, backup bool) error,
 ) error {
-	workers := cfg.Mappers
-	if workers > n {
-		workers = n
+	sched, err := newLaneScheduler(n, cfg.Nodes, cfg.Holders)
+	if err != nil {
+		return err
 	}
-	sched := newLaneScheduler(n, cfg.Nodes, cfg.NodeOf)
+	workers := min(cfg.Mappers, n)
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -408,13 +418,6 @@ func runLanes(ctx context.Context, n int, cfg Config, stats *Stats,
 	finishPhase := func() {
 		mapComplete.Store(true)
 		cancel()
-	}
-
-	isLocal := func(split, home int) bool {
-		if cfg.LocalOf != nil {
-			return cfg.LocalOf(split, home)
-		}
-		return cfg.NodeOf(split)%cfg.Nodes == home
 	}
 
 	var errMu sync.Mutex
@@ -472,7 +475,7 @@ func runLanes(ctx context.Context, n int, cfg Config, stats *Stats,
 				if i, ok := sched.next(home); ok {
 					states[i].chains.Add(1)
 					ctl.start(i)
-					if !finish(i, runChain(ctx, i, isLocal(i, home), false)) {
+					if !finish(i, runChain(ctx, i, sched.local(i, home), false)) {
 						return
 					}
 					continue
@@ -493,7 +496,7 @@ func runLanes(ctx context.Context, n int, cfg Config, stats *Stats,
 				if ok && states[i].spec.CompareAndSwap(false, true) {
 					states[i].chains.Add(1)
 					stats.SpecLaunched.Add(1)
-					if !finish(i, runChain(ctx, i, isLocal(i, home), true)) {
+					if !finish(i, runChain(ctx, i, sched.local(i, home), true)) {
 						return
 					}
 					continue

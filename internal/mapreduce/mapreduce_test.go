@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,8 +190,8 @@ func TestFailedAttemptEmissionsDiscarded(t *testing.T) {
 	var stats Stats
 	cfg := Config{
 		Mappers: 4, MaxAttempts: 3,
-		Nodes:  2,
-		NodeOf: func(i int) int { return i % 2 },
+		Nodes:   2,
+		Holders: func(i int) []int { return []int{i % 2} },
 		NodeFault: func(node int) error {
 			if node == 1 && nodeOneTasks.Add(1) > 3 {
 				return errors.New("node 1 left the cluster")
@@ -294,8 +295,11 @@ func TestCancellation(t *testing.T) {
 // pops drain the home lane in FIFO order, and steals come from the
 // most-loaded foreign lane.
 func TestLaneSchedulerAffineOrder(t *testing.T) {
-	// 7 splits on 3 nodes, nodeOf = i % 3: lanes {0,3,6}, {1,4}, {2,5}.
-	s := newLaneScheduler(7, 3, func(i int) int { return i % 3 })
+	// 7 splits on 3 nodes, primary holder i % 3: lanes {0,3,6}, {1,4}, {2,5}.
+	s, err := newLaneScheduler(7, 3, func(i int) []int { return []int{i % 3, (i + 1) % 3} })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []int{0, 3, 6} {
 		got, ok := s.next(0)
 		if !ok || got != want {
@@ -344,7 +348,7 @@ func TestLocalityEquivalenceAndAccounting(t *testing.T) {
 	cfg := Config{
 		Mappers: 6,
 		Nodes:   4,
-		NodeOf:  func(i int) int { return i % 4 },
+		Holders: func(i int) []int { return []int{i % 4} },
 	}
 	got, log, err := sumJob(context.Background(), splits, mapf, cfg)
 	if err != nil {
@@ -372,7 +376,7 @@ func TestSingleWorkerDrainsHomeLaneFirst(t *testing.T) {
 	cfg := Config{
 		Mappers: 1,
 		Nodes:   3,
-		NodeOf:  func(i int) int { return i % 3 },
+		Holders: func(i int) []int { return []int{i % 3} },
 	}
 	_, order, err := sumJob(context.Background(), make([]int, 9), mapf, cfg)
 	if err != nil {
@@ -392,10 +396,68 @@ func TestSingleWorkerDrainsHomeLaneFirst(t *testing.T) {
 	}
 }
 
-func TestNodesWithoutNodeOfRejected(t *testing.T) {
+func TestNodesWithoutHoldersRejected(t *testing.T) {
 	mapf := func(context.Context, int) ([]kv, error) { return []kv{{0, 1}}, nil }
 	if _, _, err := sumJob(context.Background(), []int{0}, mapf, Config{Nodes: 2}); err == nil {
-		t.Fatal("Nodes without NodeOf should error")
+		t.Fatal("Nodes without Holders should error")
+	}
+}
+
+// A split nobody holds has no lane: the job is refused before any map
+// task runs, not quietly queued on lane 0.
+func TestSplitWithoutHoldersRejected(t *testing.T) {
+	var ran atomic.Int32
+	mapf := func(context.Context, int) ([]kv, error) {
+		ran.Add(1)
+		return []kv{{0, 1}}, nil
+	}
+	cfg := Config{Nodes: 2, Holders: func(i int) []int {
+		if i == 2 {
+			return nil
+		}
+		return []int{i % 2}
+	}}
+	_, _, err := sumJob(context.Background(), seq(4), mapf, cfg)
+	if err == nil || !strings.Contains(err.Error(), "split 2 has no holders") {
+		t.Fatalf("err = %v, want split 2 refused for having no holders", err)
+	}
+	if ran.Load() != 0 {
+		t.Fatalf("%d map tasks ran for a refused job", ran.Load())
+	}
+}
+
+// A split held by nodes {1, 2} is queued on node 1's lane, and a task
+// of it is local on a worker homed on either holder: a worker homed on
+// node 2 that steals it scans locally, one homed on node 0 remotely.
+// Three splits start one worker per node; NodeFault retires every
+// worker but the one on the node under test, which runs them all.
+func TestReplicaHolderCountsLocal(t *testing.T) {
+	mapf := func(context.Context, int) ([]kv, error) { return []kv{{0, 1}}, nil }
+	for _, tc := range []struct {
+		home  int
+		local bool
+	}{{2, true}, {0, false}, {1, true}} {
+		cfg := Config{
+			Mappers: 3,
+			Nodes:   3,
+			Holders: func(int) []int { return []int{1, 2} },
+			NodeFault: func(node int) error {
+				if node != tc.home {
+					return errors.New("retired")
+				}
+				return nil
+			},
+		}
+		_, log, err := sumJob(context.Background(), seq(3), mapf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onceEach(t, log, 3)
+		for _, c := range log {
+			if c.local != tc.local {
+				t.Fatalf("worker homed on node %d ran split %d: local=%v, want %v", tc.home, c.split, c.local, tc.local)
+			}
+		}
 	}
 }
 
@@ -411,8 +473,8 @@ func TestLaneRetryStillBounded(t *testing.T) {
 	}
 	cfg := Config{
 		Mappers: 2, MaxAttempts: 3,
-		Nodes:  2,
-		NodeOf: func(i int) int { return i % 2 },
+		Nodes:   2,
+		Holders: func(i int) []int { return []int{i % 2} },
 	}
 	got, log, err := sumJob(context.Background(), seq(4), mapf, cfg)
 	if err != nil {
@@ -430,7 +492,7 @@ func TestLaneCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	mapf := func(context.Context, int) ([]kv, error) { return []kv{{1, 1}}, nil }
-	cfg := Config{Nodes: 3, NodeOf: func(i int) int { return i % 3 }}
+	cfg := Config{Nodes: 3, Holders: func(i int) []int { return []int{i % 3} }}
 	if _, _, err := sumJob(ctx, make([]int, 1000), mapf, cfg); err == nil {
 		t.Fatal("cancelled lane job should error")
 	}

@@ -57,7 +57,7 @@ func BenchmarkSpillReplicated(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds, err := SpillReplicated(context.Background(), g, store, "yelt", (trials+splitTrials-1)/splitTrials, 2, 0)
+		ds, err := Spill(context.Background(), g, store, "yelt", (trials+splitTrials-1)/splitTrials, 2, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

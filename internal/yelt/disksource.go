@@ -25,29 +25,22 @@ import (
 // Spill writes the trials of src into parts contiguous trial-range
 // shards of dataset in store — one WriteTo-format shard per
 // stream.Partition range, shard i holding range i — and returns the
-// DiskSource reading them back. Shards are written in parallel
-// (bounded by workers; <= 0 means GOMAXPROCS), each materialized
-// range-at-a-time, so peak memory during the spill is bounded by
-// workers × shard, not by the trial count. Any prior spill under the
-// same dataset name is deleted first: leftover high-numbered shards
-// from a larger previous run would otherwise survive alongside the
-// fresh ones and corrupt size accounting and OpenDiskSource
-// re-attachment.
-func Spill(ctx context.Context, src Source, store *diskstore.Store, dataset string, parts, workers int) (*DiskSource, error) {
-	return SpillReplicated(ctx, src, store, dataset, parts, 1, workers)
-}
-
-// SpillReplicated is Spill with a replication factor: each shard is
-// written to replicas distinct storage nodes (clamped to the node
-// count; <= 1 means no replication), placed by the store's chained
-// declustering rule, and the manifest records every shard's replica
-// set so a re-attaching process knows where the survivors are. The
-// commit protocol is unchanged — every replica of every shard must
-// land before the manifest (itself replicated) is written — so a crash
-// mid-spill still leaves a dataset OpenDiskSource refuses, never a
-// partially replicated one that would silently lose its fault
-// tolerance.
-func SpillReplicated(ctx context.Context, src Source, store *diskstore.Store, dataset string, parts, replicas, workers int) (*DiskSource, error) {
+// DiskSource reading them back. Each shard is written to replicas
+// distinct storage nodes (clamped to the node count; <= 1 means no
+// replication), placed by the store's chained declustering rule, and
+// the manifest records every shard's replica set so a re-attaching
+// process knows where the survivors are. Shards are written in
+// parallel (bounded by workers; <= 0 means GOMAXPROCS), each
+// materialized range-at-a-time, so peak memory during the spill is
+// bounded by workers × shard, not by the trial count. Any prior spill
+// under the same dataset name is deleted first: leftover high-numbered
+// shards from a larger previous run would otherwise survive alongside
+// the fresh ones and corrupt OpenDiskSource re-attachment. Every
+// replica of every shard must land before the manifest (itself
+// replicated) is written, so a crash mid-spill leaves a dataset
+// OpenDiskSource refuses, never a partially replicated one that would
+// silently lose its fault tolerance.
+func Spill(ctx context.Context, src Source, store *diskstore.Store, dataset string, parts, replicas, workers int) (*DiskSource, error) {
 	n := src.TrialCount()
 	if n <= 0 {
 		return nil, fmt.Errorf("yelt: spill of empty source")
@@ -71,6 +64,7 @@ func SpillReplicated(ctx context.Context, src Source, store *diskstore.Store, da
 	for i := range reps {
 		reps[i] = store.ReplicaNodesFor(i, replicas)
 	}
+	sizes := make([]int64, len(ranges))
 	err := stream.ForEach(ctx, len(ranges), workers, func(ctx context.Context, i int) error {
 		shard, err := src.ReadTrials(ctx, ranges[i].Lo, ranges[i].Hi, nil)
 		if err != nil {
@@ -80,6 +74,7 @@ func SpillReplicated(ctx context.Context, src Source, store *diskstore.Store, da
 		// byte-identical by construction, as an HDFS write pipeline
 		// makes them.
 		data := shard.encode()
+		sizes[i] = int64(len(data))
 		for _, node := range reps[i] {
 			err := store.WritePartitionAt(dataset, i, node, func(w io.Writer) error {
 				_, err := w.Write(data)
@@ -102,7 +97,7 @@ func SpillReplicated(ctx context.Context, src Source, store *diskstore.Store, da
 		return nil, err
 	}
 	return &DiskSource{store: store, dataset: dataset, ranges: ranges, n: n,
-		reps: reps, replicas: replicas}, nil
+		reps: reps, sizes: sizes}, nil
 }
 
 // The manifest is a sibling single-partition dataset recording what a
@@ -173,11 +168,11 @@ func encodeManifest(counts []int, reps [][]int, replicas int) []byte {
 // its replicas (the same node loss that takes out data shards can take
 // out the manifest's primary copy, and a torn copy is refused on its
 // own bytes).
-func readManifest(store *diskstore.Store, dataset string) (counts []int, reps [][]int, replicas int, err error) {
+func readManifest(store *diskstore.Store, dataset string) (counts []int, reps [][]int, err error) {
 	mds := manifestDataset(dataset)
 	nodes, err := store.ReplicaNodes(mds, 0)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("%w: %s part 0", diskstore.ErrNotFound, mds)
+		return nil, nil, fmt.Errorf("%w: %s part 0", diskstore.ErrNotFound, mds)
 	}
 	var errs []error
 	for _, node := range nodes {
@@ -187,17 +182,17 @@ func readManifest(store *diskstore.Store, dataset string) (counts []int, reps []
 			return err
 		})
 		if err == nil {
-			counts, reps, replicas, err = parseManifest(b, store.Nodes())
+			counts, reps, _, err = parseManifest(b, store.Nodes())
 		}
 		if err == nil {
-			return counts, reps, replicas, nil
+			return counts, reps, nil
 		}
 		errs = append(errs, fmt.Errorf("node %d: %w", node, err))
 	}
 	if len(errs) == 1 {
-		return nil, nil, 0, errs[0]
+		return nil, nil, errs[0]
 	}
-	return nil, nil, 0, fmt.Errorf("yelt: spill manifest unreadable on all replicas: %w", errors.Join(errs...))
+	return nil, nil, fmt.Errorf("yelt: spill manifest unreadable on all replicas: %w", errors.Join(errs...))
 }
 
 // parseManifest decodes one replica's manifest bytes for a store of
@@ -266,7 +261,7 @@ func SpillToDir(ctx context.Context, src Source, dir string, nodes, parts, repli
 	if err != nil {
 		return nil, err
 	}
-	return SpillReplicated(ctx, src, store, "yelt", parts, replicas, workers)
+	return Spill(ctx, src, store, "yelt", parts, replicas, workers)
 }
 
 // DiskSource is a Source over the trial-range shards Spill wrote: any
@@ -275,12 +270,12 @@ func SpillToDir(ctx context.Context, src Source, dir string, nodes, parts, repli
 // It is safe for concurrent ReadTrials calls: every call opens its own
 // partition readers.
 type DiskSource struct {
-	store    *diskstore.Store
-	dataset  string
-	ranges   []stream.Range // ranges[i] = global trials held by shard i
-	n        int
-	reps     [][]int // reps[i] = storage nodes holding shard i, failover order
-	replicas int     // replication factor the spill was written with
+	store   *diskstore.Store
+	dataset string
+	ranges  []stream.Range // ranges[i] = global trials held by shard i
+	n       int
+	reps    [][]int // reps[i] = storage nodes holding shard i, failover order
+	sizes   []int64 // sizes[i] = encoded bytes of shard i, what a scan of it reads
 	// scanned counts occurrences delivered through ReadTrials — the
 	// disk-scan analogue of Generator.Streamed for stage accounting.
 	scanned atomic.Int64
@@ -322,9 +317,9 @@ func (l *failoverLog) snapshot() []string {
 }
 
 // OpenDiskSource attaches to a previously spilled dataset, recovering
-// the shard → trial-range map from the shard headers (each WriteTo
-// header carries its trial count; shards are contiguous in partition
-// order by construction). The dataset's manifest — written only after
+// the shard → trial-range map and each shard's size from the shard
+// headers (each WriteTo header carries its trial and occurrence counts;
+// shards are contiguous in partition order by construction). The dataset's manifest — written only after
 // a spill completes — must match the shards found, so a crashed spill
 // (missing trailing shards, or no manifest at all) is refused instead
 // of silently opening truncated.
@@ -333,7 +328,7 @@ func (l *failoverLog) snapshot() []string {
 // replica (the failover is counted and logged, naming the bad copy);
 // only a shard with no healthy replica at all refuses the attach.
 func OpenDiskSource(store *diskstore.Store, dataset string) (*DiskSource, error) {
-	wantCounts, reps, replicas, err := readManifest(store, dataset)
+	wantCounts, reps, err := readManifest(store, dataset)
 	if err != nil {
 		return nil, fmt.Errorf("yelt: open %q (incomplete or pre-manifest spill?): %w", dataset, err)
 	}
@@ -356,11 +351,11 @@ func OpenDiskSource(store *diskstore.Store, dataset string) (*DiskSource, error)
 			return nil, fmt.Errorf("%w: dataset %s missing shard %d (manifest expects %d shards)", ErrBadFormat, dataset, i, len(wantCounts))
 		}
 	}
-	ds := &DiskSource{store: store, dataset: dataset, reps: reps, replicas: replicas}
+	ds := &DiskSource{store: store, dataset: dataset, reps: reps, sizes: make([]int64, len(wantCounts))}
 	lo := 0
 	for i, want := range wantCounts {
-		err := ds.readShard(i, "attach", func(r io.Reader) error {
-			_, err := openShard(r, i, want)
+		err := ds.readShard(i, "attach", func(r io.Reader) (err error) {
+			ds.sizes[i], err = attachShard(r, i, want)
 			return err
 		})
 		if err != nil {
@@ -386,17 +381,11 @@ func (ds *DiskSource) Nodes() int { return ds.store.Nodes() }
 // boundaries shard-affine mappers align their splits to.
 func (ds *DiskSource) ShardRange(i int) stream.Range { return ds.ranges[i] }
 
-// ShardNode returns the storage node shard i primarily lives on —
-// where a shard-affine mapper should run to scan it locally.
-func (ds *DiskSource) ShardNode(i int) int { return ds.reps[i][0] }
-
 // ShardNodes returns every storage node holding a replica of shard i,
-// in failover order. Affine placement treats any of them as local.
-// The returned slice is shared; callers must not modify it.
+// primary first, in failover order — the manifest's record. A
+// shard-affine mapper scans the shard locally on any of them. The
+// returned slice is shared; callers must not modify it.
 func (ds *DiskSource) ShardNodes(i int) []int { return ds.reps[i] }
-
-// Replicas returns the replication factor the spill was written with.
-func (ds *DiskSource) Replicas() int { return ds.replicas }
 
 // Failovers returns how many replica reads were abandoned for the next
 // replica so far — zero on a healthy store.
@@ -410,15 +399,24 @@ func (ds *DiskSource) FailoverLog() []string { return ds.flog.snapshot() }
 // injection (Store.SetReadFault) and replica-loss hooks attach.
 func (ds *DiskSource) Store() *diskstore.Store { return ds.store }
 
-// ShardSizeBytes returns the on-disk size of shard i — the data-motion
-// cost of scanning it from another node.
-func (ds *DiskSource) ShardSizeBytes(i int) (int64, error) {
-	return ds.store.PartitionSizeBytes(ds.dataset, i)
-}
+// ShardSizeBytes returns the encoded size of shard i — the bytes a scan
+// of it reads, whichever replica serves the scan, and so the
+// data-motion cost of scanning it from another node. It is recorded
+// when the source learns the shard's bytes: the encoding's length at
+// spill, the verified replica's header at attach. On a healthy store
+// it is every replica's file size; a torn replica does not shrink it.
+func (ds *DiskSource) ShardSizeBytes(i int) int64 { return ds.sizes[i] }
 
-// SizeBytes returns the on-disk footprint of the spilled dataset.
+// SizeBytes returns the logical size of the spilled dataset: every
+// shard counted once, by ShardSizeBytes. The error is always nil: the
+// result keeps it only for the benchmark harness (bench/replica.go),
+// which reads it in that form.
 func (ds *DiskSource) SizeBytes() (int64, error) {
-	return ds.store.SizeBytes(ds.dataset)
+	var total int64
+	for _, b := range ds.sizes {
+		total += b
+	}
+	return total, nil
 }
 
 // Scanned returns the total occurrences delivered through ReadTrials
@@ -445,6 +443,19 @@ func (ds *DiskSource) readShard(i int, what string, fn func(io.Reader) error) er
 		return fmt.Errorf("yelt: %s of shard %d: %w", what, i, errs[0])
 	}
 	return fmt.Errorf("yelt: %s of shard %d: all replicas failed: %w", what, i, errors.Join(errs...))
+}
+
+// attachShard verifies the header of one replica of shard i against
+// the trial count the manifest recorded and returns the shard's size
+// as that header declares it: the bytes a full scan of the shard reads.
+// It reads the header only, so a replica torn in its body still
+// reports the size of the shard it is a copy of.
+func attachShard(r io.Reader, i, want int) (int64, error) {
+	rd, err := openShard(r, i, want)
+	if err != nil {
+		return 0, err
+	}
+	return encodedBytes(rd.NumTrials(), rd.occs), nil
 }
 
 // openShard starts decoding one replica of shard i, refusing a file

@@ -28,7 +28,7 @@ func spillReplicatedFixture(t *testing.T) (*Table, *diskstore.Store, *DiskSource
 		t.Fatal(err)
 	}
 	store := testStore(t, 4)
-	ds, err := SpillReplicated(ctx, tbl, store, "yelt", 7, 2, 2)
+	ds, err := Spill(ctx, tbl, store, "yelt", 7, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +38,10 @@ func spillReplicatedFixture(t *testing.T) (*Table, *diskstore.Store, *DiskSource
 func TestSpillReplicatedRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	tbl, store, ds := spillReplicatedFixture(t)
-	if ds.Replicas() != 2 {
-		t.Fatalf("Replicas = %d, want 2", ds.Replicas())
-	}
 	for i := 0; i < ds.Shards(); i++ {
 		want := store.ReplicaNodesFor(i, 2)
 		if got := ds.ShardNodes(i); !reflect.DeepEqual(got, want) {
 			t.Fatalf("shard %d nodes = %v, want %v", i, got, want)
-		}
-		if ds.ShardNode(i) != want[0] {
-			t.Fatalf("shard %d primary = %d, want %d", i, ds.ShardNode(i), want[0])
 		}
 		var copies [][]byte
 		for _, node := range want {
@@ -62,6 +56,9 @@ func TestSpillReplicatedRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(copies[0], copies[1]) {
 			t.Fatalf("shard %d: replicas differ", i)
+		}
+		if got := ds.ShardSizeBytes(i); got != int64(len(copies[0])) {
+			t.Fatalf("shard %d size %d, its replicas hold %d bytes", i, got, len(copies[0]))
 		}
 	}
 	want, err := tbl.Slice(0, 301)
@@ -79,7 +76,7 @@ func TestSpillReplicatedRoundTrip(t *testing.T) {
 
 	// Physical footprint is twice the logical one: every shard (and the
 	// manifest) exists on two nodes.
-	logical, err := store.SizeBytes("yelt")
+	logical, err := ds.SizeBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +95,40 @@ func TestOpenDiskSourceRecoversReplicaSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Replicas() != 2 {
-		t.Fatalf("reattached Replicas = %d, want 2", re.Replicas())
-	}
 	for i := 0; i < ds.Shards(); i++ {
 		if !reflect.DeepEqual(re.ShardNodes(i), ds.ShardNodes(i)) {
 			t.Fatalf("shard %d: reattached nodes %v != spilled %v", i, re.ShardNodes(i), ds.ShardNodes(i))
 		}
+		if re.ShardSizeBytes(i) != ds.ShardSizeBytes(i) {
+			t.Fatalf("shard %d: reattached size %d != spilled %d", i, re.ShardSizeBytes(i), ds.ShardSizeBytes(i))
+		}
+	}
+}
+
+// A shard's size is the bytes a scan of it reads, not its primary
+// file's: tearing shard 2's primary in its body leaves the header
+// intact, so the re-attach verifies that copy without a failover, and
+// every scan then fails over to the intact replica. The re-attached
+// size must be the healthy spill's, shard by shard and in total.
+func TestReattachSizeAfterTornPrimary(t *testing.T) {
+	_, store, ds := spillReplicatedFixture(t)
+	healthy, err := ds.SizeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy2 := ds.ShardSizeBytes(2)
+	if err := store.CorruptAt("yelt", 2, ds.ShardNodes(2)[0]); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDiskSource(store, "yelt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.ShardSizeBytes(2); got != healthy2 {
+		t.Fatalf("shard 2 after a torn primary: size %d, the healthy spill's is %d", got, healthy2)
+	}
+	if got, err := re.SizeBytes(); err != nil || got != healthy {
+		t.Fatalf("SizeBytes after a torn primary = %d, %v; the healthy spill's is %d", got, err, healthy)
 	}
 }
 
@@ -119,7 +143,7 @@ func TestReadTrialsFailsOverTruncatedReplicaMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear shard 3's primary replica halfway through its body.
-	bad := ds.ShardNode(3)
+	bad := ds.ShardNodes(3)[0]
 	if err := store.CorruptAt("yelt", 3, bad); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +167,7 @@ func TestReadTrialsFailsOverTruncatedReplicaMidStream(t *testing.T) {
 func TestReadTrialsFailsOverInjectedFault(t *testing.T) {
 	ctx := context.Background()
 	tbl, store, ds := spillReplicatedFixture(t)
-	bad := ds.ShardNode(2)
+	bad := ds.ShardNodes(2)[0]
 	plan := faultinject.New(7, faultinject.FailShardRead{
 		Shard: 2, Node: bad, Attempts: 1000,
 	})
@@ -195,7 +219,7 @@ func TestReadTrialsAllReplicasFail(t *testing.T) {
 func TestOpenDiskSourceFailsOverLostReplica(t *testing.T) {
 	ctx := context.Background()
 	tbl, store, ds := spillReplicatedFixture(t)
-	if err := store.RemoveAt("yelt", 2, ds.ShardNode(2)); err != nil {
+	if err := store.RemoveAt("yelt", 2, ds.ShardNodes(2)[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.RemoveAt("yelt.manifest", 0, store.NodeOf(0)); err != nil {
@@ -291,7 +315,7 @@ func TestRespillAfterCrashedReplicatedSpill(t *testing.T) {
 	}
 	const parts, k = 7, 4
 	crashed := failingSource{Source: tbl, failAt: stream.Partition(tbl.NumTrials, parts)[k].Lo + 1}
-	if _, err := SpillReplicated(ctx, crashed, store, "yelt", parts, 2, 1); err == nil {
+	if _, err := Spill(ctx, crashed, store, "yelt", parts, 2, 1); err == nil {
 		t.Fatal("spill of a source that dies at shard 4 succeeded")
 	}
 	func() {
@@ -308,7 +332,7 @@ func TestRespillAfterCrashedReplicatedSpill(t *testing.T) {
 		t.Fatal("attach to a spill that never committed its manifest succeeded")
 	}
 
-	ds, err := SpillReplicated(ctx, tbl, store, "yelt", 5, 2, 2)
+	ds, err := Spill(ctx, tbl, store, "yelt", 5, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +385,7 @@ func TestReadTrialsUnreplicatedMidStreamError(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := testStore(t, 2)
-	ds, err := Spill(ctx, tbl, store, "ds", 4, 1)
+	ds, err := Spill(ctx, tbl, store, "ds", 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

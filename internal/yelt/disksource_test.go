@@ -32,7 +32,7 @@ func TestSpillRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := testStore(t, 3)
-	ds, err := Spill(ctx, tbl, store, "yelt", 7, 2)
+	ds, err := Spill(ctx, tbl, store, "yelt", 7, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSpillGeneratorSourceMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := testStore(t, 2)
-	ds, err := Spill(ctx, gen, store, "g", 5, 0)
+	ds, err := Spill(ctx, gen, store, "g", 5, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestOpenDiskSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := testStore(t, 2)
-	if _, err := Spill(ctx, tbl, store, "ds", 4, 1); err != nil {
+	if _, err := Spill(ctx, tbl, store, "ds", 4, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := OpenDiskSource(store, "ds")
@@ -135,10 +135,10 @@ func TestSpillClearsStaleDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := testStore(t, 2)
-	if _, err := Spill(ctx, big, store, "ds", 7, 1); err != nil {
+	if _, err := Spill(ctx, big, store, "ds", 7, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Spill(ctx, small, store, "ds", 2, 1)
+	ds, err := Spill(ctx, small, store, "ds", 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestOpenDiskSourceRefusesIncompleteSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := testStore(t, 2)
-	if _, err := Spill(ctx, tbl, store, "ds", 4, 1); err != nil {
+	if _, err := Spill(ctx, tbl, store, "ds", 4, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Crash before commit: shards present, manifest never written.
@@ -307,14 +307,14 @@ func TestOpenDiskSourceReattachFailureModes(t *testing.T) {
 	spill := func(t *testing.T) *diskstore.Store {
 		t.Helper()
 		store := testStore(t, 3)
-		if _, err := Spill(ctx, tbl, store, "ds", 4, 1); err != nil {
+		if _, err := Spill(ctx, tbl, store, "ds", 4, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 		return store
 	}
 	t.Run("missing shard file", func(t *testing.T) {
 		store := spill(t)
-		if err := store.Remove("ds", 1); err != nil {
+		if err := store.RemoveAt("ds", 1, store.ReplicaNodesFor(1, 1)[0]); err != nil {
 			t.Fatal(err)
 		}
 		wantOpenError(t, store, "ds", "missing shard 1")
@@ -390,10 +390,10 @@ func TestSpillValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := testStore(t, 1)
-	if _, err := Spill(ctx, tbl, store, "x", 0, 1); err == nil {
+	if _, err := Spill(ctx, tbl, store, "x", 0, 1, 1); err == nil {
 		t.Fatal("zero parts should error")
 	}
-	if _, err := Spill(ctx, &Table{}, store, "x", 1, 1); err == nil {
+	if _, err := Spill(ctx, &Table{}, store, "x", 1, 1, 1); err == nil {
 		t.Fatal("empty source should error")
 	}
 }
@@ -405,7 +405,7 @@ func TestDiskSourceBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Spill(ctx, tbl, testStore(t, 1), "b", 2, 1)
+	ds, err := Spill(ctx, tbl, testStore(t, 1), "b", 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestDiskSourceCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Spill(context.Background(), tbl, testStore(t, 1), "c", 2, 1)
+	ds, err := Spill(context.Background(), tbl, testStore(t, 1), "c", 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,11 +442,11 @@ func TestDiskSourceCorruptShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := testStore(t, 1)
-	ds, err := Spill(ctx, tbl, store, "t", 2, 1)
+	ds, err := Spill(ctx, tbl, store, "t", 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Corrupt("t", 1); err != nil {
+	if err := store.CorruptAt("t", 1, ds.ShardNodes(1)[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ds.ReadTrials(ctx, 0, 80, nil); err == nil {
@@ -464,7 +464,7 @@ func TestShardIsPlainCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := testStore(t, 2)
-	if _, err := Spill(ctx, tbl, store, "p", 3, 1); err != nil {
+	if _, err := Spill(ctx, tbl, store, "p", 3, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	var shard *Table

@@ -186,3 +186,78 @@ func FuzzManifest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAttachShard drives the per-replica step of a re-attach,
+// attachShard (the header check OpenDiskSource runs on each replica and
+// the shard size it records), with arbitrary replica bytes and manifest
+// trial counts. It must not panic, and what it allocates is bounded by
+// the input's length plus the decoder's fixed read buffer and count
+// preallocation. An accepted replica declares the manifest's trial
+// count, and the recorded size is the length of the encoding its header
+// describes: header, counts and every declared record, whether or not
+// the records are there. When the whole input also decodes, re-encoding
+// it is exactly that long and reproduces the input's prefix. The seed
+// corpus is encodings of an empty, a one-trial and a three-trial table,
+// each under its own count and a wrong one, torn in its body, with
+// trailing bytes, cut in its counts, with a bad magic and with a forged
+// trial count.
+func FuzzAttachShard(f *testing.F) {
+	golden := []*Table{
+		{NumTrials: 0, Offsets: []int64{0}},
+		{NumTrials: 1, Offsets: []int64{0, 2}, Occs: []Occurrence{{EventID: 7, DayOfYear: 12}, {EventID: 9, DayOfYear: 300}}},
+		{NumTrials: 3, Offsets: []int64{0, 1, 1, 3}, Occs: []Occurrence{
+			{EventID: 1, DayOfYear: 0}, {EventID: 2, DayOfYear: 100}, {EventID: 4_000_000, DayOfYear: 364},
+		}},
+	}
+	for _, t := range golden {
+		enc := mustEncode(f, t)
+		n := uint32(t.NumTrials)
+		f.Add(enc, n)
+		f.Add(enc, n+1)                                // manifest disagrees with the header
+		f.Add(enc[:len(enc)-len(enc)/3], n)            // torn body, header intact
+		f.Add(append(bytes.Clone(enc), 0xAA, 0xBB), n) // trailing bytes
+		f.Add(enc[:6], n)                              // truncated header
+		corrupt := bytes.Clone(enc)
+		corrupt[0] = 'X' // bad magic
+		f.Add(corrupt, n)
+		huge := bytes.Clone(enc)
+		binary.LittleEndian.PutUint32(huge[4:], 0x07ffffff) // forged trial count, no counts behind it
+		f.Add(huge, uint32(0x07ffffff))
+	}
+	f.Add([]byte{}, uint32(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, want uint32) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		size, err := attachShard(bytes.NewReader(data), 0, int(want))
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(data)+1<<16+4*preallocCap+1<<12); got > limit {
+			t.Fatalf("attaching %d bytes allocated %d, more than %d", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		le := binary.LittleEndian
+		if n := le.Uint32(data[4:]); n != want {
+			t.Fatalf("accepted a header of %d trials for a manifest count of %d", n, want)
+		}
+		occs := int64(0)
+		for k := range int(want) {
+			occs += int64(le.Uint32(data[8+4*k:]))
+		}
+		if declared := 8 + 4*int64(want) + EntryBytes*occs; size != declared {
+			t.Fatalf("recorded size %d, the header declares %d bytes", size, declared)
+		}
+		tbl, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc := tbl.encode()
+		if int64(len(enc)) != size {
+			t.Fatalf("re-encoding is %d bytes, the recorded size %d", len(enc), size)
+		}
+		if !bytes.HasPrefix(data, enc) {
+			t.Fatalf("re-encoding %x is not a prefix of the input %x", enc, data)
+		}
+	})
+}

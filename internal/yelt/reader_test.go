@@ -164,7 +164,7 @@ func TestReaderForgedHeaderAllocatesLittle(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := testStore(t, 1)
-	ds, err := Spill(ctx, tbl, store, "f", 2, 1)
+	ds, err := Spill(ctx, tbl, store, "f", 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

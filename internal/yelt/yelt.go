@@ -136,7 +136,14 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 // spill writes, unchanged, to every replica of a shard.
 func (t *Table) encode() []byte {
 	enc := encoder{t: t}
-	return enc.fill(make([]byte, 0, 8+4*t.NumTrials+EntryBytes*len(t.Occs)))
+	return enc.fill(make([]byte, 0, encodedBytes(t.NumTrials, int64(len(t.Occs)))))
+}
+
+// encodedBytes returns the length of the WriteTo encoding of numTrials
+// trials holding occs occurrences: the 8-byte header, a 4-byte count
+// per trial, then the records.
+func encodedBytes(numTrials int, occs int64) int64 {
+	return 8 + 4*int64(numTrials) + occs*EntryBytes
 }
 
 // encoder is the one encoder of the WriteTo format. It produces a
@@ -178,6 +185,7 @@ func (e *encoder) fill(dst []byte) []byte {
 type Reader struct {
 	br     *bufio.Reader
 	counts []uint32 // occurrences per trial, as the header declares them
+	occs   int64    // their sum
 	next   int      // first trial not yet skipped or decoded
 }
 
@@ -209,7 +217,6 @@ func newReader(r io.Reader, what string) (*Reader, error) {
 		return nil, fmt.Errorf("%w: %s trial count %d", ErrBadFormat, what, numTrials)
 	}
 	rd := &Reader{br: br, counts: make([]uint32, 0, min(numTrials, preallocCap))}
-	var total int64
 	var u4 [4]byte
 	for trial := uint32(0); trial < numTrials; trial++ {
 		if _, err := io.ReadFull(br, u4[:]); err != nil {
@@ -217,11 +224,11 @@ func newReader(r io.Reader, what string) (*Reader, error) {
 		}
 		c := binary.LittleEndian.Uint32(u4[:])
 		rd.counts = append(rd.counts, c)
-		total += int64(c)
+		rd.occs += int64(c)
 	}
 	const maxOccs = 1 << 31
-	if total > maxOccs {
-		return nil, fmt.Errorf("%w: %s occurrence count %d", ErrBadFormat, what, total)
+	if rd.occs > maxOccs {
+		return nil, fmt.Errorf("%w: %s occurrence count %d", ErrBadFormat, what, rd.occs)
 	}
 	return rd, nil
 }

@@ -46,10 +46,8 @@ var keptUnreached = []struct{ name, reason string }{
 	{"synth.Small", "the scenario of the integration tests and of internal/aggregate's and internal/lossindex's tests"},
 	{"layers.YearState", "the naive reinstatement oracle of internal/layers' and internal/aggregate's tests and of FuzzYearState"},
 	{"layers.Layer.NewYearState", "constructor of that oracle"},
-	{"diskstore.(*Store).Remove", "fault fixture: lost partition, in the diskstore, yelt, core and integration tests"},
-	{"diskstore.(*Store).RemoveAt", "fault fixture: lost replica"},
-	{"diskstore.(*Store).Corrupt", "fault fixture: bit rot in a partition"},
-	{"diskstore.(*Store).CorruptAt", "fault fixture: bit rot in one replica"},
+	{"diskstore.(*Store).RemoveAt", "fault fixture: lost replica, or lost partition on an unreplicated store, in the diskstore, yelt, core and integration tests"},
+	{"diskstore.(*Store).CorruptAt", "fault fixture: bit rot in one replica, or in the partition of an unreplicated store"},
 
 	// Probes and references surviving tests assert through.
 	{"faultinject.(*Plan).Injected", "the injected-fault count the fault tests of aggregate, mapreduce, yelt and faultinject assert on"},
@@ -62,7 +60,6 @@ var keptUnreached = []struct{ name, reason string }{
 	{"vulnerability.(*Matrix).Curve", "same tests look a class's curve up through it"},
 	{"vulnerability.(*Matrix).MeanDamage", "same tests: fragility ordering and monotonicity"},
 	{"synth.(*Scenario).YELTGenerator", "the streaming trial source of internal/aggregate's streaming, flat and MapReduce equivalence suites"},
-	{"yelt.Spill", "one-call spill used by thirteen disk-source tests"},
 	{"yelt.(*Table).Slice", "the reference view every reader, disk-source, slice-property and fuzz test compares a decoded trial range against"},
 	{"yelt.(*DiskSource).FailoverLog", "the replica tests assert which shard failed over through it"},
 	{"warehouse.(*Cube).Keys", "requireCubesIdentical and core's cubesBitIdentical walk two cubes through it"},
