@@ -168,7 +168,9 @@ func aggInput(s *synth.Scenario) *aggregate.Input {
 }
 
 // E1 — parallel aggregate analysis vs the sequential baseline (the
-// paper reports 15× for its GPU engine vs sequential CPU).
+// paper reports 15× for its GPU engine vs sequential CPU). Every
+// Parallel run's portfolio YLT must equal Sequential's bit for bit, and
+// the chunked device kernel's the naive one's.
 func e1Speedup(ctx context.Context) error {
 	trials := 200_000
 	if *flagQuick {
@@ -187,7 +189,8 @@ func e1Speedup(ctx context.Context) error {
 	}
 
 	t0 := time.Now()
-	if _, err := (aggregate.Sequential{}).Run(ctx, in, aggregate.Config{Seed: 1, Sampling: true}); err != nil {
+	seq, err := (aggregate.Sequential{}).Run(ctx, in, aggregate.Config{Seed: 1, Sampling: true})
+	if err != nil {
 		return err
 	}
 	seqDur := time.Since(t0)
@@ -196,10 +199,14 @@ func e1Speedup(ctx context.Context) error {
 
 	for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
 		t0 = time.Now()
-		if _, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Seed: 1, Sampling: true, Workers: w}); err != nil {
+		par, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Seed: 1, Sampling: true, Workers: w})
+		if err != nil {
 			return err
 		}
 		d := time.Since(t0)
+		if err := sameYLT(seq.Portfolio, par.Portfolio); err != nil {
+			return fmt.Errorf("Parallel (%d workers) differs from Sequential: %w", w, err)
+		}
 		fmt.Printf("%-22s %12v %9.1fx\n", fmt.Sprintf("parallel (%d workers)", w),
 			d.Round(time.Millisecond), float64(seqDur)/float64(d))
 	}
@@ -210,17 +217,12 @@ func e1Speedup(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	inOcc := aggInput(sOcc)
-	chunked := &aggregate.Chunked{}
-	if _, err := chunked.Run(ctx, inOcc, aggregate.Config{}); err != nil {
+	chunked, naive1, err := deviceKernels(ctx, aggInput(sOcc))
+	if err != nil {
 		return err
 	}
 	devCfg := devDefault()
 	chunkSec := chunked.LastStats.ModeledSeconds(devCfg)
-	naive1 := &aggregate.Chunked{Naive: true}
-	if _, err := naive1.Run(ctx, inOcc, aggregate.Config{}); err != nil {
-		return err
-	}
 	oneSM := devCfg
 	oneSM.NumSMs = 1
 	scalarSec := naive1.LastStats.ModeledSeconds(oneSM)
@@ -230,7 +232,8 @@ func e1Speedup(ctx context.Context) error {
 }
 
 // E2 — the million-trial single-contract quote (paper: ~25 s,
-// real-time pricing).
+// real-time pricing). Parallel's portfolio YLT must equal Sequential's
+// bit for bit.
 func e2RealtimePricing(ctx context.Context) error {
 	trials := 1_000_000
 	if *flagQuick {
@@ -253,6 +256,7 @@ func e2RealtimePricing(ctx context.Context) error {
 	if _, err := in.EnsureIndex(); err != nil {
 		return err
 	}
+	var seq *ylt.Table
 	for _, eng := range []aggregate.Engine{aggregate.Sequential{}, aggregate.Parallel{}} {
 		t0 := time.Now()
 		res, err := eng.Run(ctx, in, aggregate.Config{Seed: 2, Sampling: true, Workers: flagWorkers})
@@ -260,6 +264,11 @@ func e2RealtimePricing(ctx context.Context) error {
 			return err
 		}
 		d := time.Since(t0)
+		if seq == nil {
+			seq = res.Portfolio
+		} else if err := sameYLT(seq, res.Portfolio); err != nil {
+			return fmt.Errorf("Parallel differs from Sequential: %w", err)
+		}
 		sum, err := metrics.Summarize(res.Portfolio)
 		if err != nil {
 			return err
@@ -319,7 +328,8 @@ func e3DataVolumes(ctx context.Context) error {
 	return nil
 }
 
-// E4 — the chunking ablation on the simulated device.
+// E4 — the chunking ablation on the simulated device. The chunked
+// kernel's portfolio YLT must equal the naive one's bit for bit.
 func e4Chunking(ctx context.Context) error {
 	trials := 50_000
 	if *flagQuick {
@@ -330,15 +340,9 @@ func e4Chunking(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	in := aggInput(s)
 	devCfg := devDefault()
-
-	chunked := &aggregate.Chunked{}
-	if _, err := chunked.Run(ctx, in, aggregate.Config{}); err != nil {
-		return err
-	}
-	naive := &aggregate.Chunked{Naive: true}
-	if _, err := naive.Run(ctx, in, aggregate.Config{}); err != nil {
+	chunked, naive, err := deviceKernels(ctx, aggInput(s))
+	if err != nil {
 		return err
 	}
 	c, n := chunked.LastStats, naive.LastStats
@@ -410,8 +414,8 @@ func e5RecordReads(s *synth.Scenario, flat *lossindex.Flat) (random, scan int64)
 	for _, c := range s.Portfolio.Contracts {
 		perOcc += int64(bits.Len(uint(len(s.ELTs[c.ELTIndex].Records))))
 	}
-	for _, occ := range s.YELT.Occs {
-		lo, hi := flat.Span(occ.EventID)
+	for _, event := range s.YELT.Occs {
+		lo, hi := flat.Span(event)
 		scan += int64(1 + hi - lo)
 	}
 	return perOcc * int64(len(s.YELT.Occs)), scan
@@ -515,6 +519,25 @@ func sameYLT(a, b *ylt.Table) error {
 	return nil
 }
 
+// deviceKernels runs the chunked and the naive device kernel over in,
+// one pass each, and holds the chunked portfolio YLT to the naive one
+// bit for bit: the two differ in memory traffic, not in arithmetic.
+func deviceKernels(ctx context.Context, in *aggregate.Input) (chunked, naive *aggregate.Chunked, err error) {
+	chunked, naive = &aggregate.Chunked{}, &aggregate.Chunked{Naive: true}
+	c, err := chunked.Run(ctx, in, aggregate.Config{})
+	if err != nil {
+		return nil, nil, err
+	}
+	n, err := naive.Run(ctx, in, aggregate.Config{})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := sameYLT(n.Portfolio, c.Portfolio); err != nil {
+		return nil, nil, fmt.Errorf("chunked device kernel differs from the naive one: %w", err)
+	}
+	return chunked, naive, nil
+}
+
 // E7 — elastic vs static provisioning, measured on the pipeline: one
 // book runs through core.Pipeline three times, under an elastic policy
 // capped above every stage's demand, a static fleet as wide as the
@@ -584,7 +607,8 @@ func e7Run(ctx context.Context, cfg core.Config, policy cluster.Policy) (*core.P
 	return p, widest, nil
 }
 
-// E8 — runtime vs trial count: the weekly-vs-real-time scaling.
+// E8 — runtime vs trial count: the weekly-vs-real-time scaling. At each
+// count Parallel's portfolio YLT must equal Sequential's bit for bit.
 func e8TrialsSweep(ctx context.Context) error {
 	fmt.Printf("## E8 — runtime scaling with trial count (weekly batch vs real-time)\n")
 	sweep := []int{1_000, 10_000, 100_000, 1_000_000}
@@ -606,15 +630,20 @@ func e8TrialsSweep(ctx context.Context) error {
 			return err
 		}
 		t0 := time.Now()
-		if _, err := (aggregate.Sequential{}).Run(ctx, in, aggregate.Config{Sampling: true, Seed: 3}); err != nil {
+		seqRes, err := (aggregate.Sequential{}).Run(ctx, in, aggregate.Config{Sampling: true, Seed: 3})
+		if err != nil {
 			return err
 		}
 		seq := time.Since(t0)
 		t0 = time.Now()
-		if _, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Sampling: true, Seed: 3, Workers: flagWorkers}); err != nil {
+		parRes, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Sampling: true, Seed: 3, Workers: flagWorkers})
+		if err != nil {
 			return err
 		}
 		par := time.Since(t0)
+		if err := sameYLT(seqRes.Portfolio, parRes.Portfolio); err != nil {
+			return fmt.Errorf("%d trials: Parallel differs from Sequential: %w", trials, err)
+		}
 		fmt.Printf("%-12d %14v %14v %16.0f\n", trials,
 			seq.Round(time.Millisecond), par.Round(time.Millisecond),
 			float64(trials)/par.Seconds())

@@ -72,7 +72,7 @@ func main() {
 		mode      = flag.String("mode", "run", "run = fused pipeline; spill = stage 1 + shard write into -dir, no aggregation; aggregate = re-attach to -dir shards and run stages 2-3 (the shards decide the trial count)")
 		engine    = flag.String("engine", "parallel", "stage-2 engine: "+strings.Join(aggregate.EngineNames(), "|"))
 		provision = flag.String("provision", "", "per-stage worker provisioning policy: static:N or elastic:N (empty = static -workers bound)")
-		chaos     = flag.String("chaos", "", "deterministic fault injection into stage 2, e.g. rate=0.1,shard=3@2,kill=1@4,delay=2@50ms (bit-identical results)")
+		chaos     = flag.String("chaos", "", "deterministic fault injection into stage 2 (mapreduce engine), e.g. rate=0.1,shard=3@2,kill=1@4,delay=2@50ms (bit-identical results)")
 		cubeQuery = flag.String("cube-query", "", "print one cube cell, as dim=value pairs joined by commas (requires -cube-dims)")
 	)
 	flag.Parse()
@@ -92,6 +92,9 @@ func main() {
 		exit(2, err)
 	}
 	if cfg.Faults, err = faultinject.Parse(*chaos, cfg.Seed); err != nil {
+		exit(2, err)
+	}
+	if err := cfg.CheckFaultEngine(); err != nil {
 		exit(2, err)
 	}
 

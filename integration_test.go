@@ -145,16 +145,16 @@ func TestShapeScanBeatsRandomAccess(t *testing.T) {
 	for _, c := range s.Portfolio.Contracts {
 		perOcc += int64(bits.Len(uint(len(s.ELTs[c.ELTIndex].Records))))
 	}
-	for _, occ := range s.YELT.Occs {
-		lo, hi := flat.Span(occ.EventID)
+	for _, event := range s.YELT.Occs {
+		lo, hi := flat.Span(event)
 		var bearing int32
 		for _, c := range s.Portfolio.Contracts {
-			if r, ok := s.ELTs[c.ELTIndex].Lookup(occ.EventID); ok && r.MeanLoss > 0 {
+			if r, ok := s.ELTs[c.ELTIndex].Lookup(event); ok && r.MeanLoss > 0 {
 				bearing++
 			}
 		}
 		if hi-lo != bearing {
-			t.Fatalf("event %d: the scan reads %d entries, %d contracts carry a loss for it", occ.EventID, hi-lo, bearing)
+			t.Fatalf("event %d: the scan reads %d entries, %d contracts carry a loss for it", event, hi-lo, bearing)
 		}
 		scanReads += int64(1 + hi - lo)
 	}

@@ -178,11 +178,11 @@ type hits struct {
 // one only for a hit (a conditional move: on a one-contract book about
 // four occurrences in five miss, in no pattern a branch predictor could
 // learn). The lists must be at least as long as the stream.
-func (h *hits) stage(occs []yelt.Occurrence, fx *lossindex.Flat) {
+func (h *hits) stage(occs []uint32, fx *lossindex.Flat) {
 	pos, lo, hi := h.pos[:len(occs)], h.lo[:len(occs)], h.hi[:len(occs)]
 	n := 0
 	for i := range occs {
-		l, u := fx.Span(occs[i].EventID)
+		l, u := fx.Span(occs[i])
 		pos[n], lo[n], hi[n] = int32(i), l, u
 		if l < u {
 			n++
@@ -205,12 +205,12 @@ func (h hits) next(cur int, end int32) int {
 // contiguous ExpRec frame covering the event's entries and the event's
 // precomputed whole-portfolio occurrence recovery (Flat.RowSum) — the
 // dense expected path's event-major pre-pass.
-func stageExpSpans(occs []yelt.Occurrence, fx *lossindex.Flat, expLo, expHi []int32, occSum []float64) {
+func stageExpSpans(occs []uint32, fx *lossindex.Flat, expLo, expHi []int32, occSum []float64) {
 	expLo = expLo[:len(occs)]
 	expHi = expHi[:len(occs)]
 	occSum = occSum[:len(occs)]
 	for i := range occs {
-		expLo[i], expHi[i], occSum[i] = fx.ExpSpan(occs[i].EventID)
+		expLo[i], expHi[i], occSum[i] = fx.ExpSpan(occs[i])
 	}
 }
 

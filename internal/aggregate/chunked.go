@@ -111,8 +111,8 @@ func (c *Chunked) Run(ctx context.Context, in *Input, cfg Config) (*Result, erro
 	// -1 marks loss-free events, resolved on the host so the device
 	// never probes the event-id table), then the per-trial offsets.
 	hostOcc := make([]float64, len(tab.Occs))
-	for i, o := range tab.Occs {
-		hostOcc[i] = float64(idx.Row(o.EventID))
+	for i, event := range tab.Occs {
+		hostOcc[i] = float64(idx.Row(event))
 	}
 	hostOff := make([]float64, len(tab.Offsets))
 	for i, o := range tab.Offsets {

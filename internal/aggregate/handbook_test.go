@@ -55,11 +55,12 @@ func TestHandComputedBook(t *testing.T) {
 	years := &yelt.Table{
 		NumTrials: 5,
 		Offsets:   []int64{0, 1, 1, 3, 6, 9},
-		Occs: []yelt.Occurrence{
-			{EventID: 1, DayOfYear: 10},
-			{EventID: 2, DayOfYear: 5}, {EventID: 2, DayOfYear: 200},
-			{EventID: 1, DayOfYear: 3}, {EventID: 3, DayOfYear: 100}, {EventID: 2, DayOfYear: 300},
-			{EventID: 7, DayOfYear: 1}, {EventID: 1, DayOfYear: 50}, {EventID: 1, DayOfYear: 60},
+		// Event ids in occurrence order, one line a non-empty year.
+		Occs: []uint32{
+			1,
+			2, 2,
+			1, 3, 2,
+			7, 1, 1,
 		},
 	}
 
@@ -117,7 +118,7 @@ func TestGroundUpBookSampledMean(t *testing.T) {
 	for tr := 0; tr < trials; tr++ {
 		for j := 0; j < tr%5; j++ {
 			ev := uint32((tr*7+j*3)%(len(recs)+1)) + 1 // one id past the ELT: an event the book does not cover
-			years.Occs = append(years.Occs, yelt.Occurrence{EventID: ev, DayOfYear: uint16(tr%60 + 60*j)})
+			years.Occs = append(years.Occs, ev)
 		}
 		years.Offsets = append(years.Offsets, int64(len(years.Occs)))
 	}

@@ -21,14 +21,14 @@ func hitCursorYELT(trials []string, hitIDs, missIDs []uint32) *yelt.Table {
 	y := &yelt.Table{NumTrials: len(trials), Offsets: []int64{0}}
 	var nh, nm int
 	for _, pattern := range trials {
-		for j, kind := range pattern {
+		for _, kind := range pattern {
 			var id uint32
 			if kind == 'h' {
 				id, nh = hitIDs[nh%len(hitIDs)], nh+1
 			} else {
 				id, nm = missIDs[nm%len(missIDs)], nm+1
 			}
-			y.Occs = append(y.Occs, yelt.Occurrence{EventID: id, DayOfYear: uint16(10 * j)})
+			y.Occs = append(y.Occs, id)
 		}
 		y.Offsets = append(y.Offsets, int64(len(y.Occs)))
 	}

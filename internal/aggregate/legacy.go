@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/elt"
 	"repro/internal/rng"
-	"repro/internal/yelt"
 )
 
 // LegacyLookup is the oracle: single-threaded, one trial at a time,
@@ -33,7 +32,7 @@ func (LegacyLookup) Name() string { return "legacy-lookup" }
 // is the caller's [contract][layer] scratch of annual
 // occurrence-recovery sums.
 func legacyTrial(
-	occs []yelt.Occurrence,
+	occs []uint32,
 	in *Input,
 	cfg Config,
 	st *rng.Stream,
@@ -48,11 +47,11 @@ func legacyTrial(
 		}
 	}
 
-	for _, occ := range occs {
+	for _, event := range occs {
 		var portfolioOccLoss float64
 		for ci := range contracts {
 			c := &contracts[ci]
-			rec, ok := in.ELTs[c.ELTIndex].Lookup(occ.EventID)
+			rec, ok := in.ELTs[c.ELTIndex].Lookup(event)
 			if !ok || rec.MeanLoss <= 0 {
 				continue
 			}

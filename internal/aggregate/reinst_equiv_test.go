@@ -62,9 +62,9 @@ func naiveReinstatements(t *testing.T, in *Input, cfg Config) *Result {
 			}
 		}
 		var occMax, premium float64
-		for _, occ := range in.YELT.OccurrencesOf(trial) {
+		for _, event := range in.YELT.OccurrencesOf(trial) {
 			var occTotal float64
-			for _, e := range idx.EntriesFor(occ.EventID) {
+			for _, e := range idx.EntriesFor(event) {
 				ci := int(e.Contract)
 				c := &contracts[ci]
 				loss := e.Rec.MeanLoss

@@ -10,8 +10,9 @@ import (
 // runBatchReinst is runBatchBlocked for a book that declares
 // reinstatement terms (lossindex.Flat's Terms.YearStates is set): each
 // trial year walks its events in date order, eroding and reinstating
-// layer limits (see internal/layers). The YELT's day-of-year ordering
-// is what makes limit erosion well-defined.
+// layer limits (see internal/layers). The YELT's occurrence order,
+// which the generator fixes by day, is what makes limit erosion
+// well-defined.
 //
 // Limit erosion is stateful per trial, so there is no event-major
 // blocking to exploit: each trial runs runTrialReinstFlat over the
@@ -70,7 +71,7 @@ func runBatchReinst(fx *lossindex.Flat, cfg Config, batch *yelt.Table, base int,
 // the nested-slice state machine kept as the oracle in
 // reinst_equiv_test.go.
 func runTrialReinstFlat(
-	occs []yelt.Occurrence,
+	occs []uint32,
 	fx *lossindex.Flat,
 	fy *layers.FlatYearStates,
 	sampling bool,
@@ -83,8 +84,8 @@ func runTrialReinstFlat(
 	fy.Reset()
 	ft := fx.Terms
 	expOff, layerOff := fx.ExpOff, fx.LayerOff
-	for _, occ := range occs {
-		lo, hi := fx.Span(occ.EventID)
+	for _, event := range occs {
+		lo, hi := fx.Span(event)
 		var occTotal float64
 		for k := lo; k < hi; k++ {
 			var loss float64

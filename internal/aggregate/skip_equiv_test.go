@@ -61,8 +61,8 @@ func sampledWalk(t *testing.T, s *synth.Scenario, pf *layers.Portfolio, n int, v
 	}
 	for trial := 0; trial < n; trial++ {
 		st := rng.NewStream(skipSeed, uint64(trial))
-		for _, occ := range s.YELT.OccurrencesOf(trial) {
-			for _, e := range ix.EntriesFor(occ.EventID) {
+		for _, event := range s.YELT.OccurrencesOf(trial) {
+			for _, e := range ix.EntriesFor(event) {
 				if _, a, _, _ := elt.SampleParams(e.Rec); a > 0 {
 					visit(st, e)
 				} else {

@@ -83,14 +83,15 @@ type Config struct {
 	// single replica by failing over to a survivor.
 	SpillReplicas int
 	// Faults is the deterministic fault-injection plan (nil injects
-	// nothing): shard-read failures are wired into the spill store,
-	// node kills and split delays into the MapReduce engine's lanes.
-	// Results must remain bit-identical to a fault-free run; only the
-	// recovery counters on the stage report change.
+	// nothing), run by aggregate.MapReduce only (CheckFaultEngine):
+	// shard-read failures reach its scans of the spill store, node
+	// kills and split delays its lanes. Results must remain
+	// bit-identical to a fault-free run; only the recovery counters on
+	// the stage report change.
 	Faults *faultinject.Plan
 	// Speculate turns on speculative re-execution of straggling map
-	// tasks when the engine is aggregate.MapReduce (first finisher
-	// wins, duplicates discarded; results unchanged).
+	// tasks (first finisher wins, duplicates discarded; results
+	// unchanged). Like Faults it needs aggregate.MapReduce.
 	Speculate bool
 	// SpillAttach runs stage 2 over shards an *earlier process* spilled
 	// into SpillDir (required non-empty), re-attached through the spill
@@ -129,6 +130,25 @@ type Config struct {
 	// through the stateful year-state walk and AggResult carries the
 	// premium column.
 	Reinstatements bool
+}
+
+// CheckFaultEngine refuses a fault plan or speculation under any engine
+// but aggregate.MapReduce, the one engine with a failure model: under
+// another, an injected read fault is a plain error, not a recovery, and
+// speculation has nothing to re-execute. RunStage2 calls it first;
+// a command calls it to refuse its flags before it runs.
+func (c Config) CheckFaultEngine() error {
+	if c.Faults == nil && !c.Speculate {
+		return nil
+	}
+	engine := c.Engine
+	if engine == nil {
+		engine = aggregate.Parallel{}
+	}
+	if _, ok := engine.(aggregate.MapReduce); ok {
+		return nil
+	}
+	return fmt.Errorf("core: fault injection and speculation need the mapreduce engine, the one that recovers from faults; engine %s has no failure model", engine.Name())
 }
 
 // DefaultConfig returns a laptop-scale full pipeline run.
@@ -377,6 +397,9 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 	if p.Catalog == nil {
 		return errors.New("core: stage 2 requires stage 1 artifacts")
 	}
+	if err := p.Cfg.CheckFaultEngine(); err != nil {
+		return err
+	}
 	if !p.Cfg.Spill {
 		// A non-spill re-run supersedes any earlier spilled run; its
 		// stale shard line no longer describes this pipeline's stage 2.
@@ -444,8 +467,9 @@ func (p *Pipeline) RunStage2(ctx context.Context) error {
 	}
 
 	// The fault plan and speculation flag ride into the one engine with
-	// a failure model; other engines run fault-free (their store-level
-	// read faults would surface as plain errors, not recoveries).
+	// a failure model (CheckFaultEngine refused them for any other).
+	// MapReduce.Run installs the plan's read faults on the spill store
+	// for its own run and removes them after.
 	engine := p.Cfg.Engine
 	if mr, ok := engine.(aggregate.MapReduce); ok && (p.Cfg.Faults != nil || p.Cfg.Speculate) {
 		if mr.Faults == nil {
@@ -568,11 +592,6 @@ func (p *Pipeline) spillYELT(ctx context.Context, gen *yelt.Generator) (ds *yelt
 		cleanup()
 		return nil, nil, fmt.Errorf("core: stage 2 spill: %w", err)
 	}
-	if p.Cfg.Faults != nil {
-		// Chaos starts after the spill commits: the plan injects into
-		// reads, and a torn spill is the crash case the manifest refuses.
-		d.Store().SetReadFault(p.Cfg.Faults.DiskRead)
-	}
 	spillBytes, err := d.SizeBytes()
 	if err != nil {
 		cleanup()
@@ -623,9 +642,6 @@ func (p *Pipeline) AttachSpill() (*yelt.DiskSource, error) {
 	ds, err := yelt.OpenDiskSource(store, "yelt")
 	if err != nil {
 		return nil, fmt.Errorf("core: attaching spilled yelt: %w", err)
-	}
-	if p.Cfg.Faults != nil {
-		store.SetReadFault(p.Cfg.Faults.DiskRead)
 	}
 	return ds, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/aggregate"
@@ -188,6 +189,59 @@ func TestPipelineChaosCountersOnStageReport(t *testing.T) {
 	}
 	if f.MapRetries+f.ShardFailovers == 0 {
 		t.Fatalf("no recovery recorded: %+v", f)
+	}
+}
+
+// Only the engine with a failure model runs a fault plan or
+// speculation. Under any other, stage 2 refuses them before it
+// generates a trial, naming the engine, where it used to install the
+// plan on the spill store anyway and fail on the first injected read
+// (or, for speculation alone, ignore it).
+func TestStage2RefusesChaosWithoutMapReduce(t *testing.T) {
+	plan, err := faultinject.Parse("shard=*@1", 34)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []aggregate.Engine{aggregate.Parallel{}, aggregate.Sequential{}} {
+		for _, tc := range []struct {
+			name      string
+			faults    *faultinject.Plan
+			speculate bool
+			replicas  int
+		}{
+			{"chaos", plan, false, 1},
+			{"chaos replicated", plan, false, 2},
+			{"speculate", nil, true, 1},
+		} {
+			t.Run(engine.Name()+"/"+tc.name, func(t *testing.T) {
+				cfg := smallConfig(34)
+				cfg.Engine = engine
+				cfg.Spill, cfg.SpillNodes, cfg.SpillReplicas = true, 3, tc.replicas
+				cfg.Faults, cfg.Speculate = tc.faults, tc.speculate
+				p := New(cfg)
+				if err := p.RunStage1(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				err := p.RunStage2(context.Background())
+				want := "engine " + engine.Name() + " has no failure model"
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("RunStage2: %v, want an error naming %q", err, want)
+				}
+				if cfg.CheckFaultEngine() == nil {
+					t.Fatal("CheckFaultEngine accepted what RunStage2 refused")
+				}
+				for _, s := range p.Stages {
+					if s.Name == "yelt-spill" || s.Name == "portfolio-risk" {
+						t.Fatalf("stage 2 ran its %s stage before refusing", s.Name)
+					}
+				}
+			})
+		}
+	}
+	cfg := smallConfig(34)
+	cfg.Engine, cfg.Faults, cfg.Speculate = aggregate.MapReduce{}, plan, true
+	if err := cfg.CheckFaultEngine(); err != nil {
+		t.Fatalf("MapReduce under chaos and speculation refused: %v", err)
 	}
 }
 

@@ -5,7 +5,8 @@ package layers
 // erodes the layer's limit, and the limit is restored ("reinstated")
 // up to K times against a pro-rata premium. Aggregate analysis must
 // therefore walk occurrences *in date order* (the reason the YELT
-// carries day-of-year), maintaining per-layer year state.
+// stores each year's events in the order of their days), maintaining
+// per-layer year state.
 //
 // Relationship to the stateless path: a layer with nil Reinstatements
 // behaves as its plain occurrence/aggregate terms, with no annual cap

@@ -57,8 +57,8 @@ func BenchmarkProbeIndexed(b *testing.B) {
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		for _, occ := range s.YELT.Occs {
-			for _, e := range ix.EntriesFor(occ.EventID) {
+		for _, event := range s.YELT.Occs {
+			for _, e := range ix.EntriesFor(event) {
 				sink += e.Rec.MeanLoss
 			}
 		}
@@ -72,9 +72,9 @@ func BenchmarkProbeBinarySearch(b *testing.B) {
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		for _, occ := range s.YELT.Occs {
+		for _, event := range s.YELT.Occs {
 			for _, c := range s.Portfolio.Contracts {
-				if rec, ok := s.ELTs[c.ELTIndex].Lookup(occ.EventID); ok && rec.MeanLoss > 0 {
+				if rec, ok := s.ELTs[c.ELTIndex].Lookup(event); ok && rec.MeanLoss > 0 {
 					sink += rec.MeanLoss
 				}
 			}

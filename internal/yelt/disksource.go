@@ -110,8 +110,10 @@ func Spill(ctx context.Context, src Source, store *diskstore.Store, dataset stri
 // where the survivors of a node loss are without scanning every node
 // directory. The manifest partition is itself replicated (same
 // placement rule). There is one layout: a spill directory is scratch
-// between two processes of one build, so no older one is read.
-var manifestMagic = [4]byte{'Y', 'S', 'P', '3'}
+// between two processes of one build, so no older one is read. An
+// older manifest ("YSP3", over shards that stored each occurrence's
+// day) is refused as ErrBadFormat.
+var manifestMagic = [4]byte{'Y', 'S', 'P', '4'}
 
 func manifestDataset(dataset string) string { return dataset + ".manifest" }
 
@@ -142,7 +144,7 @@ func writeManifest(store *diskstore.Store, dataset string, counts []int, reps []
 // encodeManifest lays a manifest out, all little-endian u32 after the
 // magic:
 //
-//	"YSP3" | parts | trials | replicas r | parts × count | parts × r × node
+//	"YSP4" | parts | trials | replicas r | parts × count | parts × r × node
 func encodeManifest(counts []int, reps [][]int, replicas int) []byte {
 	trials := 0
 	for _, c := range counts {

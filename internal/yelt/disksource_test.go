@@ -1,6 +1,7 @@
 package yelt
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -379,6 +380,80 @@ func TestOpenDiskSourceReattachFailureModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantOpenError(t, store, "ds", "stray shard 9")
+	})
+}
+
+// encodeDayLayout writes tbl in the first shard layout, "YELT", whose
+// 6-B records carried each occurrence's day after its event id.
+func encodeDayLayout(tbl *Table) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte("YELT"), uint32(tbl.NumTrials))
+	for i := 0; i < tbl.NumTrials; i++ {
+		b = le.AppendUint32(b, uint32(tbl.Offsets[i+1]-tbl.Offsets[i]))
+	}
+	for j, event := range tbl.Occs {
+		b = le.AppendUint16(le.AppendUint32(b, event), uint16(j%365))
+	}
+	return b
+}
+
+// A file in the layout that stored days — a shard under "YELT", a
+// manifest under "YSP3" — is refused as ErrBadFormat, never decoded as
+// event ids: its 6-B records read 4 B at a time would be wrong ids.
+func TestDayLayoutRefused(t *testing.T) {
+	ctx := context.Background()
+	tbl, err := Generate(ctx, testCatalog(t, 500), Config{NumTrials: 120}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := encodeDayLayout(tbl)
+	if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("Read of a YELT table: %v, want ErrBadFormat", err)
+	}
+	spill := func(t *testing.T) *diskstore.Store {
+		t.Helper()
+		store := testStore(t, 3)
+		if _, err := Spill(ctx, tbl, store, "ds", 4, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	overwrite := func(t *testing.T, store *diskstore.Store, dataset string, part int, b []byte) {
+		t.Helper()
+		err := store.WritePartitionAt(dataset, part, store.NodeOf(part), func(w io.Writer) error {
+			_, err := w.Write(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("shard", func(t *testing.T) {
+		store := spill(t)
+		shard, err := tbl.Slice(30, 60) // shard 1 of 4 holds trials [30, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overwrite(t, store, "ds", 1, encodeDayLayout(shard))
+		if _, err := OpenDiskSource(store, "ds"); !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), `shard 1 magic "YELT"`) {
+			t.Fatalf("open over a YELT shard: %v, want ErrBadFormat naming its magic", err)
+		}
+	})
+	t.Run("manifest", func(t *testing.T) {
+		store := spill(t)
+		var m []byte
+		err := store.ReadPartitionAt(manifestDataset("ds"), 0, store.NodeOf(0), func(r io.Reader) (err error) {
+			m, err = io.ReadAll(r)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(m, "YSP3")
+		overwrite(t, store, manifestDataset("ds"), 0, m)
+		if _, err := OpenDiskSource(store, "ds"); !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), `spill manifest magic "YSP3"`) {
+			t.Fatalf("open under a YSP3 manifest: %v, want ErrBadFormat naming its magic", err)
+		}
 	})
 }
 

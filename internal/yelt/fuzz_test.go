@@ -29,17 +29,15 @@ func mustEncode(f *testing.F, t *Table) []byte {
 func FuzzRead(f *testing.F) {
 	golden := []*Table{
 		{NumTrials: 0, Offsets: []int64{0}},
-		{NumTrials: 1, Offsets: []int64{0, 2}, Occs: []Occurrence{{EventID: 7, DayOfYear: 12}, {EventID: 9, DayOfYear: 300}}},
-		{NumTrials: 3, Offsets: []int64{0, 1, 1, 3}, Occs: []Occurrence{
-			{EventID: 1, DayOfYear: 0}, {EventID: 2, DayOfYear: 100}, {EventID: 4_000_000, DayOfYear: 364},
-		}},
+		{NumTrials: 1, Offsets: []int64{0, 2}, Occs: []uint32{7, 9}},
+		{NumTrials: 3, Offsets: []int64{0, 1, 1, 3}, Occs: []uint32{1, 2, 4_000_000}},
 	}
 	for _, t := range golden {
 		enc := mustEncode(f, t)
 		f.Add(enc)
 		if len(enc) > 6 {
-			f.Add(enc[:len(enc)-5]) // truncated occurrence stream
-			f.Add(enc[:6])          // truncated counts header
+			f.Add(enc[:len(enc)-5]) // cut inside the next-to-last record (the magic, for the empty table)
+			f.Add(enc[:6])          // cut inside the trial count
 			corrupt := bytes.Clone(enc)
 			corrupt[0] = 'X' // bad magic
 			f.Add(corrupt)
@@ -204,17 +202,15 @@ func FuzzManifest(f *testing.F) {
 func FuzzAttachShard(f *testing.F) {
 	golden := []*Table{
 		{NumTrials: 0, Offsets: []int64{0}},
-		{NumTrials: 1, Offsets: []int64{0, 2}, Occs: []Occurrence{{EventID: 7, DayOfYear: 12}, {EventID: 9, DayOfYear: 300}}},
-		{NumTrials: 3, Offsets: []int64{0, 1, 1, 3}, Occs: []Occurrence{
-			{EventID: 1, DayOfYear: 0}, {EventID: 2, DayOfYear: 100}, {EventID: 4_000_000, DayOfYear: 364},
-		}},
+		{NumTrials: 1, Offsets: []int64{0, 2}, Occs: []uint32{7, 9}},
+		{NumTrials: 3, Offsets: []int64{0, 1, 1, 3}, Occs: []uint32{1, 2, 4_000_000}},
 	}
 	for _, t := range golden {
 		enc := mustEncode(f, t)
 		n := uint32(t.NumTrials)
 		f.Add(enc, n)
 		f.Add(enc, n+1)                                // manifest disagrees with the header
-		f.Add(enc[:len(enc)-len(enc)/3], n)            // torn body, header intact
+		f.Add(enc[:len(enc)-len(enc)/3], n)            // torn in the first record, header intact (the empty table's header torn)
 		f.Add(append(bytes.Clone(enc), 0xAA, 0xBB), n) // trailing bytes
 		f.Add(enc[:6], n)                              // truncated header
 		corrupt := bytes.Clone(enc)

@@ -83,7 +83,7 @@ func TestReaderSkipMatchesRead(t *testing.T) {
 	tablesEqual(t, "last trial", want, last)
 }
 
-// TestReaderNextLongTrial decodes a trial of 30 000 records, which
+// TestReaderNextLongTrial decodes a trial of 40 000 records, which
 // spans the reader's 64 KiB buffer more than twice, and stream ends
 // at every kind of place: inside a record, on a buffer or decode-block
 // boundary, on the trial boundary, and inside later trials. Each must
@@ -92,11 +92,11 @@ func TestReaderSkipMatchesRead(t *testing.T) {
 // record belongs to — whether the bytes arrive all at once, one at a
 // time, or with the EOF on the last data.
 func TestReaderNextLongTrial(t *testing.T) {
-	counts := []int{30_000, 3, 5}
+	counts := []int{40_000, 3, 5}
 	tbl := &Table{NumTrials: len(counts), Offsets: []int64{0}}
 	for _, c := range counts {
 		for j := 0; j < c; j++ {
-			tbl.Occs = append(tbl.Occs, Occurrence{EventID: uint32(len(tbl.Occs)*2654435761 + 1), DayOfYear: uint16(j % 365)})
+			tbl.Occs = append(tbl.Occs, uint32(len(tbl.Occs)*2654435761+1))
 		}
 		tbl.Offsets = append(tbl.Offsets, int64(len(tbl.Occs)))
 	}
@@ -114,13 +114,13 @@ func TestReaderNextLongTrial(t *testing.T) {
 		want  error
 	}{
 		{"mid-record", rec(20_000) + 3, 0, io.ErrUnexpectedEOF},
-		{"first 64 KiB buffer", 1 << 16, 0, io.ErrUnexpectedEOF},
-		{"second 64 KiB buffer", 2 << 16, 0, io.EOF}, // (2<<16 − 20) ÷ 6 records exactly
+		{"first 64 KiB buffer", 1<<16 + 2, 0, io.ErrUnexpectedEOF}, // 2 B into a record: 1<<16 − 20 is a whole number of them
+		{"second 64 KiB buffer", 2 << 16, 0, io.EOF},               // (2<<16 − 20) ÷ 4 records exactly
 		{"first decode block", rec(65536 / EntryBytes), 0, io.EOF},
-		{"last record of the long trial", rec(29_999) + 5, 0, io.ErrUnexpectedEOF},
-		{"trial boundary", rec(30_000), 1, io.EOF},
-		{"inside trial 1", rec(30_001) + 2, 1, io.ErrUnexpectedEOF},
-		{"between records of trial 2", rec(30_005), 2, io.EOF},
+		{"last record of the long trial", rec(39_999) + 3, 0, io.ErrUnexpectedEOF},
+		{"trial boundary", rec(40_000), 1, io.EOF},
+		{"inside trial 1", rec(40_001) + 2, 1, io.ErrUnexpectedEOF},
+		{"between records of trial 2", rec(40_005), 2, io.EOF},
 		{"last byte", len(data) - 1, 2, io.ErrUnexpectedEOF},
 	} {
 		for _, rdr := range []struct {

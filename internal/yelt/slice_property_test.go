@@ -27,7 +27,7 @@ func TestSliceEdgeCases(t *testing.T) {
 		if sub.NumTrials != 0 || sub.Len() != 0 || len(sub.Offsets) != 1 {
 			t.Fatalf("empty slice at %d: trials=%d occs=%d offsets=%d", at, sub.NumTrials, sub.Len(), len(sub.Offsets))
 		}
-		if sub.SizeBytes() != TableBytes(0, 0) {
+		if sub.SizeBytes() != ResidentBytes(0, 0) {
 			t.Fatalf("empty slice size = %d", sub.SizeBytes())
 		}
 	}

@@ -1,7 +1,6 @@
 package yelt
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -111,18 +110,19 @@ func (g *Generator) MeanOccurrences() float64 { return g.totalRate }
 // materialized table.
 func (g *Generator) Streamed() int64 { return g.streamed.Load() }
 
-// appendTrial re-derives one trial year and appends its occurrences,
-// sorted by (day, event); Extend takes the same two steps into a table
-// sized in advance. The draw order (Poisson count, then per occurrence
-// an alias draw and a uniform day) is the determinism contract and
-// must not change. The trial's stream lives on the stack: Reseed gives
-// it exactly the state rng.NewStream would allocate.
-func (g *Generator) appendTrial(trial int, occs []Occurrence) []Occurrence {
+// appendTrial re-derives one trial year and appends its event ids in
+// occurrence order; Extend takes the same two steps into a table sized
+// in advance. The draw order (Poisson count, then per occurrence an
+// alias draw and a uniform day) is the determinism contract and must
+// not change. The trial's stream lives on the stack: Reseed gives it
+// exactly the state rng.NewStream would allocate. keys is the year's
+// sort scratch, returned grown for the caller's next year.
+func (g *Generator) appendTrial(trial int, occs []uint32, keys []uint64) ([]uint32, []uint64) {
 	var st rng.Stream
 	start, k := len(occs), g.openTrial(&st, trial)
 	occs = slices.Grow(occs, k)[:start+k]
-	g.fillYear(&st, occs[start:])
-	return occs
+	keys = g.fillYear(&st, occs[start:], keys)
+	return occs, keys
 }
 
 // openTrial reseeds st to trial's substream and draws the year's count.
@@ -131,39 +131,43 @@ func (g *Generator) openTrial(st *rng.Stream, trial int) int {
 	return st.Poisson(g.totalRate)
 }
 
-// fillYear draws a whole year after openTrial's count, and sorts it.
-func (g *Generator) fillYear(st *rng.Stream, year []Occurrence) {
-	for j := range year {
+// fillYear draws a whole year after openTrial's count into year, in
+// occurrence order. Each occurrence draws its event, then its day; the
+// year is sorted by the packed key day<<32 | event in keys, and only the
+// event id is kept. Equal keys are equal events, so every correct sort
+// yields the same year. keys is returned grown to the year's length.
+func (g *Generator) fillYear(st *rng.Stream, year []uint32, keys []uint64) []uint64 {
+	keys = slices.Grow(keys[:0], len(year))[:len(year)]
+	for j := range keys {
 		// Calls run left to right: the alias draw, then the day.
-		year[j] = Occurrence{EventID: g.events[g.alias.Draw(st)].ID, DayOfYear: uint16(st.Intn(365))}
+		event := uint64(g.events[g.alias.Draw(st)].ID)
+		keys[j] = uint64(st.Intn(365))<<32 | event
 	}
-	sortYear(year)
+	sortYear(keys)
+	for j, k := range keys {
+		year[j] = uint32(k)
+	}
+	return keys
 }
 
 // shortYear is the longest year sortYear orders by insertion. At the
 // usual rates (≈ 10 a year) every year is short; a high-rate catalogue's
-// longer years go to slices.SortFunc, so none sorts in quadratic time.
+// longer years go to slices.Sort, so none sorts in quadratic time.
 const shortYear = 32
 
-// sortYear orders a year by (day, event) through the packed key
-// day<<32 | event. An Occurrence is exactly those two fields, so equal
-// keys are equal records and every correct sort yields the same bytes.
-func sortYear(year []Occurrence) {
-	if len(year) > shortYear {
-		slices.SortFunc(year, func(a, b Occurrence) int { return cmp.Compare(yearKey(a), yearKey(b)) })
+func sortYear(keys []uint64) {
+	if len(keys) > shortYear {
+		slices.Sort(keys)
 		return
 	}
-	for i := 1; i < len(year); i++ {
-		o, k := year[i], yearKey(year[i])
-		j := i
-		for ; j > 0 && yearKey(year[j-1]) > k; j-- {
-			year[j] = year[j-1]
+	for i := 1; i < len(keys); i++ {
+		k, j := keys[i], i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
 		}
-		year[j] = o
+		keys[j] = k
 	}
 }
-
-func yearKey(o Occurrence) uint64 { return uint64(o.DayOfYear)<<32 | uint64(o.EventID) }
 
 // occsHint is the occurrence capacity n trials are sized for: the
 // catalogue's mean rate plus 10 %, so a batch rarely grows mid-fill.
@@ -183,6 +187,8 @@ func (g *Generator) ReadTrials(ctx context.Context, lo, hi int, buf *Table) (*Ta
 	buf.NumTrials = hi - lo
 	buf.Offsets = append(slices.Grow(buf.Offsets[:0], hi-lo+1), 0)
 	buf.Occs = slices.Grow(buf.Occs[:0], g.occsHint(hi-lo))
+	var scratch [64]uint64 // one year's sort keys; a longer year grows them
+	keys := scratch[:0]
 	for trial := lo; trial < hi; trial++ {
 		if (trial-lo)%1024 == 0 {
 			select {
@@ -191,7 +197,7 @@ func (g *Generator) ReadTrials(ctx context.Context, lo, hi int, buf *Table) (*Ta
 			default:
 			}
 		}
-		buf.Occs = g.appendTrial(trial, buf.Occs)
+		buf.Occs, keys = g.appendTrial(trial, buf.Occs, keys)
 		buf.Offsets = append(buf.Offsets, int64(len(buf.Occs)))
 	}
 	g.streamed.Add(int64(len(buf.Occs)))
@@ -238,10 +244,11 @@ func (g *Generator) Extend(ctx context.Context, prev *Table) (*Table, error) {
 	for i := have; i < g.cfg.NumTrials; i++ {
 		t.Offsets[i+1] += t.Offsets[i]
 	}
-	t.Occs = make([]Occurrence, t.Offsets[g.cfg.NumTrials])
+	t.Occs = make([]uint32, t.Offsets[g.cfg.NumTrials])
 	copy(t.Occs, prev.Occs)
 	err = stream.ForEachRange(ctx, n, g.cfg.Workers, func(ctx context.Context, r stream.Range, _ int) error {
 		var st rng.Stream
+		var keys []uint64
 		lo, hi := have+r.Lo, have+r.Hi
 		for trial := lo; trial < hi; trial++ {
 			if (trial-lo)%4096 == 0 {
@@ -252,7 +259,7 @@ func (g *Generator) Extend(ctx context.Context, prev *Table) (*Table, error) {
 				}
 			}
 			g.openTrial(&st, trial)
-			g.fillYear(&st, t.Occs[t.Offsets[trial]:t.Offsets[trial+1]])
+			keys = g.fillYear(&st, t.Occs[t.Offsets[trial]:t.Offsets[trial+1]], keys)
 		}
 		return nil
 	})

@@ -7,11 +7,11 @@
 // results through a consistent lens.
 //
 // A Table is a flat, trial-major sequence of event occurrences — which
-// events happen in each trial year and on which day — stored in
-// columnar form for scan-oriented access. Losses are not stored here;
-// they are looked up per contract in ELTs during aggregate analysis
-// (that separation is exactly why the YELT is ~1000× smaller than the
-// YELLT).
+// events happen in each trial year, in the order they happen — stored
+// as one event-id column for scan-oriented access. Losses are not
+// stored here; they are looked up per contract in ELTs during aggregate
+// analysis (that separation is exactly why the YELT is ~1000× smaller
+// than the YELLT).
 package yelt
 
 import (
@@ -26,52 +26,41 @@ import (
 	"repro/internal/catalog"
 )
 
-// Occurrence is one event happening in one trial year.
-type Occurrence struct {
-	EventID   uint32
-	DayOfYear uint16 // 0..364; ordering within the year drives occurrence terms
-}
-
 // Table is a pre-simulated set of trial years in trial-major layout:
-// occurrences of trial t are Occs[Offsets[t]:Offsets[t+1]], sorted by
-// day within each trial.
+// the occurrences of trial t are the event ids
+// Occs[Offsets[t]:Offsets[t+1]], in the order they happen in the year.
+// The generator draws a day for each occurrence and orders the year by
+// it, then drops it: stage 2 reads only the order (see DESIGN.md §
+// Determinism).
 type Table struct {
 	NumTrials int
-	Offsets   []int64 // len NumTrials+1
-	Occs      []Occurrence
+	Offsets   []int64  // len NumTrials+1
+	Occs      []uint32 // event ids, trial-major, in occurrence order
 }
 
-// OccurrencesOf returns the occurrence slice for one trial.
-func (t *Table) OccurrencesOf(trial int) []Occurrence {
+// OccurrencesOf returns the event ids of one trial, in occurrence order.
+func (t *Table) OccurrencesOf(trial int) []uint32 {
 	return t.Occs[t.Offsets[trial]:t.Offsets[trial+1]]
 }
 
 // Len returns the total number of occurrences across all trials.
 func (t *Table) Len() int { return len(t.Occs) }
 
-// EntryBytes is the in-memory/encoded footprint of one occurrence
-// (u32 event + u16 day, padded to 8 in memory; 6 encoded).
-const EntryBytes = 6
+// EntryBytes is the footprint of one occurrence, the same in memory and
+// encoded: its u32 event id.
+const EntryBytes = 4
 
-// SizeBytes returns the encoded size of the table.
+// SizeBytes returns the resident size of the table: the slices it holds.
 func (t *Table) SizeBytes() int64 {
-	return TableBytes(len(t.Offsets)-1, int64(len(t.Occs)))
-}
-
-// TableBytes returns the encoded size of a table holding numTrials
-// trials and occs occurrences — the materialized-footprint arithmetic
-// used when no table exists (streaming runs report how much memory
-// they avoided).
-func TableBytes(numTrials int, occs int64) int64 {
-	return int64(16+8*(numTrials+1)) + occs*EntryBytes
+	return ResidentBytes(len(t.Offsets)-1, int64(len(t.Occs)))
 }
 
 // ResidentBytes returns the in-memory size of a table holding numTrials
-// trials and occs occurrences: 8 bytes an offset and, padded from
-// EntryBytes, 8 an occurrence. Holders of a resident table budget with
-// it before generating and report with it after.
+// trials and occs occurrences: 8 bytes an offset and EntryBytes an
+// occurrence. Holders of a resident table budget with it before
+// generating and report with it after.
 func ResidentBytes(numTrials int, occs int64) int64 {
-	return 8 * (int64(numTrials+1) + occs)
+	return 8*int64(numTrials+1) + occs*EntryBytes
 }
 
 // Config controls YELT generation.
@@ -105,10 +94,11 @@ func Generate(ctx context.Context, cat *catalog.Catalog, cfg Config, seed uint64
 
 // --- binary codec ---
 
-// Binary layout: magic "YELT", u32 numTrials, then numTrials u32
-// occurrence counts, then the occurrence stream as (u32 event, u16
-// day) pairs. Like the ELT codec it is stream-oriented: no seeking.
-var magic = [4]byte{'Y', 'E', 'L', 'T'}
+// Binary layout: magic "YEL2", u32 numTrials, then numTrials u32
+// occurrence counts, then the occurrence stream as u32 event ids. It is
+// stream-oriented: no seeking. The first layout ("YELT") also stored
+// each occurrence's day; its files are refused as ErrBadFormat.
+var magic = [4]byte{'Y', 'E', 'L', '2'}
 
 // ErrBadFormat reports a malformed serialized table.
 var ErrBadFormat = errors.New("yelt: bad format")
@@ -172,8 +162,7 @@ func (e *encoder) fill(dst []byte) []byte {
 		return dst
 	}
 	for ; e.occ < len(e.t.Occs) && cap(dst)-len(dst) >= EntryBytes; e.occ++ {
-		o := e.t.Occs[e.occ]
-		dst = le.AppendUint16(le.AppendUint32(dst, o.EventID), o.DayOfYear)
+		dst = le.AppendUint32(dst, e.t.Occs[e.occ])
 	}
 	return dst
 }
@@ -316,11 +305,7 @@ func (rd *Reader) readOccs(c int, buf *Table) error {
 		buf.Occs = slices.Grow(buf.Occs, m) // backed by the records in hand
 		dst := buf.Occs[at : at+m]
 		for j := range dst {
-			rec := block[EntryBytes*j:][:EntryBytes]
-			dst[j] = Occurrence{
-				EventID:   binary.LittleEndian.Uint32(rec[0:4]),
-				DayOfYear: binary.LittleEndian.Uint16(rec[4:6]),
-			}
+			dst[j] = binary.LittleEndian.Uint32(block[EntryBytes*j:])
 		}
 		buf.Occs = buf.Occs[:at+m]
 		if err != nil {

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/catalog"
+	"repro/internal/rng"
 )
 
 func testCatalog(t *testing.T, n int) *catalog.Catalog {
@@ -83,21 +86,62 @@ func TestGenerateSeedSensitivity(t *testing.T) {
 	}
 }
 
+// Each stored year is the generator's draws in day order. The check
+// re-draws every trial's (day, event) keys from its own substream —
+// Poisson count, then per occurrence the alias draw and the day — sorts
+// them by day, then event, and compares the events with the stored
+// year. The day itself is not stored, so this is the one test that
+// sees it. The 3-event catalogue gives long years and equal keys.
 func TestTrialsSortedByDay(t *testing.T) {
-	cat := testCatalog(t, 800)
-	tbl, err := Generate(context.Background(), cat, Config{NumTrials: 1000}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < tbl.NumTrials; trial++ {
-		occs := tbl.OccurrencesOf(trial)
-		for i := 1; i < len(occs); i++ {
-			if occs[i-1].DayOfYear > occs[i].DayOfYear {
-				t.Fatalf("trial %d not sorted by day", trial)
+	const seed = 3
+	for _, tc := range []struct {
+		events int
+		rate   float64
+	}{{800, 10}, {800, 200}, {3, 40}} {
+		cfg := catalog.DefaultConfig()
+		cfg.NumEvents, cfg.MeanEventsPerYear = tc.events, tc.rate
+		cat, err := catalog.Generate(cfg, 1234)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := Generate(context.Background(), cat, Config{NumTrials: 1000}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alias, err := rng.NewAlias(cat.Rates())
+		if err != nil {
+			t.Fatal(err)
+		}
+		type key struct {
+			day   int
+			event uint32
+		}
+		ties := 0
+		for trial := 0; trial < tbl.NumTrials; trial++ {
+			st := rng.NewStream(seed, uint64(trial))
+			keys := make([]key, st.Poisson(cat.TotalRate()))
+			for j := range keys {
+				keys[j].event = cat.Events[alias.Draw(st)].ID
+				keys[j].day = st.Intn(365)
 			}
-			if occs[i].DayOfYear > 364 {
-				t.Fatalf("day out of range: %d", occs[i].DayOfYear)
+			sort.Slice(keys, func(a, b int) bool {
+				return keys[a].day < keys[b].day || keys[a].day == keys[b].day && keys[a].event < keys[b].event
+			})
+			year := tbl.OccurrencesOf(trial)
+			if len(year) != len(keys) {
+				t.Fatalf("%d events: trial %d holds %d occurrences, its substream draws %d", tc.events, trial, len(year), len(keys))
 			}
+			for j, k := range keys {
+				if year[j] != k.event {
+					t.Fatalf("%d events: trial %d occurrence %d is event %d, the day order puts %d there", tc.events, trial, j, year[j], k.event)
+				}
+				if j > 0 && k == keys[j-1] {
+					ties++
+				}
+			}
+		}
+		if tc.events == 3 && ties == 0 {
+			t.Fatal("3-event catalogue drew no equal (day, event) keys")
 		}
 	}
 }
@@ -108,9 +152,9 @@ func TestEventIDsAreValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range tbl.Occs {
-		if _, ok := cat.Lookup(o.EventID); !ok {
-			t.Fatalf("occurrence references unknown event %d", o.EventID)
+	for _, id := range tbl.Occs {
+		if _, ok := cat.Lookup(id); !ok {
+			t.Fatalf("occurrence references unknown event %d", id)
 		}
 	}
 }
@@ -213,14 +257,20 @@ func TestSlice(t *testing.T) {
 	}
 }
 
+// SizeBytes is the resident size: the lengths of the slices the table
+// holds, at their element sizes.
 func TestSizeBytes(t *testing.T) {
 	cat := testCatalog(t, 100)
 	tbl, err := Generate(context.Background(), cat, Config{NumTrials: 100}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.SizeBytes() <= int64(tbl.Len()*EntryBytes) {
-		t.Fatal("SizeBytes should include offsets overhead")
+	held := int64(len(tbl.Offsets))*int64(unsafe.Sizeof(tbl.Offsets[0])) + int64(len(tbl.Occs))*int64(unsafe.Sizeof(tbl.Occs[0]))
+	if got := tbl.SizeBytes(); got != held {
+		t.Fatalf("SizeBytes %d, the table holds %d bytes", got, held)
+	}
+	if got, want := ResidentBytes(tbl.NumTrials, int64(tbl.Len())), held; got != want {
+		t.Fatalf("ResidentBytes %d, the table holds %d bytes", got, want)
 	}
 }
 

@@ -161,10 +161,12 @@ type Study struct {
 }
 
 // quoteTableBudget bounds the estimated in-memory size of the resident
-// quote trial table. A quote that would grow it past this streams its
-// trials from the fused generator instead, in memory bounded by batch ×
-// workers. 256 MiB covers the serving tier's default trial cap
-// (2 000 000) at 10 events a year.
+// quote trial table (yelt.ResidentBytes). A quote that would grow it
+// past this streams its trials from the fused generator instead, in
+// memory bounded by batch × workers. At 10 events a year a trial holds
+// 48 B (an 8-B offset and a 4-B event id an occurrence), so 256 MiB
+// covers about 5.6 million trials, well past the serving tier's default
+// trial cap (2 000 000).
 const quoteTableBudget = 256 << 20
 
 // NewStudy returns an unexecuted study.
