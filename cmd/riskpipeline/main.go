@@ -105,6 +105,9 @@ func main() {
 		if cfg.SpillDir == "" {
 			exit(2, errors.New("-mode spill requires -dir"))
 		}
+		if err := cfg.CheckSpillOnly(); err != nil {
+			exit(2, err)
+		}
 		p := core.New(cfg)
 		if err := p.SpillStage2(ctx); err != nil {
 			exit(1, err)

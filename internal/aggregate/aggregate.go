@@ -388,19 +388,20 @@ func EngineByName(name string) (Engine, error) {
 
 // trialScratch holds a worker's reusable kernel buffers (blocked.go),
 // grown on demand so the per-trial hot path is allocation-free: the
-// block×NumLayers accumulator matrix, the event-major span staging
-// arrays, and the block×numContracts output matrices; for a book with
-// reinstatement terms, the worker's live year states and per-layer
-// annual sums (reinstatements.go). The zero value is ready to use.
+// block×NumLayers accumulator matrix and its touched-slot bitmaps (all
+// zero between blocks), the event-major span staging arrays, and the
+// block×numContracts output matrices; for a book with reinstatement
+// terms, the worker's live year states and per-layer annual sums
+// (reinstatements.go). The zero value is ready to use.
 type trialScratch struct {
 	years    *layers.FlatYearStates
 	sums     []float64
 	blockAgg []float64
+	touched  []uint64
 	spanPos  []int32
 	spanLo   []int32
 	spanHi   []int32
 	spanSum  []float64
-	blockCA  []float64
 	blockPC  []float64
 	blockPCO []float64
 }

@@ -12,6 +12,10 @@ import (
 var (
 	benchMu   sync.Mutex
 	benchScen map[bool]*synth.Scenario
+
+	blockedOnce sync.Once
+	blockedIn   *Input
+	blockedErr  error
 )
 
 func benchScenario(b *testing.B, occOnly bool) *synth.Scenario {
@@ -138,3 +142,46 @@ func BenchmarkPerContractOverhead(b *testing.B) {
 		})
 	}
 }
+
+// blockedInput is the repository benchmark's spill-expected and
+// trial-sampled book shape — 3 000 events × 48 contracts × 40
+// locations, two layers a contract, so 96 flat layer slots — over
+// 64 000 materialized trial years, with its flat layout built. On this
+// book most pre-applied recoveries are zero and most slots of a trial
+// are never touched, which a 16-slot book cannot show.
+func blockedInput(b *testing.B) *Input {
+	b.Helper()
+	blockedOnce.Do(func() {
+		s, err := synth.Build(context.Background(), synth.Params{
+			Seed: 1, NumEvents: 3_000, NumContracts: 48,
+			LocationsPerContract: 40, NumTrials: 64_000, TwoLayers: true,
+		})
+		if err != nil {
+			blockedErr = err
+			return
+		}
+		blockedIn = &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio}
+		_, blockedErr = blockedIn.EnsureFlat()
+	})
+	if blockedErr != nil {
+		b.Fatal(blockedErr)
+	}
+	return blockedIn
+}
+
+// benchBlocked runs the trial kernel single-threaded over the blocked
+// benchmark book and reports nanoseconds per trial occurrence.
+func benchBlocked(b *testing.B, cfg Config) {
+	in := blockedInput(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (Sequential{}).Run(context.Background(), in, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(in.YELT.Len())), "ns/occ")
+}
+
+func BenchmarkBlockedExpected(b *testing.B) { benchBlocked(b, Config{}) }
+
+func BenchmarkBlockedSampled(b *testing.B) { benchBlocked(b, Config{Sampling: true, Seed: 1}) }

@@ -1,48 +1,59 @@
 package aggregate
 
 import (
+	"math"
+	"math/bits"
+
 	"repro/internal/lossindex"
 	"repro/internal/rng"
 	"repro/internal/yelt"
 )
 
 // This file is the trial kernel: runBatchBlocked drives lossindex.Flat
-// a block of Config.TrialBlock trial years per pass. Blocking buys
-// three things a trial-at-a-time loop cannot have:
+// a block of Config.TrialBlock trial years per pass, in two stages per
+// block, and does only the work that can recover something:
 //
-//   - The per-occurrence span resolution (Flat.Span: a rowOf probe plus
-//     two offset loads) is hoisted out of the trial loop into one
-//     event-major pass over the block's contiguous occurrence stream,
-//     so the accumulation loops consume precomputed [lo, hi) spans. The
-//     entry-structured paths keep only the hits, the occurrences whose
-//     event carries a loss in the book, and walk nothing else.
-//   - The per-trial accumulators are rows of one contiguous
-//     block×NumLayers matrix, zeroed with a single bulk clear per block
-//     instead of one clear per trial, and the annual-terms columns are
-//     hoisted once per block.
-//   - Per-trial dispatch overhead (sampling/per-contract branches,
-//     scratch setup) is paid once per block, and the gather loops use
-//     length-pinned re-slicing so the compiler can prove the inner adds
-//     in bounds.
+//   - The occurrence stage resolves every occurrence's span once, in
+//     one event-major pass over the block's contiguous occurrence
+//     stream (the trial loop then consumes precomputed spans), and keeps
+//     only the occurrences that can add anything: in expected mode
+//     without per-contract maxima, those whose event has a non-empty
+//     compacted frame (Flat.Cells: its non-zero pre-applied recoveries
+//     only); on the entry-structured paths, the hits, whose event
+//     carries a loss in the book. It adds into rows of one block×NumLayers
+//     accumulator matrix and marks, per trial, each flat slot it adds
+//     into in a bitmap of ⌈NumLayers/64⌉ words.
+//   - The annual stage visits, per trial, only the marked slots, in
+//     ascending slot order: it applies the annual terms to each, sums
+//     them per contract and the contract sums into the portfolio's,
+//     and re-zeroes each cell and bitmap word it read, so the next
+//     block starts from a zero matrix without a bulk clear.
+//
+// Why skipping is exact: accumulators start at +0, and every recovery
+// added to one is +0, positive, +Inf or NaN, so no accumulator ever
+// holds −0 and adding +0 to one changes no bit. Layer.Validate refuses
+// negative retentions, so an unmarked slot (sum +0) recovers +0 through
+// the clamp's 0 > ret, also when ret is NaN, and a contract none of
+// whose slots is marked sums to +0. Visiting the marked slots in
+// ascending order keeps every remaining addition in its place.
 //
 // Ordering contract: within a trial, occurrences are visited in YELT
-// (day) order, an event's entries in portfolio contract order, layer
-// frames in declaration order, and — in sampling mode — the trial's
-// own substream consumes its beta draws in exactly that sequence. That
-// is LegacyLookup's order, so results are bit-for-bit the oracle's. In
-// expected mode the inner loop is gather-adds of build-time constants
+// order, an event's entries in portfolio contract order, layer frames
+// in declaration order, and — in sampling mode — the trial's own
+// substream consumes its beta draws in exactly that sequence. That is
+// LegacyLookup's order, so results are bit-for-bit the oracle's. In
+// expected mode the inner loop is scatter-adds of build-time constants
 // into per-trial accumulator rows; hoisting the span resolution and
 // fusing the trial loop never moves an addition across trials (each
-// trial owns its row) and never reorders an addition within a trial,
-// so every per-trial sum associates identically. Sampling mode stays
-// trial-major within the block but shares the hoisted span pass and
-// column locals. Results are independent of TrialBlock.
+// trial owns its row) and never reorders an addition within a trial.
+// Sampling mode stays trial-major within the block but shares the
+// hoisted span pass. Results are independent of TrialBlock.
 
 // DefaultTrialBlock is the default trial-block size. Big enough to
-// amortize per-block setup (span staging, accumulator clear, column
-// hoisting) across many trials; small enough that the block's
-// accumulator matrix (TrialBlock × NumLayers floats) and staged spans
-// stay cache-resident on typical books.
+// amortize per-block setup (span staging, column hoisting) across many
+// trials; small enough that the block's accumulator matrix (TrialBlock
+// × NumLayers floats) and staged spans stay cache-resident on typical
+// books.
 const DefaultTrialBlock = 64
 
 func (cfg Config) trialBlock() int {
@@ -53,14 +64,17 @@ func (cfg Config) trialBlock() int {
 }
 
 // blockBufs returns the blocked kernel's per-block scratch: the
-// block×NumLayers accumulator matrix (zeroed by the caller) and the
-// span staging arrays for nOccs occurrences, grown on demand and
-// reused across blocks. spanPos holds the hit list's stream positions
-// (hits.stage), spanSum the dense path's occurrence sums
-// (stageExpSpans).
-func (s *trialScratch) blockBufs(cells, nOccs int) (blockAgg []float64, spanPos, spanLo, spanHi []int32, spanSum []float64) {
+// block×NumLayers accumulator matrix and the block×words touched-slot
+// bitmap, both all zero (a fresh allocation is; the annual stage
+// re-zeroes what the occurrence stage wrote), and the hit-list staging
+// columns for nOccs occurrences, grown on demand and reused across
+// blocks. sum is staged by the compacted expected path only.
+func (s *trialScratch) blockBufs(cells, marks, nOccs int) (blockAgg []float64, touched []uint64, h hits) {
 	if cap(s.blockAgg) < cells {
 		s.blockAgg = make([]float64, cells)
+	}
+	if cap(s.touched) < marks {
+		s.touched = make([]uint64, marks)
 	}
 	if cap(s.spanLo) < nOccs {
 		s.spanPos = make([]int32, nOccs)
@@ -68,16 +82,8 @@ func (s *trialScratch) blockBufs(cells, nOccs int) (blockAgg []float64, spanPos,
 		s.spanHi = make([]int32, nOccs)
 		s.spanSum = make([]float64, nOccs)
 	}
-	return s.blockAgg[:cells], s.spanPos[:nOccs], s.spanLo[:nOccs], s.spanHi[:nOccs], s.spanSum[:nOccs]
-}
-
-// blockCABuf returns the annual stage's per-trial contract-sum
-// accumulator (length = block trials), grown on demand.
-func (s *trialScratch) blockCABuf(n int) []float64 {
-	if cap(s.blockCA) < n {
-		s.blockCA = make([]float64, n)
-	}
-	return s.blockCA[:n]
+	h = hits{pos: s.spanPos[:nOccs], lo: s.spanLo[:nOccs], hi: s.spanHi[:nOccs], sum: s.spanSum[:nOccs]}
+	return s.blockAgg[:cells], s.touched[:marks], h
 }
 
 // blockPerContractBufs returns the block×numContracts per-contract
@@ -89,6 +95,12 @@ func (s *trialScratch) blockPerContractBufs(cells int) (pc, pco []float64) {
 		s.blockPCO = make([]float64, cells)
 	}
 	return s.blockPC[:cells], s.blockPCO[:cells]
+}
+
+// markSlot records in a trial's touched-slot bitmap that the
+// occurrence stage added into flat slot fl.
+func markSlot(mark []uint64, fl int32) {
+	mark[uint32(fl)>>6] |= 1 << (uint32(fl) & 63)
 }
 
 // runBatchBlocked executes one trial batch into the result tables: it
@@ -104,17 +116,14 @@ func runBatchBlocked(fx *lossindex.Flat, in *Input, cfg Config, batch *yelt.Tabl
 		return
 	}
 	nl := fx.NumLayers()
+	words := (nl + 63) / 64
 	nc := len(in.Portfolio.Contracts)
 	block := cfg.trialBlock()
 	offs := batch.Offsets
 	for t0 := 0; t0 < batch.NumTrials; t0 += block {
 		t1 := min(t0+block, batch.NumTrials)
 		n := t1 - t0
-		nOccs := int(offs[t1] - offs[t0])
-		blockAgg, spanPos, spanLo, spanHi, spanSum := scratch.blockBufs(n*nl, nOccs)
-		for i := range blockAgg {
-			blockAgg[i] = 0
-		}
+		blockAgg, touched, h := scratch.blockBufs(n*nl, n*words, int(offs[t1]-offs[t0]))
 
 		var pc, pco []float64
 		if res.PerContract != nil {
@@ -128,27 +137,27 @@ func runBatchBlocked(fx *lossindex.Flat, in *Input, cfg Config, batch *yelt.Tabl
 		aggOut := res.Portfolio.Agg[slot : slot+n]
 		occOut := res.Portfolio.OccMax[slot : slot+n]
 
-		// Event-major span staging: one linear pass over the block's
+		// Event-major staging: one linear pass over the block's
 		// contiguous occurrence stream, independent of trial boundaries —
 		// the per-occurrence span work is paid here once, not inside the
-		// trial loop. The dense expected path stages ExpRec-frame
-		// coordinates plus the precomputed per-event occurrence sum; the
-		// entry-structured paths (sampling, per-contract maxima) stage the
-		// entry spans of the hits only.
+		// trial loop. The compacted expected path stages the occurrences
+		// with a non-empty frame, with the event's precomputed occurrence
+		// sum; the entry-structured paths (sampling, per-contract maxima)
+		// stage the entry spans of the hits.
 		stream := batch.Occs[offs[t0]:offs[t1]]
+		b := &kernelBlock{batch: batch, t0: t0, t1: t1, nl: nl, words: words, agg: blockAgg, touched: touched}
 		if !cfg.Sampling && pco == nil {
-			stageExpSpans(stream, fx, spanLo, spanHi, spanSum)
-			blockExpectedDense(batch, t0, t1, fx, nl, blockAgg, spanLo, spanHi, spanSum, occOut)
+			h.stageCells(stream, fx)
+			blockExpectedCells(b, fx, &h, occOut)
 		} else {
-			h := hits{pos: spanPos, lo: spanLo, hi: spanHi}
 			h.stage(stream, fx)
 			if cfg.Sampling {
-				blockSampledOccurrences(batch, t0, t1, fx, cfg.Seed, base, nl, nc, blockAgg, h, occOut, pco)
+				blockSampledOccurrences(b, fx, cfg.Seed, base, nc, &h, occOut, pco)
 			} else {
-				blockExpectedOccurrences(batch, t0, t1, fx, nl, nc, blockAgg, h, occOut, pco)
+				blockExpectedOccurrences(b, fx, nc, &h, occOut, pco)
 			}
 		}
-		blockAnnual(fx, n, nl, blockAgg, aggOut, pc, nc, scratch.blockCABuf(n))
+		blockAnnualTouched(b, fx, aggOut, pc, nc)
 
 		if res.PerContract != nil {
 			for i := 0; i < n; i++ {
@@ -163,20 +172,41 @@ func runBatchBlocked(fx *lossindex.Flat, in *Input, cfg Config, batch *yelt.Tabl
 	}
 }
 
-// hits is a block's hit list: the occurrences of its stream whose
-// event carries a loss in the book (a non-empty entry span), in stream
-// order. Hit j is occurrence pos[j] of the stream, counted from the
-// block's first, with entry span [lo[j], hi[j]).
+// kernelBlock is one block of a batch as its stages see it: trials
+// [t0, t1) of batch, their accumulator rows of nl cells in agg and
+// their touched-slot bitmaps of words words in touched, trial t's at
+// offset (t-t0)·nl and (t-t0)·words.
+type kernelBlock struct {
+	batch     *yelt.Table
+	t0, t1    int
+	nl, words int
+	agg       []float64
+	touched   []uint64
+}
+
+// row returns trial t's accumulator row and touched-slot bitmap.
+func (b *kernelBlock) row(t int) (acc []float64, mark []uint64) {
+	i := t - b.t0
+	return b.agg[i*b.nl : i*b.nl+b.nl], b.touched[i*b.words : i*b.words+b.words]
+}
+
+// hits is a block's hit list: the occurrences of its stream that can
+// add anything, in stream order. Hit j is occurrence pos[j] of the
+// stream, counted from the block's first, with span [lo[j], hi[j]): an
+// entry span (stage) or a compacted expected frame (stageCells), whose
+// event's occurrence recovery is then sum[j].
 type hits struct {
 	pos, lo, hi []int32
+	sum         []float64
 }
 
 // stage resolves the entry span of every occurrence in the stream — the
-// blocked kernel's event-major pre-pass — and keeps the hits, cutting
-// the lists to their number. The append has no branch on the span:
-// every occurrence is written at the next free slot, which advances by
-// one only for a hit (a conditional move: on a one-contract book about
-// four occurrences in five miss, in no pattern a branch predictor could
+// blocked kernel's event-major pre-pass — and keeps the hits, the
+// occurrences whose event carries a loss in the book, cutting the lists
+// to their number. The append has no branch on the span: every
+// occurrence is written at the next free slot, which advances by one
+// only for a hit (a conditional move: on a one-contract book about four
+// occurrences in five miss, in no pattern a branch predictor could
 // learn). The lists must be at least as long as the stream.
 func (h *hits) stage(occs []uint32, fx *lossindex.Flat) {
 	pos, lo, hi := h.pos[:len(occs)], h.lo[:len(occs)], h.hi[:len(occs)]
@@ -191,87 +221,99 @@ func (h *hits) stage(occs []uint32, fx *lossindex.Flat) {
 	h.pos, h.lo, h.hi = pos[:n], lo[:n], hi[:n]
 }
 
+// stageCells is stage for the compacted expected path: it keeps the
+// occurrences whose event has a non-empty compacted frame
+// (Flat.Cells), with the event's precomputed whole-portfolio occurrence
+// recovery (Flat.RowSum). An occurrence it drops adds nothing, and its
+// recovery is +0, which never raises an occurrence maximum.
+func (h *hits) stageCells(occs []uint32, fx *lossindex.Flat) {
+	pos, lo, hi, sum := h.pos[:len(occs)], h.lo[:len(occs)], h.hi[:len(occs)], h.sum[:len(occs)]
+	n := 0
+	for i := range occs {
+		l, u, s := fx.Cells(occs[i])
+		pos[n], lo[n], hi[n], sum[n] = int32(i), l, u, s
+		if l < u {
+			n++
+		}
+	}
+	h.pos, h.lo, h.hi, h.sum = pos[:n], lo[:n], hi[:n], sum[:n]
+}
+
 // next returns the end of one trial's run of hits: given cur, the index
 // of the trial's first hit (if it has any), the index of the first hit
 // at or beyond end, the trial's end in the stream.
-func (h hits) next(cur int, end int32) int {
+func (h *hits) next(cur int, end int32) int {
 	for cur < len(h.pos) && h.pos[cur] < end {
 		cur++
 	}
 	return cur
 }
 
-// stageExpSpans resolves, for every occurrence in the stream, the
-// contiguous ExpRec frame covering the event's entries and the event's
-// precomputed whole-portfolio occurrence recovery (Flat.RowSum) — the
-// dense expected path's event-major pre-pass.
-func stageExpSpans(occs []uint32, fx *lossindex.Flat, expLo, expHi []int32, occSum []float64) {
-	expLo = expLo[:len(occs)]
-	expHi = expHi[:len(occs)]
-	occSum = occSum[:len(occs)]
-	for i := range occs {
-		expLo[i], expHi[i], occSum[i] = fx.ExpSpan(occs[i])
-	}
-}
-
-// blockExpectedDense is the blocked expected-mode occurrence stage
-// without per-contract maxima — the hot default. Because an event's
-// entries are packed, their per-layer ExpRec frames concatenate into
-// one contiguous run [expLo, expHi), and ExpDst gives each cell's
-// destination layer slot — so the whole per-occurrence nested
-// entry×layer gather collapses to one flat scatter-add loop, in
-// exactly the same element order (entries ascending, layers in
-// declaration order within each entry), hence bit-identical sums. The
+// blockExpectedCells is the blocked expected-mode occurrence stage
+// without per-contract maxima — the hot default. An event's non-zero
+// pre-applied recoveries are one contiguous run of RowRec, and RowDst
+// gives each cell's destination layer slot, so the per-occurrence
+// nested entry×layer gather is one flat scatter-add loop over the
+// cells that recover something, in the dense frame's element order
+// (entries ascending, layers in declaration order within each). The
 // per-occurrence portfolio recovery is the staged build-time RowSum,
 // accumulated in that same order at Flatten time.
-func blockExpectedDense(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl int, blockAgg []float64, expLo, expHi []int32, occSum, occMaxOut []float64) {
-	expRec, expDst := fx.ExpRec, fx.ExpDst
-	offs := b.Offsets
-	streamBase := offs[t0]
-	for t := t0; t < t1; t++ {
-		row := blockAgg[(t-t0)*nl : (t-t0)*nl+nl]
+func blockExpectedCells(b *kernelBlock, fx *lossindex.Flat, hs *hits, occMaxOut []float64) {
+	rowRec, rowDst := fx.RowRec, fx.RowDst
+	offs := b.batch.Offsets
+	streamBase := offs[b.t0]
+	h0 := 0
+	for t := b.t0; t < b.t1; t++ {
+		h1 := hs.next(h0, int32(offs[t+1]-streamBase))
+		row, mark := b.row(t)
 		var occMax float64
-		for o := int(offs[t] - streamBase); o < int(offs[t+1]-streamBase); o++ {
-			rec := expRec[expLo[o]:expHi[o]]
-			dst := expDst[expLo[o]:expHi[o]]
+		for o := h0; o < h1; o++ {
+			rec := rowRec[hs.lo[o]:hs.hi[o]]
+			dst := rowDst[hs.lo[o]:hs.hi[o]]
 			dst = dst[:len(rec)]
 			for j, r := range rec {
-				row[dst[j]] += r
+				fl := dst[j]
+				row[fl] += r
+				markSlot(mark, fl)
 			}
-			if s := occSum[o]; s > occMax {
+			if s := hs.sum[o]; s > occMax {
 				occMax = s
 			}
 		}
-		occMaxOut[t-t0] = occMax
+		occMaxOut[t-b.t0] = occMax
+		h0 = h1
 	}
 }
 
 // blockExpectedOccurrences is the blocked expected-mode occurrence
-// stage with per-contract maxima (without them, the dense path runs):
-// for each trial of the block, gather the pre-applied recoveries of its
-// hits' spans into the trial's accumulator row, entries ascending and
-// layers in declaration order within each, through a length-pinned
-// destination re-slice. A miss would add nothing and raise no maximum,
-// so walking only the hits changes no bit.
-func blockExpectedOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl, nc int, blockAgg []float64, hs hits, occMaxOut, pco []float64) {
+// stage with per-contract maxima (without them, the compacted path
+// runs): for each trial of the block, gather the pre-applied
+// recoveries of its hits' spans into the trial's accumulator row,
+// entries ascending and layers in declaration order within each,
+// through a length-pinned destination re-slice. A miss would add
+// nothing and raise no maximum, so walking only the hits changes no
+// bit.
+func blockExpectedOccurrences(b *kernelBlock, fx *lossindex.Flat, nc int, hs *hits, occMaxOut, pco []float64) {
 	expOff, expRec, expSum := fx.ExpOff, fx.ExpRec, fx.ExpSum
 	layerOff, contract := fx.LayerOff, fx.Contract
-	offs := b.Offsets
-	streamBase := offs[t0]
+	offs := b.batch.Offsets
+	streamBase := offs[b.t0]
 	h0 := 0
-	for t := t0; t < t1; t++ {
+	for t := b.t0; t < b.t1; t++ {
 		h1 := hs.next(h0, int32(offs[t+1]-streamBase))
-		row := blockAgg[(t-t0)*nl : (t-t0)*nl+nl]
-		pcoRow := pco[(t-t0)*nc : (t-t0)*nc+nc]
+		row, mark := b.row(t)
+		pcoRow := pco[(t-b.t0)*nc : (t-b.t0)*nc+nc]
 		var occMax float64
 		for o := h0; o < h1; o++ {
 			var portfolioOccLoss float64
 			for k := hs.lo[o]; k < hs.hi[o]; k++ {
 				rec := expRec[expOff[k]:expOff[k+1]]
-				dst := row[layerOff[k]:]
+				fb := layerOff[k]
+				dst := row[fb:]
 				dst = dst[:len(rec)]
 				for j, r := range rec {
 					dst[j] += r
+					markSlot(mark, fb+int32(j))
 				}
 				s := expSum[k]
 				portfolioOccLoss += s
@@ -283,7 +325,7 @@ func blockExpectedOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl,
 				occMax = portfolioOccLoss
 			}
 		}
-		occMaxOut[t-t0] = occMax
+		occMaxOut[t-b.t0] = occMax
 		h0 = h1
 	}
 }
@@ -297,26 +339,27 @@ func blockExpectedOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, nl,
 // without hits never seeds its substream. A draw that ScaledBetaAbove
 // proves at or below the contract's lowest retention recovers 0 through
 // every layer, adds nothing and raises no maximum, so the entry is
-// skipped without evaluating it.
-func blockSampledOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, seed uint64, base, nl, nc int, blockAgg []float64, hs hits, occMaxOut, pco []float64) {
+// skipped without evaluating it; a layer whose retention a loss does
+// not exceed recovers +0, so it adds nothing and is not marked.
+func blockSampledOccurrences(b *kernelBlock, fx *lossindex.Flat, seed uint64, base, nc int, hs *hits, occMaxOut, pco []float64) {
 	ft := fx.Terms
 	expOff, layerOff, contract := fx.ExpOff, fx.LayerOff, fx.Contract
 	sampleConst, sampleA, sampleB, sampleScale := fx.SampleConst, fx.SampleA, fx.SampleB, fx.SampleScale
 	occRet, occLim, minOccRet := ft.OccRet, ft.OccLim, ft.MinOccRet
-	offs := b.Offsets
-	streamBase := offs[t0]
+	offs := b.batch.Offsets
+	streamBase := offs[b.t0]
 	h0 := 0
-	for t := t0; t < t1; t++ {
+	for t := b.t0; t < b.t1; t++ {
 		h1 := hs.next(h0, int32(offs[t+1]-streamBase))
 		if h0 == h1 {
-			occMaxOut[t-t0] = 0
+			occMaxOut[t-b.t0] = 0
 			continue
 		}
 		st := rng.NewStream(seed, uint64(base+t))
-		row := blockAgg[(t-t0)*nl : (t-t0)*nl+nl]
+		row, mark := b.row(t)
 		var pcoRow []float64
 		if pco != nil {
-			pcoRow = pco[(t-t0)*nc : (t-t0)*nc+nc]
+			pcoRow = pco[(t-b.t0)*nc : (t-b.t0)*nc+nc]
 		}
 		var occMax float64
 		for o := h0; o < h1; o++ {
@@ -335,15 +378,15 @@ func blockSampledOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, seed
 				for fl := fb; fl < end; fl++ {
 					// Inlined FlatTerms.ApplyOccurrence, arithmetic
 					// unchanged: min(max(loss-ret, 0), lim).
-					var r float64
 					if ret := occRet[fl]; loss > ret {
-						r = loss - ret
+						r := loss - ret
 						if lim := occLim[fl]; r > lim {
 							r = lim
 						}
+						row[fl] += r
+						markSlot(mark, fl)
+						contractOcc += r
 					}
-					row[fl] += r
-					contractOcc += r
 				}
 				portfolioOccLoss += contractOcc
 				if pcoRow != nil {
@@ -356,58 +399,79 @@ func blockSampledOccurrences(b *yelt.Table, t0, t1 int, fx *lossindex.Flat, seed
 				occMax = portfolioOccLoss
 			}
 		}
-		occMaxOut[t-t0] = occMax
+		occMaxOut[t-b.t0] = occMax
 		h0 = h1
 	}
 }
 
-// blockAnnual applies the annual aggregate terms to the block's
-// accumulator matrix, layer-major: contract frames outer (portfolio
-// order), layers within the frame next (declaration order), trials
-// innermost — so each layer's terms load once per block instead of
-// once per trial, and the clamp arithmetic is the inlined
-// FlatTerms.ApplyAggregate: min(max(sum-ret, 0), lim) · share.
+// blockAnnualTouched is the annual stage: for each trial of the block
+// it walks the set bits of the trial's touched-slot bitmap in
+// ascending slot order, applies the inlined FlatTerms.ApplyAggregate
+// clamp, min(max(sum-ret, 0), lim) · share, to each marked slot's
+// annual sum, adds the recoveries of one contract's slots into its
+// contract sum in declaration order, and each contract sum into the
+// portfolio's in portfolio order (and into pc, zeroed by the caller,
+// when per-contract tables are kept). It re-zeroes every cell and
+// bitmap word it read. Unmarked slots and contracts would add +0 (see
+// the top of this file), so the sums are bit-identical to visiting
+// every slot.
 //
-// The interchange is bit-identical to a trial-major annual stage: each
-// trial i accumulates its contract sum ca[i] over
-// the frame's layers in declaration order, and its portfolio sum
-// aggOut[i] over contracts in portfolio order — only independent
-// trials are interleaved, never the additions within one trial.
-func blockAnnual(fx *lossindex.Flat, n, nl int, blockAgg, aggOut, pc []float64, nc int, ca []float64) {
+// Whether a slot pays and whether it opens a new contract follow the
+// data in no pattern a branch predictor could learn, so both are
+// conditional moves: a slot that does not pay recovers +0 · share, and
+// at a slot that does not open a contract the portfolio sum adds +0 —
+// both exact, since no sum here is ever −0 (a recovery is +0, positive
+// or +Inf: a NaN sum or retention does not pay).
+func blockAnnualTouched(b *kernelBlock, fx *lossindex.Flat, aggOut, pc []float64, nc int) {
 	ft := fx.Terms
-	first := ft.First
 	aggRet, aggLim, share := ft.AggRet, ft.AggLim, ft.Share
-	for i := 0; i < n; i++ {
-		aggOut[i] = 0
-	}
-	for ci := 0; ci+1 < len(first); ci++ {
-		for i := 0; i < n; i++ {
-			ca[i] = 0
-		}
-		for fl := first[ci]; fl < first[ci+1]; fl++ {
-			ret, lim, sh := aggRet[fl], aggLim[fl], share[fl]
-			idx := int(fl)
-			for i := 0; i < n; i++ {
-				sum := blockAgg[idx]
-				idx += nl
-				var r float64
-				if sum > ret {
-					r = sum - ret
-					if r > lim {
-						r = lim
-					}
-					r *= sh
+	slotContract := fx.SlotContract
+	for t := b.t0; t < b.t1; t++ {
+		i := t - b.t0
+		row, mark := b.row(t)
+		var agg, ca float64
+		cur := int32(-1)
+		for w, word := range mark {
+			if word == 0 {
+				continue
+			}
+			mark[w] = 0
+			for ; word != 0; word &= word - 1 {
+				fl := w<<6 | bits.TrailingZeros64(word)
+				ci := slotContract[fl]
+				opens := onesIf(ci != cur)
+				agg += masked(ca, opens)
+				ca = masked(ca, ^opens)
+				cur = ci
+
+				sum := row[fl]
+				row[fl] = 0
+				ret := aggRet[fl]
+				r := masked(sum-ret, onesIf(sum > ret))
+				if lim := aggLim[fl]; r > lim {
+					r = lim
 				}
-				ca[i] += r
+				ca += r * share[fl]
+				if pc != nil {
+					pc[i*nc+int(ci)] = ca
+				}
 			}
 		}
-		for i := 0; i < n; i++ {
-			aggOut[i] += ca[i]
-		}
-		if pc != nil {
-			for i := 0; i < n; i++ {
-				pc[i*nc+ci] += ca[i]
-			}
-		}
+		aggOut[i] = agg + ca
 	}
+}
+
+// onesIf returns a mask of all ones when c holds and of zeros when it
+// does not; the compiler makes it a conditional move.
+func onesIf(c bool) uint64 {
+	if c {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// masked returns x under a mask of all ones and +0 under a mask of
+// zeros.
+func masked(x float64, m uint64) float64 {
+	return math.Float64frombits(math.Float64bits(x) & m)
 }

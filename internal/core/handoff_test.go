@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/aggregate"
 	"repro/internal/cluster"
 	"repro/internal/diskstore"
+	"repro/internal/faultinject"
 	"repro/internal/ylt"
 )
 
@@ -90,6 +92,43 @@ func TestSpillStage2RequiresDir(t *testing.T) {
 	cfg.SpillAttach = true
 	if _, err := New(cfg).Run(context.Background()); err == nil {
 		t.Fatal("SpillAttach without SpillDir should refuse")
+	}
+}
+
+// A fault plan or speculation on the spill half of the handoff is
+// refused before stage 1 runs, naming the aggregate run they belong
+// to: the spill only writes shards, so they would do nothing there.
+func TestSpillStage2RefusesChaosAndSpeculation(t *testing.T) {
+	plan, err := faultinject.Parse("shard=*@1,kill=1@1", 36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		faults    *faultinject.Plan
+		speculate bool
+	}{{"chaos", plan, false}, {"speculate", nil, true}, {"both", plan, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := smallConfig(36)
+			cfg.Engine = aggregate.MapReduce{}
+			cfg.Spill, cfg.SpillDir, cfg.SpillNodes, cfg.SpillReplicas = true, dir, 3, 2
+			cfg.Faults, cfg.Speculate = tc.faults, tc.speculate
+			p := New(cfg)
+			err := p.SpillStage2(context.Background())
+			if err == nil || !strings.Contains(err.Error(), "-mode aggregate") {
+				t.Fatalf("SpillStage2: %v, want an error naming -mode aggregate", err)
+			}
+			if cfg.CheckSpillOnly() == nil {
+				t.Fatal("CheckSpillOnly accepted the config SpillStage2 refused")
+			}
+			if len(p.Stages) != 0 {
+				t.Fatalf("stages ran before the refusal: %+v", p.Stages)
+			}
+			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+				t.Fatalf("spill directory holds %d entries (%v), want none", len(ents), err)
+			}
+		})
 	}
 }
 

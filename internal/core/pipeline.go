@@ -151,6 +151,18 @@ func (c Config) CheckFaultEngine() error {
 	return fmt.Errorf("core: fault injection and speculation need the mapreduce engine, the one that recovers from faults; engine %s has no failure model", engine.Name())
 }
 
+// CheckSpillOnly refuses a fault plan or speculation on the spill half
+// of the two-process handoff: the spill only writes shards, and faults
+// and speculation act on the MapReduce run that reads them, so they
+// belong to the -mode aggregate process. SpillStage2 calls it first; a
+// command calls it to refuse its flags before stage 1 runs.
+func (c Config) CheckSpillOnly() error {
+	if c.Faults == nil && !c.Speculate {
+		return nil
+	}
+	return errors.New("core: fault injection and speculation act on the run that aggregates the spilled shards (-mode aggregate), not on the spill that writes them")
+}
+
 // DefaultConfig returns a laptop-scale full pipeline run.
 func DefaultConfig() Config {
 	return Config{
@@ -611,10 +623,14 @@ func (p *Pipeline) spillYELT(ctx context.Context, gen *yelt.Generator) (ds *yelt
 // as shards + manifest into Cfg.SpillDir, and the process stops there
 // — no aggregation. A separate process with Cfg.SpillAttach set picks
 // the shards up via the manifest and runs stage 2 over them. Requires
-// SpillDir (the shards must outlive this process).
+// SpillDir (the shards must outlive this process) and refuses a fault
+// plan or speculation (CheckSpillOnly).
 func (p *Pipeline) SpillStage2(ctx context.Context) error {
 	if p.Cfg.SpillDir == "" {
 		return errors.New("core: SpillStage2 requires SpillDir — shards must outlive the process")
+	}
+	if err := p.Cfg.CheckSpillOnly(); err != nil {
+		return err
 	}
 	if err := p.RunStage1(ctx); err != nil {
 		return err

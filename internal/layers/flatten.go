@@ -119,10 +119,11 @@ func (ft *FlatTerms) ApplyOccurrence(fl int32, loss float64) float64 {
 
 // ApplyAggregate is Layer.ApplyAggregate over flat slot fl:
 // min(max(sum - aggRet, 0), aggLim) · share, bit-identical to the
-// Layer method (shares were normalized at flatten time).
+// Layer method (shares were normalized at flatten time), NaN sums and
+// retentions included.
 func (ft *FlatTerms) ApplyAggregate(fl int32, sum float64) float64 {
 	ret := ft.AggRet[fl]
-	if sum <= ret {
+	if !(sum > ret) {
 		return 0
 	}
 	r := sum - ret

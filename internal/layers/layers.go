@@ -68,8 +68,11 @@ func (l Layer) ApplyOccurrence(loss float64) float64 {
 
 // ApplyAggregate maps the annual sum of occurrence recoveries to the
 // layer's annual payout: min(max(sum - aggRet, 0), aggLimit) · share.
+// A sum that does not exceed the retention pays +0, and so do a NaN sum
+// and a NaN retention (no comparison with NaN holds): an untouched
+// layer, whose sum is +0, pays +0 whatever its retention.
 func (l Layer) ApplyAggregate(sum float64) float64 {
-	if sum <= l.AggRetention {
+	if !(sum > l.AggRetention) {
 		return 0
 	}
 	r := sum - l.AggRetention

@@ -2,6 +2,7 @@ package layers
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +34,34 @@ func TestApplyAggregateKnown(t *testing.T) {
 	for _, c := range cases {
 		if got := l.ApplyAggregate(c.in); got != c.want {
 			t.Errorf("ApplyAggregate(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// A NaN annual sum or a NaN aggregate retention pays +0, in the Layer
+// method and over the flat columns alike: no comparison with NaN
+// holds, so neither exceeds the retention. The trial kernel's annual
+// clamp reads them the same way, which lets it leave a layer no
+// occurrence touched unvisited.
+func TestApplyAggregateNaNPaysNothing(t *testing.T) {
+	nan := math.NaN()
+	layersWith := []Layer{{AggRetention: nan}, {AggRetention: nan, AggLimit: 50, Share: 0.5}, {AggRetention: 10}}
+	ft, err := FlattenTerms(&Portfolio{Contracts: []Contract{{ID: 1, Layers: layersWith}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fl, l := range layersWith {
+		sums := []float64{nan, 0, 1e6}
+		if !math.IsNaN(l.AggRetention) {
+			sums = sums[:1]
+		}
+		for _, sum := range sums {
+			if got := l.ApplyAggregate(sum); math.Float64bits(got) != 0 {
+				t.Errorf("layer %+v: ApplyAggregate(%v) = %v, want +0", l, sum, got)
+			}
+			if got := ft.ApplyAggregate(int32(fl), sum); math.Float64bits(got) != 0 {
+				t.Errorf("slot %d: ApplyAggregate(%v) = %v, want +0", fl, sum, got)
+			}
 		}
 	}
 }

@@ -20,16 +20,20 @@ import (
 //	ExpOff[k]..ExpOff[k+1]  entry k's frame in ExpRec (one cell per layer)
 //	ExpRec[...]          pre-applied occurrence recovery of the entry's
 //	                     mean loss through each layer (expected mode)
-//	ExpDst[e]            flat layer slot ExpRec[e] accumulates into —
-//	                     the scatter index that lets the blocked kernel
-//	                     sweep a whole event's ExpRec frame in one flat
-//	                     loop, no per-entry re-slicing
 //	ExpSum[k]            sum of entry k's ExpRec frame, in layer order
+//	RowOff[r]..RowOff[r+1]  row r's compacted expected frame in RowRec
+//	                     and RowDst: the row's non-zero ExpRec cells only
+//	RowRec[c]            a non-zero pre-applied recovery, row → entry →
+//	                     layer order, as ExpRec holds them
+//	RowDst[c]            flat layer slot RowRec[c] accumulates into —
+//	                     the scatter index that lets the blocked kernel
+//	                     add a whole event's recoveries in one flat loop
 //	RowSum[r]            sum of row r's ExpSum values, in entry order —
 //	                     the event's whole-portfolio expected occurrence
 //	                     recovery, precomputed in exactly the kernels'
 //	                     accumulation order (hence bit-identical to the
 //	                     per-occurrence running sum it replaces)
+//	SlotContract[fl]     portfolio contract of flat layer slot fl
 //	SampleConst/A/B/Scale[k]  the entry's precomputed sampling plan
 //	                     (elt.SampleParams of its record)
 //	Terms                the portfolio's layer terms as SoA columns
@@ -40,9 +44,13 @@ import (
 // across trials — so it is applied once here at build time and the
 // kernel's inner loop collapses to gather-adds from ExpRec. ExpSum is
 // accumulated in the same layer order the kernel used, so substituting
-// it for the per-entry running sum is bit-identical. The annual
-// aggregate terms still apply per trial (they depend on the per-year
-// sums) via Terms.
+// it for the per-entry running sum is bit-identical. Most cells of a
+// real book recover nothing (an entry's mean loss sits below most of
+// its layers' retentions), and adding +0 to an accumulator that starts
+// at +0 and only ever receives recoveries (+0, positive, +Inf or NaN)
+// changes no bit, so the compacted row frames keep only the non-zero
+// cells, in the same order. The annual aggregate terms still apply per
+// trial (they depend on the per-year sums) via Terms.
 //
 // Flat is immutable after Flatten and safe for concurrent readers —
 // every engine worker shares one instance alongside the Index.
@@ -54,9 +62,13 @@ type Flat struct {
 	LayerOff []int32
 	ExpOff   []int32 // len NumEntries+1
 	ExpRec   []float64
-	ExpDst   []int32 // parallel to ExpRec
 	ExpSum   []float64
-	RowSum   []float64 // len Index().NumRows()
+
+	RowOff       []int32 // len Index().NumRows()+1
+	RowRec       []float64
+	RowDst       []int32   // parallel to RowRec
+	RowSum       []float64 // len Index().NumRows()
+	SlotContract []int32   // len NumLayers()
 
 	SampleConst []float64
 	SampleA     []float64
@@ -111,7 +123,7 @@ func Flatten(ix *Index, pf *layers.Portfolio) (*Flat, error) {
 	// the original Layer methods, so the constants are by construction
 	// the values a per-trial Layer.ApplyOccurrence call would return.
 	f.ExpRec = make([]float64, total)
-	f.ExpDst = make([]int32, total)
+	nonZero := 0
 	for k, e := range ix.entries {
 		c := &pf.Contracts[e.Contract]
 		off := f.ExpOff[k]
@@ -119,39 +131,60 @@ func Flatten(ix *Index, pf *layers.Portfolio) (*Flat, error) {
 		for li := range c.Layers {
 			r := c.Layers[li].ApplyOccurrence(e.Rec.MeanLoss)
 			f.ExpRec[off+int32(li)] = r
-			f.ExpDst[off+int32(li)] = f.LayerOff[k] + int32(li)
 			sum += r
+			if r != 0 {
+				nonZero++
+			}
 		}
 		f.ExpSum[k] = sum
 		f.SampleConst[k], f.SampleA[k], f.SampleB[k], f.SampleScale[k] = elt.SampleParams(e.Rec)
 	}
 
-	// Row totals, accumulated entry-then-layer exactly as the kernels'
-	// per-occurrence running sums, so substituting RowSum for them is
-	// bit-identical (ExpSum itself was accumulated in layer order above).
-	f.RowSum = make([]float64, ix.NumRows())
-	for r := 0; r+1 < len(ix.offsets); r++ {
+	// Row frames and totals, both walked row → entry → layer. RowSum is
+	// accumulated entry-then-layer exactly as the kernels' per-occurrence
+	// running sums, so substituting it for them is bit-identical (ExpSum
+	// itself was accumulated in layer order above).
+	rows := ix.NumRows()
+	f.RowOff = make([]int32, rows+1)
+	f.RowRec = make([]float64, 0, nonZero)
+	f.RowDst = make([]int32, 0, nonZero)
+	f.RowSum = make([]float64, rows)
+	for r := 0; r < rows; r++ {
+		f.RowOff[r] = int32(len(f.RowRec))
 		var s float64
 		for k := ix.offsets[r]; k < ix.offsets[r+1]; k++ {
+			for e := f.ExpOff[k]; e < f.ExpOff[k+1]; e++ {
+				if rec := f.ExpRec[e]; rec != 0 {
+					f.RowRec = append(f.RowRec, rec)
+					f.RowDst = append(f.RowDst, f.LayerOff[k]+e-f.ExpOff[k])
+				}
+			}
 			s += f.ExpSum[k]
 		}
 		f.RowSum[r] = s
 	}
+	f.RowOff[rows] = int32(len(f.RowRec))
+
+	f.SlotContract = make([]int32, ft.NumLayers())
+	for ci := 0; ci+1 < len(ft.First); ci++ {
+		for fl := ft.First[ci]; fl < ft.First[ci+1]; fl++ {
+			f.SlotContract[fl] = int32(ci)
+		}
+	}
 	return f, nil
 }
 
-// ExpSpan returns, for an event ID, the contiguous ExpRec frame
-// [lo, hi) covering every entry of the event (entries are packed, so
-// their per-layer frames concatenate) and the event's precomputed
-// whole-portfolio expected occurrence recovery (RowSum). lo == hi and
-// a zero sum when the event carries no loss anywhere in the book —
-// exactly the running sum an empty span would have produced.
-func (f *Flat) ExpSpan(eventID uint32) (lo, hi int32, occSum float64) {
+// Cells returns, for an event ID, the event's compacted expected frame
+// [lo, hi) in RowRec/RowDst and its precomputed whole-portfolio
+// expected occurrence recovery (RowSum). lo == hi when no entry of the
+// event recovers anything through any layer; the sum is then +0, the
+// running sum the dropped cells would have produced.
+func (f *Flat) Cells(eventID uint32) (lo, hi int32, occSum float64) {
 	r := f.ix.Row(eventID)
 	if r < 0 {
 		return 0, 0, 0
 	}
-	return f.ExpOff[f.ix.offsets[r]], f.ExpOff[f.ix.offsets[r+1]], f.RowSum[r]
+	return f.RowOff[r], f.RowOff[r+1], f.RowSum[r]
 }
 
 // Span returns the packed-entry range [lo, hi) for an event ID — the
@@ -183,10 +216,12 @@ func (f *Flat) DeviceVectors() (aggVec, occVec []float64) {
 	for r := 0; r+1 < len(f.ix.offsets); r++ {
 		var av, ov float64
 		for k := f.ix.offsets[r]; k < f.ix.offsets[r+1]; k++ {
+			fl := f.LayerOff[k]
 			for e := f.ExpOff[k]; e < f.ExpOff[k+1]; e++ {
 				rec := f.ExpRec[e]
-				av += rec * share[f.ExpDst[e]]
+				av += rec * share[fl]
 				ov += rec
+				fl++
 			}
 		}
 		aggVec[r] = av
@@ -218,9 +253,12 @@ func (f *Flat) SizeBytes() int64 {
 		int64(len(f.LayerOff))*4 +
 		int64(len(f.ExpOff))*4 +
 		int64(len(f.ExpRec))*8 +
-		int64(len(f.ExpDst))*4 +
 		int64(len(f.ExpSum))*8 +
+		int64(len(f.RowOff))*4 +
+		int64(len(f.RowRec))*8 +
+		int64(len(f.RowDst))*4 +
 		int64(len(f.RowSum))*8 +
+		int64(len(f.SlotContract))*4 +
 		int64(len(f.SampleConst)+len(f.SampleA)+len(f.SampleB)+len(f.SampleScale))*8 +
 		f.Terms.SizeBytes()
 }

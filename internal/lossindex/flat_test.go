@@ -2,6 +2,7 @@ package lossindex
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/elt"
@@ -35,8 +36,32 @@ func TestFlattenColumnsMatchEntries(t *testing.T) {
 		t.Fatalf("shape mismatch: %d/%d entries, %d/%d contracts",
 			fx.NumEntries(), ix.NumEntries(), fx.NumContracts(), ix.NumContracts())
 	}
+	first := fx.Terms.First
+	for ci := 0; ci+1 < len(first); ci++ {
+		for fl := first[ci]; fl < first[ci+1]; fl++ {
+			if fx.SlotContract[fl] != int32(ci) {
+				t.Fatalf("slot %d: contract %d, want %d", fl, fx.SlotContract[fl], ci)
+			}
+		}
+	}
 	for row := int32(0); row < int32(ix.NumRows()); row++ {
 		lo := ix.offsets[row]
+		// The compacted frame is the row's non-zero ExpRec cells, in
+		// entry-then-layer order, each with its flat slot.
+		var wantRec []float64
+		var wantDst []int32
+		for k := lo; k < ix.offsets[row+1]; k++ {
+			for e := fx.ExpOff[k]; e < fx.ExpOff[k+1]; e++ {
+				if fx.ExpRec[e] != 0 {
+					wantRec = append(wantRec, fx.ExpRec[e])
+					wantDst = append(wantDst, fx.LayerOff[k]+e-fx.ExpOff[k])
+				}
+			}
+		}
+		clo, chi := fx.RowOff[row], fx.RowOff[row+1]
+		if !slices.Equal(fx.RowRec[clo:chi], wantRec) || !slices.Equal(fx.RowDst[clo:chi], wantDst) {
+			t.Fatalf("row %d: compacted frame %v at %v, want %v at %v", row, fx.RowRec[clo:chi], fx.RowDst[clo:chi], wantRec, wantDst)
+		}
 		for j, e := range ix.Entries(row) {
 			k := lo + int32(j)
 			if fx.Contract[k] != e.Contract {
@@ -69,15 +94,23 @@ func TestFlattenColumnsMatchEntries(t *testing.T) {
 	}
 }
 
-// Span must frame exactly the entries EntriesFor returns, for both
-// loss-bearing and loss-free event IDs (including beyond the indexed
-// range).
+// Span must frame exactly the entries EntriesFor returns, and Cells
+// its row's compacted frame, for both loss-bearing and loss-free event
+// IDs (including beyond the indexed range).
 func TestFlatSpanMatchesEntriesFor(t *testing.T) {
 	_, ix, fx := flatScenario(t)
 	maxID := uint32(len(ix.rowOf)) + 10
 	for ev := uint32(0); ev < maxID; ev++ {
 		lo, hi := fx.Span(ev)
 		ents := ix.EntriesFor(ev)
+		clo, chi, sum := fx.Cells(ev)
+		if r := ix.Row(ev); r < 0 {
+			if clo != 0 || chi != 0 || sum != 0 {
+				t.Fatalf("event %d carries no loss but has cells [%d, %d), sum %g", ev, clo, chi, sum)
+			}
+		} else if clo != fx.RowOff[r] || chi != fx.RowOff[r+1] || sum != fx.RowSum[r] {
+			t.Fatalf("event %d: cells [%d, %d) sum %g, want row %d's", ev, clo, chi, sum, r)
+		}
 		if int(hi-lo) != len(ents) {
 			t.Fatalf("event %d: span %d entries, EntriesFor %d", ev, hi-lo, len(ents))
 		}
