@@ -185,3 +185,39 @@ func checkTouchedCoverage(t *testing.T, first []int32, res *Result, perContract 
 		t.Fatalf("book pins too little: a contract in the last word pays: %v; a trial paid by three contracts: %v", lastWord, many)
 	}
 }
+
+// TestNaNOccRetentionPaysNothing holds the engines to LegacyLookup on a
+// book where one contract's layer has a NaN occurrence retention and
+// another, over the same ELT, an ordinary one; events without spread
+// hit both. The NaN layer pays +0 per occurrence everywhere, so the
+// portfolio's OccMax is the other contract's recovery, in sampling mode
+// as in expected mode.
+func TestNaNOccRetentionPaysNothing(t *testing.T) {
+	recs := []elt.Record{{EventID: 1, MeanLoss: 300, ExposedValue: 1000}, {EventID: 2, MeanLoss: 450, ExposedValue: 1000}}
+	elts := []*elt.Table{elt.New(1, recs), elt.New(2, recs)}
+	pf := &layers.Portfolio{Contracts: []layers.Contract{
+		{ID: 1, ELTIndex: 0, Layers: []layers.Layer{{OccRetention: math.NaN(), OccLimit: 500}}},
+		{ID: 2, ELTIndex: 1, Layers: []layers.Layer{{OccRetention: 100}}},
+	}}
+	years := &yelt.Table{NumTrials: 4, Offsets: []int64{0, 1, 3, 3, 4}, Occs: []uint32{1, 2, 1, 2}}
+	in := &Input{YELT: years, ELTs: elts, Portfolio: pf}
+	for _, sampling := range []bool{true, false} {
+		cfg := Config{Seed: 5, Sampling: sampling}
+		want, err := (LegacyLookup{}).Run(context.Background(), in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := want.Portfolio.OccMax; got[0] != 200 || got[1] != 350 || got[2] != 0 || got[3] != 350 {
+			t.Fatalf("sampling=%v: LegacyLookup OccMax %v, want [200 350 0 350]", sampling, got)
+		}
+		for _, e := range []Engine{Sequential{}, Parallel{}, MapReduce{SplitTrials: 3}} {
+			name := fmt.Sprintf("%s/sampling=%v", e.Name(), sampling)
+			got, err := e.Run(context.Background(), in, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sameBits(t, name+" agg", got.Portfolio.Agg, want.Portfolio.Agg)
+			sameBits(t, name+" occmax", got.Portfolio.OccMax, want.Portfolio.OccMax)
+		}
+	}
+}

@@ -8,23 +8,21 @@
 // emits the enterprise Year-Loss Table from which PML and TVaR flow to
 // enterprise risk management — and, on request, one table per source.
 //
-// A run ranks the catastrophe losses once (rankTransform: a parallel
-// argsort of (loss, trial) pairs, which is the stable order of the
-// losses) and hands the sorted column on as Result.CatSorted; it
-// evaluates each standard source's constants once per run, not once per
-// trial, and hands it its copula normal without a round trip through
-// Φ and Φ⁻¹; every normal it draws is a ziggurat normal; and it carries
-// only the tables its caller reports.
+// A run ranks the catastrophe losses once (rankTransform: a parallel,
+// stable LSD radix over 4-byte trial indices, which keeps each trial's
+// rank, not its z-score) and hands the sorted column on as
+// Result.CatSorted; it evaluates each standard source's constants once
+// per run, not once per trial, and hands it its copula normal without a
+// round trip through Φ and Φ⁻¹; every normal it draws is a ziggurat
+// normal; and it carries only the tables its caller reports.
 package dfa
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 
 	"repro/internal/mathx"
 	"repro/internal/rng"
@@ -201,20 +199,22 @@ func (s Operational) Loss(u float64, aux *rng.Stream) float64 {
 	return s.plan().lossZ(mathx.StdNormalQuantile(u), aux)
 }
 
-// operationalPlan is an Operational with the severity's lognormal
-// parameters evaluated.
+// operationalPlan is an Operational with the event count's Poisson plan
+// and the severity's lognormal parameters evaluated. plan panics on a
+// non-finite Freq, as rng.NewPoisson does; Run refuses one first.
 type operationalPlan struct {
-	freq, beta, mu, sigma float64
+	count           rng.Poisson
+	beta, mu, sigma float64
 }
 
 func (s Operational) plan() operationalPlan {
 	mu, sigma := mathx.LogNormalMeanStd(s.SevMean, s.SevMean*s.SevCoV)
-	return operationalPlan{freq: s.Freq, beta: s.StressBeta, mu: mu, sigma: sigma}
+	return operationalPlan{count: rng.NewPoisson(s.Freq), beta: s.StressBeta, mu: mu, sigma: sigma}
 }
 
 // lossZ is Operational.Loss at the copula normal x = Φ⁻¹(u).
 func (p operationalPlan) lossZ(x float64, aux *rng.Stream) float64 {
-	n := aux.Poisson(p.freq)
+	n := p.count.Draw(aux)
 	if n == 0 {
 		return 0
 	}
@@ -397,60 +397,74 @@ func checkCorr(corr *mathx.Matrix, k int) error {
 	return nil
 }
 
-// rankKey is one catastrophe year in the rank transform. Ordering the
-// pairs by (loss, trial) is exactly the stable order of the losses:
-// equal losses keep their trial order.
-type rankKey struct {
-	loss  float64
-	trial int
-}
-
-func compareRankKeys(a, b rankKey) int {
-	switch {
-	case a.loss < b.loss:
-		return -1
-	case a.loss > b.loss:
-		return 1
+// rankBits is the order-preserving bit pattern of a finite loss: the
+// sign bit flipped for a positive loss, every bit for a negative one,
+// so that the patterns compare as unsigned integers the way the losses
+// compare as floats. Adding +0 first folds −0 onto +0: the two are
+// equal losses and must tie.
+func rankBits(loss float64) uint64 {
+	bits := math.Float64bits(loss + 0)
+	if bits>>63 != 0 {
+		return ^bits
 	}
-	return cmp.Compare(a.trial, b.trial)
+	return bits | 1<<63
 }
 
-// rankTransform returns the catastrophe z-scores and the sorted losses:
-// z[trial] = Φ⁻¹((rank+½)/n), rank being the trial's position in the
-// stable ascending order of agg, and sorted[rank] the loss there. Ties
-// (e.g. many zero-loss years) share their rank range by trial order.
+// checkRankable refuses a table too long for the rank transform's
+// 4-byte trial indices.
+func checkRankable(n int) error {
+	if uint64(n) > math.MaxUint32 {
+		return fmt.Errorf("dfa: %d catastrophe trials, the rank transform takes fewer than 2³²", n)
+	}
+	return nil
+}
+
+// rankTransform returns each trial's rank and the sorted losses:
+// rankOf[trial] is the trial's position in the stable ascending order
+// of agg, and sorted[rank] the loss there. Ties (e.g. many zero-loss
+// years) share their rank range by trial order; −0 ties with +0.
 //
-// Each stream.Partition range is filled and sorted on its own worker;
-// the sorted runs are merged pairwise, the lower range winning ties
-// because its trials are the lower ones; the z-scores are then written
-// in parallel over rank ranges — each trial has one rank, so the
+// It is a stable LSD radix over 4-byte trial indices, one byte of
+// rankBits(agg[trial]) a pass. idx starts in trial order. Each pass
+// counts its byte per stream.Partition range on the range's worker, lays
+// the offsets out digit-major then worker-major, and scatters each range
+// in order, so equal bytes keep the order the previous pass left them in.
+// A byte on which every loss agrees orders nothing and is skipped: one
+// OR and one AND of the patterns, taken while filling idx, tell which.
+// The passes ping-pong between idx and one scratch slice; the last one
+// leaves idx sorted, and a final parallel pass over ranks writes sorted
+// and, into the scratch slice, rankOf — each trial has one rank, so the
 // scattered writes are disjoint.
-func rankTransform(ctx context.Context, agg []float64, workers int) (z, sorted []float64, err error) {
+func rankTransform(ctx context.Context, agg []float64, workers int) (rankOf []uint32, sorted []float64, err error) {
 	n := len(agg)
+	if err := checkRankable(n); err != nil {
+		return nil, nil, err
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	runs := stream.Partition(n, workers)
-	keys := make([]rankKey, n)
+	idx := make([]uint32, n)
 	// notFinite[w] is the first trial of run w whose loss is NaN or ±Inf
-	// (NaN makes < a non-order, ±Inf an enterprise total of ±Inf or NaN),
-	// -1 when it has none; kept per run so that the trial named is the
-	// lowest one whatever the worker count.
+	// (NaN has no place in the order, ±Inf makes an enterprise total of
+	// ±Inf or NaN), -1 when it has none; kept per run so that the trial
+	// named is the lowest one whatever the worker count. ors[w] and
+	// ands[w] fold run w's patterns.
 	notFinite := make([]int, len(runs))
+	ors, ands := make([]uint64, len(runs)), make([]uint64, len(runs))
 	err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, w int) error {
-		run := keys[r.Lo:r.Hi]
-		first := -1
-		for i := range run {
-			trial := r.Lo + i
+		first, or, and := -1, uint64(0), ^uint64(0)
+		for trial := r.Lo; trial < r.Hi; trial++ {
+			idx[trial] = uint32(trial)
 			loss := agg[trial]
 			if first < 0 && (math.IsNaN(loss) || math.IsInf(loss, 0)) {
 				first = trial
 			}
-			run[i] = rankKey{loss, trial}
+			p := rankBits(loss)
+			or |= p
+			and &= p
 		}
-		if notFinite[w] = first; first < 0 {
-			slices.SortFunc(run, compareRankKeys)
-		}
+		notFinite[w], ors[w], ands[w] = first, or, and
 		return nil
 	})
 	if err != nil {
@@ -461,63 +475,64 @@ func rankTransform(ctx context.Context, agg []float64, workers int) (z, sorted [
 			return nil, nil, fmt.Errorf("dfa: catastrophe loss at trial %d is not finite", trial)
 		}
 	}
-
-	// Merge adjacent runs, level by level, between keys and a scratch
-	// copy; an odd run out is carried over as it is.
-	var scratch []rankKey
-	if len(runs) > 1 {
-		scratch = make([]rankKey, n)
+	or, and := uint64(0), ^uint64(0)
+	for w := range runs {
+		or, and = or|ors[w], and&ands[w]
 	}
-	for len(runs) > 1 {
-		merged := make([]stream.Range, (len(runs)+1)/2)
-		err = stream.ForEach(ctx, len(merged), workers, func(_ context.Context, i int) error {
-			lo := runs[2*i]
-			if 2*i+1 == len(runs) {
-				copy(scratch[lo.Lo:lo.Hi], keys[lo.Lo:lo.Hi])
-				merged[i] = lo
-				return nil
+	varying := or ^ and // the bits on which some two losses differ
+
+	scratch := make([]uint32, n)
+	counts := make([][256]int, len(runs))
+	for shift := uint(0); shift < 64; shift += 8 {
+		if byte(varying>>shift) == 0 {
+			continue
+		}
+		err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, w int) error {
+			c := &counts[w]
+			*c = [256]int{}
+			for _, trial := range idx[r.Lo:r.Hi] {
+				c[byte(rankBits(agg[trial])>>shift)]++
 			}
-			hi := runs[2*i+1]
-			mergeRankKeys(scratch[lo.Lo:hi.Hi], keys[lo.Lo:lo.Hi], keys[hi.Lo:hi.Hi])
-			merged[i] = stream.Range{Lo: lo.Lo, Hi: hi.Hi}
 			return nil
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		runs, keys, scratch = merged, scratch, keys
+		// Turn the counts into each run's first slot per digit: digits in
+		// ascending order, and within a digit the runs in trial order.
+		for v, next := 0, 0; v < 256; v++ {
+			for w := range counts {
+				counts[w][v], next = next, next+counts[w][v]
+			}
+		}
+		err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, w int) error {
+			next := &counts[w]
+			for _, trial := range idx[r.Lo:r.Hi] {
+				v := byte(rankBits(agg[trial]) >> shift)
+				scratch[next[v]] = trial
+				next[v]++
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		idx, scratch = scratch, idx
 	}
 
-	z = make([]float64, n)
-	sorted = make([]float64, n)
+	rankOf, sorted = scratch, make([]float64, n)
 	err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, _ int) error {
 		for rank := r.Lo; rank < r.Hi; rank++ {
-			key := keys[rank]
-			sorted[rank] = key.loss
-			z[key.trial] = mathx.StdNormalQuantile((float64(rank) + 0.5) / float64(n))
+			trial := idx[rank]
+			sorted[rank] = agg[trial]
+			rankOf[trial] = uint32(rank)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return z, sorted, nil
-}
-
-// mergeRankKeys merges two sorted runs into dst, len(dst) = len(a) +
-// len(b). Every trial of a precedes every trial of b, so taking from a
-// on equal losses is the (loss, trial) order.
-func mergeRankKeys(dst, a, b []rankKey) {
-	i, j := 0, 0
-	for k := range dst {
-		if j == len(b) || (i < len(a) && a[i].loss <= b[j].loss) {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-	}
+	return rankOf, sorted, nil
 }
 
 // Run executes the integration over the cat table's trials.
@@ -545,12 +560,20 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 		return nil, fmt.Errorf("dfa: correlation not factorizable (jitter reached %g): %w", jitter, err)
 	}
 
+	// The run's constants are evaluated once, here, not once per trial.
+	sources := make([]runSource, len(ig.Sources))
+	for i, s := range ig.Sources {
+		if op, ok := s.(Operational); ok && (math.IsNaN(op.Freq) || math.IsInf(op.Freq, 0)) {
+			return nil, fmt.Errorf("dfa: source %d (%s) has frequency %g, which is not finite", i, s.Name(), op.Freq)
+		}
+		sources[i] = planSource(s)
+	}
+
 	n := cat.NumTrials()
 
-	// Rank-transform the cat losses into standard normals: the copula
-	// conditions every financial source on how bad the catastrophe
-	// year was.
-	zCat, catSorted, err := rankTransform(ctx, cat.Agg, cfg.Workers)
+	// Rank the cat losses: the copula conditions every financial source
+	// on how bad the catastrophe year was.
+	rankOf, catSorted, err := rankTransform(ctx, cat.Agg, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -571,12 +594,6 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 	}
 	res.Enterprise = enterprise
 
-	// The run's constants are evaluated once, here, not once per trial.
-	sources := make([]runSource, len(ig.Sources))
-	for i, s := range ig.Sources {
-		sources[i] = planSource(s)
-	}
-
 	perSource := res.PerSource // nil unless asked for
 	err = stream.ForEachRange(ctx, n, cfg.Workers, func(ctx context.Context, r stream.Range, _ int) error {
 		w := make([]float64, k)
@@ -595,9 +612,9 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 			}
 			st.Reseed(cfg.Seed, uint64(trial))
 			// Conditional Gaussian copula: coordinate 0 is pinned to
-			// the cat year's z-score (L[0][0] == 1 for a correlation
-			// matrix, so w[0] = z[0]).
-			w[0] = zCat[trial]
+			// the cat year's z-score Φ⁻¹((rank+½)/n) (L[0][0] == 1 for a
+			// correlation matrix, so w[0] = z[0]).
+			w[0] = mathx.StdNormalQuantile((float64(rankOf[trial]) + 0.5) / float64(n))
 			for i := 1; i < k; i++ {
 				w[i] = drawNormal(&st)
 			}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mathx"
 	"repro/internal/rng"
@@ -267,11 +268,11 @@ func TestStandardSourcesScale(t *testing.T) {
 }
 
 // The rank transform checked against definitions, not against another
-// implementation: the z-scores are a permutation of the fixed grid
-// Φ⁻¹((r+½)/n); they do not decrease as the loss grows and, among equal
-// losses, grow with the trial index; the sorted column is what
-// sort.Float64s makes of a copy; and none of it depends on the worker
-// count.
+// implementation: the ranks are a permutation of 0…n−1; they do not
+// decrease as the loss grows and, among equal losses, grow with the
+// trial index; the sorted column holds each trial's loss, bit for bit,
+// at its rank and is what sort.Float64s makes of a copy; and none of it
+// depends on the worker count.
 func TestRankTransformProperties(t *testing.T) {
 	ctx := context.Background()
 	for _, agg := range [][]float64{
@@ -282,28 +283,29 @@ func TestRankTransformProperties(t *testing.T) {
 		{2, -1, 2, math.Copysign(0, -1), 0, -1, 2},
 	} {
 		n := len(agg)
-		z1, sorted1, err := rankTransform(ctx, agg, 1)
+		rank1, sorted1, err := rankTransform(ctx, agg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 7, n + 1} {
-			z, sorted, err := rankTransform(ctx, agg, workers)
+			rankOf, sorted, err := rankTransform(ctx, agg, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameBits(z, z1) || !sameBits(sorted, sorted1) {
+			if !slices.Equal(rankOf, rank1) || !sameBits(sorted, sorted1) {
 				t.Fatalf("n=%d: workers=%d ranks differently from workers=1", n, workers)
 			}
 		}
 
-		grid := make([]float64, n)
-		for r := range grid {
-			grid[r] = mathx.StdNormalQuantile((float64(r) + 0.5) / float64(n))
-		}
-		zSorted := slices.Clone(z1)
-		sort.Float64s(zSorted)
-		if !sameBits(zSorted, grid) {
-			t.Fatalf("n=%d: the z-scores are not a permutation of the rank grid", n)
+		seen := make([]bool, n)
+		for trial, r := range rank1 {
+			if int(r) >= n || seen[r] {
+				t.Fatalf("n=%d: the ranks are not a permutation of 0…%d", n, n-1)
+			}
+			seen[r] = true
+			if math.Float64bits(sorted1[r]) != math.Float64bits(agg[trial]) {
+				t.Fatalf("n=%d: sorted[%d] = %v, trial %d at that rank lost %v", n, r, sorted1[r], trial, agg[trial])
+			}
 		}
 
 		for a := 0; a < n; a++ {
@@ -315,9 +317,9 @@ func TestRankTransformProperties(t *testing.T) {
 			}
 			for b := a + 1; b < n; b += step {
 				switch {
-				case agg[a] < agg[b] && !(z1[a] < z1[b]), agg[a] > agg[b] && !(z1[a] > z1[b]):
-					t.Fatalf("n=%d: z is not monotone in the loss at trials %d, %d", n, a, b)
-				case agg[a] == agg[b] && !(z1[a] < z1[b]):
+				case agg[a] < agg[b] && !(rank1[a] < rank1[b]), agg[a] > agg[b] && !(rank1[a] > rank1[b]):
+					t.Fatalf("n=%d: the rank is not monotone in the loss at trials %d, %d", n, a, b)
+				case agg[a] == agg[b] && !(rank1[a] < rank1[b]):
 					t.Fatalf("n=%d: equal losses at trials %d < %d are not ranked in trial order", n, a, b)
 				}
 			}
@@ -444,27 +446,54 @@ func TestRunRejectsHostileInputs(t *testing.T) {
 		}
 		return cat
 	}
+	// operationalAt is the standard set with the operational source's
+	// frequency replaced.
+	operationalAt := func(freq float64) []Source {
+		sources := StandardSources(1e6)
+		op := sources[5].(Operational)
+		op.Freq = freq
+		sources[5] = op
+		return sources
+	}
 	for _, c := range []struct {
-		name string
-		cat  *ylt.Table
-		corr *mathx.Matrix
-		want string
+		name    string
+		cat     *ylt.Table
+		corr    *mathx.Matrix
+		sources []Source // the standard set when nil
+		want    string
 	}{
-		{"NaN loss", lossAt(math.NaN(), 93, 41, 77), nil, "dfa: catastrophe loss at trial 41 is not finite"},
-		{"+Inf loss", lossAt(math.Inf(1), 99), nil, "dfa: catastrophe loss at trial 99 is not finite"},
-		{"-Inf loss", lossAt(math.Inf(-1), 0), nil, "dfa: catastrophe loss at trial 0 is not finite"},
-		{"diagonal", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(3, 3, 1.1) }), "correlation[3][3]"},
-		{"diagonal of zeros", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(0, 0, 0) }), "correlation[0][0]"},
-		{"asymmetric", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(1, 4, 0.5) }), "correlation[4][1]"},
-		{"out of range", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(5, 2, -1.5); m.Set(2, 5, -1.5) }), "correlation[2][5]"},
-		{"NaN cell", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(6, 1, math.NaN()) }), "correlation[6][1]"},
-		{"short data", catTable(n, 6), &mathx.Matrix{N: 7, Data: make([]float64, 7)}, "correlation matrix"},
+		{"NaN loss", lossAt(math.NaN(), 93, 41, 77), nil, nil, "dfa: catastrophe loss at trial 41 is not finite"},
+		{"+Inf loss", lossAt(math.Inf(1), 99), nil, nil, "dfa: catastrophe loss at trial 99 is not finite"},
+		{"-Inf loss", lossAt(math.Inf(-1), 0), nil, nil, "dfa: catastrophe loss at trial 0 is not finite"},
+		{"diagonal", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(3, 3, 1.1) }), nil, "correlation[3][3]"},
+		{"diagonal of zeros", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(0, 0, 0) }), nil, "correlation[0][0]"},
+		{"asymmetric", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(1, 4, 0.5) }), nil, "correlation[4][1]"},
+		{"out of range", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(5, 2, -1.5); m.Set(2, 5, -1.5) }), nil, "correlation[2][5]"},
+		{"NaN cell", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(6, 1, math.NaN()) }), nil, "correlation[6][1]"},
+		{"short data", catTable(n, 6), &mathx.Matrix{N: 7, Data: make([]float64, 7)}, nil, "correlation matrix"},
+		{"NaN operational frequency", catTable(n, 6), nil, operationalAt(math.NaN()), "dfa: source 5 (operational) has frequency NaN"},
+		{"+Inf operational frequency", catTable(n, 6), nil, operationalAt(math.Inf(1)), "dfa: source 5 (operational) has frequency +Inf"},
 	} {
+		sources := c.sources
+		if sources == nil {
+			sources = StandardSources(1e6)
+		}
 		for _, workers := range []int{1, 3, 8} {
-			ig := &Integrator{Sources: StandardSources(1e6)}
-			_, err := ig.Run(context.Background(), c.cat, Config{Seed: 1, Rho: 0.2, Corr: c.corr, Workers: workers})
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%s, workers=%d: error %v, want one containing %q", c.name, workers, err, c.want)
+			ig := &Integrator{Sources: sources}
+			// A hostile input must be refused, not drawn from: a Poisson
+			// count at a NaN or infinite rate never returned.
+			done := make(chan error, 1)
+			go func() {
+				_, err := ig.Run(context.Background(), c.cat, Config{Seed: 1, Rho: 0.2, Corr: c.corr, Workers: workers})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s, workers=%d: error %v, want one containing %q", c.name, workers, err, c.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, workers=%d: Run has not returned after 10 s", c.name, workers)
 			}
 		}
 	}

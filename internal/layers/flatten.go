@@ -103,11 +103,11 @@ func (ft *FlatTerms) NumLayers() int { return len(ft.OccRet) }
 
 // ApplyOccurrence is Layer.ApplyOccurrence over flat slot fl:
 // min(max(loss - occRet, 0), occLim). Bit-identical to the Layer
-// method for any loss (the +Inf sentinel makes the clamp a no-op
-// where Layer skipped it).
+// method for any loss, NaN losses and retentions included (the +Inf
+// sentinel makes the clamp a no-op where Layer skipped it).
 func (ft *FlatTerms) ApplyOccurrence(fl int32, loss float64) float64 {
 	ret := ft.OccRet[fl]
-	if loss <= ret {
+	if !(loss > ret) {
 		return 0
 	}
 	r := loss - ret

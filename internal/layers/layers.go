@@ -54,9 +54,11 @@ func (l Layer) Validate() error {
 
 // ApplyOccurrence maps one event's contract loss to the layer's
 // occurrence recovery: min(max(loss - occRet, 0), occLimit).
-// Share is applied at the annual stage, not per occurrence.
+// Share is applied at the annual stage, not per occurrence. A loss that
+// does not exceed the retention pays +0, and so do a NaN loss and a NaN
+// retention (no comparison with NaN holds), as in the trial kernel.
 func (l Layer) ApplyOccurrence(loss float64) float64 {
-	if loss <= l.OccRetention {
+	if !(loss > l.OccRetention) {
 		return 0
 	}
 	r := loss - l.OccRetention

@@ -66,6 +66,32 @@ func TestApplyAggregateNaNPaysNothing(t *testing.T) {
 	}
 }
 
+// A NaN occurrence loss or retention pays +0, the trial kernel's
+// reading of its inlined clamp (loss > ret), through Layer and FlatTerms
+// alike.
+func TestApplyOccurrenceNaNPaysNothing(t *testing.T) {
+	nan := math.NaN()
+	layersWith := []Layer{{OccRetention: nan}, {OccRetention: nan, OccLimit: 50}, {OccRetention: 10, OccLimit: 40}}
+	ft, err := FlattenTerms(&Portfolio{Contracts: []Contract{{ID: 1, Layers: layersWith}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fl, l := range layersWith {
+		losses := []float64{nan, 0, 1e6}
+		if !math.IsNaN(l.OccRetention) {
+			losses = losses[:1]
+		}
+		for _, loss := range losses {
+			if got := l.ApplyOccurrence(loss); math.Float64bits(got) != 0 {
+				t.Errorf("layer %+v: ApplyOccurrence(%v) = %v, want +0", l, loss, got)
+			}
+			if got := ft.ApplyOccurrence(int32(fl), loss); math.Float64bits(got) != 0 {
+				t.Errorf("slot %d: ApplyOccurrence(%v) = %v, want +0", fl, loss, got)
+			}
+		}
+	}
+}
+
 func TestShareDefaultsToFull(t *testing.T) {
 	l := Layer{}
 	if got := l.ApplyAggregate(100); got != 100 {

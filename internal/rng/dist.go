@@ -218,25 +218,63 @@ func expBound(z float64) float64 {
 const maxDirectPoissonLambda = 30
 
 // Poisson returns a draw from Poisson(lambda). lambda <= 0 returns 0.
+// It is NewPoisson(lambda).Draw(st), and panics where NewPoisson does.
 //
 // Event-occurrence sampling (how many catastrophes strike in a trial
 // year) uses this; typical lambdas are single digits, where Knuth's
 // multiplication method is both exact and fast. Large lambdas decompose
 // as sums of independent Poissons.
-func (st *Stream) Poisson(lambda float64) int {
+func (st *Stream) Poisson(lambda float64) int { return NewPoisson(lambda).Draw(st) }
+
+// Poisson is a fixed-rate Poisson sampler: the thresholds Knuth's
+// method compares against, evaluated once for a rate that many draws
+// share. A rate above maxDirectPoissonLambda is split into chunks of
+// maxDirectPoissonLambda by repeated subtraction, and what is left, rest
+// in (0, maxDirectPoissonLambda], is drawn last. The zero value is the
+// rate 0: it draws nothing and returns 0.
+type Poisson struct {
+	chunks  int     // whole chunks of maxDirectPoissonLambda
+	expRest float64 // exp(−rest) ≥ expChunk > 0; 0 for a rate ≤ 0
+}
+
+// expChunk is the threshold of one chunk, exp(−maxDirectPoissonLambda).
+var expChunk = math.Exp(-maxDirectPoissonLambda)
+
+// NewPoisson returns the sampler for Poisson(lambda); lambda <= 0 draws
+// 0. It panics if lambda is NaN or ±Inf, which has no draw (the chunk
+// loop of +Inf never ends, and no product of uniforms falls to
+// exp(−NaN)).
+func NewPoisson(lambda float64) Poisson {
+	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		panic("rng: NewPoisson with non-finite lambda")
+	}
 	if lambda <= 0 {
+		return Poisson{}
+	}
+	var p Poisson
+	for lambda > maxDirectPoissonLambda {
+		p.chunks++
+		lambda -= maxDirectPoissonLambda
+	}
+	p.expRest = math.Exp(-lambda)
+	return p
+}
+
+// Draw returns a draw from the sampler's Poisson distribution.
+func (p Poisson) Draw(st *Stream) int {
+	if p.expRest == 0 {
 		return 0
 	}
 	n := 0
-	for lambda > maxDirectPoissonLambda {
-		n += st.poissonDirect(maxDirectPoissonLambda)
-		lambda -= maxDirectPoissonLambda
+	for i := 0; i < p.chunks; i++ {
+		n += st.poissonDirect(expChunk)
 	}
-	return n + st.poissonDirect(lambda)
+	return n + st.poissonDirect(p.expRest)
 }
 
-func (st *Stream) poissonDirect(lambda float64) int {
-	l := math.Exp(-lambda)
+// poissonDirect is Knuth's multiplication method: the count of uniforms
+// whose running product stays above l = exp(−lambda).
+func (st *Stream) poissonDirect(l float64) int {
 	k := 0
 	p := 1.0
 	for {

@@ -267,6 +267,73 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
+// poissonByChunks is Stream.Poisson as it was before the fixed-rate
+// plan: exp(−λ) evaluated on every call, a chunk of
+// maxDirectPoissonLambda at a time.
+func poissonByChunks(st *Stream, lambda float64) int {
+	direct := func(lambda float64) int {
+		l := math.Exp(-lambda)
+		k := 0
+		p := 1.0
+		for {
+			p *= st.Float64()
+			if p <= l {
+				return k
+			}
+			k++
+		}
+	}
+	if lambda <= 0 {
+		return 0
+	}
+	n := 0
+	for lambda > maxDirectPoissonLambda {
+		n += direct(maxDirectPoissonLambda)
+		lambda -= maxDirectPoissonLambda
+	}
+	return n + direct(lambda)
+}
+
+// A plan built once draws what the per-call computation drew, and leaves
+// the stream where it left it, at rates on both sides of the chunk size
+// and at its edge.
+func TestPoissonPlanMatchesPerCallDraws(t *testing.T) {
+	for _, lambda := range []float64{-1, 0, 1e-300, 1.5, 10, 30, math.Nextafter(30, 31), 61.7, 95} {
+		plan := NewPoisson(lambda)
+		viaPlan, viaStream, ref := NewStream(5, 1), NewStream(5, 1), NewStream(5, 1)
+		for i := 0; i < 2000; i++ {
+			want := poissonByChunks(ref, lambda)
+			if got := plan.Draw(viaPlan); got != want {
+				t.Fatalf("λ=%v draw %d: plan drew %d, want %d", lambda, i, got, want)
+			}
+			if got := viaStream.Poisson(lambda); got != want {
+				t.Fatalf("λ=%v draw %d: Stream.Poisson drew %d, want %d", lambda, i, got, want)
+			}
+			if *viaPlan != *ref || *viaStream != *ref {
+				t.Fatalf("λ=%v draw %d: the stream states differ", lambda, i)
+			}
+		}
+	}
+	if plan := (Poisson{}); plan.Draw(New(1)) != 0 {
+		t.Error("the zero plan must draw 0")
+	}
+}
+
+// A non-finite rate has no draw: NewPoisson panics at once rather than
+// loop (the per-call method never returned at NaN or +Inf).
+func TestNewPoissonPanicsOnNonFiniteRate(t *testing.T) {
+	for _, lambda := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewPoisson(%v) did not panic", lambda)
+				}
+			}()
+			NewPoisson(lambda)
+		}()
+	}
+}
+
 func TestParetoTail(t *testing.T) {
 	s := New(1009)
 	xm, alpha := 100.0, 2.5

@@ -152,6 +152,66 @@ func TestReaderNextLongTrial(t *testing.T) {
 	tablesEqual(t, "long trial", tbl, got)
 }
 
+// TestReaderShortHeader cuts a counts header of 20 000 trials, longer
+// than the reader's 64 KiB buffer, at every kind of place: before the
+// first count, between counts, inside one, across the first buffer and
+// in the last count. Each must fail the way io.ReadFull per count did —
+// io.EOF between counts, io.ErrUnexpectedEOF inside one, naming the
+// first missing count — whether the bytes arrive all at once, one at a
+// time, or with the EOF on the last data.
+func TestReaderShortHeader(t *testing.T) {
+	const trials = 20_000
+	tbl := &Table{NumTrials: trials, Offsets: make([]int64, trials+1)}
+	var enc bytes.Buffer
+	if _, err := tbl.WriteTo(&enc); err != nil {
+		t.Fatal(err)
+	}
+	data := enc.Bytes()
+	cnt := func(i int) int { return 8 + 4*i }
+	for _, tc := range []struct {
+		name  string
+		cut   int
+		count int
+		want  error
+	}{
+		{"no counts", cnt(0), 0, io.EOF},
+		{"between counts", cnt(5), 5, io.EOF},
+		{"inside a count", cnt(5) + 1, 5, io.ErrUnexpectedEOF},
+		{"first 64 KiB buffer", 1<<16 + 2, (1<<16 - 8) / 4, io.ErrUnexpectedEOF}, // 2 B into a count: 1<<16 − 8 is a whole number of them
+		{"second buffer, between counts", cnt(16_384 + 9), 16_384 + 9, io.EOF},
+		{"last count", len(data) - 1, trials - 1, io.ErrUnexpectedEOF},
+	} {
+		for _, rdr := range []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{
+			{"whole", func(r io.Reader) io.Reader { return r }},
+			{"one byte", iotest.OneByteReader},
+			{"EOF with data", iotest.DataErrReader},
+		} {
+			t.Run(tc.name+"/"+rdr.name, func(t *testing.T) {
+				_, err := NewReader(rdr.wrap(bytes.NewReader(data[:tc.cut])))
+				if err == nil {
+					t.Fatalf("header cut at byte %d of %d accepted", tc.cut, len(data))
+				}
+				if !errors.Is(err, tc.want) || tc.want == io.EOF && errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("err %v, want %v", err, tc.want)
+				}
+				if want := fmt.Sprintf("count %d:", tc.count); !strings.Contains(err.Error(), want) {
+					t.Fatalf("err %q does not name %s", err, want)
+				}
+			})
+		}
+	}
+	rd, err := NewReader(iotest.HalfReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.NumTrials() != trials || rd.occs != 0 {
+		t.Fatalf("whole header read as %d trials, %d occurrences", rd.NumTrials(), rd.occs)
+	}
+}
+
 // A header is input from outside the process (-mode aggregate -dir D):
 // one that declares 2^27 trials over no data must be refused before
 // anything is sized from it, whichever parser it arrives through.

@@ -3,6 +3,7 @@ package yelt
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -69,6 +70,7 @@ type Generator struct {
 	events    []catalog.Event
 	alias     *rng.Alias
 	totalRate float64
+	count     rng.Poisson // Poisson(totalRate), the year's count
 	// streamed counts occurrences delivered through ReadTrials — the
 	// streaming analogue of Table.Len for stage accounting.
 	streamed atomic.Int64
@@ -84,6 +86,10 @@ func NewGenerator(cat *catalog.Catalog, cfg Config, seed uint64) (*Generator, er
 	if cat.Len() == 0 {
 		return nil, errEmptyCatalog
 	}
+	rate := cat.TotalRate()
+	if math.IsNaN(rate) || math.IsInf(rate, 0) {
+		return nil, fmt.Errorf("yelt: catalogue total rate %g is not finite", rate)
+	}
 	alias, err := rng.NewAlias(cat.Rates())
 	if err != nil {
 		return nil, fmt.Errorf("yelt: building event sampler: %w", err)
@@ -93,7 +99,8 @@ func NewGenerator(cat *catalog.Catalog, cfg Config, seed uint64) (*Generator, er
 		seed:      seed,
 		events:    cat.Events,
 		alias:     alias,
-		totalRate: cat.TotalRate(),
+		totalRate: rate,
+		count:     rng.NewPoisson(rate),
 	}, nil
 }
 
@@ -128,7 +135,7 @@ func (g *Generator) appendTrial(trial int, occs []uint32, keys []uint64) ([]uint
 // openTrial reseeds st to trial's substream and draws the year's count.
 func (g *Generator) openTrial(st *rng.Stream, trial int) int {
 	st.Reseed(g.seed, uint64(trial))
-	return st.Poisson(g.totalRate)
+	return g.count.Draw(st)
 }
 
 // fillYear draws a whole year after openTrial's count into year, in

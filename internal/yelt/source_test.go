@@ -5,6 +5,7 @@ import (
 	"context"
 	"hash/fnv"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -228,6 +229,12 @@ func TestNewGeneratorValidation(t *testing.T) {
 	cat := testCatalog(t, 10)
 	if _, err := NewGenerator(cat, Config{NumTrials: 0}, 1); err == nil {
 		t.Error("NumTrials=0 should error")
+	}
+	// Two finite rates whose sum overflows: no year count can be drawn
+	// at an infinite rate, so the generator is refused, not built.
+	huge := catalog.NewCatalog([]catalog.Event{{ID: 1, AnnualRate: 1e308}, {ID: 2, AnnualRate: 1e308}})
+	if _, err := NewGenerator(huge, Config{NumTrials: 1}, 1); err == nil || !strings.Contains(err.Error(), "total rate +Inf is not finite") {
+		t.Errorf("a catalogue of total rate %v: error %v", huge.TotalRate(), err)
 	}
 }
 

@@ -206,14 +206,26 @@ func newReader(r io.Reader, what string) (*Reader, error) {
 		return nil, fmt.Errorf("%w: %s trial count %d", ErrBadFormat, what, numTrials)
 	}
 	rd := &Reader{br: br, counts: make([]uint32, 0, min(numTrials, preallocCap))}
-	var u4 [4]byte
-	for trial := uint32(0); trial < numTrials; trial++ {
-		if _, err := io.ReadFull(br, u4[:]); err != nil {
-			return nil, fmt.Errorf("yelt: %s count %d: %w", what, trial, err)
+	// The counts are decoded straight from the buffer, at most a buffer
+	// at a time. A short header fails as io.ReadFull per count did:
+	// io.EOF between counts, io.ErrUnexpectedEOF inside one, naming the
+	// first missing count.
+	for left := int(numTrials); left > 0; {
+		chunk, err := br.Peek(min(4*left, br.Size()))
+		whole := len(chunk) / 4
+		for i := 0; i < whole; i++ {
+			c := binary.LittleEndian.Uint32(chunk[4*i:])
+			rd.counts = append(rd.counts, c)
+			rd.occs += int64(c)
 		}
-		c := binary.LittleEndian.Uint32(u4[:])
-		rd.counts = append(rd.counts, c)
-		rd.occs += int64(c)
+		br.Discard(4 * whole) // buffered bytes: it cannot fail
+		left -= whole
+		if err != nil {
+			if err == io.EOF && len(chunk)%4 != 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("yelt: %s count %d: %w", what, len(rd.counts), err)
+		}
 	}
 	const maxOccs = 1 << 31
 	if rd.occs > maxOccs {
