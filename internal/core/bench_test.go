@@ -12,9 +12,8 @@ import (
 
 // BenchmarkPassReports times the tail of Pipeline.Run — the two reports
 // of a million-trial pass — through Summarize of each table (four
-// column copies and selections) and as Run builds them (ReportViews:
-// the catastrophe aggregate column comes sorted from stage 3, the
-// occurrence column is copied and selected in once for both reports).
+// in-place selections) and as Run builds them (ReportViews: the two
+// reports share the occurrence column's curve, so three).
 func BenchmarkPassReports(b *testing.B) {
 	const n = 1_000_000
 	cat := ylt.New("portfolio", n)

@@ -724,18 +724,17 @@ func (p *Pipeline) Run(ctx context.Context) (*Report, error) {
 	return &Report{Stages: slices.Clone(p.Stages), Catastrophe: catSum, Enterprise: entSum}, nil
 }
 
-// ReportViews builds the two reports' views from a stage-3 result with
-// two column copies instead of four: the catastrophe view reads its
-// aggregate column as the rank transform sorted it (res.CatSorted) and
-// selects only in OccMax; the enterprise view selects in its own
-// aggregate column and shares the catastrophe view's OccMax curve, of
-// whose column its own is a copy. The two views share a curve that
-// reorders itself as it selects, so they are read by one goroutine.
+// ReportViews builds the two reports' views from a stage-3 result. Each
+// selects its order statistics in place in the tables' own columns,
+// copying none, and the enterprise view shares the catastrophe view's
+// occurrence curve: stage 3's enterprise table holds the catastrophe
+// table's OccMax slice, so the second report reads the order statistics
+// the first selected there.
 func ReportViews(res *dfa.Result) (cat, enterprise *metrics.View, err error) {
-	if cat, err = metrics.NewViewSorted(res.Cat, res.CatSorted, nil); err != nil {
+	if cat, err = metrics.NewView(res.Cat); err != nil {
 		return nil, nil, fmt.Errorf("core: cat view: %w", err)
 	}
-	if enterprise, err = metrics.NewViewSorted(res.Enterprise, nil, cat); err != nil {
+	if enterprise, err = metrics.NewViewSorted(res.Enterprise, cat); err != nil {
 		return nil, nil, fmt.Errorf("core: enterprise view: %w", err)
 	}
 	return cat, enterprise, nil

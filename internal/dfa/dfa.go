@@ -10,11 +10,13 @@
 //
 // A run ranks the catastrophe losses once (rankTransform: a parallel,
 // stable LSD radix over 4-byte trial indices, which keeps each trial's
-// rank, not its z-score) and hands the sorted column on as
-// Result.CatSorted; it evaluates each standard source's constants once
-// per run, not once per trial, and hands it its copula normal without a
-// round trip through Φ and Φ⁻¹; every normal it draws is a ziggurat
-// normal; and it carries only the tables its caller reports.
+// rank and nothing else); it evaluates each standard source's constants
+// once per run, not once per trial, and hands it its copula normal
+// without a round trip through Φ and Φ⁻¹; every normal it draws is a
+// ziggurat normal; and it carries only the tables its caller reports.
+// The enterprise table shares the catastrophe table's occurrence column.
+// The reports select their order statistics in the tables themselves
+// (package metrics), so the stage hands them nothing else.
 package dfa
 
 import (
@@ -201,7 +203,8 @@ func (s Operational) Loss(u float64, aux *rng.Stream) float64 {
 
 // operationalPlan is an Operational with the event count's Poisson plan
 // and the severity's lognormal parameters evaluated. plan panics on a
-// non-finite Freq, as rng.NewPoisson does; Run refuses one first.
+// non-finite Freq or one above rng.MaxPoissonRate, as rng.NewPoisson
+// does; Run refuses both first.
 type operationalPlan struct {
 	count           rng.Poisson
 	beta, mu, sigma float64
@@ -339,26 +342,25 @@ type Config struct {
 	KeepPerSource bool
 }
 
-// Result is the output of an integration.
+// Result is the output of an integration. Its tables are read-only once
+// returned: Enterprise shares a column with Cat, and the reports read
+// both in place.
 type Result struct {
 	// Cat is the input catastrophe YLT (coordinate 0).
 	Cat *ylt.Table
-	// CatSorted is Cat.Agg in ascending order — a by-product of the rank
-	// transform, handed on so that the catastrophe report reads its order
-	// statistics from it directly (metrics.NewViewSorted).
-	CatSorted []float64
 	// PerSource holds one YLT per non-cat source, in input order. It is
 	// nil unless Config.KeepPerSource was set.
 	PerSource []*ylt.Table
 	// Enterprise is the per-trial sum of cat and all sources. When Cat
-	// has occurrence detail, Enterprise.OccMax is an element-wise copy of
-	// Cat.OccMax (no source has occurrences), so the two tables' sorted
-	// occurrence columns are the same column. It is a copy, not an
-	// alias: scaling one table in place must not reach the other.
+	// has occurrence detail, Enterprise.OccMax is Cat.OccMax itself, the
+	// same slice (no source has occurrences), so that the two reports
+	// select in one occurrence column (metrics.NewViewSorted).
 	Enterprise *ylt.Table
 	// TotalBytes is the summed serialized size of the tables the run
 	// holds — Cat, Enterprise and, with KeepPerSource, every per-source
-	// table — the stage-3 data-volume accounting for experiment E9.
+	// table — the stage-3 data-volume accounting for experiment E9. It
+	// counts each table's columns as its serialized form holds them, so
+	// the occurrence column Enterprise shares with Cat counts twice.
 	TotalBytes int64
 }
 
@@ -397,19 +399,6 @@ func checkCorr(corr *mathx.Matrix, k int) error {
 	return nil
 }
 
-// rankBits is the order-preserving bit pattern of a finite loss: the
-// sign bit flipped for a positive loss, every bit for a negative one,
-// so that the patterns compare as unsigned integers the way the losses
-// compare as floats. Adding +0 first folds −0 onto +0: the two are
-// equal losses and must tie.
-func rankBits(loss float64) uint64 {
-	bits := math.Float64bits(loss + 0)
-	if bits>>63 != 0 {
-		return ^bits
-	}
-	return bits | 1<<63
-}
-
 // checkRankable refuses a table too long for the rank transform's
 // 4-byte trial indices.
 func checkRankable(n int) error {
@@ -419,26 +408,27 @@ func checkRankable(n int) error {
 	return nil
 }
 
-// rankTransform returns each trial's rank and the sorted losses:
-// rankOf[trial] is the trial's position in the stable ascending order
-// of agg, and sorted[rank] the loss there. Ties (e.g. many zero-loss
-// years) share their rank range by trial order; −0 ties with +0.
+// rankTransform returns each trial's rank: rankOf[trial] is the trial's
+// position in the stable ascending order of agg. Ties (e.g. many
+// zero-loss years) share their rank range by trial order; −0 ties with
+// +0.
 //
 // It is a stable LSD radix over 4-byte trial indices, one byte of
-// rankBits(agg[trial]) a pass. idx starts in trial order. Each pass
-// counts its byte per stream.Partition range on the range's worker, lays
-// the offsets out digit-major then worker-major, and scatters each range
-// in order, so equal bytes keep the order the previous pass left them in.
+// mathx.OrderBits(agg[trial]) a pass. idx starts in trial order. Each
+// pass counts its byte per stream.Partition range on the range's
+// worker, lays the offsets out digit-major then worker-major, and
+// scatters each range in order, so equal bytes keep the order the
+// previous pass left them in.
 // A byte on which every loss agrees orders nothing and is skipped: one
 // OR and one AND of the patterns, taken while filling idx, tell which.
 // The passes ping-pong between idx and one scratch slice; the last one
-// leaves idx sorted, and a final parallel pass over ranks writes sorted
-// and, into the scratch slice, rankOf — each trial has one rank, so the
-// scattered writes are disjoint.
-func rankTransform(ctx context.Context, agg []float64, workers int) (rankOf []uint32, sorted []float64, err error) {
+// leaves idx sorted, and a final parallel pass over ranks writes rankOf
+// into the scratch slice — each trial has one rank, so the scattered
+// writes are disjoint.
+func rankTransform(ctx context.Context, agg []float64, workers int) (rankOf []uint32, err error) {
 	n := len(agg)
 	if err := checkRankable(n); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -460,7 +450,7 @@ func rankTransform(ctx context.Context, agg []float64, workers int) (rankOf []ui
 			if first < 0 && (math.IsNaN(loss) || math.IsInf(loss, 0)) {
 				first = trial
 			}
-			p := rankBits(loss)
+			p := mathx.OrderBits(loss)
 			or |= p
 			and &= p
 		}
@@ -468,11 +458,11 @@ func rankTransform(ctx context.Context, agg []float64, workers int) (rankOf []ui
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, trial := range notFinite {
 		if trial >= 0 {
-			return nil, nil, fmt.Errorf("dfa: catastrophe loss at trial %d is not finite", trial)
+			return nil, fmt.Errorf("dfa: catastrophe loss at trial %d is not finite", trial)
 		}
 	}
 	or, and := uint64(0), ^uint64(0)
@@ -491,12 +481,12 @@ func rankTransform(ctx context.Context, agg []float64, workers int) (rankOf []ui
 			c := &counts[w]
 			*c = [256]int{}
 			for _, trial := range idx[r.Lo:r.Hi] {
-				c[byte(rankBits(agg[trial])>>shift)]++
+				c[byte(mathx.OrderBits(agg[trial])>>shift)]++
 			}
 			return nil
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// Turn the counts into each run's first slot per digit: digits in
 		// ascending order, and within a digit the runs in trial order.
@@ -508,31 +498,29 @@ func rankTransform(ctx context.Context, agg []float64, workers int) (rankOf []ui
 		err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, w int) error {
 			next := &counts[w]
 			for _, trial := range idx[r.Lo:r.Hi] {
-				v := byte(rankBits(agg[trial]) >> shift)
+				v := byte(mathx.OrderBits(agg[trial]) >> shift)
 				scratch[next[v]] = trial
 				next[v]++
 			}
 			return nil
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		idx, scratch = scratch, idx
 	}
 
-	rankOf, sorted = scratch, make([]float64, n)
+	rankOf = scratch
 	err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, _ int) error {
 		for rank := r.Lo; rank < r.Hi; rank++ {
-			trial := idx[rank]
-			sorted[rank] = agg[trial]
-			rankOf[trial] = uint32(rank)
+			rankOf[idx[rank]] = uint32(rank)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return rankOf, sorted, nil
+	return rankOf, nil
 }
 
 // Run executes the integration over the cat table's trials.
@@ -563,8 +551,13 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 	// The run's constants are evaluated once, here, not once per trial.
 	sources := make([]runSource, len(ig.Sources))
 	for i, s := range ig.Sources {
-		if op, ok := s.(Operational); ok && (math.IsNaN(op.Freq) || math.IsInf(op.Freq, 0)) {
-			return nil, fmt.Errorf("dfa: source %d (%s) has frequency %g, which is not finite", i, s.Name(), op.Freq)
+		if op, ok := s.(Operational); ok {
+			switch {
+			case math.IsNaN(op.Freq) || math.IsInf(op.Freq, 0):
+				return nil, fmt.Errorf("dfa: source %d (%s) has frequency %g, which is not finite", i, s.Name(), op.Freq)
+			case op.Freq > rng.MaxPoissonRate:
+				return nil, fmt.Errorf("dfa: source %d (%s) has frequency %g, above the largest Poisson rate %g", i, s.Name(), op.Freq, float64(rng.MaxPoissonRate))
+			}
 		}
 		sources[i] = planSource(s)
 	}
@@ -573,25 +566,20 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 
 	// Rank the cat losses: the copula conditions every financial source
 	// on how bad the catastrophe year was.
-	rankOf, catSorted, err := rankTransform(ctx, cat.Agg, cfg.Workers)
+	rankOf, err := rankTransform(ctx, cat.Agg, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{Cat: cat, CatSorted: catSorted}
+	res := &Result{Cat: cat}
 	if cfg.KeepPerSource {
 		res.PerSource = make([]*ylt.Table, len(ig.Sources))
 		for i, s := range ig.Sources {
 			res.PerSource[i] = ylt.NewAggOnly(s.Name(), n)
 		}
 	}
-	var enterprise *ylt.Table
-	if cat.HasOccurrence() {
-		enterprise = ylt.New("enterprise", n)
-		copy(enterprise.OccMax, cat.OccMax)
-	} else {
-		enterprise = ylt.NewAggOnly("enterprise", n)
-	}
+	enterprise := ylt.NewAggOnly("enterprise", n)
+	enterprise.OccMax = cat.OccMax // nil when Cat has no occurrence detail
 	res.Enterprise = enterprise
 
 	perSource := res.PerSource // nil unless asked for

@@ -3,6 +3,7 @@ package dfa
 import (
 	"context"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -126,11 +127,9 @@ func TestCorrelationRaisesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := func(xs []float64) float64 {
-		v, err := mathx.Quantile(xs, 0.995)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
+		sorted := slices.Clone(xs)
+		sort.Float64s(sorted)
+		return mathx.QuantileSorted(len(sorted), 0.995, func(i int) float64 { return sorted[i] })
 	}
 	if q(dep.Enterprise.Agg) <= q(ind.Enterprise.Agg) {
 		t.Fatalf("dependent 99.5%% quantile %v should exceed independent %v",
@@ -270,9 +269,7 @@ func TestStandardSourcesScale(t *testing.T) {
 // The rank transform checked against definitions, not against another
 // implementation: the ranks are a permutation of 0…n−1; they do not
 // decrease as the loss grows and, among equal losses, grow with the
-// trial index; the sorted column holds each trial's loss, bit for bit,
-// at its rank and is what sort.Float64s makes of a copy; and none of it
-// depends on the worker count.
+// trial index; and none of it depends on the worker count.
 func TestRankTransformProperties(t *testing.T) {
 	ctx := context.Background()
 	for _, agg := range [][]float64{
@@ -283,29 +280,26 @@ func TestRankTransformProperties(t *testing.T) {
 		{2, -1, 2, math.Copysign(0, -1), 0, -1, 2},
 	} {
 		n := len(agg)
-		rank1, sorted1, err := rankTransform(ctx, agg, 1)
+		rank1, err := rankTransform(ctx, agg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 7, n + 1} {
-			rankOf, sorted, err := rankTransform(ctx, agg, workers)
+			rankOf, err := rankTransform(ctx, agg, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(rankOf, rank1) || !sameBits(sorted, sorted1) {
+			if !slices.Equal(rankOf, rank1) {
 				t.Fatalf("n=%d: workers=%d ranks differently from workers=1", n, workers)
 			}
 		}
 
 		seen := make([]bool, n)
-		for trial, r := range rank1 {
+		for _, r := range rank1 {
 			if int(r) >= n || seen[r] {
 				t.Fatalf("n=%d: the ranks are not a permutation of 0…%d", n, n-1)
 			}
 			seen[r] = true
-			if math.Float64bits(sorted1[r]) != math.Float64bits(agg[trial]) {
-				t.Fatalf("n=%d: sorted[%d] = %v, trial %d at that rank lost %v", n, r, sorted1[r], trial, agg[trial])
-			}
 		}
 
 		for a := 0; a < n; a++ {
@@ -323,12 +317,6 @@ func TestRankTransformProperties(t *testing.T) {
 					t.Fatalf("n=%d: equal losses at trials %d < %d are not ranked in trial order", n, a, b)
 				}
 			}
-		}
-
-		want := slices.Clone(agg)
-		sort.Float64s(want)
-		if !slices.Equal(sorted1, want) {
-			t.Fatalf("n=%d: sorted column differs from sort.Float64s of a copy", n)
 		}
 	}
 }
@@ -404,8 +392,10 @@ func TestRankInvarianceLeavesSourcesBitIdentical(t *testing.T) {
 			for i, x := range cat.Agg {
 				moved.Agg[i] = tr.f(x)
 			}
-			for r := 1; r < len(base.CatSorted); r++ {
-				a, b := base.CatSorted[r-1], base.CatSorted[r]
+			sorted := slices.Clone(cat.Agg)
+			sort.Float64s(sorted)
+			for r := 1; r < len(sorted); r++ {
+				a, b := sorted[r-1], sorted[r]
 				if a < b && !(tr.f(a) < tr.f(b)) {
 					t.Fatalf("%s/%s: the transform does not keep %v < %v", name, tr.name, a, b)
 				}
@@ -473,6 +463,9 @@ func TestRunRejectsHostileInputs(t *testing.T) {
 		{"short data", catTable(n, 6), &mathx.Matrix{N: 7, Data: make([]float64, 7)}, nil, "correlation matrix"},
 		{"NaN operational frequency", catTable(n, 6), nil, operationalAt(math.NaN()), "dfa: source 5 (operational) has frequency NaN"},
 		{"+Inf operational frequency", catTable(n, 6), nil, operationalAt(math.Inf(1)), "dfa: source 5 (operational) has frequency +Inf"},
+		{"operational frequency 1e12", catTable(n, 6), nil, operationalAt(1e12), "dfa: source 5 (operational) has frequency 1e+12, above the largest Poisson rate"},
+		{"operational frequency 1e18", catTable(n, 6), nil, operationalAt(1e18), "dfa: source 5 (operational) has frequency 1e+18, above the largest Poisson rate"},
+		{"operational frequency 1e300", catTable(n, 6), nil, operationalAt(1e300), "dfa: source 5 (operational) has frequency 1e+300, above the largest Poisson rate"},
 	} {
 		sources := c.sources
 		if sources == nil {
@@ -481,7 +474,8 @@ func TestRunRejectsHostileInputs(t *testing.T) {
 		for _, workers := range []int{1, 3, 8} {
 			ig := &Integrator{Sources: sources}
 			// A hostile input must be refused, not drawn from: a Poisson
-			// count at a NaN or infinite rate never returned.
+			// count at a NaN or infinite rate never returned, and one at a
+			// huge finite rate never builds its sampler.
 			done := make(chan error, 1)
 			go func() {
 				_, err := ig.Run(context.Background(), c.cat, Config{Seed: 1, Rho: 0.2, Corr: c.corr, Workers: workers})
@@ -506,8 +500,9 @@ func TestRunRejectsHostileInputs(t *testing.T) {
 }
 
 // Per-source tables are built on request only; TotalBytes counts the
-// tables that exist; Result.CatSorted and the OccMax copy keep their
-// documented contracts either way.
+// tables that exist, the occurrence column in each table that holds it;
+// Enterprise.OccMax is Cat.OccMax itself, the same backing array, either
+// way.
 func TestKeepPerSource(t *testing.T) {
 	const n = 1000
 	cat := catTable(n, 8)
@@ -534,20 +529,42 @@ func TestKeepPerSource(t *testing.T) {
 	if want := lean.TotalBytes + 6*(16+8*n) + 65; full.TotalBytes != want {
 		t.Fatalf("TotalBytes with per-source tables = %d, want %d", full.TotalBytes, want)
 	}
+	for name, res := range map[string]*Result{"lean": lean, "full": full} {
+		if occ := res.Enterprise.OccMax; len(occ) != n || &occ[0] != &cat.OccMax[0] {
+			t.Fatalf("%s: Enterprise.OccMax is not Cat.OccMax's backing array", name)
+		}
+	}
+	aggOnly := ylt.NewAggOnly("cat", n)
+	copy(aggOnly.Agg, cat.Agg)
+	res, err := ig.Run(context.Background(), aggOnly, Config{Seed: 3, Rho: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Enterprise.HasOccurrence() {
+		t.Fatal("an aggregate-only catastrophe table gave an enterprise table with occurrence detail")
+	}
+}
 
-	want := slices.Clone(cat.Agg)
-	sort.Float64s(want)
-	if !slices.Equal(lean.CatSorted, want) {
-		t.Fatal("CatSorted is not the sorted catastrophe column")
+// Run holds, beyond the tables it returns, only the rank transform's two
+// 4-byte index slices: a million-trial run allocates the enterprise
+// column (8 MB) and the indices (8 MB), and neither a sorted copy of the
+// catastrophe column nor a copy of its occurrence column (8 MB each).
+func TestRunAllocatesTheEnterpriseColumnAndTheRanks(t *testing.T) {
+	const n = 1_000_000
+	cat := distinctTable(n, 3)
+	ig := &Integrator{Sources: StandardSources(cat.Mean())}
+	cfg := Config{Seed: 7, Rho: 0.25, Workers: 2}
+	if _, err := ig.Run(context.Background(), cat, cfg); err != nil { // warm up
+		t.Fatal(err)
 	}
-	if !sameBits(lean.Enterprise.OccMax, cat.OccMax) {
-		t.Fatal("Enterprise.OccMax is not a copy of Cat.OccMax")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ig.Run(context.Background(), cat, cfg); err != nil {
+		t.Fatal(err)
 	}
-	before := slices.Clone(cat.OccMax)
-	for i := range lean.Enterprise.OccMax {
-		lean.Enterprise.OccMax[i] *= 2
-	}
-	if !sameBits(cat.OccMax, before) {
-		t.Fatal("Enterprise.OccMax aliases Cat.OccMax: scaling one table reached the other")
+	runtime.ReadMemStats(&after)
+	const want = 16 << 20 // bytes: 8 MB of enterprise column, 8 MB of indices
+	if got := after.TotalAlloc - before.TotalAlloc; got > want+want/8 {
+		t.Fatalf("Run allocated %.1f MB over %d trials, want about %.1f MB", float64(got)/1e6, n, float64(want)/1e6)
 	}
 }

@@ -9,14 +9,7 @@
 // times per simulation.
 package mathx
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
-
-// ErrEmpty is returned by statistics that are undefined on empty input.
-var ErrEmpty = errors.New("mathx: empty input")
+import "math"
 
 // Sum returns the sum of xs using Kahan compensated summation, which
 // keeps error bounded when accumulating millions of per-trial losses.
@@ -61,41 +54,31 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (the R type-7 / Excel
-// definition). xs need not be sorted; it is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return QuantileSorted(sorted, q), nil
-}
-
-// QuantileSorted returns the q-quantile of an ascending-sorted slice
-// using linear interpolation (type-7). q outside [0,1] is clamped, and
-// a NaN q gives NaN. It reads sorted[0] at q ≤ 0, and otherwise the two
-// ranks QuantileRank names or, where it names none, sorted[n-1].
-// It panics on empty input: callers on the hot path are expected to
-// have validated once up front.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		panic("mathx: QuantileSorted on empty slice")
+// QuantileSorted returns the q-quantile of n values in ascending order,
+// read through at(rank), using linear interpolation between order
+// statistics (the R type-7 / Excel definition). q outside [0,1] is
+// clamped, and a NaN q gives NaN. It reads at(0) at q ≤ 0, and
+// otherwise the two ranks QuantileRank names or, where it names none,
+// at(n-1). A sorted slice s is read as QuantileSorted(len(s), q,
+// func(i int) float64 { return s[i] }); metrics reads a column's order
+// statistics by selection instead. It panics when n is not positive:
+// callers on the hot path are expected to have validated once up front.
+func QuantileSorted(n int, q float64, at func(rank int) float64) float64 {
+	if n <= 0 {
+		panic("mathx: QuantileSorted of no values")
 	}
 	if q != q {
 		return math.NaN()
 	}
 	if q <= 0 {
-		return sorted[0]
+		return at(0)
 	}
 	i, frac, ok := QuantileRank(n, q)
 	if !ok {
-		return sorted[n-1]
+		return at(n - 1)
 	}
-	return sorted[i] + frac*(sorted[i+1]-sorted[i])
+	lo := at(i)
+	return lo + frac*(at(i+1)-lo)
 }
 
 // QuantileRank says where QuantileSorted reads the q-quantile of n
@@ -111,6 +94,20 @@ func QuantileRank(n int, q float64) (i int, frac float64, ok bool) {
 		return 0, 0, false
 	}
 	return i, h - float64(i), true
+}
+
+// OrderBits is the order-preserving bit pattern of a number that is not
+// NaN: the sign bit flipped for a positive one, every bit for a negative
+// one, so that the patterns compare as unsigned integers the way the
+// numbers compare as floats (−Inf lowest, +Inf highest). Adding +0 first
+// folds −0 onto +0: the two are equal and must tie. It has no branch: a
+// column of mixed signs would mispredict one on half its values. A NaN
+// gets a pattern too, above +Inf's or below −Inf's by its sign bit; no
+// caller orders one by it (stage 3 refuses them, and the EP curves' key
+// puts them first).
+func OrderBits(x float64) uint64 {
+	bits := math.Float64bits(x + 0)
+	return bits ^ (uint64(int64(bits)>>63) | 1<<63)
 }
 
 // Clamp limits x to the closed interval [lo, hi].

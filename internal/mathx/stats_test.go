@@ -3,7 +3,6 @@ package mathx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -46,10 +45,10 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if Variance([]float64{3}) != 0 {
 		t.Error("Variance of singleton != 0")
 	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Errorf("Quantile(nil) err = %v, want ErrEmpty", err)
-	}
 }
+
+// at reads a sorted slice for QuantileSorted.
+func at(xs []float64) func(int) float64 { return func(i int) float64 { return xs[i] } }
 
 func TestQuantileSortedInterpolation(t *testing.T) {
 	xs := []float64{10, 20, 30, 40}
@@ -58,47 +57,23 @@ func TestQuantileSortedInterpolation(t *testing.T) {
 		{-0.5, 10}, {1.5, 40},
 	}
 	for _, c := range cases {
-		if got := QuantileSorted(xs, c.q); !almostEqual(got, c.want, 1e-9) {
+		if got := QuantileSorted(len(xs), c.q, at(xs)); !almostEqual(got, c.want, 1e-9) {
 			t.Errorf("QuantileSorted(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
 }
 
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	if _, err := Quantile(xs, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Fatalf("Quantile mutated input: %v", xs)
-	}
-}
-
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
+// OrderBits orders numbers as < does, −0 and +0 tied, ±Inf at the ends.
+func TestOrderBitsOrder(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	xs := []float64{math.Inf(-1), -math.MaxFloat64, -1, -tiny, math.Copysign(0, -1), 0, tiny, 0x1p-1022, 1, math.MaxFloat64, math.Inf(1)}
+	for i, a := range xs {
+		for _, b := range xs[i:] {
+			ka, kb := OrderBits(a), OrderBits(b)
+			if (a < b) != (ka < kb) || (a == b) != (ka == kb) {
+				t.Errorf("OrderBits(%v) = %#x, OrderBits(%v) = %#x: not in the order of the numbers", a, ka, b, kb)
 			}
 		}
-		if len(xs) == 0 {
-			return true
-		}
-		qa := math.Abs(math.Mod(a, 1))
-		qb := math.Abs(math.Mod(b, 1))
-		if qa > qb {
-			qa, qb = qb, qa
-		}
-		va, _ := Quantile(xs, qa)
-		vb, _ := Quantile(xs, qb)
-		return va <= vb+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -115,7 +90,7 @@ func TestQuantileSortedNaNLevel(t *testing.T) {
 		if _, _, ok := QuantileRank(len(xs), math.NaN()); ok {
 			t.Errorf("QuantileRank(%d, NaN) names a rank", len(xs))
 		}
-		if got := QuantileSorted(xs, math.NaN()); !math.IsNaN(got) {
+		if got := QuantileSorted(len(xs), math.NaN(), at(xs)); !math.IsNaN(got) {
 			t.Errorf("QuantileSorted(%v, NaN) = %v, want NaN", xs, got)
 		}
 	}

@@ -19,7 +19,7 @@ func benchLosses(n int) []float64 {
 }
 
 // BenchmarkEPCurveBuild builds a curve over 1 000 000 losses and reads
-// one return period from it: the copy and the selection of two ranks.
+// one return period from it: the in-place selection of two ranks.
 func BenchmarkEPCurveBuild(b *testing.B) {
 	losses := benchLosses(1_000_000)
 	b.ResetTimer()

@@ -9,15 +9,21 @@
 // (AEP, from per-trial annual losses). PML at a return period R is the
 // OEP loss quantile with exceedance probability 1/R; VaR/TVaR are
 // quantile and tail-conditional mean of the aggregate distribution.
+//
+// Every order statistic is selected in place in the caller's column (an
+// MSD radix selection over the losses' order keys, select.go): no
+// column is sorted, copied or reordered, and a report allocates a few
+// kilobytes whatever its trial count. The columns must not change while
+// a curve or view over them is in use.
 package metrics
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/mathx"
 	"repro/internal/ylt"
@@ -36,39 +42,35 @@ var StandardReturnPeriods = []float64{2, 5, 10, 25, 50, 100, 250, 500, 1000}
 // EPCurve is an exceedance-probability curve built from per-trial
 // losses: it answers the loss at a given exceedance probability.
 //
-// It does not sort its column. A quantile reads at most two order
-// statistics (mathx.QuantileRank names them), so each query selects
-// just the ranks its levels read, in the curve's own copy of the losses
-// (selectRanks), in sort.Float64s' order: NaNs first. An endpoint (a
-// level ≤ 0 or ≥ 1, one whose upper rank would be past the last, or a
-// single trial) is the minimum or the maximum as the builtin min and
-// max take them: a NaN minimum when any loss is NaN, a NaN maximum only
-// when every loss is, and between -0 and +0 the minimum is -0 and the
-// maximum +0. Between two ranks the interpolation gives the same bits
-// whichever zero sits where.
+// It reads the caller's column in place: it neither sorts nor copies
+// it. A quantile reads at most two order statistics (mathx.QuantileRank
+// names them), and each query selects just the ranks its levels read
+// (orderKeys: an MSD radix selection over the losses' order keys) in
+// sort.Float64s' order: NaNs first. The curve keeps the order
+// statistics it has selected, so a second query of the same ranks reads
+// no column. An endpoint (a level ≤ 0 or ≥ 1, one whose upper rank
+// would be past the last, or a single trial) is the minimum or the
+// maximum as the builtin min and max take them: a NaN minimum when any
+// loss is NaN, a NaN maximum only when every loss is, and between -0
+// and +0 the minimum is -0 and the maximum +0. Between two ranks the
+// interpolation gives the same bits whichever zero sits where.
 //
-// A query reorders the copy, so an EPCurve is not safe for concurrent
-// use.
+// The column must not change while the curve is in use. An EPCurve is
+// safe for concurrent use.
 type EPCurve struct {
-	xs     []float64 // the losses, xs[:nan] the NaNs among them
-	nan    int
-	sorted bool // xs is a caller's ascending column, read as it is
+	xs []float64 // the caller's column, read, never written
+
+	mu    sync.Mutex
+	stats map[int]float64 // the order statistics selected so far, by rank
 }
 
-// NewEPCurve builds a curve from per-trial losses (copied, not sorted).
+// NewEPCurve builds a curve over per-trial losses, which it keeps and
+// reads in place.
 func NewEPCurve(losses []float64) (*EPCurve, error) {
 	if len(losses) == 0 {
 		return nil, ErrNoData
 	}
-	xs := slices.Clone(losses)
-	nan := 0
-	for i, x := range xs {
-		if x != x {
-			xs[i], xs[nan] = xs[nan], x
-			nan++
-		}
-	}
-	return &EPCurve{xs: xs, nan: nan}, nil
+	return &EPCurve{xs: losses}, nil
 }
 
 // Trials returns the number of trials behind the curve.
@@ -94,126 +96,119 @@ func exceedanceLevel(p float64) float64 { return 1 - mathx.Clamp(p, 0, 1) }
 
 // quantiles returns the q-quantile of the losses for each level in qs,
 // with the bits mathx.QuantileSorted reads from the sorted column. It
-// first selects, in one multi-selection, every rank the levels read.
+// first finds, in one multi-selection, every rank the levels read that
+// the curve has not found before.
 func (c *EPCurve) quantiles(qs ...float64) []float64 {
 	n := len(c.xs)
-	if !c.sorted {
-		var ks []int // ranks within the non-NaN losses xs[nan:]
-		for _, q := range qs {
-			if i, _, ok := mathx.QuantileRank(n, q); ok {
-				ks = append(ks, i-c.nan, i+1-c.nan)
-			}
+	var ranks []int
+	for _, q := range qs {
+		switch i, _, ok := mathx.QuantileRank(n, q); {
+		case ok:
+			ranks = append(ranks, i, i+1)
+		case q <= 0:
+			ranks = append(ranks, 0)
+		case q == q:
+			ranks = append(ranks, n-1)
 		}
-		slices.Sort(ks)
-		ks = slices.Compact(ks)
-		first, _ := slices.BinarySearch(ks, 0) // ranks below nan hold NaNs already
-		tail := c.xs[c.nan:]
-		selectRanks(tail, 0, len(tail), ks[first:], 2*bits.Len(uint(len(tail))))
 	}
+	stats := c.orderStats(ranks)
+	at := func(rank int) float64 { return stats[rank] }
 	out := make([]float64, len(qs))
 	for j, q := range qs {
-		switch _, _, ok := mathx.QuantileRank(n, q); {
-		case ok:
-			out[j] = mathx.QuantileSorted(c.xs, q)
-		case q != q:
-			out[j] = math.NaN()
-		case q <= 0:
-			m := c.xs[0]
-			for _, x := range c.xs {
-				m = min(m, x)
-			}
-			out[j] = m
-		default:
-			m := c.xs[n-1]
-			for _, x := range c.xs[c.nan:] {
-				m = max(m, x)
-			}
-			out[j] = m
-		}
+		out[j] = mathx.QuantileSorted(n, q, at)
 	}
 	return out
 }
 
-// selectRanks reorders xs[lo:hi], which holds no NaN, so that each rank
-// in ks (ascending, distinct, all in [lo, hi)) holds the element an
-// ascending sort would put there. It is quickselect over several ranks
-// at once, O(n log k) for k ranks: a median-of-3 pivot, a three-way
-// partition (a cat column is mostly zeros, and a rank among the pivot's
-// equals is done), and a descent only into the sides that still hold a
-// rank. A segment of 12 or fewer, or one still unresolved after depth
-// partitions, is sorted outright (slices.Sort sorts the short ones by
-// insertion), which bounds the worst case at O(n log n).
-func selectRanks(xs []float64, lo, hi int, ks []int, depth int) {
-	for len(ks) > 0 {
-		if hi-lo <= 12 || depth == 0 {
-			slices.Sort(xs[lo:hi])
-			return
+// orderStats returns the order statistics at ranks (any order, repeats
+// allowed), finding those the curve has not found before: the
+// endpoints 0 and n-1 by a scan (min and max), the others in one
+// selection.
+func (c *EPCurve) orderStats(ranks []int) map[int]float64 {
+	stats := make(map[int]float64, len(ranks))
+	c.mu.Lock()
+	var todo []int
+	for _, r := range ranks {
+		if v, ok := c.stats[r]; ok {
+			stats[r] = v
+		} else {
+			todo = append(todo, r)
 		}
-		depth--
-		lt, gt := partition3(xs, lo, hi)
-		l, _ := slices.BinarySearch(ks, lt)
-		r, _ := slices.BinarySearch(ks, gt)
-		selectRanks(xs, lo, lt, ks[:l], depth)
-		lo, ks = gt, ks[r:]
 	}
+	c.mu.Unlock()
+	if len(todo) == 0 {
+		return stats
+	}
+	slices.Sort(todo)
+	todo = slices.Compact(todo)
+	n := len(c.xs)
+	if todo[0] == 0 {
+		stats[0], todo = c.min(), todo[1:]
+	}
+	if k := len(todo) - 1; k >= 0 && todo[k] == n-1 {
+		stats[n-1], todo = c.max(), todo[:k]
+	}
+	keys := make([]uint64, len(todo))
+	orderKeys(c.xs, todo, keys)
+	for j, k := range keys {
+		if k == 0 { // a NaN rank: the column's first NaN stands for them all
+			stats[todo[j]] = c.xs[slices.IndexFunc(c.xs, math.IsNaN)]
+			continue
+		}
+		stats[todo[j]] = keyValue(k)
+	}
+	c.mu.Lock()
+	if c.stats == nil {
+		c.stats = make(map[int]float64)
+	}
+	for r, v := range stats {
+		c.stats[r] = v
+	}
+	c.mu.Unlock()
+	return stats
 }
 
-// partition3 partitions xs[lo:hi] around the median of its first,
-// middle and last elements: afterwards xs[lo:lt] < pivot, xs[lt:gt] ==
-// pivot and xs[gt:hi] > pivot. It makes two Lomuto passes, the first
-// over the segment (less than the pivot or not), the second over what
-// is not less (equal or greater). Each step swaps the element with the
-// boundary and advances the boundary by 0 or 1, with no branch on the
-// comparison: over a column of random losses a branch would be
-// mispredicted half the time.
-func partition3(xs []float64, lo, hi int) (lt, gt int) {
-	s := xs[lo:hi]
-	a, p, c := s[0], s[len(s)/2], s[len(s)-1]
-	if a > p {
-		a, p = p, a
+// min is the smallest loss as the builtin min takes it: NaN when any
+// loss is NaN, -0 between -0 and +0.
+func (c *EPCurve) min() float64 {
+	m := c.xs[0]
+	for _, x := range c.xs[1:] {
+		m = min(m, x)
 	}
-	if p > c {
-		p = c
-	}
-	p = max(a, p)
-	less := 0
-	for i, x := range s {
-		s[i] = s[less]
-		s[less] = x
-		less += b2i(x < p)
-	}
-	rest := s[less:]
-	eq := 0
-	for i, x := range rest {
-		rest[i] = rest[eq]
-		rest[eq] = x
-		eq += b2i(x == p)
-	}
-	return lo + less, lo + less + eq
+	return m
 }
 
-// b2i is 1 for true; the compiler makes it a flag move, not a branch.
-func b2i(b bool) int {
-	if b {
-		return 1
+// max is the largest loss that is not NaN as the builtin max takes it
+// (+0 between -0 and +0), NaN when every loss is.
+func (c *EPCurve) max() float64 {
+	m := math.NaN()
+	for _, x := range c.xs {
+		if x == x {
+			if m != m {
+				m = x
+			}
+			m = max(m, x)
+		}
 	}
-	return 0
+	return m
 }
 
 // errNaNLevel is returned for a NaN confidence level.
 var errNaNLevel = errors.New("metrics: confidence level is NaN")
 
 // VaR returns the p-quantile of per-trial losses (value at risk at
-// confidence p, e.g. 0.99). It copies and sorts the column
-// (mathx.Quantile); a View selects instead.
+// confidence p, e.g. 0.99). It selects the two ranks it reads in place,
+// as an EPCurve does; a caller that reads more than one level of a
+// column should build one curve or View and ask it for all of them.
 func VaR(losses []float64, p float64) (float64, error) {
 	if p != p {
 		return 0, errNaNLevel
 	}
-	if len(losses) == 0 {
-		return 0, ErrNoData
+	c, err := NewEPCurve(losses)
+	if err != nil {
+		return 0, err
 	}
-	return mathx.Quantile(losses, p)
+	return c.quantiles(p)[0], nil
 }
 
 // TVaR returns the tail value at risk at confidence p: the mean of
@@ -268,77 +263,53 @@ type ReturnRow struct {
 
 // View is a YLT with an EP curve over each loss column. Every order
 // statistic a report needs — both EP curves, VaR, the PML — is selected
-// in the curves' copies of the columns, and only the ranks asked for: a
-// Summary pays one multi-selection per column, a quote that wants TVaR99
-// and PML250 selects two ranks in each, and a column NewViewSorted is
-// handed sorted is read as it is. The table must not change while the
-// view is in use.
-//
-// A View is not safe for concurrent use: its curves reorder their
-// copies as they select. Views that share an occurrence curve
-// (NewViewSorted's occOf) count as one view for this.
+// in place in the table's own columns, and only the ranks asked for: a
+// Summary pays one multi-selection per column, and a quote that wants
+// TVaR99 and PML250 selects two ranks in each. The table must not
+// change while the view is in use. A View is safe for concurrent use.
 type View struct {
 	t   *ylt.Table
 	aep *EPCurve
 	oep *EPCurve // nil when the table has no occurrence detail
 }
 
-// NewView copies t's columns. It returns ErrNoData for an empty table.
+// NewView builds the view of t, which it reads in place. It returns
+// ErrNoData for an empty table.
 func NewView(t *ylt.Table) (*View, error) {
-	return NewViewSorted(t, nil, nil)
+	return NewViewSorted(t, nil)
 }
 
-// NewViewSorted is NewView for a caller that already holds a sorted
-// column, or the view of a table with the same occurrence column, so
-// that a pass copies and selects in each distinct column once:
-//
-//   - aggSorted, when non-nil, is used as t.Agg in ascending order (kept,
-//     not copied, and read as it is). It must have t's length and be
-//     ascending — checked here in O(n), where a wrong column would
-//     otherwise surface as a wrong quantile.
-//   - occOf, when non-nil, is a view of a table whose OccMax column is
-//     element for element t's (stage 3's enterprise table carries a copy
-//     of the catastrophe table's): the two views then share one
-//     occurrence curve. The equality is checked too.
-//
-// A nil argument means "copy it here", so NewViewSorted(t, nil, nil) is
-// NewView(t).
-func NewViewSorted(t *ylt.Table, aggSorted []float64, occOf *View) (*View, error) {
-	v := &View{t: t}
-	if aggSorted == nil {
-		aep, err := NewEPCurve(t.Agg)
-		if err != nil {
-			return nil, err
-		}
-		v.aep = aep
-	} else {
-		if len(aggSorted) != len(t.Agg) {
-			return nil, fmt.Errorf("metrics: sorted column has %d trials, table %q has %d", len(aggSorted), t.Name, len(t.Agg))
-		}
-		if len(aggSorted) == 0 {
-			return nil, ErrNoData
-		}
-		for i := 1; i < len(aggSorted); i++ {
-			if !(aggSorted[i-1] <= aggSorted[i]) {
-				return nil, fmt.Errorf("metrics: sorted column of table %q is not ascending at %d", t.Name, i)
-			}
-		}
-		v.aep = &EPCurve{xs: aggSorted, sorted: true}
+// NewViewSorted is NewView for a table that holds the OccMax slice of
+// the table occOf views (stage 3's enterprise table holds the
+// catastrophe table's): the two views then share one occurrence curve,
+// so that a pass selects in that column once and the second report
+// reads its order statistics from the first's. A table that holds a
+// different slice, even an equal copy, is refused. A nil occOf means
+// "a curve of its own", so NewViewSorted(t, nil) is NewView(t).
+func NewViewSorted(t *ylt.Table, occOf *View) (*View, error) {
+	aep, err := NewEPCurve(t.Agg)
+	if err != nil {
+		return nil, err
 	}
+	v := &View{t: t, aep: aep}
 	switch {
 	case !t.HasOccurrence():
 	case occOf == nil:
-		oep, err := NewEPCurve(t.OccMax)
-		if err != nil {
+		if v.oep, err = NewEPCurve(t.OccMax); err != nil {
 			return nil, err
 		}
-		v.oep = oep
-	case occOf.oep == nil || !slices.Equal(t.OccMax, occOf.t.OccMax):
-		return nil, fmt.Errorf("metrics: table %q does not have the occurrence column of %q", t.Name, occOf.t.Name)
+	case occOf.oep == nil || !sameSlice(t.OccMax, occOf.t.OccMax):
+		return nil, fmt.Errorf("metrics: table %q does not hold the occurrence column of %q", t.Name, occOf.t.Name)
 	default:
 		v.oep = occOf.oep
 	}
 	return v, nil
+}
+
+// sameSlice reports whether a and b are one non-empty slice: the same
+// length over the same backing array.
+func sameSlice(a, b []float64) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // Summary computes the standard report. OEP columns are filled only

@@ -4,8 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"slices"
-	"sort"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -100,6 +99,69 @@ func TestTVaRGeqVaRProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// VaR reads its column in place and leaves it as it was: no reordering,
+// no write.
+func TestVaRDoesNotMutate(t *testing.T) {
+	xs := []float64{5, 1, 3}
+	if _, err := VaR(xs, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
+		t.Fatalf("VaR mutated its input: %v", xs)
+	}
+}
+
+// VaR does not decrease as the level grows, over columns of any finite
+// values.
+func TestVaRMonotoneProperty(t *testing.T) {
+	f := func(raw []float64, a, b float64) bool {
+		xs := make([]float64, 0, len(raw))
+		for _, x := range raw {
+			if !math.IsNaN(x) && !math.IsInf(x, 0) {
+				xs = append(xs, x)
+			}
+		}
+		if len(xs) == 0 {
+			return true
+		}
+		qa := math.Abs(math.Mod(a, 1))
+		qb := math.Abs(math.Mod(b, 1))
+		if qa > qb {
+			qa, qb = qb, qa
+		}
+		va, _ := VaR(xs, qa)
+		vb, _ := VaR(xs, qb)
+		return va <= vb+1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A report reads its table in place: the view and its Summary over a
+// million-trial table allocate a few kilobytes (the summary, the level
+// and rank lists, the kept order statistics), not the 16 MB two column
+// copies took. The selection's scratch is pooled, and warmed here.
+func TestSummaryAllocatesNoColumn(t *testing.T) {
+	tbl := buildYLT(1_000_000)
+	if _, err := Summarize(tbl); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err := NewView(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Summary(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("NewView + Summary over %d trials allocated %d bytes, want under 1 MB", tbl.NumTrials(), got)
 	}
 }
 
@@ -214,26 +276,24 @@ func TestPML(t *testing.T) {
 	}
 }
 
-// NewViewSorted is handed columns by a caller; it must refuse the ones
-// that are not what they claim to be, and with honest ones report
-// exactly what NewView reports.
+// NewViewSorted shares an occurrence curve only with a view of a table
+// that holds the same OccMax slice; it must refuse any other, and with
+// an honest one report exactly what NewView reports.
 func TestNewViewSorted(t *testing.T) {
 	cat := buildYLT(5000)
-	sorted := slices.Clone(cat.Agg)
-	sort.Float64s(sorted)
-	// An enterprise-shaped table: another aggregate column, a copy of
-	// the occurrence column.
-	ent := ylt.New("ent", cat.NumTrials())
+	// An enterprise-shaped table: another aggregate column, the
+	// catastrophe table's occurrence column itself.
+	ent := ylt.NewAggOnly("ent", cat.NumTrials())
 	for i, v := range cat.Agg {
 		ent.Agg[i] = 3*v - 1e5*float64(i%7)
 	}
-	copy(ent.OccMax, cat.OccMax)
+	ent.OccMax = cat.OccMax
 
-	catView, err := NewViewSorted(cat, sorted, nil)
+	catView, err := NewView(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entView, err := NewViewSorted(ent, nil, catView)
+	entView, err := NewViewSorted(ent, catView)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,35 +320,32 @@ func TestNewViewSorted(t *testing.T) {
 		}
 	}
 
-	unsorted := slices.Clone(sorted)
-	unsorted[100], unsorted[4000] = unsorted[4000], unsorted[100]
-	withNaN := slices.Clone(sorted)
-	withNaN[17] = math.NaN()
+	equalCopy := ylt.New("copy", cat.NumTrials())
+	copy(equalCopy.OccMax, cat.OccMax)
 	otherOcc := ylt.New("other", cat.NumTrials())
 	copy(otherOcc.OccMax, cat.OccMax)
 	otherOcc.OccMax[4999]++
+	shorter := ylt.NewAggOnly("shorter", 4999)
+	shorter.OccMax = cat.OccMax[:4999]
 	aggOnlyView, err := NewView(ylt.NewAggOnly("agg", cat.NumTrials()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, build := range map[string]func() (*View, error){
-		"short column":      func() (*View, error) { return NewViewSorted(cat, sorted[1:], nil) },
-		"long column":       func() (*View, error) { return NewViewSorted(cat, append(slices.Clone(sorted), 1e18), nil) },
-		"unsorted column":   func() (*View, error) { return NewViewSorted(cat, unsorted, nil) },
-		"NaN in the column": func() (*View, error) { return NewViewSorted(cat, withNaN, nil) },
-		"different OccMax":  func() (*View, error) { return NewViewSorted(otherOcc, nil, catView) },
-		"shorter OccMax":    func() (*View, error) { return NewViewSorted(buildYLT(4999), nil, catView) },
-		"lender has no occ": func() (*View, error) { return NewViewSorted(ent, nil, aggOnlyView) },
+		"an equal copy":     func() (*View, error) { return NewViewSorted(equalCopy, catView) },
+		"different OccMax":  func() (*View, error) { return NewViewSorted(otherOcc, catView) },
+		"shorter OccMax":    func() (*View, error) { return NewViewSorted(shorter, catView) },
+		"lender has no occ": func() (*View, error) { return NewViewSorted(ent, aggOnlyView) },
 	} {
 		if v, err := build(); err == nil {
 			t.Errorf("%s: accepted (%v)", name, v != nil)
 		}
 	}
-	if _, err := NewViewSorted(ylt.New("e", 0), []float64{}, nil); !errors.Is(err, ErrNoData) {
-		t.Errorf("empty table with an empty sorted column: %v, want ErrNoData", err)
+	if _, err := NewViewSorted(ylt.New("e", 0), catView); !errors.Is(err, ErrNoData) {
+		t.Errorf("empty table: %v, want ErrNoData", err)
 	}
 	// An aggregate-only table borrows nothing and needs nothing.
-	if v, err := NewViewSorted(ylt.NewAggOnly("agg", cat.NumTrials()), nil, catView); err != nil || v.oep != nil {
+	if v, err := NewViewSorted(ylt.NewAggOnly("agg", cat.NumTrials()), catView); err != nil || v.oep != nil {
 		t.Errorf("aggregate-only table with a lender: %v", err)
 	}
 }

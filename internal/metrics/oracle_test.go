@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/mathx"
@@ -12,13 +14,15 @@ import (
 // naiveVaR, naiveTVaR, naiveSummarize and naivePML are the bodies
 // VaR, TVaR, Summarize and PML had before the one-sort View (4d1c648),
 // kept only as the oracle: every quantile copies and sorts its column
-// again through mathx.Quantile, six sorts per summary and a seventh for
-// the PML.
+// again (sort.Float64s, then mathx.QuantileSorted, as the deleted
+// mathx.Quantile did), six sorts per summary and a seventh for the PML.
 func naiveVaR(losses []float64, p float64) (float64, error) {
 	if len(losses) == 0 {
 		return 0, ErrNoData
 	}
-	return mathx.Quantile(losses, p)
+	sorted := slices.Clone(losses)
+	sort.Float64s(sorted)
+	return mathx.QuantileSorted(len(sorted), p, func(i int) float64 { return sorted[i] }), nil
 }
 
 func naiveTVaR(losses []float64, p float64) (float64, error) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDeterminismSameSeed(t *testing.T) {
@@ -319,18 +320,30 @@ func TestPoissonPlanMatchesPerCallDraws(t *testing.T) {
 	}
 }
 
-// A non-finite rate has no draw: NewPoisson panics at once rather than
-// loop (the per-call method never returned at NaN or +Inf).
+// A non-finite rate has no draw, and a huge finite one none in any
+// useful time: NewPoisson panics at once rather than loop (the per-call
+// method never returned at NaN or +Inf, and at 1e18 and 1e300 the chunk
+// loop's λ − 30 rounds back to λ). Each call runs under a guard, so a
+// rate that hangs fails the test instead of stalling it.
 func TestNewPoissonPanicsOnNonFiniteRate(t *testing.T) {
-	for _, lambda := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewPoisson(%v) did not panic", lambda)
-				}
-			}()
+	for _, lambda := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Nextafter(MaxPoissonRate, 2*MaxPoissonRate), 1e12, 1e18, 1e300} {
+		panicked := make(chan bool, 1)
+		go func() {
+			defer func() { panicked <- recover() != nil }()
 			NewPoisson(lambda)
 		}()
+		select {
+		case p := <-panicked:
+			if !p {
+				t.Errorf("NewPoisson(%v) did not panic", lambda)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("NewPoisson(%v) has not returned after 10 s", lambda)
+		}
+	}
+	// The bound itself is a rate: it builds and draws.
+	if n := NewPoisson(MaxPoissonRate).Draw(New(3)); n < MaxPoissonRate/2 || n > 2*MaxPoissonRate {
+		t.Errorf("a draw at MaxPoissonRate = %d", n)
 	}
 }
 

@@ -90,6 +90,9 @@ func NewGenerator(cat *catalog.Catalog, cfg Config, seed uint64) (*Generator, er
 	if math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return nil, fmt.Errorf("yelt: catalogue total rate %g is not finite", rate)
 	}
+	if rate > rng.MaxPoissonRate {
+		return nil, fmt.Errorf("yelt: catalogue total rate %g is above the largest Poisson rate %g", rate, float64(rng.MaxPoissonRate))
+	}
 	alias, err := rng.NewAlias(cat.Rates())
 	if err != nil {
 		return nil, fmt.Errorf("yelt: building event sampler: %w", err)

@@ -3,10 +3,12 @@ package yelt
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"hash/fnv"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 )
@@ -235,6 +237,26 @@ func TestNewGeneratorValidation(t *testing.T) {
 	huge := catalog.NewCatalog([]catalog.Event{{ID: 1, AnnualRate: 1e308}, {ID: 2, AnnualRate: 1e308}})
 	if _, err := NewGenerator(huge, Config{NumTrials: 1}, 1); err == nil || !strings.Contains(err.Error(), "total rate +Inf is not finite") {
 		t.Errorf("a catalogue of total rate %v: error %v", huge.TotalRate(), err)
+	}
+	// Finite rates above rng.MaxPoissonRate are refused too: the year
+	// count's sampler would take minutes to build at 1e12 and never
+	// finish at 1e18. Each call runs under a guard, so a rate that hangs
+	// fails the test instead of stalling it.
+	for _, rate := range []float64{1e12, 1e18, 1e300} {
+		cat := catalog.NewCatalog([]catalog.Event{{ID: 1, AnnualRate: rate / 2}, {ID: 2, AnnualRate: rate / 2}})
+		done := make(chan error, 1)
+		go func() {
+			_, err := NewGenerator(cat, Config{NumTrials: 1}, 1)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if want := fmt.Sprintf("total rate %g is above the largest Poisson rate", rate); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("a catalogue of total rate %g: error %v, want one containing %q", rate, err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("NewGenerator over a catalogue of total rate %g has not returned after 10 s", rate)
+		}
 	}
 }
 
