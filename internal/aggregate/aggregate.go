@@ -389,21 +389,22 @@ func EngineByName(name string) (Engine, error) {
 // trialScratch holds a worker's reusable kernel buffers (blocked.go),
 // grown on demand so the per-trial hot path is allocation-free: the
 // block×NumLayers accumulator matrix and its touched-slot bitmaps (all
-// zero between blocks), the event-major span staging arrays, and the
-// block×numContracts output matrices; for a book with reinstatement
-// terms, the worker's live year states and per-layer annual sums
-// (reinstatements.go). The zero value is ready to use.
+// zero between blocks) and the event-major span staging arrays; for a
+// book with reinstatement terms, the worker's live year states, its
+// per-layer annual sums and one trial's per-contract annual recoveries
+// and occurrence maxima (reinstatements.go). The zero value is ready to
+// use.
 type trialScratch struct {
-	years    *layers.FlatYearStates
-	sums     []float64
-	blockAgg []float64
-	touched  []uint64
-	spanPos  []int32
-	spanLo   []int32
-	spanHi   []int32
-	spanSum  []float64
-	blockPC  []float64
-	blockPCO []float64
+	years       *layers.FlatYearStates
+	sums        []float64
+	contractAgg []float64
+	contractOcc []float64
+	blockAgg    []float64
+	touched     []uint64
+	spanPos     []int32
+	spanLo      []int32
+	spanHi      []int32
+	spanSum     []float64
 }
 
 // batchKernel is one worker's trial kernel over a batch: local trial i

@@ -127,22 +127,6 @@ func BenchmarkDeviceTrialsPerBlock(b *testing.B) {
 	}
 }
 
-// Ablation: per-contract output costs an extra write per (trial,
-// contract) — quantify it so the default stays justified.
-func BenchmarkPerContractOverhead(b *testing.B) {
-	s := benchScenario(b, false)
-	in := &Input{YELT: s.YELT, ELTs: s.ELTs, Portfolio: s.Portfolio}
-	for _, pc := range []bool{false, true} {
-		b.Run(fmt.Sprintf("perContract=%v", pc), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := (Parallel{}).Run(context.Background(), in, Config{Sampling: true, Seed: 1, PerContract: pc}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // blockedInput is the repository benchmark's spill-expected and
 // trial-sampled book shape — 3 000 events × 48 contracts × 40
 // locations, two layers a contract, so 96 flat layer slots — over
@@ -170,16 +154,21 @@ func blockedInput(b *testing.B) *Input {
 }
 
 // benchBlocked runs the trial kernel single-threaded over the blocked
-// benchmark book and reports nanoseconds per trial occurrence.
+// benchmark book, without and with per-contract tables, and reports
+// nanoseconds per trial occurrence.
 func benchBlocked(b *testing.B, cfg Config) {
 	in := blockedInput(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (Sequential{}).Run(context.Background(), in, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, pc := range []bool{false, true} {
+		cfg.PerContract = pc
+		b.Run(fmt.Sprintf("perContract=%v", pc), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := (Sequential{}).Run(context.Background(), in, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(in.YELT.Len())), "ns/occ")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(in.YELT.Len())), "ns/occ")
 }
 
 func BenchmarkBlockedExpected(b *testing.B) { benchBlocked(b, Config{}) }

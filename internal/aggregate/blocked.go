@@ -7,6 +7,7 @@ import (
 	"repro/internal/lossindex"
 	"repro/internal/rng"
 	"repro/internal/yelt"
+	"repro/internal/ylt"
 )
 
 // This file is the trial kernel: runBatchBlocked drives lossindex.Flat
@@ -16,17 +17,19 @@ import (
 //   - The occurrence stage resolves every occurrence's span once, in
 //     one event-major pass over the block's contiguous occurrence
 //     stream (the trial loop then consumes precomputed spans), and keeps
-//     only the occurrences that can add anything: in expected mode
-//     without per-contract maxima, those whose event has a non-empty
-//     compacted frame (Flat.Cells: its non-zero pre-applied recoveries
-//     only); on the entry-structured paths, the hits, whose event
-//     carries a loss in the book. It adds into rows of one block×NumLayers
-//     accumulator matrix and marks, per trial, each flat slot it adds
-//     into in a bitmap of ⌈NumLayers/64⌉ words.
+//     only the occurrences that can add anything: in expected mode,
+//     those whose event has a non-empty compacted frame (Flat.Cells: its
+//     non-zero pre-applied recoveries only); in sampling mode, the hits,
+//     whose event carries a loss in the book. It adds into rows of one
+//     block×NumLayers accumulator matrix, marks, per trial, each flat
+//     slot it adds into in a bitmap of ⌈NumLayers/64⌉ words, and raises
+//     the per-contract occurrence maxima, when kept, in place in the
+//     result tables.
 //   - The annual stage visits, per trial, only the marked slots, in
 //     ascending slot order: it applies the annual terms to each, sums
-//     them per contract and the contract sums into the portfolio's,
-//     and re-zeroes each cell and bitmap word it read, so the next
+//     them per contract and the contract sums into the portfolio's
+//     (writing each contract's sum, when kept, into its table), and
+//     re-zeroes each cell and bitmap word it read, so the next
 //     block starts from a zero matrix without a bulk clear.
 //
 // Why skipping is exact: accumulators start at +0, and every recovery
@@ -68,7 +71,7 @@ func (cfg Config) trialBlock() int {
 // bitmap, both all zero (a fresh allocation is; the annual stage
 // re-zeroes what the occurrence stage wrote), and the hit-list staging
 // columns for nOccs occurrences, grown on demand and reused across
-// blocks. sum is staged by the compacted expected path only.
+// blocks. sum is staged by the expected path only.
 func (s *trialScratch) blockBufs(cells, marks, nOccs int) (blockAgg []float64, touched []uint64, h hits) {
 	if cap(s.blockAgg) < cells {
 		s.blockAgg = make([]float64, cells)
@@ -86,17 +89,6 @@ func (s *trialScratch) blockBufs(cells, marks, nOccs int) (blockAgg []float64, t
 	return s.blockAgg[:cells], s.touched[:marks], h
 }
 
-// blockPerContractBufs returns the block×numContracts per-contract
-// output matrices (annual recoveries and occurrence maxima), grown on
-// demand like blockBufs.
-func (s *trialScratch) blockPerContractBufs(cells int) (pc, pco []float64) {
-	if cap(s.blockPC) < cells {
-		s.blockPC = make([]float64, cells)
-		s.blockPCO = make([]float64, cells)
-	}
-	return s.blockPC[:cells], s.blockPCO[:cells]
-}
-
 // markSlot records in a trial's touched-slot bitmap that the
 // occurrence stage added into flat slot fl.
 func markSlot(mark []uint64, fl int32) {
@@ -110,29 +102,19 @@ func markSlot(mark []uint64, fl int32) {
 // slot base+i-slotOff, so results are independent of both the batch
 // and the block tiling. A book with reinstatement terms takes the
 // stateful walk instead.
-func runBatchBlocked(fx *lossindex.Flat, in *Input, cfg Config, batch *yelt.Table, base int, res *Result, scratch *trialScratch, slotOff int) {
+func runBatchBlocked(fx *lossindex.Flat, _ *Input, cfg Config, batch *yelt.Table, base int, res *Result, scratch *trialScratch, slotOff int) {
 	if fx.Terms.YearStates != nil {
 		runBatchReinst(fx, cfg, batch, base, res, scratch, slotOff)
 		return
 	}
 	nl := fx.NumLayers()
 	words := (nl + 63) / 64
-	nc := len(in.Portfolio.Contracts)
 	block := cfg.trialBlock()
 	offs := batch.Offsets
 	for t0 := 0; t0 < batch.NumTrials; t0 += block {
 		t1 := min(t0+block, batch.NumTrials)
 		n := t1 - t0
 		blockAgg, touched, h := scratch.blockBufs(n*nl, n*words, int(offs[t1]-offs[t0]))
-
-		var pc, pco []float64
-		if res.PerContract != nil {
-			pc, pco = scratch.blockPerContractBufs(n * nc)
-			for i := range pc {
-				pc[i] = 0
-				pco[i] = 0
-			}
-		}
 		slot := base + t0 - slotOff
 		aggOut := res.Portfolio.Agg[slot : slot+n]
 		occOut := res.Portfolio.OccMax[slot : slot+n]
@@ -140,48 +122,40 @@ func runBatchBlocked(fx *lossindex.Flat, in *Input, cfg Config, batch *yelt.Tabl
 		// Event-major staging: one linear pass over the block's
 		// contiguous occurrence stream, independent of trial boundaries —
 		// the per-occurrence span work is paid here once, not inside the
-		// trial loop. The compacted expected path stages the occurrences
-		// with a non-empty frame, with the event's precomputed occurrence
-		// sum; the entry-structured paths (sampling, per-contract maxima)
-		// stage the entry spans of the hits.
+		// trial loop. Expected mode stages the occurrences with a
+		// non-empty compacted frame, with the event's precomputed
+		// occurrence sum; sampling mode stages the entry spans of the
+		// hits.
 		stream := batch.Occs[offs[t0]:offs[t1]]
-		b := &kernelBlock{batch: batch, t0: t0, t1: t1, nl: nl, words: words, agg: blockAgg, touched: touched}
-		if !cfg.Sampling && pco == nil {
+		b := &kernelBlock{batch: batch, t0: t0, t1: t1, nl: nl, words: words, agg: blockAgg, touched: touched,
+			perContract: res.PerContract, slot: slot}
+		if cfg.Sampling {
+			h.stage(stream, fx)
+			blockSampledOccurrences(b, fx, cfg.Seed, base, &h, occOut)
+		} else {
 			h.stageCells(stream, fx)
 			blockExpectedCells(b, fx, &h, occOut)
-		} else {
-			h.stage(stream, fx)
-			if cfg.Sampling {
-				blockSampledOccurrences(b, fx, cfg.Seed, base, nc, &h, occOut, pco)
-			} else {
-				blockExpectedOccurrences(b, fx, nc, &h, occOut, pco)
-			}
 		}
-		blockAnnualTouched(b, fx, aggOut, pc, nc)
-
-		if res.PerContract != nil {
-			for i := 0; i < n; i++ {
-				rowPC := pc[i*nc : i*nc+nc]
-				rowPCO := pco[i*nc : i*nc+nc]
-				for ci := 0; ci < nc; ci++ {
-					res.PerContract[ci].Agg[slot+i] = rowPC[ci]
-					res.PerContract[ci].OccMax[slot+i] = rowPCO[ci]
-				}
-			}
-		}
+		blockAnnualTouched(b, fx, aggOut)
 	}
 }
 
 // kernelBlock is one block of a batch as its stages see it: trials
 // [t0, t1) of batch, their accumulator rows of nl cells in agg and
 // their touched-slot bitmaps of words words in touched, trial t's at
-// offset (t-t0)·nl and (t-t0)·words.
+// offset (t-t0)·nl and (t-t0)·words. Trial t's result slot is
+// slot+t-t0, in the portfolio table and in perContract, the result's
+// per-contract tables (nil when none are kept). Those tables start at
+// +0 (every run allocates them fresh), and the stages write into them
+// in place: a contract that no slot of a trial reaches keeps +0.
 type kernelBlock struct {
-	batch     *yelt.Table
-	t0, t1    int
-	nl, words int
-	agg       []float64
-	touched   []uint64
+	batch       *yelt.Table
+	t0, t1      int
+	nl, words   int
+	agg         []float64
+	touched     []uint64
+	perContract []*ylt.Table
+	slot        int
 }
 
 // row returns trial t's accumulator row and touched-slot bitmap.
@@ -201,7 +175,7 @@ type hits struct {
 }
 
 // stage resolves the entry span of every occurrence in the stream — the
-// blocked kernel's event-major pre-pass — and keeps the hits, the
+// sampled kernel's event-major pre-pass — and keeps the hits, the
 // occurrences whose event carries a loss in the book, cutting the lists
 // to their number. The append has no branch on the span: every
 // occurrence is written at the next free slot, which advances by one
@@ -221,7 +195,7 @@ func (h *hits) stage(occs []uint32, fx *lossindex.Flat) {
 	h.pos, h.lo, h.hi = pos[:n], lo[:n], hi[:n]
 }
 
-// stageCells is stage for the compacted expected path: it keeps the
+// stageCells is stage for the expected path: it keeps the
 // occurrences whose event has a non-empty compacted frame
 // (Flat.Cells), with the event's precomputed whole-portfolio occurrence
 // recovery (Flat.RowSum). An occurrence it drops adds nothing, and its
@@ -249,17 +223,19 @@ func (h *hits) next(cur int, end int32) int {
 	return cur
 }
 
-// blockExpectedCells is the blocked expected-mode occurrence stage
-// without per-contract maxima — the hot default. An event's non-zero
-// pre-applied recoveries are one contiguous run of RowRec, and RowDst
-// gives each cell's destination layer slot, so the per-occurrence
-// nested entry×layer gather is one flat scatter-add loop over the
-// cells that recover something, in the dense frame's element order
-// (entries ascending, layers in declaration order within each). The
-// per-occurrence portfolio recovery is the staged build-time RowSum,
-// accumulated in that same order at Flatten time.
+// blockExpectedCells is the blocked expected-mode occurrence stage. An
+// event's non-zero pre-applied recoveries are one contiguous run of
+// RowRec, and RowDst gives each cell's destination layer slot, so the
+// per-occurrence nested entry×layer gather is one flat scatter-add loop
+// over the cells that recover something, in the dense frame's element
+// order (entries ascending, layers in declaration order within each).
+// The per-occurrence portfolio recovery is the staged build-time
+// RowSum, accumulated in that same order at Flatten time. When
+// per-contract tables are kept, a second walk of the same cells raises
+// each contract's occurrence maximum (raiseContractMaxima).
 func blockExpectedCells(b *kernelBlock, fx *lossindex.Flat, hs *hits, occMaxOut []float64) {
-	rowRec, rowDst := fx.RowRec, fx.RowDst
+	rowRec, rowDst, slotContract := fx.RowRec, fx.RowDst, fx.SlotContract
+	perContract := b.perContract
 	offs := b.batch.Offsets
 	streamBase := offs[b.t0]
 	h0 := 0
@@ -279,54 +255,35 @@ func blockExpectedCells(b *kernelBlock, fx *lossindex.Flat, hs *hits, occMaxOut 
 			if s := hs.sum[o]; s > occMax {
 				occMax = s
 			}
+			if perContract != nil {
+				raiseContractMaxima(perContract, b.slot+t-b.t0, slotContract, rec, dst)
+			}
 		}
 		occMaxOut[t-b.t0] = occMax
 		h0 = h1
 	}
 }
 
-// blockExpectedOccurrences is the blocked expected-mode occurrence
-// stage with per-contract maxima (without them, the compacted path
-// runs): for each trial of the block, gather the pre-applied
-// recoveries of its hits' spans into the trial's accumulator row,
-// entries ascending and layers in declaration order within each,
-// through a length-pinned destination re-slice. A miss would add
-// nothing and raise no maximum, so walking only the hits changes no
-// bit.
-func blockExpectedOccurrences(b *kernelBlock, fx *lossindex.Flat, nc int, hs *hits, occMaxOut, pco []float64) {
-	expOff, expRec, expSum := fx.ExpOff, fx.ExpRec, fx.ExpSum
-	layerOff, contract := fx.LayerOff, fx.Contract
-	offs := b.batch.Offsets
-	streamBase := offs[b.t0]
-	h0 := 0
-	for t := b.t0; t < b.t1; t++ {
-		h1 := hs.next(h0, int32(offs[t+1]-streamBase))
-		row, mark := b.row(t)
-		pcoRow := pco[(t-b.t0)*nc : (t-b.t0)*nc+nc]
-		var occMax float64
-		for o := h0; o < h1; o++ {
-			var portfolioOccLoss float64
-			for k := hs.lo[o]; k < hs.hi[o]; k++ {
-				rec := expRec[expOff[k]:expOff[k+1]]
-				fb := layerOff[k]
-				dst := row[fb:]
-				dst = dst[:len(rec)]
-				for j, r := range rec {
-					dst[j] += r
-					markSlot(mark, fb+int32(j))
-				}
-				s := expSum[k]
-				portfolioOccLoss += s
-				if ci := contract[k]; s > pcoRow[ci] {
-					pcoRow[ci] = s
-				}
-			}
-			if portfolioOccLoss > occMax {
-				occMax = portfolioOccLoss
-			}
+// raiseContractMaxima raises, in result slot slot of each contract's
+// table, the occurrence maximum by the contract's recovery from one
+// occurrence's compacted cells. The cells run row → entry → layer, and
+// a row holds at most one entry per contract, contracts ascending
+// (lossindex.Index), so each run of cells whose slots share a contract
+// is exactly one entry's non-zero cells. Summed from +0 in layer order,
+// a run has the bits of the entry's whole frame summed: a dropped cell
+// is ±0, and adding ±0 to a sum that starts at +0 moves no bit. An
+// entry with no non-zero cell sums to +0, and +0 or NaN never raises a
+// maximum that starts at +0, so skipping it is exact too.
+func raiseContractMaxima(perContract []*ylt.Table, slot int, slotContract []int32, rec []float64, dst []int32) {
+	for j := 0; j < len(rec); {
+		ci := slotContract[dst[j]]
+		var sum float64
+		for ; j < len(rec) && slotContract[dst[j]] == ci; j++ {
+			sum += rec[j]
 		}
-		occMaxOut[t-b.t0] = occMax
-		h0 = h1
+		if occ := perContract[ci].OccMax; sum > occ[slot] {
+			occ[slot] = sum
+		}
 	}
 }
 
@@ -341,11 +298,12 @@ func blockExpectedOccurrences(b *kernelBlock, fx *lossindex.Flat, nc int, hs *hi
 // every layer, adds nothing and raises no maximum, so the entry is
 // skipped without evaluating it; a layer whose retention a loss does
 // not exceed recovers +0, so it adds nothing and is not marked.
-func blockSampledOccurrences(b *kernelBlock, fx *lossindex.Flat, seed uint64, base, nc int, hs *hits, occMaxOut, pco []float64) {
+func blockSampledOccurrences(b *kernelBlock, fx *lossindex.Flat, seed uint64, base int, hs *hits, occMaxOut []float64) {
 	ft := fx.Terms
 	expOff, layerOff, contract := fx.ExpOff, fx.LayerOff, fx.Contract
 	sampleConst, sampleA, sampleB, sampleScale := fx.SampleConst, fx.SampleA, fx.SampleB, fx.SampleScale
 	occRet, occLim, minOccRet := ft.OccRet, ft.OccLim, ft.MinOccRet
+	perContract := b.perContract
 	offs := b.batch.Offsets
 	streamBase := offs[b.t0]
 	h0 := 0
@@ -357,10 +315,7 @@ func blockSampledOccurrences(b *kernelBlock, fx *lossindex.Flat, seed uint64, ba
 		}
 		st := rng.NewStream(seed, uint64(base+t))
 		row, mark := b.row(t)
-		var pcoRow []float64
-		if pco != nil {
-			pcoRow = pco[(t-b.t0)*nc : (t-b.t0)*nc+nc]
-		}
+		slot := b.slot + t - b.t0
 		var occMax float64
 		for o := h0; o < h1; o++ {
 			var portfolioOccLoss float64
@@ -389,9 +344,9 @@ func blockSampledOccurrences(b *kernelBlock, fx *lossindex.Flat, seed uint64, ba
 					}
 				}
 				portfolioOccLoss += contractOcc
-				if pcoRow != nil {
-					if ci := contract[k]; contractOcc > pcoRow[ci] {
-						pcoRow[ci] = contractOcc
+				if perContract != nil {
+					if occ := perContract[contract[k]].OccMax; contractOcc > occ[slot] {
+						occ[slot] = contractOcc
 					}
 				}
 			}
@@ -410,11 +365,13 @@ func blockSampledOccurrences(b *kernelBlock, fx *lossindex.Flat, seed uint64, ba
 // clamp, min(max(sum-ret, 0), lim) · share, to each marked slot's
 // annual sum, adds the recoveries of one contract's slots into its
 // contract sum in declaration order, and each contract sum into the
-// portfolio's in portfolio order (and into pc, zeroed by the caller,
-// when per-contract tables are kept). It re-zeroes every cell and
-// bitmap word it read. Unmarked slots and contracts would add +0 (see
-// the top of this file), so the sums are bit-identical to visiting
-// every slot.
+// portfolio's in portfolio order. When per-contract tables are kept, it
+// writes each contract's running sum into the contract's Agg column at
+// every slot, so the last write is the contract's annual recovery; a
+// contract with no marked slot keeps the table's +0. It re-zeroes every
+// cell and bitmap word it read. Unmarked slots and contracts would add
+// +0 (see the top of this file), so the sums are bit-identical to
+// visiting every slot.
 //
 // Whether a slot pays and whether it opens a new contract follow the
 // data in no pattern a branch predictor could learn, so both are
@@ -422,12 +379,19 @@ func blockSampledOccurrences(b *kernelBlock, fx *lossindex.Flat, seed uint64, ba
 // at a slot that does not open a contract the portfolio sum adds +0 —
 // both exact, since no sum here is ever −0 (a recovery is +0, positive
 // or +Inf: a NaN sum or retention does not pay).
-func blockAnnualTouched(b *kernelBlock, fx *lossindex.Flat, aggOut, pc []float64, nc int) {
+//
+// The product r · share is converted to float64 before it is added so
+// that it rounds on its own: without the conversion a compiler may fuse
+// the multiply and the add into one instruction (arm64 does), which
+// rounds once and moves the sum off LegacyLookup's bits.
+func blockAnnualTouched(b *kernelBlock, fx *lossindex.Flat, aggOut []float64) {
 	ft := fx.Terms
 	aggRet, aggLim, share := ft.AggRet, ft.AggLim, ft.Share
 	slotContract := fx.SlotContract
+	perContract := b.perContract
 	for t := b.t0; t < b.t1; t++ {
 		i := t - b.t0
+		slot := b.slot + i
 		row, mark := b.row(t)
 		var agg, ca float64
 		cur := int32(-1)
@@ -451,9 +415,9 @@ func blockAnnualTouched(b *kernelBlock, fx *lossindex.Flat, aggOut, pc []float64
 				if lim := aggLim[fl]; r > lim {
 					r = lim
 				}
-				ca += r * share[fl]
-				if pc != nil {
-					pc[i*nc+int(ci)] = ca
+				ca += float64(r * share[fl])
+				if perContract != nil {
+					perContract[ci].Agg[slot] = ca
 				}
 			}
 		}

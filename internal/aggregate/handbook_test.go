@@ -136,7 +136,8 @@ func TestGroundUpBookSampledMean(t *testing.T) {
 		for i := range diff {
 			diff[i] = sampled[i] - expected[i]
 		}
-		mean, se, expMean := mathx.Mean(diff), mathx.StdDev(diff)/math.Sqrt(trials), mathx.Mean(expected)
+		mean, sd := mathx.MeanStdDev(diff)
+		se, expMean := sd/math.Sqrt(trials), mathx.Mean(expected)
 		if se <= 0 || expMean <= 0 {
 			t.Fatalf("%s: degenerate book (se %v, expected-mode mean %v); the test pins nothing", e.Name(), se, expMean)
 		}

@@ -25,10 +25,12 @@ func runBatchReinst(fx *lossindex.Flat, cfg Config, batch *yelt.Table, base int,
 	if scratch.years == nil {
 		scratch.years = fx.Terms.YearStates.Clone()
 		scratch.sums = make([]float64, fx.NumLayers())
+		scratch.contractAgg = make([]float64, fx.NumContracts())
+		scratch.contractOcc = make([]float64, fx.NumContracts())
 	}
 	var pc, pco []float64
 	if res.PerContract != nil {
-		pc, pco = scratch.blockPerContractBufs(fx.NumContracts())
+		pc, pco = scratch.contractAgg, scratch.contractOcc
 	}
 	for i := 0; i < batch.NumTrials; i++ {
 		trial := base + i

@@ -20,7 +20,6 @@ import (
 //	ExpOff[k]..ExpOff[k+1]  entry k's frame in ExpRec (one cell per layer)
 //	ExpRec[...]          pre-applied occurrence recovery of the entry's
 //	                     mean loss through each layer (expected mode)
-//	ExpSum[k]            sum of entry k's ExpRec frame, in layer order
 //	RowOff[r]..RowOff[r+1]  row r's compacted expected frame in RowRec
 //	                     and RowDst: the row's non-zero ExpRec cells only
 //	RowRec[c]            a non-zero pre-applied recovery, row → entry →
@@ -28,12 +27,16 @@ import (
 //	RowDst[c]            flat layer slot RowRec[c] accumulates into —
 //	                     the scatter index that lets the blocked kernel
 //	                     add a whole event's recoveries in one flat loop
-//	RowSum[r]            sum of row r's ExpSum values, in entry order —
+//	RowSum[r]            row r's entry sums (each entry's ExpRec frame
+//	                     summed in layer order) summed in entry order —
 //	                     the event's whole-portfolio expected occurrence
 //	                     recovery, precomputed in exactly the kernels'
 //	                     accumulation order (hence bit-identical to the
 //	                     per-occurrence running sum it replaces)
-//	SlotContract[fl]     portfolio contract of flat layer slot fl
+//	SlotContract[fl]     portfolio contract of flat layer slot fl; over
+//	                     RowDst it names each compacted cell's contract,
+//	                     from which the kernel sums per-contract
+//	                     occurrence recoveries
 //	SampleConst/A/B/Scale[k]  the entry's precomputed sampling plan
 //	                     (elt.SampleParams of its record)
 //	Terms                the portfolio's layer terms as SoA columns
@@ -42,15 +45,18 @@ import (
 // In expected mode (Sampling=false) the per-(entry, layer) occurrence
 // recovery is a constant — min(max(mean-ret,0),lim) never changes
 // across trials — so it is applied once here at build time and the
-// kernel's inner loop collapses to gather-adds from ExpRec. ExpSum is
-// accumulated in the same layer order the kernel used, so substituting
-// it for the per-entry running sum is bit-identical. Most cells of a
-// real book recover nothing (an entry's mean loss sits below most of
-// its layers' retentions), and adding +0 to an accumulator that starts
-// at +0 and only ever receives recoveries (+0, positive, +Inf or NaN)
+// kernel's inner loop collapses to scatter-adds. Most cells of a real
+// book recover nothing (an entry's mean loss sits below most of its
+// layers' retentions), and adding +0 to an accumulator that starts at
+// +0 and only ever receives recoveries (+0, positive, +Inf or NaN)
 // changes no bit, so the compacted row frames keep only the non-zero
-// cells, in the same order. The annual aggregate terms still apply per
-// trial (they depend on the per-year sums) via Terms.
+// cells, in the same order. Because a row holds at most one entry per
+// contract (Index), a run of a row's cells with one contract is one
+// entry's non-zero cells, and summed from +0 it is bit-identical to the
+// entry's whole frame summed: the kernel takes each contract's
+// occurrence recovery, for its per-contract maxima, from the cells. The
+// annual aggregate terms still apply per trial (they depend on the
+// per-year sums) via Terms.
 //
 // Flat is immutable after Flatten and safe for concurrent readers —
 // every engine worker shares one instance alongside the Index.
@@ -62,7 +68,6 @@ type Flat struct {
 	LayerOff []int32
 	ExpOff   []int32 // len NumEntries+1
 	ExpRec   []float64
-	ExpSum   []float64
 
 	RowOff       []int32 // len Index().NumRows()+1
 	RowRec       []float64
@@ -103,7 +108,6 @@ func Flatten(ix *Index, pf *layers.Portfolio) (*Flat, error) {
 		Contract:    make([]int32, n),
 		LayerOff:    make([]int32, n),
 		ExpOff:      make([]int32, n+1),
-		ExpSum:      make([]float64, n),
 		SampleConst: make([]float64, n),
 		SampleA:     make([]float64, n),
 		SampleB:     make([]float64, n),
@@ -127,23 +131,20 @@ func Flatten(ix *Index, pf *layers.Portfolio) (*Flat, error) {
 	for k, e := range ix.entries {
 		c := &pf.Contracts[e.Contract]
 		off := f.ExpOff[k]
-		var sum float64
 		for li := range c.Layers {
 			r := c.Layers[li].ApplyOccurrence(e.Rec.MeanLoss)
 			f.ExpRec[off+int32(li)] = r
-			sum += r
 			if r != 0 {
 				nonZero++
 			}
 		}
-		f.ExpSum[k] = sum
 		f.SampleConst[k], f.SampleA[k], f.SampleB[k], f.SampleScale[k] = elt.SampleParams(e.Rec)
 	}
 
-	// Row frames and totals, both walked row → entry → layer. RowSum is
-	// accumulated entry-then-layer exactly as the kernels' per-occurrence
-	// running sums, so substituting it for them is bit-identical (ExpSum
-	// itself was accumulated in layer order above).
+	// Row frames and totals, both walked row → entry → layer. RowSum sums
+	// each entry's frame in layer order, then the entry sums in entry
+	// order, exactly as the kernels' per-occurrence running sums, so
+	// substituting it for them is bit-identical.
 	rows := ix.NumRows()
 	f.RowOff = make([]int32, rows+1)
 	f.RowRec = make([]float64, 0, nonZero)
@@ -153,13 +154,16 @@ func Flatten(ix *Index, pf *layers.Portfolio) (*Flat, error) {
 		f.RowOff[r] = int32(len(f.RowRec))
 		var s float64
 		for k := ix.offsets[r]; k < ix.offsets[r+1]; k++ {
+			var entrySum float64
 			for e := f.ExpOff[k]; e < f.ExpOff[k+1]; e++ {
-				if rec := f.ExpRec[e]; rec != 0 {
+				rec := f.ExpRec[e]
+				entrySum += rec
+				if rec != 0 {
 					f.RowRec = append(f.RowRec, rec)
 					f.RowDst = append(f.RowDst, f.LayerOff[k]+e-f.ExpOff[k])
 				}
 			}
-			s += f.ExpSum[k]
+			s += entrySum
 		}
 		f.RowSum[r] = s
 	}
@@ -253,7 +257,6 @@ func (f *Flat) SizeBytes() int64 {
 		int64(len(f.LayerOff))*4 +
 		int64(len(f.ExpOff))*4 +
 		int64(len(f.ExpRec))*8 +
-		int64(len(f.ExpSum))*8 +
 		int64(len(f.RowOff))*4 +
 		int64(len(f.RowRec))*8 +
 		int64(len(f.RowDst))*4 +

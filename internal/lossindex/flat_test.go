@@ -2,6 +2,7 @@ package lossindex
 
 import (
 	"context"
+	"math"
 	"slices"
 	"testing"
 
@@ -62,8 +63,15 @@ func TestFlattenColumnsMatchEntries(t *testing.T) {
 		if !slices.Equal(fx.RowRec[clo:chi], wantRec) || !slices.Equal(fx.RowDst[clo:chi], wantDst) {
 			t.Fatalf("row %d: compacted frame %v at %v, want %v at %v", row, fx.RowRec[clo:chi], fx.RowDst[clo:chi], wantRec, wantDst)
 		}
+		// RowSum is each entry's recoveries summed in layer order, the
+		// entry sums then summed in entry order, recomputed here from
+		// the layers rather than read back from ExpRec.
+		var rowSum float64
 		for j, e := range ix.Entries(row) {
 			k := lo + int32(j)
+			if j > 0 && e.Contract <= fx.Contract[k-1] {
+				t.Fatalf("row %d: contract %d after contract %d, want strictly ascending", row, e.Contract, fx.Contract[k-1])
+			}
 			if fx.Contract[k] != e.Contract {
 				t.Fatalf("entry %d: contract %d, want %d", k, fx.Contract[k], e.Contract)
 			}
@@ -82,14 +90,15 @@ func TestFlattenColumnsMatchEntries(t *testing.T) {
 				}
 				sum += want
 			}
-			if fx.ExpSum[k] != sum {
-				t.Fatalf("entry %d: exp sum %g, want %g", k, fx.ExpSum[k], sum)
-			}
+			rowSum += sum
 			wc, wa, wb, ws := elt.SampleParams(e.Rec)
 			if fx.SampleConst[k] != wc || fx.SampleA[k] != wa || fx.SampleB[k] != wb || fx.SampleScale[k] != ws {
 				t.Fatalf("entry %d: sampling plan (%g,%g,%g,%g), want (%g,%g,%g,%g)",
 					k, fx.SampleConst[k], fx.SampleA[k], fx.SampleB[k], fx.SampleScale[k], wc, wa, wb, ws)
 			}
+		}
+		if math.Float64bits(fx.RowSum[row]) != math.Float64bits(rowSum) {
+			t.Fatalf("row %d: occurrence sum %g, want %g", row, fx.RowSum[row], rowSum)
 		}
 	}
 }
@@ -142,5 +151,31 @@ func TestFlattenRejectsMismatchedPortfolio(t *testing.T) {
 	}
 	if fx.NumLayers() != fx.Terms.NumLayers() {
 		t.Fatal("NumLayers disagrees with Terms")
+	}
+}
+
+// RowSum nests: each entry's frame is summed first, then the entry
+// sums, as the kernels' running sums do. On this row the two orders
+// differ in the last bit: (1e16 + 1) + (1 + 1) is 1e16 + 2, while one
+// running sum over the four cells rounds back to 1e16.
+func TestRowSumNestsEntrySums(t *testing.T) {
+	elts := []*elt.Table{
+		elt.New(1, []elt.Record{{EventID: 3, MeanLoss: 1e16, ExposedValue: 2e16}}),
+		elt.New(2, []elt.Record{{EventID: 3, MeanLoss: 1, ExposedValue: 2}}),
+	}
+	pf := &layers.Portfolio{Contracts: []layers.Contract{
+		{ID: 1, ELTIndex: 0, Layers: []layers.Layer{{}, {OccLimit: 1}}},
+		{ID: 2, ELTIndex: 1, Layers: []layers.Layer{{}, {}}},
+	}}
+	ix, err := Build(elts, pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := Flatten(ix, pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, sum := fx.Cells(3); sum != 1e16+2 {
+		t.Fatalf("row sum %v, want 1e16 + 2", sum)
 	}
 }

@@ -41,9 +41,11 @@ type Entry struct {
 // 8, then 4+4 pad + 4×8 of the record).
 const entryBytes = 8 + 40
 
-// Index is the pre-joined event-major loss index. It is immutable
-// after Build and safe for concurrent readers — every engine worker
-// shares one instance.
+// Index is the pre-joined event-major loss index. A row holds at most
+// one entry per contract, contracts strictly ascending: the kernels'
+// draw order and their per-contract sums rest on it, and Build refuses
+// an ELT that would break it. It is immutable after Build and safe for
+// concurrent readers — every engine worker shares one instance.
 type Index struct {
 	// rowOf maps event ID → row, dense over [0, maxEvent]; -1 marks
 	// events on which no contract has loss.
@@ -63,7 +65,8 @@ type Index struct {
 // Build constructs the index for a portfolio over its ELT set. Each
 // contract contributes the records of its referenced table with
 // positive mean loss; contracts may share tables (single-contract
-// views do). Build is a pure function of its inputs.
+// views do). A table's event IDs must be strictly ascending, as
+// elt.New leaves them. Build is a pure function of its inputs.
 func Build(elts []*elt.Table, pf *layers.Portfolio) (*Index, error) {
 	if pf == nil || len(pf.Contracts) == 0 {
 		return nil, fmt.Errorf("lossindex: empty portfolio")
@@ -71,6 +74,13 @@ func Build(elts []*elt.Table, pf *layers.Portfolio) (*Index, error) {
 	for _, c := range pf.Contracts {
 		if c.ELTIndex < 0 || c.ELTIndex >= len(elts) {
 			return nil, fmt.Errorf("lossindex: contract %d references ELT %d of %d", c.ID, c.ELTIndex, len(elts))
+		}
+		recs := elts[c.ELTIndex].Records
+		for i := 1; i < len(recs); i++ {
+			if recs[i].EventID <= recs[i-1].EventID {
+				return nil, fmt.Errorf("lossindex: contract %d: ELT %d has event %d at record %d after event %d; event IDs must be strictly ascending",
+					c.ID, c.ELTIndex, recs[i].EventID, i, recs[i-1].EventID)
+			}
 		}
 	}
 

@@ -1,6 +1,8 @@
 package lossindex
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/elt"
@@ -157,5 +159,60 @@ func TestAllZeroMeans(t *testing.T) {
 	}
 	if ix.EntriesFor(1) != nil {
 		t.Fatal("zero-mean event must not be indexed")
+	}
+}
+
+// Build refuses a table whose event IDs are not strictly ascending —
+// out of order, or one event twice — naming the contract and the ELT,
+// because a row must hold at most one entry per contract. A table
+// built by elt.New from the same records is sorted and merged, and
+// builds.
+func TestBuildRefusesUnorderedELT(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		recs []elt.Record
+	}{
+		{"unsorted", []elt.Record{
+			{EventID: 9, MeanLoss: 4, ExposedValue: 10},
+			{EventID: 2, MeanLoss: 3, ExposedValue: 10},
+			{EventID: 5, MeanLoss: 2, ExposedValue: 10},
+		}},
+		{"duplicate", []elt.Record{
+			{EventID: 2, MeanLoss: 4, ExposedValue: 10},
+			{EventID: 5, MeanLoss: 3, ExposedValue: 10},
+			{EventID: 5, MeanLoss: 2, ExposedValue: 10},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			good := elt.New(1, []elt.Record{{EventID: 5, MeanLoss: 1, ExposedValue: 10}})
+			bad := &elt.Table{ContractID: 2, Records: slices.Clone(tc.recs)}
+			pf := &layers.Portfolio{Contracts: []layers.Contract{
+				{ID: 1, ELTIndex: 0, Layers: []layers.Layer{{}}},
+				{ID: 7, ELTIndex: 1, Layers: []layers.Layer{{}}},
+			}}
+			_, err := Build([]*elt.Table{good, bad}, pf)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "contract 7") || !strings.Contains(msg, "ELT 1") {
+				t.Fatalf("error %q names neither contract 7 nor ELT 1", msg)
+			}
+
+			ix, err := Build([]*elt.Table{good, elt.New(2, slices.Clone(tc.recs))}, pf)
+			if err != nil {
+				t.Fatalf("elt.New-built table refused: %v", err)
+			}
+			for r := int32(0); r < int32(ix.NumRows()); r++ {
+				es := ix.Entries(r)
+				for j := 1; j < len(es); j++ {
+					if es[j].Contract <= es[j-1].Contract {
+						t.Fatalf("row %d: contracts %d then %d", r, es[j-1].Contract, es[j].Contract)
+					}
+				}
+			}
+			if e := ix.EntriesFor(5); len(e) != 2 || e[1].Contract != 1 {
+				t.Fatalf("event 5 entries = %+v, want one per contract", e)
+			}
+		})
 	}
 }

@@ -32,27 +32,26 @@ func Mean(xs []float64) float64 {
 	return Sum(xs) / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs (denominator n-1).
-// It returns 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
+// MeanStdDev returns the arithmetic mean of xs (as Mean) and the
+// unbiased sample standard deviation (denominator n-1) about it, from
+// one compensated pass for the mean and one for the squared
+// deviations. The deviation is 0 when len(xs) < 2.
+func MeanStdDev(xs []float64) (mean, sd float64) {
+	mean = Mean(xs)
 	n := len(xs)
 	if n < 2 {
-		return 0
+		return mean, 0
 	}
-	m := Mean(xs)
 	var ss, comp float64
 	for _, x := range xs {
-		d := x - m
+		d := x - mean
 		y := d*d - comp
 		t := ss + y
 		comp = (t - ss) - y
 		ss = t
 	}
-	return ss / float64(n-1)
+	return mean, math.Sqrt(ss / float64(n-1))
 }
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // QuantileSorted returns the q-quantile of n values in ascending order,
 // read through at(rank), using linear interpolation between order

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -30,11 +31,8 @@ func TestMeanVarianceKnown(t *testing.T) {
 		t.Errorf("Mean = %v, want 5", m)
 	}
 	// population variance is 4; sample variance is 32/7.
-	if v := Variance(xs); !almostEqual(v, 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %v, want %v", v, 32.0/7.0)
-	}
-	if s := StdDev(xs); !almostEqual(s, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %v", s)
+	if m, s := MeanStdDev(xs); m != Mean(xs) || !almostEqual(s, math.Sqrt(32.0/7.0), 1e-12) {
+		t.Errorf("MeanStdDev = %v, %v, want 5, %v", m, s, math.Sqrt(32.0/7.0))
 	}
 }
 
@@ -42,8 +40,62 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")
 	}
-	if Variance([]float64{3}) != 0 {
-		t.Error("Variance of singleton != 0")
+	if m, s := MeanStdDev([]float64{3}); m != 3 || s != 0 {
+		t.Errorf("MeanStdDev of singleton = %v, %v, want 3, 0", m, s)
+	}
+}
+
+// variance is the sample variance as two separate passes compute it: a
+// fresh Mean, then the compensated sum of squared deviations over n-1,
+// and 0 below two values.
+func variance(xs []float64) float64 {
+	n := len(xs)
+	if n < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	var ss, comp float64
+	for _, x := range xs {
+		d := x - m
+		y := d*d - comp
+		t := ss + y
+		comp = (t - ss) - y
+		ss = t
+	}
+	return ss / float64(n-1)
+}
+
+// MeanStdDev shares its mean pass between the two results, and gives
+// the bits of Mean and math.Sqrt of the two-pass variance on columns
+// with NaN and ±Inf, on zero, one and two values, and on a million
+// lognormal trial losses.
+func TestMeanStdDevMatchesSeparatePasses(t *testing.T) {
+	r := rand.New(rand.NewPCG(51, 7))
+	lognormal := make([]float64, 1_000_000)
+	for i := range lognormal {
+		lognormal[i] = math.Exp(11 + 1.7*r.NormFloat64())
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		xs   []float64
+	}{
+		{"empty", nil},
+		{"one", []float64{4.5}},
+		{"one NaN", []float64{nan}},
+		{"two", []float64{1, 1e16}},
+		{"two equal", []float64{0.1, 0.1}},
+		{"NaN", []float64{1, nan, 3}},
+		{"+Inf", []float64{1, inf, 3}},
+		{"-Inf", []float64{1, -inf, 3}},
+		{"both Inf", []float64{inf, -inf}},
+		{"lognormal", lognormal},
+	} {
+		m, s := MeanStdDev(tc.xs)
+		wm, ws := Mean(tc.xs), math.Sqrt(variance(tc.xs))
+		if math.Float64bits(m) != math.Float64bits(wm) || math.Float64bits(s) != math.Float64bits(ws) {
+			t.Errorf("%s: MeanStdDev = %v, %v, want %v, %v", tc.name, m, s, wm, ws)
+		}
 	}
 }
 

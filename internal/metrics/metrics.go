@@ -316,12 +316,8 @@ func sameSlice(a, b []float64) bool {
 // when the table has occurrence detail.
 func (v *View) Summary() (*Summary, error) {
 	t := v.t
-	s := &Summary{
-		Name:      t.Name,
-		Trials:    t.NumTrials(),
-		AAL:       t.Mean(),
-		AggStdDev: t.StdDev(),
-	}
+	s := &Summary{Name: t.Name, Trials: t.NumTrials()}
+	s.AAL, s.AggStdDev = mathx.MeanStdDev(t.Agg)
 	var rps []float64
 	levels := []float64{0.99, 0.995}
 	for _, rp := range StandardReturnPeriods {

@@ -58,12 +58,8 @@ func naiveSummarize(t *ylt.Table) (*Summary, error) {
 			return nil, err
 		}
 	}
-	s := &Summary{
-		Name:      t.Name,
-		Trials:    t.NumTrials(),
-		AAL:       t.Mean(),
-		AggStdDev: t.StdDev(),
-	}
+	s := &Summary{Name: t.Name, Trials: t.NumTrials()}
+	s.AAL, s.AggStdDev = mathx.MeanStdDev(t.Agg)
 	if s.VaR99, err = naiveVaR(t.Agg, 0.99); err != nil {
 		return nil, err
 	}

@@ -44,9 +44,6 @@ func (t *Table) HasOccurrence() bool { return t.OccMax != nil }
 // Mean returns the average annual loss (the AAL).
 func (t *Table) Mean() float64 { return mathx.Mean(t.Agg) }
 
-// StdDev returns the standard deviation of annual losses.
-func (t *Table) StdDev() float64 { return mathx.StdDev(t.Agg) }
-
 // EntryBytes is the encoded footprint per trial (one float64 for Agg;
 // occurrence tables carry a second).
 const EntryBytes = 8

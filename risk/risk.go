@@ -36,6 +36,7 @@ import (
 	"repro/internal/dfa"
 	"repro/internal/layers"
 	"repro/internal/lossindex"
+	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/warehouse"
 	"repro/internal/yelt"
@@ -538,7 +539,7 @@ func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Q
 	if err != nil {
 		return nil, err
 	}
-	aal, sd := res.Portfolio.Mean(), res.Portfolio.StdDev()
+	aal, sd := mathx.MeanStdDev(res.Portfolio.Agg)
 	return &Quote{
 		ContractID: single.Contracts[0].ID,
 		Trials:     trials,
