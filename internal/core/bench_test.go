@@ -12,8 +12,10 @@ import (
 
 // BenchmarkPassReports times the tail of Pipeline.Run — the two reports
 // of a million-trial pass — through Summarize of each table (four
-// in-place selections) and as Run builds them (ReportViews: the two
-// reports share the occurrence column's curve, so three).
+// in-place selections), through ReportViews and one Summary after the
+// other (the two reports share the occurrence column's curve, so
+// three), and as Run computes them (passReports: the same three, the
+// two reports side by side).
 func BenchmarkPassReports(b *testing.B) {
 	const n = 1_000_000
 	cat := ylt.New("portfolio", n)
@@ -47,6 +49,13 @@ func BenchmarkPassReports(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := entView.Summary(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pass-reports", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := passReports(res); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -68,3 +68,35 @@ func TestGoldenPassReports(t *testing.T) {
 		t.Errorf("enterprise report changed: digest %#x, want %#x", got, uint64(goldenPassEnterpriseDigest))
 	}
 }
+
+// Run computes its two reports side by side, over one shared occurrence
+// curve; they must be, bit for bit, the reports that fresh views give
+// one after the other.
+func TestRunReportsMatchSequentialSummaries(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := smallConfig(5)
+		cfg.NumTrials = 20_000
+		cfg.Workers = workers
+		p := New(cfg)
+		rep, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		catView, entView, err := ReportViews(p.DFAResult)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			got  *metrics.Summary
+			view *metrics.View
+		}{{rep.Catastrophe, catView}, {rep.Enterprise, entView}} {
+			want, err := c.view.Summary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.got.Name != want.Name || len(c.got.ReturnRows) != len(want.ReturnRows) || summaryDigest(c.got) != summaryDigest(want) {
+				t.Errorf("workers=%d: Run's %q report differs from a sequential Summary", workers, want.Name)
+			}
+		}
+	}
+}

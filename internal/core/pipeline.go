@@ -707,21 +707,40 @@ func (p *Pipeline) Run(ctx context.Context) (*Report, error) {
 	if err := p.RunStage3(ctx); err != nil {
 		return nil, err
 	}
-	catView, entView, err := ReportViews(p.DFAResult)
+	catSum, entSum, err := passReports(p.DFAResult)
 	if err != nil {
 		return nil, err
-	}
-	catSum, err := catView.Summary()
-	if err != nil {
-		return nil, fmt.Errorf("core: cat summary: %w", err)
-	}
-	entSum, err := entView.Summary()
-	if err != nil {
-		return nil, fmt.Errorf("core: enterprise summary: %w", err)
 	}
 	// The report gets its own stage lines: setStage rewrites p.Stages in
 	// place when a stage runs again.
 	return &Report{Stages: slices.Clone(p.Stages), Catastrophe: catSum, Enterprise: entSum}, nil
+}
+
+// passReports computes a stage-3 result's two reports side by side:
+// each selects in its own aggregate column, and the occurrence curve
+// they share (ReportViews) selects once — a View is safe for concurrent
+// use, and a curve's second query of the same ranks waits for the first
+// and reads them.
+func passReports(res *dfa.Result) (cat, enterprise *metrics.Summary, err error) {
+	catView, entView, err := ReportViews(res)
+	if err != nil {
+		return nil, nil, err
+	}
+	var catErr error
+	catDone := make(chan struct{})
+	go func() {
+		defer close(catDone)
+		cat, catErr = catView.Summary()
+	}()
+	enterprise, err = entView.Summary()
+	<-catDone
+	if catErr != nil {
+		return nil, nil, fmt.Errorf("core: cat summary: %w", catErr)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: enterprise summary: %w", err)
+	}
+	return cat, enterprise, nil
 }
 
 // ReportViews builds the two reports' views from a stage-3 result. Each

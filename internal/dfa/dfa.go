@@ -8,12 +8,14 @@
 // emits the enterprise Year-Loss Table from which PML and TVaR flow to
 // enterprise risk management — and, on request, one table per source.
 //
-// A run ranks the catastrophe losses once (rankTransform: a parallel,
-// stable LSD radix over 4-byte trial indices, which keeps each trial's
-// rank and nothing else); it evaluates each standard source's constants
-// once per run, not once per trial, and hands it its copula normal
-// without a round trip through Φ and Φ⁻¹; every normal it draws is a
-// ziggurat normal; and it carries only the tables its caller reports.
+// A run ranks the catastrophe losses once (rankTransform: an MSD radix
+// over 4-byte trial indices with one gather per trial, which keeps each
+// trial's rank and nothing else); it evaluates each standard source's
+// constants once per run, not once per trial, and hands it its copula
+// normal without a round trip through Φ and Φ⁻¹ (MarketCycle and
+// Counterparty decide their thresholds in normal space, with an exact
+// fallback near them); every normal it draws is a ziggurat normal; and
+// it carries only the tables its caller reports.
 // The enterprise table shares the catastrophe table's occurrence column.
 // The reports select their order statistics in the tables themselves
 // (package metrics), so the stage hands them nothing else.
@@ -24,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/mathx"
 	"repro/internal/rng"
@@ -39,9 +40,11 @@ import (
 // source u = Φ(x) of its copula normal x, clamped so that u stays
 // strictly inside (0, 1) where Φ would round to 0 or 1.
 //
-// Run calls Loss for MarketCycle and for custom sources only. The other
-// standard sources read x itself: their Loss(u, aux) is the same formula
-// at x = Φ⁻¹(u), for callers that hold a uniform.
+// Run calls Loss for custom sources, and for a MarketCycle only where x
+// is within a guard band of its thresholds (or its probabilities are
+// too close to 0 or 1 to plan). The other standard sources read x
+// itself: their Loss(u, aux) is the same formula at x = Φ⁻¹(u), for
+// callers that hold a uniform.
 //
 // Severity convention: higher u must mean a worse outcome (larger
 // loss) for the enterprise. The integrator pins u's dependence to the
@@ -76,7 +79,7 @@ func (s Investment) Loss(u float64, aux *rng.Stream) float64 {
 // lossZ is Loss at the copula normal x = Φ⁻¹(u).
 func (s Investment) lossZ(x float64, _ *rng.Stream) float64 {
 	// High severity x = poor markets = low return (severity convention).
-	ret := s.MeanReturn - s.Volatility*x
+	ret := s.MeanReturn - float64(s.Volatility*x)
 	return -s.Assets * ret
 }
 
@@ -99,7 +102,7 @@ func (s InterestRate) Loss(u float64, aux *rng.Stream) float64 {
 
 // lossZ is Loss at the copula normal x = Φ⁻¹(u).
 func (s InterestRate) lossZ(x float64, _ *rng.Stream) float64 {
-	shift := s.MeanShift + s.Vol*x
+	shift := s.MeanShift + float64(s.Vol*x)
 	return s.Notional * s.Duration * shift
 }
 
@@ -131,7 +134,7 @@ func (s Reserve) plan() reservePlan {
 // lossZ is Reserve.Loss at the copula normal x = Φ⁻¹(u).
 func (p reservePlan) lossZ(x float64, _ *rng.Stream) float64 {
 	// exp(x) - 1 via Expm1 to avoid cancellation for mild developments.
-	return p.reserves * math.Expm1(x*p.sigma+p.mu)
+	return p.reserves * math.Expm1(float64(x*p.sigma)+p.mu)
 }
 
 // Counterparty models default of reinsurance counterparties holding
@@ -152,15 +155,35 @@ func (s Counterparty) Name() string { return "counterparty" }
 
 // Loss implements Source.
 func (s Counterparty) Loss(u float64, aux *rng.Stream) float64 {
-	return s.plan().lossZ(mathx.StdNormalQuantile(u), aux)
+	p := s.plan()
+	return p.lossZ(mathx.StdNormalQuantile(u), aux)
 }
 
 // counterpartyPlan is a Counterparty with the Vasicek constants
-// evaluated: Φ⁻¹(PD), √ρ and √(1−ρ).
+// evaluated: Φ⁻¹(PD), √ρ and √(1−ρ). Run's plan also holds noDefault
+// (tabulate); Loss's does not.
 type counterpartyPlan struct {
 	Counterparty
 	qPD, sqrtRho, sqrtOneMinusRho float64
+	// noDefault[c] is a lower bound on the f(0) = (1−p(x))ᴺ that
+	// Binomial computes for any x in cell c of the table window, or 0
+	// where the cell is not tabled. nil when the plan has no table.
+	noDefault []float64
 }
+
+// The no-default table's window is [tableLo, tableLo + tableCells ·
+// tableStep): 1024 cells of 2⁻⁵, every edge exact.
+const (
+	tableLo    = -16
+	tableStep  = 0x1p-5
+	tableCells = 1024
+	// tableSlack is the bound's relative margin under the f(0) computed
+	// at a cell's right edge, and the margin below ½ that p keeps there.
+	tableSlack = 0x1p-30
+	// tablePDMin is the smallest p a tabled cell's left edge may have:
+	// far above where Φ's relative accuracy gives out.
+	tablePDMin = 0x1p-900
+)
 
 func (s Counterparty) plan() counterpartyPlan {
 	rho := mathx.Clamp(s.FactorRho, 0, 0.97)
@@ -172,16 +195,68 @@ func (s Counterparty) plan() counterpartyPlan {
 	}
 }
 
-// lossZ is Counterparty.Loss at the copula normal x = Φ⁻¹(u).
-func (p counterpartyPlan) lossZ(x float64, aux *rng.Stream) float64 {
+// tabulate returns p with its no-default table. A cell is tabled where
+// the computed p stays inside (0, ½] at both edges with margin, so that
+// for every x in it Binomial(N, p) takes the inversion branch and draws
+// exactly one uniform; its bound is the f(0) computed at its right edge
+// times (1 − tableSlack). The computed Vasicek argument is monotone in
+// x (rounding is monotone), and the true f(0) falls as the argument
+// rises, so the bound is below the f(0) computed at any x of the cell
+// whenever a computed f(0) is within 2⁻³¹ relative of the true one at
+// the computed argument (Φ's few ulps through math.Erfc, amplified at
+// most N-fold, and Pow's own). N outside [1, 64] (Binomial's normal
+// approximation) and PD outside (0, 1) get no table.
+func (p counterpartyPlan) tabulate() counterpartyPlan {
+	if p.N < 1 || p.N > 64 || !(p.PD > 0 && p.PD < 1) {
+		return p
+	}
+	p.noDefault = make([]float64, tableCells)
+	left := p.pdCond(tableLo)
+	for c := range p.noDefault {
+		right := p.pdCond(tableLo + float64(float64(c+1)*tableStep))
+		if left >= tablePDMin && right <= 0.5*(1-tableSlack) {
+			p.noDefault[c] = math.Pow(1-right, float64(p.N)) * (1 - tableSlack)
+		}
+		left = right
+	}
+	return p
+}
+
+// pdCond is the Vasicek conditional PD given systematic factor x
+// (stress when x is large: cat-heavy years impair reinsurers).
+func (p *counterpartyPlan) pdCond(x float64) float64 {
+	return mathx.StdNormalCDF((p.qPD + float64(p.sqrtRho*x)) / p.sqrtOneMinusRho)
+}
+
+// lossZ is Counterparty.Loss at the copula normal x = Φ⁻¹(u). In a
+// tabled cell it draws the uniform Binomial's inversion would draw, and
+// a uniform under the cell's bound settles "no defaults" without Φ or
+// Pow.
+func (p *counterpartyPlan) lossZ(x float64, aux *rng.Stream) float64 {
 	if p.N <= 0 || p.PD <= 0 {
 		return 0
 	}
-	// Vasicek conditional PD given systematic factor x (stress when x
-	// is large: cat-heavy years impair reinsurers).
-	pdCond := mathx.StdNormalCDF((p.qPD + p.sqrtRho*x) / p.sqrtOneMinusRho)
-	defaults := aux.Binomial(p.N, pdCond)
+	var defaults int
+	if bound := p.noDefaultBound(x); bound > 0 {
+		if u := aux.Float64(); u >= bound {
+			defaults = rng.BinomialInverse(p.N, p.pdCond(x), u)
+		}
+	} else {
+		defaults = aux.Binomial(p.N, p.pdCond(x))
+	}
 	return p.Recoverables * float64(defaults) / float64(p.N) * p.LGD
+}
+
+// noDefaultBound is the bound of x's cell, 0 where x has none. The
+// computed cell is never left of x's true cell (the one subtraction
+// rounds monotonically from exact edges), and a cell further right has
+// a bound no larger; only an x within rounding of that cell's left edge
+// lands there, and tablePDMin keeps its p above 0.
+func (p *counterpartyPlan) noDefaultBound(x float64) float64 {
+	if p.noDefault == nil || !(x >= tableLo && x < tableLo+tableCells*tableStep) {
+		return 0
+	}
+	return p.noDefault[min(int((x-tableLo)*(1/tableStep)), tableCells-1)]
 }
 
 // Operational models operational-loss risk as a compound Poisson with
@@ -223,9 +298,9 @@ func (p operationalPlan) lossZ(x float64, aux *rng.Stream) float64 {
 	}
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += math.Exp(p.mu + p.sigma*drawNormal(aux))
+		sum += math.Exp(p.mu + float64(p.sigma*drawNormal(aux)))
 	}
-	stress := math.Exp(p.beta*x - p.beta*p.beta/2)
+	stress := math.Exp(float64(p.beta*x) - float64(p.beta*p.beta/2))
 	return sum * stress
 }
 
@@ -244,15 +319,59 @@ func (s MarketCycle) Name() string { return "market-cycle" }
 
 // Loss implements Source.
 func (s MarketCycle) Loss(u float64, _ *rng.Stream) float64 {
+	// High severity = soft market = inadequate premium.
+	return s.margin(u > 1-s.SoftProb, u < s.HardProb)
+}
+
+// margin is the loss of a soft, a hard or (neither) a normal year; soft
+// wins when both hold.
+func (s MarketCycle) margin(soft, hard bool) float64 {
 	switch {
-	case u > 1-s.SoftProb:
-		// High severity = soft market = inadequate premium.
+	case soft:
 		return s.Premium * s.SoftMargin
-	case u < s.HardProb:
+	case hard:
 		return -s.Premium * s.HardMargin
-	default:
-		return 0
 	}
+	return 0
+}
+
+// marketCyclePlan is a MarketCycle that decides in normal space: x
+// against Φ⁻¹(1−SoftProb) and Φ⁻¹(HardProb), each widened to a guard
+// band of ±normalMargin inside which it computes u = Φ(x) and calls
+// Loss. Outside the bands the computed u is on the same side of the
+// threshold as x: both probabilities lie in [2⁻¹⁰, 1−2⁻¹⁰], where the
+// normal density at the threshold is at least 0.003, so Φ moves by more
+// than 2.8·10⁻⁹ across the margin, far above the error of a Φ computed
+// through math.Erfc (2⁻⁴⁰ relative would do) and of the rational Φ⁻¹.
+type marketCyclePlan struct {
+	MarketCycle
+	softLo, softHi, hardLo, hardHi float64
+}
+
+// normalMargin is the half-width of marketCyclePlan's guard bands.
+const normalMargin = 0x1p-20
+
+// plan returns s's normal-space form, or false when a probability is
+// outside [2⁻¹⁰, 1−2⁻¹⁰] (NaN included).
+func (s MarketCycle) plan() (marketCyclePlan, bool) {
+	const lo, hi = 0x1p-10, 1 - 0x1p-10
+	if !(s.SoftProb >= lo && s.SoftProb <= hi && s.HardProb >= lo && s.HardProb <= hi) {
+		return marketCyclePlan{}, false
+	}
+	soft := mathx.StdNormalQuantile(1 - s.SoftProb)
+	hard := mathx.StdNormalQuantile(s.HardProb)
+	return marketCyclePlan{s, soft - normalMargin, soft + normalMargin, hard - normalMargin, hard + normalMargin}, true
+}
+
+// lossZ is MarketCycle.Loss at u = Φ(x), clamped as Run clamps it.
+func (p *marketCyclePlan) lossZ(x float64, aux *rng.Stream) float64 {
+	switch {
+	case x > p.softHi:
+		return p.margin(true, false)
+	case x < p.softLo && (x < p.hardLo || x > p.hardHi):
+		return p.margin(false, x < p.hardLo)
+	}
+	return p.Loss(sourceUniform(x), aux)
 }
 
 // StandardSources returns the paper's six-risk integration set, sized
@@ -291,7 +410,8 @@ func sourceUniform(x float64) float64 {
 // and reads the copula normal as it is: turning it into Φ(x) and
 // straight back would cost two erfc, an exp and a rational inverse per
 // source and trial, and saturate to ±Inf beyond |x| ≈ 8.3. MarketCycle
-// and custom sources are called through the interface.
+// compares x with its thresholds in normal space. Custom sources are
+// called through the interface.
 type runSource struct {
 	lossZ func(x float64, aux *rng.Stream) float64
 	src   Source
@@ -307,9 +427,14 @@ func planSource(s Source) runSource {
 	case Reserve:
 		return runSource{lossZ: s.plan().lossZ}
 	case Counterparty:
-		return runSource{lossZ: s.plan().lossZ}
+		p := s.plan().tabulate()
+		return runSource{lossZ: p.lossZ}
 	case Operational:
 		return runSource{lossZ: s.plan().lossZ}
+	case MarketCycle:
+		if p, ok := s.plan(); ok {
+			return runSource{lossZ: p.lossZ}
+		}
 	}
 	return runSource{src: s}
 }
@@ -397,130 +522,6 @@ func checkCorr(corr *mathx.Matrix, k int) error {
 		}
 	}
 	return nil
-}
-
-// checkRankable refuses a table too long for the rank transform's
-// 4-byte trial indices.
-func checkRankable(n int) error {
-	if uint64(n) > math.MaxUint32 {
-		return fmt.Errorf("dfa: %d catastrophe trials, the rank transform takes fewer than 2³²", n)
-	}
-	return nil
-}
-
-// rankTransform returns each trial's rank: rankOf[trial] is the trial's
-// position in the stable ascending order of agg. Ties (e.g. many
-// zero-loss years) share their rank range by trial order; −0 ties with
-// +0.
-//
-// It is a stable LSD radix over 4-byte trial indices, one byte of
-// mathx.OrderBits(agg[trial]) a pass. idx starts in trial order. Each
-// pass counts its byte per stream.Partition range on the range's
-// worker, lays the offsets out digit-major then worker-major, and
-// scatters each range in order, so equal bytes keep the order the
-// previous pass left them in.
-// A byte on which every loss agrees orders nothing and is skipped: one
-// OR and one AND of the patterns, taken while filling idx, tell which.
-// The passes ping-pong between idx and one scratch slice; the last one
-// leaves idx sorted, and a final parallel pass over ranks writes rankOf
-// into the scratch slice — each trial has one rank, so the scattered
-// writes are disjoint.
-func rankTransform(ctx context.Context, agg []float64, workers int) (rankOf []uint32, err error) {
-	n := len(agg)
-	if err := checkRankable(n); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	runs := stream.Partition(n, workers)
-	idx := make([]uint32, n)
-	// notFinite[w] is the first trial of run w whose loss is NaN or ±Inf
-	// (NaN has no place in the order, ±Inf makes an enterprise total of
-	// ±Inf or NaN), -1 when it has none; kept per run so that the trial
-	// named is the lowest one whatever the worker count. ors[w] and
-	// ands[w] fold run w's patterns.
-	notFinite := make([]int, len(runs))
-	ors, ands := make([]uint64, len(runs)), make([]uint64, len(runs))
-	err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, w int) error {
-		first, or, and := -1, uint64(0), ^uint64(0)
-		for trial := r.Lo; trial < r.Hi; trial++ {
-			idx[trial] = uint32(trial)
-			loss := agg[trial]
-			if first < 0 && (math.IsNaN(loss) || math.IsInf(loss, 0)) {
-				first = trial
-			}
-			p := mathx.OrderBits(loss)
-			or |= p
-			and &= p
-		}
-		notFinite[w], ors[w], ands[w] = first, or, and
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, trial := range notFinite {
-		if trial >= 0 {
-			return nil, fmt.Errorf("dfa: catastrophe loss at trial %d is not finite", trial)
-		}
-	}
-	or, and := uint64(0), ^uint64(0)
-	for w := range runs {
-		or, and = or|ors[w], and&ands[w]
-	}
-	varying := or ^ and // the bits on which some two losses differ
-
-	scratch := make([]uint32, n)
-	counts := make([][256]int, len(runs))
-	for shift := uint(0); shift < 64; shift += 8 {
-		if byte(varying>>shift) == 0 {
-			continue
-		}
-		err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, w int) error {
-			c := &counts[w]
-			*c = [256]int{}
-			for _, trial := range idx[r.Lo:r.Hi] {
-				c[byte(mathx.OrderBits(agg[trial])>>shift)]++
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Turn the counts into each run's first slot per digit: digits in
-		// ascending order, and within a digit the runs in trial order.
-		for v, next := 0, 0; v < 256; v++ {
-			for w := range counts {
-				counts[w][v], next = next, next+counts[w][v]
-			}
-		}
-		err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, w int) error {
-			next := &counts[w]
-			for _, trial := range idx[r.Lo:r.Hi] {
-				v := byte(mathx.OrderBits(agg[trial]) >> shift)
-				scratch[next[v]] = trial
-				next[v]++
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		idx, scratch = scratch, idx
-	}
-
-	rankOf = scratch
-	err = stream.ForEachRange(ctx, n, workers, func(_ context.Context, r stream.Range, _ int) error {
-		for rank := r.Lo; rank < r.Hi; rank++ {
-			rankOf[idx[rank]] = uint32(rank)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rankOf, nil
 }
 
 // Run executes the integration over the cat table's trials.

@@ -253,4 +253,94 @@ func TestPlansMatchUnplannedLoss(t *testing.T) {
 			}
 		}
 	}
+
+	// The normal-space decisions at their edges. MarketCycle: x within
+	// 1–4 ulps of each threshold and of each guard band's edge, over
+	// probabilities that plan (the limits 2⁻¹⁰ and 1−2⁻¹⁰ included) and
+	// ones that must not (0, 1, NaN, just outside the limits).
+	// Counterparty: x within an ulp of every cell edge and beyond the
+	// table, over parameters that table and ones that must not (N of 0
+	// and 65, PD of 0, 1 and NaN, cells where p passes ½, FactorRho at
+	// and past its clamps).
+	nan := math.NaN()
+	var edgeSources []Source
+	var edges []float64
+	around := func(x float64, ulps int) {
+		up, down := x, x
+		edges = append(edges, x)
+		for k := 0; k < ulps; k++ {
+			up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+			edges = append(edges, up, down)
+		}
+	}
+	probs := []float64{0x1p-10, 0.01, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9, 1 - 0x1p-10}
+	for j, soft := range probs {
+		hard := probs[(j+3)%len(probs)]
+		edgeSources = append(edgeSources, MarketCycle{Premium: 3e7, SoftProb: soft, HardProb: hard, SoftMargin: 0.08, HardMargin: 0.06})
+		for _, q := range []float64{mathx.StdNormalQuantile(1 - soft), mathx.StdNormalQuantile(hard)} {
+			around(q, 4)
+			around(q-normalMargin, 2)
+			around(q+normalMargin, 2)
+		}
+	}
+	for _, pq := range [][2]float64{{0, 0.3}, {0.3, 0}, {1, 0.3}, {0.3, 1}, {nan, 0.3}, {0.3, nan}, {0x1p-11, 0.3}, {0.3, 1 - 0x1p-11}} {
+		edgeSources = append(edgeSources, MarketCycle{Premium: 3e7, SoftProb: pq[0], HardProb: pq[1], SoftMargin: 0.08, HardMargin: 0.06})
+		for _, q := range []float64{mathx.StdNormalQuantile(1 - pq[0]), mathx.StdNormalQuantile(pq[1])} {
+			if !math.IsNaN(q) && !math.IsInf(q, 0) {
+				around(q, 4)
+			}
+		}
+	}
+	for c := 0; c <= tableCells; c++ {
+		around(tableLo+float64(c)*tableStep, 1)
+	}
+	edges = append(edges, tableLo-1, tableLo+tableCells*tableStep+1, -39, 39)
+	edgeSources = append(edgeSources,
+		Counterparty{Recoverables: 2e7, N: 40, PD: 0.01, LGD: 0.55, FactorRho: 0.25},
+		Counterparty{Recoverables: 2e7, N: 64, PD: 0.3, LGD: 1, FactorRho: 0.5},
+		Counterparty{Recoverables: 2e7, N: 1, PD: 0.02, LGD: 0.7, FactorRho: 0.97},
+		Counterparty{Recoverables: 2e7, N: 3, PD: 0.001, LGD: 0.7, FactorRho: 1.5},
+		Counterparty{Recoverables: 2e7, N: 12, PD: 0.05, LGD: 0.7, FactorRho: 0},
+		Counterparty{Recoverables: 2e7, N: 12, PD: 0.05, LGD: 0.7, FactorRho: -0.4},
+		Counterparty{Recoverables: 2e7, N: 12, PD: 0.05, LGD: 0.7, FactorRho: nan},
+		Counterparty{Recoverables: 2e7, N: 0, PD: 0.05, LGD: 0.7, FactorRho: 0.3},
+		Counterparty{Recoverables: 2e7, N: 65, PD: 0.05, LGD: 0.7, FactorRho: 0.3},
+		Counterparty{Recoverables: 2e7, N: 12, PD: 0, LGD: 0.7, FactorRho: 0.3},
+		Counterparty{Recoverables: 2e7, N: 12, PD: 1, LGD: 0.7, FactorRho: 0.3},
+		Counterparty{Recoverables: 2e7, N: 12, PD: nan, LGD: 0.7, FactorRho: 0.3},
+		Counterparty{Recoverables: -2e7, N: 12, PD: 0.05, LGD: 0.7, FactorRho: 0.3},
+	)
+	for i, s := range edgeSources {
+		planned := planSource(s)
+		a, b := rng.NewStream(98, uint64(i)), rng.NewStream(98, uint64(i))
+		for _, x := range edges {
+			got, want := planned.loss(x, a), naiveLoss(s, x, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %+v x=%v: planned %v, oracle %v", s.Name(), s, x, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("%s %+v: planned and oracle loss left the stream in different states", s.Name(), s)
+		}
+		cp, ok := s.(Counterparty)
+		if !ok {
+			continue
+		}
+		// A tabled cell's bound sits at least 2⁻³¹ relative under the f(0)
+		// Binomial computes anywhere in it, and p stays in (0, ½] there.
+		plan := cp.plan().tabulate()
+		for _, x := range edges {
+			bound := plan.noDefaultBound(x)
+			if bound == 0 {
+				continue
+			}
+			p := plan.pdCond(x)
+			if !(p > 0 && p <= 0.5) {
+				t.Fatalf("%+v x=%v: tabled cell with p = %v", cp, x, p)
+			}
+			if f := math.Pow(1-p, float64(cp.N)); !(bound <= f*(1-0x1p-31)) {
+				t.Fatalf("%+v x=%v: bound %v not below f(0) = %v by 2⁻³¹", cp, x, bound, f)
+			}
+		}
+	}
 }

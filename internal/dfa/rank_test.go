@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -113,6 +114,29 @@ func FuzzRankOrder(f *testing.F) {
 	f.Add(enc(3, 0, math.Copysign(0, -1), -1, 0, 5, 5, math.Copysign(0, -1)))
 	f.Add(enc(2, math.SmallestNonzeroFloat64, -math.MaxFloat64, math.MaxFloat64, -1e-310, 7, 7, 7))
 	f.Add(enc(7, -2, -2, -3, 1e9, 1e9+1, 0.1, 0.1, -0.1))
+	// The MSD radix's shapes: one dominant bucket of tied lossless years
+	// (70 % of 100 000, past rankSortMax); ±0 mixed with the smallest
+	// losses of either sign; negative losses only; a bucket of varying
+	// keys past rankSortMax, whose top 16 varying bits one outlier leaves
+	// shared by 70 000 losses; fewer trials than one digit's 2¹⁶ buckets,
+	// with keys that differ in every byte; and more workers than trials.
+	lossless := catTable(100_000, 5).Agg
+	f.Add(enc(2, lossless...))
+	negZero := math.Copysign(0, -1)
+	f.Add(enc(4, 0, negZero, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, negZero, 0, 0x1p-1022, negZero, -0x1p-1022, 0))
+	negative := distinctTable(600, 6).Agg
+	for i := range negative {
+		negative[i] *= -float64(1 + i%3)
+	}
+	f.Add(enc(3, negative...))
+	large := make([]float64, 70_001)
+	for i := range large {
+		large[i] = 1 + float64(i*7919%70_000/3)*0x1p-40
+	}
+	large[12_345] = 1e300
+	f.Add(enc(2, large...))
+	f.Add(enc(1, 1e-300, -1e300, 3, math.MaxFloat64, -7, 0x1p-1074))
+	f.Add(enc(8, 5, 4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 9 {
 			return
@@ -145,6 +169,28 @@ func TestRankableRefusesLongTables(t *testing.T) {
 	for _, n := range []uint64{math.MaxUint32 + 1, math.MaxInt64} {
 		if err := checkRankable(int(n)); err == nil || !strings.Contains(err.Error(), "fewer than 2³²") {
 			t.Errorf("%d trials: error %v", n, err)
+		}
+	}
+}
+
+// The rank transform's scratch does not grow with the workers asked
+// for: its per-range counts and key buffers are bounded by GOMAXPROCS,
+// so at workers = n+1 it allocates the index and rank slices and at most
+// one digit's counts and one sort buffer a processor.
+func TestRankTransformAllocationIgnoresWorkers(t *testing.T) {
+	const n = 50_000
+	agg := distinctTable(n, 9).Agg
+	procs := runtime.GOMAXPROCS(0)
+	limit := uint64(8*n + procs*(4<<rankDigitBits+8*rankSortMax) + 64<<10)
+	for _, workers := range []int{1, procs, n + 1} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := rankTransform(context.Background(), agg, workers); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("workers=%d: the rank allocated %d bytes over %d trials, want at most %d", workers, got, n, limit)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 		for j := 0; j <= i; j++ {
 			sum := a.At(i, j)
 			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
+				sum -= float64(l.At(i, k) * l.At(j, k))
 			}
 			if i == j {
 				if sum <= 0 {
@@ -112,7 +112,7 @@ func (m *Matrix) LowerMulVec(x, y []float64) {
 		var s float64
 		row := m.Data[i*m.N : i*m.N+i+1]
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		y[i] = s
 	}

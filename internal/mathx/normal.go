@@ -6,8 +6,15 @@ import "math"
 // distribution function, computed from the complementary error
 // function for numerical stability in both tails.
 func StdNormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
+	return float64(0.5 * math.Erfc(-x/math.Sqrt2))
 }
+
+// mulAdd is a·b + c with the product rounded before the sum. The
+// explicit conversion keeps a compiler from fusing the two into one
+// multiply-add, as it may on arm64: that would round once, not twice,
+// and move bits that an amd64 build computes. Every product that feeds
+// a sum or difference in this package and in package dfa is rounded so.
+func mulAdd(a, b, c float64) float64 { return float64(a*b) + c }
 
 // Coefficients for Acklam's rational approximation of the inverse
 // standard normal CDF. Relative error is ~1.15e-9 before refinement;
@@ -49,25 +56,33 @@ func StdNormalQuantile(p float64) float64 {
 	switch {
 	case p < plow:
 		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((acklamC[0]*q+acklamC[1])*q+acklamC[2])*q+acklamC[3])*q+acklamC[4])*q + acklamC[5]) /
-			((((acklamD[0]*q+acklamD[1])*q+acklamD[2])*q+acklamD[3])*q + 1)
+		x = acklamTail(q)
 	case p > phigh:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((acklamC[0]*q+acklamC[1])*q+acklamC[2])*q+acklamC[3])*q+acklamC[4])*q + acklamC[5]) /
-			((((acklamD[0]*q+acklamD[1])*q+acklamD[2])*q+acklamD[3])*q + 1)
+		x = -acklamTail(q)
 	default:
 		q := p - 0.5
 		r := q * q
-		x = (((((acklamA[0]*r+acklamA[1])*r+acklamA[2])*r+acklamA[3])*r+acklamA[4])*r + acklamA[5]) * q /
-			(((((acklamB[0]*r+acklamB[1])*r+acklamB[2])*r+acklamB[3])*r+acklamB[4])*r + 1)
+		num := mulAdd(mulAdd(mulAdd(mulAdd(mulAdd(acklamA[0], r, acklamA[1]), r, acklamA[2]), r, acklamA[3]), r, acklamA[4]), r, acklamA[5])
+		den := mulAdd(mulAdd(mulAdd(mulAdd(mulAdd(acklamB[0], r, acklamB[1]), r, acklamB[2]), r, acklamB[3]), r, acklamB[4]), r, 1)
+		x = num * q / den
 	}
 
 	// One step of Halley's method against the true CDF sharpens the
 	// rational approximation to machine precision.
 	e := StdNormalCDF(x) - p
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
+	x = x - u/(1+float64(x*u/2))
 	return x
+}
+
+// acklamTail is the rational approximation of Φ⁻¹(p) in the lower tail,
+// at q = √(−2·ln p), in Horner's order; the upper tail is its negation
+// at q = √(−2·ln(1−p)).
+func acklamTail(q float64) float64 {
+	num := mulAdd(mulAdd(mulAdd(mulAdd(mulAdd(acklamC[0], q, acklamC[1]), q, acklamC[2]), q, acklamC[3]), q, acklamC[4]), q, acklamC[5])
+	den := mulAdd(mulAdd(mulAdd(mulAdd(acklamD[0], q, acklamD[1]), q, acklamD[2]), q, acklamD[3]), q, 1)
+	return num / den
 }
 
 // LogNormalMeanStd converts the mean and standard deviation of a
@@ -78,8 +93,8 @@ func LogNormalMeanStd(mean, sd float64) (mu, sigma float64) {
 	if mean <= 0 {
 		return math.Inf(-1), 0
 	}
-	cv2 := (sd / mean) * (sd / mean)
+	cv2 := float64((sd / mean) * (sd / mean))
 	sigma = math.Sqrt(math.Log(1 + cv2))
-	mu = math.Log(mean) - sigma*sigma/2
+	mu = math.Log(mean) - float64(sigma*sigma/2)
 	return mu, sigma
 }

@@ -45,7 +45,7 @@ func MeanStdDev(xs []float64) (mean, sd float64) {
 	var ss, comp float64
 	for _, x := range xs {
 		d := x - mean
-		y := d*d - comp
+		y := float64(d*d) - comp
 		t := ss + y
 		comp = (t - ss) - y
 		ss = t
@@ -77,7 +77,7 @@ func QuantileSorted(n int, q float64, at func(rank int) float64) float64 {
 		return at(n - 1)
 	}
 	lo := at(i)
-	return lo + frac*(at(i+1)-lo)
+	return lo + float64(frac*(at(i+1)-lo))
 }
 
 // QuantileRank says where QuantileSorted reads the q-quantile of n
@@ -88,7 +88,7 @@ func QuantileRank(n int, q float64) (i int, frac float64, ok bool) {
 	if !(q > 0 && q < 1) {
 		return 0, 0, false
 	}
-	h := q * float64(n-1)
+	h := float64(q * float64(n-1))
 	if i = int(h); i+1 >= n {
 		return 0, 0, false
 	}

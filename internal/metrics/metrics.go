@@ -123,10 +123,13 @@ func (c *EPCurve) quantiles(qs ...float64) []float64 {
 // orderStats returns the order statistics at ranks (any order, repeats
 // allowed), finding those the curve has not found before: the
 // endpoints 0 and n-1 by a scan (min and max), the others in one
-// selection.
+// selection. A query holds the curve while it selects, so that a
+// concurrent query of the same ranks (two reports over one occurrence
+// column) waits and reads them instead of selecting them again.
 func (c *EPCurve) orderStats(ranks []int) map[int]float64 {
 	stats := make(map[int]float64, len(ranks))
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	var todo []int
 	for _, r := range ranks {
 		if v, ok := c.stats[r]; ok {
@@ -135,7 +138,6 @@ func (c *EPCurve) orderStats(ranks []int) map[int]float64 {
 			todo = append(todo, r)
 		}
 	}
-	c.mu.Unlock()
 	if len(todo) == 0 {
 		return stats
 	}
@@ -157,14 +159,12 @@ func (c *EPCurve) orderStats(ranks []int) map[int]float64 {
 		}
 		stats[todo[j]] = keyValue(k)
 	}
-	c.mu.Lock()
 	if c.stats == nil {
 		c.stats = make(map[int]float64)
 	}
 	for r, v := range stats {
 		c.stats[r] = v
 	}
-	c.mu.Unlock()
 	return stats
 }
 

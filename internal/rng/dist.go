@@ -320,15 +320,17 @@ func (st *Stream) TruncPareto(xm, alpha, hi float64) float64 {
 	return xm / math.Pow(1-u, 1/alpha)
 }
 
-// binomialInvert draws Binomial(n, p), 0 < p <= ½, by sequential search:
-// one uniform walks the pmf from f(0) = qⁿ through the recurrence
-// f(k+1) = f(k) · (n−k)/(k+1) · p/q. Rounding that leaves u above the
-// whole mass ends the walk at n.
-func (st *Stream) binomialInvert(n int, p float64) int {
+// BinomialInverse is the Binomial(n, p) count, 0 < p <= ½, that the
+// uniform u in [0, 1) selects by sequential search: u walks the pmf from
+// f(0) = qⁿ through the recurrence f(k+1) = f(k) · (n−k)/(k+1) · p/q, so
+// the count is 0 exactly when u < f(0). Rounding that leaves u above the
+// whole mass ends the walk at n. Binomial draws u itself; a caller that
+// has drawn the uniform Binomial would draw, and settled the zero count
+// from it, finishes the draw here.
+func BinomialInverse(n int, p, u float64) int {
 	q := 1 - p
 	r := p / q
 	f := math.Pow(q, float64(n))
-	u := st.Float64()
 	k := 0
 	for u >= f && k < n {
 		u -= f
@@ -353,9 +355,9 @@ func (st *Stream) Binomial(n int, p float64) int {
 		// Count the rarer outcome, so that f(0) = qⁿ ≥ 2⁻⁶⁴ never
 		// underflows.
 		if p > 0.5 {
-			return n - st.binomialInvert(n, 1-p)
+			return n - BinomialInverse(n, 1-p, st.Float64())
 		}
-		return st.binomialInvert(n, p)
+		return BinomialInverse(n, p, st.Float64())
 	}
 	mean := float64(n) * p
 	sd := math.Sqrt(mean * (1 - p))
