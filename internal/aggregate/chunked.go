@@ -24,8 +24,8 @@ type Chunked struct {
 	// Naive disables shared-memory staging: every access goes to
 	// global memory. Results are identical; modeled cost is not.
 	Naive bool
-	// TrialsPerBlock bounds trials per device block; <= 0 derives it
-	// from the device's thread width.
+	// TrialsPerBlock bounds trials per device block; <= 0 means the
+	// device's thread width, gpusim.ThreadsPerBlock.
 	TrialsPerBlock int
 	// LastStats holds the device cost counters of the most recent run.
 	LastStats gpusim.Stats
@@ -127,12 +127,11 @@ func (c *Chunked) Run(ctx context.Context, in *Input, cfg Config) (*Result, erro
 		}
 	}
 
-	devCfg := dev.Config()
 	tpb := c.TrialsPerBlock
 	if tpb <= 0 {
-		tpb = devCfg.ThreadsPerBlock
+		tpb = gpusim.ThreadsPerBlock
 	}
-	kernel := c.buildKernel(n, tpb, devCfg.SharedMemPerBlock, numRows,
+	kernel := c.buildKernel(n, tpb, dev.Config().SharedMemPerBlock, numRows,
 		occBuf, offBuf, aggVecBuf, occVecBuf, outAgg, outMax)
 	if err := dev.Launch((n+tpb-1)/tpb, kernel); err != nil {
 		return nil, err

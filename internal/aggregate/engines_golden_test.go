@@ -10,14 +10,18 @@ import (
 	"repro/internal/synth"
 )
 
+// bitIdentical fails unless a and b hold the same float64 bit patterns:
+// −0 is not +0, and a NaN matches only a NaN of the same bits. It is the
+// package's one comparator; resultsBitIdentical applies it to every
+// column of two results.
 func bitIdentical(t *testing.T, name string, a, b []float64) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: lengths %d vs %d", name, len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s: trial %d: %v vs %v", name, i, a[i], b[i])
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s: trial %d: %v (%#x) vs %v (%#x)", name, i, a[i], math.Float64bits(a[i]), b[i], math.Float64bits(b[i]))
 		}
 	}
 }

@@ -88,19 +88,6 @@ func touchedYears() *yelt.Table {
 	return y
 }
 
-// sameBits fails unless a and b hold the same float64 bit patterns.
-func sameBits(t *testing.T, name string, got, want []float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d trials, want %d", name, len(got), len(want))
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: trial %d: %v (%#x), want %v (%#x)", name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-		}
-	}
-}
-
 // TestTouchedSlotEdges holds the occurrence stages' slot marks and the
 // annual pass over the marked slots to the LegacyLookup oracle, bit for
 // bit on Agg, OccMax and the per-contract columns, where the bitmap
@@ -141,14 +128,14 @@ func TestTouchedSlotEdges(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				sameBits(t, name+" agg", got.Portfolio.Agg, want.Portfolio.Agg)
-				sameBits(t, name+" occmax", got.Portfolio.OccMax, want.Portfolio.OccMax)
+				bitIdentical(t, name+" agg", got.Portfolio.Agg, want.Portfolio.Agg)
+				bitIdentical(t, name+" occmax", got.Portfolio.OccMax, want.Portfolio.OccMax)
 				if len(got.PerContract) != len(want.PerContract) {
 					t.Fatalf("%s: %d per-contract tables, want %d", name, len(got.PerContract), len(want.PerContract))
 				}
 				for ci := range want.PerContract {
-					sameBits(t, fmt.Sprintf("%s contract %d agg", name, ci), got.PerContract[ci].Agg, want.PerContract[ci].Agg)
-					sameBits(t, fmt.Sprintf("%s contract %d occmax", name, ci), got.PerContract[ci].OccMax, want.PerContract[ci].OccMax)
+					bitIdentical(t, fmt.Sprintf("%s contract %d agg", name, ci), got.PerContract[ci].Agg, want.PerContract[ci].Agg)
+					bitIdentical(t, fmt.Sprintf("%s contract %d occmax", name, ci), got.PerContract[ci].OccMax, want.PerContract[ci].OccMax)
 				}
 			}
 		}
@@ -216,8 +203,8 @@ func TestNaNOccRetentionPaysNothing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			sameBits(t, name+" agg", got.Portfolio.Agg, want.Portfolio.Agg)
-			sameBits(t, name+" occmax", got.Portfolio.OccMax, want.Portfolio.OccMax)
+			bitIdentical(t, name+" agg", got.Portfolio.Agg, want.Portfolio.Agg)
+			bitIdentical(t, name+" occmax", got.Portfolio.OccMax, want.Portfolio.OccMax)
 		}
 	}
 }

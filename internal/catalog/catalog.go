@@ -62,11 +62,12 @@ type Region struct {
 	RelativeExposureWeight float64 // share of insured value located here
 }
 
-// DefaultRegions returns a stylized three-territory world — a
-// peak-zone coastal region, a continental interior and a secondary
-// zone — enough geographic structure for hazard attenuation to
-// matter without real-world map data (which is proprietary at
-// model-vendor resolution).
+// DefaultRegions returns the stylized three-territory world every
+// catalogue and exposure database is placed in — a peak-zone coastal
+// region, a continental interior and a secondary zone — enough
+// geographic structure for hazard attenuation to matter without
+// real-world map data (which is proprietary at model-vendor
+// resolution).
 func DefaultRegions() []Region {
 	return []Region{
 		{ID: 0, Name: "CoastalPeak", LatMin: 24, LatMax: 32, LonMin: -98, LonMax: -80, RelativeEventDensity: 0.5, RelativeExposureWeight: 0.45},
@@ -93,17 +94,17 @@ type Catalog struct {
 	index     map[uint32]int
 }
 
-// Config controls synthetic catalogue generation.
+// Config controls synthetic catalogue generation. Events are placed in
+// DefaultRegions by their RelativeEventDensity and drawn from perilMix.
 type Config struct {
 	NumEvents int
-	Regions   []Region
-	// PerilMix is the probability of each peril; zero value uses a
-	// standard mix. Must sum to ~1 if set.
-	PerilMix []float64
-	// MeanAnnualRate scales occurrence rates so that the whole
-	// catalogue produces on average MeanEventsPerYear occurrences.
+	// MeanEventsPerYear scales occurrence rates so that the whole
+	// catalogue produces on average this many occurrences a year.
 	MeanEventsPerYear float64
 }
+
+// perilMix is the probability of each peril, in Peril order.
+var perilMix = [NumPerils]float64{0.25, 0.20, 0.25, 0.20, 0.10}
 
 // DefaultConfig returns a laptop-scale catalogue configuration. The
 // paper's production-scale catalogues hold ~100,000 events; tests and
@@ -111,8 +112,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		NumEvents:         10_000,
-		Regions:           DefaultRegions(),
-		PerilMix:          []float64{0.25, 0.20, 0.25, 0.20, 0.10},
 		MeanEventsPerYear: 10,
 	}
 }
@@ -122,25 +121,17 @@ func Generate(cfg Config, seed uint64) (*Catalog, error) {
 	if cfg.NumEvents <= 0 {
 		return nil, fmt.Errorf("catalog: NumEvents must be positive, got %d", cfg.NumEvents)
 	}
-	if len(cfg.Regions) == 0 {
-		cfg.Regions = DefaultRegions()
-	}
-	if len(cfg.PerilMix) == 0 {
-		cfg.PerilMix = DefaultConfig().PerilMix
-	}
-	if len(cfg.PerilMix) != NumPerils {
-		return nil, fmt.Errorf("catalog: PerilMix must have %d entries, got %d", NumPerils, len(cfg.PerilMix))
-	}
 	if cfg.MeanEventsPerYear <= 0 {
 		cfg.MeanEventsPerYear = 10
 	}
 
-	perilAlias, err := rng.NewAlias(cfg.PerilMix)
+	perilAlias, err := rng.NewAlias(perilMix[:])
 	if err != nil {
 		return nil, fmt.Errorf("catalog: peril mix: %w", err)
 	}
-	regionWeights := make([]float64, len(cfg.Regions))
-	for i, r := range cfg.Regions {
+	regions := DefaultRegions()
+	regionWeights := make([]float64, len(regions))
+	for i, r := range regions {
 		regionWeights[i] = r.RelativeEventDensity
 	}
 	regionAlias, err := rng.NewAlias(regionWeights)
@@ -153,36 +144,36 @@ func Generate(cfg Config, seed uint64) (*Catalog, error) {
 	var rateSum float64
 	for i := range events {
 		p := Peril(perilAlias.Draw(st))
-		reg := cfg.Regions[regionAlias.Draw(st)]
+		reg := regions[regionAlias.Draw(st)]
 		ev := Event{
 			ID:       uint32(i + 1), // IDs are 1-based; 0 is reserved as "no event"
 			Peril:    p,
 			RegionID: reg.ID,
-			Lat:      reg.LatMin + st.Float64()*(reg.LatMax-reg.LatMin),
-			Lon:      reg.LonMin + st.Float64()*(reg.LonMax-reg.LonMin),
+			Lat:      reg.LatMin + float64(st.Float64()*(reg.LatMax-reg.LatMin)),
+			Lon:      reg.LonMin + float64(st.Float64()*(reg.LonMax-reg.LonMin)),
 		}
 		switch p {
 		case Earthquake:
 			// Gutenberg-Richter-like magnitude-frequency: small quakes
 			// common, big ones rare.
 			ev.Magnitude = 5.0 + st.TruncPareto(1, 1.4, 4.5) - 1 // Mw in [5, 8.5)
-			ev.RadiusKm = 20 + 25*(ev.Magnitude-5)
-			ev.AnnualRate = 3e-3 / (1 + (ev.Magnitude-5)*(ev.Magnitude-5))
+			ev.RadiusKm = 20 + float64(25*(ev.Magnitude-5))
+			ev.AnnualRate = 3e-3 / (1 + float64((ev.Magnitude-5)*(ev.Magnitude-5)))
 		case Hurricane:
-			ev.Magnitude = 33 + st.TruncPareto(1, 2.0, 2.6)*10 - 10 // Vmax m/s in [33, 59)
-			ev.RadiusKm = 80 + st.Float64()*220
+			ev.Magnitude = 33 + float64(st.TruncPareto(1, 2.0, 2.6)*10) - 10 // Vmax m/s in [33, 59)
+			ev.RadiusKm = 80 + float64(st.Float64()*220)
 			ev.AnnualRate = 2e-3 * (40 / ev.Magnitude)
 		case Flood:
 			ev.Magnitude = 0.5 + st.Gamma(2, 0.8) // depth metres
-			ev.RadiusKm = 10 + st.Float64()*60
+			ev.RadiusKm = 10 + float64(st.Float64()*60)
 			ev.AnnualRate = 4e-3
 		case WinterStorm:
 			ev.Magnitude = 20 + st.Gamma(3, 3) // gust m/s
-			ev.RadiusKm = 150 + st.Float64()*350
+			ev.RadiusKm = 150 + float64(st.Float64()*350)
 			ev.AnnualRate = 3e-3
 		case Tornado:
 			ev.Magnitude = 1 + st.TruncPareto(1, 2.5, 5) - 1 // EF-scale-ish [1, 5)
-			ev.RadiusKm = 2 + st.Float64()*10
+			ev.RadiusKm = 2 + float64(st.Float64()*10)
 			ev.AnnualRate = 5e-3 / ev.Magnitude
 		}
 		rateSum += ev.AnnualRate

@@ -63,10 +63,11 @@ func TestGeneratePerilMix(t *testing.T) {
 	for _, ev := range c.Events {
 		counts[ev.Peril]++
 	}
+	mix := []float64{0.25, 0.20, 0.25, 0.20, 0.10} // the documented mix, not perilMix itself
 	total := 0
 	for p, n := range counts {
 		total += n
-		want := cfg.PerilMix[p] * float64(cfg.NumEvents)
+		want := mix[p] * float64(cfg.NumEvents)
 		if math.Abs(float64(n)-want) > 5*math.Sqrt(want) {
 			t.Errorf("peril %v count %d, want ~%v", Peril(p), n, want)
 		}
@@ -84,7 +85,7 @@ func TestEventsWithinRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	regions := map[uint16]Region{}
-	for _, r := range cfg.Regions {
+	for _, r := range DefaultRegions() {
 		regions[r.ID] = r
 	}
 	for _, ev := range c.Events {
@@ -143,11 +144,6 @@ func TestRatesVectorAlignment(t *testing.T) {
 func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(Config{NumEvents: 0}, 1); err == nil {
 		t.Error("NumEvents=0 should error")
-	}
-	cfg := DefaultConfig()
-	cfg.PerilMix = []float64{1} // wrong length
-	if _, err := Generate(cfg, 1); err == nil {
-		t.Error("bad PerilMix length should error")
 	}
 }
 

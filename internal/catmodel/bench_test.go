@@ -31,7 +31,7 @@ func benchWorld(b *testing.B, nEvents, nLocs int) (*catalog.Catalog, *exposure.D
 // the interests at the sites each event's footprint keeps.
 func feltPairs(b *testing.B, eng *Engine, cat *catalog.Catalog, db *exposure.Database) float64 {
 	b.Helper()
-	book, err := flatten(db, nil)
+	book, err := flatten(db)
 	if err != nil {
 		b.Fatal(err)
 	}

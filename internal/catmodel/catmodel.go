@@ -34,60 +34,46 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/elt"
 	"repro/internal/exposure"
-	"repro/internal/financial"
 	"repro/internal/hazard"
 	"repro/internal/stream"
 	"repro/internal/vulnerability"
 )
 
-// Engine wires the three catastrophe-model modules together.
+// Engine wires the three catastrophe-model modules together: its
+// hazard model, the default vulnerability matrix and standard policy
+// terms by occupancy.
 type Engine struct {
-	Hazard        hazard.Model
-	Vulnerability *vulnerability.Matrix
+	Hazard hazard.Model
 	// Workers is the parallelism for the event stream; <= 0 means
 	// GOMAXPROCS. The paper notes stage 1 typically needs fewer than
 	// ten processors — the default matches a small multicore host.
 	Workers int
-	// TermsFor selects policy terms per interest; nil applies
-	// standard terms by occupancy.
-	TermsFor func(exposure.Interest) financial.Terms
-	// MinMeanLoss truncates ELT records below this expected loss.
-	MinMeanLoss float64
-	// CorrelatedShare is the fraction of damage variance attributed to
-	// the systemic (correlated) component; the rest is per-site
-	// independent. Defaults to 0.3.
-	CorrelatedShare float64
 }
 
-// New returns an engine with the default hazard model and
-// vulnerability matrix.
+// vuln is the damage model every engine prices with, built once.
+var vuln = vulnerability.Default()
+
+// correlatedShare is the fraction of damage variance attributed to the
+// systemic (correlated) component; the rest is per-site independent.
+const correlatedShare = 0.3
+
+// New returns an engine with the default hazard model.
 func New() *Engine {
-	return &Engine{
-		Vulnerability:   vulnerability.Default(),
-		CorrelatedShare: 0.3,
-	}
+	return &Engine{}
 }
 
 // Run computes the ELT for one contract: the given exposure database
 // analysed against the full event catalogue. It is deterministic (the
 // moment pipeline is closed-form; no sampling happens in stage 1).
 func (e *Engine) Run(ctx context.Context, cat *catalog.Catalog, db *exposure.Database, contractID uint32) (*elt.Table, error) {
-	if e.Vulnerability == nil {
-		return nil, fmt.Errorf("catmodel: nil vulnerability matrix")
-	}
 	if cat.Len() == 0 {
 		return elt.New(contractID, nil), nil
 	}
-	corr := e.CorrelatedShare
-	if corr <= 0 || corr > 1 {
-		corr = 0.3
-	}
-
-	book, err := flatten(db, e.TermsFor)
+	book, err := flatten(db)
 	if err != nil {
 		return nil, err
 	}
-	independent, sqrtCorr := 1-corr, math.Sqrt(corr)
+	independent, sqrtCorr := 1-correlatedShare, math.Sqrt(correlatedShare)
 
 	// Each worker keeps its partial ELT and the two per-event scratch
 	// lists, reused from event to event.
@@ -113,7 +99,7 @@ func (e *Engine) Run(ctx context.Context, cat *catalog.Catalog, db *exposure.Dat
 				var meanSum, varISum, sigmaCSum, exposed float64
 				for _, p := range acc.pairs {
 					i := p.interest
-					mdr, sd := e.Vulnerability.DamageMoments(ev.Peril, book.construction[i], p.intensity)
+					mdr, sd := vuln.DamageMoments(ev.Peril, book.construction[i], p.intensity)
 					if mdr <= 0 {
 						continue
 					}
@@ -124,11 +110,11 @@ func (e *Engine) Run(ctx context.Context, cat *catalog.Catalog, db *exposure.Dat
 						continue
 					}
 					meanSum += gMean
-					varISum += independent * gSD * gSD
-					sigmaCSum += sqrtCorr * gSD
+					varISum += float64(independent * gSD * gSD)
+					sigmaCSum += float64(sqrtCorr * gSD)
 					exposed += book.value[i]
 				}
-				if meanSum < e.MinMeanLoss || meanSum <= 0 {
+				if meanSum <= 0 {
 					continue
 				}
 				acc.recs = append(acc.recs, elt.Record{

@@ -29,8 +29,8 @@ type book struct {
 	byLocation []int
 }
 
-// standardTerms are the policy terms applied to an interest when the
-// caller selects none: standard terms by occupancy.
+// standardTerms are the policy terms every interest is priced under:
+// standard terms by occupancy.
 func standardTerms(in exposure.Interest) financial.Terms {
 	switch in.Occupancy {
 	case exposure.Commercial, exposure.Industrial:
@@ -40,16 +40,13 @@ func standardTerms(in exposure.Interest) financial.Terms {
 	}
 }
 
-// flatten lays db out as a book; termsFor nil applies standard terms
-// by occupancy. It is where a database is checked: an interest that
-// names a location or a construction class that does not exist is an
-// error here, not an index out of range in a kernel, and so are policy
-// terms that fail financial.Terms.Validate, which would otherwise scale
-// every loss of the interest silently.
-func flatten(db *exposure.Database, termsFor func(exposure.Interest) financial.Terms) (*book, error) {
-	if termsFor == nil {
-		termsFor = standardTerms
-	}
+// flatten lays db out as a book under standard terms. It is where a
+// database is checked: an interest that names a location or a
+// construction class that does not exist is an error here, not an
+// index out of range in a kernel, and so is a value whose terms fail
+// financial.Terms.Validate, which would otherwise scale every loss of
+// the interest silently.
+func flatten(db *exposure.Database) (*book, error) {
 	nLoc, n := len(db.Locations), len(db.Interests)
 	b := &book{
 		sites: hazard.NewSites(nLoc, func(i int) (lat, lon float64) {
@@ -74,7 +71,7 @@ func flatten(db *exposure.Database, termsFor func(exposure.Interest) financial.T
 		}
 		b.value[i] = in.Value
 		b.construction[i] = in.Construction
-		b.terms[i] = termsFor(in)
+		b.terms[i] = standardTerms(in)
 		if err := b.terms[i].Validate(); err != nil {
 			return nil, fmt.Errorf("catmodel: interest %d: %w", i, err)
 		}

@@ -21,14 +21,6 @@ import (
 // shares the three model modules with Run and nothing of its layout:
 // no site table, no cull, no per-location grouping, no flatten step.
 func naiveRun(e *Engine, cat *catalog.Catalog, db *exposure.Database, contractID uint32) *elt.Table {
-	corr := e.CorrelatedShare
-	if corr <= 0 || corr > 1 {
-		corr = 0.3
-	}
-	termsFor := e.TermsFor
-	if termsFor == nil {
-		termsFor = standardTerms
-	}
 	var recs []elt.Record
 	for _, ev := range cat.Events {
 		var meanSum, varISum, sigmaCSum, exposed float64
@@ -38,20 +30,20 @@ func naiveRun(e *Engine, cat *catalog.Catalog, db *exposure.Database, contractID
 			if inten <= 0 {
 				continue
 			}
-			mdr, sd := e.Vulnerability.DamageMoments(ev.Peril, in.Construction, inten)
+			mdr, sd := vuln.DamageMoments(ev.Peril, in.Construction, inten)
 			if mdr <= 0 {
 				continue
 			}
-			gMean, gSD := termsFor(in).ApplyMoments(mdr*in.Value, sd*in.Value)
+			gMean, gSD := standardTerms(in).ApplyMoments(mdr*in.Value, sd*in.Value)
 			if gMean <= 0 && gSD <= 0 {
 				continue
 			}
 			meanSum += gMean
-			varISum += (1 - corr) * gSD * gSD
-			sigmaCSum += math.Sqrt(corr) * gSD
+			varISum += float64((1 - correlatedShare) * gSD * gSD)
+			sigmaCSum += float64(math.Sqrt(correlatedShare) * gSD)
 			exposed += in.Value
 		}
-		if meanSum < e.MinMeanLoss || meanSum <= 0 {
+		if meanSum <= 0 {
 			continue
 		}
 		recs = append(recs, elt.Record{
@@ -112,40 +104,26 @@ func variants(db *exposure.Database, seed int64) map[string]*exposure.Database {
 }
 
 // Run must reproduce the per-pair oracle bit for bit: every float of
-// every record, for any worker count, cutoff factor, database order
-// and engine setting.
+// every record, for any worker count, cutoff factor and database order.
 func TestRunMatchesNaiveOracle(t *testing.T) {
-	halfShare := func(in exposure.Interest) financial.Terms {
-		return financial.Terms{Deductible: 0.02 * in.Value, Limit: 0.5 * in.Value, Share: 0.5}
-	}
 	for _, seed := range []uint64{1, 2, 3, 17} {
 		cat, db := smallWorld(t, 600, 60, seed)
 		dbs := variants(db, int64(seed))
 		for _, factor := range []float64{0, 0.5, 3, 50} {
-			engines := map[string]*Engine{"default": New()}
-			if factor == 0 {
-				engines["custom-terms"] = New()
-				engines["custom-terms"].TermsFor = halfShare
-				engines["truncated"] = New()
-				engines["truncated"].MinMeanLoss = 50_000
-				engines["correlated"] = New()
-				engines["correlated"].CorrelatedShare = 0.9
-			}
-			for ename, eng := range engines {
-				eng.Hazard.MaxRangeFactor = factor
-				for dname, d := range dbs {
-					want := naiveRun(eng, cat, d, 9)
-					if dname == "generated" && ename == "default" && want.Len() == 0 {
-						t.Fatalf("seed %d factor %v: oracle ELT is empty, nothing compared", seed, factor)
+			eng := New()
+			eng.Hazard.MaxRangeFactor = factor
+			for dname, d := range dbs {
+				want := naiveRun(eng, cat, d, 9)
+				if dname == "generated" && want.Len() == 0 {
+					t.Fatalf("seed %d factor %v: oracle ELT is empty, nothing compared", seed, factor)
+				}
+				for _, workers := range []int{1, 2, 7} {
+					eng.Workers = workers
+					got, err := eng.Run(context.Background(), cat, d, 9)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, workers := range []int{1, 2, 7} {
-						eng.Workers = workers
-						got, err := eng.Run(context.Background(), cat, d, 9)
-						if err != nil {
-							t.Fatal(err)
-						}
-						requireSameBits(t, fmt.Sprintf("seed %d factor %v engine %s db %s workers %d", seed, factor, ename, dname, workers), got, want)
-					}
+					requireSameBits(t, fmt.Sprintf("seed %d factor %v db %s workers %d", seed, factor, dname, workers), got, want)
 				}
 			}
 		}
@@ -155,7 +133,7 @@ func TestRunMatchesNaiveOracle(t *testing.T) {
 func TestFlattenGroupsInterestsByLocation(t *testing.T) {
 	_, db := smallWorld(t, 10, 40, 21)
 	for name, d := range variants(db, 21) {
-		book, err := flatten(d, nil)
+		book, err := flatten(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,32 +184,27 @@ func TestRunRejectsDanglingInterest(t *testing.T) {
 	}
 }
 
-// Policy terms come from a caller's callback; ones that fail
-// financial.Terms.Validate are an error naming the interest at build
-// time, not a silent scaling of every loss the interest takes.
+// Policy terms are standard terms on the interest's value; a value
+// whose terms fail financial.Terms.Validate is an error naming the
+// interest at build time, not a silent scaling of every loss the
+// interest takes.
 func TestFlattenRejectsInvalidTerms(t *testing.T) {
 	_, db := smallWorld(t, 10, 10, 6)
-	nan := math.NaN()
-	for name, bad := range map[string]financial.Terms{
-		"negative deductible": {Deductible: -1},
-		"share above one":     {Share: 1.5},
-		"NaN deductible":      {Deductible: nan},
-		"NaN limit":           {Limit: nan},
-		"NaN share":           {Share: nan},
-		"infinite limit":      {Limit: math.Inf(1)},
-	} {
-		calls := 0
-		_, err := flatten(db, func(in exposure.Interest) financial.Terms {
-			if calls++; calls == 5 {
-				return bad
-			}
-			return standardTerms(in)
-		})
-		if !errors.Is(err, financial.ErrInvalidTerms) || !strings.Contains(err.Error(), "interest 4") {
-			t.Fatalf("%s: want ErrInvalidTerms naming interest 4, got %v", name, err)
-		}
+	if _, err := flatten(db); err != nil {
+		t.Fatalf("generated values: %v", err)
 	}
-	if _, err := flatten(db, nil); err != nil {
-		t.Fatalf("standard terms: %v", err)
+	for name, value := range map[string]float64{
+		"negative value": -1e6,
+		"NaN value":      math.NaN(),
+		"infinite value": math.Inf(1),
+	} {
+		for _, occ := range []exposure.Occupancy{exposure.Residential, exposure.Commercial} {
+			bad := &exposure.Database{Locations: db.Locations, Interests: append([]exposure.Interest(nil), db.Interests...)}
+			bad.Interests[4].Value, bad.Interests[4].Occupancy = value, occ
+			_, err := flatten(bad)
+			if !errors.Is(err, financial.ErrInvalidTerms) || !strings.Contains(err.Error(), "interest 4") {
+				t.Fatalf("%s, %v: want ErrInvalidTerms naming interest 4, got %v", name, occ, err)
+			}
+		}
 	}
 }

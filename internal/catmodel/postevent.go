@@ -29,19 +29,15 @@ type PostEvent struct {
 }
 
 // PostEvent prepares the exposure databases for Estimate under the
-// engine's hazard model, vulnerability matrix, policy terms and worker
-// count, as they are now. No databases, or no interests in them, is an
-// error.
+// engine's hazard model and worker count, as they are now. No
+// databases, or no interests in them, is an error.
 func (e *Engine) PostEvent(dbs []*exposure.Database) (*PostEvent, error) {
-	if e.Vulnerability == nil {
-		return nil, errors.New("catmodel: nil vulnerability matrix")
-	}
 	if len(dbs) == 0 {
 		return nil, errors.New("catmodel: no exposure databases")
 	}
 	p := &PostEvent{eng: *e, books: make([]*book, len(dbs))}
 	for k, db := range dbs {
-		b, err := flatten(db, e.TermsFor)
+		b, err := flatten(db)
 		if err != nil {
 			return nil, fmt.Errorf("catmodel: database %d: %w", k, err)
 		}
@@ -92,17 +88,17 @@ func (p *PostEvent) Estimate(ctx context.Context, ev catalog.Event) (*Estimate, 
 		b, acc := p.books[k], &parts[k]
 		for _, f := range b.gather(p.eng.Hazard.Footprint(ev, b.sites, nil), nil) {
 			i := f.interest
-			mdr, sd := p.eng.Vulnerability.DamageMoments(ev.Peril, b.construction[i], f.intensity)
+			mdr, sd := vuln.DamageMoments(ev.Peril, b.construction[i], f.intensity)
 			if mdr <= 0 {
 				continue
 			}
-			gu := mdr * b.value[i]
+			gu := float64(mdr * b.value[i])
 			gm, gsd := b.terms[i].ApplyMoments(gu, sd*b.value[i])
 			acc.sites++
 			acc.exposed += b.value[i]
 			acc.guMean += gu
 			acc.gMean += gm
-			acc.gVar += gsd * gsd
+			acc.gVar += float64(gsd * gsd)
 		}
 		return nil
 	})
@@ -126,8 +122,8 @@ func (p *PostEvent) Estimate(ctx context.Context, ev catalog.Event) (*Estimate, 
 		GroundUpMean: total.guMean,
 		GrossMean:    total.gMean,
 		GrossSD:      sd,
-		Low:          mathx.Clamp(total.gMean-z*sd, 0, math.Inf(1)),
-		High:         total.gMean + z*sd,
+		Low:          mathx.Clamp(total.gMean-float64(z*sd), 0, math.Inf(1)),
+		High:         total.gMean + float64(z*sd),
 		Elapsed:      time.Since(start),
 	}, nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/exposure"
-	"repro/internal/financial"
 	"repro/internal/mathx"
 )
 
@@ -64,10 +63,6 @@ func edgeDB() *exposure.Database {
 // Estimate and nothing of its layout: no site table, no footprint cull,
 // no flatten step.
 func naiveEstimate(e *Engine, dbs []*exposure.Database, ev catalog.Event) *Estimate {
-	termsFor := e.TermsFor
-	if termsFor == nil {
-		termsFor = standardTerms
-	}
 	var total postEventSums
 	for _, db := range dbs {
 		var s postEventSums
@@ -77,16 +72,16 @@ func naiveEstimate(e *Engine, dbs []*exposure.Database, ev catalog.Event) *Estim
 			if inten <= 0 {
 				continue
 			}
-			mdr, sd := e.Vulnerability.DamageMoments(ev.Peril, in.Construction, inten)
+			mdr, sd := vuln.DamageMoments(ev.Peril, in.Construction, inten)
 			if mdr <= 0 {
 				continue
 			}
-			gm, gsd := termsFor(in).ApplyMoments(mdr*in.Value, sd*in.Value)
+			gm, gsd := standardTerms(in).ApplyMoments(mdr*in.Value, sd*in.Value)
 			s.sites++
 			s.exposed += in.Value
-			s.guMean += mdr * in.Value
+			s.guMean += float64(mdr * in.Value)
 			s.gMean += gm
-			s.gVar += gsd * gsd
+			s.gVar += float64(gsd * gsd)
 		}
 		total.sites += s.sites
 		total.exposed += s.exposed
@@ -99,7 +94,7 @@ func naiveEstimate(e *Engine, dbs []*exposure.Database, ev catalog.Event) *Estim
 	return &Estimate{
 		EventID: ev.ID, SitesTouched: total.sites, ExposedValue: total.exposed,
 		GroundUpMean: total.guMean, GrossMean: total.gMean, GrossSD: sd,
-		Low: mathx.Clamp(total.gMean-z*sd, 0, math.Inf(1)), High: total.gMean + z*sd,
+		Low: mathx.Clamp(total.gMean-float64(z*sd), 0, math.Inf(1)), High: total.gMean + float64(z*sd),
 	}
 }
 
@@ -290,27 +285,6 @@ func TestPostEventSeverityMonotonicity(t *testing.T) {
 	}
 }
 
-func TestPostEventCustomTerms(t *testing.T) {
-	dbs := postEventDBs(t, 1, 23)
-	estimate := func(terms financial.Terms) *Estimate {
-		eng := New()
-		eng.TermsFor = func(exposure.Interest) financial.Terms { return terms }
-		est, err := eng.PostEvent(dbs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := est.Estimate(context.Background(), eventNear(dbs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fres, hres := estimate(financial.Terms{}), estimate(financial.Terms{Share: 0.5})
-	if math.Abs(hres.GrossMean-fres.GrossMean/2) > 1e-6*fres.GrossMean {
-		t.Fatalf("50%% share: %v vs full %v", hres.GrossMean, fres.GrossMean)
-	}
-}
-
 func TestPostEventValidation(t *testing.T) {
 	if _, err := New().PostEvent(nil); err == nil {
 		t.Fatal("no databases should error")
@@ -319,9 +293,6 @@ func TestPostEventValidation(t *testing.T) {
 		t.Fatal("empty databases should error")
 	}
 	good := postEventDBs(t, 1, 37)[0]
-	if _, err := (&Engine{}).PostEvent([]*exposure.Database{good}); err == nil {
-		t.Fatal("a nil vulnerability matrix should error")
-	}
 	// A hand-built database whose interest names a location that does
 	// not exist is an error naming both, not an index out of range.
 	for _, idx := range []int{len(good.Locations), -1} {

@@ -376,9 +376,11 @@ func TestRunAfterStage1NoDuplicateStageLines(t *testing.T) {
 	}
 }
 
-// An engine sweep re-running stage 2 on one pipeline (as benchtables
-// does) must refresh the portfolio-risk line in place, not accumulate
-// one line per run — and the swept engines must agree bit-identically.
+// Re-running stage 2 on one pipeline must refresh the portfolio-risk
+// line in place, not accumulate one line per run — and the engines the
+// test sweeps must agree bit-identically. No program re-runs it (outside
+// core only bench/batch.go calls RunStage2, once per pipeline); the
+// contract is RunStage2's own.
 func TestRepeatedStage2ReplacesStageLine(t *testing.T) {
 	p := New(smallConfig(10))
 	if err := p.RunStage1(context.Background()); err != nil {

@@ -452,13 +452,8 @@ type Config struct {
 	Seed    uint64
 	Workers int
 	// Rho is the equicorrelation among all risk coordinates (the cat
-	// book is coordinate 0). Ignored when Corr is set.
+	// book is coordinate 0).
 	Rho float64
-	// Corr optionally supplies the full (1+len(Sources))² correlation
-	// matrix. Run rejects one that is not a correlation matrix: every
-	// diagonal cell must be 1 and the matrix symmetric (both to within
-	// corrTol), every cell within [-1, 1].
-	Corr *mathx.Matrix
 	// KeepPerSource makes Run fill Result.PerSource: one full-length
 	// table per source, three fifths of the stage's bytes with the six
 	// standard sources. The pipeline reads only the enterprise total and
@@ -494,36 +489,6 @@ type Integrator struct {
 	Sources []Source
 }
 
-// corrTol is how far a supplied correlation matrix may be from a unit
-// diagonal and from symmetry: room for the rounding of an estimate
-// computed as cov/(sd·sd), nothing more.
-const corrTol = 1e-9
-
-// checkCorr rejects a supplied matrix that is not a k×k correlation
-// matrix, naming the first offending cell. Cholesky reads only the
-// lower triangle, so without this an asymmetric or mis-scaled matrix
-// would be integrated silently under a different dependence than the
-// one asked for.
-func checkCorr(corr *mathx.Matrix, k int) error {
-	if corr.N != k || len(corr.Data) != k*k {
-		return fmt.Errorf("dfa: correlation matrix is %d×%d, need %d", corr.N, corr.N, k)
-	}
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			v := corr.At(i, j)
-			switch {
-			case !(v >= -1-corrTol && v <= 1+corrTol):
-				return fmt.Errorf("dfa: correlation[%d][%d] = %g is outside [-1, 1]", i, j, v)
-			case i == j && math.Abs(v-1) > corrTol:
-				return fmt.Errorf("dfa: correlation[%d][%d] = %g, the diagonal must be 1", i, j, v)
-			case j < i && math.Abs(v-corr.At(j, i)) > corrTol:
-				return fmt.Errorf("dfa: correlation[%d][%d] = %g but [%d][%d] = %g, the matrix must be symmetric", i, j, v, j, i, corr.At(j, i))
-			}
-		}
-	}
-	return nil
-}
-
 // Run executes the integration over the cat table's trials.
 func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Result, error) {
 	if cat == nil || cat.NumTrials() == 0 {
@@ -534,15 +499,9 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 	}
 	k := len(ig.Sources) + 1 // coordinate 0 is the cat book
 
-	corr := cfg.Corr
-	if corr == nil {
-		var err error
-		corr, err = mathx.CorrelationMatrix(k, cfg.Rho)
-		if err != nil {
-			return nil, fmt.Errorf("dfa: correlation: %w", err)
-		}
-	} else if err := checkCorr(corr, k); err != nil {
-		return nil, err
+	corr, err := mathx.CorrelationMatrix(k, cfg.Rho)
+	if err != nil {
+		return nil, fmt.Errorf("dfa: correlation: %w", err)
 	}
 	chol, jitter, err := mathx.CholeskyJittered(corr, 12)
 	if err != nil {

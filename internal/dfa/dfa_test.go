@@ -226,14 +226,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := empty.Run(context.Background(), catTable(10, 1), Config{}); err == nil {
 		t.Error("no sources should error")
 	}
-	// Wrong-size custom correlation matrix.
-	bad := mathx.NewMatrix(3)
-	for i := range 3 {
-		bad.Set(i, i, 1)
-	}
-	if _, err := ig.Run(context.Background(), catTable(10, 1), Config{Corr: bad}); err == nil {
-		t.Error("wrong correlation size should error")
-	}
 	// Invalid rho.
 	if _, err := ig.Run(context.Background(), catTable(10, 1), Config{Rho: 1.5}); err == nil {
 		t.Error("invalid rho should error")
@@ -415,20 +407,11 @@ func TestRankInvarianceLeavesSourcesBitIdentical(t *testing.T) {
 
 // Inputs Run used to integrate without a word: a catastrophe loss that
 // is not a number (NaN makes < a non-order, so the old stable sort
-// returned an arbitrary permutation and every figure was NaN) and a
-// "correlation" matrix that is not one (Cholesky reads the lower
-// triangle only and never looks at the diagonal's scale). A trial count
+// returned an arbitrary permutation and every figure was NaN) and an
+// operational frequency no Poisson draw returns from. A trial count
 // beyond 2³¹ needs no check: the rank pairs index trials with an int.
 func TestRunRejectsHostileInputs(t *testing.T) {
 	const n = 100
-	corrWith := func(edit func(m *mathx.Matrix)) *mathx.Matrix {
-		m, err := mathx.CorrelationMatrix(7, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edit(m)
-		return m
-	}
 	lossAt := func(v float64, trials ...int) *ylt.Table {
 		cat := catTable(n, 6)
 		for _, trial := range trials {
@@ -448,24 +431,17 @@ func TestRunRejectsHostileInputs(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		cat     *ylt.Table
-		corr    *mathx.Matrix
 		sources []Source // the standard set when nil
 		want    string
 	}{
-		{"NaN loss", lossAt(math.NaN(), 93, 41, 77), nil, nil, "dfa: catastrophe loss at trial 41 is not finite"},
-		{"+Inf loss", lossAt(math.Inf(1), 99), nil, nil, "dfa: catastrophe loss at trial 99 is not finite"},
-		{"-Inf loss", lossAt(math.Inf(-1), 0), nil, nil, "dfa: catastrophe loss at trial 0 is not finite"},
-		{"diagonal", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(3, 3, 1.1) }), nil, "correlation[3][3]"},
-		{"diagonal of zeros", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(0, 0, 0) }), nil, "correlation[0][0]"},
-		{"asymmetric", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(1, 4, 0.5) }), nil, "correlation[4][1]"},
-		{"out of range", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(5, 2, -1.5); m.Set(2, 5, -1.5) }), nil, "correlation[2][5]"},
-		{"NaN cell", catTable(n, 6), corrWith(func(m *mathx.Matrix) { m.Set(6, 1, math.NaN()) }), nil, "correlation[6][1]"},
-		{"short data", catTable(n, 6), &mathx.Matrix{N: 7, Data: make([]float64, 7)}, nil, "correlation matrix"},
-		{"NaN operational frequency", catTable(n, 6), nil, operationalAt(math.NaN()), "dfa: source 5 (operational) has frequency NaN"},
-		{"+Inf operational frequency", catTable(n, 6), nil, operationalAt(math.Inf(1)), "dfa: source 5 (operational) has frequency +Inf"},
-		{"operational frequency 1e12", catTable(n, 6), nil, operationalAt(1e12), "dfa: source 5 (operational) has frequency 1e+12, above the largest Poisson rate"},
-		{"operational frequency 1e18", catTable(n, 6), nil, operationalAt(1e18), "dfa: source 5 (operational) has frequency 1e+18, above the largest Poisson rate"},
-		{"operational frequency 1e300", catTable(n, 6), nil, operationalAt(1e300), "dfa: source 5 (operational) has frequency 1e+300, above the largest Poisson rate"},
+		{"NaN loss", lossAt(math.NaN(), 93, 41, 77), nil, "dfa: catastrophe loss at trial 41 is not finite"},
+		{"+Inf loss", lossAt(math.Inf(1), 99), nil, "dfa: catastrophe loss at trial 99 is not finite"},
+		{"-Inf loss", lossAt(math.Inf(-1), 0), nil, "dfa: catastrophe loss at trial 0 is not finite"},
+		{"NaN operational frequency", catTable(n, 6), operationalAt(math.NaN()), "dfa: source 5 (operational) has frequency NaN"},
+		{"+Inf operational frequency", catTable(n, 6), operationalAt(math.Inf(1)), "dfa: source 5 (operational) has frequency +Inf"},
+		{"operational frequency 1e12", catTable(n, 6), operationalAt(1e12), "dfa: source 5 (operational) has frequency 1e+12, above the largest Poisson rate"},
+		{"operational frequency 1e18", catTable(n, 6), operationalAt(1e18), "dfa: source 5 (operational) has frequency 1e+18, above the largest Poisson rate"},
+		{"operational frequency 1e300", catTable(n, 6), operationalAt(1e300), "dfa: source 5 (operational) has frequency 1e+300, above the largest Poisson rate"},
 	} {
 		sources := c.sources
 		if sources == nil {
@@ -478,7 +454,7 @@ func TestRunRejectsHostileInputs(t *testing.T) {
 			// huge finite rate never builds its sampler.
 			done := make(chan error, 1)
 			go func() {
-				_, err := ig.Run(context.Background(), c.cat, Config{Seed: 1, Rho: 0.2, Corr: c.corr, Workers: workers})
+				_, err := ig.Run(context.Background(), c.cat, Config{Seed: 1, Rho: 0.2, Workers: workers})
 				done <- err
 			}()
 			select {
@@ -490,12 +466,6 @@ func TestRunRejectsHostileInputs(t *testing.T) {
 				t.Fatalf("%s, workers=%d: Run has not returned after 10 s", c.name, workers)
 			}
 		}
-	}
-	// The tolerance is for rounding only: a matrix estimated as
-	// cov/(sd·sd) passes.
-	ok := corrWith(func(m *mathx.Matrix) { m.Set(2, 2, 1+1e-12); m.Set(1, 4, 0.2+1e-13) })
-	if _, err := (&Integrator{Sources: StandardSources(1e6)}).Run(context.Background(), catTable(n, 6), Config{Corr: ok}); err != nil {
-		t.Errorf("a correlation matrix off by rounding was refused: %v", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/mathx"
 	"repro/internal/rng"
 	"repro/internal/ylt"
 )
@@ -15,21 +14,19 @@ import (
 // goldenDFADigests pin every enterprise and per-source number across
 // commits, not only across implementations inside one binary. They were
 // first computed at the commit before Run was rebuilt around the pair
-// argsort (a90cca3) and held through 8cd6fc2. All seven were re-pinned
-// when stage 3 moved into normal space: the standard sources read the
-// copula normal itself instead of Φ⁻¹(Φ(x)), the copula and the
-// operational severities draw ziggurat normals instead of polar ones,
-// and Binomial inverts one uniform for n ≤ 64. The values before that,
-// in the order below: 0xcd7e75f68131e2ab, 0xaf80ff68ff4745f7,
-// 0x40732a7016308714, 0x6c332b874013dccf, 0x614b6dda1d15e14c,
-// 0xd3ad7d42c6edf771, 0xaf9a58757751d8ca.
+// argsort (a90cca3) and held through 8cd6fc2. All were re-pinned when
+// stage 3 moved into normal space: the standard sources read the copula
+// normal itself instead of Φ⁻¹(Φ(x)), the copula and the operational
+// severities draw ziggurat normals instead of polar ones, and Binomial
+// inverts one uniform for n ≤ 64. The values before that, in the order
+// below: 0xcd7e75f68131e2ab, 0xaf80ff68ff4745f7, 0x40732a7016308714,
+// 0x6c332b874013dccf, 0x614b6dda1d15e14c, 0xaf9a58757751d8ca.
 var goldenDFADigests = map[string]uint64{
 	"tied/rho=0.2":        0xb06e94c21a244830,
 	"tied/rho=0":          0xfa4a1898fc47f592,
 	"distinct/rho=0.2":    0x5e6b85d340c2f88f,
 	"equal/rho=0.2":       0xb316f8888244b5b1,
 	"aggonly/rho=0":       0xec9220166d7ba2b4,
-	"tied/corr":           0xc2d9a43a0521d7b6,
 	"tied/custom-sources": 0x3577c8ca1c09b30a,
 }
 
@@ -54,18 +51,6 @@ func equalTable(n int) *ylt.Table {
 		t.OccMax[i] = 4e5
 	}
 	return t
-}
-
-// decayCorr is a correlation matrix that is not an equicorrelation:
-// 0.6^|i-j|, positive definite for any size.
-func decayCorr(k int) *mathx.Matrix {
-	m := mathx.NewMatrix(k)
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			m.Set(i, j, math.Pow(0.6, math.Abs(float64(i-j))))
-		}
-	}
-	return m
 }
 
 // tiltSource is a source the integrator has no plan for: it reads both
@@ -100,7 +85,6 @@ func goldenCases() []goldenCase {
 		{"distinct/rho=0.2", distinct, std(distinct), Config{Seed: 5, Rho: 0.2, Workers: 3, KeepPerSource: true}},
 		{"equal/rho=0.2", equal, std(equal), Config{Seed: 7, Rho: 0.2, Workers: 3, KeepPerSource: true}},
 		{"aggonly/rho=0", aggOnly, std(aggOnly), Config{Seed: 9, Rho: 0, Workers: 3, KeepPerSource: true}},
-		{"tied/corr", tied, std(tied), Config{Seed: 11, Corr: decayCorr(7), Workers: 3, KeepPerSource: true}},
 		{"tied/custom-sources", tied, custom, Config{Seed: 13, Rho: 0.15, Workers: 3, KeepPerSource: true}},
 	}
 }

@@ -33,17 +33,9 @@ func naiveRun(ctx context.Context, ig *Integrator, cat *ylt.Table, cfg Config) (
 	}
 	k := len(ig.Sources) + 1 // coordinate 0 is the cat book
 
-	corr := cfg.Corr
-	if corr == nil {
-		rho := cfg.Rho
-		var err error
-		corr, err = mathx.CorrelationMatrix(k, rho)
-		if err != nil {
-			return nil, fmt.Errorf("dfa: correlation: %w", err)
-		}
-	}
-	if corr.N != k {
-		return nil, fmt.Errorf("dfa: correlation matrix is %d×%d, need %d", corr.N, corr.N, k)
+	corr, err := mathx.CorrelationMatrix(k, cfg.Rho)
+	if err != nil {
+		return nil, fmt.Errorf("dfa: correlation: %w", err)
 	}
 	chol, jitter, err := mathx.CholeskyJittered(corr, 12)
 	if err != nil {
@@ -130,20 +122,20 @@ func naiveRun(ctx context.Context, ig *Integrator, cat *ylt.Table, cfg Config) (
 func naiveLossZ(s Source, z float64, aux *rng.Stream) (float64, bool) {
 	switch s := s.(type) {
 	case Investment:
-		ret := s.MeanReturn - s.Volatility*z
+		ret := s.MeanReturn - float64(s.Volatility*z)
 		return -s.Assets * ret, true
 	case InterestRate:
-		shift := s.MeanShift + s.Vol*z
+		shift := s.MeanShift + float64(s.Vol*z)
 		return s.Notional * s.Duration * shift, true
 	case Reserve:
 		mu, sigma := mathx.LogNormalMeanStd(1, s.CoV)
-		return s.Reserves * math.Expm1(z*sigma+mu), true
+		return s.Reserves * math.Expm1(float64(z*sigma)+mu), true
 	case Counterparty:
 		if s.N <= 0 || s.PD <= 0 {
 			return 0, true
 		}
 		rho := mathx.Clamp(s.FactorRho, 0, 0.97)
-		pdCond := mathx.StdNormalCDF((mathx.StdNormalQuantile(s.PD) + math.Sqrt(rho)*z) / math.Sqrt(1-rho))
+		pdCond := mathx.StdNormalCDF((mathx.StdNormalQuantile(s.PD) + float64(math.Sqrt(rho)*z)) / math.Sqrt(1-rho))
 		defaults := aux.Binomial(s.N, pdCond)
 		return s.Recoverables * float64(defaults) / float64(s.N) * s.LGD, true
 	case Operational:
@@ -154,10 +146,10 @@ func naiveLossZ(s Source, z float64, aux *rng.Stream) (float64, bool) {
 		mu, sigma := mathx.LogNormalMeanStd(s.SevMean, s.SevMean*s.SevCoV)
 		var sum float64
 		for i := 0; i < n; i++ {
-			sum += math.Exp(mu + sigma*drawNormal(aux))
+			sum += math.Exp(mu + float64(sigma*drawNormal(aux)))
 		}
 		beta := s.StressBeta
-		stress := math.Exp(beta*z - beta*beta/2)
+		stress := math.Exp(float64(beta*z) - float64(beta*beta/2))
 		return sum * stress, true
 	}
 	return 0, false

@@ -100,30 +100,32 @@ type Database struct {
 	Interests []Interest
 }
 
-// Config controls synthetic exposure generation.
+// Config controls synthetic exposure generation. Locations are placed
+// in catalog.DefaultRegions by their RelativeExposureWeight, clustered
+// by clusterTightness, and hold 1 + Poisson(interestsPerLoc−1)
+// interests each, drawn from constructionMix and occupancyMix with a
+// lognormal TIV of mean meanValue and sigma valueSigma (scaled by
+// occupancy).
 type Config struct {
-	NumLocations     int
-	InterestsPerLoc  int // average interests (buildings) per location
-	Regions          []catalog.Region
-	MeanValue        float64 // mean TIV per interest
-	ValueSigma       float64 // lognormal sigma of TIV
-	ConstructionMix  []float64
-	OccupancyMix     []float64
-	ClusterTightness float64 // 0 = uniform in region, 1 = tightly clustered
+	NumLocations int
 }
+
+// The shape of every generated database.
+const (
+	interestsPerLoc  = 3         // average interests (buildings) per location
+	meanValue        = 2_000_000 // mean TIV per residential interest
+	valueSigma       = 1.0       // lognormal sigma of TIV
+	clusterTightness = 0.6       // 0 = uniform in region, 1 = tightly clustered
+)
+
+var (
+	constructionMix = [NumConstruction]float64{0.45, 0.25, 0.20, 0.10}
+	occupancyMix    = [NumOccupancy]float64{0.60, 0.30, 0.10}
+)
 
 // DefaultConfig returns a laptop-scale exposure configuration.
 func DefaultConfig() Config {
-	return Config{
-		NumLocations:     1000,
-		InterestsPerLoc:  3,
-		Regions:          catalog.DefaultRegions(),
-		MeanValue:        2_000_000,
-		ValueSigma:       1.0,
-		ConstructionMix:  []float64{0.45, 0.25, 0.20, 0.10},
-		OccupancyMix:     []float64{0.60, 0.30, 0.10},
-		ClusterTightness: 0.6,
-	}
+	return Config{NumLocations: 1000}
 }
 
 // Generate builds a deterministic synthetic exposure database.
@@ -131,41 +133,21 @@ func Generate(cfg Config, seed uint64) (*Database, error) {
 	if cfg.NumLocations <= 0 {
 		return nil, fmt.Errorf("exposure: NumLocations must be positive, got %d", cfg.NumLocations)
 	}
-	if cfg.InterestsPerLoc <= 0 {
-		cfg.InterestsPerLoc = 1
-	}
-	if len(cfg.Regions) == 0 {
-		cfg.Regions = catalog.DefaultRegions()
-	}
-	if len(cfg.ConstructionMix) == 0 {
-		cfg.ConstructionMix = DefaultConfig().ConstructionMix
-	}
-	if len(cfg.ConstructionMix) != NumConstruction {
-		return nil, fmt.Errorf("exposure: ConstructionMix needs %d entries", NumConstruction)
-	}
-	if len(cfg.OccupancyMix) == 0 {
-		cfg.OccupancyMix = DefaultConfig().OccupancyMix
-	}
-	if len(cfg.OccupancyMix) != NumOccupancy {
-		return nil, fmt.Errorf("exposure: OccupancyMix needs %d entries", NumOccupancy)
-	}
-	if cfg.MeanValue <= 0 {
-		cfg.MeanValue = DefaultConfig().MeanValue
-	}
 
-	regionWeights := make([]float64, len(cfg.Regions))
-	for i, r := range cfg.Regions {
+	regions := catalog.DefaultRegions()
+	regionWeights := make([]float64, len(regions))
+	for i, r := range regions {
 		regionWeights[i] = r.RelativeExposureWeight
 	}
 	regionAlias, err := rng.NewAlias(regionWeights)
 	if err != nil {
 		return nil, fmt.Errorf("exposure: region weights: %w", err)
 	}
-	consAlias, err := rng.NewAlias(cfg.ConstructionMix)
+	consAlias, err := rng.NewAlias(constructionMix[:])
 	if err != nil {
 		return nil, fmt.Errorf("exposure: construction mix: %w", err)
 	}
-	occAlias, err := rng.NewAlias(cfg.OccupancyMix)
+	occAlias, err := rng.NewAlias(occupancyMix[:])
 	if err != nil {
 		return nil, fmt.Errorf("exposure: occupancy mix: %w", err)
 	}
@@ -173,45 +155,41 @@ func Generate(cfg Config, seed uint64) (*Database, error) {
 	st := rng.NewStream(seed, 0xE8905)
 	db := &Database{
 		Locations: make([]Location, cfg.NumLocations),
-		Interests: make([]Interest, 0, cfg.NumLocations*cfg.InterestsPerLoc),
+		Interests: make([]Interest, 0, cfg.NumLocations*interestsPerLoc),
 	}
 
-	// Pre-draw one urban cluster centre per region; ClusterTightness
+	// Pre-draw one urban cluster centre per region; clusterTightness
 	// interpolates each location between the cluster centre and a
 	// uniform point, mimicking the concentration of insured value in
 	// cities that makes single events so punishing.
 	type centre struct{ lat, lon float64 }
-	centres := make([]centre, len(cfg.Regions))
-	for i, r := range cfg.Regions {
+	centres := make([]centre, len(regions))
+	for i, r := range regions {
 		centres[i] = centre{
-			lat: r.LatMin + st.Float64()*(r.LatMax-r.LatMin),
-			lon: r.LonMin + st.Float64()*(r.LonMax-r.LonMin),
+			lat: r.LatMin + float64(st.Float64()*(r.LatMax-r.LatMin)),
+			lon: r.LonMin + float64(st.Float64()*(r.LonMax-r.LonMin)),
 		}
 	}
 
-	// Lognormal TIV parameters from mean and sigma.
-	sigma := cfg.ValueSigma
-	if sigma <= 0 {
-		sigma = 1.0
-	}
+	// Lognormal TIV parameters from mean and sigma:
 	// mean = exp(mu + sigma^2/2)  =>  mu = ln(mean) - sigma^2/2
-	mu := lnMean(cfg.MeanValue, sigma)
+	mu := lnMean(meanValue, valueSigma)
 
 	for i := range db.Locations {
 		ri := regionAlias.Draw(st)
-		r := cfg.Regions[ri]
-		ulat := r.LatMin + st.Float64()*(r.LatMax-r.LatMin)
-		ulon := r.LonMin + st.Float64()*(r.LonMax-r.LonMin)
-		t := cfg.ClusterTightness
+		r := regions[ri]
+		ulat := r.LatMin + float64(st.Float64()*(r.LatMax-r.LatMin))
+		ulon := r.LonMin + float64(st.Float64()*(r.LonMax-r.LonMin))
+		t := clusterTightness
 		loc := Location{
 			ID:       uint32(i + 1),
 			RegionID: r.ID,
-			Lat:      ulat*(1-t) + centres[ri].lat*t + st.Normal(0, 0.15),
-			Lon:      ulon*(1-t) + centres[ri].lon*t + st.Normal(0, 0.15),
+			Lat:      float64(ulat*(1-t)) + float64(centres[ri].lat*t) + st.Normal(0, 0.15),
+			Lon:      float64(ulon*(1-t)) + float64(centres[ri].lon*t) + st.Normal(0, 0.15),
 		}
 		db.Locations[i] = loc
 
-		n := 1 + st.Poisson(float64(cfg.InterestsPerLoc-1))
+		n := 1 + st.Poisson(interestsPerLoc-1)
 		for k := 0; k < n; k++ {
 			occ := Occupancy(occAlias.Draw(st))
 			valScale := 1.0
@@ -225,7 +203,7 @@ func Generate(cfg Config, seed uint64) (*Database, error) {
 				LocationIndex: i,
 				Construction:  Construction(consAlias.Draw(st)),
 				Occupancy:     occ,
-				Value:         st.LogNormal(mu, sigma) * valScale,
+				Value:         st.LogNormal(mu, valueSigma) * valScale,
 			}
 			db.Interests = append(db.Interests, in)
 		}

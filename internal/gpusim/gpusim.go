@@ -23,32 +23,35 @@ import (
 	"sync/atomic"
 )
 
-// Config describes the simulated device. Costs are cycles per access.
+// Config describes the simulated device: how many blocks run at once
+// and how much shared memory each has. Its clock and its costs, in
+// cycles per access, are the constants below.
 type Config struct {
-	NumSMs            int     // parallel block executors
-	ThreadsPerBlock   int     // logical threads per block (SIMT width model)
-	SharedMemPerBlock int     // floats of shared memory per block
-	GlobalCost        uint64  // cycles per global-memory access
-	SharedCost        uint64  // cycles per shared-memory access
-	ArithCost         uint64  // cycles per arithmetic op
-	TransferCost      uint64  // cycles per float moved host<->device
-	ClockGHz          float64 // modeled clock for cycle->seconds conversion
+	NumSMs            int // parallel block executors
+	SharedMemPerBlock int // floats of shared memory per block
 }
 
-// DefaultConfig models a 2012-era Fermi/Kepler-class part, the
-// hardware generation of the paper's experiments: few dozen SMs, 48 KB
-// shared memory per block, ~400-cycle global loads vs single-digit
-// shared access.
+// ThreadsPerBlock is the logical threads per block (the SIMT width
+// model): a coalesced load moves this many consecutive floats.
+const ThreadsPerBlock = 256
+
+// The cost model of a 2012-era Fermi/Kepler-class part, the hardware
+// generation of the paper's experiments: ~400-cycle global loads vs
+// single-digit shared access.
+const (
+	globalCost   = 400  // cycles per global-memory access
+	sharedCost   = 4    // cycles per shared-memory access
+	arithCost    = 1    // cycles per arithmetic op
+	transferCost = 8    // cycles per float moved host<->device
+	clockGHz     = 1.15 // modeled clock for cycle->seconds conversion
+)
+
+// DefaultConfig models the same part: few dozen SMs, 48 KB shared
+// memory per block.
 func DefaultConfig() Config {
 	return Config{
 		NumSMs:            16,
-		ThreadsPerBlock:   256,
 		SharedMemPerBlock: 48 * 1024 / 8,
-		GlobalCost:        400,
-		SharedCost:        4,
-		ArithCost:         1,
-		TransferCost:      8,
-		ClockGHz:          1.15,
 	}
 }
 
@@ -70,16 +73,13 @@ func (s Stats) ModeledCycles(cfg Config) uint64 {
 	if sms == 0 {
 		sms = 1
 	}
-	return s.BlockCycles/sms + s.TransferFloats*cfg.TransferCost
+	return s.BlockCycles/sms + s.TransferFloats*transferCost
 }
 
-// ModeledSeconds converts modeled cycles to seconds at the configured
+// ModeledSeconds converts modeled cycles to seconds at the modeled
 // clock.
 func (s Stats) ModeledSeconds(cfg Config) float64 {
-	if cfg.ClockGHz <= 0 {
-		return 0
-	}
-	return float64(s.ModeledCycles(cfg)) / (cfg.ClockGHz * 1e9)
+	return float64(s.ModeledCycles(cfg)) / (clockGHz * 1e9)
 }
 
 // Buffer is a handle to a region of device global memory.
@@ -113,26 +113,8 @@ func NewDevice(cfg Config, globalFloats int) *Device {
 	if cfg.NumSMs <= 0 {
 		cfg.NumSMs = def.NumSMs
 	}
-	if cfg.ThreadsPerBlock <= 0 {
-		cfg.ThreadsPerBlock = def.ThreadsPerBlock
-	}
 	if cfg.SharedMemPerBlock <= 0 {
 		cfg.SharedMemPerBlock = def.SharedMemPerBlock
-	}
-	if cfg.GlobalCost == 0 {
-		cfg.GlobalCost = def.GlobalCost
-	}
-	if cfg.SharedCost == 0 {
-		cfg.SharedCost = def.SharedCost
-	}
-	if cfg.ArithCost == 0 {
-		cfg.ArithCost = def.ArithCost
-	}
-	if cfg.TransferCost == 0 {
-		cfg.TransferCost = def.TransferCost
-	}
-	if cfg.ClockGHz == 0 {
-		cfg.ClockGHz = def.ClockGHz
 	}
 	if globalFloats <= 0 {
 		globalFloats = 1 << 20
@@ -206,14 +188,14 @@ type BlockCtx struct {
 // LoadGlobal reads one float from global memory.
 func (c *BlockCtx) LoadGlobal(b Buffer, i int) float64 {
 	c.global++
-	c.cycles += c.dev.cfg.GlobalCost
+	c.cycles += globalCost
 	return c.dev.global[b.off+i]
 }
 
 // StoreGlobal writes one float to global memory.
 func (c *BlockCtx) StoreGlobal(b Buffer, i int, v float64) {
 	c.global++
-	c.cycles += c.dev.cfg.GlobalCost
+	c.cycles += globalCost
 	c.dev.global[b.off+i] = v
 }
 
@@ -228,31 +210,31 @@ func (c *BlockCtx) StageToShared(b Buffer, lo, hi, dst int) {
 		return
 	}
 	copy(c.shared[dst:dst+n], c.dev.global[b.off+lo:b.off+hi])
-	lines := uint64((n + c.dev.cfg.ThreadsPerBlock - 1) / c.dev.cfg.ThreadsPerBlock)
+	lines := uint64((n + ThreadsPerBlock - 1) / ThreadsPerBlock)
 	c.global += lines
-	c.cycles += lines * c.dev.cfg.GlobalCost
+	c.cycles += lines * globalCost
 	c.sharedCnt += uint64(n)
-	c.cycles += uint64(n) * c.dev.cfg.SharedCost
+	c.cycles += uint64(n) * sharedCost
 }
 
 // LoadShared reads shared memory slot i.
 func (c *BlockCtx) LoadShared(i int) float64 {
 	c.sharedCnt++
-	c.cycles += c.dev.cfg.SharedCost
+	c.cycles += sharedCost
 	return c.shared[i]
 }
 
 // StoreShared writes shared memory slot i.
 func (c *BlockCtx) StoreShared(i int, v float64) {
 	c.sharedCnt++
-	c.cycles += c.dev.cfg.SharedCost
+	c.cycles += sharedCost
 	c.shared[i] = v
 }
 
 // AddArith charges n arithmetic operations.
 func (c *BlockCtx) AddArith(n uint64) {
 	c.arith += n
-	c.cycles += n * c.dev.cfg.ArithCost
+	c.cycles += n * arithCost
 }
 
 // Launch executes gridDim blocks of kernel on the device's SM pool.

@@ -246,14 +246,14 @@ func TestSharedMemoryIsolationBetweenBlocks(t *testing.T) {
 
 func TestModeledCyclesDividesAcrossSMs(t *testing.T) {
 	s := Stats{BlockCycles: 1600, TransferFloats: 10}
-	cfg := Config{NumSMs: 16, TransferCost: 8, ClockGHz: 1}
+	cfg := Config{NumSMs: 16}
 	if got := s.ModeledCycles(cfg); got != 100+80 {
-		t.Fatalf("ModeledCycles = %d, want 180", got)
+		t.Fatalf("ModeledCycles = %d, want 180 (transfers at 8 cycles a float)", got)
 	}
-	if sec := s.ModeledSeconds(cfg); math.Abs(sec-180e-9) > 1e-15 {
-		t.Fatalf("ModeledSeconds = %v", sec)
+	if sec := s.ModeledSeconds(cfg); math.Abs(sec-180/1.15e9) > 1e-15 {
+		t.Fatalf("ModeledSeconds = %v, want 180 cycles at 1.15 GHz", sec)
 	}
-	if (Stats{}).ModeledSeconds(Config{}) != 0 {
-		t.Fatal("zero clock should yield 0 seconds")
+	if got := s.ModeledCycles(Config{}); got != 1600+80 {
+		t.Fatalf("ModeledCycles with no SM count = %d, want 1680 (one SM)", got)
 	}
 }

@@ -5,7 +5,7 @@ import "math"
 // Normal returns a draw from Normal(mu, sigma) using the Marsaglia
 // polar method with spare caching.
 func (st *Stream) Normal(mu, sigma float64) float64 {
-	return mu + sigma*st.StdNormal()
+	return mu + float64(sigma*st.StdNormal())
 }
 
 // StdNormal returns a standard normal draw.

@@ -22,7 +22,6 @@ func smallStudyConfig(seed uint64) risk.Config {
 		Contracts:            3,
 		LocationsPerContract: 80,
 		Trials:               1200,
-		MeanEventsPerYear:    10,
 		Rho:                  0.2,
 		// Quotes single-threaded: the pool provides the parallelism.
 		Workers: 1,

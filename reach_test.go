@@ -124,15 +124,12 @@ var keptUnsettable = []struct{ name, reason string }{
 	{"core.Config.Kernel", "bench/replica.go copies it into aggregate.Config; goes with that file (ROADMAP item 3a)"},
 	{"core.Config.TrialBlock", "same copy in bench/replica.go; becomes DefaultTrialBlock with it (ROADMAP item 3a)"},
 	{"core.Config.Sources", "bench/replica.go reads it for stage 3; nil everywhere, so StandardSources always runs"},
-	{"dfa.Config.Corr", "TestGoldenDFADigest's tied/corr row pins the supplied-matrix path, TestRunRejectsHostileInputs its refusals"},
 
 	// Parameters the equivalence and oracle suites vary.
 	{"aggregate.MapReduce.SplitTrials", "TestMapReduceEquivalenceMatrix, TestFaultEquivalenceMatrix and the goldens cut splits that do not divide the trial count"},
 	{"aggregate.MapReduce.MaxAttempts", "the fault tests give retries room (5) or too little (TestFaultUnrecoverableFailsLoudly)"},
 	{"aggregate.Chunked.TrialsPerBlock", "TestChunkedOversizedBlockFallback forces one giant block; BenchmarkDeviceTrialsPerBlock sweeps it"},
 	{"catmodel.Engine.Hazard", "TestRunMatchesNaiveOracle and TestPostEventMatchesNaiveOracle vary MaxRangeFactor through it"},
-	{"catmodel.Engine.MinMeanLoss", "TestMinMeanLossTruncates and the oracle's truncated engine"},
-	{"catmodel.Engine.TermsFor", "TestCustomTermsReduceLoss, TestPostEventCustomTerms and the oracle's custom-terms engine"},
 	{"hazard.Model.MaxRangeFactor", "the footprint bound TestRunMatchesNaiveOracle and TestPostEventMatchesNaiveOracle vary"},
 }
 

@@ -65,7 +65,8 @@ func (k EngineKind) engine() (aggregate.Engine, error) {
 	return eng, nil
 }
 
-// Config sizes a study. Zero fields take defaults. A study holds its
+// Config sizes a study. Zero fields take defaults. A study's catalogue
+// averages core.DefaultConfig's ten events a year. A study holds its
 // trial table in memory; streaming, spilling, fault injection,
 // speculation and provisioning are options of cmd/riskpipeline.
 type Config struct {
@@ -74,7 +75,6 @@ type Config struct {
 	Contracts            int
 	LocationsPerContract int
 	Trials               int
-	MeanEventsPerYear    float64
 	Engine               EngineKind
 	// Sampling enables secondary-uncertainty sampling in stage 2.
 	Sampling bool
@@ -98,7 +98,6 @@ func DefaultConfig() Config {
 		Contracts:            16,
 		LocationsPerContract: 300,
 		Trials:               100_000,
-		MeanEventsPerYear:    10,
 		Engine:               EngineParallel,
 		Rho:                  0.25,
 	}
@@ -188,7 +187,6 @@ func (s *Study) pipeline() (*core.Pipeline, error) {
 		NumEvents:            s.cfg.Events,
 		NumContracts:         s.cfg.Contracts,
 		LocationsPerContract: s.cfg.LocationsPerContract,
-		MeanEventsPerYear:    s.cfg.MeanEventsPerYear,
 		NumTrials:            s.cfg.Trials,
 		Engine:               eng,
 		Sampling:             s.cfg.Sampling,

@@ -16,7 +16,6 @@ func smallConfig(seed uint64) Config {
 		Contracts:            3,
 		LocationsPerContract: 80,
 		Trials:               1500,
-		MeanEventsPerYear:    10,
 		Rho:                  0.2,
 	}
 }
