@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"os"
@@ -39,8 +41,6 @@ import (
 	"repro/internal/ylt"
 )
 
-func devDefault() gpusim.Config { return gpusim.DefaultConfig() }
-
 // singleContract builds a one-contract portfolio view over a scenario.
 func singleContract(s *synth.Scenario, i int) *layers.Portfolio {
 	return &layers.Portfolio{Contracts: []layers.Contract{{
@@ -50,20 +50,35 @@ func singleContract(s *synth.Scenario, i int) *layers.Portfolio {
 	}}}
 }
 
-var (
-	flagExperiments = flag.String("e", "all", "experiments to run: 'all' or comma list like '1,4,5'")
-	flagQuick       = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
-	flagSeed        = uint64(42) // -seed, bound in main
-	flagWorkers     int          // -workers, bound in main
-)
+// tables is one run of the command: the experiments it prints, the
+// book's size and seed, the parallelism bound, and where the tables go.
+type tables struct {
+	experiments string
+	quick       bool
+	seed        uint64
+	workers     int
+	out         io.Writer
+}
+
+// newFlags returns the command's defaults and the flag set named name
+// that binds every flag to them.
+func newFlags(name string) (*tables, *flag.FlagSet) {
+	b := &tables{seed: 42}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.StringVar(&b.experiments, "e", "all", "experiments to run: 'all' or comma list like '1,4,5'")
+	fs.BoolVar(&b.quick, "quick", false, "smaller sizes for a fast smoke run")
+	cliflags.Seed(fs, &b.seed)
+	cliflags.Workers(fs, &b.workers)
+	return b, fs
+}
 
 // runners maps an experiment's number to its table. It is the one
 // place the set of experiments is written down: "-e all" and the
 // validity of "-e N" both derive from its keys.
-var runners = map[int]func(context.Context) error{
-	1: e1Speedup, 2: e2RealtimePricing, 3: e3DataVolumes,
-	4: e4Chunking, 5: e5ScanVsRandom, 6: e6MemoryVsMapReduce,
-	7: e7Elasticity, 8: e8TrialsSweep, 9: e9DFA,
+var runners = map[int]func(*tables, context.Context) error{
+	1: (*tables).e1Speedup, 2: (*tables).e2RealtimePricing, 3: (*tables).e3DataVolumes,
+	4: (*tables).e4Chunking, 5: (*tables).e5ScanVsRandom, 6: (*tables).e6MemoryVsMapReduce,
+	7: (*tables).e7Elasticity, 8: (*tables).e8TrialsSweep, 9: (*tables).e9DFA,
 }
 
 // removed maps the number of an experiment whose table was deleted to
@@ -114,38 +129,52 @@ func selectExperiments(spec string) ([]int, error) {
 }
 
 func main() {
-	cliflags.Seed(&flagSeed)
-	cliflags.Workers(&flagWorkers)
-	flag.Parse()
-	ctx := context.Background()
-
-	keys, err := selectExperiments(*flagExperiments)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-		os.Exit(2)
-	}
-
-	fmt.Printf("# benchtables — %d logical CPUs, quick=%v, seed=%d\n\n",
-		runtime.NumCPU(), *flagQuick, flagSeed)
-
-	for _, k := range keys {
-		if err := runners[k](ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: E%d: %v\n", k, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
+	os.Exit(run(context.Background(), os.Args, os.Stdout, os.Stderr))
 }
 
-func scenario(ctx context.Context, trials int, occOnly bool) (*synth.Scenario, error) {
-	return synth.Build(ctx, scenarioParams(trials, occOnly))
+// run is the command: it parses args (args[0] names the program),
+// prints the tables of the experiments they select to stdout and any
+// error to stderr, and returns the exit code: 2 for a bad command line,
+// 1 for an experiment that failed.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	b, fs := newFlags(args[0])
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	b.out = stdout
+
+	keys, err := selectExperiments(b.experiments)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchtables: %v\n", err)
+		return 2
+	}
+
+	fmt.Fprintf(stdout, "# benchtables — %d logical CPUs, quick=%v, seed=%d\n\n",
+		runtime.NumCPU(), b.quick, b.seed)
+
+	for _, k := range keys {
+		if err := runners[k](b, ctx); err != nil {
+			fmt.Fprintf(stderr, "benchtables: E%d: %v\n", k, err)
+			return 1
+		}
+		fmt.Fprintln(stdout)
+	}
+	return 0
+}
+
+func (b *tables) scenario(ctx context.Context, trials int, occOnly bool) (*synth.Scenario, error) {
+	return synth.Build(ctx, b.scenarioParams(trials, occOnly))
 }
 
 // scenarioParams sizes the experiments' book: the full or, with -quick,
 // the smaller one.
-func scenarioParams(trials int, occOnly bool) synth.Params {
+func (b *tables) scenarioParams(trials int, occOnly bool) synth.Params {
 	p := synth.Params{
-		Seed:                 flagSeed,
+		Seed:                 b.seed,
 		NumEvents:            10_000,
 		NumContracts:         16,
 		LocationsPerContract: 250,
@@ -153,9 +182,9 @@ func scenarioParams(trials int, occOnly bool) synth.Params {
 		MeanEventsPerYear:    10,
 		OccurrenceOnly:       occOnly,
 		TwoLayers:            true,
-		Workers:              flagWorkers,
+		Workers:              b.workers,
 	}
-	if *flagQuick {
+	if b.quick {
 		p.NumEvents = 2_000
 		p.NumContracts = 6
 		p.LocationsPerContract = 100
@@ -171,13 +200,13 @@ func aggInput(s *synth.Scenario) *aggregate.Input {
 // paper reports 15× for its GPU engine vs sequential CPU). Every
 // Parallel run's portfolio YLT must equal Sequential's bit for bit, and
 // the chunked device kernel's the naive one's.
-func e1Speedup(ctx context.Context) error {
+func (b *tables) e1Speedup(ctx context.Context) error {
 	trials := 200_000
-	if *flagQuick {
+	if b.quick {
 		trials = 20_000
 	}
-	fmt.Printf("## E1 — aggregate-analysis speedup vs sequential (%d trials, sampling on)\n", trials)
-	s, err := scenario(ctx, trials, false)
+	fmt.Fprintf(b.out, "## E1 — aggregate-analysis speedup vs sequential (%d trials, sampling on)\n", trials)
+	s, err := b.scenario(ctx, trials, false)
 	if err != nil {
 		return err
 	}
@@ -194,8 +223,8 @@ func e1Speedup(ctx context.Context) error {
 		return err
 	}
 	seqDur := time.Since(t0)
-	fmt.Printf("%-22s %12s %10s\n", "engine", "time", "speedup")
-	fmt.Printf("%-22s %12v %10s\n", "sequential", seqDur.Round(time.Millisecond), "1.0x")
+	fmt.Fprintf(b.out, "%-22s %12s %10s\n", "engine", "time", "speedup")
+	fmt.Fprintf(b.out, "%-22s %12v %10s\n", "sequential", seqDur.Round(time.Millisecond), "1.0x")
 
 	for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
 		t0 = time.Now()
@@ -207,13 +236,13 @@ func e1Speedup(ctx context.Context) error {
 		if err := sameYLT(seq.Portfolio, par.Portfolio); err != nil {
 			return fmt.Errorf("Parallel (%d workers) differs from Sequential: %w", w, err)
 		}
-		fmt.Printf("%-22s %12v %9.1fx\n", fmt.Sprintf("parallel (%d workers)", w),
+		fmt.Fprintf(b.out, "%-22s %12v %9.1fx\n", fmt.Sprintf("parallel (%d workers)", w),
 			d.Round(time.Millisecond), float64(seqDur)/float64(d))
 	}
 
 	// Device-modeled comparison (the paper's actual GPU-vs-CPU shape):
 	// modeled chunked device time vs a single-SM global-only device.
-	sOcc, err := scenario(ctx, trials/4, true)
+	sOcc, err := b.scenario(ctx, trials/4, true)
 	if err != nil {
 		return err
 	}
@@ -221,12 +250,12 @@ func e1Speedup(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	devCfg := devDefault()
+	devCfg := gpusim.DefaultConfig()
 	chunkSec := chunked.LastStats.ModeledSeconds(devCfg)
 	oneSM := devCfg
 	oneSM.NumSMs = 1
 	scalarSec := naive1.LastStats.ModeledSeconds(oneSM)
-	fmt.Printf("%-22s %12s %9.1fx   (cost-model cycles: many-core chunked vs 1-SM scalar)\n",
+	fmt.Fprintf(b.out, "%-22s %12s %9.1fx   (cost-model cycles: many-core chunked vs 1-SM scalar)\n",
 		"device model", fmtSec(chunkSec), scalarSec/chunkSec)
 	return nil
 }
@@ -234,17 +263,17 @@ func e1Speedup(ctx context.Context) error {
 // E2 — the million-trial single-contract quote (paper: ~25 s,
 // real-time pricing). Parallel's portfolio YLT must equal Sequential's
 // bit for bit.
-func e2RealtimePricing(ctx context.Context) error {
+func (b *tables) e2RealtimePricing(ctx context.Context) error {
 	trials := 1_000_000
-	if *flagQuick {
+	if b.quick {
 		trials = 100_000
 	}
-	fmt.Printf("## E2 — 1M-trial single-contract aggregate simulation (paper: ~25 s on 2012 GPU)\n")
-	s, err := scenario(ctx, 1000, false) // trials replaced below
+	fmt.Fprintf(b.out, "## E2 — 1M-trial single-contract aggregate simulation (paper: ~25 s on 2012 GPU)\n")
+	s, err := b.scenario(ctx, 1000, false) // trials replaced below
 	if err != nil {
 		return err
 	}
-	y, err := yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: flagWorkers}, flagSeed+5)
+	y, err := yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: b.workers}, b.seed+5)
 	if err != nil {
 		return err
 	}
@@ -259,7 +288,7 @@ func e2RealtimePricing(ctx context.Context) error {
 	var seq *ylt.Table
 	for _, eng := range []aggregate.Engine{aggregate.Sequential{}, aggregate.Parallel{}} {
 		t0 := time.Now()
-		res, err := eng.Run(ctx, in, aggregate.Config{Seed: 2, Sampling: true, Workers: flagWorkers})
+		res, err := eng.Run(ctx, in, aggregate.Config{Seed: 2, Sampling: true, Workers: b.workers})
 		if err != nil {
 			return err
 		}
@@ -273,7 +302,7 @@ func e2RealtimePricing(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-12s %d trials in %10v  (%.0f trials/s)  AAL=%.0f TVaR99=%.0f\n",
+		fmt.Fprintf(b.out, "%-12s %d trials in %10v  (%.0f trials/s)  AAL=%.0f TVaR99=%.0f\n",
 			eng.Name(), trials, d.Round(time.Millisecond),
 			float64(trials)/d.Seconds(), sum.AAL, sum.TVaR99)
 	}
@@ -281,26 +310,26 @@ func e2RealtimePricing(ctx context.Context) error {
 }
 
 // E3 — the YELLT/YELT/YLT data-volume arithmetic.
-func e3DataVolumes(ctx context.Context) error {
-	fmt.Printf("## E3 — data volumes (paper: YELLT 5×10^16 entries; YELT 1000× smaller; YLT 1000× smaller again)\n")
+func (b *tables) e3DataVolumes(ctx context.Context) error {
+	fmt.Fprintf(b.out, "## E3 — data volumes (paper: YELLT 5×10^16 entries; YELT 1000× smaller; YLT 1000× smaller again)\n")
 	m := yelt.PaperScale()
-	fmt.Printf("paper scale: %d contracts × %d events × %d locations × %d trials\n",
+	fmt.Fprintf(b.out, "paper scale: %d contracts × %d events × %d locations × %d trials\n",
 		m.Contracts, m.Events, m.Locations, m.Trials)
-	fmt.Printf("%-28s %14.3g entries\n", "dense YELLT (paper formula)", m.DenseYELLTEntries())
-	fmt.Printf("%-28s %14.3g entries  (%s at 16 B/entry)\n", "occurrence YELLT",
+	fmt.Fprintf(b.out, "%-28s %14.3g entries\n", "dense YELLT (paper formula)", m.DenseYELLTEntries())
+	fmt.Fprintf(b.out, "%-28s %14.3g entries  (%s at 16 B/entry)\n", "occurrence YELLT",
 		m.YELLTEntries(), yelt.HumanBytes(yelt.Bytes(m.YELLTEntries(), 16)))
-	fmt.Printf("%-28s %14.3g entries  (%s at %d B/entry)\n", "YELT",
+	fmt.Fprintf(b.out, "%-28s %14.3g entries  (%s at %d B/entry)\n", "YELT",
 		m.YELTEntries(), yelt.HumanBytes(yelt.Bytes(m.YELTEntries(), yelt.EntryBytes)), yelt.EntryBytes)
-	fmt.Printf("%-28s %14.3g entries  (%s at 8 B/entry)\n", "YLT",
+	fmt.Fprintf(b.out, "%-28s %14.3g entries  (%s at 8 B/entry)\n", "YLT",
 		m.YLTEntries(), yelt.HumanBytes(yelt.Bytes(m.YLTEntries(), 8)))
 	r1, r2 := m.Ratios()
-	fmt.Printf("ratios: YELLT/YELT = %.0f, YELT/YLT = %.0f\n", r1, r2)
+	fmt.Fprintf(b.out, "ratios: YELLT/YELT = %.0f, YELT/YLT = %.0f\n", r1, r2)
 
 	trials := 100_000
-	if *flagQuick {
+	if b.quick {
 		trials = 10_000
 	}
-	s, err := scenario(ctx, trials, false)
+	s, err := b.scenario(ctx, trials, false)
 	if err != nil {
 		return err
 	}
@@ -314,15 +343,15 @@ func e3DataVolumes(ctx context.Context) error {
 	idxBuild := time.Since(t0)
 	in := aggInput(s)
 	in.Index = idx
-	res, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Workers: flagWorkers})
+	res, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Workers: b.workers})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("measured (this run): YELT %d occurrences = %s; YLT %d trials = %s; ratio %.0f\n",
+	fmt.Fprintf(b.out, "measured (this run): YELT %d occurrences = %s; YLT %d trials = %s; ratio %.0f\n",
 		s.YELT.Len(), yelt.HumanBytes(float64(s.YELT.SizeBytes())),
 		res.Portfolio.NumTrials(), yelt.HumanBytes(float64(res.Portfolio.SizeBytes())),
 		float64(s.YELT.SizeBytes())/float64(res.Portfolio.SizeBytes()))
-	fmt.Printf("loss index (pre-joined ELTs): %d events, %d entries = %s, built in %v\n",
+	fmt.Fprintf(b.out, "loss index (pre-joined ELTs): %d events, %d entries = %s, built in %v\n",
 		idx.NumRows(), idx.NumEntries(), yelt.HumanBytes(float64(idx.SizeBytes())),
 		idxBuild.Round(time.Microsecond))
 	return nil
@@ -330,26 +359,26 @@ func e3DataVolumes(ctx context.Context) error {
 
 // E4 — the chunking ablation on the simulated device. The chunked
 // kernel's portfolio YLT must equal the naive one's bit for bit.
-func e4Chunking(ctx context.Context) error {
+func (b *tables) e4Chunking(ctx context.Context) error {
 	trials := 50_000
-	if *flagQuick {
+	if b.quick {
 		trials = 10_000
 	}
-	fmt.Printf("## E4 — shared-memory chunking ablation: ELT chunks staged per block (modeled device cycles, %d trials)\n", trials)
-	s, err := scenario(ctx, trials, true)
+	fmt.Fprintf(b.out, "## E4 — shared-memory chunking ablation: ELT chunks staged per block (modeled device cycles, %d trials)\n", trials)
+	s, err := b.scenario(ctx, trials, true)
 	if err != nil {
 		return err
 	}
-	devCfg := devDefault()
+	devCfg := gpusim.DefaultConfig()
 	chunked, naive, err := deviceKernels(ctx, aggInput(s))
 	if err != nil {
 		return err
 	}
 	c, n := chunked.LastStats, naive.LastStats
-	fmt.Printf("%-16s %16s %16s %14s %12s\n", "kernel", "block cycles", "global accesses", "shared acc.", "modeled time")
-	fmt.Printf("%-16s %16d %16d %14d %12s\n", "naive-global", n.BlockCycles, n.GlobalAccesses, n.SharedAccesses, fmtSec(n.ModeledSeconds(devCfg)))
-	fmt.Printf("%-16s %16d %16d %14d %12s\n", "chunked-shared", c.BlockCycles, c.GlobalAccesses, c.SharedAccesses, fmtSec(c.ModeledSeconds(devCfg)))
-	fmt.Printf("chunking advantage: %.1fx fewer block cycles\n", float64(n.BlockCycles)/float64(c.BlockCycles))
+	fmt.Fprintf(b.out, "%-16s %16s %16s %14s %12s\n", "kernel", "block cycles", "global accesses", "shared acc.", "modeled time")
+	fmt.Fprintf(b.out, "%-16s %16d %16d %14d %12s\n", "naive-global", n.BlockCycles, n.GlobalAccesses, n.SharedAccesses, fmtSec(n.ModeledSeconds(devCfg)))
+	fmt.Fprintf(b.out, "%-16s %16d %16d %14d %12s\n", "chunked-shared", c.BlockCycles, c.GlobalAccesses, c.SharedAccesses, fmtSec(c.ModeledSeconds(devCfg)))
+	fmt.Fprintf(b.out, "chunking advantage: %.1fx fewer block cycles\n", float64(n.BlockCycles)/float64(c.BlockCycles))
 	return nil
 }
 
@@ -360,13 +389,13 @@ func e4Chunking(ctx context.Context) error {
 // flat build is inside its timing. Record reads are counted from the
 // data, not by either engine (e5RecordReads). The two portfolio YLTs
 // must agree bit for bit.
-func e5ScanVsRandom(ctx context.Context) error {
+func (b *tables) e5ScanVsRandom(ctx context.Context) error {
 	trials := 200_000
-	if *flagQuick {
+	if b.quick {
 		trials = 30_000
 	}
-	fmt.Printf("## E5 — sequential scan vs ELT random access (%d trials, expected mode)\n", trials)
-	s, err := scenario(ctx, trials, false)
+	fmt.Fprintf(b.out, "## E5 — sequential scan vs ELT random access (%d trials, expected mode)\n", trials)
+	s, err := b.scenario(ctx, trials, false)
 	if err != nil {
 		return err
 	}
@@ -397,10 +426,10 @@ func e5ScanVsRandom(ctx context.Context) error {
 
 	randReads, scanReads := e5RecordReads(s, flat)
 	n := float64(len(s.YELT.Occs))
-	fmt.Printf("%-22s %12s %14s %16s\n", "access path", "time", "record reads", "occurrences/s")
-	fmt.Printf("%-22s %12v %14d %16.0f\n", "random (LegacyLookup)", randDur.Round(time.Microsecond), randReads, n/randDur.Seconds())
-	fmt.Printf("%-22s %12v %14d %16.0f\n", "scan (Sequential)", scanDur.Round(time.Microsecond), scanReads, n/scanDur.Seconds())
-	fmt.Printf("scan advantage: %.1fx faster, %.1fx fewer record reads; the two YLTs agree in every bit\n",
+	fmt.Fprintf(b.out, "%-22s %12s %14s %16s\n", "access path", "time", "record reads", "occurrences/s")
+	fmt.Fprintf(b.out, "%-22s %12v %14d %16.0f\n", "random (LegacyLookup)", randDur.Round(time.Microsecond), randReads, n/randDur.Seconds())
+	fmt.Fprintf(b.out, "%-22s %12v %14d %16.0f\n", "scan (Sequential)", scanDur.Round(time.Microsecond), scanReads, n/scanDur.Seconds())
+	fmt.Fprintf(b.out, "scan advantage: %.1fx faster, %.1fx fewer record reads; the two YLTs agree in every bit\n",
 		randDur.Seconds()/scanDur.Seconds(), float64(randReads)/float64(scanReads))
 	return nil
 }
@@ -427,15 +456,15 @@ func e5RecordReads(s *synth.Scenario, flat *lossindex.Flat) (random, scan int64)
 // table, and MapReduce over the same table spilled to shards on disk
 // (the spill is inside its timing; generation is outside both). The two
 // portfolio YLTs must agree bit for bit wherever both ran.
-func e6MemoryVsMapReduce(ctx context.Context) error {
-	fmt.Printf("## E6 — in-memory Parallel vs MapReduce over spilled shards (one book, expected mode)\n")
+func (b *tables) e6MemoryVsMapReduce(ctx context.Context) error {
+	fmt.Fprintf(b.out, "## E6 — in-memory Parallel vs MapReduce over spilled shards (one book, expected mode)\n")
 	sizes := []int{20_000, 100_000, 400_000}
-	if *flagQuick {
+	if b.quick {
 		// The two largest sizes still span four or more shards each, so
 		// MapReduce's resident peak is flat on up to four workers.
 		sizes = []int{10_000, 100_000, 200_000}
 	}
-	s, err := scenario(ctx, 1000, false)
+	s, err := b.scenario(ctx, 1000, false)
 	if err != nil {
 		return err
 	}
@@ -445,7 +474,7 @@ func e6MemoryVsMapReduce(ctx context.Context) error {
 	}
 	tables := make([]*yelt.Table, len(sizes))
 	for i, trials := range sizes {
-		if tables[i], err = yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: flagWorkers}, flagSeed+9); err != nil {
+		if tables[i], err = yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: b.workers}, b.seed+9); err != nil {
 			return err
 		}
 	}
@@ -454,10 +483,10 @@ func e6MemoryVsMapReduce(ctx context.Context) error {
 	// "<1 TB in memory" boundary.
 	n := len(tables)
 	budget := (tables[n-2].SizeBytes() + tables[n-1].SizeBytes()) / 2
-	fmt.Printf("memory budget: %s\n", yelt.HumanBytes(float64(budget)))
-	fmt.Printf("%-10s %14s %12s %14s %12s\n", "trials", "in-memory", "resident", "mapreduce", "resident")
+	fmt.Fprintf(b.out, "memory budget: %s\n", yelt.HumanBytes(float64(budget)))
+	fmt.Fprintf(b.out, "%-10s %14s %12s %14s %12s\n", "trials", "in-memory", "resident", "mapreduce", "resident")
 
-	cfg := aggregate.Config{Workers: flagWorkers}
+	cfg := aggregate.Config{Workers: b.workers}
 	for i, y := range tables {
 		in := *book
 		in.YELT = y
@@ -480,7 +509,7 @@ func e6MemoryVsMapReduce(ctx context.Context) error {
 				return fmt.Errorf("%d trials: MapReduce differs from Parallel: %w", sizes[i], err)
 			}
 		}
-		fmt.Printf("%-10d %14s %12s %14s %12s\n", sizes[i], memCell, memPeak,
+		fmt.Fprintf(b.out, "%-10d %14s %12s %14s %12s\n", sizes[i], memCell, memPeak,
 			mrDur.Round(time.Millisecond), yelt.HumanBytes(float64(mr.PeakResidentBytes)))
 	}
 	return nil
@@ -545,12 +574,12 @@ func deviceKernels(ctx context.Context, in *aggregate.Input) (chunked, naive *ag
 // runs the MapReduce engine, so its busy column is measured map-task
 // time. Every column comes from the runs' stage reports, and the three
 // runs' catastrophe and enterprise tables must agree bit for bit.
-func e7Elasticity(ctx context.Context) error {
+func (b *tables) e7Elasticity(ctx context.Context) error {
 	trials := 1_000_000
-	if *flagQuick {
+	if b.quick {
 		trials = 300_000
 	}
-	book := scenarioParams(trials, false)
+	book := b.scenarioParams(trials, false)
 	cfg := core.DefaultConfig()
 	cfg.Seed = book.Seed
 	cfg.NumEvents, cfg.NumContracts, cfg.LocationsPerContract = book.NumEvents, book.NumContracts, book.LocationsPerContract
@@ -558,16 +587,16 @@ func e7Elasticity(ctx context.Context) error {
 	cfg.Engine = aggregate.MapReduce{}
 	// Busy is summed task wall time, so above GOMAXPROCS workers it can
 	// exceed what the cores supplied; the header says how many there were.
-	fmt.Printf("## E7 — elastic vs static provisioning of the pipeline (%d contracts, %d trials, mapreduce, GOMAXPROCS %d)\n",
+	fmt.Fprintf(b.out, "## E7 — elastic vs static provisioning of the pipeline (%d contracts, %d trials, mapreduce, GOMAXPROCS %d)\n",
 		cfg.NumContracts, cfg.NumTrials, runtime.GOMAXPROCS(0))
-	fmt.Printf("%-14s %10s %14s %12s %12s   %s\n", "policy", "makespan", "billed proc-s", "busy proc-s", "utilization", "workers per stage")
+	fmt.Fprintf(b.out, "%-14s %10s %14s %12s %12s   %s\n", "policy", "makespan", "billed proc-s", "busy proc-s", "utilization", "workers per stage")
 
-	elastic, widest, err := e7Run(ctx, cfg, cluster.Elastic{Max: 64})
+	elastic, widest, err := b.e7Run(ctx, cfg, cluster.Elastic{Max: 64})
 	if err != nil {
 		return err
 	}
 	for _, policy := range []cluster.Policy{cluster.Static{N: widest}, cluster.Static{N: 1}} {
-		p, _, err := e7Run(ctx, cfg, policy)
+		p, _, err := b.e7Run(ctx, cfg, policy)
 		if err != nil {
 			return err
 		}
@@ -583,7 +612,7 @@ func e7Elasticity(ctx context.Context) error {
 
 // e7Run runs the pipeline under policy, prints its row of stage-report
 // totals, and returns the pipeline and its widest stage's worker count.
-func e7Run(ctx context.Context, cfg core.Config, policy cluster.Policy) (*core.Pipeline, int, error) {
+func (b *tables) e7Run(ctx context.Context, cfg core.Config, policy cluster.Policy) (*core.Pipeline, int, error) {
 	cfg.Provision = policy
 	p := core.New(cfg)
 	if _, err := p.Run(ctx); err != nil {
@@ -602,26 +631,26 @@ func e7Run(ctx context.Context, cfg core.Config, policy cluster.Policy) (*core.P
 			workers = append(workers, fmt.Sprintf("%s %d", st.Name, st.Workers))
 		}
 	}
-	fmt.Printf("%-14s %10s %14.2f %12.2f %11.1f%%   %s\n", policy.Name(),
+	fmt.Fprintf(b.out, "%-14s %10s %14.2f %12.2f %11.1f%%   %s\n", policy.Name(),
 		makespan.Round(time.Millisecond), billed, busy, 100*busy/billed, strings.Join(workers, ", "))
 	return p, widest, nil
 }
 
 // E8 — runtime vs trial count: the weekly-vs-real-time scaling. At each
 // count Parallel's portfolio YLT must equal Sequential's bit for bit.
-func e8TrialsSweep(ctx context.Context) error {
-	fmt.Printf("## E8 — runtime scaling with trial count (weekly batch vs real-time)\n")
+func (b *tables) e8TrialsSweep(ctx context.Context) error {
+	fmt.Fprintf(b.out, "## E8 — runtime scaling with trial count (weekly batch vs real-time)\n")
 	sweep := []int{1_000, 10_000, 100_000, 1_000_000}
-	if *flagQuick {
+	if b.quick {
 		sweep = []int{1_000, 10_000, 50_000}
 	}
-	s, err := scenario(ctx, 1000, false)
+	s, err := b.scenario(ctx, 1000, false)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-12s %14s %14s %16s\n", "trials", "sequential", "parallel", "par trials/s")
+	fmt.Fprintf(b.out, "%-12s %14s %14s %16s\n", "trials", "sequential", "parallel", "par trials/s")
 	for _, trials := range sweep {
-		y, err := yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: flagWorkers}, flagSeed+11)
+		y, err := yelt.Generate(ctx, s.Catalog, yelt.Config{NumTrials: trials, Workers: b.workers}, b.seed+11)
 		if err != nil {
 			return err
 		}
@@ -636,7 +665,7 @@ func e8TrialsSweep(ctx context.Context) error {
 		}
 		seq := time.Since(t0)
 		t0 = time.Now()
-		parRes, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Sampling: true, Seed: 3, Workers: flagWorkers})
+		parRes, err := (aggregate.Parallel{}).Run(ctx, in, aggregate.Config{Sampling: true, Seed: 3, Workers: b.workers})
 		if err != nil {
 			return err
 		}
@@ -644,7 +673,7 @@ func e8TrialsSweep(ctx context.Context) error {
 		if err := sameYLT(seqRes.Portfolio, parRes.Portfolio); err != nil {
 			return fmt.Errorf("%d trials: Parallel differs from Sequential: %w", trials, err)
 		}
-		fmt.Printf("%-12d %14v %14v %16.0f\n", trials,
+		fmt.Fprintf(b.out, "%-12d %14v %14v %16.0f\n", trials,
 			seq.Round(time.Millisecond), par.Round(time.Millisecond),
 			float64(trials)/par.Seconds())
 	}
@@ -653,23 +682,23 @@ func e8TrialsSweep(ctx context.Context) error {
 
 // E9 — DFA integration: data volume and runtime vs number of risk
 // sources, plus the PML/TVaR report that flows to ERM.
-func e9DFA(ctx context.Context) error {
+func (b *tables) e9DFA(ctx context.Context) error {
 	trials := 200_000
-	if *flagQuick {
+	if b.quick {
 		trials = 50_000
 	}
-	fmt.Printf("## E9 — DFA integration across K risk sources (%d trials)\n", trials)
-	s, err := scenario(ctx, trials, false)
+	fmt.Fprintf(b.out, "## E9 — DFA integration across K risk sources (%d trials)\n", trials)
+	s, err := b.scenario(ctx, trials, false)
 	if err != nil {
 		return err
 	}
-	res, err := (aggregate.Parallel{}).Run(ctx, aggInput(s), aggregate.Config{Workers: flagWorkers})
+	res, err := (aggregate.Parallel{}).Run(ctx, aggInput(s), aggregate.Config{Workers: b.workers})
 	if err != nil {
 		return err
 	}
 	cat := res.Portfolio
 
-	fmt.Printf("%-10s %14s %16s %16s\n", "sources", "time", "total data", "TVaR99")
+	fmt.Fprintf(b.out, "%-10s %14s %16s %16s\n", "sources", "time", "total data", "TVaR99")
 	for _, k := range []int{2, 6, 12, 24} {
 		sources := make([]dfa.Source, 0, k)
 		base := dfa.StandardSources(cat.Mean())
@@ -678,7 +707,7 @@ func e9DFA(ctx context.Context) error {
 		}
 		ig := &dfa.Integrator{Sources: sources}
 		t0 := time.Now()
-		dres, err := ig.Run(ctx, cat, dfa.Config{Seed: 7, Rho: 0.2, Workers: flagWorkers, KeepPerSource: true})
+		dres, err := ig.Run(ctx, cat, dfa.Config{Seed: 7, Rho: 0.2, Workers: b.workers, KeepPerSource: true})
 		if err != nil {
 			return err
 		}
@@ -687,7 +716,7 @@ func e9DFA(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10d %14v %16s %16.0f\n", k, d.Round(time.Millisecond),
+		fmt.Fprintf(b.out, "%-10d %14v %16s %16.0f\n", k, d.Round(time.Millisecond),
 			yelt.HumanBytes(float64(dres.TotalBytes)), tv)
 	}
 
@@ -695,7 +724,7 @@ func e9DFA(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\ncatastrophe book metrics (PML/TVaR as reported to regulators):\n%s", sum)
+	fmt.Fprintf(b.out, "\ncatastrophe book metrics (PML/TVaR as reported to regulators):\n%s", sum)
 	return nil
 }
 

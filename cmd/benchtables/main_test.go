@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,9 +60,6 @@ func TestRemovedExperiments(t *testing.T) {
 			}
 		}
 	}
-	if flag.Lookup("json") != nil {
-		t.Error("the -json flag is back; nothing records rows any more")
-	}
 }
 
 // EXPERIMENTS.md's index table and the runners table must agree, so the
@@ -104,5 +102,23 @@ func TestExperimentsIndexMatchesRunners(t *testing.T) {
 		if !named[n] {
 			t.Errorf("E%d has a runner but no index row names it", n)
 		}
+	}
+}
+
+// The flag set as -h lists it: every flag's name, default and usage, in
+// order. A flag added, dropped or reworded, or a default that moved,
+// fails here.
+func TestFlagSet(t *testing.T) {
+	want := []struct{ name, def, usage string }{
+		{"e", "all", "experiments to run: 'all' or comma list like '1,4,5'"},
+		{"quick", "false", "smaller sizes for a fast smoke run"},
+		{"seed", "42", "master seed"},
+		{"workers", "0", "parallelism bound (0 = all cores)"},
+	}
+	_, fs := newFlags("benchtables")
+	var got []struct{ name, def, usage string }
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, struct{ name, def, usage string }{f.Name, f.DefValue, f.Usage}) })
+	if !slices.Equal(got, want) {
+		t.Errorf("flags\n got %q\nwant %q", got, want)
 	}
 }

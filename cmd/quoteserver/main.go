@@ -32,8 +32,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -48,56 +50,92 @@ import (
 )
 
 func main() {
-	// The book the server quotes against. Each quote simulates
-	// single-threaded; the worker pool carries the parallelism across
-	// concurrent requests.
-	cfg := risk.DefaultConfig()
-	cfg.Workers = 1
-	cliflags.Seed(&cfg.Seed)
-	cliflags.Events(&cfg.Events)
-	cliflags.Contracts(&cfg.Contracts)
-	cliflags.Locations(&cfg.LocationsPerContract)
-	cliflags.Trials(&cfg.Trials)
-	cliflags.CubeDims(&cfg.CubeDims)
-
-	// The serving tier.
-	srvCfg := serve.Config{Timeout: 30 * time.Second, DefaultTrials: 100_000, MaxTrials: 2_000_000}
-	cliflags.Workers(&srvCfg.Workers)
-	flag.IntVar(&srvCfg.QueueDepth, "queue", srvCfg.QueueDepth, "admission queue depth (0 = 2x workers)")
-	flag.DurationVar(&srvCfg.Timeout, "timeout", srvCfg.Timeout, "per-request budget (queue wait + simulation)")
-	flag.IntVar(&srvCfg.DefaultTrials, "quote-trials", srvCfg.DefaultTrials, "default trials per quote when the request omits it")
-	flag.IntVar(&srvCfg.MaxTrials, "max-quote-trials", srvCfg.MaxTrials, "cap on requested trials per quote")
-	var (
-		addr      = flag.String("addr", ":8087", "listen address")
-		warm      = flag.Bool("warm", true, "pre-run stage 1 and build all quote layouts before listening")
-		drainWait = flag.Duration("drain-timeout", time.Minute, "grace period for in-flight quotes on shutdown")
-	)
-	flag.Parse()
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	code := run(ctx, os.Args, os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	study := risk.NewStudy(cfg)
-	srv := serve.New(study, srvCfg)
+// options is what the flags set: the book the server quotes against,
+// the serving tier, and the listener's own settings.
+type options struct {
+	study     risk.Config
+	serve     serve.Config
+	addr      string
+	warm      bool
+	drainWait time.Duration
+}
 
-	if *warm {
-		log.Printf("warming: stage 1 + %d quote layouts (events=%d locations=%d)",
-			study.NumContracts(), cfg.Events, cfg.LocationsPerContract)
+// newFlags returns the server's defaults and the flag set named name
+// that binds every flag to them.
+func newFlags(name string) (*options, *flag.FlagSet) {
+	// Each quote simulates single-threaded; the worker pool carries the
+	// parallelism across concurrent requests.
+	o := &options{
+		study: risk.DefaultConfig(),
+		serve: serve.Config{Timeout: 30 * time.Second, DefaultTrials: 100_000, MaxTrials: 2_000_000},
+	}
+	o.study.Workers = 1
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	cliflags.Seed(fs, &o.study.Seed)
+	cliflags.Events(fs, &o.study.Events)
+	cliflags.Contracts(fs, &o.study.Contracts)
+	cliflags.Locations(fs, &o.study.LocationsPerContract)
+	cliflags.Trials(fs, &o.study.Trials)
+	cliflags.CubeDims(fs, &o.study.CubeDims)
+	cliflags.Workers(fs, &o.serve.Workers)
+	fs.IntVar(&o.serve.QueueDepth, "queue", o.serve.QueueDepth, "admission queue depth (0 = 2x workers)")
+	fs.DurationVar(&o.serve.Timeout, "timeout", o.serve.Timeout, "per-request budget (queue wait + simulation)")
+	fs.IntVar(&o.serve.DefaultTrials, "quote-trials", o.serve.DefaultTrials, "default trials per quote when the request omits it")
+	fs.IntVar(&o.serve.MaxTrials, "max-quote-trials", o.serve.MaxTrials, "cap on requested trials per quote")
+	fs.StringVar(&o.addr, "addr", ":8087", "listen address")
+	fs.BoolVar(&o.warm, "warm", true, "pre-run stage 1 and build all quote layouts before listening")
+	fs.DurationVar(&o.drainWait, "drain-timeout", time.Minute, "grace period for in-flight quotes on shutdown")
+	return o, fs
+}
+
+// newServer builds the study the options describe and the server that
+// quotes against it.
+func (o *options) newServer() (*risk.Study, *serve.Server) {
+	study := risk.NewStudy(o.study)
+	return study, serve.New(study, o.serve)
+}
+
+// run is the command: it parses args (args[0] names the program),
+// serves until ctx is done, then drains, logging to stderr. It returns
+// the exit code: 2 for a bad command line, 1 for a server that failed
+// or could not drain.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	o, fs := newFlags(args[0])
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+
+	study, srv := o.newServer()
+	if o.warm {
+		logger.Printf("warming: stage 1 + %d quote layouts (events=%d locations=%d)",
+			study.NumContracts(), o.study.Events, o.study.LocationsPerContract)
 		t0 := time.Now()
 		if err := srv.Warm(ctx); err != nil {
-			log.Fatalf("warm-up: %v", err)
+			logger.Printf("warm-up: %v", err)
+			return 1
 		}
-		log.Printf("warm in %v", time.Since(t0).Round(time.Millisecond))
+		logger.Printf("warm in %v", time.Since(t0).Round(time.Millisecond))
 	}
 
-	pool := srvCfg.Workers
+	pool := o.serve.Workers
 	if pool <= 0 {
 		pool = runtime.GOMAXPROCS(0)
 	}
-	httpSrv := newHTTPServer(*addr, srv.Handler(), readHeaderTimeout, readTimeout, idleTimeout)
+	httpSrv := newHTTPServer(o.addr, srv.Handler(), readHeaderTimeout, readTimeout, idleTimeout)
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s (pool=%d, timeout=%v)", *addr, pool, srvCfg.Timeout)
+		logger.Printf("listening on %s (pool=%d, timeout=%v)", o.addr, pool, o.serve.Timeout)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errc <- err
 		}
@@ -105,25 +143,27 @@ func main() {
 
 	select {
 	case err := <-errc:
-		log.Fatalf("serve: %v", err)
+		logger.Printf("serve: %v", err)
+		return 1
 	case <-ctx.Done():
 	}
 
 	// Graceful drain: refuse new quotes, let the HTTP layer finish
 	// active handlers (each holds its job to completion), then retire
 	// the idle worker pool.
-	log.Printf("signal received; draining (up to %v)", *drainWait)
+	logger.Printf("signal received; draining (up to %v)", o.drainWait)
 	srv.BeginDrain()
-	sdCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
+	sdCtx, cancel := context.WithTimeout(context.Background(), o.drainWait)
 	defer cancel()
 	if err := httpSrv.Shutdown(sdCtx); err != nil {
-		log.Printf("http shutdown: %v", err)
+		logger.Printf("http shutdown: %v", err)
 	}
 	if err := srv.Drain(sdCtx); err != nil {
-		log.Printf("pool drain: %v", err)
-		os.Exit(1)
+		logger.Printf("pool drain: %v", err)
+		return 1
 	}
-	fmt.Println("drained cleanly")
+	fmt.Fprintln(stdout, "drained cleanly")
+	return 0
 }
 
 // Bounds on what a client may make the HTTP layer wait for: the request

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 )
@@ -57,5 +59,33 @@ func TestHTTPServerClosesStalledHeaders(t *testing.T) {
 	}
 	if _, err := io.ReadAll(conn); err != nil {
 		t.Fatalf("server kept a connection with unfinished headers open: %v", err)
+	}
+}
+
+// The flag set as -h lists it: every flag's name, default and usage, in
+// order. A flag added, dropped or reworded, or a default that moved,
+// fails here.
+func TestFlagSet(t *testing.T) {
+	want := []struct{ name, def, usage string }{
+		{"addr", ":8087", "listen address"},
+		{"contracts", "16", "number of contracts"},
+		{"cube-dims", "", "comma-separated `list` of warehouse cube dimensions, e.g. region,lob (empty = no cube)"},
+		{"drain-timeout", "1m0s", "grace period for in-flight quotes on shutdown"},
+		{"events", "10000", "stochastic catalogue size"},
+		{"locations", "300", "locations per contract"},
+		{"max-quote-trials", "2000000", "cap on requested trials per quote"},
+		{"queue", "0", "admission queue depth (0 = 2x workers)"},
+		{"quote-trials", "100000", "default trials per quote when the request omits it"},
+		{"seed", "1", "master seed"},
+		{"timeout", "30s", "per-request budget (queue wait + simulation)"},
+		{"trials", "100000", "simulated trial years"},
+		{"warm", "true", "pre-run stage 1 and build all quote layouts before listening"},
+		{"workers", "0", "parallelism bound (0 = all cores)"},
+	}
+	_, fs := newFlags("quoteserver")
+	var got []struct{ name, def, usage string }
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, struct{ name, def, usage string }{f.Name, f.DefValue, f.Usage}) })
+	if !slices.Equal(got, want) {
+		t.Errorf("flags\n got %q\nwant %q", got, want)
 	}
 }

@@ -13,8 +13,7 @@
 // examples in examples/. DESIGN.md describes the three-stage pipeline
 // and the pre-joined event-major loss index (internal/lossindex) every
 // aggregate engine shares; EXPERIMENTS.md indexes the experiment
-// reproductions. cmd/benchtables and the root-level benchmarks
-// (bench_test.go) regenerate the paper's own experiments E1–E9; the
-// repo benchmark (go run ./bench, BENCHMARK.json) measures the system
-// end to end and layer by layer.
+// reproductions. cmd/benchtables regenerates the paper's own
+// experiments E1–E9; the repo benchmark (go run ./bench,
+// BENCHMARK.json) measures the system end to end and layer by layer.
 package repro

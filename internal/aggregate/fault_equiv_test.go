@@ -122,10 +122,15 @@ func TestFaultEquivalenceMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ds := sources[tc.replicas]
 			for _, b := range books {
 				// A fresh plan per run: a plan counts the faults it has
-				// injected.
+				// injected. A fresh attach too: a source moves a replica
+				// whose read failed behind the others, so a reused one
+				// would not read the faulty replica again.
+				ds, err := yelt.OpenDiskSource(sources[tc.replicas].Store(), "yelt")
+				if err != nil {
+					t.Fatal(err)
+				}
 				var plan *faultinject.Plan
 				if tc.rules != nil {
 					plan = faultinject.New(cfg.Seed, tc.rules(ds)...)

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,10 +93,12 @@ func TestPlacementEquivalenceAndByteAccounting(t *testing.T) {
 
 // A torn primary replica must not shrink the data motion: shard 2's
 // primary is truncated in its body, the re-attach verifies its intact
-// header, and every scan of the shard fails over to the other replica,
-// which holds the whole shard. The run's local and remote bytes must
-// sum to the healthy spill's size, as must the re-attached source's
-// SizeBytes, and the YLT must still be Sequential's bit for bit.
+// header, and the first scan of the shard fails over to the other
+// replica, which holds the whole shard. The run's local and remote
+// bytes must sum to the healthy spill's size, as must the re-attached
+// source's SizeBytes, and the YLT must still be Sequential's bit for
+// bit. The source then reads the intact replica first: a second run
+// over it fails over no more, and the log holds the one move.
 func TestTornPrimaryByteAccounting(t *testing.T) {
 	ctx := context.Background()
 	s := buildScenario(t, synth.Small(77))
@@ -137,6 +140,18 @@ func TestTornPrimaryByteAccounting(t *testing.T) {
 	}
 	if size, err := disk.SizeBytes(); err != nil || size != healthy {
 		t.Fatalf("re-attached SizeBytes = %d, %v; the healthy spill's is %d", size, err, healthy)
+	}
+	again, err := MapReduce{SplitTrials: 4096}.Run(ctx,
+		&Input{Source: disk, ELTs: s.ELTs, Portfolio: s.Portfolio, Index: ix}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsBitIdentical(t, "torn-primary, second run", want, again)
+	if again.ShardFailovers != 0 {
+		t.Fatalf("second run failed over %d times: the source did not learn the torn replica", again.ShardFailovers)
+	}
+	if log := disk.FailoverLog(); len(log) != 1 || !strings.Contains(log[0], "shard 2") {
+		t.Fatalf("failover log %q, want one entry naming shard 2", log)
 	}
 }
 

@@ -83,7 +83,7 @@ func addRecords(a, b Record) Record {
 	return Record{
 		EventID:      a.EventID,
 		MeanLoss:     a.MeanLoss + b.MeanLoss,
-		SigmaI:       math.Sqrt(a.SigmaI*a.SigmaI + b.SigmaI*b.SigmaI),
+		SigmaI:       math.Sqrt(float64(a.SigmaI*a.SigmaI) + float64(b.SigmaI*b.SigmaI)),
 		SigmaC:       a.SigmaC + b.SigmaC,
 		ExposedValue: a.ExposedValue + b.ExposedValue,
 	}

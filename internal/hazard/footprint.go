@@ -71,7 +71,7 @@ func (m Model) FeltRadiusKm(ev catalog.Event) float64 {
 	var zero float64
 	switch ev.Peril {
 	case catalog.Earthquake:
-		zero = math.Exp((1.8*mag+2.0)/3.2) - 8
+		zero = math.Exp((float64(1.8*mag)+2.0)/3.2) - 8
 	case catalog.Hurricane:
 		zero = mag * radius / 40 // mag·(radius/2)/d = 20
 	case catalog.Flood:
@@ -88,7 +88,7 @@ func (m Model) FeltRadiusKm(ev catalog.Event) float64 {
 	// crossing until the exact value is below −1e-10, orders of
 	// magnitude more than that rounding. A crossing that is not a
 	// number (log of a non-positive magnitude) leaves the cutoff.
-	zero += 1e-9*(math.Abs(zero)+math.Abs(radius)) + 1e-6
+	zero += float64(1e-9*(math.Abs(zero)+math.Abs(radius))) + 1e-6
 	if zero < cut {
 		return zero
 	}
@@ -129,7 +129,7 @@ func (m Model) Footprint(ev catalog.Event, s *Sites, out []Felt) []Felt {
 	cut := ev.RadiusKm * m.maxRange()
 	x, y, z := s.x, s.y[:len(s.x)], s.z[:len(s.x)]
 	for i := range x {
-		if x[i]*ex+y[i]*ey+z[i]*ez < minDot {
+		if float64(x[i]*ex)+float64(y[i]*ey)+float64(z[i]*ez) < minDot {
 			continue
 		}
 		inten := intensityAtDistance(ev, DistanceKm(ev.Lat, ev.Lon, s.lat[i], s.lon[i]), cut)

@@ -37,8 +37,8 @@ const deg = math.Pi / 180 // radians per degree
 func DistanceKm(lat1, lon1, lat2, lon2 float64) float64 {
 	dLat := (lat2 - lat1) * deg
 	dLon := (lon2 - lon1) * deg
-	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1*deg)*math.Cos(lat2*deg)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	a := float64(math.Sin(dLat/2)*math.Sin(dLat/2)) +
+		float64(math.Cos(lat1*deg)*math.Cos(lat2*deg)*math.Sin(dLon/2)*math.Sin(dLon/2))
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(a)))
 }
 
@@ -78,21 +78,21 @@ func intensityAtDistance(ev catalog.Event, d, cut float64) Intensity {
 	case catalog.Earthquake:
 		// Attenuation: intensity grows with magnitude, decays with
 		// log-distance (a Gutenberg-style macroseismic relation).
-		raw = 1.8*ev.Magnitude - 3.2*math.Log(d+8) + 2.0
+		raw = float64(1.8*ev.Magnitude) - float64(3.2*math.Log(d+8)) + 2.0
 	case catalog.Hurricane:
 		// Wind decays roughly linearly inside the radius of maximum
 		// winds envelope, then with inverse distance outside it.
-		v := ev.Magnitude * decay(d, ev.RadiusKm)
+		v := float64(ev.Magnitude * decay(d, ev.RadiusKm))
 		raw = (v - 20) / 6 // 20 m/s threshold of damage, saturate ~80
 	case catalog.Flood:
 		depth := ev.Magnitude * decay(d, ev.RadiusKm)
 		raw = 3 * depth
 	case catalog.WinterStorm:
-		gust := ev.Magnitude * decay(d, ev.RadiusKm)
+		gust := float64(ev.Magnitude * decay(d, ev.RadiusKm))
 		raw = (gust - 15) / 5
 	case catalog.Tornado:
 		// Tornado tracks are tiny and violent: sharp exponential decay.
-		raw = 2.2*ev.Magnitude*math.Exp(-d/ev.RadiusKm) - 0.2
+		raw = float64(2.2*ev.Magnitude*math.Exp(-d/ev.RadiusKm)) - 0.2
 	}
 	if raw <= 0 {
 		return 0
@@ -109,7 +109,7 @@ func decay(d, radius float64) float64 {
 	if radius <= 0 {
 		return 0
 	}
-	half := radius / 2
+	half := float64(radius / 2)
 	if d <= half {
 		return 1
 	}

@@ -136,7 +136,7 @@ func (p *Portfolio) Validate() error {
 // same order, an aggregate limit of two full limits.
 func StandardCatXL(meanEventLoss float64) Layer {
 	att := 5 * meanEventLoss
-	lim := 10 * meanEventLoss
+	lim := float64(10 * meanEventLoss)
 	return Layer{
 		OccRetention: att,
 		OccLimit:     lim,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,8 +97,7 @@ func Spill(ctx context.Context, src Source, store *diskstore.Store, dataset stri
 	if err := writeManifest(store, dataset, shardCounts(ranges), reps, replicas); err != nil {
 		return nil, err
 	}
-	return &DiskSource{store: store, dataset: dataset, ranges: ranges, n: n,
-		reps: reps, sizes: sizes}, nil
+	return newDiskSource(store, dataset, ranges, reps, sizes), nil
 }
 
 // The manifest is a sibling single-partition dataset recording what a
@@ -276,8 +276,14 @@ type DiskSource struct {
 	dataset string
 	ranges  []stream.Range // ranges[i] = global trials held by shard i
 	n       int
-	reps    [][]int // reps[i] = storage nodes holding shard i, failover order
+	reps    [][]int // reps[i] = storage nodes holding shard i, the manifest's order
 	sizes   []int64 // sizes[i] = encoded bytes of shard i, what a scan of it reads
+	// order[i] is shard i's failover order: reps[i], with every replica
+	// whose read failed moved behind the others. Speculative backups
+	// scan a shard concurrently, so orderMu guards it; a new order
+	// replaces the slice, never edits it, so a reader may keep one.
+	orderMu sync.Mutex
+	order   [][]int
 	// scanned counts occurrences delivered through ReadTrials — the
 	// disk-scan analogue of Generator.Streamed for stage accounting.
 	scanned atomic.Int64
@@ -353,8 +359,13 @@ func OpenDiskSource(store *diskstore.Store, dataset string) (*DiskSource, error)
 			return nil, fmt.Errorf("%w: dataset %s missing shard %d (manifest expects %d shards)", ErrBadFormat, dataset, i, len(wantCounts))
 		}
 	}
-	ds := &DiskSource{store: store, dataset: dataset, reps: reps, sizes: make([]int64, len(wantCounts))}
+	ranges := make([]stream.Range, len(wantCounts))
 	lo := 0
+	for i, want := range wantCounts {
+		ranges[i] = stream.Range{Lo: lo, Hi: lo + want}
+		lo += want
+	}
+	ds := newDiskSource(store, dataset, ranges, reps, make([]int64, len(wantCounts)))
 	for i, want := range wantCounts {
 		err := ds.readShard(i, "attach", func(r io.Reader) (err error) {
 			ds.sizes[i], err = attachShard(r, i, want)
@@ -363,11 +374,18 @@ func OpenDiskSource(store *diskstore.Store, dataset string) (*DiskSource, error)
 		if err != nil {
 			return nil, err
 		}
-		ds.ranges = append(ds.ranges, stream.Range{Lo: lo, Hi: lo + want})
-		lo += want
 	}
-	ds.n = lo
 	return ds, nil
+}
+
+// newDiskSource returns the source over dataset's shards, each read in
+// its manifest order until a replica fails.
+func newDiskSource(store *diskstore.Store, dataset string, ranges []stream.Range, reps [][]int, sizes []int64) *DiskSource {
+	ds := &DiskSource{store: store, dataset: dataset, ranges: ranges, reps: reps, sizes: sizes, order: slices.Clone(reps)}
+	if len(ranges) > 0 {
+		ds.n = ranges[len(ranges)-1].Hi
+	}
+	return ds
 }
 
 // TrialCount implements Source.
@@ -384,9 +402,10 @@ func (ds *DiskSource) Nodes() int { return ds.store.Nodes() }
 func (ds *DiskSource) ShardRange(i int) stream.Range { return ds.ranges[i] }
 
 // ShardNodes returns every storage node holding a replica of shard i,
-// primary first, in failover order — the manifest's record. A
-// shard-affine mapper scans the shard locally on any of them. The
-// returned slice is shared; callers must not modify it.
+// primary first — the manifest's record. A shard-affine mapper scans
+// the shard locally on any of them, so mapper placement does not follow
+// the failover order reads learn. The returned slice is shared; callers
+// must not modify it.
 func (ds *DiskSource) ShardNodes(i int) []int { return ds.reps[i] }
 
 // Failovers returns how many replica reads were abandoned for the next
@@ -426,16 +445,23 @@ func (ds *DiskSource) SizeBytes() (int64, error) {
 func (ds *DiskSource) Scanned() int64 { return ds.scanned.Load() }
 
 // readShard runs fn over the replicas of shard i in failover order
-// until one succeeds, counting and logging every replica abandoned on
-// the way; what names the read ("attach", "scan") in log and error.
+// until one succeeds, counting every replica abandoned on the way and
+// moving it behind the shard's other holders, so later reads start at
+// a replica that worked; the log records each such move once. what
+// names the read ("attach", "scan") in log and error.
 func (ds *DiskSource) readShard(i int, what string, fn func(io.Reader) error) error {
+	ds.orderMu.Lock()
+	order := ds.order[i]
+	ds.orderMu.Unlock()
 	var errs []error
-	for ri, node := range ds.reps[i] {
+	for ri, node := range order {
 		err := ds.store.ReadPartitionAt(ds.dataset, i, node, fn)
 		if err == nil {
 			if ri > 0 {
 				ds.failovers.Add(int64(ri))
-				ds.flog.add(fmt.Sprintf("shard %d: %s failed over to replica node %d (%v)", i, what, node, errors.Join(errs...)))
+				if ds.demote(i, order[:ri]) {
+					ds.flog.add(fmt.Sprintf("shard %d: %s failed over to replica node %d, the failed replicas now read last (%v)", i, what, node, errors.Join(errs...)))
+				}
 			}
 			return nil
 		}
@@ -445,6 +471,32 @@ func (ds *DiskSource) readShard(i int, what string, fn func(io.Reader) error) er
 		return fmt.Errorf("yelt: %s of shard %d: %w", what, i, errs[0])
 	}
 	return fmt.Errorf("yelt: %s of shard %d: all replicas failed: %w", what, i, errors.Join(errs...))
+}
+
+// demote moves the failed replicas of shard i behind its other
+// holders, keeping each group's order, and reports whether the order
+// changed: a concurrent read that failed on the same replicas finds it
+// already moved.
+func (ds *DiskSource) demote(i int, failed []int) bool {
+	ds.orderMu.Lock()
+	defer ds.orderMu.Unlock()
+	cur := ds.order[i]
+	next := make([]int, 0, len(cur))
+	for _, n := range cur {
+		if !slices.Contains(failed, n) {
+			next = append(next, n)
+		}
+	}
+	for _, n := range cur {
+		if slices.Contains(failed, n) {
+			next = append(next, n)
+		}
+	}
+	if slices.Equal(next, cur) {
+		return false
+	}
+	ds.order[i] = next
+	return true
 }
 
 // attachShard verifies the header of one replica of shard i against

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/diskstore"
@@ -135,6 +136,9 @@ func TestReattachSizeAfterTornPrimary(t *testing.T) {
 // A replica that dies mid-scan (truncated file: the header reads fine,
 // the trial stream tears halfway) must roll back its partial progress
 // and fail over, yielding a batch bit-identical to the healthy read.
+// Concurrent scans may all meet the torn copy; it moves behind the
+// intact one once, so the log holds one entry and a later scan reads
+// the intact copy first.
 func TestReadTrialsFailsOverTruncatedReplicaMidStream(t *testing.T) {
 	ctx := context.Background()
 	tbl, store, ds := spillReplicatedFixture(t)
@@ -147,17 +151,31 @@ func TestReadTrialsFailsOverTruncatedReplicaMidStream(t *testing.T) {
 	if err := store.CorruptAt("yelt", 3, bad); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ds.ReadTrials(ctx, 0, 301, &Table{})
-	if err != nil {
-		t.Fatal(err)
+	got, errs := make([]*Table, 4), make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = ds.ReadTrials(ctx, 0, 301, &Table{})
+		}()
 	}
-	tablesEqual(t, "failover batch", want, got)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		tablesEqual(t, "failover batch", want, got[i])
+	}
 	if ds.Failovers() == 0 {
 		t.Fatal("no failover recorded for the torn replica")
 	}
-	log := strings.Join(ds.FailoverLog(), "\n")
-	if !strings.Contains(log, "shard 3") {
-		t.Fatalf("failover log does not name shard 3:\n%s", log)
+	if log := ds.FailoverLog(); len(log) != 1 || !strings.Contains(log[0], "shard 3") {
+		t.Fatalf("failover log %q, want one entry naming shard 3", log)
+	}
+	before := ds.Failovers()
+	if _, err := ds.ReadTrials(ctx, 0, 301, &Table{}); err != nil || ds.Failovers() != before {
+		t.Fatalf("a later scan: %v, failovers %d → %d; want the intact replica read first", err, before, ds.Failovers())
 	}
 }
 
